@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eig_banded
 
 from .core import disentangle_closed_form
 from .errors import InvalidParams, NoConvergence, NotSymmetric, TruncationTooSmall, ZOutOfDomain
@@ -61,6 +62,43 @@ def symmetric_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, q
 
 
+def _low_eigs(m: np.ndarray, count: int, vectors: bool = False):
+    """Lowest `count` eigenvalues (ascending) of a real symmetric banded
+    matrix, with their eigenvectors as columns when `vectors` is set.
+
+    Only the band, read from the nonzero pattern, reaches the solver,
+    which computes only the selected pairs.  A count above the dimension
+    yields all of them; zero yields none.  A non-square or asymmetric
+    input raises NotSymmetric, as in symmetric_eigs.
+    """
+    if count < 0:
+        raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
+    n = m.shape[0]
+    rows, cols = np.nonzero(m)
+    band = int(np.max(np.abs(cols - rows), initial=0))
+    # outside the band both triangles are zero, so the band alone gives
+    # the same test as symmetric_eigs
+    asym = sum(np.sum((np.diagonal(m, k) - np.diagonal(m, -k)) ** 2)
+               for k in range(1, band + 1))
+    if np.sqrt(2.0 * asym) > 1e-10 * max(np.linalg.norm(m), 1e-300):
+        raise NotSymmetric("symmetry residual exceeds 1e-10 of the matrix norm")
+    count = min(count, n)
+    if count == 0:
+        return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
+    # upper storage: diagonal k of m sits in row band - k, from column k on
+    upper = np.zeros((band + 1, n))
+    for k in range(band + 1):
+        upper[band - k, k:] = np.diagonal(m, k)
+    try:
+        return eig_banded(upper, eigvals_only=not vectors, select="i",
+                          select_range=(0, count - 1))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"banded eigensolve failed: {exc}") from exc
+
+
 def exp_symmetric(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """exp(scale * m) of a real symmetric matrix via its eigensystem."""
     w, q = symmetric_eigs(m)
@@ -76,19 +114,28 @@ def _exp_raising(sub: np.ndarray, band: int, coeff: float, n: int) -> np.ndarray
     The series terminates after n // band orders; each diagonal follows
     from the previous one by a single multiplication, so every entry is
     a product of its path factors and carries full relative precision.
+    Each order is computed straight into its diagonal through a strided
+    view of the output, so the cost beyond the N x N result is
+    O(N^2 / band) with no other N x N array.  The fill is bit-identical
+    to summing np.diag(d, -band * order) over the orders onto the
+    identity.
     """
     out = np.eye(n)
     if coeff == 0.0 or sub.size == 0:
         return out
-    d = coeff * sub
-    order = 1
-    while d.size > 0:
-        out += np.diag(d, -band * order)
-        order += 1
-        new_len = n - band * order
-        if new_len <= 0:
-            break
-        d = d[band:new_len + band] * (coeff * sub[:new_len]) / order
+    # flat[band * order * n::n + 1] is the diagonal -band * order
+    flat = out.reshape(-1)
+    step = coeff * sub
+    prev = flat[band * n::n + 1]
+    prev[:] = step
+    for order in range(2, (n - 1) // band + 1):
+        cur = flat[band * order * n::n + 1]
+        np.multiply(prev[band:], step[:cur.size], out=cur)
+        cur /= order
+        prev = cur
+    # a product of zeros can be -0.0; adding 0 gives +0.0, as adding each
+    # order onto the zeros of the identity does
+    out += 0.0
     return out
 
 
@@ -138,13 +185,15 @@ def materialize_metric_root(p: SwansonParams, z: float,
     band, sub, k0_diag = _ladder_band(realization)
     with np.errstate(over="ignore", under="ignore"):
         mid = np.exp(f.q.real * k0_diag)
-        left = _exp_raising(sub, band, f.p.real, n)
-        right = _exp_raising(sub, band, f.r.real, n)
+        # eta = z eps / 2 is real, so r = p and both ladder factors are
+        # the same matrix: exp(p Kp) = E and exp(p Km) = E^T
+        assert f.r.real == f.p.real
+        e = _exp_raising(sub, band, f.p.real, n)
         if eps <= 0.0:
-            # exp(p Kp) exp(q K0) exp(r Km)
-            return (left * mid) @ right.T
-        # exp(r Km) exp(q K0) exp(p Kp)
-        return (right.T * mid) @ left
+            # exp(p Kp) exp(q K0) exp(p Km)
+            return (e * mid) @ e.T
+        # exp(p Km) exp(q K0) exp(p Kp)
+        return (e.T * mid) @ e
 
 
 def _band_project(m: np.ndarray, band: int) -> np.ndarray:
@@ -178,8 +227,11 @@ def conjugated_hamiltonian_matrix(p: SwansonParams, z: float,
     band, sub, k0_diag = _ladder_band(realization)
     h_mat = materialize(swanson_element(p), realization)
 
-    def _exp(x: float) -> np.ndarray:
-        return _exp_raising(sub, band, x, n)
+    # eta = z eps / 2 is real, so r = p and rho = E D E^T (or E^T D E)
+    # with one ladder factor E and its inverse
+    assert f.r.real == f.p.real
+    e = _exp_raising(sub, band, f.p.real, n)
+    e_inv = _exp_raising(sub, band, -f.p.real, n)
 
     def _scale(m: np.ndarray, q: float) -> np.ndarray:
         out = np.zeros_like(m)
@@ -192,14 +244,14 @@ def conjugated_hamiltonian_matrix(p: SwansonParams, z: float,
         return out
 
     if eps <= 0.0:
-        # rho = E(p) D E(r)^T, so conjugate by E(r)^T, then D, then E(p)
-        inner = _exp(f.r.real).T @ h_mat @ _exp(-f.r.real).T
+        # rho = E D E^T, so conjugate by E^T, then D, then E
+        inner = e.T @ h_mat @ e_inv.T
         scaled = _scale(_band_project(inner, band), f.q.real)
-        return _exp(f.p.real) @ scaled @ _exp(-f.p.real)
-    # rho = E(r)^T D E(p), so conjugate by E(p), then D, then E(r)^T
-    inner = _exp(f.p.real) @ h_mat @ _exp(-f.p.real)
+        return e @ scaled @ e_inv
+    # rho = E^T D E, so conjugate by E, then D, then E^T
+    inner = e @ h_mat @ e_inv
     scaled = _scale(_band_project(inner, band), f.q.real)
-    return _exp(f.r.real).T @ scaled @ _exp(-f.r.real).T
+    return e.T @ scaled @ e_inv.T
 
 
 def spectrum_prediction(p: SwansonParams, k: float, count: int) -> np.ndarray:
@@ -249,7 +301,15 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
         r_quasi       zeta_+ H - H^T zeta_+
         r_commute     rho O - O rho
 
-    The spectrum is taken from the exactly symmetric direct assembly.
+    The product residuals are contracted from the leading trusted rows
+    of the left factor and columns of the right one, which is the same
+    sum over all N inner indices as the full product's leading block
+    (an inf * 0 in it still gives NaN) at T N T cost.  zeta_+ = rho rho
+    stays a full product because it is returned as an N x N operator.
+
+    The spectrum is the lowest `spectrum_count` eigenvalues (default
+    trusted // 2, at least 1; all N if more are asked) of the exactly
+    symmetric direct assembly, computed from its band alone.
     """
     validate_params(p)
     n = realization.dim
@@ -259,6 +319,13 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     if not is_admissible(p, z):
         raise ZOutOfDomain(f"z = {z:g} is not admissible for these parameters")
 
+    t = trusted
+    # the spectrum comes first, so that a negative count is rejected
+    # before the dense work
+    h_direct = materialize(hermitian_equivalent(p, z), realization)
+    count = spectrum_count if spectrum_count is not None else max(1, t // 2)
+    spectrum = _low_eigs(h_direct, count)
+
     h_mat = materialize(swanson_element(p), realization)
     o_mat = materialize(commuting_observable(z), realization)
     rho = materialize_metric_root(p, z, realization, sign=1)
@@ -266,16 +333,14 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     h_conj = conjugated_hamiltonian_matrix(p, z, realization)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         zeta = rho @ rho
-    h_direct = materialize(hermitian_equivalent(p, z), realization)
 
-    t = trusted
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        lhs_i = h_direct @ rho
-        rhs_i = rho @ h_mat
-        lhs_q = zeta @ h_mat
-        rhs_q = h_mat.T @ zeta
-        lhs_c = rho @ o_mat
-        rhs_c = o_mat @ rho
+        lhs_i = h_direct[:t] @ rho[:, :t]
+        rhs_i = rho[:t] @ h_mat[:, :t]
+        lhs_q = zeta[:t] @ h_mat[:, :t]
+        rhs_q = h_mat[:, :t].T @ zeta[:, :t]
+        lhs_c = rho[:t] @ o_mat[:, :t]
+        rhs_c = o_mat[:t] @ rho[:, :t]
         residuals = {
             "r_herm": _relative(h_conj - h_conj.T, [h_conj], t),
             "r_eq10": _relative(h_conj - h_direct, [h_direct], t),
@@ -283,10 +348,6 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
             "r_quasi": _relative(lhs_q - rhs_q, [lhs_q, rhs_q], t),
             "r_commute": _relative(lhs_c - rhs_c, [lhs_c, rhs_c], t),
         }
-
-    count = spectrum_count if spectrum_count is not None else max(1, t // 2)
-    w, _ = symmetric_eigs(h_direct)
-    spectrum = w[:count].copy()
 
     return OperatorBundle(params=p, z=z, realization=realization.kind,
                           trusted=t, hamiltonian=h_mat, rho=rho,
@@ -329,7 +390,7 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
     outruns the certified vector, which is a property of the similarity
     itself, not of the algorithm.
     """
-    w, q = symmetric_eigs(bundle.h_direct)
+    w, q = _low_eigs(bundle.h_direct, count, vectors=True)
     t = bundle.trusted
     n = bundle.h_direct.shape[0]
     floor = n * np.finfo(float).eps

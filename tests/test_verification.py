@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from su11metric import (InvalidParams, NotSymmetric, SwansonParams,
                         materialize, materialize_metric_root,
                         metric_block_definite, metric_exponent, power_base,
                         spectrum_prediction, symmetric_eigs)
-from su11metric import commuting_observable
+from su11metric import commuting_observable, from_descriptor
+from su11metric.verification import _exp_raising, _relative
 
 P = SwansonParams(1.0, 0.2, 0.1)
 Z_GRID = (-0.8, -0.4, 0.0, 0.4, 0.8)
@@ -61,6 +63,38 @@ class TestExpSymmetric:
         m = (a + a.T) / 2.0
         prod = exp_symmetric(m, 1.0) @ exp_symmetric(m, -1.0)
         assert np.linalg.norm(prod - np.eye(30), 2) < 1e-9
+
+
+def _exp_raising_reference(sub, band, coeff, n):
+    """The ladder exponential with each order added as a fresh np.diag."""
+    out = np.eye(n)
+    if coeff == 0.0 or sub.size == 0:
+        return out
+    d = coeff * sub
+    order = 1
+    while d.size > 0:
+        out += np.diag(d, -band * order)
+        order += 1
+        new_len = n - band * order
+        if new_len <= 0:
+            break
+        d = d[band:new_len + band] * (coeff * sub[:new_len]) / order
+    return out
+
+
+class TestExpRaising:
+    def test_bitwise_reference(self):
+        rng = np.random.default_rng(59)
+        for n in (7, 60):
+            for band in (1, 2, 3):
+                sub = rng.normal(scale=3.0, size=n - band)
+                sub[::4] = 0.0    # products of zeros carry a sign
+                for coeff in (-0.3, 0.0, 0.7):
+                    got = _exp_raising(sub, band, coeff, n)
+                    ref = _exp_raising_reference(sub, band, coeff, n)
+                    # int64 views also tell -0.0 from 0.0
+                    assert np.array_equal(got.view(np.int64),
+                                          ref.view(np.int64)), (n, band, coeff)
 
 
 class TestMetricRoot:
@@ -191,6 +225,56 @@ class TestBuildBundle:
         for z in (-0.8, 0.0, 0.8):
             res = eigvec_residuals(bundles(k=0.25, z=z), count=5)
             assert res.max() <= 1e-5
+
+    def test_block_products_match_full(self):
+        # build_bundle contracts each residual product on the trusted
+        # block only; its residuals must equal those of the full products
+        t = 30
+        for desc in ("oscillator:parity=full",
+                     "multiboson:l=3,residues=0.25,0.5,0.75"):
+            r, _ = from_descriptor(desc, 120)
+            b = build_bundle(P, 0.4, r, trusted=t)
+            h, rho, zeta, o = b.hamiltonian, b.rho, b.zeta_plus, b.observable
+            for name, (lhs, rhs) in (
+                    ("r_intertwine", (b.h_direct @ rho, rho @ h)),
+                    ("r_quasi", (zeta @ h, h.T @ zeta)),
+                    ("r_commute", (rho @ o, o @ rho))):
+                want = _relative(lhs - rhs, [lhs, rhs], t)
+                assert np.isfinite(want)
+                # residuals are already relative to the products' norms
+                assert abs(b.residuals[name] - want) <= 1e-12, (desc, name)
+
+    def test_banded_spectrum_matches_dense(self):
+        for desc in ("discrete:k=0.25", "oscillator:parity=full",
+                     "oscillator:parity=odd",
+                     "multiboson:l=3,residues=0.25,0.5,0.75", "radial:L=1",
+                     "conformal:k=0.75,c=1"):
+            r, implied = from_descriptor(desc, 60)
+            p = implied if implied is not None else P
+            b = build_bundle(p, 0.6, r, trusted=20, spectrum_count=60)
+            w = np.linalg.eigh(b.h_direct)[0]
+            assert np.abs(b.spectrum_h - w).max() \
+                <= 1e-12 * np.abs(w).max(), desc
+
+    def test_spectrum_count_edges(self):
+        r = discrete_series(0.25, 10)
+        none = build_bundle(P, 0.4, r, trusted=5, spectrum_count=0)
+        assert none.spectrum_h.shape == (0,)
+        every = build_bundle(P, 0.4, r, trusted=5, spectrum_count=12)
+        w = np.linalg.eigh(every.h_direct)[0]
+        assert every.spectrum_h.shape == (10,)
+        assert np.abs(every.spectrum_h - w).max() <= 1e-12 * np.abs(w).max()
+        with pytest.raises(InvalidParams):
+            build_bundle(P, 0.4, r, trusted=5, spectrum_count=-1)
+
+    def test_eigvec_residuals_rejects_asymmetric(self):
+        b = build_bundle(P, 0.4, discrete_series(0.25, 10), trusted=5)
+        h = b.h_direct.copy()
+        h[0, 1] += 1.0
+        with pytest.raises(NotSymmetric):
+            eigvec_residuals(dataclasses.replace(b, h_direct=h))
+        with pytest.raises(NotSymmetric):
+            eigvec_residuals(dataclasses.replace(b, h_direct=h[:, :9]))
 
     def test_oscillator_realization_bundle(self):
         from su11metric import oscillator_full
