@@ -22,8 +22,8 @@ import numpy as np
 from .core import disentangle_closed_form
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      NotSymmetric, TrigRegime, TruncationTooSmall, ZOutOfDomain)
-from .metric import (SwansonParams, is_admissible, solve_epsilon, solve_metric,
-                     validate_params)
+from .metric import (_EDGE, SwansonParams, is_admissible, solve_epsilon,
+                     solve_metric, validate_params)
 from .pdm import PdmConfig, run_pdm_check
 from .realizations import from_descriptor
 from .verification import build_bundle, spectrum_prediction
@@ -39,8 +39,6 @@ RESIDUAL_TOLS = {
 SWEEP_COLUMNS = ["z", "epsilon", "mu", "nu", "mu_nu_product", "U", "V", "W",
                  "r_herm", "r_eq10", "r_intertwine", "r_quasi", "r_commute",
                  "e0", "e1", "e2", "e3", "e4"]
-
-_EDGE = 1e-9
 
 
 def _fmt(value) -> str:

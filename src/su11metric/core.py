@@ -168,6 +168,25 @@ def gauss_decompose(m: np.ndarray, ordering: str = "normal") -> Factorization:
     raise InvalidParams(f"unknown ordering {ordering!r}")
 
 
+def _ordered_factor(epsilon: float, eta: complex, ordering: str) -> Factorization:
+    """One ordered factorization of exp(2 eps K0 + 2 eta Km + 2 conj(eta) Kp);
+    only the pivot of the requested ordering is checked."""
+    eta = complex(eta)
+    theta_sq = epsilon * epsilon - 4.0 * (eta * eta.conjugate()).real
+    if theta_sq < 0.0:
+        raise TrigRegime(f"theta^2 = {theta_sq:.6g} < 0; no real-theta factorization")
+    c, s = _cosh_sinhc(theta_sq)
+    sign, op = (-1.0, "-") if ordering == "normal" else (1.0, "+")
+    pivot = c + sign * epsilon * s
+    if abs(pivot) < PIVOT_TOL:
+        raise DecompositionSingular(
+            f"cosh(theta) {op} eps*sinh(theta)/theta = {pivot:.3e} vanishes")
+    return Factorization(p=2.0 * eta.conjugate() * s / pivot,
+                         q=sign * 2.0 * cmath.log(complex(pivot)),
+                         r=2.0 * eta * s / pivot,
+                         ordering=ordering)
+
+
 def disentangle_closed_form(epsilon: float, eta: complex) -> tuple[Factorization, Factorization]:
     """Both ordered factorizations of exp(2 eps K0 + 2 eta Km + 2 conj(eta) Kp).
 
@@ -179,28 +198,8 @@ def disentangle_closed_form(epsilon: float, eta: complex) -> tuple[Factorization
     For real eps the factorized operators inherit Hermiticity: q is real
     and r = conj(p).
     """
-    eta = complex(eta)
-    theta_sq = epsilon * epsilon - 4.0 * (eta * eta.conjugate()).real
-    if theta_sq < 0.0:
-        raise TrigRegime(f"theta^2 = {theta_sq:.6g} < 0; no real-theta factorization")
-    c, s = _cosh_sinhc(theta_sq)
-    piv_n = c - epsilon * s
-    piv_a = c + epsilon * s
-    if abs(piv_n) < PIVOT_TOL:
-        raise DecompositionSingular(
-            f"cosh(theta) - eps*sinh(theta)/theta = {piv_n:.3e} vanishes")
-    if abs(piv_a) < PIVOT_TOL:
-        raise DecompositionSingular(
-            f"cosh(theta) + eps*sinh(theta)/theta = {piv_a:.3e} vanishes")
-    normal = Factorization(p=2.0 * eta.conjugate() * s / piv_n,
-                           q=-2.0 * cmath.log(complex(piv_n)),
-                           r=2.0 * eta * s / piv_n,
-                           ordering="normal")
-    antinormal = Factorization(p=2.0 * eta.conjugate() * s / piv_a,
-                               q=2.0 * cmath.log(complex(piv_a)),
-                               r=2.0 * eta * s / piv_a,
-                               ordering="antinormal")
-    return normal, antinormal
+    return (_ordered_factor(epsilon, eta, "normal"),
+            _ordered_factor(epsilon, eta, "antinormal"))
 
 
 def adjoint_matrix(epsilon: float, eta: complex) -> np.ndarray:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AlgebraElement, _cosh_sinhc, conjugate
-from .errors import InvalidParams, TrigRegime, ZOutOfDomain
+from .core import AlgebraElement, adjoint_matrix, conjugate
+from .errors import InvalidParams, ZOutOfDomain
 
-# mu and nu have 1/(1 -+ z) poles; they are only reported away from the
-# endpoints and the endpoint Hamiltonian is assembled by conjugation.
+# mu, nu and the power base are only reported at least this far from
+# |z| = 1; the endpoint Hamiltonian is assembled by conjugation.
 _EDGE = 1e-9
 
 
@@ -69,15 +69,21 @@ def swanson_element(p: SwansonParams) -> AlgebraElement:
     return AlgebraElement(2.0 * p.omega, 2.0 * p.alpha, 2.0 * p.beta)
 
 
+def _stability_coeffs(p: SwansonParams) -> tuple[float, float, float]:
+    """(a, b, c) of the stability polynomial a z^2 + b z + c."""
+    a = p.omega * p.omega + (p.alpha - p.beta) ** 2
+    b = -2.0 * (p.alpha + p.beta) * p.omega
+    c = 4.0 * p.alpha * p.beta
+    return a, b, c
+
+
 def _stability_poly(p: SwansonParams, z: float) -> float:
     """(alpha+beta-omega*z)**2 - (alpha-beta)**2 (1-z**2), expanded.
 
     Positive exactly where the arctanh argument of eps(z) has modulus
     below one (equivalently where the mu/nu square root is real).
     """
-    a = p.omega * p.omega + (p.alpha - p.beta) ** 2
-    b = -2.0 * (p.alpha + p.beta) * p.omega
-    c = 4.0 * p.alpha * p.beta
+    a, b, c = _stability_coeffs(p)
     return (a * z + b) * z + c
 
 
@@ -99,9 +105,7 @@ def z_domain(p: SwansonParams) -> list[tuple[float, float]]:
     (relevant only at z = +-1 when omega = -+(alpha+beta)).
     """
     validate_params(p)
-    a = p.omega * p.omega + (p.alpha - p.beta) ** 2
-    b = -2.0 * (p.alpha + p.beta) * p.omega
-    c = 4.0 * p.alpha * p.beta
+    a, b, c = _stability_coeffs(p)
     disc = b * b - 4.0 * a * c
     root = math.sqrt(disc)
     z1 = (-b - root) / (2.0 * a)
@@ -144,24 +148,11 @@ def conjugated_coeffs(p: SwansonParams, epsilon: float,
                       eta: complex) -> tuple[complex, complex, complex]:
     """(U, V, W) with rho H rho^{-1} = 2U K0 + 2V Km + 2W Kp.
 
-    Evaluated from the closed adjoint-action forms; for eps solved by
+    The adjoint action of rho on (omega, alpha, beta); for eps solved by
     solve_epsilon (and eta = z*eps/2 real) U is real and W equals V.
     """
     validate_params(p)
-    eta = complex(eta)
-    abs2 = (eta * eta.conjugate()).real
-    theta_sq = epsilon * epsilon - 4.0 * abs2
-    if theta_sq < 0.0:
-        raise TrigRegime(f"theta^2 = {theta_sq:.6g} < 0")
-    c, s = _cosh_sinhc(theta_sq)
-    cm_ = c - epsilon * s
-    cp_ = c + epsilon * s
-    etc = eta.conjugate()
-    om, al, be = p.omega, p.alpha, p.beta
-    u = om * (1.0 - 8.0 * abs2 * s * s) - 4.0 * al * etc * s * cm_ \
-        + 4.0 * be * eta * s * cp_
-    v = 2.0 * om * eta * s * cm_ + al * cm_ * cm_ + 4.0 * be * eta * eta * s * s
-    w = -2.0 * om * etc * s * cp_ + 4.0 * al * etc * etc * s * s + be * cp_ * cp_
+    u, v, w = adjoint_matrix(epsilon, eta) @ (p.omega, p.alpha, p.beta)
     return complex(u), complex(v), complex(w)
 
 
@@ -170,8 +161,10 @@ def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
 
     mu scales the (2K0 - Kp - Km) part and nu the (2K0 + Kp + Km) part of
     2*omega*h.  Their product equals omega**2 - 4*alpha*beta for every
-    admissible z; both formulas have poles at z = -+1 and are refused
-    within 1e-9 of the endpoints.
+    admissible z.  mu = (g - term) / ((1 + z) omega) is 0/0 at z = -1 and
+    nu = omega (g + term) / (1 - z) at z = +1; there the product law
+    (g - term)(g + term) = (1 - z^2)(omega^2 - 4 alpha beta) replaces the
+    cancelling factor.  Both are refused within 1e-9 of the endpoints.
     """
     validate_params(p)
     if abs(z) >= 1.0 - _EDGE:
@@ -185,8 +178,13 @@ def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
     s = math.sqrt(1.0 - diff * diff * (1.0 - z * z) / (den * den))
     term = den * s
     g = p.omega - (p.alpha + p.beta) * z
-    mu = (g - term) / ((1.0 + z) * p.omega)
-    nu = p.omega * (g + term) / (1.0 - z)
+    gap = p.omega * p.omega - 4.0 * p.alpha * p.beta
+    if z >= 0.0:
+        mu = (g - term) / ((1.0 + z) * p.omega)
+        nu = p.omega * (1.0 + z) * gap / (g - term)
+    else:
+        mu = (1.0 - z) * gap / (p.omega * (g + term))
+        nu = p.omega * (g + term) / (1.0 - z)
     return mu, nu
 
 
@@ -194,8 +192,9 @@ def hermitian_equivalent(p: SwansonParams, z: float) -> AlgebraElement:
     """Coefficients of h = rho H rho^{-1}, exactly symmetric in Kp/Km.
 
     Away from the endpoints h = ((nu + mu*omega^2)/omega) K0
-    + ((nu - mu*omega^2)/(2*omega)) (Km + Kp); at |z| = 1 the element is
-    obtained by conjugating H with the solved exponent.
+    + ((nu - mu*omega^2)/(2*omega)) (Km + Kp), which shares no code with
+    the adjoint closed form that build_bundle's r_eq10 compares it with.
+    Within 1e-9 of |z| = 1 it is the Hermitian part of that conjugation.
     """
     if abs(z) < 1.0 - _EDGE:
         mu, nu = mu_nu(p, z)

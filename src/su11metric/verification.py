@@ -2,8 +2,9 @@
 
 Everything spectral goes through the Hermitian equivalent h: spectra of
 the non-Hermitian H are never computed with a nonsymmetric eigensolver.
-Residual diagnostics (Hermiticity of the conjugated Hamiltonian, direct
-vs conjugated assembly, intertwining, quasi-Hermiticity, metric/observable
+Hermiticity of rho H rho^{-1} and eq. (10) rest only on the su(1,1)
+commutators, so they are checked on coefficient triples.  The matrix
+diagnostics (intertwining, quasi-Hermiticity, metric/observable
 commutation) are measured in the spectral norm of the leading trusted
 block, normalized by the operand norms, because the metric amplifies
 truncation error at the top of the basis.
@@ -16,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eig_banded
 
-from .core import disentangle_closed_form
+from .core import AlgebraElement, _ordered_factor, conjugate
 from .errors import InvalidParams, NoConvergence, NotSymmetric, TruncationTooSmall, ZOutOfDomain
 from .metric import (SwansonParams, commuting_observable, hermitian_equivalent,
-                     is_admissible, solve_epsilon, swanson_element,
-                     validate_params)
+                     is_admissible, metric_exponent, solve_epsilon,
+                     swanson_element, validate_params)
 from .realizations import RealizationMatrices, materialize
 
 DEFAULT_TRUSTED = 50
@@ -38,7 +39,6 @@ class OperatorBundle:
     rho: np.ndarray
     rho_inv: np.ndarray
     zeta_plus: np.ndarray
-    h_conj: np.ndarray
     h_direct: np.ndarray
     observable: np.ndarray
     residuals: dict[str, float] = field(default_factory=dict)
@@ -139,19 +139,6 @@ def _exp_raising(sub: np.ndarray, band: int, coeff: float, n: int) -> np.ndarray
     return out
 
 
-def _metric_factors(p: SwansonParams, z: float, sign: int):
-    """Ordered-factorization parameters for exp(sign * A).
-
-    The ordering whose diagonal factor decays is selected (normal for a
-    nonpositive scale, antinormal otherwise); its pivot is then >= 1, so
-    the parameters are well conditioned.
-    """
-    eps = sign * solve_epsilon(p, z)
-    eta = z * eps / 2.0
-    normal, anti = disentangle_closed_form(eps, eta)
-    return eps, (normal if eps <= 0.0 else anti)
-
-
 def _ladder_band(realization: RealizationMatrices) -> tuple[int, np.ndarray, np.ndarray]:
     n = realization.dim
     band = n - realization.trusted
@@ -179,8 +166,13 @@ def materialize_metric_root(p: SwansonParams, z: float,
     close the sum below min(i, j) (decaying ordering) or make it converge
     geometrically (growing ordering), the truncated product reproduces
     the matrix elements of the untruncated operator itself.
+
+    The decaying ordering is taken (normal for eps <= 0, antinormal
+    otherwise); its pivot is >= 1, and only that pivot is checked.
     """
-    eps, f = _metric_factors(p, z, sign)
+    eps = sign * solve_epsilon(p, z)
+    f = _ordered_factor(eps, z * eps / 2.0,
+                        "normal" if eps <= 0.0 else "antinormal")
     n = realization.dim
     band, sub, k0_diag = _ladder_band(realization)
     with np.errstate(over="ignore", under="ignore"):
@@ -194,64 +186,6 @@ def materialize_metric_root(p: SwansonParams, z: float,
             return (e * mid) @ e.T
         # exp(p Km) exp(q K0) exp(p Kp)
         return (e.T * mid) @ e
-
-
-def _band_project(m: np.ndarray, band: int) -> np.ndarray:
-    """Restrict a matrix to the diagonals 0 and +-band.
-
-    Conjugating a generator-linear operator by the one-parameter ladder
-    or diagonal subgroups keeps it generator-linear, so its materialized
-    form is exactly this band; entries outside it are truncation and
-    rounding debris.
-    """
-    out = np.diag(np.diag(m))
-    out += np.diag(np.diag(m, band), band)
-    out += np.diag(np.diag(m, -band), -band)
-    return out
-
-
-def conjugated_hamiltonian_matrix(p: SwansonParams, z: float,
-                                  realization: RealizationMatrices) -> np.ndarray:
-    """rho H rho^{-1} materialized through the ordered factors.
-
-    The plain triple product rho @ H @ rho_inv contracts terms that grow
-    like the square of the metric's dynamic range before cancelling, so
-    it loses all significance once |eps| * dim is large.  Conjugating
-    factor by factor avoids that: the inner ladder conjugation and the
-    diagonal scaling keep the operator on its exact generator band with
-    moderate entries, leaving two triangular sandwiches whose sums are
-    bounded by the band.
-    """
-    eps, f = _metric_factors(p, z, +1)
-    n = realization.dim
-    band, sub, k0_diag = _ladder_band(realization)
-    h_mat = materialize(swanson_element(p), realization)
-
-    # eta = z eps / 2 is real, so r = p and rho = E D E^T (or E^T D E)
-    # with one ladder factor E and its inverse
-    assert f.r.real == f.p.real
-    e = _exp_raising(sub, band, f.p.real, n)
-    e_inv = _exp_raising(sub, band, -f.p.real, n)
-
-    def _scale(m: np.ndarray, q: float) -> np.ndarray:
-        out = np.zeros_like(m)
-        with np.errstate(over="ignore", under="ignore"):
-            out += np.diag(np.diag(m))
-            upper = np.exp(q * (k0_diag[:n - band] - k0_diag[band:]))
-            lower = np.exp(q * (k0_diag[band:] - k0_diag[:n - band]))
-            out += np.diag(np.diag(m, band) * upper, band)
-            out += np.diag(np.diag(m, -band) * lower, -band)
-        return out
-
-    if eps <= 0.0:
-        # rho = E D E^T, so conjugate by E^T, then D, then E
-        inner = e.T @ h_mat @ e_inv.T
-        scaled = _scale(_band_project(inner, band), f.q.real)
-        return e @ scaled @ e_inv
-    # rho = E^T D E, so conjugate by E, then D, then E^T
-    inner = e @ h_mat @ e_inv
-    scaled = _scale(_band_project(inner, band), f.q.real)
-    return e.T @ scaled @ e_inv.T
 
 
 def spectrum_prediction(p: SwansonParams, k: float, count: int) -> np.ndarray:
@@ -287,16 +221,27 @@ def _relative(diff: np.ndarray, operands: list[np.ndarray], t: int) -> float:
     return d / base
 
 
+def _largest(x: AlgebraElement) -> float:
+    # nonzero for H and its conjugates: their Casimir is
+    # 4 (omega^2 - 4 alpha beta) > 0
+    return max(abs(x.c0), abs(x.cm), abs(x.cp))
+
+
 def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
                  trusted: int = DEFAULT_TRUSTED,
                  spectrum_count: int | None = None) -> OperatorBundle:
-    """Materialize H, rho, rho^{-1}, zeta_+, h (both routes) and O.
+    """Materialize H, rho, rho^{-1}, zeta_+, h and O and check them.
 
-    Residuals, all spectral norms of the leading trusted x trusted block
+    Residuals.  r_herm and r_eq10 are coefficient-level, on the adjoint
+    closed form y = core.conjugate(metric_exponent(p, z), H), relative to
+    the largest coefficient, and independent of realization, N and T:
+
+        r_herm        Hermiticity defect of y: |Im c0|, |cm - conj(cp)|
+        r_eq10        y vs hermitian_equivalent(p, z) (the mu/nu formula)
+
+    The rest are spectral norms of the leading trusted x trusted block,
     normalized by the operand norms:
 
-        r_herm        h_conj vs its transpose
-        r_eq10        h_conj vs the directly assembled h
         r_intertwine  h rho - rho H
         r_quasi       zeta_+ H - H^T zeta_+
         r_commute     rho O - O rho
@@ -320,9 +265,11 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
         raise ZOutOfDomain(f"z = {z:g} is not admissible for these parameters")
 
     t = trusted
+    h_coeffs = hermitian_equivalent(p, z)
+    y = conjugate(metric_exponent(p, z), swanson_element(p))
     # the spectrum comes first, so that a negative count is rejected
     # before the dense work
-    h_direct = materialize(hermitian_equivalent(p, z), realization)
+    h_direct = materialize(h_coeffs, realization)
     count = spectrum_count if spectrum_count is not None else max(1, t // 2)
     spectrum = _low_eigs(h_direct, count)
 
@@ -330,7 +277,6 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     o_mat = materialize(commuting_observable(z), realization)
     rho = materialize_metric_root(p, z, realization, sign=1)
     rho_inv = materialize_metric_root(p, z, realization, sign=-1)
-    h_conj = conjugated_hamiltonian_matrix(p, z, realization)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         zeta = rho @ rho
 
@@ -342,8 +288,10 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
         lhs_c = rho[:t] @ o_mat[:, :t]
         rhs_c = o_mat[:t] @ rho[:, :t]
         residuals = {
-            "r_herm": _relative(h_conj - h_conj.T, [h_conj], t),
-            "r_eq10": _relative(h_conj - h_direct, [h_direct], t),
+            "r_herm": max(abs(y.c0.imag), abs(y.cm - y.cp.conjugate()))
+            / _largest(y),
+            "r_eq10": max(abs(y.c0 - h_coeffs.c0), abs(y.cm - h_coeffs.cm),
+                          abs(y.cp - h_coeffs.cp)) / _largest(h_coeffs),
             "r_intertwine": _relative(lhs_i - rhs_i, [lhs_i, rhs_i], t),
             "r_quasi": _relative(lhs_q - rhs_q, [lhs_q, rhs_q], t),
             "r_commute": _relative(lhs_c - rhs_c, [lhs_c, rhs_c], t),
@@ -351,7 +299,7 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
 
     return OperatorBundle(params=p, z=z, realization=realization.kind,
                           trusted=t, hamiltonian=h_mat, rho=rho,
-                          rho_inv=rho_inv, zeta_plus=zeta, h_conj=h_conj,
+                          rho_inv=rho_inv, zeta_plus=zeta,
                           h_direct=h_direct, observable=o_mat,
                           residuals=residuals, spectrum_h=spectrum)
 

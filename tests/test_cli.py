@@ -106,6 +106,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_strong_coupling_point(self, capsys):
+        # strong non-Hermiticity near the domain edge, N = 200, T = 50
+        code, out, _ = run_cli(capsys, "verify", "--omega", "1",
+                               "--alpha", "0.45", "--beta", "0.05", "--z", "0.77")
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_truncation_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--omega", "1",
                                "--alpha", "0.2", "--beta", "0.1",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -184,6 +185,21 @@ class TestMuNu:
             for z in admissible_samples(p, count=20):
                 mu, nu = mu_nu(p, z)
                 assert mu > 0.0 and nu > 0.0
+
+    def test_near_endpoints_against_mpmath(self):
+        # the textbook forms are 0/0 at z = -1 (mu) and z = +1 (nu); a
+        # 50-digit evaluation of them at the same float z is the oracle
+        for p in (P, SwansonParams(2.76, 0.977, -4.66),
+                  SwansonParams(1.0, 0.45, 0.05), SwansonParams(0.7, -0.2, 0.3)):
+            for z in (s * (1.0 - d) for s in (-1.0, 1.0) for d in (1e-4, 1e-7, 2e-9)):
+                with mp.workdps(50):
+                    w, a, b, zz = (mp.mpf(v) for v in (p.omega, p.alpha, p.beta, z))
+                    den = a + b - zz * w
+                    term = den * mp.sqrt(1 - (a - b) ** 2 * (1 - zz * zz) / den ** 2)
+                    g = w - (a + b) * zz
+                    want = ((g - term) / ((1 + zz) * w), w * (g + term) / (1 - zz))
+                    errs = [abs((got - ref) / ref) for got, ref in zip(mu_nu(p, z), want)]
+                assert max(errs) <= 1e-11, (p, z)
 
     def test_endpoint_refused(self):
         with pytest.raises(ZOutOfDomain):

@@ -5,16 +5,25 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from su11metric import (InvalidParams, NotSymmetric, SwansonParams,
-                        TruncationTooSmall, ZOutOfDomain, build_bundle,
-                        discrete_series, eigvec_residuals, exp_symmetric,
-                        materialize, materialize_metric_root,
-                        metric_block_definite, metric_exponent, power_base,
+import mpmath as mp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
+                        NotSymmetric, SwansonParams, TruncationTooSmall,
+                        ZOutOfDomain, build_bundle, discrete_series,
+                        disentangle_closed_form, eigvec_residuals,
+                        exp_symmetric, is_admissible, materialize,
+                        materialize_metric_root, metric_block_definite,
+                        metric_exponent, power_base, solve_epsilon,
                         spectrum_prediction, symmetric_eigs)
 from su11metric import commuting_observable, from_descriptor
+from su11metric import verification
+from su11metric.cli import RESIDUAL_TOLS
 from su11metric.verification import _exp_raising, _relative
 
 P = SwansonParams(1.0, 0.2, 0.1)
+STRONG = SwansonParams(1.0, 0.45, 0.05)
 Z_GRID = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
 
@@ -283,3 +292,80 @@ class TestBuildBundle:
         assert max(b.residuals.values()) <= 1e-6
         expect = math.sqrt(0.92) * (np.arange(6) + 0.5)
         assert np.abs(b.spectrum_h - expect).max() <= 1e-6
+
+
+def _stability_roots(omega, alpha, beta):
+    """Roots of (omega^2 + (alpha-beta)^2) z^2 - 2 (alpha+beta) omega z
+    + 4 alpha beta, between which z is inadmissible, from 50 digits."""
+    with mp.workdps(50):
+        w, al, be = mp.mpf(omega), mp.mpf(alpha), mp.mpf(beta)
+        a = w * w + (al - be) ** 2
+        b = -2 * (al + be) * w
+        c = 4 * al * be
+        # the form without cancellation, so that a small root keeps its digits
+        root = mp.sqrt(b * b - 4 * a * c)
+        q = -(b + root if b >= 0 else b - root) / 2
+        return tuple(sorted((float(q / a), float(c / q))))
+
+
+@st.composite
+def admissible_points(draw):
+    """Valid (omega, alpha, beta) with alpha / omega and beta / omega zero
+    or of magnitude 1e-100..5, and an admissible z, drawn uniformly,
+    1e-12..1e-3 beyond a stability root, or 1e-9..1e-3 inside |z| = 1."""
+    omega = draw(st.floats(0.1, 10.0))
+    ratio = st.floats(-5.0, 5.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+    a = draw(ratio)
+    b = draw(ratio)
+    alpha, beta = a * omega, b * omega
+    assume(alpha != beta and omega * omega - 4.0 * alpha * beta > 0.0)
+    lo, hi = _stability_roots(omega, alpha, beta)
+    near = draw(st.sampled_from(("uniform", "low root", "high root", "edge")))
+    offset = 10.0 ** draw(st.floats(-12.0, -3.0))
+    if near == "low root" and lo > -1.0:
+        z = lo - offset
+    elif near == "high root" and hi < 1.0:
+        z = hi + offset
+    elif near == "edge":
+        z = draw(st.sampled_from((-1.0, 1.0))) * (1.0 - max(offset, 1e-9))
+    else:
+        z = draw(st.floats(-1.0 + 1e-9, 1.0 - 1e-9))
+    p = SwansonParams(omega, alpha, beta)
+    assume(min(abs(z - lo), abs(z - hi)) >= 1e-12 and is_admissible(p, z))
+    return p, z
+
+
+class TestCoefficientResiduals:
+    def test_unused_ordering_pivot_vanishes(self):
+        # at these z the ordering that is not materialized has a zero
+        # pivot; only the decaying one may be checked
+        for p, z in ((P, 0.3923048454132638), (STRONG, 0.7787192621510003)):
+            eps = solve_epsilon(p, z)
+            with pytest.raises(DecompositionSingular):
+                disentangle_closed_form(eps, z * eps / 2.0)
+            for n in (60, 200):
+                b = build_bundle(p, z, discrete_series(0.25, n), trusted=50)
+                for name, tol in RESIDUAL_TOLS.items():
+                    assert b.residuals[name] <= tol, (p, z, n, name)
+
+    def test_r_herm_detects_a_wrong_exponent(self, monkeypatch):
+        exact = verification.metric_exponent
+        monkeypatch.setattr(verification, "metric_exponent",
+                            lambda p, z: (1.0 + 1e-4) * exact(p, z))
+        b = build_bundle(STRONG, 0.77, discrete_series(0.25, 30), trusted=10)
+        assert b.residuals["r_herm"] > RESIDUAL_TOLS["r_herm"]
+
+    def test_r_eq10_detects_a_wrong_hermitian_equivalent(self, monkeypatch):
+        exact = verification.hermitian_equivalent
+        monkeypatch.setattr(verification, "hermitian_equivalent",
+                            lambda p, z: exact(p, z) + AlgebraElement(1e-6, 0.0, 0.0))
+        b = build_bundle(STRONG, 0.77, discrete_series(0.25, 30), trusted=10)
+        assert b.residuals["r_eq10"] > RESIDUAL_TOLS["r_eq10"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(admissible_points())
+    def test_within_tolerances_across_the_domain(self, point):
+        p, z = point
+        b = build_bundle(p, z, discrete_series(0.25, 8), trusted=4)
+        assert b.residuals["r_herm"] <= RESIDUAL_TOLS["r_herm"]
+        assert b.residuals["r_eq10"] <= RESIDUAL_TOLS["r_eq10"]
