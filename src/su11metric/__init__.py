@@ -18,13 +18,11 @@ from .metric import (MetricSolution, SwansonParams, commuting_observable,
                      conjugated_coeffs, hermitian_equivalent, is_admissible,
                      metric_exponent, mu_nu, power_base, solve_epsilon,
                      solve_metric, swanson_element, validate_params, z_domain)
-from .pdm import (GridOperator, PdmConfig, PdmReport, build_pdm_h,
-                  pdm_generators, pdm_spectrum, predicted_spectrum,
-                  run_pdm_check)
-from .realizations import (RealizationMatrices, annihilation,
-                           commutator_residuals, conformal, discrete_series,
-                           from_descriptor, materialize, multiboson,
-                           oscillator_full, oscillator_sector, radial,
+from .pdm import (GridOperator, PdmConfig, PdmReport, pdm_generators,
+                  pdm_spectrum, predicted_spectrum, run_pdm_check)
+from .realizations import (RealizationMatrices, commutator_residuals, conformal,
+                           discrete_series, from_descriptor, materialize,
+                           multiboson, oscillator_full, oscillator_sector, radial,
                            radial_k0_grid, radial_k0_lowest, residue_matrix,
                            residue_root_of_unity)
 from .verification import (OperatorBundle, build_bundle, eigvec_residuals,
@@ -44,14 +42,14 @@ __all__ = [
     "conjugated_coeffs", "hermitian_equivalent", "is_admissible",
     "metric_exponent", "mu_nu", "power_base", "solve_epsilon", "solve_metric",
     "swanson_element", "validate_params", "z_domain",
-    "RealizationMatrices", "annihilation", "commutator_residuals", "conformal",
+    "RealizationMatrices", "commutator_residuals", "conformal",
     "discrete_series", "from_descriptor", "materialize", "multiboson",
     "oscillator_full", "oscillator_sector", "radial", "radial_k0_grid",
     "radial_k0_lowest", "residue_matrix", "residue_root_of_unity",
     "OperatorBundle", "build_bundle", "eigvec_residuals", "exp_symmetric",
     "materialize_metric_root", "metric_block_definite", "spectrum_prediction",
     "symmetric_eigs",
-    "GridOperator", "PdmConfig", "PdmReport", "build_pdm_h", "pdm_generators",
+    "GridOperator", "PdmConfig", "PdmReport", "pdm_generators",
     "pdm_spectrum", "predicted_spectrum", "run_pdm_check",
     "__version__",
 ]

@@ -87,6 +87,25 @@ def _stability_poly(p: SwansonParams, z: float) -> float:
     return (a * z + b) * z + c
 
 
+def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float]:
+    """(ln Lambda, Lambda), Lambda = (den + s) / (den - s) for s = (alpha-beta)
+    sqrt(1-z^2) and den = alpha+beta-omega*z.  With big = |den| + |s| and the
+    stability polynomial P = den^2 - s^2 = (|den| - |s|) big > 0, nothing
+    cancels in ln Lambda = +-log1p(2 |s| big / P), Lambda = (big^2 / P)^(+-1)."""
+    s = (p.alpha - p.beta) * math.sqrt(1.0 - z * z)
+    den = p.alpha + p.beta - z * p.omega
+    poly = _stability_poly(p, z)
+    if poly <= 0.0:
+        raise ZOutOfDomain(
+            f"z = {z:g} is inadmissible: |arctanh argument| >= 1 "
+            f"(alpha + beta - omega*z = {den:g})")
+    big = abs(den) + abs(s)
+    log_lam = math.log1p(2.0 * abs(s) * big / poly)
+    if (s > 0.0) == (den > 0.0):
+        return log_lam, big * big / poly
+    return -log_lam, poly / (big * big)
+
+
 def is_admissible(p: SwansonParams, z: float) -> bool:
     """True when z in [-1, 1] gives a finite real solution eps(z)."""
     validate_params(p)
@@ -125,23 +144,19 @@ def solve_epsilon(p: SwansonParams, z: float) -> float:
               / (2*sqrt(1-z^2))
 
     on the principal real branch; at |z| = 1 the analytic limit
-    (alpha-beta) / (2*(alpha+beta-z*omega)) is returned.
+    (alpha-beta) / (2*(alpha+beta-z*omega)) is returned.  Computed as
+    ln(Lambda) / (4*sqrt(1-z^2)), so an argument rounding to +-1 is harmless.
     """
     validate_params(p)
     if abs(z) > 1.0:
         raise ZOutOfDomain(f"z must lie in [-1, 1] (got z = {z:g})")
-    den = p.alpha + p.beta - z * p.omega
     if abs(z) == 1.0:
+        den = p.alpha + p.beta - z * p.omega
         if den == 0.0:
             raise ZOutOfDomain(
                 f"alpha + beta - omega*z vanishes at z = {z:g}")
         return (p.alpha - p.beta) / (2.0 * den)
-    if _stability_poly(p, z) <= 0.0:
-        raise ZOutOfDomain(
-            f"z = {z:g} is inadmissible: |arctanh argument| >= 1 "
-            f"(alpha + beta - omega*z = {den:g})")
-    root = math.sqrt(1.0 - z * z)
-    return math.atanh((p.alpha - p.beta) * root / den) / (2.0 * root)
+    return _log_power_base(p, z)[0] / (4.0 * math.sqrt(1.0 - z * z))
 
 
 def conjugated_coeffs(p: SwansonParams, epsilon: float,
@@ -231,11 +246,7 @@ def power_base(p: SwansonParams, z: float) -> float:
     validate_params(p)
     if abs(z) >= 1.0 - _EDGE:
         raise ZOutOfDomain(f"power base degenerates at |z| = 1 (got z = {z:g})")
-    if _stability_poly(p, z) <= 0.0:
-        raise ZOutOfDomain(f"z = {z:g} is inadmissible")
-    den = p.alpha + p.beta - z * p.omega
-    shift = (p.alpha - p.beta) * math.sqrt(1.0 - z * z)
-    return (den + shift) / (den - shift)
+    return _log_power_base(p, z)[1]
 
 
 def commuting_observable(z: float) -> AlgebraElement:

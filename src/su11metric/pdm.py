@@ -25,6 +25,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidParams
 from .metric import SwansonParams, mu_nu, validate_params
+from .realizations import dense_from_bands
 
 DECAY_TOL = 1e-8
 
@@ -121,13 +122,6 @@ def _h_tridiag(cfg: PdmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, floa
     return diag, off, x, dx
 
 
-def build_pdm_h(cfg: PdmConfig) -> GridOperator:
-    """Dense symmetric matrix of the discretized Hermitian equivalent."""
-    diag, off, x, dx = _h_tridiag(cfg)
-    mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return GridOperator(matrix=mat, grid=x, dx=dx)
-
-
 def pdm_spectrum(cfg: PdmConfig, count: int = 3,
                  vectors: bool = False):
     """Lowest eigenvalues (and optionally eigenvectors) of the grid h."""
@@ -218,28 +212,28 @@ def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOper
     validate_config(cfg)
     x, dx = _interior_grid(cfg)
     s = cfg.s
-    g = -np.exp(-s * x) / s
-    gp = np.exp(-s * x)
-    gpp = -s * np.exp(-s * x)
-    gppp = s * s * np.exp(-s * x)
+    e = np.exp(-s * x)
+    g, gp, gpp, gppp = -e / s, e, -s * e, s * s * e
     half_g_tau = 0.5 * g + cfg.tau
 
-    # flux matrix F = -d/dx (1/g'^2) d/dx, symmetric
-    w_mid_right = np.exp(2.0 * s * (x + dx / 2.0))
-    w_right = w_mid_right / (dx * dx)
+    # flux operator F = -d/dx (1/g'^2) d/dx: f_diag, and -w on both sides
+    w_right = np.exp(2.0 * s * (x + dx / 2.0)) / (dx * dx)
     f_diag = w_right + np.exp(2.0 * s * (x - dx / 2.0)) / (dx * dx)
-    flux = np.diag(f_diag) - np.diag(w_right[:-1], 1) - np.diag(w_right[:-1], -1)
+    w = w_right[:-1]
 
     curv = gppp / (2.0 * gp ** 3) - 1.25 * gpp ** 2 / gp ** 4
-    k0 = 0.5 * (flux + np.diag(curv + half_g_tau ** 2))
-
-    drift = (g + 2.0 * cfg.tau) / gp
-    d1 = (np.diag(np.full(len(x) - 1, 1.0), 1)
-          - np.diag(np.full(len(x) - 1, 1.0), -1)) / (2.0 * dx)
-    first = np.diag(drift) @ d1
+    # drift times the central difference: +-step[i] on node i's neighbors
+    step = ((g + 2.0 * cfg.tau) / gp) * (1.0 / (2.0 * dx))
     tilt = (gpp / gp ** 2) * half_g_tau
 
-    kp = 0.5 * (-flux - first + np.diag(-curv + tilt + half_g_tau ** 2 - 0.5))
-    km = 0.5 * (-flux + first + np.diag(-curv - tilt + half_g_tau ** 2 + 0.5))
-    return (GridOperator(k0, x, dx), GridOperator(kp, x, dx),
-            GridOperator(km, x, dx))
+    def grid_op(lower, main, upper):
+        return GridOperator(dense_from_bands(len(x), {-1: lower, 0: main, 1: upper}),
+                            x, dx)
+
+    return (grid_op(-0.5 * w, 0.5 * (f_diag + (curv + half_g_tau ** 2)), -0.5 * w),
+            grid_op(0.5 * (w + step[1:]),
+                    0.5 * (-f_diag + (-curv + tilt + half_g_tau ** 2 - 0.5)),
+                    0.5 * (w - step[:-1])),
+            grid_op(0.5 * (w - step[1:]),
+                    0.5 * (-f_diag + (-curv - tilt + half_g_tau ** 2 + 0.5)),
+                    0.5 * (w + step[:-1])))

@@ -1,10 +1,10 @@
 """Truncated matrix realizations of the su(1,1) generators.
 
-Every constructor returns dense (k0, kp, km) with km the exact transpose
-of kp and k0 diagonal.  Truncating an infinite basis corrupts operator
-products only near the top of the basis, so each realization declares a
-trusted leading block (dim minus the ladder shift) inside which the
-commutation relations hold to rounding.
+Every constructor returns the diagonal of K0 and the one band of K+;
+K- is its transpose, and only `materialize` builds their dense matrices.
+Truncating an infinite basis corrupts operator products only near the
+top of the basis, so each realization has a trusted leading block (dim
+minus the band) inside which the commutation relations hold to rounding.
 """
 
 from __future__ import annotations
@@ -22,19 +22,32 @@ from .metric import SwansonParams
 
 @dataclass(frozen=True)
 class RealizationMatrices:
-    """Truncated generator triple with its trusted-block size."""
+    """Truncated generators by their bands: k0_diag[m] = <m|K0|m> (N
+    entries) and kp_band[m] = <m+band|K+|m> = <m|K-|m+band> (N - band)."""
 
-    k0: np.ndarray
-    kp: np.ndarray
-    km: np.ndarray
-    dim: int
-    trusted: int
+    k0_diag: np.ndarray
+    kp_band: np.ndarray
+    band: int
     kind: str
 
+    @property
+    def dim(self) -> int:
+        return len(self.k0_diag)
 
-def annihilation(n: int) -> np.ndarray:
-    """Truncated boson annihilation operator, a|m> = sqrt(m)|m-1>."""
-    return np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    @property
+    def trusted(self) -> int:
+        return self.dim - self.band
+
+
+def dense_from_bands(n: int, bands: dict[int, np.ndarray], fill=0.0) -> np.ndarray:
+    """Dense n x n matrix holding bands[k] on diagonal k (k < 0 below the
+    main diagonal) and `fill` everywhere else."""
+    out = np.full((n, n), fill, dtype=np.result_type(fill, *bands.values()))
+    flat = out.reshape(-1)
+    for k, entries in bands.items():
+        # diagonal k starts at flat index k (-k n if k < 0); n - |k| entries never wrap
+        flat[(k if k >= 0 else -k * n)::n + 1][:n - abs(k)] = entries
+    return out
 
 
 def discrete_series(k: float, n: int) -> RealizationMatrices:
@@ -48,21 +61,18 @@ def discrete_series(k: float, n: int) -> RealizationMatrices:
     if n < 2:
         raise InvalidParams(f"dimension must be at least 2 (got {n})")
     m = np.arange(n, dtype=float)
-    k0 = np.diag(m + k)
-    kp = np.diag(np.sqrt((m[:-1] + 1.0) * (m[:-1] + 2.0 * k)), -1)
-    km = kp.T.copy()
-    return RealizationMatrices(k0, kp, km, n, n - 1, f"discrete:k={k:g}")
+    kp = np.sqrt((m[:-1] + 1.0) * (m[:-1] + 2.0 * k))
+    return RealizationMatrices(m + k, kp, 1, f"discrete:k={k:g}")
 
 
 def oscillator_full(n: int) -> RealizationMatrices:
     """One-boson realization K0 = (a'a + 1/2)/2, Kp = a'a'/2, Km = aa/2."""
     if n < 4:
         raise InvalidParams(f"dimension must be at least 4 (got {n})")
-    a = annihilation(n)
-    k0 = np.diag((2.0 * np.arange(n) + 1.0) / 4.0)
-    km = 0.5 * (a @ a)
-    kp = km.T.copy()
-    return RealizationMatrices(k0, kp, km, n, n - 2, "oscillator:parity=full")
+    m = np.arange(n - 2, dtype=float)
+    kp = 0.5 * (np.sqrt(m + 1.0) * np.sqrt(m + 2.0))
+    return RealizationMatrices((2.0 * np.arange(n) + 1.0) / 4.0, kp, 2,
+                               "oscillator:parity=full")
 
 
 def oscillator_sector(parity: str, n: int) -> RealizationMatrices:
@@ -77,12 +87,11 @@ def oscillator_sector(parity: str, n: int) -> RealizationMatrices:
         raise InvalidParams(f"dimension must be at least 4 (got {n})")
     offset = 0 if parity == "even" else 1
     fock = 2 * np.arange(n) + offset
-    k0 = np.diag((2.0 * fock + 1.0) / 4.0)
-    # Km between neighbors is half the a^2 matrix element
+    # Kp between neighbors is half the a'^2 matrix element
     f = fock[1:].astype(float)
-    km = np.diag(0.5 * np.sqrt(f * (f - 1.0)), 1)
-    kp = km.T.copy()
-    return RealizationMatrices(k0, kp, km, n, n - 1, f"oscillator:parity={parity}")
+    kp = 0.5 * np.sqrt(f * (f - 1.0))
+    return RealizationMatrices((2.0 * fock + 1.0) / 4.0, kp, 1,
+                               f"oscillator:parity={parity}")
 
 
 def residue_matrix(l: int, n: int) -> np.ndarray:
@@ -119,6 +128,8 @@ def multiboson(l: int, residues: Sequence[float], n: int) -> RealizationMatrices
         am(m) = sqrt( ((m-r)/l + 2*residues[r]) ((m-r)/l + 1)
                       / ((m+1)(m+2)...(m+l)) ).
 
+    The Pochhammer factor cancels against a^l in the band entries
+    <m|Km|m+l> = sqrt( ((m-r)/l + 2*residues[r]) ((m-r)/l + 1) ).
     The residue values a0 on r = 0..l-1 are free configuration; the
     default two-boson choice (1/4, 3/4) reproduces the one-boson
     realization exactly.  Raises when a radicand turns negative.
@@ -134,20 +145,13 @@ def multiboson(l: int, residues: Sequence[float], n: int) -> RealizationMatrices
     m = np.arange(n)
     r = m % l
     whole = (m - r) // l
-    k0 = np.diag(whole + residues[r])
-    poch = np.ones(n)
-    for j in range(1, l + 1):
-        poch *= m + j
-    radicand = (whole + 2.0 * residues[r]) * (whole + 1.0) / poch
+    radicand = (whole + 2.0 * residues[r]) * (whole + 1.0)
     if radicand.min() < 0.0:
         raise InvalidParams(
-            f"negative radicand in lowering coefficient at m = {int(np.argmin(radicand))}; "
+            f"negative radicand in lowering coefficient at m = {int(np.argmax(radicand < 0))}; "
             "choose residue values with (m-r)/l + 2*a0(r) >= 0")
-    am = np.sqrt(radicand)
-    a_l = np.linalg.matrix_power(annihilation(n), l)
-    km = np.diag(am) @ a_l
-    kp = km.T.copy()
-    return RealizationMatrices(k0, kp, km, n, n - l, f"multiboson:l={l}")
+    return RealizationMatrices(whole + residues[r], np.sqrt(radicand[:n - l]), l,
+                               f"multiboson:l={l}")
 
 
 def radial(L: float, n: int) -> RealizationMatrices:
@@ -202,16 +206,25 @@ def conformal(k: float, c: float, omega: float,
     parameter triple; omega**2 - 4*alpha*beta = omega**2 + c**2/4 is the
     squared effective frequency.
     """
-    if k <= 0.0:
-        raise InvalidParams(f"lowest weight k must be positive (got {k:g})")
     base = discrete_series(k, n)
     mats = replace(base, kind=f"conformal:k={k:g},c={c:g}")
     return mats, SwansonParams(omega, c / 4.0, -c / 4.0)
 
 
 def materialize(x: AlgebraElement, r: RealizationMatrices) -> np.ndarray:
-    """Dense matrix of c0*k0 + cm*km + cp*kp."""
-    out = x.c0 * r.k0 + x.cm * r.km + x.cp * r.kp
+    """Dense N x N matrix of c0*K0 + cm*Km + cp*Kp, each entry, zeros too,
+    summed as in the dense generators (same signed zeros and complex
+    parts); a vanishing imaginary part is dropped."""
+    zero = np.zeros(r.dim)
+    off = zero[r.band:]
+
+    def entries(k0, km, kp):
+        return x.c0 * k0 + x.cm * km + x.cp * kp
+
+    out = dense_from_bands(r.dim, {0: entries(r.k0_diag, zero, zero),
+                                   r.band: entries(off, r.kp_band, off),
+                                   -r.band: entries(off, off, r.kp_band)},
+                           fill=entries(zero[0], zero[0], zero[0]))
     if np.iscomplexobj(out) and not out.imag.any():
         out = out.real.copy()
     return out
@@ -228,14 +241,15 @@ def commutator_residuals(r: RealizationMatrices,
     t = r.trusted if trusted is None else trusted
     if not (1 <= t <= r.dim):
         raise InvalidParams(f"trusted block {t} outside 1..{r.dim}")
+    k0, km, kp = (materialize(AlgebraElement(*e), r) for e in np.eye(3))
 
     def _n(mat):
         return float(np.linalg.norm(mat[:t, :t], 2))
 
     res = {
-        "k0_kp": _n(r.k0 @ r.kp - r.kp @ r.k0 - r.kp) / _n(r.kp),
-        "k0_km": _n(r.k0 @ r.km - r.km @ r.k0 + r.km) / _n(r.km),
-        "kp_km": _n(r.kp @ r.km - r.km @ r.kp + 2.0 * r.k0) / _n(2.0 * r.k0),
+        "k0_kp": _n(k0 @ kp - kp @ k0 - kp) / _n(kp),
+        "k0_km": _n(k0 @ km - km @ k0 + km) / _n(km),
+        "kp_km": _n(kp @ km - km @ kp + 2.0 * k0) / _n(2.0 * k0),
     }
     return res
 

@@ -22,7 +22,7 @@ from .errors import InvalidParams, NoConvergence, NotSymmetric, TruncationTooSma
 from .metric import (SwansonParams, commuting_observable, hermitian_equivalent,
                      is_admissible, metric_exponent, solve_epsilon,
                      swanson_element, validate_params)
-from .realizations import RealizationMatrices, materialize
+from .realizations import RealizationMatrices, dense_from_bands, materialize
 
 DEFAULT_TRUSTED = 50
 
@@ -114,39 +114,21 @@ def _exp_raising(sub: np.ndarray, band: int, coeff: float, n: int) -> np.ndarray
     The series terminates after n // band orders; each diagonal follows
     from the previous one by a single multiplication, so every entry is
     a product of its path factors and carries full relative precision.
-    Each order is computed straight into its diagonal through a strided
-    view of the output, so the cost beyond the N x N result is
-    O(N^2 / band) with no other N x N array.  The fill is bit-identical
-    to summing np.diag(d, -band * order) over the orders onto the
-    identity.
+    The fill is bit-identical to summing np.diag(d, -band * order) over
+    the orders onto the identity.
     """
-    out = np.eye(n)
     if coeff == 0.0 or sub.size == 0:
-        return out
-    # flat[band * order * n::n + 1] is the diagonal -band * order
-    flat = out.reshape(-1)
+        return np.eye(n)
     step = coeff * sub
-    prev = flat[band * n::n + 1]
-    prev[:] = step
+    diags = {0: np.ones(n), -band: step}
     for order in range(2, (n - 1) // band + 1):
-        cur = flat[band * order * n::n + 1]
-        np.multiply(prev[band:], step[:cur.size], out=cur)
-        cur /= order
-        prev = cur
+        prev = diags[-band * (order - 1)]
+        diags[-band * order] = prev[band:] * step[:prev.size - band] / order
+    out = dense_from_bands(n, diags)
     # a product of zeros can be -0.0; adding 0 gives +0.0, as adding each
     # order onto the zeros of the identity does
     out += 0.0
     return out
-
-
-def _ladder_band(realization: RealizationMatrices) -> tuple[int, np.ndarray, np.ndarray]:
-    n = realization.dim
-    band = n - realization.trusted
-    sub = np.diag(realization.kp, -band)
-    if not np.array_equal(np.diag(sub, -band), realization.kp):
-        raise InvalidParams(
-            "factored exponentials need a single-band raising operator")
-    return band, sub, np.diag(realization.k0)
 
 
 def materialize_metric_root(p: SwansonParams, z: float,
@@ -173,14 +155,13 @@ def materialize_metric_root(p: SwansonParams, z: float,
     eps = sign * solve_epsilon(p, z)
     f = _ordered_factor(eps, z * eps / 2.0,
                         "normal" if eps <= 0.0 else "antinormal")
-    n = realization.dim
-    band, sub, k0_diag = _ladder_band(realization)
     with np.errstate(over="ignore", under="ignore"):
-        mid = np.exp(f.q.real * k0_diag)
+        mid = np.exp(f.q.real * realization.k0_diag)
         # eta = z eps / 2 is real, so r = p and both ladder factors are
         # the same matrix: exp(p Kp) = E and exp(p Km) = E^T
         assert f.r.real == f.p.real
-        e = _exp_raising(sub, band, f.p.real, n)
+        e = _exp_raising(realization.kp_band, realization.band, f.p.real,
+                         realization.dim)
         if eps <= 0.0:
             # exp(p Kp) exp(q K0) exp(p Km)
             return (e * mid) @ e.T

@@ -178,8 +178,9 @@ def test_criterion_5_matrix_bundle(bundle_grid):
 def test_criterion_6_realization_equivalences():
     mb = sm.multiboson(2, (0.25, 0.75), 60)
     osc = sm.oscillator_full(60)
-    worst = max(np.abs(mb.k0 - osc.k0).max(), np.abs(mb.kp - osc.kp).max(),
-                np.abs(mb.km - osc.km).max())
+    basis = [sm.AlgebraElement(*c) for c in np.eye(3)]
+    worst = max(np.abs(sm.materialize(x, mb) - sm.materialize(x, osc)).max()
+                for x in basis)
     worst_r = 0.0
     for l in (2, 3, 4, 5):
         vals = sm.residue_root_of_unity(l, 50)

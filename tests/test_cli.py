@@ -45,6 +45,15 @@ class TestMetricCommand:
         assert out.startswith("quantity,value\n")
         assert out.endswith("\n")
 
+    def test_arctanh_argument_rounding_to_one(self, capsys):
+        # (alpha - beta) / (alpha + beta) rounds to 1 at beta = 1e-18
+        code, out, _ = run_cli(capsys, "metric", "--omega", "1", "--alpha", "1",
+                               "--beta", "1e-18", "--z", "0")
+        assert code == 0
+        rows = parse_table(out)
+        assert abs(float(rows["epsilon"]) - 10.3616329185) < 1e-9
+        assert abs(float(rows["lambda"]) - 1e18) < 1e6
+
     def test_missing_params(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--omega", "1")
         assert code == 2
@@ -110,6 +119,13 @@ class TestVerifyCommand:
         # strong non-Hermiticity near the domain edge, N = 200, T = 50
         code, out, _ = run_cli(capsys, "verify", "--omega", "1",
                                "--alpha", "0.45", "--beta", "0.05", "--z", "0.77")
+        assert code == 0
+        assert "FAIL" not in out
+
+    def test_arctanh_argument_rounding_to_one(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--omega", "1", "--alpha", "1",
+                               "--beta", "1e-18", "--z", "0",
+                               "--size", "20", "--trusted", "5")
         assert code == 0
         assert "FAIL" not in out
 

@@ -114,6 +114,21 @@ class TestSolveEpsilon:
         with pytest.raises(ZOutOfDomain):
             solve_epsilon(P, 1.5)
 
+    def test_argument_rounding_to_one_against_mpmath(self):
+        # (alpha - beta) / (alpha + beta) rounds to 1; the stability
+        # polynomial 4 alpha beta = 4e-18 does not
+        p = SwansonParams(1.0, 1.0, 1e-18)
+        with mp.workdps(60):
+            a, b = mp.mpf(p.alpha), mp.mpf(p.beta)
+            eps = mp.atanh((a - b) / (a + b)) / 2
+            lam = (a + b + (a - b)) / (a + b - (a - b))
+            assert abs((solve_epsilon(p, 0.0) - eps) / eps) <= 1e-15
+            assert abs((power_base(p, 0.0) - lam) / lam) <= 1e-15
+            # the mirrored couplings give -eps and 1 / Lambda
+            q = SwansonParams(1.0, 1e-18, 1.0)
+            assert abs((solve_epsilon(q, 0.0) + eps) / eps) <= 1e-15
+            assert abs((power_base(q, 0.0) * lam - 1)) <= 1e-15
+
     def test_hermiticity_residual(self):
         # tanh(2 theta)/theta == (alpha-beta) / ((alpha+beta) eps - 2 omega eta)
         for p in PARAM_SETS:

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from su11metric import (InvalidParams, PdmConfig, SwansonParams, build_pdm_h,
+from su11metric import (InvalidParams, PdmConfig, SwansonParams,
                         pdm_generators, pdm_spectrum, predicted_spectrum,
                         run_pdm_check)
-from su11metric.pdm import boundary_decay, effective_potential, mass_profile
+from su11metric.pdm import (_interior_grid, boundary_decay,
+                            effective_potential, mass_profile)
 
 P = SwansonParams(1.0, 0.2, 0.1)
 CFG = PdmConfig(params=P)
@@ -15,16 +16,16 @@ CFG = PdmConfig(params=P)
 
 class TestConfig:
     def test_defaults_valid(self):
-        h = build_pdm_h(CFG)
-        assert h.matrix.shape == (CFG.points, CFG.points)
+        vals = pdm_spectrum(CFG)
+        assert vals.shape == (3,) and np.isfinite(vals).all()
 
     def test_invalid(self):
         with pytest.raises(InvalidParams):
-            build_pdm_h(replace(CFG, s=-0.5))
+            pdm_spectrum(replace(CFG, s=-0.5))
         with pytest.raises(InvalidParams):
-            build_pdm_h(replace(CFG, x_min=2.0, x_max=-2.0))
+            pdm_spectrum(replace(CFG, x_min=2.0, x_max=-2.0))
         with pytest.raises(InvalidParams):
-            build_pdm_h(replace(CFG, points=50))
+            pdm_spectrum(replace(CFG, points=50))
 
     def test_mass_positive(self):
         x = np.linspace(CFG.x_min, CFG.x_max, 500)
@@ -33,18 +34,6 @@ class TestConfig:
     def test_potential_finite(self):
         x = np.linspace(CFG.x_min, CFG.x_max, 500)
         assert np.isfinite(effective_potential(CFG, x)).all()
-
-
-class TestOperator:
-    def test_exact_symmetry(self):
-        h = build_pdm_h(replace(CFG, points=400)).matrix
-        assert np.array_equal(h, h.T)
-
-    def test_tridiagonal(self):
-        h = build_pdm_h(replace(CFG, points=300)).matrix
-        off = h - np.diag(np.diag(h)) - np.diag(np.diag(h, 1), 1) \
-            - np.diag(np.diag(h, -1), -1)
-        assert not off.any()
 
 
 class TestSpectralCheck:
@@ -113,6 +102,41 @@ class TestGenerators:
         u, v = probes[0], probes[2]
         adjoint = abs(u @ (kp.matrix @ v) - (km.matrix @ u) @ v) * k0.dx
         return worst_comm, adjoint
+
+    @staticmethod
+    def _dense_reference(cfg):
+        """(K0, Kp, Km) as sums and products of dense flux, drift and
+        central-difference matrices."""
+        x, dx = _interior_grid(cfg)
+        s = cfg.s
+        g = -np.exp(-s * x) / s
+        gp = np.exp(-s * x)
+        gpp = -s * np.exp(-s * x)
+        gppp = s * s * np.exp(-s * x)
+        half_g_tau = 0.5 * g + cfg.tau
+        w_right = np.exp(2.0 * s * (x + dx / 2.0)) / (dx * dx)
+        f_diag = w_right + np.exp(2.0 * s * (x - dx / 2.0)) / (dx * dx)
+        flux = np.diag(f_diag) - np.diag(w_right[:-1], 1) - np.diag(w_right[:-1], -1)
+        curv = gppp / (2.0 * gp ** 3) - 1.25 * gpp ** 2 / gp ** 4
+        k0 = 0.5 * (flux + np.diag(curv + half_g_tau ** 2))
+        drift = (g + 2.0 * cfg.tau) / gp
+        d1 = (np.diag(np.full(len(x) - 1, 1.0), 1)
+              - np.diag(np.full(len(x) - 1, 1.0), -1)) / (2.0 * dx)
+        first = np.diag(drift) @ d1
+        tilt = (gpp / gp ** 2) * half_g_tau
+        kp = 0.5 * (-flux - first + np.diag(-curv + tilt + half_g_tau ** 2 - 0.5))
+        km = 0.5 * (-flux + first + np.diag(-curv - tilt + half_g_tau ** 2 + 0.5))
+        return k0, kp, km
+
+    @pytest.mark.parametrize("tau", [3.0, 2.7])
+    def test_equals_dense_reference(self, tau):
+        cfg = replace(CFG, points=300, tau=tau, z=0.4)
+        ops = pdm_generators(cfg)
+        x, dx = _interior_grid(cfg)
+        for op, ref in zip(ops, self._dense_reference(cfg)):
+            assert type(op.matrix) is np.ndarray
+            assert np.array_equal(op.matrix, ref)
+            assert np.array_equal(op.grid, x) and op.dx == dx
 
     def test_k0_symmetric_exactly(self):
         k0, _, _ = pdm_generators(replace(CFG, points=300))
