@@ -29,15 +29,20 @@ DEFAULT_TRUSTED = 50
 
 @dataclass
 class OperatorBundle:
-    """Materialized operators and their residual diagnostics."""
+    """Materialized operators and their residual diagnostics.
+
+    H (`hamiltonian`), h (`h_direct`) and O (`observable`) are N x N.  Of
+    the metric only the rows the residuals read are kept: with
+    R = trusted + band (at most N), `rho` is the leading R rows of rho,
+    (R, N), and `zeta_plus` the leading R x R block of zeta_+ = rho^2.
+    """
 
     params: SwansonParams
     z: float
-    realization: str
+    realization: RealizationMatrices
     trusted: int
     hamiltonian: np.ndarray
     rho: np.ndarray
-    rho_inv: np.ndarray
     zeta_plus: np.ndarray
     h_direct: np.ndarray
     observable: np.ndarray
@@ -62,14 +67,15 @@ def symmetric_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, q
 
 
-def _low_eigs(m: np.ndarray, count: int, vectors: bool = False):
-    """Lowest `count` eigenvalues (ascending) of a real symmetric banded
-    matrix, with their eigenvectors as columns when `vectors` is set.
+def _low_eigs(m: np.ndarray, band: int, count: int, vectors: bool = False):
+    """Lowest `count` eigenvalues (ascending) of a real symmetric matrix
+    with half-bandwidth `band`, with their eigenvectors as columns when
+    `vectors` is set.
 
-    Only the band, read from the nonzero pattern, reaches the solver,
-    which computes only the selected pairs.  A count above the dimension
-    yields all of them; zero yields none.  A non-square or asymmetric
-    input raises NotSymmetric, as in symmetric_eigs.
+    Only the band reaches the solver, which computes only the selected
+    pairs.  A count above the dimension yields all of them; zero yields
+    none.  A non-square or asymmetric input, or one with nonzero entries
+    outside the band, raises NotSymmetric, as in symmetric_eigs.
     """
     if count < 0:
         raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
@@ -77,8 +83,9 @@ def _low_eigs(m: np.ndarray, count: int, vectors: bool = False):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    rows, cols = np.nonzero(m)
-    band = int(np.max(np.abs(cols - rows), initial=0))
+    if np.count_nonzero(m) != sum(np.count_nonzero(np.diagonal(m, k))
+                                  for k in range(-band, band + 1)):
+        raise NotSymmetric(f"nonzero entries outside the band of width {band}")
     # outside the band both triangles are zero, so the band alone gives
     # the same test as symmetric_eigs
     asym = sum(np.sum((np.diagonal(m, k) - np.diagonal(m, -k)) ** 2)
@@ -117,8 +124,6 @@ def _exp_raising(sub: np.ndarray, band: int, coeff: float, n: int) -> np.ndarray
     The fill is bit-identical to summing np.diag(d, -band * order) over
     the orders onto the identity.
     """
-    if coeff == 0.0 or sub.size == 0:
-        return np.eye(n)
     step = coeff * sub
     diags = {0: np.ones(n), -band: step}
     for order in range(2, (n - 1) // band + 1):
@@ -133,8 +138,9 @@ def _exp_raising(sub: np.ndarray, band: int, coeff: float, n: int) -> np.ndarray
 
 def materialize_metric_root(p: SwansonParams, z: float,
                             realization: RealizationMatrices,
-                            sign: int = 1) -> np.ndarray:
-    """rho (sign=+1) or rho^{-1} (sign=-1) through the ordered factorization.
+                            sign: int = 1, rows: int | None = None) -> np.ndarray:
+    """The leading `rows` rows (all N if not given, at most N) of rho
+    (sign=+1) or rho^{-1} (sign=-1), through the ordered factorization.
 
     Exponentiating the materialized exponent through its eigensystem
     loses the far entries of the result once the eigenvalue spread is
@@ -151,7 +157,13 @@ def materialize_metric_root(p: SwansonParams, z: float,
 
     The decaying ordering is taken (normal for eps <= 0, antinormal
     otherwise); its pivot is >= 1, and only that pivot is checked.
+
+    E = exp(p Kp) is lower triangular, so R rows cost R^2 N in the normal
+    ordering and R N^2 in the antinormal one.  At p = 0 (every z = 0)
+    the rows are those of diag(e^{q k0}), written with no product.
     """
+    n = realization.dim
+    rows = n if rows is None else min(rows, n)
     eps = sign * solve_epsilon(p, z)
     f = _ordered_factor(eps, z * eps / 2.0,
                         "normal" if eps <= 0.0 else "antinormal")
@@ -160,13 +172,18 @@ def materialize_metric_root(p: SwansonParams, z: float,
         # eta = z eps / 2 is real, so r = p and both ladder factors are
         # the same matrix: exp(p Kp) = E and exp(p Km) = E^T
         assert f.r.real == f.p.real
-        e = _exp_raising(realization.kp_band, realization.band, f.p.real,
-                         realization.dim)
+        if f.p.real == 0.0:
+            out = np.zeros((rows, n))
+            np.fill_diagonal(out, mid[:rows])
+            return out
+        e = _exp_raising(realization.kp_band, realization.band, f.p.real, n)
         if eps <= 0.0:
-            # exp(p Kp) exp(q K0) exp(p Km)
-            return (e * mid) @ e.T
-        # exp(p Km) exp(q K0) exp(p Kp)
-        return (e.T * mid) @ e
+            # exp(p Kp) exp(q K0) exp(p Km); row i of E ends at column i
+            left, d, right = e[:rows, :rows], mid[:rows], e[:, :rows].T
+        else:
+            # exp(p Km) exp(q K0) exp(p Kp)
+            left, d, right = e[:, :rows].T, mid, e
+        return (left * d) @ right
 
 
 def spectrum_prediction(p: SwansonParams, k: float, count: int) -> np.ndarray:
@@ -211,7 +228,8 @@ def _largest(x: AlgebraElement) -> float:
 def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
                  trusted: int = DEFAULT_TRUSTED,
                  spectrum_count: int | None = None) -> OperatorBundle:
-    """Materialize H, rho, rho^{-1}, zeta_+, h and O and check them.
+    """Materialize H, h and O, the rows of rho and the block of zeta_+
+    that the residuals read, and check them.
 
     Residuals.  r_herm and r_eq10 are coefficient-level, on the adjoint
     closed form y = core.conjugate(metric_exponent(p, z), H), relative to
@@ -227,11 +245,11 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
         r_quasi       zeta_+ H - H^T zeta_+
         r_commute     rho O - O rho
 
-    The product residuals are contracted from the leading trusted rows
-    of the left factor and columns of the right one, which is the same
-    sum over all N inner indices as the full product's leading block
-    (an inf * 0 in it still gives NaN) at T N T cost.  zeta_+ = rho rho
-    stays a full product because it is returned as an N x N operator.
+    H, h and O vanish outside their band, so the leading T x T block of
+    each product reads only the leading R = T + band rows and columns of
+    rho and zeta_+.  rho is symmetric, so its leading R rows give both,
+    and the R x R block of zeta_+ = rho rho is rho[:R] rho[:R]^T.  No
+    N x N metric product is formed, and rho^{-1} not at all.
 
     The spectrum is the lowest `spectrum_count` eigenvalues (default
     trusted // 2, at least 1; all N if more are asked) of the exactly
@@ -246,28 +264,27 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
         raise ZOutOfDomain(f"z = {z:g} is not admissible for these parameters")
 
     t = trusted
+    r = min(t + realization.band, n)
     h_coeffs = hermitian_equivalent(p, z)
     y = conjugate(metric_exponent(p, z), swanson_element(p))
     # the spectrum comes first, so that a negative count is rejected
     # before the dense work
     h_direct = materialize(h_coeffs, realization)
     count = spectrum_count if spectrum_count is not None else max(1, t // 2)
-    spectrum = _low_eigs(h_direct, count)
+    spectrum = _low_eigs(h_direct, realization.band, count)
 
     h_mat = materialize(swanson_element(p), realization)
     o_mat = materialize(commuting_observable(z), realization)
-    rho = materialize_metric_root(p, z, realization, sign=1)
-    rho_inv = materialize_metric_root(p, z, realization, sign=-1)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        zeta = rho @ rho
+    rho = materialize_metric_root(p, z, realization, sign=1, rows=r)
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        lhs_i = h_direct[:t] @ rho[:, :t]
+        zeta = rho @ rho.T
+        lhs_i = h_direct[:t, :r] @ rho[:, :t]
         rhs_i = rho[:t] @ h_mat[:, :t]
-        lhs_q = zeta[:t] @ h_mat[:, :t]
-        rhs_q = h_mat[:, :t].T @ zeta[:, :t]
+        lhs_q = zeta[:t] @ h_mat[:r, :t]
+        rhs_q = h_mat[:r, :t].T @ zeta[:, :t]
         lhs_c = rho[:t] @ o_mat[:, :t]
-        rhs_c = o_mat[:t] @ rho[:, :t]
+        rhs_c = o_mat[:t, :r] @ rho[:, :t]
         residuals = {
             "r_herm": max(abs(y.c0.imag), abs(y.cm - y.cp.conjugate()))
             / _largest(y),
@@ -278,10 +295,9 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
             "r_commute": _relative(lhs_c - rhs_c, [lhs_c, rhs_c], t),
         }
 
-    return OperatorBundle(params=p, z=z, realization=realization.kind,
+    return OperatorBundle(params=p, z=z, realization=realization,
                           trusted=t, hamiltonian=h_mat, rho=rho,
-                          rho_inv=rho_inv, zeta_plus=zeta,
-                          h_direct=h_direct, observable=o_mat,
+                          zeta_plus=zeta, h_direct=h_direct, observable=o_mat,
                           residuals=residuals, spectrum_h=spectrum)
 
 
@@ -312,22 +328,33 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
 
     Eigenvectors psi of h map to phi = rho^{-1} psi of H with the same
     eigenvalue; returns |((H - lambda) phi)[:T]| / |phi[:T]| for the
-    lowest `count` pairs.  Components of psi below the eigensolver's
-    noise floor are zeroed first: they carry no information and rho^{-1}
-    can amplify them exponentially.  The certificate degrades once the
+    lowest `count` pairs.  H vanishes outside its band, so this reads
+    only phi[:R], R = T + band, and only those rows of rho^{-1} are
+    materialized.  A pair whose phi[:R] or residual is not finite gets
+    inf, never NaN.  Components of psi below the eigensolver's noise
+    floor are zeroed first: they carry no information and rho^{-1} can
+    amplify them exponentially.  The certificate degrades once the
     metric's dynamic range is such that even the retained rounding noise
     outruns the certified vector, which is a property of the similarity
     itself, not of the algorithm.
     """
-    w, q = _low_eigs(bundle.h_direct, count, vectors=True)
+    mats = bundle.realization
     t = bundle.trusted
-    n = bundle.h_direct.shape[0]
-    floor = n * np.finfo(float).eps
+    r = min(t + mats.band, mats.dim)
+    w, q = _low_eigs(bundle.h_direct, mats.band, count, vectors=True)
+    h = bundle.hamiltonian[:t, :r]
+    floor = mats.dim * np.finfo(float).eps
     out = np.empty(count)
-    for i in range(count):
-        psi = q[:, i].copy()
-        psi[np.abs(psi) < floor * np.abs(psi).max()] = 0.0
-        phi = bundle.rho_inv @ psi
-        res = bundle.hamiltonian @ phi - w[i] * phi
-        out[i] = np.linalg.norm(res[:t]) / np.linalg.norm(phi[:t])
+    # inf * 0 in the rows of rho^{-1} or in phi gives NaN; such a pair is inf
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        rho_inv = materialize_metric_root(bundle.params, bundle.z, mats,
+                                          sign=-1, rows=r)
+        for i in range(count):
+            psi = q[:, i].copy()
+            psi[np.abs(psi) < floor * np.abs(psi).max()] = 0.0
+            phi = rho_inv @ psi
+            num = np.linalg.norm(h @ phi - w[i] * phi[:t])
+            den = np.linalg.norm(phi[:t])
+            finite = np.isfinite(phi).all() and np.isfinite(num) and np.isfinite(den)
+            out[i] = num / den if finite and den > 0.0 else float("inf")
     return out

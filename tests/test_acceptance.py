@@ -141,7 +141,7 @@ def test_criterion_4_family_consistency(coefficient_grid, bundle_grid):
         o_mat = sm.materialize(sm.commuting_observable(z), realization)
         alt = sm.exp_symmetric(o_mat, scale)
         t = b.trusted
-        num = np.linalg.norm((b.rho - alt)[:t, :t], 2)
+        num = np.linalg.norm(b.rho[:t, :t] - alt[:t, :t], 2)
         worst_pow = max(worst_pow, num / np.linalg.norm(b.rho[:t, :t], 2))
         worst_comm = max(worst_comm, b.residuals["r_commute"])
     ok = worst_h <= 1e-10 and worst_pow <= 1e-9 and worst_comm <= 1e-10

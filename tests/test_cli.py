@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,29 @@ class TestVerifyCommand:
                                "--size", "20", "--trusted", "5")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_strong_coupling_point_large_basis(self, capsys):
+        # at N = 400 the full rho^{-1} of this point overflows; the bundle
+        # no longer forms it
+        code, out, _ = run_cli(capsys, "verify", "--omega", "1",
+                               "--alpha", "0.45", "--beta", "0.05",
+                               "--z", "0.77", "--size", "400")
+        assert code == 0
+        assert "FAIL" not in out
+
+    def test_metric_out_of_range_without_warnings(self, capsys):
+        # eps = 10.36 puts e^{q k0} out of range at the default N = 200:
+        # the diagonal metric root overflows to inf with no inf * 0, so the
+        # run reports inf and FAIL and leaks no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "verify", "--omega", "1",
+                                   "--alpha", "1", "--beta", "1e-18",
+                                   "--z", "0")
+        assert code == 1
+        rows = parse_table(out)
+        for name in ("r_intertwine", "r_quasi", "r_commute"):
+            assert rows[name].startswith("inf  [FAIL"), (name, rows[name])
 
     def test_truncation_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--omega", "1",

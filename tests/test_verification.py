@@ -13,10 +13,11 @@ from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         NotSymmetric, SwansonParams, TruncationTooSmall,
                         ZOutOfDomain, build_bundle, discrete_series,
                         disentangle_closed_form, eigvec_residuals,
-                        exp_symmetric, is_admissible, materialize,
-                        materialize_metric_root, metric_block_definite,
-                        metric_exponent, power_base, solve_epsilon,
-                        spectrum_prediction, symmetric_eigs)
+                        exp_symmetric, hermitian_equivalent, is_admissible,
+                        materialize, materialize_metric_root,
+                        metric_block_definite, metric_exponent, power_base,
+                        solve_epsilon, spectrum_prediction, swanson_element,
+                        symmetric_eigs)
 from su11metric import commuting_observable, from_descriptor
 from su11metric import verification
 from su11metric.cli import RESIDUAL_TOLS
@@ -131,6 +132,31 @@ class TestMetricRoot:
             t = 40
             assert np.abs((prod - np.eye(120))[:t, :t]).max() < 1e-11
 
+    def test_rows_match_full(self):
+        # the row path against the leading rows of the full product, for
+        # both orderings (z = 0.4: eps < 0, z = -0.4: eps > 0) and the
+        # diagonal metric at z = 0, for rho and rho^{-1}
+        for desc in ("discrete:k=0.25", "oscillator:parity=full",
+                     "oscillator:parity=odd",
+                     "multiboson:l=3,residues=0.25,0.5,0.75", "radial:L=1",
+                     "conformal:k=0.75,c=1"):
+            r, _ = from_descriptor(desc, 150)
+            rows = 40 + r.band
+            for z in (-0.4, 0.0, 0.4):
+                for sign in (1, -1):
+                    full = materialize_metric_root(P, z, r, sign)[:rows]
+                    got = materialize_metric_root(P, z, r, sign, rows=rows)
+                    assert got.shape == (rows, 150)
+                    assert np.all(np.abs(got - full) <= 1e-14 * np.abs(full)), \
+                        (desc, z, sign)
+            # at z = 0 both come from a shortcut; rho^{+-1} = exp(+-2 eps K0)
+            eps = solve_epsilon(P, 0.0)
+            for sign in (1, -1):
+                want = np.diag(np.exp(2.0 * sign * eps * r.k0_diag))[:rows]
+                got = materialize_metric_root(P, 0.0, r, sign, rows=rows)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), \
+                    (desc, sign)
+
     def test_symmetry(self):
         r = discrete_series(0.25, 80)
         for z in Z_GRID:
@@ -225,7 +251,7 @@ class TestBuildBundle:
             o_mat = materialize(commuting_observable(z), r)
             alt = exp_symmetric(o_mat, scale)
             t = b.trusted
-            num = np.linalg.norm((b.rho - alt)[:t, :t], 2)
+            num = np.linalg.norm(b.rho[:t, :t] - alt[:t, :t], 2)
             assert num <= 1e-9 * np.linalg.norm(b.rho[:t, :t], 2)
 
     def test_eigvec_certificates(self, bundles):
@@ -236,22 +262,58 @@ class TestBuildBundle:
             assert res.max() <= 1e-5
 
     def test_block_products_match_full(self):
-        # build_bundle contracts each residual product on the trusted
-        # block only; its residuals must equal those of the full products
-        t = 30
+        # build_bundle contracts each residual product from the rows of
+        # rho it keeps; its residuals must equal those of the full N x N
+        # products, formed here from the full metric root and the dense
+        # generators, not from the bundle's fields
+        t, z = 30, 0.4
         for desc in ("oscillator:parity=full",
                      "multiboson:l=3,residues=0.25,0.5,0.75"):
             r, _ = from_descriptor(desc, 120)
-            b = build_bundle(P, 0.4, r, trusted=t)
-            h, rho, zeta, o = b.hamiltonian, b.rho, b.zeta_plus, b.observable
+            b = build_bundle(P, z, r, trusted=t)
+            rho = materialize_metric_root(P, z, r)
+            zeta = rho @ rho
+            h = materialize(swanson_element(P), r)
+            o = materialize(commuting_observable(z), r)
+            h_direct = materialize(hermitian_equivalent(P, z), r)
             for name, (lhs, rhs) in (
-                    ("r_intertwine", (b.h_direct @ rho, rho @ h)),
+                    ("r_intertwine", (h_direct @ rho, rho @ h)),
                     ("r_quasi", (zeta @ h, h.T @ zeta)),
                     ("r_commute", (rho @ o, o @ rho))):
                 want = _relative(lhs - rhs, [lhs, rhs], t)
                 assert np.isfinite(want)
                 # residuals are already relative to the products' norms
                 assert abs(b.residuals[name] - want) <= 1e-12, (desc, name)
+
+    def test_metric_field_shapes(self):
+        # rho keeps its leading R = T + band rows, zeta_+ its R x R block
+        t = 30
+        for desc in ("discrete:k=0.25", "oscillator:parity=full",
+                     "multiboson:l=3,residues=0.25,0.5,0.75"):
+            r, _ = from_descriptor(desc, 120)
+            for z in (-0.4, 0.0, 0.4):
+                b = build_bundle(P, z, r, trusted=t)
+                rows = t + r.band
+                assert b.rho.shape == (rows, 120), (desc, z)
+                assert b.zeta_plus.shape == (rows, rows), (desc, z)
+                assert b.realization is r
+
+    def test_strong_coupling_fields_finite(self):
+        # at N = 400 the full rho^{-1} of this point is mostly inf and NaN;
+        # the bundle keeps no such field, and every field it keeps is
+        # finite (test_cli checks that verify passes here)
+        b = build_bundle(STRONG, 0.77, discrete_series(0.25, 400), trusted=50)
+        for f in dataclasses.fields(b):
+            value = getattr(b, f.name)
+            if isinstance(value, np.ndarray):
+                assert np.isfinite(value).all(), f.name
+
+    def test_eigvec_residuals_inf_not_nan(self):
+        # the rows of rho^{-1} overflow here, so no transported vector is
+        # finite; each pair reports inf, not NaN
+        b = build_bundle(STRONG, 0.77, discrete_series(0.25, 400), trusted=50)
+        res = eigvec_residuals(b, count=5)
+        assert np.isposinf(res).all()
 
     def test_banded_spectrum_matches_dense(self):
         for desc in ("discrete:k=0.25", "oscillator:parity=full",
@@ -284,6 +346,15 @@ class TestBuildBundle:
             eigvec_residuals(dataclasses.replace(b, h_direct=h))
         with pytest.raises(NotSymmetric):
             eigvec_residuals(dataclasses.replace(b, h_direct=h[:, :9]))
+
+    def test_eigvec_residuals_rejects_entries_outside_band(self):
+        # the band comes from the realization; an asymmetric entry outside
+        # it is caught by the nonzero count, not by the in-band test
+        b = build_bundle(P, 0.4, discrete_series(0.25, 10), trusted=5)
+        h = b.h_direct.copy()
+        h[0, 5] = 1.0
+        with pytest.raises(NotSymmetric):
+            eigvec_residuals(dataclasses.replace(b, h_direct=h))
 
     def test_oscillator_realization_bundle(self):
         from su11metric import oscillator_full
