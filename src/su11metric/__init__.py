@@ -12,8 +12,8 @@ from .core import (AlgebraElement, Factorization, adjoint_matrix, conjugate,
                    defining_rep, disentangle_closed_form, exp_defining,
                    gauss_decompose, reconstruct_defining)
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
-                     NotSymmetric, Su11MetricError, TrigRegime,
-                     TruncationTooSmall, ZOutOfDomain)
+                     Su11MetricError, TrigRegime, TruncationTooSmall,
+                     ZOutOfDomain)
 from .metric import (MetricSolution, SwansonParams, commuting_observable,
                      conjugated_coeffs, hermitian_equivalent, is_admissible,
                      metric_exponent, mu_nu, power_base, solve_epsilon,
@@ -23,12 +23,11 @@ from .pdm import (GridOperator, PdmConfig, PdmReport, pdm_generators,
 from .realizations import (RealizationMatrices, commutator_residuals, conformal,
                            discrete_series, from_descriptor, materialize,
                            multiboson, oscillator_full, oscillator_sector, radial,
-                           radial_k0_grid, radial_k0_lowest, residue_matrix,
+                           radial_k0_grid, radial_k0_lowest,
                            residue_root_of_unity)
 from .verification import (OperatorBundle, build_bundle, eigvec_residuals,
-                           exp_symmetric, materialize_metric_root,
-                           metric_block_definite, spectrum_prediction,
-                           symmetric_eigs)
+                           materialize_metric_root, metric_block_definite,
+                           spectrum_prediction)
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,7 @@ __all__ = [
     "defining_rep", "disentangle_closed_form", "exp_defining",
     "gauss_decompose", "reconstruct_defining",
     "Su11MetricError", "InvalidParams", "TrigRegime", "DecompositionSingular",
-    "ZOutOfDomain", "NotSymmetric", "NoConvergence", "TruncationTooSmall",
+    "ZOutOfDomain", "NoConvergence", "TruncationTooSmall",
     "MetricSolution", "SwansonParams", "commuting_observable",
     "conjugated_coeffs", "hermitian_equivalent", "is_admissible",
     "metric_exponent", "mu_nu", "power_base", "solve_epsilon", "solve_metric",
@@ -45,10 +44,9 @@ __all__ = [
     "RealizationMatrices", "commutator_residuals", "conformal",
     "discrete_series", "from_descriptor", "materialize", "multiboson",
     "oscillator_full", "oscillator_sector", "radial", "radial_k0_grid",
-    "radial_k0_lowest", "residue_matrix", "residue_root_of_unity",
-    "OperatorBundle", "build_bundle", "eigvec_residuals", "exp_symmetric",
+    "radial_k0_lowest", "residue_root_of_unity",
+    "OperatorBundle", "build_bundle", "eigvec_residuals",
     "materialize_metric_root", "metric_block_definite", "spectrum_prediction",
-    "symmetric_eigs",
     "GridOperator", "PdmConfig", "PdmReport", "pdm_generators",
     "pdm_spectrum", "predicted_spectrum", "run_pdm_check",
     "__version__",

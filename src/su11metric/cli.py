@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import disentangle_closed_form
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
-                     NotSymmetric, TrigRegime, TruncationTooSmall, ZOutOfDomain)
+                     TrigRegime, TruncationTooSmall, ZOutOfDomain)
 from .metric import (_EDGE, SwansonParams, is_admissible, solve_epsilon,
                      solve_metric, validate_params)
 from .pdm import PdmConfig, run_pdm_check
@@ -347,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParams, ZOutOfDomain, TrigRegime, DecompositionSingular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergence, TruncationTooSmall, NotSymmetric) as exc:
+    except (NoConvergence, TruncationTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -168,11 +168,17 @@ def gauss_decompose(m: np.ndarray, ordering: str = "normal") -> Factorization:
     raise InvalidParams(f"unknown ordering {ordering!r}")
 
 
+def _theta_sq(epsilon: float, eta: complex) -> float:
+    """theta^2 = (|eps| - 2|eta|)(|eps| + 2|eta|); unlike eps^2 - 4|eta|^2,
+    it cannot round below 0 while |eps| >= 2|eta|, even when subnormal."""
+    return (abs(epsilon) - 2.0 * abs(eta)) * (abs(epsilon) + 2.0 * abs(eta))
+
+
 def _ordered_factor(epsilon: float, eta: complex, ordering: str) -> Factorization:
     """One ordered factorization of exp(2 eps K0 + 2 eta Km + 2 conj(eta) Kp);
     only the pivot of the requested ordering is checked."""
     eta = complex(eta)
-    theta_sq = epsilon * epsilon - 4.0 * (eta * eta.conjugate()).real
+    theta_sq = _theta_sq(epsilon, eta)
     if theta_sq < 0.0:
         raise TrigRegime(f"theta^2 = {theta_sq:.6g} < 0; no real-theta factorization")
     c, s = _cosh_sinhc(theta_sq)
@@ -216,7 +222,7 @@ def adjoint_matrix(epsilon: float, eta: complex) -> np.ndarray:
     """
     eta = complex(eta)
     abs2 = (eta * eta.conjugate()).real
-    theta_sq = epsilon * epsilon - 4.0 * abs2
+    theta_sq = _theta_sq(epsilon, eta)
     if theta_sq < 0.0:
         raise TrigRegime(f"theta^2 = {theta_sq:.6g} < 0; adjoint closed form unavailable")
     c, s = _cosh_sinhc(theta_sq)

@@ -22,10 +22,6 @@ class ZOutOfDomain(Su11MetricError):
     """The family parameter z lies outside the admissible set."""
 
 
-class NotSymmetric(Su11MetricError):
-    """A matrix expected to be symmetric is not."""
-
-
 class NoConvergence(Su11MetricError):
     """An eigensolve failed to converge."""
 

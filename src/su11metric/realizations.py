@@ -38,6 +38,12 @@ class RealizationMatrices:
     def trusted(self) -> int:
         return self.dim - self.band
 
+    def leading(self, m: int) -> "RealizationMatrices":
+        """The bands of the first m basis states (all if m >= dim)."""
+        m = min(m, self.dim)
+        return replace(self, k0_diag=self.k0_diag[:m],
+                       kp_band=self.kp_band[:max(m - self.band, 0)])
+
 
 def dense_from_bands(n: int, bands: dict[int, np.ndarray], fill=0.0) -> np.ndarray:
     """Dense n x n matrix holding bands[k] on diagonal k (k < 0 below the
@@ -92,13 +98,6 @@ def oscillator_sector(parity: str, n: int) -> RealizationMatrices:
     kp = 0.5 * np.sqrt(f * (f - 1.0))
     return RealizationMatrices((2.0 * fock + 1.0) / 4.0, kp, 1,
                                f"oscillator:parity={parity}")
-
-
-def residue_matrix(l: int, n: int) -> np.ndarray:
-    """Diagonal residue operator R|m> = (m mod l)|m>."""
-    if l < 1:
-        raise InvalidParams(f"period l must be a positive integer (got {l})")
-    return np.diag((np.arange(n) % l).astype(float))
 
 
 def residue_root_of_unity(l: int, n: int) -> np.ndarray:
@@ -236,12 +235,14 @@ def commutator_residuals(r: RealizationMatrices,
 
     Spectral norms of [k0, k+-] -+ k+- and [kp, km] + 2 k0 restricted to
     the leading trusted x trusted block, each divided by the norm of the
-    defining right-hand side on that block.
+    defining right-hand side on that block.  The generators move a state
+    by at most the band, so only the leading trusted + band states enter.
     """
     t = r.trusted if trusted is None else trusted
     if not (1 <= t <= r.dim):
         raise InvalidParams(f"trusted block {t} outside 1..{r.dim}")
-    k0, km, kp = (materialize(AlgebraElement(*e), r) for e in np.eye(3))
+    block = r.leading(t + r.band)
+    k0, km, kp = (materialize(AlgebraElement(*e), block) for e in np.eye(3))
 
     def _n(mat):
         return float(np.linalg.norm(mat[:t, :t], 2))

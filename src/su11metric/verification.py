@@ -8,6 +8,11 @@ diagnostics (intertwining, quasi-Hermiticity, metric/observable
 commutation) are measured in the spectral norm of the leading trusted
 block, normalized by the operand norms, because the metric amplifies
 truncation error at the top of the basis.
+
+No N x N matrix is formed except the ladder factor of
+materialize_metric_root: H, h and O live on the leading R = trusted +
+band states, h's eigenpairs come from its coefficients and the bands,
+and of rho only the leading R rows are formed.
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .core import AlgebraElement, _ordered_factor, conjugate
-from .errors import InvalidParams, NoConvergence, NotSymmetric, TruncationTooSmall, ZOutOfDomain
+from .errors import InvalidParams, NoConvergence, TruncationTooSmall, ZOutOfDomain
 from .metric import (SwansonParams, commuting_observable, hermitian_equivalent,
                      is_admissible, metric_exponent, solve_epsilon,
                      swanson_element, validate_params)
@@ -29,89 +34,67 @@ DEFAULT_TRUSTED = 50
 
 @dataclass
 class OperatorBundle:
-    """Materialized operators and their residual diagnostics.
+    """The metric blocks the residuals read, the residuals and the
+    spectrum of h.
 
-    H (`hamiltonian`), h (`h_direct`) and O (`observable`) are N x N.  Of
-    the metric only the rows the residuals read are kept: with
-    R = trusted + band (at most N), `rho` is the leading R rows of rho,
-    (R, N), and `zeta_plus` the leading R x R block of zeta_+ = rho^2.
+    Nothing is N x N: with R = trusted + band (at most N), `rho` is the
+    leading R rows of rho, (R, N), and `zeta_plus` the leading R x R block
+    of zeta_+ = rho^2.  H, h and O are not kept; their coefficients follow
+    from `params` and `z`.
     """
 
     params: SwansonParams
     z: float
     realization: RealizationMatrices
     trusted: int
-    hamiltonian: np.ndarray
     rho: np.ndarray
     zeta_plus: np.ndarray
-    h_direct: np.ndarray
-    observable: np.ndarray
     residuals: dict[str, float] = field(default_factory=dict)
     spectrum_h: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def symmetric_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthogonal eigenvectors of a real
-    symmetric matrix; the reconstruction Q diag(w) Q^T reproduces the
-    input to rounding."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
-    scale = np.linalg.norm(m)
-    if np.linalg.norm(m - m.T) > 1e-10 * max(scale, 1e-300):
-        raise NotSymmetric("symmetry residual exceeds 1e-10 of the matrix norm")
-    try:
-        w, q = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolve failed: {exc}") from exc
-    return w, q
-
-
-def _low_eigs(m: np.ndarray, band: int, count: int, vectors: bool = False):
-    """Lowest `count` eigenvalues (ascending) of a real symmetric matrix
-    with half-bandwidth `band`, with their eigenvectors as columns when
-    `vectors` is set.
-
-    Only the band reaches the solver, which computes only the selected
-    pairs.  A count above the dimension yields all of them; zero yields
-    none.  A non-square or asymmetric input, or one with nonzero entries
-    outside the band, raises NotSymmetric, as in symmetric_eigs.
+def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
+              count: int, vectors: bool = False):
+    """Lowest `count` eigenvalues (ascending) of the real symmetric
+    operator x = c0 K0 + c (Km + Kp) on the realization, with their
+    eigenvectors as columns when `vectors` is set.  The solvers read the
+    coefficients and the bands and compute the selected pairs only.  A
+    count above the dimension yields all of them; zero yields none.
     """
     if count < 0:
         raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if np.count_nonzero(m) != sum(np.count_nonzero(np.diagonal(m, k))
-                                  for k in range(-band, band + 1)):
-        raise NotSymmetric(f"nonzero entries outside the band of width {band}")
-    # outside the band both triangles are zero, so the band alone gives
-    # the same test as symmetric_eigs
-    asym = sum(np.sum((np.diagonal(m, k) - np.diagonal(m, -k)) ** 2)
-               for k in range(1, band + 1))
-    if np.sqrt(2.0 * asym) > 1e-10 * max(np.linalg.norm(m), 1e-300):
-        raise NotSymmetric("symmetry residual exceeds 1e-10 of the matrix norm")
+    n, band = realization.dim, realization.band
     count = min(count, n)
+    diag = x.c0.real * realization.k0_diag
+    off = x.cm.real * realization.kp_band
     if count == 0:
         return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
-    # upper storage: diagonal k of m sits in row band - k, from column k on
-    upper = np.zeros((band + 1, n))
-    for k in range(band + 1):
-        upper[band - k, k:] = np.diagonal(m, k)
     try:
-        return eig_banded(upper, eigvals_only=not vectors, select="i",
-                          select_range=(0, count - 1))
+        if not vectors:
+            # upper storage: the diagonal in row band, <m|x|m + band> in row 0
+            upper = np.zeros((band + 1, n))
+            upper[band] = diag
+            upper[0, band:] = off
+            return eig_banded(upper, eigvals_only=True, select="i",
+                              select_range=(0, count - 1))
+        # eig_banded's eigenvectors need the N x N matrix of its reduction
+        # to tridiagonal form.  x couples state m to m +- band only, so the
+        # states of each class modulo band form a tridiagonal chain whose
+        # selected pairs need O(N) memory.
+        w, q = [], []
+        for c in range(band):
+            d = diag[c::band]
+            wc, vc = eigh_tridiagonal(d, off[c::band], select="i",
+                                      select_range=(0, min(count, d.size) - 1))
+            vecs = np.zeros((n, wc.size))
+            vecs[c::band] = vc
+            w.append(wc)
+            q.append(vecs)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"banded eigensolve failed: {exc}") from exc
-
-
-def exp_symmetric(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(scale * m) of a real symmetric matrix via its eigensystem."""
-    w, q = symmetric_eigs(m)
-    with np.errstate(over="ignore", under="ignore"):
-        e = np.exp(scale * w)
-        return (q * e) @ q.T
+    w = np.concatenate(w)
+    lowest = np.argsort(w, kind="stable")[:count]
+    return w[lowest], np.hstack(q)[:, lowest]
 
 
 def _exp_raising(sub: np.ndarray, band: int, coeff: float, n: int) -> np.ndarray:
@@ -228,8 +211,8 @@ def _largest(x: AlgebraElement) -> float:
 def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
                  trusted: int = DEFAULT_TRUSTED,
                  spectrum_count: int | None = None) -> OperatorBundle:
-    """Materialize H, h and O, the rows of rho and the block of zeta_+
-    that the residuals read, and check them.
+    """Materialize the leading blocks of H, h and O, the rows of rho and
+    the block of zeta_+ that the residuals read, and check them.
 
     Residuals.  r_herm and r_eq10 are coefficient-level, on the adjoint
     closed form y = core.conjugate(metric_exponent(p, z), H), relative to
@@ -247,13 +230,15 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
 
     H, h and O vanish outside their band, so the leading T x T block of
     each product reads only the leading R = T + band rows and columns of
-    rho and zeta_+.  rho is symmetric, so its leading R rows give both,
-    and the R x R block of zeta_+ = rho rho is rho[:R] rho[:R]^T.  No
-    N x N metric product is formed, and rho^{-1} not at all.
+    H, h, O, rho and zeta_+; H, h and O are materialized on those R
+    states alone.  rho is symmetric, so its leading R rows give both, and
+    the R x R block of zeta_+ = rho rho is rho[:R] rho[:R]^T.  No N x N
+    product is formed, and rho^{-1} not at all.
 
     The spectrum is the lowest `spectrum_count` eigenvalues (default
     trusted // 2, at least 1; all N if more are asked) of the exactly
-    symmetric direct assembly, computed from its band alone.
+    symmetric direct assembly of h, whose band goes straight from its
+    coefficients to the banded solver.
     """
     validate_params(p)
     n = realization.dim
@@ -268,23 +253,24 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     h_coeffs = hermitian_equivalent(p, z)
     y = conjugate(metric_exponent(p, z), swanson_element(p))
     # the spectrum comes first, so that a negative count is rejected
-    # before the dense work
-    h_direct = materialize(h_coeffs, realization)
+    # before the metric rows are formed
     count = spectrum_count if spectrum_count is not None else max(1, t // 2)
-    spectrum = _low_eigs(h_direct, realization.band, count)
+    spectrum = _low_eigs(h_coeffs, realization, count)
 
-    h_mat = materialize(swanson_element(p), realization)
-    o_mat = materialize(commuting_observable(z), realization)
+    block = realization.leading(r)
+    h_direct = materialize(h_coeffs, block)
+    h_mat = materialize(swanson_element(p), block)
+    o_mat = materialize(commuting_observable(z), block)
     rho = materialize_metric_root(p, z, realization, sign=1, rows=r)
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         zeta = rho @ rho.T
-        lhs_i = h_direct[:t, :r] @ rho[:, :t]
-        rhs_i = rho[:t] @ h_mat[:, :t]
-        lhs_q = zeta[:t] @ h_mat[:r, :t]
-        rhs_q = h_mat[:r, :t].T @ zeta[:, :t]
-        lhs_c = rho[:t] @ o_mat[:, :t]
-        rhs_c = o_mat[:t, :r] @ rho[:, :t]
+        lhs_i = h_direct[:t] @ rho[:, :t]
+        rhs_i = rho[:t, :r] @ h_mat[:, :t]
+        lhs_q = zeta[:t] @ h_mat[:, :t]
+        rhs_q = h_mat[:, :t].T @ zeta[:, :t]
+        lhs_c = rho[:t, :r] @ o_mat[:, :t]
+        rhs_c = o_mat[:t] @ rho[:, :t]
         residuals = {
             "r_herm": max(abs(y.c0.imag), abs(y.cm - y.cp.conjugate()))
             / _largest(y),
@@ -296,8 +282,7 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
         }
 
     return OperatorBundle(params=p, z=z, realization=realization,
-                          trusted=t, hamiltonian=h_mat, rho=rho,
-                          zeta_plus=zeta, h_direct=h_direct, observable=o_mat,
+                          trusted=t, rho=rho, zeta_plus=zeta,
                           residuals=residuals, spectrum_h=spectrum)
 
 
@@ -329,20 +314,22 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
     Eigenvectors psi of h map to phi = rho^{-1} psi of H with the same
     eigenvalue; returns |((H - lambda) phi)[:T]| / |phi[:T]| for the
     lowest `count` pairs.  H vanishes outside its band, so this reads
-    only phi[:R], R = T + band, and only those rows of rho^{-1} are
-    materialized.  A pair whose phi[:R] or residual is not finite gets
-    inf, never NaN.  Components of psi below the eigensolver's noise
-    floor are zeroed first: they carry no information and rho^{-1} can
-    amplify them exponentially.  The certificate degrades once the
-    metric's dynamic range is such that even the retained rounding noise
-    outruns the certified vector, which is a property of the similarity
-    itself, not of the algorithm.
+    only phi[:R], R = T + band: H is materialized on those R states, only
+    those rows of rho^{-1} are formed, (R, N), and psi comes from the
+    band's tridiagonal chains.  A pair whose phi[:R] or residual is not
+    finite gets inf, never NaN.  Components of psi below the
+    eigensolver's noise floor are zeroed first: they carry no information
+    and rho^{-1} can amplify them exponentially.  The certificate degrades
+    once the metric's dynamic range is such that even the retained
+    rounding noise outruns the certified vector, which is a property of
+    the similarity itself, not of the algorithm.
     """
     mats = bundle.realization
     t = bundle.trusted
     r = min(t + mats.band, mats.dim)
-    w, q = _low_eigs(bundle.h_direct, mats.band, count, vectors=True)
-    h = bundle.hamiltonian[:t, :r]
+    w, q = _low_eigs(hermitian_equivalent(bundle.params, bundle.z), mats,
+                     count, vectors=True)
+    h = materialize(swanson_element(bundle.params), mats.leading(r))[:t]
     floor = mats.dim * np.finfo(float).eps
     out = np.empty(count)
     # inf * 0 in the rows of rho^{-1} or in phi gives NaN; such a pair is inf

@@ -18,6 +18,8 @@ from scipy.linalg import expm
 import su11metric as sm
 from su11metric.cli import SWEEP_COLUMNS, main as cli_main
 
+from oracles import exp_symmetric
+
 P = sm.SwansonParams(1.0, 0.2, 0.1)
 Z_GRID = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
@@ -139,7 +141,7 @@ def test_criterion_4_family_consistency(coefficient_grid, bundle_grid):
         lam = sm.power_base(P, z)
         scale = math.log(lam) / (4.0 * math.sqrt(1.0 - z * z))
         o_mat = sm.materialize(sm.commuting_observable(z), realization)
-        alt = sm.exp_symmetric(o_mat, scale)
+        alt = exp_symmetric(o_mat, scale)
         t = b.trusted
         num = np.linalg.norm(b.rho[:t, :t] - alt[:t, :t], 2)
         worst_pow = max(worst_pow, num / np.linalg.norm(b.rho[:t, :t], 2))

@@ -140,6 +140,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_subnormal_theta_squared(self, capsys):
+        # eps^2 and 4 eta^2 are subnormal here; eps^2 - 4|eta|^2 rounds to
+        # -9.9e-324, which used to report "invalid parameters" (exit 2)
+        code, out, _ = run_cli(capsys, "verify", "--omega", "1",
+                               "--alpha", "3.255295840272637e-160",
+                               "--beta", "0", "--z=-0.999998366610381",
+                               "--size", "20", "--trusted", "5")
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_metric_out_of_range_without_warnings(self, capsys):
         # eps = 10.36 puts e^{q k0} out of range at the default N = 200:
         # the diagonal metric root overflows to inf with no inf * 0, so the

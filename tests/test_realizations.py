@@ -8,8 +8,8 @@ from su11metric import (AlgebraElement, InvalidParams, SwansonParams,
                         commutator_residuals, commuting_observable, conformal,
                         discrete_series, from_descriptor, materialize,
                         multiboson, oscillator_full, oscillator_sector, radial,
-                        radial_k0_lowest, residue_matrix,
-                        residue_root_of_unity, swanson_element, z_domain)
+                        radial_k0_lowest, residue_root_of_unity,
+                        swanson_element, z_domain)
 
 ALL_CONSTRUCTORS = [
     lambda n: discrete_series(0.25, n),
@@ -128,6 +128,34 @@ class TestRealizationInvariants:
         assert max(res.values()) < 1e-12
 
     @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    def test_commutators_match_full_dense(self, make):
+        # the leading-block products against the full N x N ones
+        r = make(60)
+        k0, kp, km = dense(r)
+
+        def norm(m, t):
+            return float(np.linalg.norm(m[:t, :t], 2))
+
+        for t in (None, 5, 60 - r.band - 1, 60):
+            b = r.trusted if t is None else t
+            want = {
+                "k0_kp": norm(k0 @ kp - kp @ k0 - kp, b) / norm(kp, b),
+                "k0_km": norm(k0 @ km - km @ k0 + km, b) / norm(km, b),
+                "kp_km": norm(kp @ km - km @ kp + 2.0 * k0, b) / norm(2.0 * k0, b),
+            }
+            assert commutator_residuals(r, t) == want, (r.kind, t)
+
+    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    def test_leading_block(self, make):
+        r = make(40)
+        x = AlgebraElement(0.7, -1.3, 0.4)
+        for m in (r.band + 1, 17, 40, 55):
+            lead = r.leading(m)
+            assert lead.dim == min(m, 40) and lead.band == r.band
+            want = materialize(x, r)[:m, :m]
+            assert materialize(x, lead).tobytes() == want.tobytes(), (r.kind, m)
+
+    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
     def test_k0_strictly_increasing(self, make):
         d = make(30).k0_diag
         assert np.all(np.diff(d) > 0.0)
@@ -175,11 +203,6 @@ class TestMultiboson:
     def test_lowering_element(self):
         mb = multiboson(2, (0.25, 0.75), 8)
         assert abs(dense(mb)[2][0, 2] - math.sqrt(2.0) / 2.0) < 1e-15
-
-    def test_residue_values(self):
-        r = residue_matrix(3, 10)
-        assert r[7, 7] == 1.0
-        assert np.array_equal(np.diag(r), [0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
 
     def test_root_of_unity_formula(self):
         for l in (2, 3, 4, 5):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,49 +11,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
-                        NotSymmetric, SwansonParams, TruncationTooSmall,
-                        ZOutOfDomain, build_bundle, discrete_series,
+                        SwansonParams, TruncationTooSmall, ZOutOfDomain,
+                        build_bundle, commutator_residuals, discrete_series,
                         disentangle_closed_form, eigvec_residuals,
-                        exp_symmetric, hermitian_equivalent, is_admissible,
-                        materialize, materialize_metric_root,
-                        metric_block_definite, metric_exponent, power_base,
-                        solve_epsilon, spectrum_prediction, swanson_element,
-                        symmetric_eigs)
+                        hermitian_equivalent, is_admissible, materialize,
+                        materialize_metric_root, metric_block_definite,
+                        metric_exponent, power_base, solve_epsilon,
+                        spectrum_prediction, swanson_element)
 from su11metric import commuting_observable, from_descriptor
 from su11metric import verification
 from su11metric.cli import RESIDUAL_TOLS
 from su11metric.verification import _exp_raising, _relative
 
+from oracles import exp_symmetric
+
 P = SwansonParams(1.0, 0.2, 0.1)
 STRONG = SwansonParams(1.0, 0.45, 0.05)
 Z_GRID = (-0.8, -0.4, 0.0, 0.4, 0.8)
-
-
-class TestSymmetricEigs:
-    def test_diagonal(self):
-        w, q = symmetric_eigs(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(w, [1.0, 2.0, 3.0])
-        assert np.allclose(q @ q.T, np.eye(3), atol=1e-14)
-
-    def test_two_by_two(self):
-        w, _ = symmetric_eigs(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(47)
-        for n in (5, 40):
-            a = rng.normal(size=(n, n))
-            m = a + a.T
-            w, q = symmetric_eigs(m)
-            assert np.linalg.norm((q * w) @ q.T - m, 2) \
-                <= 1e-10 * np.linalg.norm(m, 2)
-            assert np.all(np.diff(w) >= 0.0)
-
-    def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
-            symmetric_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(NotSymmetric):
-            symmetric_eigs(np.zeros((2, 3)))
 
 
 class TestExpSymmetric:
@@ -216,9 +191,12 @@ class TestBuildBundle:
         for z in Z_GRID:
             assert metric_block_definite(bundles(k=0.25, z=z)) > 0.0
 
-    def test_h_direct_exactly_symmetric(self, bundles):
-        b = bundles(k=0.25, z=0.4)
-        assert np.array_equal(b.h_direct, b.h_direct.T)
+    def test_h_direct_exactly_symmetric(self):
+        # the eigensolvers read cm alone, so h must have cm == cp exactly
+        h_coeffs = hermitian_equivalent(P, 0.4)
+        assert h_coeffs.cm == h_coeffs.cp
+        h = materialize(h_coeffs, discrete_series(0.25, 200))
+        assert np.array_equal(h, h.T)
 
     def test_truncation_guard(self):
         r = discrete_series(0.25, 20)
@@ -323,38 +301,58 @@ class TestBuildBundle:
             r, implied = from_descriptor(desc, 60)
             p = implied if implied is not None else P
             b = build_bundle(p, 0.6, r, trusted=20, spectrum_count=60)
-            w = np.linalg.eigh(b.h_direct)[0]
+            h = materialize(hermitian_equivalent(p, 0.6), r)
+            w = np.linalg.eigh(h)[0]
             assert np.abs(b.spectrum_h - w).max() \
                 <= 1e-12 * np.abs(w).max(), desc
+            # the eigenpairs that eigvec_residuals transports come chain by
+            # chain; merged, they are the lowest pairs of the whole operator
+            for count in (7, 60):
+                wv, q = verification._low_eigs(hermitian_equivalent(p, 0.6), r,
+                                               count, vectors=True)
+                assert np.abs(wv - w[:count]).max() <= 1e-12 * np.abs(w).max()
+                assert np.abs(h @ q - q * wv).max() <= 1e-12 * np.abs(w).max()
+                assert np.abs(q.T @ q - np.eye(count)).max() <= 1e-12, desc
 
     def test_spectrum_count_edges(self):
         r = discrete_series(0.25, 10)
         none = build_bundle(P, 0.4, r, trusted=5, spectrum_count=0)
         assert none.spectrum_h.shape == (0,)
         every = build_bundle(P, 0.4, r, trusted=5, spectrum_count=12)
-        w = np.linalg.eigh(every.h_direct)[0]
+        w = np.linalg.eigh(materialize(hermitian_equivalent(P, 0.4), r))[0]
         assert every.spectrum_h.shape == (10,)
         assert np.abs(every.spectrum_h - w).max() <= 1e-12 * np.abs(w).max()
         with pytest.raises(InvalidParams):
             build_bundle(P, 0.4, r, trusted=5, spectrum_count=-1)
 
-    def test_eigvec_residuals_rejects_asymmetric(self):
-        b = build_bundle(P, 0.4, discrete_series(0.25, 10), trusted=5)
-        h = b.h_direct.copy()
-        h[0, 1] += 1.0
-        with pytest.raises(NotSymmetric):
-            eigvec_residuals(dataclasses.replace(b, h_direct=h))
-        with pytest.raises(NotSymmetric):
-            eigvec_residuals(dataclasses.replace(b, h_direct=h[:, :9]))
-
-    def test_eigvec_residuals_rejects_entries_outside_band(self):
-        # the band comes from the realization; an asymmetric entry outside
-        # it is caught by the nonzero count, not by the in-band test
-        b = build_bundle(P, 0.4, discrete_series(0.25, 10), trusted=5)
-        h = b.h_direct.copy()
-        h[0, 5] = 1.0
-        with pytest.raises(NotSymmetric):
-            eigvec_residuals(dataclasses.replace(b, h_direct=h))
+    def test_large_basis_without_dense_operators(self):
+        # at N = 6400 one N x N matrix takes 328 MB; at z = 0, where the
+        # metric root has no ladder factor, build_bundle, eigvec_residuals
+        # and commutator_residuals form none, and the spectrum is that of
+        # N = 800
+        r = discrete_series(0.25, 6400)
+        peaks = []
+        tracemalloc.start()
+        try:
+            b = build_bundle(P, 0.0, r, trusted=50, spectrum_count=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            certificates = eigvec_residuals(b, count=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            commutators = commutator_residuals(r, 50)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= 16 * 2 ** 20, [m / 2 ** 20 for m in peaks]
+        for name, tol in RESIDUAL_TOLS.items():
+            assert b.residuals[name] <= tol, (name, b.residuals[name])
+        assert certificates.max() <= 1e-5
+        assert max(commutators.values()) < 1e-12
+        small = build_bundle(P, 0.0, discrete_series(0.25, 800), trusted=50,
+                             spectrum_count=5)
+        assert np.all(np.abs(b.spectrum_h - small.spectrum_h)
+                      <= 1e-12 * np.abs(small.spectrum_h))
 
     def test_oscillator_realization_bundle(self):
         from su11metric import oscillator_full
