@@ -63,6 +63,8 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     """
     if count < 0:
         raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
+    if x.cm != x.cp or complex(x.c0).imag or complex(x.cm).imag:
+        raise InvalidParams(f"operator is not real symmetric: {x}")
     n, band = realization.dim, realization.band
     count = min(count, n)
     diag = x.c0.real * realization.k0_diag

@@ -30,6 +30,53 @@ STRONG = SwansonParams(1.0, 0.45, 0.05)
 Z_GRID = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
 
+class TestSymmetricEigs:
+    # the library's symmetric eigensolver works from the coefficients of
+    # c0 K0 + c (Km + Kp) and the realization's bands
+
+    @staticmethod
+    def both(x, r, count):
+        w = verification._low_eigs(x, r, count)
+        wv, q = verification._low_eigs(x, r, count, vectors=True)
+        assert np.abs(w - wv).max() <= 1e-13 * max(1.0, np.abs(w).max())
+        return wv, q
+
+    def test_diagonal(self):
+        # k0 = 0.25, 1.25, 2.25: -K0 has its eigenvalues in reverse order
+        w, q = self.both(AlgebraElement(-1.0, 0.0, 0.0),
+                         discrete_series(0.25, 3), 3)
+        assert np.array_equal(w, [-2.25, -1.25, -0.25])
+        assert np.allclose(q @ q.T, np.eye(3), atol=1e-14)
+
+    def test_two_by_two(self):
+        r = discrete_series(0.25, 2)
+        kp = r.kp_band[0]
+        w, _ = self.both(AlgebraElement(0.0, 1.0, 1.0), r, 2)
+        assert np.allclose(w, [-kp, kp])
+
+    def test_reconstruction(self):
+        from su11metric import oscillator_full
+        rng = np.random.default_rng(47)
+        for n in (5, 40):
+            for r in (discrete_series(0.25, n), oscillator_full(n)):
+                c0, c = rng.normal(size=2)
+                x = AlgebraElement(c0, c, c)
+                m = materialize(x, r)
+                w, q = self.both(x, r, n)
+                assert np.linalg.norm((q * w) @ q.T - m, 2) \
+                    <= 1e-10 * np.linalg.norm(m, 2)
+                assert np.all(np.diff(w) >= 0.0)
+
+    def test_not_symmetric(self):
+        r = discrete_series(0.25, 4)
+        for x in (AlgebraElement(0.0, 1.0, 0.0),
+                  AlgebraElement(1.0j, 1.0, 1.0),
+                  AlgebraElement(1.0, 1.0j, 1.0j)):
+            for vectors in (False, True):
+                with pytest.raises(InvalidParams):
+                    verification._low_eigs(x, r, 2, vectors=vectors)
+
+
 class TestExpSymmetric:
     def test_zero(self):
         assert np.array_equal(exp_symmetric(np.zeros((4, 4))), np.eye(4))
