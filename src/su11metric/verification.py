@@ -9,10 +9,9 @@ commutation) are measured in the spectral norm of the leading trusted
 block, normalized by the operand norms, because the metric amplifies
 truncation error at the top of the basis.
 
-No N x N matrix is formed except the ladder factor of
-materialize_metric_root: H, h and O live on the leading R = trusted +
-band states, h's eigenpairs come from its coefficients and the bands,
-and of rho only the leading R rows are formed.
+No N x N matrix is formed but the ladder factor of materialize_metric_root:
+H, h and O live on the leading R = trusted + band states, rho on its leading
+R rows, and h's eigenpairs come from its coefficients and the bands.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .core import AlgebraElement, _ordered_factor, conjugate
 from .errors import InvalidParams, NoConvergence, TruncationTooSmall, ZOutOfDomain
@@ -57,8 +56,8 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
               count: int, vectors: bool = False):
     """Lowest `count` eigenvalues (ascending) of the real symmetric
     operator x = c0 K0 + c (Km + Kp) on the realization, with their
-    eigenvectors as columns when `vectors` is set.  The solvers read the
-    coefficients and the bands and compute the selected pairs only.  A
+    eigenvectors as columns when `vectors` is set.  The solver reads the
+    coefficients and the bands and computes the selected pairs only.  A
     count above the dimension yields all of them; zero yields none.
     """
     if count < 0:
@@ -71,32 +70,28 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     off = x.cm.real * realization.kp_band
     if count == 0:
         return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
+    # x couples state m to m +- band only, so the states of each class
+    # modulo band form a tridiagonal chain; the selected pairs of a chain
+    # need O(N) memory, where a banded solver's eigenvectors would need the
+    # N x N matrix of its reduction to tridiagonal form.  Twice the safe
+    # minimum is LAPACK's bisection tolerance for the most accurate values.
+    w, q = [], []
     try:
-        if not vectors:
-            # upper storage: the diagonal in row band, <m|x|m + band> in row 0
-            upper = np.zeros((band + 1, n))
-            upper[band] = diag
-            upper[0, band:] = off
-            return eig_banded(upper, eigvals_only=True, select="i",
-                              select_range=(0, count - 1))
-        # eig_banded's eigenvectors need the N x N matrix of its reduction
-        # to tridiagonal form.  x couples state m to m +- band only, so the
-        # states of each class modulo band form a tridiagonal chain whose
-        # selected pairs need O(N) memory.
-        w, q = [], []
-        for c in range(band):
+        for c in range(min(band, n)):
             d = diag[c::band]
-            wc, vc = eigh_tridiagonal(d, off[c::band], select="i",
-                                      select_range=(0, min(count, d.size) - 1))
-            vecs = np.zeros((n, wc.size))
-            vecs[c::band] = vc
+            wc = eigh_tridiagonal(d, off[c::band], eigvals_only=not vectors,
+                                  select="i", tol=2.0 * np.finfo(float).tiny,
+                                  select_range=(0, min(count, d.size) - 1))
+            if vectors:
+                wc, vc = wc
+                q.append(np.zeros((n, wc.size)))
+                q[-1][c::band] = vc
             w.append(wc)
-            q.append(vecs)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"banded eigensolve failed: {exc}") from exc
+        raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
     w = np.concatenate(w)
     lowest = np.argsort(w, kind="stable")[:count]
-    return w[lowest], np.hstack(q)[:, lowest]
+    return (w[lowest], np.hstack(q)[:, lowest]) if vectors else w[lowest]
 
 
 def _exp_raising(sub: np.ndarray, band: int, coeff: float, n: int) -> np.ndarray:
@@ -238,9 +233,8 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     product is formed, and rho^{-1} not at all.
 
     The spectrum is the lowest `spectrum_count` eigenvalues (default
-    trusted // 2, at least 1; all N if more are asked) of the exactly
-    symmetric direct assembly of h, whose band goes straight from its
-    coefficients to the banded solver.
+    trusted // 2, at least 1; all N if more are asked) of h, from its
+    coefficients and the realization's bands.
     """
     validate_params(p)
     n = realization.dim
@@ -282,6 +276,10 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
             "r_quasi": _relative(lhs_q - rhs_q, [lhs_q, rhs_q], t),
             "r_commute": _relative(lhs_c - rhs_c, [lhs_c, rhs_c], t),
         }
+    # rho[:t, r:] meets only zeros of H and O, but where it overflows the
+    # full products hold inf * 0 = NaN: r_intertwine and r_commute stay inf
+    if not np.isfinite(rho[:t]).all():
+        residuals["r_intertwine"] = residuals["r_commute"] = float("inf")
 
     return OperatorBundle(params=p, z=z, realization=realization,
                           trusted=t, rho=rho, zeta_plus=zeta,

@@ -34,24 +34,17 @@ class TestSymmetricEigs:
     # the library's symmetric eigensolver works from the coefficients of
     # c0 K0 + c (Km + Kp) and the realization's bands
 
-    @staticmethod
-    def both(x, r, count):
-        w = verification._low_eigs(x, r, count)
-        wv, q = verification._low_eigs(x, r, count, vectors=True)
-        assert np.abs(w - wv).max() <= 1e-13 * max(1.0, np.abs(w).max())
-        return wv, q
-
     def test_diagonal(self):
         # k0 = 0.25, 1.25, 2.25: -K0 has its eigenvalues in reverse order
-        w, q = self.both(AlgebraElement(-1.0, 0.0, 0.0),
-                         discrete_series(0.25, 3), 3)
+        w, q = verification._low_eigs(AlgebraElement(-1.0, 0.0, 0.0),
+                                      discrete_series(0.25, 3), 3, vectors=True)
         assert np.array_equal(w, [-2.25, -1.25, -0.25])
         assert np.allclose(q @ q.T, np.eye(3), atol=1e-14)
 
     def test_two_by_two(self):
         r = discrete_series(0.25, 2)
         kp = r.kp_band[0]
-        w, _ = self.both(AlgebraElement(0.0, 1.0, 1.0), r, 2)
+        w = verification._low_eigs(AlgebraElement(0.0, 1.0, 1.0), r, 2)
         assert np.allclose(w, [-kp, kp])
 
     def test_reconstruction(self):
@@ -62,7 +55,7 @@ class TestSymmetricEigs:
                 c0, c = rng.normal(size=2)
                 x = AlgebraElement(c0, c, c)
                 m = materialize(x, r)
-                w, q = self.both(x, r, n)
+                w, q = verification._low_eigs(x, r, n, vectors=True)
                 assert np.linalg.norm((q * w) @ q.T - m, 2) \
                     <= 1e-10 * np.linalg.norm(m, 2)
                 assert np.all(np.diff(w) >= 0.0)
@@ -477,6 +470,20 @@ class TestCoefficientResiduals:
                             lambda p, z: exact(p, z) + AlgebraElement(1e-6, 0.0, 0.0))
         b = build_bundle(STRONG, 0.77, discrete_series(0.25, 30), trusted=10)
         assert b.residuals["r_eq10"] > RESIDUAL_TOLS["r_eq10"]
+
+    def test_overflow_beyond_the_read_columns_is_inf(self, monkeypatch):
+        # the products read rho[:T, :T + band]; an overflow past those
+        # columns still reaches the residuals that contract over rho's rows
+        exact = verification.materialize_metric_root
+
+        def overflowing(*args, **kwargs):
+            rows = exact(*args, **kwargs)
+            rows[0, -1] = np.inf
+            return rows
+        monkeypatch.setattr(verification, "materialize_metric_root", overflowing)
+        b = build_bundle(P, 0.4, discrete_series(0.25, 30), trusted=10)
+        for name in ("r_intertwine", "r_quasi", "r_commute"):
+            assert b.residuals[name] == np.inf, name
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(admissible_points())
