@@ -26,8 +26,7 @@ from .realizations import (RealizationMatrices, commutator_residuals, conformal,
                            radial_k0_grid, radial_k0_lowest,
                            residue_root_of_unity)
 from .verification import (OperatorBundle, build_bundle, eigvec_residuals,
-                           materialize_metric_root, metric_block_definite,
-                           spectrum_prediction)
+                           materialize_metric_root, spectrum_prediction)
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,7 @@ __all__ = [
     "oscillator_full", "oscillator_sector", "radial", "radial_k0_grid",
     "radial_k0_lowest", "residue_root_of_unity",
     "OperatorBundle", "build_bundle", "eigvec_residuals",
-    "materialize_metric_root", "metric_block_definite", "spectrum_prediction",
+    "materialize_metric_root", "spectrum_prediction",
     "GridOperator", "PdmConfig", "PdmReport", "pdm_generators",
     "pdm_spectrum", "predicted_spectrum", "run_pdm_check",
     "__version__",

@@ -15,6 +15,7 @@ inadmissible z, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -241,7 +242,9 @@ def _add_matrix_flags(sp) -> None:
                         help=f"tolerance for {key} (default {default:g})")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="su11metric",
         description="Metric operators, Hermitian equivalents, and commuting "

@@ -143,9 +143,12 @@ def predicted_spectrum(p: SwansonParams, count: int = 3) -> np.ndarray:
     return freq * (np.arange(count) + 0.5)
 
 
-def boundary_decay(cfg: PdmConfig, count: int = 3) -> float:
-    """Largest relative wall amplitude among the lowest eigenfunctions."""
-    _, vecs = pdm_spectrum(cfg, count=count, vectors=True)
+def boundary_decay(cfg: PdmConfig, count: int = 3,
+                   vecs: np.ndarray | None = None) -> float:
+    """Largest relative wall amplitude among the lowest eigenfunctions,
+    the columns of `vecs` when the grid's eigenvectors are at hand."""
+    if vecs is None:
+        _, vecs = pdm_spectrum(cfg, count=count, vectors=True)
     worst = 0.0
     for i in range(vecs.shape[1]):
         v = np.abs(vecs[:, i])
@@ -168,8 +171,12 @@ def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
     validate_config(cfg)
     points_used = tuple(max(100, cfg.points // f) for f in sorted(refine, reverse=True))
     refine_table: dict[int, np.ndarray] = {}
-    for pts in points_used:
+    for pts in points_used[:-1]:
         refine_table[pts] = np.asarray(pdm_spectrum(replace(cfg, points=pts), count=count))
+    # the finest grid gives its eigenvalues and the decay check's vectors
+    finest_cfg = replace(cfg, points=points_used[-1])
+    refine_table[points_used[-1]], vecs = pdm_spectrum(finest_cfg, count=count,
+                                                       vectors=True)
 
     levels = [refine_table[pts] for pts in points_used]
     convergence_ok = True
@@ -182,7 +189,7 @@ def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
     finest = levels[-1]
     predicted = predicted_spectrum(cfg.params, count=count)
     rel_errors = np.abs(finest - predicted) / np.abs(predicted)
-    decay = boundary_decay(replace(cfg, points=points_used[-1]), count=count)
+    decay = boundary_decay(finest_cfg, count=count, vecs=vecs)
 
     if decay > decay_tol:
         status = "INCONCLUSIVE"

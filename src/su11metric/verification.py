@@ -9,16 +9,21 @@ commutation) are measured in the spectral norm of the leading trusted
 block, normalized by the operand norms, because the metric amplifies
 truncation error at the top of the basis.
 
-No N x N matrix is formed but the ladder factor of materialize_metric_root:
-H, h and O live on the leading R = trusted + band states, rho on its leading
-R rows, and h's eigenpairs come from its coefficients and the bands.
+No N x N matrix is formed: H, h and O live on the leading R = trusted +
+band states, rho and zeta_+ are R x R blocks from one metric kernel whose
+cost does not grow with N (materialize_metric_root), and h's eigenpairs come
+from its coefficients and the bands.  Where a metric block does not exist
+in the realization's basis (a divergent series, zeta_+ at z = 2 beta /
+omega) it is inf, and so are the residuals that read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh_tridiagonal
 
 from .core import AlgebraElement, _ordered_factor, conjugate
@@ -26,7 +31,7 @@ from .errors import InvalidParams, NoConvergence, TruncationTooSmall, ZOutOfDoma
 from .metric import (SwansonParams, commuting_observable, hermitian_equivalent,
                      is_admissible, metric_exponent, solve_epsilon,
                      swanson_element, validate_params)
-from .realizations import RealizationMatrices, dense_from_bands, materialize
+from .realizations import RealizationMatrices, materialize
 
 DEFAULT_TRUSTED = 50
 
@@ -36,10 +41,11 @@ class OperatorBundle:
     """The metric blocks the residuals read, the residuals and the
     spectrum of h.
 
-    Nothing is N x N: with R = trusted + band (at most N), `rho` is the
-    leading R rows of rho, (R, N), and `zeta_plus` the leading R x R block
-    of zeta_+ = rho^2.  H, h and O are not kept; their coefficients follow
-    from `params` and `z`.
+    Nothing is N x N: with R = trusted + band (at most N), `rho` and
+    `zeta_plus` are the leading R x R blocks of rho = exp(A) and
+    zeta_+ = exp(2A), each inf where its matrix elements do not exist.
+    H, h and O are not kept; their coefficients follow from `params`
+    and `z`.
     """
 
     params: SwansonParams
@@ -94,76 +100,155 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     return (w[lowest], np.hstack(q)[:, lowest]) if vectors else w[lowest]
 
 
-def _exp_raising(sub: np.ndarray, band: int, coeff: float, n: int) -> np.ndarray:
-    """exp(coeff * B) for B holding the single lower diagonal `sub` at
-    offset -band (a truncated raising operator).
+# relative size of the neglected tail of an antinormal metric sum
+_TAIL_TOL = np.finfo(float).eps / 4.0
 
-    The series terminates after n // band orders; each diagonal follows
-    from the previous one by a single multiplication, so every entry is
-    a product of its path factors and carries full relative precision.
-    The fill is bit-identical to summing np.diag(d, -band * order) over
-    the orders onto the identity.
+
+def _ladder_exp(sub: np.ndarray, coeff: float, rows: int, cols: int) -> np.ndarray:
+    """Leading rows x cols block of exp(coeff B), where B holds `sub` on its
+    first subdiagonal (the raising operator along one chain of states).
+
+    Row j + o of column j is coeff^o / o! sub[j] ... sub[j + o - 1], the
+    running product down the column of the factors f[o, j] =
+    coeff sub[j + o] / (o + 1), so every entry is a product of its path
+    factors with full relative precision.
     """
-    step = coeff * sub
-    diags = {0: np.ones(n), -band: step}
-    for order in range(2, (n - 1) // band + 1):
-        prev = diags[-band * (order - 1)]
-        diags[-band * order] = prev[band:] * step[:prev.size - band] / order
-    out = dense_from_bands(n, diags)
-    # a product of zeros can be -0.0; adding 0 gives +0.0, as adding each
-    # order onto the zeros of the identity does
-    out += 0.0
+    out = np.zeros((rows, cols))
+    np.fill_diagonal(out, 1.0)
+    if rows < 2:
+        return out
+    pad = np.concatenate((sub[:rows - 1], np.zeros(cols)))
+    f = sliding_window_view(pad, cols)[:rows - 1] * (coeff / np.arange(1.0, rows)[:, None])
+    # the product of f[:o + 1, j] lands in row j + o + 1
+    target = np.arange(1, rows)[:, None] + np.arange(cols)
+    keep = target < rows
+    out[target[keep], np.nonzero(keep)[1]] = np.cumprod(f, axis=0)[keep]
     return out
 
 
-def materialize_metric_root(p: SwansonParams, z: float,
-                            realization: RealizationMatrices,
-                            sign: int = 1, rows: int | None = None) -> np.ndarray:
-    """The leading `rows` rows (all N if not given, at most N) of rho
-    (sign=+1) or rho^{-1} (sign=-1), through the ordered factorization.
+def _tail_count(ratio: float, a: float, spare: int) -> int | None:
+    """Terms past max(i, j) that complete the antinormal sum
+    M[i, j] = sum_k G[k, i] G[k, j] of every entry of the block to
+    _TAIL_TOL relative; None when the first `spare` + 1 terms do not.
 
-    Exponentiating the materialized exponent through its eigensystem
-    loses the far entries of the result once the eigenvalue spread is
-    large, because eigenvector tails below rounding get amplified
-    exponentially.  The factored product
-
-        exp(a Kp) diag(e^{q k0}) exp(b Km)
-
-    has no such failure mode: for fixed (i, j) every term of the entry
-    contraction carries the same sign, and because the triangular factors
-    close the sum below min(i, j) (decaying ordering) or make it converge
-    geometrically (growing ordering), the truncated product reproduces
-    the matrix elements of the untruncated operator itself.
-
-    The decaying ordering is taken (normal for eps <= 0, antinormal
-    otherwise); its pivot is >= 1, and only that pivot is checked.
-
-    E = exp(p Kp) is lower triangular, so R rows cost R^2 N in the normal
-    ordering and R N^2 in the antinormal one.  At p = 0 (every z = 0)
-    the rows are those of diag(e^{q k0}), written with no product.
+    Along a chain k0 rises by 1 per step and K+ <= K0 + 1/2 in every
+    lowest-weight realization, so the ratio of term o + 1 to term o is at
+    most r_o = ratio ((a + o) / (o + 1))^2, with a = max k0 + 1/2 over the
+    block and `ratio` = coeff^2 = p^2 e^q.  The terms share one sign, so
+    the sum is at least its largest term, and the tail past term O is at
+    most t_O rbar / (1 - rbar), rbar = sup_{o >= O} r_o = max(r_O, ratio).
+    A ratio of 1 or more never meets the bound: the series diverges.
     """
-    n = realization.dim
-    rows = n if rows is None else min(rows, n)
+    if not ratio < 1.0:
+        return None
+    o = np.arange(spare + 1.0)
+    r = ratio * ((a + o) / (o + 1.0)) ** 2
+    rbar = np.maximum(r, ratio)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log of the bound on t_O / t_0, and on t_O over the largest
+        # earlier term
+        log_t = np.concatenate(([0.0], np.cumsum(np.log(r[:-1]))))
+        drop = log_t - np.maximum.accumulate(log_t)
+        tail = drop + np.log(rbar / (1.0 - rbar))
+    hits = np.flatnonzero((rbar < 1.0) & (tail <= np.log(_TAIL_TOL)))
+    return int(hits[0]) if hits.size else None
+
+
+def _exp_product(q: float, x: np.ndarray) -> np.ndarray:
+    """e^{q x} with the argument q x carried to double length: Veltkamp
+    halves make every partial product exact, so the |q x| ulps that
+    rounding q x would cost e^{q x} are not lost."""
+    def halves(v):
+        t = 134217729.0 * v     # 2^27 + 1
+        high = t - (t - v)
+        return high, v - high
+    qh, ql = halves(q)
+    xh, xl = halves(x)
+    return np.exp(qh * xh) * np.exp(qh * xl + ql * xh + ql * xl)
+
+
+def _ordered_metric(p: SwansonParams, z: float, sign: int) -> tuple[bool, float, float]:
+    """(antinormal, q, c) for rho^sign = exp(sign A) = S M S, where
+    S = e^{q K0 / 2} and M is built from G = exp(c K+): M = G G^T in the
+    normal ordering (eps <= 0), G^T G in the antinormal one.
+
+    K+ raises k0 by exactly 1, so e^{(q/2) K0} K+ e^{-(q/2) K0} = e^{q/2} K+
+    and exp(p K+) S = S exp(p e^{-q/2} K+); the antinormal ordering moves
+    S the other way.  So c = p e^{-q/2} (normal) or p e^{q/2}
+    (antinormal), in both cases 2 eta sinh(theta)/theta.
+    Only the pivot of the ordering taken is checked; it is >= 1.
+    """
     eps = sign * solve_epsilon(p, z)
-    f = _ordered_factor(eps, z * eps / 2.0,
-                        "normal" if eps <= 0.0 else "antinormal")
-    with np.errstate(over="ignore", under="ignore"):
-        mid = np.exp(f.q.real * realization.k0_diag)
-        # eta = z eps / 2 is real, so r = p and both ladder factors are
-        # the same matrix: exp(p Kp) = E and exp(p Km) = E^T
-        assert f.r.real == f.p.real
-        if f.p.real == 0.0:
-            out = np.zeros((rows, n))
-            np.fill_diagonal(out, mid[:rows])
+    antinormal = eps > 0.0
+    f = _ordered_factor(eps, z * eps / 2.0, "antinormal" if antinormal else "normal")
+    # eta = z eps / 2 is real, so r = p and exp(p Km) = exp(p Kp)^T
+    assert f.r.real == f.p.real
+    q = f.q.real
+    return antinormal, q, f.p.real * math.exp(0.5 * q if antinormal else -0.5 * q)
+
+
+def materialize_metric_root(p: SwansonParams, z: float,
+                            realization: RealizationMatrices, sign: int = 1,
+                            *, rows: int, cols: int | None = None) -> np.ndarray:
+    """The leading rows x cols block (cols = rows if not given; both at
+    most N) of rho^sign = exp(sign A): rho^{-1}, rho, or zeta_+ = exp(2A)
+    for sign = -1, 1, 2.
+
+    The block is S[:rows] M S[:cols] (see _ordered_metric), with the scale
+    S = e^{q k0 / 2} kept apart and M computed chain by chain (states
+    m = c mod band), where G is a running product of band entries:
+
+      normal      M = G G^T, a finite sum over k <= min(i, j): only the
+                  leading block of G enters, and no N;
+      antinormal  M = G^T G, a series over k >= max(i, j) whose terms
+                  shrink like (p^2 e^q)^k.  It is cut after the count of
+                  terms past the last row that _tail_count takes from a
+                  closed-form bound, and never past the N states the
+                  realization holds.  Where that count does not fit in
+                  N states (p^2 e^q >= 1: the matrix elements do not
+                  exist, e.g. zeta_+ at z = 2 beta / omega), the block is
+                  inf, not a number that depends on N.  Columns past
+                  `rows` get the same count of terms past them, up to N.
+
+    For fixed (i, j) every term carries the same sign, so nothing cancels
+    (exponentiating A through its eigensystem instead loses the far
+    entries once the eigenvalue spread is large).  An entry out of range
+    is inf, never NaN, and no warning is raised.
+    At p = 0 (every z = 0) the block is diag(e^{q k0}).
+    """
+    n, band = realization.dim, realization.band
+    rows = min(rows, n)
+    cols = rows if cols is None else min(cols, n)
+    size = max(rows, cols)
+    antinormal, q, coeff = _ordered_metric(p, z, sign)
+    k0 = realization.k0_diag
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if coeff == 0.0:
+            out = np.zeros((rows, cols))
+            np.fill_diagonal(out, _exp_product(q, k0[:min(rows, cols)]))
             return out
-        e = _exp_raising(realization.kp_band, realization.band, f.p.real, n)
-        if eps <= 0.0:
-            # exp(p Kp) exp(q K0) exp(p Km); row i of E ends at column i
-            left, d, right = e[:rows, :rows], mid[:rows], e[:, :rows].T
-        else:
-            # exp(p Km) exp(q K0) exp(p Kp)
-            left, d, right = e[:, :rows].T, mid, e
-        return (left * d) @ right
+        depth = size
+        if antinormal:
+            count = _tail_count(coeff * coeff, k0[:rows].max() + 0.5,
+                                (n - rows) // band)
+            if count is None:
+                return np.full((rows, cols), np.inf)
+            depth = min(n, size + band * count)
+        scale = _exp_product(0.5 * q, k0[:size])
+        out = np.zeros((rows, cols))
+        for c in range(min(band, size)):
+            nr, nc = len(range(c, rows, band)), len(range(c, cols, band))
+            sub = realization.kp_band[c::band]
+            if antinormal:
+                g = _ladder_exp(sub, coeff, len(range(c, depth, band)), max(nr, nc))
+                m = g[:, :nr].T @ g[:, :nc]
+            else:
+                g = _ladder_exp(sub, coeff, max(nr, nc), min(nr, nc))
+                m = g[:nr] @ g[:nc].T
+            s = scale[c::band]
+            out[c::band, c::band] = s[:nr, None] * m * s[:nc]
+        out[np.isnan(out)] = np.inf
+    return out
 
 
 def spectrum_prediction(p: SwansonParams, k: float, count: int) -> np.ndarray:
@@ -208,8 +293,8 @@ def _largest(x: AlgebraElement) -> float:
 def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
                  trusted: int = DEFAULT_TRUSTED,
                  spectrum_count: int | None = None) -> OperatorBundle:
-    """Materialize the leading blocks of H, h and O, the rows of rho and
-    the block of zeta_+ that the residuals read, and check them.
+    """Materialize the leading blocks of H, h, O, rho and zeta_+ that the
+    residuals read, and check them.
 
     Residuals.  r_herm and r_eq10 are coefficient-level, on the adjoint
     closed form y = core.conjugate(metric_exponent(p, z), H), relative to
@@ -227,10 +312,10 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
 
     H, h and O vanish outside their band, so the leading T x T block of
     each product reads only the leading R = T + band rows and columns of
-    H, h, O, rho and zeta_+; H, h and O are materialized on those R
-    states alone.  rho is symmetric, so its leading R rows give both, and
-    the R x R block of zeta_+ = rho rho is rho[:R] rho[:R]^T.  No N x N
-    product is formed, and rho^{-1} not at all.
+    H, h, O, rho and zeta_+; each is materialized on those R states alone,
+    rho and zeta_+ = exp(2A) by two calls of the same kernel.  No N x N
+    product is formed, and rho^{-1} not at all.  Where the zeta_+ series
+    diverges r_quasi is inf while the other residuals stay finite.
 
     The spectrum is the lowest `spectrum_count` eigenvalues (default
     trusted // 2, at least 1; all N if more are asked) of h, from its
@@ -249,7 +334,7 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     h_coeffs = hermitian_equivalent(p, z)
     y = conjugate(metric_exponent(p, z), swanson_element(p))
     # the spectrum comes first, so that a negative count is rejected
-    # before the metric rows are formed
+    # before the metric blocks are formed
     count = spectrum_count if spectrum_count is not None else max(1, t // 2)
     spectrum = _low_eigs(h_coeffs, realization, count)
 
@@ -258,14 +343,15 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     h_mat = materialize(swanson_element(p), block)
     o_mat = materialize(commuting_observable(z), block)
     rho = materialize_metric_root(p, z, realization, sign=1, rows=r)
+    zeta = materialize_metric_root(p, z, realization, sign=2, rows=r)
 
+    # an inf block gives inf * 0 = NaN in the products; _relative reads inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        zeta = rho @ rho.T
         lhs_i = h_direct[:t] @ rho[:, :t]
-        rhs_i = rho[:t, :r] @ h_mat[:, :t]
+        rhs_i = rho[:t] @ h_mat[:, :t]
         lhs_q = zeta[:t] @ h_mat[:, :t]
         rhs_q = h_mat[:, :t].T @ zeta[:, :t]
-        lhs_c = rho[:t, :r] @ o_mat[:, :t]
+        lhs_c = rho[:t] @ o_mat[:, :t]
         rhs_c = o_mat[:t] @ rho[:, :t]
         residuals = {
             "r_herm": max(abs(y.c0.imag), abs(y.cm - y.cp.conjugate()))
@@ -276,36 +362,10 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
             "r_quasi": _relative(lhs_q - rhs_q, [lhs_q, rhs_q], t),
             "r_commute": _relative(lhs_c - rhs_c, [lhs_c, rhs_c], t),
         }
-    # rho[:t, r:] meets only zeros of H and O, but where it overflows the
-    # full products hold inf * 0 = NaN: r_intertwine and r_commute stay inf
-    if not np.isfinite(rho[:t]).all():
-        residuals["r_intertwine"] = residuals["r_commute"] = float("inf")
 
     return OperatorBundle(params=p, z=z, realization=realization,
                           trusted=t, rho=rho, zeta_plus=zeta,
                           residuals=residuals, spectrum_h=spectrum)
-
-
-def metric_block_definite(bundle: OperatorBundle) -> float:
-    """Smallest eigenvalue of the diagonally rescaled trusted block of
-    zeta_+, certified through the metric root.
-
-    The block equals R R^T for R the leading trusted rows of rho, so it
-    is positive-definite exactly when those rows are independent, which
-    the invertibility of rho guarantees.  Quantitatively, the square of
-    the smallest singular value of the row-normalized R is the smallest
-    eigenvalue of the correspondingly rescaled block (a congruence, so
-    definiteness is preserved); going through the singular values of R
-    instead of the eigenvalues of R R^T avoids squaring the dynamic
-    range, which would drown the small end in rounding.
-    """
-    t = bundle.trusted
-    rows = bundle.rho[:t, :]
-    norms = np.linalg.norm(rows, axis=1)
-    if not np.all(np.isfinite(norms)) or np.any(norms <= 0.0):
-        return float("-inf")
-    sigma = np.linalg.svd(rows / norms[:, None], compute_uv=False)
-    return float(sigma.min() ** 2)
 
 
 def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
@@ -313,16 +373,17 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
 
     Eigenvectors psi of h map to phi = rho^{-1} psi of H with the same
     eigenvalue; returns |((H - lambda) phi)[:T]| / |phi[:T]| for the
-    lowest `count` pairs.  H vanishes outside its band, so this reads
-    only phi[:R], R = T + band: H is materialized on those R states, only
-    those rows of rho^{-1} are formed, (R, N), and psi comes from the
-    band's tridiagonal chains.  A pair whose phi[:R] or residual is not
-    finite gets inf, never NaN.  Components of psi below the
-    eigensolver's noise floor are zeroed first: they carry no information
-    and rho^{-1} can amplify them exponentially.  The certificate degrades
-    once the metric's dynamic range is such that even the retained
-    rounding noise outruns the certified vector, which is a property of
-    the similarity itself, not of the algorithm.
+    lowest `count` pairs (all N if more are asked).  H vanishes outside
+    its band, so this reads only phi[:R], R = T + band: H is materialized
+    on those R states, and psi comes from the band's tridiagonal chains.
+    Of rho^{-1} only the R rows and the columns up to the last state a
+    retained component of psi reaches are formed.  A pair whose phi[:R]
+    or residual is not finite gets inf, never NaN.  Components of psi
+    below the eigensolver's noise floor are zeroed first: they carry no
+    information and rho^{-1} can amplify them exponentially.  The
+    certificate degrades once the metric's dynamic range is such that
+    even the retained rounding noise outruns the certified vector, which
+    is a property of the similarity itself, not of the algorithm.
     """
     mats = bundle.realization
     t = bundle.trusted
@@ -330,16 +391,16 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
     w, q = _low_eigs(hermitian_equivalent(bundle.params, bundle.z), mats,
                      count, vectors=True)
     h = materialize(swanson_element(bundle.params), mats.leading(r))[:t]
-    floor = mats.dim * np.finfo(float).eps
-    out = np.empty(count)
+    psi = np.where(np.abs(q) < mats.dim * np.finfo(float).eps
+                   * np.abs(q).max(axis=0), 0.0, q)
+    cols = int(np.flatnonzero(psi.any(axis=1)).max(initial=0)) + 1
+    out = np.empty(w.size)
     # inf * 0 in the rows of rho^{-1} or in phi gives NaN; such a pair is inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rho_inv = materialize_metric_root(bundle.params, bundle.z, mats,
-                                          sign=-1, rows=r)
-        for i in range(count):
-            psi = q[:, i].copy()
-            psi[np.abs(psi) < floor * np.abs(psi).max()] = 0.0
-            phi = rho_inv @ psi
+                                          sign=-1, rows=r, cols=cols)
+        for i in range(w.size):
+            phi = rho_inv @ psi[:cols, i]
             num = np.linalg.norm(h @ phi - w[i] * phi[:t])
             den = np.linalg.norm(phi[:t])
             finite = np.isfinite(phi).all() and np.isfinite(num) and np.isfinite(den)

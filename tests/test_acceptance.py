@@ -18,7 +18,7 @@ from scipy.linalg import expm
 import su11metric as sm
 from su11metric.cli import SWEEP_COLUMNS, main as cli_main
 
-from oracles import exp_symmetric
+from oracles import exp_symmetric, metric_block_definite
 
 P = sm.SwansonParams(1.0, 0.2, 0.1)
 Z_GRID = (-0.8, -0.4, 0.0, 0.4, 0.8)
@@ -163,7 +163,11 @@ def test_criterion_5_matrix_bundle(bundle_grid):
             b = bundle_grid[(k, z)]
             for name in ("r_herm", "r_eq10", "r_quasi", "r_intertwine"):
                 worst_res = max(worst_res, b.residuals[name])
-            min_posdef = min(min_posdef, sm.metric_block_definite(b))
+            # the trusted rows of rho with every column they reach
+            rows = sm.materialize_metric_root(P, z, b.realization,
+                                              rows=b.trusted,
+                                              cols=b.realization.dim)
+            min_posdef = min(min_posdef, metric_block_definite(rows))
             worst_spec = max(worst_spec,
                              (np.abs(b.spectrum_h - pred) / pred).max())
             specs.append(b.spectrum_h)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from su11metric import cli
 from su11metric.cli import SWEEP_COLUMNS, main
 
 
@@ -283,3 +284,32 @@ class TestParsing:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_parser_reused_across_calls(self, capsys, tmp_path):
+        # main() builds its parser once per process; no parse, failed or
+        # config-fed, may leave anything in it that changes a later call
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega = 1.0\nalpha = 0.2\nbeta = 0.1\nz = 0.4\n",
+                       encoding="utf-8")
+        base = ["--omega", "1", "--alpha", "0.2", "--beta", "0.1"]
+        calls = [
+            ["metric", "--config", str(cfg)],
+            ["metric"] + base,
+            ["metric", "--omega", "1"],
+            ["verify"] + base + ["--size", "nope"],
+            ["verify"] + base + ["--z", "0.4", "--size", "60", "--trusted", "20"],
+            ["sweep"] + base + ["--z-from", "-0.4", "--z-to", "0.4",
+                                "--steps", "3", "--size", "60", "--trusted", "20"],
+            ["metric", "--config", str(cfg), "--z", "0.5", "--output", "csv"],
+            ["frobnicate"],
+            ["metric"] + base,
+        ]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv)[:2])
+        assert [code for code, _ in fresh] == [0, 0, 2, 2, 0, 0, 0, 2, 0]
+        for _ in range(2):
+            assert [run_cli(capsys, *argv)[:2] for argv in calls] == fresh
+        assert cli._build_parser() is cli._build_parser()
+

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,15 +16,16 @@ from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         build_bundle, commutator_residuals, discrete_series,
                         disentangle_closed_form, eigvec_residuals,
                         hermitian_equivalent, is_admissible, materialize,
-                        materialize_metric_root, metric_block_definite,
-                        metric_exponent, power_base, solve_epsilon,
+                        materialize_metric_root, metric_exponent,
+                        power_base, solve_epsilon,
                         spectrum_prediction, swanson_element)
 from su11metric import commuting_observable, from_descriptor
 from su11metric import verification
-from su11metric.cli import RESIDUAL_TOLS
-from su11metric.verification import _exp_raising, _relative
+from su11metric.cli import RESIDUAL_TOLS, main
+from su11metric.verification import _relative
 
-from oracles import exp_symmetric
+from oracles import (exp_raising, exp_symmetric, metric_block_definite,
+                     metric_power_dense, metric_power_mp)
 
 P = SwansonParams(1.0, 0.2, 0.1)
 STRONG = SwansonParams(1.0, 0.45, 0.05)
@@ -90,36 +92,25 @@ class TestExpSymmetric:
         assert np.linalg.norm(prod - np.eye(30), 2) < 1e-9
 
 
-def _exp_raising_reference(sub, band, coeff, n):
-    """The ladder exponential with each order added as a fresh np.diag."""
-    out = np.eye(n)
-    if coeff == 0.0 or sub.size == 0:
-        return out
-    d = coeff * sub
-    order = 1
-    while d.size > 0:
-        out += np.diag(d, -band * order)
-        order += 1
-        new_len = n - band * order
-        if new_len <= 0:
-            break
-        d = d[band:new_len + band] * (coeff * sub[:new_len]) / order
-    return out
-
-
 class TestExpRaising:
-    def test_bitwise_reference(self):
+    def test_matches_expm(self):
+        # the dense oracle's ladder exponential, one np.diag per order,
+        # against scipy's general matrix exponential
         rng = np.random.default_rng(59)
         for n in (7, 60):
             for band in (1, 2, 3):
-                sub = rng.normal(scale=3.0, size=n - band)
-                sub[::4] = 0.0    # products of zeros carry a sign
+                sub = rng.uniform(0.0, 3.0, size=n - band)
                 for coeff in (-0.3, 0.0, 0.7):
-                    got = _exp_raising(sub, band, coeff, n)
-                    ref = _exp_raising_reference(sub, band, coeff, n)
-                    # int64 views also tell -0.0 from 0.0
-                    assert np.array_equal(got.view(np.int64),
-                                          ref.view(np.int64)), (n, band, coeff)
+                    b = np.diag(sub, -band)
+                    want = expm(coeff * b)
+                    got = exp_raising(sub, band, coeff, n)
+                    assert np.abs(got - want).max() \
+                        <= 1e-13 * np.abs(want).max(), (n, band, coeff)
+
+
+KINDS = ("discrete:k=0.25", "oscillator:parity=full", "oscillator:parity=odd",
+         "multiboson:l=3,residues=0.25,0.5,0.75", "radial:L=1",
+         "conformal:k=0.75,c=1")
 
 
 class TestMetricRoot:
@@ -127,58 +118,97 @@ class TestMetricRoot:
         # small dimension keeps the dense exponential trustworthy, but the
         # factored product reproduces the untruncated operator, so compare
         # on the leading block of a larger basis
+        r = discrete_series(0.25, 60)
         for z in Z_GRID:
-            big = materialize_metric_root(P, z, discrete_series(0.25, 60))
-            a_small = materialize(metric_exponent(P, z), discrete_series(0.25, 60))
-            direct = expm(a_small)
-            t = 20
-            num = np.linalg.norm((big - direct)[:t, :t], 2)
-            assert num <= 1e-9 * np.linalg.norm(direct[:t, :t], 2)
+            block = materialize_metric_root(P, z, r, rows=20)
+            direct = expm(materialize(metric_exponent(P, z), r))[:20, :20]
+            num = np.linalg.norm(block - direct, 2)
+            assert num <= 1e-9 * np.linalg.norm(direct, 2)
 
     def test_inverse_pair(self):
         # the product contraction is float-verifiable only while the
         # metric's dynamic range is moderate; the extreme-range identities
         # are covered by the bundle residuals, whose contractions are stable
         r = discrete_series(0.25, 120)
+        t = 40
         for z in (-0.8, -0.4, 0.0, 0.8):
-            rho = materialize_metric_root(P, z, r, 1)
-            rho_inv = materialize_metric_root(P, z, r, -1)
-            prod = rho @ rho_inv
-            t = 40
-            assert np.abs((prod - np.eye(120))[:t, :t]).max() < 1e-11
+            # rho[:t, :] rho^{-1}[:, :t], and rho^{-1} is symmetric
+            rho = materialize_metric_root(P, z, r, 1, rows=t, cols=120)
+            rho_inv = materialize_metric_root(P, z, r, -1, rows=t, cols=120)
+            prod = rho @ rho_inv.T
+            assert np.abs(prod - np.eye(t)).max() < 1e-11, z
 
     def test_rows_match_full(self):
-        # the row path against the leading rows of the full product, for
-        # both orderings (z = 0.4: eps < 0, z = -0.4: eps > 0) and the
-        # diagonal metric at z = 0, for rho and rho^{-1}
-        for desc in ("discrete:k=0.25", "oscillator:parity=full",
-                     "oscillator:parity=odd",
-                     "multiboson:l=3,residues=0.25,0.5,0.75", "radial:L=1",
-                     "conformal:k=0.75,c=1"):
-            r, _ = from_descriptor(desc, 150)
+        # a block is the leading part of any wider block, for both
+        # orderings (z > 0: eps < 0, z < 0: eps > 0), the three powers
+        # and the diagonal metric at z = 0; the wide block's sums run on
+        # to N, and its products are blocked differently
+        for desc in KINDS:
+            r, implied = from_descriptor(desc, 300)
+            p = implied if implied is not None else P
             rows = 40 + r.band
-            for z in (-0.4, 0.0, 0.4):
-                for sign in (1, -1):
-                    full = materialize_metric_root(P, z, r, sign)[:rows]
-                    got = materialize_metric_root(P, z, r, sign, rows=rows)
-                    assert got.shape == (rows, 150)
-                    assert np.all(np.abs(got - full) <= 1e-14 * np.abs(full)), \
+            for z in Z_GRID:
+                if not is_admissible(p, z):
+                    continue
+                for sign in (-1, 1, 2):
+                    wide = materialize_metric_root(p, z, r, sign, rows=rows,
+                                                   cols=300)
+                    got = materialize_metric_root(p, z, r, sign, rows=rows)
+                    assert got.shape == (rows, rows)
+                    assert np.all(np.abs(got - wide[:, :rows])
+                                  <= 1e-14 * np.abs(wide[:, :rows])), \
                         (desc, z, sign)
-            # at z = 0 both come from a shortcut; rho^{+-1} = exp(+-2 eps K0)
-            eps = solve_epsilon(P, 0.0)
+            if not is_admissible(p, 0.0):
+                continue
+            # at z = 0 the block is exp(+-2 eps K0) from the shortcut
+            eps = solve_epsilon(p, 0.0)
             for sign in (1, -1):
-                want = np.diag(np.exp(2.0 * sign * eps * r.k0_diag))[:rows]
-                got = materialize_metric_root(P, 0.0, r, sign, rows=rows)
+                want = np.diag(np.exp(2.0 * sign * eps * r.k0_diag))[:rows, :rows]
+                got = materialize_metric_root(p, 0.0, r, sign, rows=rows)
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), \
                     (desc, sign)
 
     def test_symmetry(self):
         r = discrete_series(0.25, 80)
         for z in Z_GRID:
-            rho = materialize_metric_root(P, z, r, 1)
-            t = 30
-            blk = rho[:t, :t]
+            blk = materialize_metric_root(P, z, r, 1, rows=30)
             assert np.abs(blk - blk.T).max() <= 1e-13 * np.abs(blk).max()
+
+    def test_matches_dense_route(self):
+        # the S M S blocks against the dense ordered product over all N
+        # states, for every realization kind, both orderings and
+        # rho^{-1}, rho and zeta_+
+        worst = 0.0
+        for desc in KINDS:
+            r, implied = from_descriptor(desc, 200)
+            p = implied if implied is not None else P
+            # the premise of the antinormal tail bound: K+ <= K0 + 1/2
+            assert np.all(r.kp_band <= r.k0_diag[:-r.band] + 0.5), desc
+            rows = 20 + r.band
+            for z in (-0.8, -0.4, 0.4, 0.8):
+                if not is_admissible(p, z):
+                    continue
+                for sign in (-1, 1, 2):
+                    got = materialize_metric_root(p, z, r, sign, rows=rows)
+                    want = metric_power_dense(p, z, r, sign)[:rows, :rows]
+                    zero = want == 0.0
+                    assert np.array_equal(got[zero], want[zero])
+                    rel = np.abs(got - want)[~zero] / np.abs(want[~zero])
+                    assert rel.max() <= 1e-14, (desc, z, sign, rel.max())
+                    worst = max(worst, rel.max())
+        assert worst > 0.0
+
+    def test_matches_mpmath(self):
+        # one block per ordering against 50-digit sums: z = 0.4 gives
+        # eps < 0 (normal), z = -0.4 eps > 0 (antinormal)
+        r = discrete_series(0.25, 120)
+        for z in (0.4, -0.4):
+            for sign in (1, 2):
+                got = materialize_metric_root(P, z, r, sign, rows=21)
+                want = metric_power_mp(sign * solve_epsilon(P, z), z, 0.25,
+                                       21, 120)
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), \
+                    (z, sign)
 
 
 class TestSpectrumPrediction:
@@ -227,9 +257,11 @@ class TestBuildBundle:
         spread = (specs.max(axis=0) - specs.min(axis=0)) / specs.min(axis=0)
         assert spread.max() <= 1e-6
 
-    def test_metric_positive_definite(self, bundles):
+    def test_metric_positive_definite(self):
+        r = discrete_series(0.25, 200)
         for z in Z_GRID:
-            assert metric_block_definite(bundles(k=0.25, z=z)) > 0.0
+            rows = materialize_metric_root(P, z, r, rows=50, cols=200)
+            assert metric_block_definite(rows) > 0.0
 
     def test_h_direct_exactly_symmetric(self):
         # the eigensolvers read cm alone, so h must have cm == cp exactly
@@ -280,16 +312,16 @@ class TestBuildBundle:
             assert res.max() <= 1e-5
 
     def test_block_products_match_full(self):
-        # build_bundle contracts each residual product from the rows of
-        # rho it keeps; its residuals must equal those of the full N x N
-        # products, formed here from the full metric root and the dense
-        # generators, not from the bundle's fields
+        # build_bundle contracts each residual product from the R x R
+        # blocks it keeps; its residuals must equal those of the full N x N
+        # products, formed here from the dense ordered product and the
+        # dense generators, not from the bundle's fields
         t, z = 30, 0.4
         for desc in ("oscillator:parity=full",
                      "multiboson:l=3,residues=0.25,0.5,0.75"):
             r, _ = from_descriptor(desc, 120)
             b = build_bundle(P, z, r, trusted=t)
-            rho = materialize_metric_root(P, z, r)
+            rho = metric_power_dense(P, z, r)
             zeta = rho @ rho
             h = materialize(swanson_element(P), r)
             o = materialize(commuting_observable(z), r)
@@ -304,7 +336,7 @@ class TestBuildBundle:
                 assert abs(b.residuals[name] - want) <= 1e-12, (desc, name)
 
     def test_metric_field_shapes(self):
-        # rho keeps its leading R = T + band rows, zeta_+ its R x R block
+        # rho and zeta_+ keep their leading R x R blocks, R = T + band
         t = 30
         for desc in ("discrete:k=0.25", "oscillator:parity=full",
                      "multiboson:l=3,residues=0.25,0.5,0.75"):
@@ -312,7 +344,7 @@ class TestBuildBundle:
             for z in (-0.4, 0.0, 0.4):
                 b = build_bundle(P, z, r, trusted=t)
                 rows = t + r.band
-                assert b.rho.shape == (rows, 120), (desc, z)
+                assert b.rho.shape == (rows, rows), (desc, z)
                 assert b.zeta_plus.shape == (rows, rows), (desc, z)
                 assert b.realization is r
 
@@ -332,6 +364,11 @@ class TestBuildBundle:
         b = build_bundle(STRONG, 0.77, discrete_series(0.25, 400), trusted=50)
         res = eigvec_residuals(b, count=5)
         assert np.isposinf(res).all()
+
+    def test_eigvec_residuals_count_above_dimension(self):
+        # as for the spectrum, a count above N certifies all N pairs
+        b = build_bundle(P, 0.4, discrete_series(0.25, 12), trusted=5)
+        assert eigvec_residuals(b, count=13).shape == (12,)
 
     def test_banded_spectrum_matches_dense(self):
         for desc in ("discrete:k=0.25", "oscillator:parity=full",
@@ -394,6 +431,32 @@ class TestBuildBundle:
         assert np.all(np.abs(b.spectrum_h - small.spectrum_h)
                       <= 1e-12 * np.abs(small.spectrum_h))
 
+    def test_large_basis_at_nonzero_z(self):
+        # at N = 6400 the ladder factor of the dense route overflowed (inf
+        # rows of rho from N = 4800 at z = 0.4, a non-finite block from
+        # N = 5600 at z = -0.4); the blocks need no N x N array, and the
+        # residuals are those of N = 800
+        r = discrete_series(0.25, 6400)
+        for z in (0.4, -0.4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tracemalloc.start()
+                try:
+                    b = build_bundle(P, z, r, trusted=50, spectrum_count=5)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 2 * 2 ** 20, peak / 2 ** 20
+            small = build_bundle(P, z, discrete_series(0.25, 800), trusted=50)
+            for name, tol in RESIDUAL_TOLS.items():
+                assert b.residuals[name] <= tol, (z, name, b.residuals[name])
+                assert b.residuals[name] == small.residuals[name], (z, name)
+            argv = ["verify", "--omega", "1", "--alpha", "0.2", "--beta",
+                    "0.1", "--z", repr(z), "--size", "6400"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 0
+
     def test_oscillator_realization_bundle(self):
         from su11metric import oscillator_full
         b = build_bundle(P, 0.4, oscillator_full(200), trusted=50,
@@ -401,6 +464,57 @@ class TestBuildBundle:
         assert max(b.residuals.values()) <= 1e-6
         expect = math.sqrt(0.92) * (np.arange(6) + 0.5)
         assert np.abs(b.spectrum_h - expect).max() <= 1e-6
+
+
+class TestZetaSeriesWall:
+    # in the antinormal ordering the entries of exp(sA) are series whose
+    # terms shrink like p^2 e^q; for zeta_+ = exp(2A) that ratio is 1 at
+    # z = 2 beta / omega, where the matrix elements do not exist
+
+    def test_base_row_at_two_beta_over_omega(self, capsys):
+        assert verification._ordered_metric(P, 0.2, 1)[2] ** 2 \
+            == pytest.approx(0.083, abs=1e-3)
+        for n in (200, 400, 800):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                b = build_bundle(P, 0.2, discrete_series(0.25, n), trusted=50)
+                rc = main(["verify", "--omega", "1", "--alpha", "0.2",
+                           "--beta", "0.1", "--z", "0.2", "--size", str(n)])
+            assert np.isposinf(b.zeta_plus).all(), n
+            assert b.residuals["r_quasi"] == np.inf, n
+            for name in ("r_intertwine", "r_commute"):
+                assert b.residuals[name] <= RESIDUAL_TOLS[name], (n, name)
+            assert rc == 1
+            assert "r_quasi       inf  [FAIL" in capsys.readouterr().out
+
+    def test_ratio_is_one_at_the_wall(self):
+        # the closed-form ratio c^2 = p^2 e^q of exp(2A) against the Gauss
+        # factors of its 50-digit 2 x 2 exponential, on random parameters
+        rng = np.random.default_rng(67)
+        checked = 0
+        while checked < 6:
+            omega = rng.uniform(0.5, 2.0)
+            alpha, beta = omega * rng.uniform(-1.0, 1.0, size=2)
+            p = SwansonParams(omega, alpha, beta)
+            z = 2.0 * beta / omega
+            if (alpha == beta or omega ** 2 <= 4.0 * alpha * beta
+                    or abs(z) >= 0.99 or not is_admissible(p, z)):
+                continue
+            eps = 2.0 * solve_epsilon(p, z)
+            antinormal, q, c = verification._ordered_metric(p, z, 2)
+            assert antinormal, (p, z)     # eps > 0 on the wall
+            with mp.workdps(50):
+                e, eta = mp.mpf(eps), mp.mpf(z) * mp.mpf(eps) / 2
+                g = mp.expm(mp.matrix([[e, 2 * eta], [-2 * eta, -e]]))
+                # antinormal Gauss factors: p = g01 / g00, e^{q/2} = g00
+                ratio = (g[0, 1] / g[0, 0]) ** 2 * g[0, 0] ** 2
+                assert abs(c * c - ratio) <= 1e-12, (p, z)
+                assert abs(ratio - 1) <= 1e-12, (p, z)
+            # no count of terms completes the series: the block is inf
+            block = materialize_metric_root(p, z, discrete_series(0.25, 400),
+                                            2, rows=10)
+            assert np.isposinf(block).all(), (p, z)
+            checked += 1
 
 
 def _stability_roots(omega, alpha, beta):
@@ -471,9 +585,10 @@ class TestCoefficientResiduals:
         b = build_bundle(STRONG, 0.77, discrete_series(0.25, 30), trusted=10)
         assert b.residuals["r_eq10"] > RESIDUAL_TOLS["r_eq10"]
 
-    def test_overflow_beyond_the_read_columns_is_inf(self, monkeypatch):
-        # the products read rho[:T, :T + band]; an overflow past those
-        # columns still reaches the residuals that contract over rho's rows
+    def test_overflow_in_a_metric_block_is_inf(self, monkeypatch):
+        # the blocks hold only the R = T + band columns the products read,
+        # so an overflow even in the last column of rho and zeta_+ reaches
+        # every matrix residual
         exact = verification.materialize_metric_root
 
         def overflowing(*args, **kwargs):
