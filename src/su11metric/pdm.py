@@ -143,12 +143,9 @@ def predicted_spectrum(p: SwansonParams, count: int = 3) -> np.ndarray:
     return freq * (np.arange(count) + 0.5)
 
 
-def boundary_decay(cfg: PdmConfig, count: int = 3,
-                   vecs: np.ndarray | None = None) -> float:
-    """Largest relative wall amplitude among the lowest eigenfunctions,
-    the columns of `vecs` when the grid's eigenvectors are at hand."""
-    if vecs is None:
-        _, vecs = pdm_spectrum(cfg, count=count, vectors=True)
+def boundary_decay(vecs: np.ndarray) -> float:
+    """Largest relative wall amplitude among the eigenfunctions that are
+    the columns of `vecs` (grid values, walls at the first and last row)."""
     worst = 0.0
     for i in range(vecs.shape[1]):
         v = np.abs(vecs[:, i])
@@ -189,7 +186,7 @@ def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
     finest = levels[-1]
     predicted = predicted_spectrum(cfg.params, count=count)
     rel_errors = np.abs(finest - predicted) / np.abs(predicted)
-    decay = boundary_decay(finest_cfg, count=count, vecs=vecs)
+    decay = boundary_decay(vecs)
 
     if decay > decay_tol:
         status = "INCONCLUSIVE"

@@ -14,7 +14,11 @@ band states, rho and zeta_+ are R x R blocks from one metric kernel whose
 cost does not grow with N (materialize_metric_root), and h's eigenpairs come
 from its coefficients and the bands.  Where a metric block does not exist
 in the realization's basis (a divergent series, zeta_+ at z = 2 beta /
-omega) it is inf, and so are the residuals that read it.
+omega) it is inf, and so are the residuals that read it.  The rule is
+per entry and strict: a block whose tail bound does not fit in the N
+states is inf even where the spectral-norm residuals would not move.
+Columns asked for past the block's rows (eigvec_residuals reads them) are
+summed to the N states where their own bound does not fit, with no inf.
 """
 
 from __future__ import annotations
@@ -208,7 +212,10 @@ def materialize_metric_root(p: SwansonParams, z: float,
                   N states (p^2 e^q >= 1: the matrix elements do not
                   exist, e.g. zeta_+ at z = 2 beta / omega), the block is
                   inf, not a number that depends on N.  Columns past
-                  `rows` get the same count of terms past them, up to N.
+                  `rows` take the count their own k0 needs; where that
+                  does not fit either, their sums run to the N states
+                  (the leading rows of the product on the truncated
+                  basis) and are not made inf.
 
     For fixed (i, j) every term carries the same sign, so nothing cancels
     (exponentiating A through its eigensystem instead loses the far
@@ -233,6 +240,12 @@ def materialize_metric_root(p: SwansonParams, z: float,
                                 (n - rows) // band)
             if count is None:
                 return np.full((rows, cols), np.inf)
+            if cols > rows:
+                # the columns past `rows` take the count their own k0 needs,
+                # or run to the N states where that does not fit
+                count = _tail_count(coeff * coeff, k0[:size].max() + 0.5,
+                                    (n - size) // band)
+                count = n if count is None else count
             depth = min(n, size + band * count)
         scale = _exp_product(0.5 * q, k0[:size])
         out = np.zeros((rows, cols))
@@ -377,7 +390,9 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
     its band, so this reads only phi[:R], R = T + band: H is materialized
     on those R states, and psi comes from the band's tridiagonal chains.
     Of rho^{-1} only the R rows and the columns up to the last state a
-    retained component of psi reaches are formed.  A pair whose phi[:R]
+    retained component of psi reaches are formed; columns whose antinormal
+    sums do not complete within the N states are summed to N, not made
+    inf (see materialize_metric_root).  A pair whose phi[:R]
     or residual is not finite gets inf, never NaN.  Components of psi
     below the eigensolver's noise floor are zeroed first: they carry no
     information and rho^{-1} can amplify them exponentially.  The

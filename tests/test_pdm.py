@@ -66,6 +66,14 @@ class TestSpectralCheck:
         assert report.status == "INCONCLUSIVE"
         assert report.boundary_decay > 1e-8
 
+    def test_boundary_decay_reads_the_walls(self):
+        vecs = np.array([[0.5, 0.0], [1.0, -2.0], [0.25, -1.5]])
+        assert boundary_decay(vecs) == 0.75
+        report = run_pdm_check(CFG)
+        finest = replace(CFG, points=report.points_used[-1])
+        _, vecs = pdm_spectrum(finest, count=3, vectors=True)
+        assert boundary_decay(vecs) == report.boundary_decay
+
     def test_constant_mass_limit(self):
         # s -> 0 with tau = 1/(2s) reduces to an ordinary oscillator
         s = 1e-4

@@ -210,6 +210,39 @@ class TestMetricRoot:
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), \
                     (z, sign)
 
+    def test_columns_past_rows(self):
+        # in the antinormal ordering the columns past `rows` need more
+        # terms than the rows' own entries: with room for them they match
+        # the square block's leading rows, and where their count does not
+        # fit in the N states (cols = N) they are the sums over all N
+        # states that the dense product forms
+        for desc in KINDS:
+            r, implied = from_descriptor(desc, 400)
+            p = implied if implied is not None else P
+            rows = 10 + r.band
+            for z in (-0.8, -0.4, 0.4, 0.8):
+                if not is_admissible(p, z):
+                    continue
+                for sign in (-1, 1, 2):
+                    if solve_epsilon(p, z) * sign <= 0.0:
+                        continue
+                    wide = materialize_metric_root(p, z, r, sign, rows=rows,
+                                                   cols=120)
+                    want = materialize_metric_root(p, z, r, sign, rows=120)
+                    assert np.all(np.abs(wide - want[:rows])
+                                  <= 1e-14 * np.abs(want[:rows])), \
+                        (desc, z, sign)
+                    # the dense route loses |q k0| ulps in e^{q k0} far out,
+                    # and the two underflow at different points
+                    full = materialize_metric_root(p, z, r, sign, rows=rows,
+                                                   cols=400)
+                    with np.errstate(over="ignore"):
+                        want = metric_power_dense(p, z, r, sign)[:rows]
+                    assert np.isfinite(full).all(), (desc, z, sign)
+                    assert np.all(np.abs(full - want)
+                                  <= 1e-12 * np.abs(want) + 1e-280), \
+                        (desc, z, sign)
+
 
 class TestSpectrumPrediction:
     def test_first_value(self):
