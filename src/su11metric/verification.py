@@ -11,14 +11,18 @@ truncation error at the top of the basis.
 
 No N x N matrix is formed: H, h and O live on the leading R = trusted +
 band states, rho and zeta_+ are R x R blocks from one metric kernel whose
-cost does not grow with N (materialize_metric_root), and h's eigenpairs come
-from its coefficients and the bands.  Where a metric block does not exist
-in the realization's basis (a divergent series, zeta_+ at z = 2 beta /
-omega) it is inf, and so are the residuals that read it.  The rule is
-per entry and strict: a block whose tail bound does not fit in the N
-states is inf even where the spectral-norm residuals would not move.
-Columns asked for past the block's rows (eigvec_residuals reads them) are
-summed to the N states where their own bound does not fit, with no inf.
+cost does not grow with N (materialize_metric_root), and h's lowest
+eigenpairs come from its coefficients and the bands, each chain of states
+solved on its leading states only, as many as a stated bound needs
+(_low_eigs).  So build_bundle's cost does not grow with N; only building
+the realization, which the caller does, still does.  Where a metric block
+does not exist in the realization's basis (a divergent series, zeta_+ at
+z = 2 beta / omega) it is inf, and so are the residuals that read it.  The
+rule is per entry and strict: a block whose tail bound does not fit in
+the N states is inf even where the spectral-norm residuals would not
+move.  Columns asked for past the block's rows (eigvec_residuals reads
+them) are summed to the N states where their own bound does not fit,
+with no inf.
 """
 
 from __future__ import annotations
@@ -62,13 +66,74 @@ class OperatorBundle:
     spectrum_h: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
+# eigh_tridiagonal's bisection: 2 tiny absolute tolerance (LAPACK's value
+# for the most accurate eigenvalues) and, inside LAPACK, 2 ulp relative
+_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, count: int, vectors: bool):
+    return eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i",
+                            tol=2.0 * _TINY, select_range=(0, count - 1))
+
+
+def _cut_holds(c0: float, c: float, k0: np.ndarray, kp: np.ndarray,
+               d: np.ndarray, e: np.ndarray, w: np.ndarray, u: np.ndarray) -> bool:
+    """Whether the lowest pairs (w, u) of the leading m = d.size states of
+    the chain c0 k0 + c (Kp + Km) are those of the whole chain, to the
+    bisection's tolerance; see _low_eigs."""
+    m = d.size
+    tol = 2.0 * (_TINY + _EPS * np.abs(w))
+    slope = c0 - 2.0 * abs(c)
+    floor = slope * (k0[m] if slope >= 0.0 else k0[-1])
+    if not floor > w[-1]:
+        return False
+    link = c * kp[m - 1]
+    if not np.all(np.abs(link * u[-1]) <= tol):
+        return False
+    lowered = d.copy()
+    lowered[-1] -= link * link / (floor - w[-1])
+    return bool(np.all(w - _bisect(lowered, e, w.size, False) <= tol))
+
+
 def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
               count: int, vectors: bool = False):
     """Lowest `count` eigenvalues (ascending) of the real symmetric
     operator x = c0 K0 + c (Km + Kp) on the realization, with their
-    eigenvectors as columns when `vectors` is set.  The solver reads the
-    coefficients and the bands and computes the selected pairs only.  A
-    count above the dimension yields all of them; zero yields none.
+    eigenvectors as columns when `vectors` is set.  A count above the
+    dimension yields all of them; zero yields none.
+
+    x couples each state only to the states band away, so the states of
+    each class modulo band form a tridiagonal chain T, which is bisected
+    for its lowest pairs (eigenvalues and eigenvectors by one call, in
+    memory that grows with the states read).  Only the leading m states of
+    a chain are read: m starts at 2 count + 32 and doubles until the cut
+    holds or m covers the chain, which is then bisected whole.  With A the
+    leading m x m block, B the states past m, e = c kp[m - 1] the one link
+    between them, and (theta_i, u_i) the wanted pairs of A, the cut holds
+    when
+
+      tail guard  g > theta_count, where g = (c0 - 2|c|) min k0 over B is
+                  a Gershgorin lower bound of B's spectrum: along a chain
+                  k0 rises by 1 per state and K+ <= K0 + 1/2;
+      residual    |e u_i[m - 1]| <= tau_i, the bisection's tolerance
+                  2 tiny + 2 eps |theta_i|: that is the residual of u_i,
+                  zero-padded past m, in T;
+      bracket     theta_i - theta'_i <= tau_i, for theta'_i the values of
+                  A with its last diagonal entry lowered by e^2/(g - theta_count).
+
+    The guard and the bracket make each value that of the whole chain
+    within tau_i.  For x <= theta_count < g, B - x is positive definite,
+    so by Haynsworth's inertia formula T has as many eigenvalues below x
+    as its Schur complement A - x - e^2 [(B - x)^-1]_00 E_(m-1, m-1) has
+    negative ones; the corner term lies in (0, e^2/(g - theta_count)], and
+    lowering a diagonal entry only adds eigenvalues below x, so
+    theta'_i <= lambda_i(T) <= theta_i (the right side is Cauchy
+    interlacing).  An elliptic x (c0 > 2|c|, a rotated oscillator, as h
+    is) has low eigenvectors that fall off by about t = 2|c|/(c0 + Omega),
+    Omega = sqrt(c0^2 - 4 c^2), per state along every chain, so its cut
+    holds after a number of states that does not grow with N; for any
+    other x (-K0, hyperbolic or parabolic elements) the guard fails and
+    the whole chain is solved.
     """
     if count < 0:
         raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
@@ -76,26 +141,25 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
         raise InvalidParams(f"operator is not real symmetric: {x}")
     n, band = realization.dim, realization.band
     count = min(count, n)
-    diag = x.c0.real * realization.k0_diag
-    off = x.cm.real * realization.kp_band
     if count == 0:
         return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
-    # x couples state m to m +- band only, so the states of each class
-    # modulo band form a tridiagonal chain; the selected pairs of a chain
-    # need O(N) memory, where a banded solver's eigenvectors would need the
-    # N x N matrix of its reduction to tridiagonal form.  Twice the safe
-    # minimum is LAPACK's bisection tolerance for the most accurate values.
+    c0, c = x.c0.real, x.cm.real
     w, q = [], []
     try:
-        for c in range(min(band, n)):
-            d = diag[c::band]
-            wc = eigh_tridiagonal(d, off[c::band], eigvals_only=not vectors,
-                                  select="i", tol=2.0 * np.finfo(float).tiny,
-                                  select_range=(0, min(count, d.size) - 1))
+        for ch in range(min(band, n)):
+            k0 = realization.k0_diag[ch::band]
+            kp = realization.kp_band[ch::band]
+            want = min(count, k0.size)
+            m = min(k0.size, 2 * want + 32)
+            while True:
+                d, e = c0 * k0[:m], c * kp[:m - 1]
+                wc, vc = _bisect(d, e, want, True)
+                if m == k0.size or _cut_holds(c0, c, k0, kp, d, e, wc, vc):
+                    break
+                m = min(k0.size, 2 * m)
             if vectors:
-                wc, vc = wc
                 q.append(np.zeros((n, wc.size)))
-                q[-1][c::band] = vc
+                q[-1][ch:ch + band * m:band] = vc
             w.append(wc)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
@@ -145,17 +209,26 @@ def _tail_count(ratio: float, a: float, spare: int) -> int | None:
     """
     if not ratio < 1.0:
         return None
-    o = np.arange(spare + 1.0)
-    r = ratio * ((a + o) / (o + 1.0)) ** 2
-    rbar = np.maximum(r, ratio)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log of the bound on t_O / t_0, and on t_O over the largest
-        # earlier term
-        log_t = np.concatenate(([0.0], np.cumsum(np.log(r[:-1]))))
-        drop = log_t - np.maximum.accumulate(log_t)
-        tail = drop + np.log(rbar / (1.0 - rbar))
-    hits = np.flatnonzero((rbar < 1.0) & (tail <= np.log(_TAIL_TOL)))
-    return int(hits[0]) if hits.size else None
+    # every quantity below at O depends on o <= O only, so the terms are
+    # scanned on a prefix that doubles until it holds the count: the work
+    # follows the count, not `spare`
+    terms = 64
+    while True:
+        o = np.arange(float(min(terms, spare + 1)))
+        r = ratio * ((a + o) / (o + 1.0)) ** 2
+        rbar = np.maximum(r, ratio)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # log of the bound on t_O / t_0, and on t_O over the largest
+            # earlier term
+            log_t = np.concatenate(([0.0], np.cumsum(np.log(r[:-1]))))
+            drop = log_t - np.maximum.accumulate(log_t)
+            tail = drop + np.log(rbar / (1.0 - rbar))
+        hits = np.flatnonzero((rbar < 1.0) & (tail <= np.log(_TAIL_TOL)))
+        if hits.size:
+            return int(hits[0])
+        if terms > spare:
+            return None
+        terms *= 2
 
 
 def _exp_product(q: float, x: np.ndarray) -> np.ndarray:
@@ -280,21 +353,27 @@ def spectrum_prediction(p: SwansonParams, k: float, count: int) -> np.ndarray:
     return freq * (np.arange(count) + k)
 
 
-def _block_norm(m: np.ndarray, t: int) -> float:
-    b = np.asarray(m)[:t, :t]
-    if not np.isfinite(b).all():
-        return float("inf")
-    return float(np.linalg.norm(b, 2))
-
-
-def _relative(diff: np.ndarray, operands: list[np.ndarray], t: int) -> float:
-    d = _block_norm(diff, t)
-    base = max(_block_norm(o, t) for o in operands)
-    if not np.isfinite(d) or not np.isfinite(base):
-        return float("inf")
-    if base == 0.0:
-        return d
-    return d / base
+def _relative_residuals(products: dict[str, tuple[np.ndarray, np.ndarray]],
+                        t: int) -> dict[str, float]:
+    """{name: |lhs - rhs| / max(|lhs|, |rhs|)} for products {name: (lhs,
+    rhs)}, in the spectral norm of the leading t x t blocks (the bare
+    difference where both operands vanish).  The norms of all the blocks
+    come from one stacked SVD; a block with a non-finite entry reads inf,
+    and so does every residual that reads it."""
+    blocks = np.stack([b[:t, :t] for lhs, rhs in products.values()
+                       for b in (lhs - rhs, lhs, rhs)])
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    norms = np.full(len(blocks), np.inf)
+    if finite.any():
+        norms[finite] = np.linalg.svd(blocks[finite], compute_uv=False)[:, 0]
+    out = {}
+    for name, (d, *operands) in zip(products, norms.reshape(-1, 3).tolist()):
+        base = max(operands)
+        if not math.isfinite(d + base):
+            out[name] = math.inf
+        else:
+            out[name] = d / base if base > 0.0 else d
+    return out
 
 
 def _largest(x: AlgebraElement) -> float:
@@ -332,7 +411,10 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
 
     The spectrum is the lowest `spectrum_count` eigenvalues (default
     trusted // 2, at least 1; all N if more are asked) of h, from its
-    coefficients and the realization's bands.
+    coefficients and the realization's bands.  h is elliptic, so each
+    chain is solved on its leading states alone (see _low_eigs), and each
+    value is that of the whole chain to the bisection's tolerance.  The
+    nine spectral norms of the matrix residuals come from one stacked SVD.
     """
     validate_params(p)
     n = realization.dim
@@ -358,23 +440,19 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     rho = materialize_metric_root(p, z, realization, sign=1, rows=r)
     zeta = materialize_metric_root(p, z, realization, sign=2, rows=r)
 
-    # an inf block gives inf * 0 = NaN in the products; _relative reads inf
+    # an inf block gives inf * 0 = NaN in the products, which read inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        lhs_i = h_direct[:t] @ rho[:, :t]
-        rhs_i = rho[:t] @ h_mat[:, :t]
-        lhs_q = zeta[:t] @ h_mat[:, :t]
-        rhs_q = h_mat[:, :t].T @ zeta[:, :t]
-        lhs_c = rho[:t] @ o_mat[:, :t]
-        rhs_c = o_mat[:t] @ rho[:, :t]
-        residuals = {
-            "r_herm": max(abs(y.c0.imag), abs(y.cm - y.cp.conjugate()))
-            / _largest(y),
-            "r_eq10": max(abs(y.c0 - h_coeffs.c0), abs(y.cm - h_coeffs.cm),
-                          abs(y.cp - h_coeffs.cp)) / _largest(h_coeffs),
-            "r_intertwine": _relative(lhs_i - rhs_i, [lhs_i, rhs_i], t),
-            "r_quasi": _relative(lhs_q - rhs_q, [lhs_q, rhs_q], t),
-            "r_commute": _relative(lhs_c - rhs_c, [lhs_c, rhs_c], t),
-        }
+        residuals = _relative_residuals({
+            "r_intertwine": (h_direct[:t] @ rho[:, :t], rho[:t] @ h_mat[:, :t]),
+            "r_quasi": (zeta[:t] @ h_mat[:, :t], h_mat[:, :t].T @ zeta[:, :t]),
+            "r_commute": (rho[:t] @ o_mat[:, :t], o_mat[:t] @ rho[:, :t]),
+        }, t)
+    residuals = {
+        "r_herm": max(abs(y.c0.imag), abs(y.cm - y.cp.conjugate())) / _largest(y),
+        "r_eq10": max(abs(y.c0 - h_coeffs.c0), abs(y.cm - h_coeffs.cm),
+                      abs(y.cp - h_coeffs.cp)) / _largest(h_coeffs),
+        **residuals,
+    }
 
     return OperatorBundle(params=p, z=z, realization=realization,
                           trusted=t, rho=rho, zeta_plus=zeta,
@@ -388,9 +466,12 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
     eigenvalue; returns |((H - lambda) phi)[:T]| / |phi[:T]| for the
     lowest `count` pairs (all N if more are asked).  H vanishes outside
     its band, so this reads only phi[:R], R = T + band: H is materialized
-    on those R states, and psi comes from the band's tridiagonal chains.
+    on those R states, and psi comes from the band's tridiagonal chains,
+    each solved on its leading states and zero past them (_low_eigs: the
+    residual of psi in the whole of h is below the bisection's tolerance).
     Of rho^{-1} only the R rows and the columns up to the last state a
-    retained component of psi reaches are formed; columns whose antinormal
+    retained component of psi reaches are formed, so their count follows
+    the decay of psi, not N; columns whose antinormal
     sums do not complete within the N states are summed to N, not made
     inf (see materialize_metric_root).  A pair whose phi[:R]
     or residual is not finite gets inf, never NaN.  Components of psi

@@ -1,11 +1,13 @@
 """Reference computations that the tests compare the library against.
 
 They share no code with the paths under test: each one works on dense
-matrices with a general-purpose numpy routine, or in mpmath.
+matrices or whole tridiagonal chains with a general-purpose numpy or
+scipy routine, or in mpmath.
 """
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from su11metric import AlgebraElement, exp_defining, gauss_decompose, solve_epsilon
 
@@ -101,3 +103,25 @@ def metric_block_definite(rows: np.ndarray) -> float:
         return float("-inf")
     sigma = np.linalg.svd(rows / norms[:, None], compute_uv=False)
     return float(sigma.min() ** 2)
+
+
+def chain_spectrum(x, realization, count):
+    """Lowest `count` eigenvalues (ascending) and eigenvectors of the
+    symmetric element x = c0 K0 + c (Km + Kp) on the whole realization:
+    every chain of states m = c mod band is bisected in full by
+    eigh_tridiagonal, with the most accurate tolerance, 2 tiny."""
+    n, band = realization.dim, realization.band
+    w, q = [], []
+    for c in range(band):
+        d = x.c0.real * realization.k0_diag[c::band]
+        k = min(count, d.size)
+        wc, vc = eigh_tridiagonal(d, x.cm.real * realization.kp_band[c::band],
+                                  select="i", select_range=(0, k - 1),
+                                  tol=2.0 * np.finfo(float).tiny)
+        full = np.zeros((n, k))
+        full[c::band] = vc
+        w.append(wc)
+        q.append(full)
+    w = np.concatenate(w)
+    lowest = np.argsort(w, kind="stable")[:count]
+    return w[lowest], np.hstack(q)[:, lowest]

@@ -18,14 +18,15 @@ from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         hermitian_equivalent, is_admissible, materialize,
                         materialize_metric_root, metric_exponent,
                         power_base, solve_epsilon,
-                        spectrum_prediction, swanson_element)
-from su11metric import commuting_observable, from_descriptor
+                        spectrum_prediction, swanson_element, z_domain)
+from su11metric import commuting_observable, from_descriptor, oscillator_full
 from su11metric import verification
 from su11metric.cli import RESIDUAL_TOLS, main
-from su11metric.verification import _relative
 
-from oracles import (exp_raising, exp_symmetric, metric_block_definite,
-                     metric_power_dense, metric_power_mp)
+from conftest import spectral_norm
+from oracles import (chain_spectrum, exp_raising, exp_symmetric,
+                     metric_block_definite, metric_power_dense, metric_power_mp)
+from test_realizations import ALL_CONSTRUCTORS
 
 P = SwansonParams(1.0, 0.2, 0.1)
 STRONG = SwansonParams(1.0, 0.45, 0.05)
@@ -70,6 +71,91 @@ class TestSymmetricEigs:
             for vectors in (False, True):
                 with pytest.raises(InvalidParams):
                     verification._low_eigs(x, r, 2, vectors=vectors)
+
+
+def _cut_cases():
+    """Real symmetric elements c0 K0 + c (Km + Kp) for the chain cut: h at
+    the base, strong and mirrored strong points, h within 5e-4 of each
+    root of the stability polynomial, and near-parabolic draws with
+    2|c|/c0 in [0.95, 0.999]."""
+    mirror = SwansonParams(1.0, 0.05, 0.45)
+    cases = [hermitian_equivalent(p, z) for p, z in (
+        (P, -0.8), (P, 0.0), (P, 0.4), (P, 0.8), (STRONG, 0.77),
+        (STRONG, 0.9), (mirror, -0.89393), (mirror, 0.8))]
+    for p in (P, STRONG, mirror):
+        (_, z1), (z2, _) = z_domain(p)
+        cases += [hermitian_equivalent(p, z1 - 5e-4),
+                  hermitian_equivalent(p, z2 + 5e-4)]
+    rng = np.random.default_rng(2868)
+    for _ in range(3):
+        c0 = rng.uniform(0.5, 3.0)
+        c = rng.choice((-0.5, 0.5)) * rng.uniform(0.95, 0.999) * c0
+        cases.append(AlgebraElement(c0, c, c))
+    return cases
+
+
+class TestChainCut:
+    # _low_eigs solves each chain on its leading states; the oracle
+    # bisects every chain in full
+
+    @staticmethod
+    def assert_matches_oracle(x, r, count):
+        w, q = verification._low_eigs(x, r, count, vectors=True)
+        ref, _ = chain_spectrum(x, r, count)
+        assert np.array_equal(verification._low_eigs(x, r, count), w)
+        assert np.all(np.abs(w - ref) <= 4 * np.spacing(np.abs(ref))), \
+            (x, r.kind, count, (w - ref) / np.spacing(np.abs(ref)))
+        # residual of each returned vector in the whole operator, against
+        # the rounding of x on the states the vector reaches
+        m = materialize(x, r)
+        reach = np.abs(m[:, np.flatnonzero(q.any(axis=1))]).sum(axis=0).max()
+        res = np.linalg.norm(m @ q - q * w, axis=0)
+        assert res.max() <= 16 * np.finfo(float).eps * reach, \
+            (x, r.kind, count, res.max() / reach)
+        assert np.abs(q.T @ q - np.eye(w.size)).max() <= 1e-13
+
+    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    def test_matches_full_chain(self, make):
+        r = make(300)
+        for x in _cut_cases():
+            for count in (1, 5, 25):
+                self.assert_matches_oracle(x, r, count)
+
+    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    def test_count_above_chain_length(self, make):
+        # 25 is above every chain's length at N = 40, so every pair is wanted
+        r = make(40)
+        for x in _cut_cases():
+            for count in (25, 41):
+                self.assert_matches_oracle(x, r, count)
+
+    def test_non_elliptic_is_the_full_chain(self):
+        # the leading m states of -K0 hold its highest levels (a cut there
+        # gives -(m - 1) - 0.25 for the lowest level, not -99.25); a
+        # hyperbolic element (2|c| > c0) is unbounded below on the infinite
+        # chain; neither has a tail guard that holds, so both are solved
+        # on the whole chain, exactly as the oracle does
+        for x, r in ((AlgebraElement(-1.0, 0.0, 0.0), discrete_series(0.25, 100)),
+                     (AlgebraElement(1.0, 0.6, 0.6), discrete_series(0.25, 100)),
+                     (AlgebraElement(1.0, 0.6, 0.6), oscillator_full(100))):
+            for count in (1, 5, 25):
+                w, q = verification._low_eigs(x, r, count, vectors=True)
+                ref, ref_q = chain_spectrum(x, r, count)
+                assert np.array_equal(w, ref) and np.array_equal(q, ref_q), (x, count)
+        w = verification._low_eigs(AlgebraElement(-1.0, 0.0, 0.0),
+                                   discrete_series(0.25, 100), 1)
+        assert w[0] == -99.25
+
+    def test_tail_count_reads_a_prefix(self):
+        # the count of terms found on a doubling prefix is the first one
+        # of the whole scan, and None exactly where `spare` cannot hold it
+        for ratio, a in ((0.04, 30.25), (0.5, 60.25), (0.9, 200.5), (0.99, 10.25)):
+            count = verification._tail_count(ratio, a, 10 ** 6)
+            assert count is not None and count > 0
+            for spare in (count - 1, count, count + 1, 2 * count, 64, 127, 128):
+                got = verification._tail_count(ratio, a, spare)
+                assert got == (count if spare >= count else None), (ratio, spare)
+        assert verification._tail_count(1.0, 0.25, 10 ** 6) is None
 
 
 class TestExpSymmetric:
@@ -363,7 +449,8 @@ class TestBuildBundle:
                     ("r_intertwine", (h_direct @ rho, rho @ h)),
                     ("r_quasi", (zeta @ h, h.T @ zeta)),
                     ("r_commute", (rho @ o, o @ rho))):
-                want = _relative(lhs - rhs, [lhs, rhs], t)
+                want = (spectral_norm((lhs - rhs)[:t, :t])
+                        / max(spectral_norm(lhs[:t, :t]), spectral_norm(rhs[:t, :t])))
                 assert np.isfinite(want)
                 # residuals are already relative to the products' norms
                 assert abs(b.residuals[name] - want) <= 1e-12, (desc, name)
@@ -489,6 +576,27 @@ class TestBuildBundle:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert main(argv) == 0
+
+    def test_spectrum_independent_of_dimension(self):
+        # the spectrum is read from the leading states of each chain, so
+        # at N = 102 400 build_bundle forms nothing of size N and gives the
+        # levels of N = 800 (these differed by 1 ulp when the whole chain
+        # was bisected); verify at that size passes
+        big = discrete_series(0.25, 102400)
+        for z in (0.4, -0.4):
+            tracemalloc.start()
+            try:
+                b = build_bundle(P, z, big, trusted=50, spectrum_count=5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 ** 20, peak / 2 ** 20
+            small = build_bundle(P, z, discrete_series(0.25, 800), trusted=50,
+                                 spectrum_count=5)
+            assert np.all(np.abs(b.spectrum_h - small.spectrum_h)
+                          <= 4 * np.spacing(small.spectrum_h)), z
+            assert main(["verify", "--omega", "1", "--alpha", "0.2", "--beta",
+                         "0.1", "--z", repr(z), "--size", "102400"]) == 0
 
     def test_oscillator_realization_bundle(self):
         from su11metric import oscillator_full
@@ -632,6 +740,23 @@ class TestCoefficientResiduals:
         b = build_bundle(P, 0.4, discrete_series(0.25, 30), trusted=10)
         for name in ("r_intertwine", "r_quasi", "r_commute"):
             assert b.residuals[name] == np.inf, name
+
+    def test_relative_residuals_from_one_svd(self):
+        # the stacked SVD gives each block the norm of its own SVD, bit for
+        # bit; a non-finite entry in the difference or in an operand reads
+        # inf, and vanishing operands leave the bare difference
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(2, 12, 12))
+        nan, inf, zero = a.copy(), np.full((12, 12), np.inf), np.zeros((12, 12))
+        nan[3, 4] = np.nan
+        got = verification._relative_residuals(
+            {"plain": (a, b), "nan": (nan, b), "inf": (a, inf),
+             "zero": (zero, zero), "same": (a, a)}, 10)
+        assert got["plain"] == (spectral_norm((a - b)[:10, :10])
+                                / max(spectral_norm(a[:10, :10]),
+                                      spectral_norm(b[:10, :10])))
+        assert got["nan"] == got["inf"] == math.inf
+        assert got["zero"] == got["same"] == 0.0
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(admissible_points())
