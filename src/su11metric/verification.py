@@ -91,7 +91,7 @@ def _cut_holds(c0: float, c: float, k0: np.ndarray, kp: np.ndarray,
     if not np.all(np.abs(link * u[-1]) <= tol):
         return False
     lowered = d.copy()
-    lowered[-1] -= link * link / (floor - w[-1])
+    lowered[-1] -= link * (link / (floor - w[-1]))
     return bool(np.all(w - _bisect(lowered, e, w.size, False) <= tol))
 
 
