@@ -18,12 +18,9 @@ from .metric import (MetricSolution, SwansonParams, commuting_observable,
                      conjugated_coeffs, hermitian_equivalent, is_admissible,
                      metric_exponent, mu_nu, power_base, solve_epsilon,
                      solve_metric, swanson_element, validate_params, z_domain)
-from .pdm import (GridOperator, PdmConfig, PdmReport, pdm_generators,
-                  pdm_spectrum, predicted_spectrum, run_pdm_check)
 from .realizations import (RealizationMatrices, commutator_residuals, conformal,
                            discrete_series, from_descriptor, materialize,
                            multiboson, oscillator_full, oscillator_sector, radial,
-                           radial_k0_grid, radial_k0_lowest,
                            residue_root_of_unity)
 from .verification import (OperatorBundle, build_bundle, eigvec_residuals,
                            materialize_metric_root, spectrum_prediction)
@@ -42,11 +39,8 @@ __all__ = [
     "swanson_element", "validate_params", "z_domain",
     "RealizationMatrices", "commutator_residuals", "conformal",
     "discrete_series", "from_descriptor", "materialize", "multiboson",
-    "oscillator_full", "oscillator_sector", "radial", "radial_k0_grid",
-    "radial_k0_lowest", "residue_root_of_unity",
+    "oscillator_full", "oscillator_sector", "radial", "residue_root_of_unity",
     "OperatorBundle", "build_bundle", "eigvec_residuals",
     "materialize_metric_root", "spectrum_prediction",
-    "GridOperator", "PdmConfig", "PdmReport", "pdm_generators",
-    "pdm_spectrum", "predicted_spectrum", "run_pdm_check",
     "__version__",
 ]

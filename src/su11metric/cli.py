@@ -5,7 +5,9 @@ Flags may be preloaded from a line-oriented key=value config file
 (--config FILE); explicit flags override file values.  Numeric output is
 printed with 12 significant digits; sweep output is CSV with a fixed,
 documented column order and is fully computed before anything is
-emitted, so no partial CSV is produced on error.
+emitted, so no partial CSV is produced on error.  The closed-form
+subcommands (validate, disentangle, metric, spectrum) do not load scipy;
+verify, sweep and pdm load it on their first solve.
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over
 tolerance or a failed/inconclusive check, 2 invalid parameters or
@@ -25,7 +27,6 @@ from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      TrigRegime, TruncationTooSmall, ZOutOfDomain)
 from .metric import (_EDGE, SwansonParams, is_admissible, solve_epsilon,
                      solve_metric, validate_params)
-from .pdm import PdmConfig, run_pdm_check
 from .realizations import from_descriptor
 from .verification import build_bundle, spectrum_prediction
 
@@ -193,10 +194,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pdm(args) -> int:
+    from . import pdm
+
     p = _params(args)
-    cfg = PdmConfig(params=p, z=args.z, s=args.s, tau=args.tau,
-                    x_min=args.x_min, x_max=args.x_max, points=args.points)
-    report = run_pdm_check(cfg)
+    cfg = pdm.PdmConfig(params=p, z=args.z, s=args.s, tau=args.tau,
+                        x_min=args.x_min, x_max=args.x_max, points=args.points)
+    report = pdm.run_pdm_check(cfg)
     rows = [("s", cfg.s), ("tau", cfg.tau), ("x_min", cfg.x_min),
             ("x_max", cfg.x_max), ("points", str(cfg.points)), ("z", cfg.z)]
     for i, (e, pred, err) in enumerate(zip(report.eigenvalues, report.predicted,

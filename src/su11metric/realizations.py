@@ -158,43 +158,15 @@ def radial(L: float, n: int) -> RealizationMatrices:
 
     The differential realization (1/(4 omega)) (-d^2/dr^2 + L(L+1)/r^2
     + omega^2 r^2) for K0 is unitarily equivalent to the lowest-weight
-    realization with k = (2L + 3)/4; the mapping is validated against a
-    finite-difference grid oracle (radial_k0_grid) rather than assumed.
+    realization with k = (2L + 3)/4; the tests check the mapping against
+    the lowest eigenvalues of a finite-difference grid rather than assume
+    it.
     """
     k = (2.0 * L + 3.0) / 4.0
     if k <= 0.0:
         raise InvalidParams(f"L = {L:g} gives nonpositive weight (2L+3)/4")
     base = discrete_series(k, n)
     return replace(base, kind=f"radial:L={L:g}")
-
-
-def radial_k0_grid(L: float, omega: float = 1.0, r_max: float = 14.0,
-                   points: int = 4000) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference discretization of the radial K0 operator.
-
-    Returns (diagonal, offdiagonal) of the symmetric tridiagonal matrix
-    of (1/(4 omega)) (-d^2/dr^2 + L(L+1)/r^2 + omega^2 r^2) on interior
-    nodes of (0, r_max) with Dirichlet walls.  Independent of the
-    ladder-matrix construction; used to validate the L -> k mapping.
-    """
-    if points < 10:
-        raise InvalidParams("need at least 10 grid points")
-    dr = r_max / (points + 1)
-    r = dr * np.arange(1, points + 1)
-    diag = (2.0 / dr ** 2 + L * (L + 1.0) / r ** 2 + omega ** 2 * r ** 2) / (4.0 * omega)
-    off = np.full(points - 1, -1.0 / dr ** 2 / (4.0 * omega))
-    return diag, off
-
-
-def radial_k0_lowest(L: float, omega: float = 1.0, r_max: float = 14.0,
-                     points: int = 4000, count: int = 1) -> np.ndarray:
-    """Lowest K0 eigenvalues of the finite-difference radial operator."""
-    from scipy.linalg import eigh_tridiagonal
-
-    diag, off = radial_k0_grid(L, omega, r_max, points)
-    vals = eigh_tridiagonal(diag, off, select="i",
-                            select_range=(0, count - 1), eigvals_only=True)
-    return vals
 
 
 def conformal(k: float, c: float, omega: float,

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eigh_tridiagonal
 
 from .core import AlgebraElement, _ordered_factor, conjugate
 from .errors import InvalidParams, NoConvergence, TruncationTooSmall, ZOutOfDomain
@@ -72,6 +71,8 @@ _TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 
 
 def _bisect(d: np.ndarray, e: np.ndarray, count: int, vectors: bool):
+    from scipy.linalg import eigh_tridiagonal
+
     return eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i",
                             tol=2.0 * _TINY, select_range=(0, count - 1))
 

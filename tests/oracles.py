@@ -37,18 +37,21 @@ def exp_raising(sub, band, coeff, n):
     return out
 
 
-def metric_power_dense(p, z, realization, power=1):
-    """exp(power A) on the whole truncated basis, N x N, as the ordered
-    product of the dense factors exp(a Kp), diag(e^{q k0}) and exp(a Km):
-    the normal ordering for eps <= 0, the antinormal one otherwise, with
-    the Gauss factors of the closed-form 2 x 2 exponential."""
+def metric_power_dense(p, z, realization, power=1, rows=None):
+    """The leading `rows` rows (all N when not given) of exp(power A) on
+    the whole truncated basis, rows x N, as the ordered product of the
+    dense factors exp(a Kp), diag(e^{q k0}) and exp(a Km): the normal
+    ordering for eps <= 0, the antinormal one otherwise, with the Gauss
+    factors of the closed-form 2 x 2 exponential.  Only the asked rows are
+    formed, so overflowed entries of the factors never meet zeros in the
+    rows past them."""
     eps = power * solve_epsilon(p, z)
     g = exp_defining(AlgebraElement(2.0 * eps, z * eps, z * eps))
     f = gauss_decompose(g, "normal" if eps <= 0.0 else "antinormal")
     e = exp_raising(realization.kp_band, realization.band, f.p.real,
                     realization.dim)
     mid = np.exp(f.q.real * realization.k0_diag)
-    return (e * mid) @ e.T if eps <= 0.0 else (e.T * mid) @ e
+    return (e[:rows] * mid) @ e.T if eps <= 0.0 else (e[:, :rows].T * mid) @ e
 
 
 def metric_power_mp(eps, z, kappa, size, depth, dps=50):
@@ -103,6 +106,21 @@ def metric_block_definite(rows: np.ndarray) -> float:
         return float("-inf")
     sigma = np.linalg.svd(rows / norms[:, None], compute_uv=False)
     return float(sigma.min() ** 2)
+
+
+def radial_k0_lowest(L: float, omega: float = 1.0, r_max: float = 14.0,
+                     points: int = 4000, count: int = 1) -> np.ndarray:
+    """Lowest `count` eigenvalues of the radial K0 operator
+    (1/(4 omega)) (-d^2/dr^2 + L(L+1)/r^2 + omega^2 r^2), discretized by
+    central differences on the interior nodes of (0, r_max) with
+    Dirichlet walls: a check of the L -> k mapping that shares nothing
+    with the ladder matrices."""
+    dr = r_max / (points + 1)
+    r = dr * np.arange(1, points + 1)
+    diag = (2.0 / dr ** 2 + L * (L + 1.0) / r ** 2 + omega ** 2 * r ** 2) / (4.0 * omega)
+    off = np.full(points - 1, -1.0 / dr ** 2 / (4.0 * omega))
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
+                            eigvals_only=True)
 
 
 def chain_spectrum(x, realization, count):

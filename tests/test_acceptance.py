@@ -17,8 +17,9 @@ from scipy.linalg import expm
 
 import su11metric as sm
 from su11metric.cli import SWEEP_COLUMNS, main as cli_main
+from su11metric.pdm import PdmConfig, run_pdm_check
 
-from oracles import exp_symmetric, metric_block_definite
+from oracles import exp_symmetric, metric_block_definite, radial_k0_lowest
 
 P = sm.SwansonParams(1.0, 0.2, 0.1)
 Z_GRID = (-0.8, -0.4, 0.0, 0.4, 0.8)
@@ -200,7 +201,7 @@ def test_criterion_6_realization_equivalences():
 def test_criterion_7_radial_and_conformal():
     worst = 0.0
     for L in (0.0, 1.0, 2.0):
-        val = sm.radial_k0_lowest(L, 1.0, 14.0, 4000, 1)[0]
+        val = radial_k0_lowest(L, 1.0, 14.0, 4000, 1)[0]
         worst = max(worst, abs(val - (2.0 * L + 3.0) / 4.0))
     _, cp = sm.conformal(0.75, 1.0, 1.0, 10)
     freq_sq = cp.omega ** 2 - 4.0 * cp.alpha * cp.beta
@@ -216,8 +217,8 @@ def test_criterion_7_radial_and_conformal():
 
 
 def test_criterion_8_pdm_spectral_check():
-    cfg = sm.PdmConfig(params=P)
-    rep = sm.run_pdm_check(cfg)
+    cfg = PdmConfig(params=P)
+    rep = run_pdm_check(cfg)
     if rep.status == "INCONCLUSIVE":
         report(8, "PDM spectral check", False,
                f"INCONCLUSIVE: boundary decay {rep.boundary_decay:.2e}")

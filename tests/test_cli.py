@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from su11metric import cli
-from su11metric.cli import SWEEP_COLUMNS, main
+from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +155,18 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_underflowing_epsilon_squared(self, capsys):
+        # eps^2 underflows here; the conjugation and the disentangling used
+        # to raise TrigRegime (exit 2) for this valid exponent
+        code, out, _ = run_cli(capsys, "verify", "--omega", "1",
+                               "--alpha", "2.68e-158", "--beta", "0",
+                               "--z=-0.99999999", "--size", "20",
+                               "--trusted", "5")
+        assert code == 0
+        rows = parse_table(out)
+        for name in RESIDUAL_TOLS:
+            assert "[PASS" in rows[name], (name, rows[name])
+
     def test_metric_out_of_range_without_warnings(self, capsys):
         # eps = 10.36 puts e^{q k0} out of range at the default N = 200:
         # the diagonal metric root overflows to inf with no inf * 0, so the
@@ -276,6 +292,31 @@ class TestPdmCommand:
                                "--x-min", "-2", "--x-max", "2")
         assert code == 1
         assert parse_table(out)["status"] == "INCONCLUSIVE"
+
+
+class TestImports:
+    def test_closed_form_commands_skip_scipy(self):
+        # the closed-form subcommands load numpy and the package alone;
+        # verify loads scipy on its first solve
+        script = """
+import sys
+import su11metric
+from su11metric.cli import main
+base = ["--omega", "1", "--alpha", "0.2", "--beta", "0.1"]
+codes = [main(["validate"] + base), main(["metric"] + base + ["--z", "0.4"]),
+         main(["disentangle", "--epsilon", "1", "--eta", "0.25"]),
+         main(["spectrum"] + base + ["--k", "0.25", "--count", "2"])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(codes, loaded, main(["verify"] + base + ["--z", "0.4", "--size", "60",
+                                               "--trusted", "20"]),
+      file=sys.stderr)
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] [] 0"
 
 
 class TestParsing:

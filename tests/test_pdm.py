@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from su11metric import (InvalidParams, PdmConfig, SwansonParams,
-                        pdm_generators, pdm_spectrum, predicted_spectrum,
-                        run_pdm_check)
-from su11metric.pdm import (_interior_grid, boundary_decay,
-                            effective_potential, mass_profile)
+from su11metric import InvalidParams, SwansonParams
+from su11metric.pdm import (PdmConfig, _interior_grid, boundary_decay,
+                            effective_potential, mass_profile, pdm_generators,
+                            pdm_spectrum, predicted_spectrum, run_pdm_check)
 
 P = SwansonParams(1.0, 0.2, 0.1)
 CFG = PdmConfig(params=P)

@@ -8,8 +8,9 @@ from su11metric import (AlgebraElement, InvalidParams, SwansonParams,
                         commutator_residuals, commuting_observable, conformal,
                         discrete_series, from_descriptor, materialize,
                         multiboson, oscillator_full, oscillator_sector, radial,
-                        radial_k0_lowest, residue_root_of_unity,
-                        swanson_element, z_domain)
+                        residue_root_of_unity, swanson_element, z_domain)
+
+from oracles import radial_k0_lowest
 
 ALL_CONSTRUCTORS = [
     lambda n: discrete_series(0.25, n),

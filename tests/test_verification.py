@@ -276,7 +276,7 @@ class TestMetricRoot:
                     continue
                 for sign in (-1, 1, 2):
                     got = materialize_metric_root(p, z, r, sign, rows=rows)
-                    want = metric_power_dense(p, z, r, sign)[:rows, :rows]
+                    want = metric_power_dense(p, z, r, sign, rows)[:, :rows]
                     zero = want == 0.0
                     assert np.array_equal(got[zero], want[zero])
                     rel = np.abs(got - want)[~zero] / np.abs(want[~zero])
@@ -323,7 +323,7 @@ class TestMetricRoot:
                     full = materialize_metric_root(p, z, r, sign, rows=rows,
                                                    cols=400)
                     with np.errstate(over="ignore"):
-                        want = metric_power_dense(p, z, r, sign)[:rows]
+                        want = metric_power_dense(p, z, r, sign, rows)
                     assert np.isfinite(full).all(), (desc, z, sign)
                     assert np.all(np.abs(full - want)
                                   <= 1e-12 * np.abs(want) + 1e-280), \
