@@ -18,16 +18,21 @@ than passed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidParams
 from .metric import SwansonParams, mu_nu, validate_params
-from .realizations import dense_from_bands
+
+if TYPE_CHECKING:
+    from scipy.sparse import dia_array
 
 DECAY_TOL = 1e-8
+LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,10 @@ class PdmConfig:
 
 @dataclass
 class GridOperator:
-    """Dense finite-difference operator on the interior grid nodes."""
+    """Tridiagonal finite-difference operator on the interior grid nodes,
+    held as a DIA array with offsets (-1, 0, 1)."""
 
-    matrix: np.ndarray
+    matrix: dia_array
     grid: np.ndarray
     dx: float
 
@@ -75,6 +81,16 @@ def validate_config(cfg: PdmConfig) -> PdmConfig:
         raise InvalidParams("x_min must be below x_max")
     if cfg.points < 100:
         raise InvalidParams(f"need at least 100 grid points (got {cfg.points})")
+    if not all(map(math.isfinite, (cfg.s, cfg.tau, cfg.x_min, cfg.x_max))):
+        raise InvalidParams("s, tau, x_min and x_max must be finite")
+    # the largest grid terms are e^(2 s |x|) over dx^2 (the flux weights)
+    # and over (2 s)^2 (the well); refuse before any exp overflows
+    dx = (cfg.x_max - cfg.x_min) / (cfg.points + 1)
+    reach = 2.0 * cfg.s * max(abs(cfg.x_min), abs(cfg.x_max))
+    if reach + max(0.0, -2.0 * math.log(dx), -2.0 * math.log(2.0 * cfg.s)) >= LOG_MAX:
+        raise InvalidParams(f"grid terms overflow (2 s max|x| = {reach:g}, "
+                            f"dx = {dx:g}, s = {cfg.s:g}); shrink the domain "
+                            "or move s toward 1")
     return cfg
 
 
@@ -201,7 +217,8 @@ def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
 
 
 def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOperator]:
-    """Finite-difference (K0, Kp, Km) built from the generating function.
+    """Finite-difference (K0, Kp, Km) built from the generating function,
+    each a tridiagonal DIA array: no N x N array is formed.
 
     K0 = 1/2 [ -d/dx (1/g'^2) d/dx + g'''/(2 g'^3) - (5/4) g''^2/g'^4
                + (g/2 + tau)^2 ]
@@ -213,9 +230,14 @@ def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOper
     terms use central differences, so discrete adjointness of Kp and Km
     holds only up to the grid resolution (checked under refinement).
     """
+    from scipy.sparse import dia_array
+
     validate_config(cfg)
     x, dx = _interior_grid(cfg)
     s = cfg.s
+    if 4.0 * s * max(abs(cfg.x_min), abs(cfg.x_max)) >= LOG_MAX:
+        raise InvalidParams("the curvature term's g'^4 = e^(-4 s x) overflows "
+                            "on the grid; shrink the domain or the exponent s")
     e = np.exp(-s * x)
     g, gp, gpp, gppp = -e / s, e, -s * e, s * s * e
     half_g_tau = 0.5 * g + cfg.tau
@@ -230,9 +252,13 @@ def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOper
     step = ((g + 2.0 * cfg.tau) / gp) * (1.0 / (2.0 * dx))
     tilt = (gpp / gp ** 2) * half_g_tau
 
+    n = len(x)
+
     def grid_op(lower, main, upper):
-        return GridOperator(dense_from_bands(len(x), {-1: lower, 0: main, 1: upper}),
-                            x, dx)
+        # DIA layout: data[k, j] is the entry at (j - offsets[k], j)
+        data = np.zeros((3, n))
+        data[0, :-1], data[1], data[2, 1:] = lower, main, upper
+        return GridOperator(dia_array((data, (-1, 0, 1)), shape=(n, n)), x, dx)
 
     return (grid_op(-0.5 * w, 0.5 * (f_diag + (curv + half_g_tau ** 2)), -0.5 * w),
             grid_op(0.5 * (w + step[1:]),

@@ -45,17 +45,6 @@ class RealizationMatrices:
                        kp_band=self.kp_band[:max(m - self.band, 0)])
 
 
-def dense_from_bands(n: int, bands: dict[int, np.ndarray], fill=0.0) -> np.ndarray:
-    """Dense n x n matrix holding bands[k] on diagonal k (k < 0 below the
-    main diagonal) and `fill` everywhere else."""
-    out = np.full((n, n), fill, dtype=np.result_type(fill, *bands.values()))
-    flat = out.reshape(-1)
-    for k, entries in bands.items():
-        # diagonal k starts at flat index k (-k n if k < 0); n - |k| entries never wrap
-        flat[(k if k >= 0 else -k * n)::n + 1][:n - abs(k)] = entries
-    return out
-
-
 def discrete_series(k: float, n: int) -> RealizationMatrices:
     """Lowest-weight realization with K0 eigenvalues m + k.
 
@@ -192,10 +181,16 @@ def materialize(x: AlgebraElement, r: RealizationMatrices) -> np.ndarray:
     def entries(k0, km, kp):
         return x.c0 * k0 + x.cm * km + x.cp * kp
 
-    out = dense_from_bands(r.dim, {0: entries(r.k0_diag, zero, zero),
-                                   r.band: entries(off, r.kp_band, off),
-                                   -r.band: entries(off, off, r.kp_band)},
-                           fill=entries(zero[0], zero[0], zero[0]))
+    bands = {0: entries(r.k0_diag, zero, zero),
+             r.band: entries(off, r.kp_band, off),
+             -r.band: entries(off, off, r.kp_band)}
+    fill = entries(zero[0], zero[0], zero[0])
+    n = r.dim
+    out = np.full((n, n), fill, dtype=np.result_type(fill, *bands.values()))
+    flat = out.reshape(-1)
+    for k, band in bands.items():
+        # diagonal k starts at flat index k (-k n if k < 0); n - |k| entries never wrap
+        flat[(k if k >= 0 else -k * n)::n + 1][:n - abs(k)] = band
     if np.iscomplexobj(out) and not out.imag.any():
         out = out.real.copy()
     return out

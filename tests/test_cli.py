@@ -293,6 +293,17 @@ class TestPdmCommand:
         assert code == 1
         assert parse_table(out)["status"] == "INCONCLUSIVE"
 
+    @pytest.mark.parametrize("flag", [("--s", "50"), ("--x-max", "2000"),
+                                      ("--x-min", "-2000"), ("--x-max", "inf")])
+    def test_overflowing_grid_exit_2(self, capsys, flag):
+        # each of these overflowed an exp on the grid and printed numpy
+        # RuntimeWarnings before the typed error; now the config is refused
+        # before any exp (a leaked RuntimeWarning fails the suite)
+        code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+                                 "--beta", "0.1", *flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
 
 class TestImports:
     def test_closed_form_commands_skip_scipy(self):
@@ -317,6 +328,24 @@ print(codes, loaded, main(["verify"] + base + ["--z", "0.4", "--size", "60",
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] [] 0"
+
+    def test_pdm_command_skips_scipy_sparse(self):
+        # the generators' DIA arrays import scipy.sparse on their first
+        # build; the pdm subcommand's tridiagonal solves do not need it
+        script = """
+import sys
+from su11metric.cli import main
+code = main(["pdm", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
+             "--points", "400"])
+print(code, sorted(m for m in sys.modules if m.startswith("scipy.sparse")),
+      "scipy.linalg" in sys.modules, file=sys.stderr)
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 [] True"
 
 
 class TestParsing:

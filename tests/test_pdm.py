@@ -1,13 +1,17 @@
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from su11metric import InvalidParams, SwansonParams
 from su11metric.pdm import (PdmConfig, _interior_grid, boundary_decay,
                             effective_potential, mass_profile, pdm_generators,
-                            pdm_spectrum, predicted_spectrum, run_pdm_check)
+                            pdm_spectrum, predicted_spectrum, run_pdm_check,
+                            validate_config)
 
 P = SwansonParams(1.0, 0.2, 0.1)
 CFG = PdmConfig(params=P)
@@ -25,6 +29,22 @@ class TestConfig:
             pdm_spectrum(replace(CFG, x_min=2.0, x_max=-2.0))
         with pytest.raises(InvalidParams):
             pdm_spectrum(replace(CFG, points=50))
+        # non-finite inputs, and grids whose e^(2 s max|x|) over dx^2 or
+        # over (2 s)^2 leaves the double range, are refused before any exp
+        for name, bad in (("s", math.inf), ("tau", math.nan), ("tau", math.inf),
+                          ("x_min", -math.inf), ("x_max", math.inf)):
+            with pytest.raises(InvalidParams, match="must be finite"):
+                pdm_spectrum(replace(CFG, **{name: bad}))
+        for bad in (dict(s=50.0), dict(x_max=2000.0), dict(x_min=-2000.0),
+                    dict(s=1e-160)):
+            with pytest.raises(InvalidParams, match="grid terms overflow"):
+                pdm_spectrum(replace(CFG, **bad))
+
+    def test_wide_domain_accepted(self):
+        # 2 s max|x| = 600 is representable; the spectrum takes it
+        wide = replace(CFG, x_min=-600.0)
+        assert validate_config(wide) is wide
+        assert np.isfinite(pdm_spectrum(wide)).all()
 
     def test_mass_positive(self):
         x = np.linspace(CFG.x_min, CFG.x_max, 500)
@@ -141,13 +161,38 @@ class TestGenerators:
         ops = pdm_generators(cfg)
         x, dx = _interior_grid(cfg)
         for op, ref in zip(ops, self._dense_reference(cfg)):
-            assert type(op.matrix) is np.ndarray
-            assert np.array_equal(op.matrix, ref)
+            assert isinstance(op.matrix, sparse.dia_array)
+            assert op.matrix.offsets.tolist() == [-1, 0, 1]
+            assert np.array_equal(op.matrix.toarray(), ref)
             assert np.array_equal(op.grid, x) and op.dx == dx
 
     def test_k0_symmetric_exactly(self):
         k0, _, _ = pdm_generators(replace(CFG, points=300))
-        assert np.array_equal(k0.matrix, k0.matrix.T)
+        dense = k0.matrix.toarray()
+        assert np.array_equal(dense, dense.T)
+
+    def test_generators_stay_banded_in_memory(self):
+        # three dense 4000 x 4000 operators would take 384 MB; the bands
+        # take 0.3 MB (the first call imports scipy.sparse outside the trace)
+        pdm_generators(replace(CFG, points=100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracemalloc.start()
+            try:
+                ops = pdm_generators(replace(CFG, points=4000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, peak / 2 ** 20
+        assert all(op.matrix.shape == (4000, 4000) for op in ops)
+
+    def test_generators_refuse_overflowing_curvature(self):
+        # g'^4 = e^(-4 s x) leaves the double range at 4 s max|x| = 1400,
+        # where the spectrum's terms (2 s max|x| = 700) still fit
+        cfg = replace(CFG, x_min=-700.0)
+        assert validate_config(cfg) is cfg
+        with pytest.raises(InvalidParams):
+            pdm_generators(cfg)
 
     def test_commutator_refinement(self):
         cfg = replace(CFG, x_min=-4.0, x_max=6.0)
