@@ -9,8 +9,7 @@ matrix realizations.
 """
 
 from .core import (AlgebraElement, Factorization, adjoint_matrix, conjugate,
-                   defining_rep, disentangle_closed_form, exp_defining,
-                   gauss_decompose, reconstruct_defining)
+                   disentangle_closed_form)
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      Su11MetricError, TrigRegime, TruncationTooSmall,
                      ZOutOfDomain)
@@ -18,10 +17,9 @@ from .metric import (MetricSolution, SwansonParams, commuting_observable,
                      conjugated_coeffs, hermitian_equivalent, is_admissible,
                      metric_exponent, mu_nu, power_base, solve_epsilon,
                      solve_metric, swanson_element, validate_params, z_domain)
-from .realizations import (RealizationMatrices, commutator_residuals, conformal,
-                           discrete_series, from_descriptor, materialize,
-                           multiboson, oscillator_full, oscillator_sector, radial,
-                           residue_root_of_unity)
+from .realizations import (RealizationMatrices, conformal, discrete_series,
+                           from_descriptor, multiboson, oscillator_full,
+                           oscillator_sector, radial)
 from .verification import (OperatorBundle, build_bundle, eigvec_residuals,
                            materialize_metric_root, spectrum_prediction)
 
@@ -29,17 +27,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "Factorization", "adjoint_matrix", "conjugate",
-    "defining_rep", "disentangle_closed_form", "exp_defining",
-    "gauss_decompose", "reconstruct_defining",
+    "disentangle_closed_form",
     "Su11MetricError", "InvalidParams", "TrigRegime", "DecompositionSingular",
     "ZOutOfDomain", "NoConvergence", "TruncationTooSmall",
     "MetricSolution", "SwansonParams", "commuting_observable",
     "conjugated_coeffs", "hermitian_equivalent", "is_admissible",
     "metric_exponent", "mu_nu", "power_base", "solve_epsilon", "solve_metric",
     "swanson_element", "validate_params", "z_domain",
-    "RealizationMatrices", "commutator_residuals", "conformal",
-    "discrete_series", "from_descriptor", "materialize", "multiboson",
-    "oscillator_full", "oscillator_sector", "radial", "residue_root_of_unity",
+    "RealizationMatrices", "conformal", "discrete_series", "from_descriptor",
+    "multiboson", "oscillator_full", "oscillator_sector", "radial",
     "OperatorBundle", "build_bundle", "eigvec_residuals",
     "materialize_metric_root", "spectrum_prediction",
     "__version__",

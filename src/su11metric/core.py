@@ -1,4 +1,4 @@
-"""su(1,1) coefficient algebra and its faithful 2x2 representation.
+"""su(1,1) coefficient algebra and the closed forms of its group elements.
 
 The basis (K0, Km, Kp) obeys [K0, K+-] = +-K+- and [Kp, Km] = -2 K0, with
 K0 Hermitian and Kp, Km mutual adjoints in any unitary realization.  An
@@ -6,17 +6,15 @@ element is stored as the complex coefficient triple of
 
     X = c0*K0 + cm*Km + cp*Kp
 
-and its exponential is handled through the 2x2 matrices
-
-    sigma(K0) = [[1/2, 0], [0, -1/2]]
-    sigma(Kp) = [[0, 1], [0, 0]]
-    sigma(Km) = [[0, 0], [-1, 0]]
-
-which realize the same commutators faithfully.  For a Hermitian exponent
-A = 2*eps*K0 + 2*eta*Km + 2*conj(eta)*Kp everything reduces to hyperbolic
-functions of theta, where theta**2 = eps**2 - 4*|eta|**2: exponentials,
-the normally / antinormally ordered (Gauss) factorizations, and the
-adjoint action rho X rho^{-1} with rho = exp(A).
+The closed forms are those of the faithful 2x2 representation
+sigma(K0) = diag(1/2, -1/2), sigma(Kp) = [[0, 1], [0, 0]] and
+sigma(Km) = [[0, 0], [-1, 0]].  For a Hermitian exponent
+A = 2*eps*K0 + 2*eta*Km + 2*conj(eta)*Kp they reduce to hyperbolic
+functions of theta, where theta**2 = eps**2 - 4*|eta|**2: the normally /
+antinormally ordered (Gauss) factorizations of exp(A) and the adjoint
+action rho X rho^{-1} with rho = exp(A).  No 2x2 matrix is formed here:
+the matrices, their exponential and their Gauss decomposition are the
+tests' independent check of these forms (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -28,10 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionSingular, InvalidParams, TrigRegime
-
-SIGMA_K0 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-SIGMA_KP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_KM = np.array([[0.0, 0.0], [-1.0, 0.0]], dtype=complex)
 
 # pivots smaller than this are treated as singular factorizations
 PIVOT_TOL = 1e-14
@@ -103,69 +97,6 @@ def _cosh_sinhc(theta_sq):
         return cmath.cosh(th), cmath.sinh(th) / th
     th = math.sqrt(theta_sq)
     return math.cosh(th), math.sinh(th) / th
-
-
-def defining_rep(x: AlgebraElement) -> np.ndarray:
-    """2x2 matrix sigma(x); linear in the coefficients."""
-    return x.c0 * SIGMA_K0 + x.cm * SIGMA_KM + x.cp * SIGMA_KP
-
-
-def exp_defining(x: AlgebraElement) -> np.ndarray:
-    """exp(sigma(x)) in closed form.
-
-    sigma(x) is traceless, so by Cayley-Hamilton
-
-        exp(M) = cosh(theta) I + sinh(theta)/theta * M,
-        theta**2 = -det(M).
-
-    Imaginary theta (oscillatory regime) is evaluated through the same
-    even functions, i.e. cos and sin(phi)/phi.
-    """
-    m = defining_rep(x)
-    theta_sq = -(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    c, s = _cosh_sinhc(theta_sq)
-    return c * np.eye(2, dtype=complex) + s * m
-
-
-def reconstruct_defining(f: Factorization) -> np.ndarray:
-    """Multiply the 2x2 factor matrices of a factorization back together."""
-    e_half = cmath.exp(0.5 * f.q)
-    upper = np.array([[1.0, f.p], [0.0, 1.0]], dtype=complex)
-    mid = np.array([[e_half, 0.0], [0.0, 1.0 / e_half]], dtype=complex)
-    lower = np.array([[1.0, 0.0], [-f.r, 1.0]], dtype=complex)
-    if f.ordering == "normal":
-        return upper @ mid @ lower
-    if f.ordering == "antinormal":
-        return lower @ mid @ upper
-    raise InvalidParams(f"unknown ordering {f.ordering!r}")
-
-
-def gauss_decompose(m: np.ndarray, ordering: str = "normal") -> Factorization:
-    """Factor a 2x2 unimodular group matrix into ordered exponentials.
-
-    Normal ordering pivots on m[1,1] (e^{-q/2} = m22, p = m12/m22,
-    r = -m21/m22); antinormal ordering pivots on m[0,0] (e^{q'/2} = m11,
-    p' = m12/m11, r' = -m21/m11).  The signs follow sigma(Km) having the
-    entry -1.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise InvalidParams(f"expected a 2x2 matrix, got shape {m.shape}")
-    if ordering == "normal":
-        pivot = m[1, 1]
-        if abs(pivot) < PIVOT_TOL:
-            raise DecompositionSingular(
-                f"normal-ordering pivot |m22| = {abs(pivot):.3e} is below {PIVOT_TOL:g}")
-        return Factorization(p=m[0, 1] / pivot, q=-2.0 * cmath.log(pivot),
-                             r=-m[1, 0] / pivot, ordering="normal")
-    if ordering == "antinormal":
-        pivot = m[0, 0]
-        if abs(pivot) < PIVOT_TOL:
-            raise DecompositionSingular(
-                f"antinormal-ordering pivot |m11| = {abs(pivot):.3e} is below {PIVOT_TOL:g}")
-        return Factorization(p=m[0, 1] / pivot, q=2.0 * cmath.log(pivot),
-                             r=-m[1, 0] / pivot, ordering="antinormal")
-    raise InvalidParams(f"unknown ordering {ordering!r}")
 
 
 def _theta_sq(epsilon: float, eta: complex) -> float:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidParams
+from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, mu_nu, validate_params
 
 if TYPE_CHECKING:
@@ -138,14 +138,15 @@ def _h_tridiag(cfg: PdmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, floa
     return diag, off, x, dx
 
 
-def pdm_spectrum(cfg: PdmConfig, count: int = 3,
-                 vectors: bool = False):
-    """Lowest eigenvalues (and optionally eigenvectors) of the grid h."""
+def pdm_spectrum(cfg: PdmConfig, count: int = 3, vectors: bool = False):
+    """Lowest eigenvalues (and optionally eigenvectors) of the grid h;
+    NoConvergence where the bisection fails (a diagonal too wide in range)."""
     diag, off, _, _ = _h_tridiag(cfg)
-    if vectors:
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
-                            eigvals_only=True)
+    try:
+        return eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
+                                select_range=(0, count - 1))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"grid eigensolve failed: {exc}") from exc
 
 
 def predicted_spectrum(p: SwansonParams, count: int = 3) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Truncated matrix realizations of the su(1,1) generators.
 
 Every constructor returns the diagonal of K0 and the one band of K+;
-K- is its transpose, and only `materialize` builds their dense matrices.
+K- is its transpose.  No matrix of them is built: `apply` multiplies a
+block by c0 K0 + cm K- + cp K+ as three shifts along the band.
 Truncating an infinite basis corrupts operator products only near the
 top of the basis, so each realization has a trusted leading block (dim
 minus the band) inside which the commutation relations hold to rounding.
@@ -9,7 +10,6 @@ minus the band) inside which the commutation relations hold to rounding.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -38,11 +38,22 @@ class RealizationMatrices:
     def trusted(self) -> int:
         return self.dim - self.band
 
-    def leading(self, m: int) -> "RealizationMatrices":
-        """The bands of the first m basis states (all if m >= dim)."""
-        m = min(m, self.dim)
-        return replace(self, k0_diag=self.k0_diag[:m],
-                       kp_band=self.kp_band[:max(m - self.band, 0)])
+
+def apply(x: AlgebraElement, r: RealizationMatrices, b: np.ndarray) -> np.ndarray:
+    """(c0 K0 + cm K- + cp K+) b on the leading m = b.shape[-2] <= N
+    states, as three shifts: K0 scales row i of b, K+ moves it to row
+    i + band and K- to row i - band; rows within band of m miss the states
+    past m.  Coefficients of shape (s, 1, 1) act on a stack b of shape
+    (s, m, k), one operand each.  A right product B X is (X^T B^T)^T, X^T
+    swapping cm and cp.
+    """
+    m, band = b.shape[-2], r.band
+    n = max(m - band, 0)
+    k0, kp = r.k0_diag[:m, None], r.kp_band[:n, None]
+    out = np.multiply(x.c0 * k0, b, dtype=np.result_type(x.c0, x.cm, x.cp, b))
+    out[..., band:, :] += x.cp * kp * b[..., :n, :]
+    out[..., :n, :] += x.cm * kp * b[..., band:, :]
+    return out
 
 
 def discrete_series(k: float, n: int) -> RealizationMatrices:
@@ -87,25 +98,6 @@ def oscillator_sector(parity: str, n: int) -> RealizationMatrices:
     kp = 0.5 * np.sqrt(f * (f - 1.0))
     return RealizationMatrices((2.0 * fock + 1.0) / 4.0, kp, 1,
                                f"oscillator:parity={parity}")
-
-
-def residue_root_of_unity(l: int, n: int) -> np.ndarray:
-    """Residue eigenvalues from the finite root-of-unity sum.
-
-        R(m) = (l-1)/2 + sum_{j=1}^{l-1} exp(-2 pi i j m / l)
-                                         / (exp(2 pi i j / l) - 1)
-
-    which equals m mod l for every integer m (l = 1 gives zero).
-    """
-    if l < 1:
-        raise InvalidParams(f"period l must be a positive integer (got {l})")
-    m = np.arange(n)
-    if l == 1:
-        return np.zeros(n, dtype=complex)
-    vals = np.full(n, (l - 1) / 2.0, dtype=complex)
-    for j in range(1, l):
-        vals += np.exp(-2j * np.pi * j * m / l) / (np.exp(2j * np.pi * j / l) - 1.0)
-    return vals
 
 
 def multiboson(l: int, residues: Sequence[float], n: int) -> RealizationMatrices:
@@ -169,60 +161,6 @@ def conformal(k: float, c: float, omega: float,
     base = discrete_series(k, n)
     mats = replace(base, kind=f"conformal:k={k:g},c={c:g}")
     return mats, SwansonParams(omega, c / 4.0, -c / 4.0)
-
-
-def materialize(x: AlgebraElement, r: RealizationMatrices) -> np.ndarray:
-    """Dense N x N matrix of c0*K0 + cm*Km + cp*Kp, each entry, zeros too,
-    summed as in the dense generators (same signed zeros and complex
-    parts); a vanishing imaginary part is dropped."""
-    zero = np.zeros(r.dim)
-    off = zero[r.band:]
-
-    def entries(k0, km, kp):
-        return x.c0 * k0 + x.cm * km + x.cp * kp
-
-    bands = {0: entries(r.k0_diag, zero, zero),
-             r.band: entries(off, r.kp_band, off),
-             -r.band: entries(off, off, r.kp_band)}
-    fill = entries(zero[0], zero[0], zero[0])
-    n = r.dim
-    out = np.full((n, n), fill, dtype=np.result_type(fill, *bands.values()))
-    flat = out.reshape(-1)
-    for k, band in bands.items():
-        # diagonal k starts at flat index k (-k n if k < 0); n - |k| entries never wrap
-        flat[(k if k >= 0 else -k * n)::n + 1][:n - abs(k)] = band
-    if np.iscomplexobj(out) and not out.imag.any():
-        out = out.real.copy()
-    return out
-
-
-def commutator_residuals(r: RealizationMatrices,
-                         trusted: int | None = None) -> dict[str, float]:
-    """Normalized commutation-relation residuals on the trusted block.
-
-    Spectral norms of [k0, k+-] -+ k+- and [kp, km] + 2 k0 restricted to
-    the leading trusted x trusted block, each divided by the norm of the
-    defining right-hand side on that block.  The generators move a state
-    by at most the band, so only the leading trusted + band states enter.
-    """
-    t = r.trusted if trusted is None else trusted
-    if not (1 <= t <= r.dim):
-        raise InvalidParams(f"trusted block {t} outside 1..{r.dim}")
-    block = r.leading(t + r.band)
-    k0, km, kp = (materialize(AlgebraElement(*e), block) for e in np.eye(3))
-
-    def _n(mat):
-        return float(np.linalg.norm(mat[:t, :t], 2))
-
-    res = {
-        "k0_kp": _n(k0 @ kp - kp @ k0 - kp) / _n(kp),
-        "k0_km": _n(k0 @ km - km @ k0 + km) / _n(km),
-        "kp_km": _n(kp @ km - km @ kp + 2.0 * k0) / _n(2.0 * k0),
-    }
-    return res
-
-
-_DESCRIPTOR_RE = re.compile(r"^[A-Za-z_]+")
 
 
 def from_descriptor(text: str, dim: int,
@@ -291,7 +229,6 @@ def from_descriptor(text: str, dim: int,
             return multiboson(l, residues, dim), None
         if kind == "radial":
             return radial(float(_one("l")), dim), None
-        mats, params = conformal(float(_one("k")), float(_one("c")), omega, dim)
-        return mats, params
+        return conformal(float(_one("k")), float(_one("c")), omega, dim)
     except ValueError as exc:
         raise InvalidParams(f"bad numeric value in descriptor {text!r}: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Materialize the operator bundle and verify identities numerically.
+"""Build the operator bundle and verify identities numerically.
 
 Everything spectral goes through the Hermitian equivalent h: spectra of
 the non-Hermitian H are never computed with a nonsymmetric eigensolver.
@@ -9,14 +9,15 @@ commutation) are measured in the spectral norm of the leading trusted
 block, normalized by the operand norms, because the metric amplifies
 truncation error at the top of the basis.
 
-No N x N matrix is formed: H, h and O live on the leading R = trusted +
-band states, rho and zeta_+ are R x R blocks from one metric kernel whose
-cost does not grow with N (materialize_metric_root), and h's lowest
-eigenpairs come from its coefficients and the bands, each chain of states
-solved on its leading states only, as many as a stated bound needs
-(_low_eigs).  So build_bundle's cost does not grow with N; only building
-the realization, which the caller does, still does.  Where a metric block
-does not exist in the realization's basis (a divergent series, zeta_+ at
+No N x N matrix is formed, and no matrix of H, h or O at all: rho and
+zeta_+ are R x R blocks (R = trusted + band) from one metric kernel whose
+cost does not grow with N (materialize_metric_root), H, h and O act on
+them as band shifts (realizations.apply), and h's lowest eigenpairs come
+from its coefficients and the bands, each chain of states solved on its
+leading states only, as many as a stated bound needs (_low_eigs).  So
+build_bundle's cost does not grow with N; only building the realization,
+which the caller does, still does.  Where a metric block does not exist
+in the realization's basis (a divergent series, zeta_+ at
 z = 2 beta / omega) it is inf, and so are the residuals that read it.  The
 rule is per entry and strict: a block whose tail bound does not fit in
 the N states is inf even where the spectral-norm residuals would not
@@ -38,7 +39,7 @@ from .errors import InvalidParams, NoConvergence, TruncationTooSmall, ZOutOfDoma
 from .metric import (SwansonParams, commuting_observable, hermitian_equivalent,
                      is_admissible, metric_exponent, solve_epsilon,
                      swanson_element, validate_params)
-from .realizations import RealizationMatrices, materialize
+from .realizations import RealizationMatrices, apply
 
 DEFAULT_TRUSTED = 50
 
@@ -386,8 +387,8 @@ def _largest(x: AlgebraElement) -> float:
 def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
                  trusted: int = DEFAULT_TRUSTED,
                  spectrum_count: int | None = None) -> OperatorBundle:
-    """Materialize the leading blocks of H, h, O, rho and zeta_+ that the
-    residuals read, and check them.
+    """Form the leading blocks of rho and zeta_+ that the residuals read,
+    and check them.
 
     Residuals.  r_herm and r_eq10 are coefficient-level, on the adjoint
     closed form y = core.conjugate(metric_exponent(p, z), H), relative to
@@ -405,10 +406,11 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
 
     H, h and O vanish outside their band, so the leading T x T block of
     each product reads only the leading R = T + band rows and columns of
-    H, h, O, rho and zeta_+; each is materialized on those R states alone,
-    rho and zeta_+ = exp(2A) by two calls of the same kernel.  No N x N
-    product is formed, and rho^{-1} not at all.  Where the zeta_+ series
-    diverges r_quasi is inf while the other residuals stay finite.
+    rho and zeta_+, two R x R blocks of the same kernel; H, h and O act on
+    them as band shifts (realizations.apply), all six products in one
+    call.  No operator matrix is formed, and rho^{-1} not at all.  Where
+    the zeta_+ series diverges r_quasi is inf while the other residuals
+    stay finite.
 
     The spectrum is the lowest `spectrum_count` eigenvalues (default
     trusted // 2, at least 1; all N if more are asked) of h, from its
@@ -434,19 +436,25 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     count = spectrum_count if spectrum_count is not None else max(1, t // 2)
     spectrum = _low_eigs(h_coeffs, realization, count)
 
-    block = realization.leading(r)
-    h_direct = materialize(h_coeffs, block)
-    h_mat = materialize(swanson_element(p), block)
-    o_mat = materialize(commuting_observable(z), block)
     rho = materialize_metric_root(p, z, realization, sign=1, rows=r)
     zeta = materialize_metric_root(p, z, realization, sign=2, rows=r)
 
+    # the six products by one stacked band shift on the R states, cut to
+    # T x T; a right product B X is (X^T B^T)^T, X^T swapping cm and cp
+    h_mat, o_mat = swanson_element(p), commuting_observable(z)
+    h_t, o_t = (AlgebraElement(x.c0, x.cp, x.cm) for x in (h_mat, o_mat))
+    ops, operands = zip(
+        (h_coeffs, rho[:, :t]), (h_t, rho[:t].T),      # h rho, (rho H)^T
+        (h_t, zeta[:t].T), (h_t, zeta[:, :t]),          # (zeta H)^T, H^T zeta
+        (o_t, rho[:t].T), (o_mat, rho[:, :t]))          # (rho O)^T, O rho
+    coeffs = np.array([(x.c0, x.cm, x.cp) for x in ops]).T[..., None, None]
     # an inf block gives inf * 0 = NaN in the products, which read inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        prod = apply(AlgebraElement(*coeffs), realization, np.stack(operands))[:, :t]
         residuals = _relative_residuals({
-            "r_intertwine": (h_direct[:t] @ rho[:, :t], rho[:t] @ h_mat[:, :t]),
-            "r_quasi": (zeta[:t] @ h_mat[:, :t], h_mat[:, :t].T @ zeta[:, :t]),
-            "r_commute": (rho[:t] @ o_mat[:, :t], o_mat[:t] @ rho[:, :t]),
+            "r_intertwine": (prod[0], prod[1].T),
+            "r_quasi": (prod[2].T, prod[3]),
+            "r_commute": (prod[4].T, prod[5]),
         }, t)
     residuals = {
         "r_herm": max(abs(y.c0.imag), abs(y.cm - y.cp.conjugate())) / _largest(y),
@@ -466,17 +474,17 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
     Eigenvectors psi of h map to phi = rho^{-1} psi of H with the same
     eigenvalue; returns |((H - lambda) phi)[:T]| / |phi[:T]| for the
     lowest `count` pairs (all N if more are asked).  H vanishes outside
-    its band, so this reads only phi[:R], R = T + band: H is materialized
-    on those R states, and psi comes from the band's tridiagonal chains,
-    each solved on its leading states and zero past them (_low_eigs: the
-    residual of psi in the whole of h is below the bisection's tolerance).
-    Of rho^{-1} only the R rows and the columns up to the last state a
-    retained component of psi reaches are formed, so their count follows
-    the decay of psi, not N; columns whose antinormal
-    sums do not complete within the N states are summed to N, not made
-    inf (see materialize_metric_root).  A pair whose phi[:R]
-    or residual is not finite gets inf, never NaN.  Components of psi
-    below the eigensolver's noise floor are zeroed first: they carry no
+    its band, so this reads only phi[:R], R = T + band: H acts on those R
+    states as a band shift (realizations.apply), and psi comes from the
+    band's tridiagonal chains, each solved on its leading states and zero
+    past them (_low_eigs: the residual of psi in the whole of h is below
+    the bisection's tolerance).  Of rho^{-1} only the R rows and the
+    columns up to the last state a retained component of psi reaches are
+    formed, so their count follows the decay of psi, not N; columns whose
+    antinormal sums do not complete within the N states are summed to N,
+    not made inf (see materialize_metric_root).  A pair whose phi[:R] or
+    residual is not finite gets inf, never NaN.  Components of psi below
+    the eigensolver's noise floor are zeroed first: they carry no
     information and rho^{-1} can amplify them exponentially.  The
     certificate degrades once the metric's dynamic range is such that
     even the retained rounding noise outruns the certified vector, which
@@ -487,19 +495,16 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
     r = min(t + mats.band, mats.dim)
     w, q = _low_eigs(hermitian_equivalent(bundle.params, bundle.z), mats,
                      count, vectors=True)
-    h = materialize(swanson_element(bundle.params), mats.leading(r))[:t]
     psi = np.where(np.abs(q) < mats.dim * np.finfo(float).eps
                    * np.abs(q).max(axis=0), 0.0, q)
     cols = int(np.flatnonzero(psi.any(axis=1)).max(initial=0)) + 1
-    out = np.empty(w.size)
     # inf * 0 in the rows of rho^{-1} or in phi gives NaN; such a pair is inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rho_inv = materialize_metric_root(bundle.params, bundle.z, mats,
                                           sign=-1, rows=r, cols=cols)
-        for i in range(w.size):
-            phi = rho_inv @ psi[:cols, i]
-            num = np.linalg.norm(h @ phi - w[i] * phi[:t])
-            den = np.linalg.norm(phi[:t])
-            finite = np.isfinite(phi).all() and np.isfinite(num) and np.isfinite(den)
-            out[i] = num / den if finite and den > 0.0 else float("inf")
-    return out
+        phi = rho_inv @ psi[:cols]
+        num = np.linalg.norm(apply(swanson_element(bundle.params), mats, phi)[:t]
+                             - w * phi[:t], axis=0)
+        den = np.linalg.norm(phi[:t], axis=0)
+    finite = np.isfinite(phi).all(axis=0) & np.isfinite(num) & np.isfinite(den)
+    return np.divide(num, den, out=np.full(w.size, np.inf), where=finite & (den > 0.0))

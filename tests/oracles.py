@@ -1,15 +1,161 @@
 """Reference computations that the tests compare the library against.
 
 They share no code with the paths under test: each one works on dense
-matrices or whole tridiagonal chains with a general-purpose numpy or
-scipy routine, or in mpmath.
+matrices (the 2 x 2 representation of su(1,1) among them) or whole
+tridiagonal chains with a general-purpose numpy, scipy or cmath routine,
+or in mpmath.
 """
+
+import cmath
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from su11metric import AlgebraElement, exp_defining, gauss_decompose, solve_epsilon
+from su11metric import (AlgebraElement, DecompositionSingular, Factorization,
+                        InvalidParams, RealizationMatrices, solve_epsilon)
+from su11metric.core import PIVOT_TOL
+
+SIGMA_K0 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+SIGMA_KP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_KM = np.array([[0.0, 0.0], [-1.0, 0.0]], dtype=complex)
+
+
+def defining_rep(x: AlgebraElement) -> np.ndarray:
+    """2x2 matrix sigma(x); linear in the coefficients."""
+    return x.c0 * SIGMA_K0 + x.cm * SIGMA_KM + x.cp * SIGMA_KP
+
+
+def exp_defining(x: AlgebraElement) -> np.ndarray:
+    """exp(sigma(x)) in closed form.
+
+    sigma(x) is traceless, so by Cayley-Hamilton
+
+        exp(M) = cosh(theta) I + sinh(theta)/theta * M,
+        theta**2 = -det(M).
+
+    Both functions are even in theta, so the principal complex root
+    serves for either sign of theta**2 (imaginary theta gives cos and
+    sin(phi)/phi); sinh has no cancellation near 0, so only theta = 0
+    itself needs its limit.
+    """
+    m = defining_rep(x)
+    theta = cmath.sqrt(-(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
+    s = cmath.sinh(theta) / theta if theta else 1.0
+    return cmath.cosh(theta) * np.eye(2, dtype=complex) + s * m
+
+
+def reconstruct_defining(f: Factorization) -> np.ndarray:
+    """Multiply the 2x2 factor matrices of a factorization back together."""
+    e_half = cmath.exp(0.5 * f.q)
+    upper = np.array([[1.0, f.p], [0.0, 1.0]], dtype=complex)
+    mid = np.array([[e_half, 0.0], [0.0, 1.0 / e_half]], dtype=complex)
+    lower = np.array([[1.0, 0.0], [-f.r, 1.0]], dtype=complex)
+    if f.ordering == "normal":
+        return upper @ mid @ lower
+    if f.ordering == "antinormal":
+        return lower @ mid @ upper
+    raise InvalidParams(f"unknown ordering {f.ordering!r}")
+
+
+def gauss_decompose(m: np.ndarray, ordering: str = "normal") -> Factorization:
+    """Factor a 2x2 unimodular group matrix into ordered exponentials.
+
+    Normal ordering pivots on m[1,1] (e^{-q/2} = m22, p = m12/m22,
+    r = -m21/m22); antinormal ordering pivots on m[0,0] (e^{q'/2} = m11,
+    p' = m12/m11, r' = -m21/m11).  The signs follow sigma(Km) having the
+    entry -1.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise InvalidParams(f"expected a 2x2 matrix, got shape {m.shape}")
+    if ordering == "normal":
+        pivot = m[1, 1]
+        if abs(pivot) < PIVOT_TOL:
+            raise DecompositionSingular(
+                f"normal-ordering pivot |m22| = {abs(pivot):.3e} is below {PIVOT_TOL:g}")
+        return Factorization(p=m[0, 1] / pivot, q=-2.0 * cmath.log(pivot),
+                             r=-m[1, 0] / pivot, ordering="normal")
+    if ordering == "antinormal":
+        pivot = m[0, 0]
+        if abs(pivot) < PIVOT_TOL:
+            raise DecompositionSingular(
+                f"antinormal-ordering pivot |m11| = {abs(pivot):.3e} is below {PIVOT_TOL:g}")
+        return Factorization(p=m[0, 1] / pivot, q=2.0 * cmath.log(pivot),
+                             r=-m[1, 0] / pivot, ordering="antinormal")
+    raise InvalidParams(f"unknown ordering {ordering!r}")
+
+
+def materialize(x: AlgebraElement, r: RealizationMatrices) -> np.ndarray:
+    """Dense N x N matrix of c0*K0 + cm*Km + cp*Kp, each entry, zeros too,
+    summed as in the dense generators (same signed zeros and complex
+    parts); a vanishing imaginary part is dropped."""
+    zero = np.zeros(r.dim)
+    off = zero[r.band:]
+
+    def entries(k0, km, kp):
+        return x.c0 * k0 + x.cm * km + x.cp * kp
+
+    bands = {0: entries(r.k0_diag, zero, zero),
+             r.band: entries(off, r.kp_band, off),
+             -r.band: entries(off, off, r.kp_band)}
+    fill = entries(zero[0], zero[0], zero[0])
+    n = r.dim
+    out = np.full((n, n), fill, dtype=np.result_type(fill, *bands.values()))
+    flat = out.reshape(-1)
+    for k, band in bands.items():
+        # diagonal k starts at flat index k (-k n if k < 0); n - |k| entries never wrap
+        flat[(k if k >= 0 else -k * n)::n + 1][:n - abs(k)] = band
+    if np.iscomplexobj(out) and not out.imag.any():
+        out = out.real.copy()
+    return out
+
+
+def commutator_residuals(r: RealizationMatrices,
+                         trusted: int | None = None) -> dict[str, float]:
+    """Normalized commutation-relation residuals on the trusted block.
+
+    Spectral norms of [k0, k+-] -+ k+- and [kp, km] + 2 k0 restricted to
+    the leading trusted x trusted block, each divided by the norm of the
+    defining right-hand side on that block.  The generators move a state
+    by at most the band, so only the leading trusted + band states enter.
+    """
+    t = r.trusted if trusted is None else trusted
+    if not (1 <= t <= r.dim):
+        raise InvalidParams(f"trusted block {t} outside 1..{r.dim}")
+    m = min(t + r.band, r.dim)
+    block = replace(r, k0_diag=r.k0_diag[:m], kp_band=r.kp_band[:m - r.band])
+    k0, km, kp = (materialize(AlgebraElement(*e), block) for e in np.eye(3))
+
+    def _n(mat):
+        return float(np.linalg.norm(mat[:t, :t], 2))
+
+    res = {
+        "k0_kp": _n(k0 @ kp - kp @ k0 - kp) / _n(kp),
+        "k0_km": _n(k0 @ km - km @ k0 + km) / _n(km),
+        "kp_km": _n(kp @ km - km @ kp + 2.0 * k0) / _n(2.0 * k0),
+    }
+    return res
+
+
+def residue_root_of_unity(l: int, n: int) -> np.ndarray:
+    """Residue eigenvalues from the finite root-of-unity sum.
+
+        R(m) = (l-1)/2 + sum_{j=1}^{l-1} exp(-2 pi i j m / l)
+                                         / (exp(2 pi i j / l) - 1)
+
+    which equals m mod l for every integer m (l = 1 gives zero).
+    """
+    if l < 1:
+        raise InvalidParams(f"period l must be a positive integer (got {l})")
+    m = np.arange(n)
+    if l == 1:
+        return np.zeros(n, dtype=complex)
+    vals = np.full(n, (l - 1) / 2.0, dtype=complex)
+    for j in range(1, l):
+        vals += np.exp(-2j * np.pi * j * m / l) / (np.exp(2j * np.pi * j / l) - 1.0)
+    return vals
 
 
 def exp_symmetric(m: np.ndarray, scale: float = 1.0) -> np.ndarray:

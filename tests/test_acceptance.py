@@ -19,7 +19,9 @@ import su11metric as sm
 from su11metric.cli import SWEEP_COLUMNS, main as cli_main
 from su11metric.pdm import PdmConfig, run_pdm_check
 
-from oracles import exp_symmetric, metric_block_definite, radial_k0_lowest
+from oracles import (defining_rep, exp_symmetric, materialize,
+                     metric_block_definite, radial_k0_lowest,
+                     reconstruct_defining, residue_root_of_unity)
 
 P = sm.SwansonParams(1.0, 0.2, 0.1)
 Z_GRID = (-0.8, -0.4, 0.0, 0.4, 0.8)
@@ -85,11 +87,11 @@ def test_criterion_1_disentanglement_reconstruction():
             continue
         n_checked += 1
         element = sm.AlgebraElement(2 * eps, 2 * eta, 2 * np.conj(eta))
-        target = expm(sm.defining_rep(element))
+        target = expm(defining_rep(element))
         scale = np.linalg.norm(target, 2)
         normal, anti = sm.disentangle_closed_form(eps, eta)
         for f in (normal, anti):
-            err = np.linalg.norm(sm.reconstruct_defining(f) - target, 2)
+            err = np.linalg.norm(reconstruct_defining(f) - target, 2)
             worst = max(worst, err / scale)
     report(1, "disentanglement reconstruction", worst <= 1e-12,
            f"worst {worst:.2e} over {n_checked} draws, |theta| <= 3")
@@ -141,7 +143,7 @@ def test_criterion_4_family_consistency(coefficient_grid, bundle_grid):
         b = bundle_grid[(0.25, z)]
         lam = sm.power_base(P, z)
         scale = math.log(lam) / (4.0 * math.sqrt(1.0 - z * z))
-        o_mat = sm.materialize(sm.commuting_observable(z), realization)
+        o_mat = materialize(sm.commuting_observable(z), realization)
         alt = exp_symmetric(o_mat, scale)
         t = b.trusted
         num = np.linalg.norm(b.rho[:t, :t] - alt[:t, :t], 2)
@@ -186,11 +188,11 @@ def test_criterion_6_realization_equivalences():
     mb = sm.multiboson(2, (0.25, 0.75), 60)
     osc = sm.oscillator_full(60)
     basis = [sm.AlgebraElement(*c) for c in np.eye(3)]
-    worst = max(np.abs(sm.materialize(x, mb) - sm.materialize(x, osc)).max()
+    worst = max(np.abs(materialize(x, mb) - materialize(x, osc)).max()
                 for x in basis)
     worst_r = 0.0
     for l in (2, 3, 4, 5):
-        vals = sm.residue_root_of_unity(l, 50)
+        vals = residue_root_of_unity(l, 50)
         direct = np.arange(50) % l
         worst_r = max(worst_r, np.abs(vals - direct).max())
     ok = worst <= 1e-12 and worst_r <= 1e-12

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su11metric import cli
+from su11metric import SwansonParams, cli, spectrum_prediction
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
 
@@ -181,6 +181,21 @@ class TestVerifyCommand:
         for name in ("r_intertwine", "r_quasi", "r_commute"):
             assert rows[name].startswith("inf  [FAIL"), (name, rows[name])
 
+    def test_near_root_precision(self, capsys):
+        # z = -1e-12 lies 1e-12 from the stability root z = 0 (alpha = 0),
+        # with mu, nu > 0: eq. (10) holds within its tolerance (4.2e-8) and
+        # h has the harmonic spectrum
+        p = SwansonParams(0.03162277660168379, 0.0, 5.0)
+        code, out, _ = run_cli(capsys, "verify", "--omega", repr(p.omega),
+                               "--alpha", "0", "--beta", "5", "--z=-1e-12")
+        assert code == 0
+        rows = parse_table(out)
+        r_eq10 = float(rows["r_eq10"].split()[0])
+        assert r_eq10 <= RESIDUAL_TOLS["r_eq10"]
+        got = np.array([float(rows[f"e{i}"]) for i in range(5)])
+        want = spectrum_prediction(p, 0.25, 5)
+        assert np.all(np.abs(got - want) <= 1e-9 * want), (got, want)
+
     def test_truncation_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--omega", "1",
                                "--alpha", "0.2", "--beta", "0.1",
@@ -287,11 +302,14 @@ class TestPdmCommand:
         assert float(rows["boundary_decay"]) <= 1e-8
 
     def test_inconclusive_exit_1(self, capsys):
-        code, out, _ = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
-                               "--beta", "0.1", "--points", "400",
-                               "--x-min", "-2", "--x-max", "2")
-        assert code == 1
-        assert parse_table(out)["status"] == "INCONCLUSIVE"
+        # walls that cut the eigenfunctions, and a wide grid that the
+        # bisection still solves
+        for walls in (("--points", "400", "--x-min", "-2", "--x-max", "2"),
+                      ("--x-max", "300")):
+            code, out, _ = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+                                   "--beta", "0.1", *walls)
+            assert code == 1, walls
+            assert parse_table(out)["status"] == "INCONCLUSIVE", walls
 
     @pytest.mark.parametrize("flag", [("--s", "50"), ("--x-max", "2000"),
                                       ("--x-min", "-2000"), ("--x-max", "inf")])
@@ -303,6 +321,38 @@ class TestPdmCommand:
                                  "--beta", "0.1", *flag)
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("x_max", ["500", "650", "700"])
+    def test_unconverged_grid_exit_3(self, capsys, x_max):
+        # the grid's terms fit in a double, but its diagonal spans more
+        # than 200 orders of magnitude and the bisection gives up: a
+        # one-line typed error, not a LinAlgError traceback
+        code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+                                 "--beta", "0.1", "--x-max", x_max)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestPublicApi:
+    def test_names_pinned(self):
+        # growing or shrinking the public API is a decision, made here
+        import su11metric
+        assert sorted(su11metric.__all__) == [
+            "AlgebraElement", "DecompositionSingular", "Factorization",
+            "InvalidParams", "MetricSolution", "NoConvergence",
+            "OperatorBundle", "RealizationMatrices", "Su11MetricError",
+            "SwansonParams", "TrigRegime", "TruncationTooSmall",
+            "ZOutOfDomain", "__version__", "adjoint_matrix", "build_bundle",
+            "commuting_observable", "conformal", "conjugate",
+            "conjugated_coeffs", "discrete_series", "disentangle_closed_form",
+            "eigvec_residuals", "from_descriptor", "hermitian_equivalent",
+            "is_admissible", "materialize_metric_root", "metric_exponent",
+            "mu_nu", "multiboson", "oscillator_full", "oscillator_sector",
+            "power_base", "radial", "solve_epsilon", "solve_metric",
+            "spectrum_prediction", "swanson_element", "validate_params",
+            "z_domain"]
+        for name in su11metric.__all__:
+            assert hasattr(su11metric, name), name
 
 
 class TestImports:

@@ -5,10 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
-                        TrigRegime, adjoint_matrix, conjugate, defining_rep,
-                        disentangle_closed_form, exp_defining,
-                        gauss_decompose, reconstruct_defining)
-from su11metric.core import SIGMA_K0, SIGMA_KM, SIGMA_KP
+                        TrigRegime, adjoint_matrix, conjugate,
+                        disentangle_closed_form)
+
+from oracles import (SIGMA_K0, SIGMA_KM, SIGMA_KP, defining_rep, exp_defining,
+                     gauss_decompose, reconstruct_defining)
 
 # expm-oracle values for eps = 1, eta = 0.25 (theta^2 = 0.75)
 EXP_A_ORACLE = np.array([[2.528803433906753, 0.564886041630807],

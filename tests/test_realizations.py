@@ -5,12 +5,13 @@ import pytest
 from scipy.linalg import block_diag
 
 from su11metric import (AlgebraElement, InvalidParams, SwansonParams,
-                        commutator_residuals, commuting_observable, conformal,
-                        discrete_series, from_descriptor, materialize,
-                        multiboson, oscillator_full, oscillator_sector, radial,
-                        residue_root_of_unity, swanson_element, z_domain)
+                        commuting_observable, conformal, discrete_series,
+                        from_descriptor, multiboson, oscillator_full,
+                        oscillator_sector, radial, swanson_element, z_domain)
+from su11metric.realizations import apply
 
-from oracles import radial_k0_lowest
+from oracles import (commutator_residuals, materialize, radial_k0_lowest,
+                     residue_root_of_unity)
 
 ALL_CONSTRUCTORS = [
     lambda n: discrete_series(0.25, n),
@@ -23,6 +24,11 @@ ALL_CONSTRUCTORS = [
     lambda n: multiboson(3, (0.3, 0.6, 0.9), n),
     lambda n: radial(1.0, n),
 ]
+
+
+# real and complex coefficients, signed zeros among them
+COEFFICIENTS = ((-2.0, -1.0, -1.0), (-1.0, 0.0, -0.0), (0.3, -1.2, 0.7),
+                (0.7, -1.3, 0.4), (1 + 2j, 0.5 - 1j, -0.3j), (2.0 + 0j, 0.3 + 0j, 0.3 + 0j))
 
 
 def dense(r):
@@ -148,13 +154,17 @@ class TestRealizationInvariants:
 
     @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
     def test_leading_block(self, make):
+        # apply on the leading m states is the leading m x m block of the
+        # dense sum c0 K0 + cm Km + cp Kp, exactly
         r = make(40)
-        x = AlgebraElement(0.7, -1.3, 0.4)
-        for m in (r.band + 1, 17, 40, 55):
-            lead = r.leading(m)
-            assert lead.dim == min(m, 40) and lead.band == r.band
-            want = materialize(x, r)[:m, :m]
-            assert materialize(x, lead).tobytes() == want.tobytes(), (r.kind, m)
+        k0, kp, km = dense(r)
+        for c in COEFFICIENTS:
+            x = AlgebraElement(*c)
+            want = c[0] * k0 + c[1] * km + c[2] * kp
+            for m in (r.band + 1, 17, 40, 55):
+                m = min(m, 40)
+                got = apply(x, r, np.eye(m))
+                assert np.array_equal(got, want[:m, :m]), (r.kind, c, m)
 
     @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
     def test_k0_strictly_increasing(self, make):
@@ -308,15 +318,34 @@ class TestMaterialize:
         (lambda n: discrete_series(0.25, n), lambda n: _ref_discrete(0.25, n)),
         (oscillator_full, _ref_oscillator_full)])
     def test_equals_dense_sum(self, make, reference):
-        # signed zeros and complex parts as in c0 K0 + cm Km + cp Kp
+        # the dense oracle: signed zeros and complex parts as in
+        # c0 K0 + cm Km + cp Kp
         k0, kp, km = reference(9)
-        for c in ((-2.0, -1.0, -1.0), (-1.0, 0.0, -0.0), (0.3, -1.2, 0.7),
-                  (1 + 2j, 0.5 - 1j, -0.3j), (2.0 + 0j, 0.3 + 0j, 0.3 + 0j)):
+        for c in COEFFICIENTS:
             want = c[0] * k0 + c[1] * km + c[2] * kp
             if np.iscomplexobj(want) and not want.imag.any():
                 want = want.real
             got = materialize(AlgebraElement(*c), make(9))
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # apply on the leading m states: the unit matrix gives the block
+        # of the reference sum exactly, a random block the oracle's product
+        rng = np.random.default_rng(2868)
+        r = make(60)
+        k0, kp, km = reference(60)
+        for c in COEFFICIENTS:
+            x = AlgebraElement(*c)
+            want = c[0] * k0 + c[1] * km + c[2] * kp
+            for m in (r.band + 1, 17, 60):
+                assert np.array_equal(apply(x, r, np.eye(m)), want[:m, :m]), (c, m)
+                b = rng.normal(size=(m, 7))
+                ref = materialize(x, r)[:m, :m] @ b
+                assert np.abs(apply(x, r, b) - ref).max() \
+                    <= 1e-14 * np.abs(ref).max(), (c, m)
+        # a stack of operands, one coefficient triple each, in one call
+        bs = rng.normal(size=(len(COEFFICIENTS), 17, 7))
+        stacked = AlgebraElement(*np.array(COEFFICIENTS).T[..., None, None])
+        for c, b, got in zip(COEFFICIENTS, bs, apply(stacked, r, bs)):
+            assert np.array_equal(got, apply(AlgebraElement(*c), r, b)), c
 
 
 class TestDescriptors:

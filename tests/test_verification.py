@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         SwansonParams, TruncationTooSmall, ZOutOfDomain,
-                        build_bundle, commutator_residuals, discrete_series,
+                        build_bundle, discrete_series,
                         disentangle_closed_form, eigvec_residuals,
-                        hermitian_equivalent, is_admissible, materialize,
+                        hermitian_equivalent, is_admissible,
                         materialize_metric_root, metric_exponent,
                         power_base, solve_epsilon,
                         spectrum_prediction, swanson_element, z_domain)
@@ -24,8 +24,9 @@ from su11metric import verification
 from su11metric.cli import RESIDUAL_TOLS, main
 
 from conftest import spectral_norm
-from oracles import (chain_spectrum, exp_raising, exp_symmetric,
-                     metric_block_definite, metric_power_dense, metric_power_mp)
+from oracles import (chain_spectrum, commutator_residuals, exp_raising,
+                     exp_symmetric, materialize, metric_block_definite,
+                     metric_power_dense, metric_power_mp)
 from test_realizations import ALL_CONSTRUCTORS
 
 P = SwansonParams(1.0, 0.2, 0.1)
