@@ -14,6 +14,12 @@ The operators live on the full line; here Dirichlet walls are imposed far
 enough out that the low eigenfunctions decay below a threshold at both
 walls, and a run whose decay check fails is reported INCONCLUSIVE rather
 than passed.
+
+The grid is solved at three refinement levels, coarse to fine.  Each
+level refines the coarser level's eigenvalues by inverse iteration and
+certifies them: disjoint residual intervals around the Rayleigh
+quotients, and a Sturm count that finds no other eigenvalue below them.
+Bisection seeds the coarsest level and any level whose certificate fails.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, mu_nu, validate_params
@@ -68,6 +75,8 @@ class PdmReport:
     predicted: np.ndarray
     rel_errors: np.ndarray
     refine_table: dict[int, np.ndarray] = field(default_factory=dict)
+    # ||T q - theta q|| per level; inf where the level is not certified
+    refine_residuals: dict[int, np.ndarray] = field(default_factory=dict)
     convergence_ok: bool = False
     boundary_decay: float = float("nan")
     status: str = "FAIL"
@@ -138,15 +147,86 @@ def _h_tridiag(cfg: PdmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, floa
     return diag, off, x, dx
 
 
-def pdm_spectrum(cfg: PdmConfig, count: int = 3, vectors: bool = False):
-    """Lowest eigenvalues (and optionally eigenvectors) of the grid h;
-    NoConvergence where the bisection fails (a diagonal too wide in range)."""
+def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """T @ vecs for the symmetric tridiagonal T = (diag, off)."""
+    out = diag[:, None] * vecs
+    out[:-1] += off[:, None] * vecs[1:]
+    out[1:] += off[:, None] * vecs[:-1]
+    return out
+
+
+def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int):
+    """(values, vectors, residuals) of the lowest `count` eigenpairs, refined
+    from `shifts` and certified; None where any step or the certificate fails.
+
+    Inverse iteration (dstein) from the shifts gives vectors q and Rayleigh
+    quotients theta; one more step at each theta lets the tiny wall entries
+    converge too.  With r = ||T q - theta q|| each [theta - r, theta + r]
+    holds an eigenvalue; if the intervals are disjoint and a Sturm count
+    finds exactly `count` eigenvalues up to the top one, each interval holds
+    exactly one and together they are the lowest `count`.
+    """
+    n = diag.size
+    shifts = np.asarray(shifts, dtype=float)
+    # dstein refuses unsorted shifts, and LAPACK prints its refusal
+    if not (np.isfinite(shifts).all() and np.all(np.diff(shifts) >= 0.0)):
+        return None
+    # one block: the whole matrix
+    iblock = np.ones(n, dtype=np.int32)
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    q, info = dstein(diag, off, shifts, iblock, isplit)
+    if info != 0:
+        return None
+    theta = np.einsum("ij,ij->j", q, _tri_mul(diag, off, q))
+    for j, t in enumerate(theta):
+        *_, step, info = dgtsv(off, diag - t, off, q[:, j:j + 1])
+        if info != 0:
+            return None
+        q[:, j] = step[:, 0]
+    q /= np.linalg.norm(q, axis=0)
+    tq = _tri_mul(diag, off, q)
+    theta = np.einsum("ij,ij->j", q, tq)
+    resid = np.linalg.norm(tq - theta * q, axis=0)
+    top = theta + resid
+    if not (np.isfinite(top).all() and np.all(theta[1:] - resid[1:] > top[:-1])):
+        return None
+    # range "V": the eigenvalues in (-inf, top[-1]]; a huge abstol stops
+    # the bisection at once, so only the count is formed
+    found, *_, info = dstebz(diag, off, 1, -np.inf, top[-1], 0, 0, np.inf, "E")
+    if info != 0 or not found == theta.size == count:
+        return None
+    return theta, q, resid
+
+
+def pdm_spectrum(cfg: PdmConfig, count: int = 3, vectors: bool = False,
+                 near: np.ndarray | None = None, residuals: bool = False):
+    """Lowest `count` eigenvalues of the grid h, certified where possible.
+
+    `near` holds approximate eigenvalues, such as a coarser grid's; the
+    solve refines them (see _certified).  Without `near`, or where their
+    certificate fails, bisection gives the shifts for the same refinement.
+    Where that is not certified either, the bisection's values (and
+    vectors) are returned as they are, with residuals inf.
+
+    Returns the values, then the vectors if `vectors`, then the residual
+    norms ||T q - theta q|| if `residuals`; values alone as an array.
+    NoConvergence where the bisection fails (a diagonal too wide in range).
+    """
     diag, off, _, _ = _h_tridiag(cfg)
-    try:
-        return eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
-                                select_range=(0, count - 1))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"grid eigensolve failed: {exc}") from exc
+    got = None if near is None else _certified(diag, off, near, count)
+    if got is None:
+        try:
+            plain = eigh_tridiagonal(diag, off, eigvals_only=not vectors,
+                                     select="i", select_range=(0, count - 1))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"grid eigensolve failed: {exc}") from exc
+        vals, vecs = plain if vectors else (plain, None)
+        got = (_certified(diag, off, vals, count)
+               or (vals, vecs, np.full(vals.size, np.inf)))
+    vals, vecs, resid = got
+    out = (vals,) + ((vecs,) if vectors else ()) + ((resid,) if residuals else ())
+    return out if len(out) > 1 else vals
 
 
 def predicted_spectrum(p: SwansonParams, count: int = 3) -> np.ndarray:
@@ -176,21 +256,26 @@ def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
     """Run the documented refinement protocol and classify the outcome.
 
     The grid is solved at cfg.points divided by each refinement factor
-    (coarse to fine); successive eigenvalue changes must shrink by at
-    least 2x (or sit below an absolute floor), the finest eigenvalues
-    must match the algebraic law within rtol, and the lowest
+    (coarse to fine), each level refining and certifying the eigenvalues of
+    the level before it (see pdm_spectrum); successive eigenvalue changes
+    must shrink by at least 2x (or sit below an absolute floor), the finest
+    eigenvalues must match the algebraic law within rtol, and the lowest
     eigenfunctions must decay below decay_tol at both walls.  A failed
     decay check yields INCONCLUSIVE regardless of the spectral match.
     """
     validate_config(cfg)
     points_used = tuple(max(100, cfg.points // f) for f in sorted(refine, reverse=True))
     refine_table: dict[int, np.ndarray] = {}
-    for pts in points_used[:-1]:
-        refine_table[pts] = np.asarray(pdm_spectrum(replace(cfg, points=pts), count=count))
-    # the finest grid gives its eigenvalues and the decay check's vectors
-    finest_cfg = replace(cfg, points=points_used[-1])
-    refine_table[points_used[-1]], vecs = pdm_spectrum(finest_cfg, count=count,
-                                                       vectors=True)
+    refine_residuals: dict[int, np.ndarray] = {}
+    near = None
+    for i, pts in enumerate(points_used):
+        # the finest grid gives its eigenvalues and the decay check's vectors
+        got = pdm_spectrum(replace(cfg, points=pts), count=count,
+                           vectors=i == len(points_used) - 1, near=near,
+                           residuals=True)
+        near = refine_table[pts] = got[0]
+        refine_residuals[pts] = got[-1]
+    vecs = got[1]
 
     levels = [refine_table[pts] for pts in points_used]
     convergence_ok = True
@@ -213,7 +298,8 @@ def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
         status = "FAIL"
     return PdmReport(config=cfg, points_used=points_used, eigenvalues=finest,
                      predicted=predicted, rel_errors=rel_errors,
-                     refine_table=refine_table, convergence_ok=convergence_ok,
+                     refine_table=refine_table, refine_residuals=refine_residuals,
+                     convergence_ok=convergence_ok,
                      boundary_decay=decay, status=status)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su11metric import SwansonParams, cli, spectrum_prediction
+from su11metric import SwansonParams, cli, pdm, spectrum_prediction
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
 
@@ -310,6 +310,27 @@ class TestPdmCommand:
                                    "--beta", "0.1", *walls)
             assert code == 1, walls
             assert parse_table(out)["status"] == "INCONCLUSIVE", walls
+
+    def test_fine_grid_anchor_passes(self, capsys):
+        # ||T|| = 6.8e11 on this grid: a bisection to ulp*||T|| put e0 1.1e-4
+        # off and failed the refinement check; the certified e0 is that of a
+        # bisection to 2*tiny
+        code, out, _ = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+                               "--beta", "0.1", "--z", "0", "--points", "8000")
+        assert code == 0
+        rows = parse_table(out)
+        assert rows["convergence"] == "ok" and rows["status"] == "PASS"
+        e0 = float(rows["e0"].split()[0])
+        assert abs(e0 - 0.479582209874) <= 1e-10 * 0.479582209874
+
+    @pytest.mark.parametrize("flag", [("--x-max", "300"), ("--x-min", "-600")])
+    def test_uncertified_grids_print_the_bisection(self, capsys, monkeypatch, flag):
+        # no level of these wide grids is certified, so the report is the
+        # plain bisection's, byte for byte
+        argv = ("pdm", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", *flag)
+        certified = run_cli(capsys, *argv)
+        monkeypatch.setattr(pdm, "_certified", lambda *args: None)
+        assert run_cli(capsys, *argv) == certified
 
     @pytest.mark.parametrize("flag", [("--s", "50"), ("--x-max", "2000"),
                                       ("--x-min", "-2000"), ("--x-max", "inf")])

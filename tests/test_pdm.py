@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 
 from su11metric import InvalidParams, SwansonParams
-from su11metric.pdm import (PdmConfig, _interior_grid, boundary_decay,
+from su11metric import pdm
+from su11metric.pdm import (PdmConfig, _h_tridiag, _interior_grid, boundary_decay,
                             effective_potential, mass_profile, pdm_generators,
                             pdm_spectrum, predicted_spectrum, run_pdm_check,
                             validate_config)
@@ -90,7 +93,8 @@ class TestSpectralCheck:
         assert boundary_decay(vecs) == 0.75
         report = run_pdm_check(CFG)
         finest = replace(CFG, points=report.points_used[-1])
-        _, vecs = pdm_spectrum(finest, count=3, vectors=True)
+        near = report.refine_table[report.points_used[-2]]
+        _, vecs = pdm_spectrum(finest, count=3, vectors=True, near=near)
         assert boundary_decay(vecs) == report.boundary_decay
 
     def test_constant_mass_limit(self):
@@ -109,6 +113,79 @@ class TestSpectralCheck:
         vals = predicted_spectrum(P, 3)
         assert np.allclose(vals, [0.47958315233127197, 1.438749456993816,
                                   2.39791576165636], rtol=1e-14)
+
+
+class TestCertifiedChain:
+    """Each level refines the coarser level's values by inverse iteration
+    and certifies them; bisection seeds the coarsest level."""
+
+    @staticmethod
+    def _dense_tridiag(cfg):
+        diag, off, _, _ = _h_tridiag(cfg)
+        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+    @pytest.mark.parametrize("z", [-0.9, 0.0, 0.8])
+    def test_values_match_tight_bisection(self, z):
+        # the default bisection tolerance ulp*||T|| costs 1e-4 at 8000
+        # points; the certified values match a bisection to 2*tiny
+        for points in (2000, 8000):
+            report = run_pdm_check(replace(CFG, z=z, points=points))
+            for pts in report.points_used:
+                diag, off, _, _ = _h_tridiag(replace(CFG, z=z, points=pts))
+                exact = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                         select_range=(0, 2),
+                                         tol=2.0 * np.finfo(float).tiny)
+                rel = np.abs(report.refine_table[pts] - exact) / exact
+                assert rel.max() <= 1e-11, (z, pts, rel)
+                resid = report.refine_residuals[pts]
+                assert np.all(resid <= 1e-9 * exact), (z, pts, resid)
+
+    def test_coarser_values_skip_the_bisection(self, monkeypatch):
+        near = pdm_spectrum(replace(CFG, points=500))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bisected although the shifts certify")
+
+        monkeypatch.setattr(pdm, "eigh_tridiagonal", refuse)
+        vals, resid = pdm_spectrum(replace(CFG, points=1000), near=near,
+                                   residuals=True)
+        assert np.all(resid <= 1e-9 * vals)
+
+    def test_boundary_decay_matches_dense_eigh(self):
+        cfg = replace(CFG, points=400)
+        report = run_pdm_check(cfg)
+        _, vecs = scipy.linalg.eigh(self._dense_tridiag(cfg), subset_by_index=(0, 2))
+        dense = boundary_decay(vecs)
+        assert abs(report.boundary_decay - dense) <= 1e-10 * dense
+        assert report.status == "PASS"
+
+    def test_shifts_one_level_up_fail_the_certificate(self):
+        # shifts at the 2nd-4th eigenvalues certify three eigenvalues, but
+        # the Sturm count finds four below them: the solve falls back to
+        # bisection and still returns the lowest three
+        cfg = replace(CFG, points=1000)
+        diag, off, _, _ = _h_tridiag(cfg)
+        lowest4 = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                   select_range=(0, 3),
+                                   tol=2.0 * np.finfo(float).tiny)
+        assert pdm._certified(diag, off, lowest4[1:], 3) is None
+        vals, resid = pdm_spectrum(cfg, near=lowest4[1:], residuals=True)
+        assert np.allclose(vals, lowest4[:3], rtol=1e-11, atol=0.0)
+        assert np.isfinite(resid).all()
+        assert np.array_equal(vals, pdm_spectrum(cfg))
+
+    def test_uncertified_grid_keeps_the_bisection(self):
+        # 2 s max|x| = 300: the residuals cannot separate the intervals, so
+        # every level keeps the plain bisection's values, residuals inf
+        cfg = replace(CFG, x_max=300.0)
+        report = run_pdm_check(cfg)
+        for pts in report.points_used:
+            diag, off, _, _ = _h_tridiag(replace(cfg, points=pts))
+            plain = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                     select_range=(0, 2))
+            assert np.array_equal(report.refine_table[pts], plain)
+            assert np.isinf(report.refine_residuals[pts]).all()
+        assert report.status == "INCONCLUSIVE"
 
 
 class TestGenerators:
