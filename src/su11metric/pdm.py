@@ -191,7 +191,7 @@ def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int
     top = theta + resid
     if not (np.isfinite(top).all() and np.all(theta[1:] - resid[1:] > top[:-1])):
         return None
-    # range "V": the eigenvalues in (-inf, top[-1]]; a huge abstol stops
+    # range "V": the eigenvalues in (-inf, top[-1]]; an infinite abstol stops
     # the bisection at once, so only the count is formed
     found, *_, info = dstebz(diag, off, 1, -np.inf, top[-1], 0, 0, np.inf, "E")
     if info != 0 or not found == theta.size == count:

@@ -119,11 +119,6 @@ class TestCertifiedChain:
     """Each level refines the coarser level's values by inverse iteration
     and certifies them; bisection seeds the coarsest level."""
 
-    @staticmethod
-    def _dense_tridiag(cfg):
-        diag, off, _, _ = _h_tridiag(cfg)
-        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
     @pytest.mark.parametrize("z", [-0.9, 0.0, 0.8])
     def test_values_match_tight_bisection(self, z):
         # the default bisection tolerance ulp*||T|| costs 1e-4 at 8000
@@ -154,7 +149,9 @@ class TestCertifiedChain:
     def test_boundary_decay_matches_dense_eigh(self):
         cfg = replace(CFG, points=400)
         report = run_pdm_check(cfg)
-        _, vecs = scipy.linalg.eigh(self._dense_tridiag(cfg), subset_by_index=(0, 2))
+        diag, off, _, _ = _h_tridiag(cfg)
+        dense_h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        _, vecs = scipy.linalg.eigh(dense_h, subset_by_index=(0, 2))
         dense = boundary_decay(vecs)
         assert abs(report.boundary_decay - dense) <= 1e-10 * dense
         assert report.status == "PASS"
