@@ -199,34 +199,41 @@ def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int
     return theta, q, resid
 
 
-def pdm_spectrum(cfg: PdmConfig, count: int = 3, vectors: bool = False,
-                 near: np.ndarray | None = None, residuals: bool = False):
-    """Lowest `count` eigenvalues of the grid h, certified where possible.
+def _bisect(diag: np.ndarray, off: np.ndarray, count: int, eigvals_only: bool):
+    """eigh_tridiagonal's lowest `count` eigenvalues (and vectors), at its
+    default tolerance; NoConvergence where it fails."""
+    try:
+        return eigh_tridiagonal(diag, off, eigvals_only=eigvals_only,
+                                select="i", select_range=(0, count - 1))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"grid eigensolve failed: {exc}") from exc
+
+
+def pdm_spectrum(cfg: PdmConfig, count: int = 3,
+                 near: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, vectors, residuals) of the lowest `count` eigenpairs of the
+    grid h, certified where possible.
 
     `near` holds approximate eigenvalues, such as a coarser grid's; the
     solve refines them (see _certified).  Without `near`, or where their
     certificate fails, bisection gives the shifts for the same refinement.
-    Where that is not certified either, the bisection's values (and
-    vectors) are returned as they are, with residuals inf.
+    Where that is not certified either, the bisection's values and vectors
+    are returned as they are, with residuals inf.  The residuals are the
+    norms ||T q - theta q|| of the vector columns.
 
-    Returns the values, then the vectors if `vectors`, then the residual
-    norms ||T q - theta q|| if `residuals`; values alone as an array.
     NoConvergence where the bisection fails (a diagonal too wide in range).
     """
     diag, off, _, _ = _h_tridiag(cfg)
     got = None if near is None else _certified(diag, off, near, count)
     if got is None:
-        try:
-            plain = eigh_tridiagonal(diag, off, eigvals_only=not vectors,
-                                     select="i", select_range=(0, count - 1))
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"grid eigensolve failed: {exc}") from exc
-        vals, vecs = plain if vectors else (plain, None)
-        got = (_certified(diag, off, vals, count)
-               or (vals, vecs, np.full(vals.size, np.inf)))
-    vals, vecs, resid = got
-    out = (vals,) + ((vecs,) if vectors else ()) + ((resid,) if residuals else ())
-    return out if len(out) > 1 else vals
+        # the bisection's vectors are wanted only where its values do not
+        # certify; the coarsest level of every check passes through here
+        got = _certified(diag, off, _bisect(diag, off, count, True), count)
+    if got is None:
+        vals, vecs = _bisect(diag, off, count, False)
+        got = vals, vecs, np.full(count, np.inf)
+    return got
 
 
 def predicted_spectrum(p: SwansonParams, count: int = 3) -> np.ndarray:
@@ -268,14 +275,11 @@ def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
     refine_table: dict[int, np.ndarray] = {}
     refine_residuals: dict[int, np.ndarray] = {}
     near = None
-    for i, pts in enumerate(points_used):
-        # the finest grid gives its eigenvalues and the decay check's vectors
-        got = pdm_spectrum(replace(cfg, points=pts), count=count,
-                           vectors=i == len(points_used) - 1, near=near,
-                           residuals=True)
-        near = refine_table[pts] = got[0]
-        refine_residuals[pts] = got[-1]
-    vecs = got[1]
+    for pts in points_used:
+        # the finest grid's vectors are the ones the decay check reads
+        vals, vecs, refine_residuals[pts] = pdm_spectrum(
+            replace(cfg, points=pts), count=count, near=near)
+        near = refine_table[pts] = vals
 
     levels = [refine_table[pts] for pts in points_used]
     convergence_ok = True

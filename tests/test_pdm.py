@@ -22,7 +22,7 @@ CFG = PdmConfig(params=P)
 
 class TestConfig:
     def test_defaults_valid(self):
-        vals = pdm_spectrum(CFG)
+        vals = pdm_spectrum(CFG)[0]
         assert vals.shape == (3,) and np.isfinite(vals).all()
 
     def test_invalid(self):
@@ -47,7 +47,7 @@ class TestConfig:
         # 2 s max|x| = 600 is representable; the spectrum takes it
         wide = replace(CFG, x_min=-600.0)
         assert validate_config(wide) is wide
-        assert np.isfinite(pdm_spectrum(wide)).all()
+        assert np.isfinite(pdm_spectrum(wide)[0]).all()
 
     def test_mass_positive(self):
         x = np.linspace(CFG.x_min, CFG.x_max, 500)
@@ -67,7 +67,7 @@ class TestSpectralCheck:
         assert report.convergence_ok
 
     def test_half_integer_law(self):
-        vals = pdm_spectrum(replace(CFG, points=1500), count=3)
+        vals = pdm_spectrum(replace(CFG, points=1500), count=3)[0]
         expect = math.sqrt(0.92) * (np.arange(3) + 0.5)
         assert np.abs(vals - expect).max() / expect[0] < 0.01
 
@@ -94,7 +94,7 @@ class TestSpectralCheck:
         report = run_pdm_check(CFG)
         finest = replace(CFG, points=report.points_used[-1])
         near = report.refine_table[report.points_used[-2]]
-        _, vecs = pdm_spectrum(finest, count=3, vectors=True, near=near)
+        _, vecs, _ = pdm_spectrum(finest, count=3, near=near)
         assert boundary_decay(vecs) == report.boundary_decay
 
     def test_constant_mass_limit(self):
@@ -136,14 +136,13 @@ class TestCertifiedChain:
                 assert np.all(resid <= 1e-9 * exact), (z, pts, resid)
 
     def test_coarser_values_skip_the_bisection(self, monkeypatch):
-        near = pdm_spectrum(replace(CFG, points=500))
+        near = pdm_spectrum(replace(CFG, points=500))[0]
 
         def refuse(*args, **kwargs):
             raise AssertionError("bisected although the shifts certify")
 
         monkeypatch.setattr(pdm, "eigh_tridiagonal", refuse)
-        vals, resid = pdm_spectrum(replace(CFG, points=1000), near=near,
-                                   residuals=True)
+        vals, _, resid = pdm_spectrum(replace(CFG, points=1000), near=near)
         assert np.all(resid <= 1e-9 * vals)
 
     def test_boundary_decay_matches_dense_eigh(self):
@@ -166,10 +165,10 @@ class TestCertifiedChain:
                                    select_range=(0, 3),
                                    tol=2.0 * np.finfo(float).tiny)
         assert pdm._certified(diag, off, lowest4[1:], 3) is None
-        vals, resid = pdm_spectrum(cfg, near=lowest4[1:], residuals=True)
+        vals, _, resid = pdm_spectrum(cfg, near=lowest4[1:])
         assert np.allclose(vals, lowest4[:3], rtol=1e-11, atol=0.0)
         assert np.isfinite(resid).all()
-        assert np.array_equal(vals, pdm_spectrum(cfg))
+        assert np.array_equal(vals, pdm_spectrum(cfg)[0])
 
     def test_uncertified_grid_keeps_the_bisection(self):
         # 2 s max|x| = 300: the residuals cannot separate the intervals, so
