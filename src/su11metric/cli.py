@@ -302,7 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, default=3.0, help="integration constant")
     sp.add_argument("--x-min", type=float, default=-4.0)
     sp.add_argument("--x-max", type=float, default=14.0)
-    sp.add_argument("--points", type=int, default=2000)
+    sp.add_argument("--points", type=int, default=2000,
+                    help="finest grid's interior points, at least 400: the "
+                         "check also solves points/4 and points/2 (default 2000)")
     _add_output_flag(sp)
     sp.set_defaults(func=cmd_pdm)
 

@@ -15,11 +15,12 @@ enough out that the low eigenfunctions decay below a threshold at both
 walls, and a run whose decay check fails is reported INCONCLUSIVE rather
 than passed.
 
-The grid is solved at three refinement levels, coarse to fine.  Each
-level refines the coarser level's eigenvalues by inverse iteration and
-certifies them: disjoint residual intervals around the Rayleigh
-quotients, and a Sturm count that finds no other eigenvalue below them.
-Bisection seeds the coarsest level and any level whose certificate fails.
+The grid is solved at three refinement levels, coarse to fine.  The
+coarsest level refines the algebraic law's values by inverse iteration,
+and each finer level the coarser level's eigenvalues; every level is
+certified: disjoint residual intervals around the Rayleigh quotients, and
+a Sturm count that finds no other eigenvalue below them.  Only a level
+whose certificate fails falls back to bisection.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ if TYPE_CHECKING:
 
 DECAY_TOL = 1e-8
 LOG_MAX = math.log(np.finfo(float).max)
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -138,12 +140,11 @@ def _h_tridiag(cfg: PdmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, floa
     """
     validate_config(cfg)
     x, dx = _interior_grid(cfg)
-    m_right = mass_profile(cfg, x + dx / 2.0)
-    m_left = mass_profile(cfg, x - dx / 2.0)
-    w_right = 1.0 / (2.0 * m_right * dx * dx)
-    w_left = 1.0 / (2.0 * m_left * dx * dx)
-    diag = w_right + w_left + effective_potential(cfg, x)
-    off = -w_right[:-1]
+    # flux weights at the n + 1 half points x_min + dx*(k + 1/2)
+    half = cfg.x_min + dx * (np.arange(cfg.points + 1) + 0.5)
+    w = 1.0 / (2.0 * mass_profile(cfg, half) * dx * dx)
+    diag = w[1:] + w[:-1] + effective_potential(cfg, x)
+    off = -w[1:-1]
     return diag, off, x, dx
 
 
@@ -164,7 +165,10 @@ def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int
     converge too.  With r = ||T q - theta q|| each [theta - r, theta + r]
     holds an eigenvalue; if the intervals are disjoint and a Sturm count
     finds exactly `count` eigenvalues up to the top one, each interval holds
-    exactly one and together they are the lowest `count`.
+    exactly one and together they are the lowest `count`.  theta is off by
+    about r^2 / gap, so r must also be below sqrt(eps) of the top theta.
+    From shifts far off, such as the algebraic law on a grid whose walls
+    cut the eigenfunctions, r stays near 1e-3 of theta and theta 1e-6 off.
     """
     n = diag.size
     shifts = np.asarray(shifts, dtype=float)
@@ -189,7 +193,8 @@ def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int
     theta = np.einsum("ij,ij->j", q, tq)
     resid = np.linalg.norm(tq - theta * q, axis=0)
     top = theta + resid
-    if not (np.isfinite(top).all() and np.all(theta[1:] - resid[1:] > top[:-1])):
+    if not (np.isfinite(top).all() and np.all(theta[1:] - resid[1:] > top[:-1])
+            and resid.max() <= SQRT_EPS * np.abs(theta).max()):
         return None
     # range "V": the eigenvalues in (-inf, top[-1]]; an infinite abstol stops
     # the bisection at once, so only the count is formed
@@ -215,12 +220,13 @@ def pdm_spectrum(cfg: PdmConfig, count: int = 3,
     """(values, vectors, residuals) of the lowest `count` eigenpairs of the
     grid h, certified where possible.
 
-    `near` holds approximate eigenvalues, such as a coarser grid's; the
-    solve refines them (see _certified).  Without `near`, or where their
-    certificate fails, bisection gives the shifts for the same refinement.
-    Where that is not certified either, the bisection's values and vectors
-    are returned as they are, with residuals inf.  The residuals are the
-    norms ||T q - theta q|| of the vector columns.
+    `near` holds approximate eigenvalues, such as a coarser grid's or the
+    algebraic law's; the solve refines them (see _certified).  Without
+    `near`, or where their certificate fails, bisection gives the shifts
+    for the same refinement.  Where that is not certified either, the
+    bisection's values and vectors are returned as they are, with
+    residuals inf.  The residuals are the norms ||T q - theta q|| of the
+    vector columns.
 
     NoConvergence where the bisection fails (a diagonal too wide in range).
     """
@@ -228,7 +234,7 @@ def pdm_spectrum(cfg: PdmConfig, count: int = 3,
     got = None if near is None else _certified(diag, off, near, count)
     if got is None:
         # the bisection's vectors are wanted only where its values do not
-        # certify; the coarsest level of every check passes through here
+        # certify
         got = _certified(diag, off, _bisect(diag, off, count, True), count)
     if got is None:
         vals, vecs = _bisect(diag, off, count, False)
@@ -250,11 +256,8 @@ def predicted_spectrum(p: SwansonParams, count: int = 3) -> np.ndarray:
 def boundary_decay(vecs: np.ndarray) -> float:
     """Largest relative wall amplitude among the eigenfunctions that are
     the columns of `vecs` (grid values, walls at the first and last row)."""
-    worst = 0.0
-    for i in range(vecs.shape[1]):
-        v = np.abs(vecs[:, i])
-        worst = max(worst, max(v[0], v[-1]) / v.max())
-    return worst
+    amp = np.abs(vecs)
+    return float((amp[[0, -1]].max(axis=0) / amp.max(axis=0)).max())
 
 
 def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
@@ -263,18 +266,27 @@ def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
     """Run the documented refinement protocol and classify the outcome.
 
     The grid is solved at cfg.points divided by each refinement factor
-    (coarse to fine), each level refining and certifying the eigenvalues of
-    the level before it (see pdm_spectrum); successive eigenvalue changes
+    (coarse to fine); these levels must be distinct grids of at least 100
+    points, so the default factors need 400 points (else InvalidParams).
+    The coarsest level refines the algebraic law's values and each finer
+    level those of the level before it (see pdm_spectrum); the certificate,
+    not the seed, makes them the grid's own lowest eigenvalues, so their
+    match with the law is not circular.  Successive eigenvalue changes
     must shrink by at least 2x (or sit below an absolute floor), the finest
     eigenvalues must match the algebraic law within rtol, and the lowest
     eigenfunctions must decay below decay_tol at both walls.  A failed
     decay check yields INCONCLUSIVE regardless of the spectral match.
     """
     validate_config(cfg)
-    points_used = tuple(max(100, cfg.points // f) for f in sorted(refine, reverse=True))
+    points_used = tuple(cfg.points // f for f in sorted(refine, reverse=True))
+    if points_used[0] < 100 or any(b <= a for a, b in zip(points_used, points_used[1:])):
+        raise InvalidParams(f"the refinement check needs at least {100 * max(refine)} "
+                            f"grid points (got {cfg.points}): its levels "
+                            f"{', '.join(map(str, points_used))} must be distinct "
+                            "grids of 100 points or more")
     refine_table: dict[int, np.ndarray] = {}
     refine_residuals: dict[int, np.ndarray] = {}
-    near = None
+    near = predicted = predicted_spectrum(cfg.params, count=count)
     for pts in points_used:
         # the finest grid's vectors are the ones the decay check reads
         vals, vecs, refine_residuals[pts] = pdm_spectrum(
@@ -290,7 +302,6 @@ def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
             convergence_ok = False
 
     finest = levels[-1]
-    predicted = predicted_spectrum(cfg.params, count=count)
     rel_errors = np.abs(finest - predicted) / np.abs(predicted)
     decay = boundary_decay(vecs)
 

@@ -323,6 +323,20 @@ class TestPdmCommand:
         e0 = float(rows["e0"].split()[0])
         assert abs(e0 - 0.479582209874) <= 1e-10 * 0.479582209874
 
+    @pytest.mark.parametrize("points", ["100", "200", "399", "400"])
+    def test_refinement_levels_need_400_points(self, capsys, points):
+        # below 400 points the levels points/4, points/2 and points would
+        # repeat a 100-point grid or fall under it
+        code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+                                 "--beta", "0.1", "--points", points)
+        if points == "400":
+            assert code == 0
+            assert [name for name in parse_table(out) if name.startswith("refine_")] \
+                == ["refine_100", "refine_200", "refine_400"]
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "at least 400 grid points" in err
+
     @pytest.mark.parametrize("flag", [("--x-max", "300"), ("--x-min", "-600")])
     def test_uncertified_grids_print_the_bisection(self, capsys, monkeypatch, flag):
         # no level of these wide grids is certified, so the report is the

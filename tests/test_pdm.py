@@ -116,17 +116,21 @@ class TestSpectralCheck:
 
 
 class TestCertifiedChain:
-    """Each level refines the coarser level's values by inverse iteration
-    and certifies them; bisection seeds the coarsest level."""
+    """The coarsest level refines the algebraic law's values by inverse
+    iteration, each finer level the coarser level's, and every level is
+    certified; bisection seeds only a level whose certificate fails."""
 
     @pytest.mark.parametrize("z", [-0.9, 0.0, 0.8])
     def test_values_match_tight_bisection(self, z):
         # the default bisection tolerance ulp*||T|| costs 1e-4 at 8000
-        # points; the certified values match a bisection to 2*tiny
-        for points in (2000, 8000):
-            report = run_pdm_check(replace(CFG, z=z, points=points))
+        # points; the certified values match a bisection to 2*tiny.  On the
+        # narrow walls the grid's values sit far above the law, so the seed
+        # is poor, and the values must still be the grid's own
+        for cfg in (replace(CFG, z=z, points=2000), replace(CFG, z=z, points=8000),
+                    replace(CFG, z=z, x_min=-2.0, x_max=2.0, points=400)):
+            report = run_pdm_check(cfg)
             for pts in report.points_used:
-                diag, off, _, _ = _h_tridiag(replace(CFG, z=z, points=pts))
+                diag, off, _, _ = _h_tridiag(replace(cfg, points=pts))
                 exact = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                          select_range=(0, 2),
                                          tol=2.0 * np.finfo(float).tiny)
@@ -134,6 +138,18 @@ class TestCertifiedChain:
                 assert rel.max() <= 1e-11, (z, pts, rel)
                 resid = report.refine_residuals[pts]
                 assert np.all(resid <= 1e-9 * exact), (z, pts, resid)
+
+    @pytest.mark.parametrize("z", [-0.9, 0.0, 0.8])
+    def test_default_protocol_never_bisects(self, monkeypatch, z):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bisected although the law's values certify")
+
+        monkeypatch.setattr(pdm, "eigh_tridiagonal", refuse)
+        for points in (2000, 8000):
+            report = run_pdm_check(replace(CFG, z=z, points=points))
+            assert report.status == "PASS", (z, points, report.status)
+            for resid in report.refine_residuals.values():
+                assert np.isfinite(resid).all(), (z, points, resid)
 
     def test_coarser_values_skip_the_bisection(self, monkeypatch):
         near = pdm_spectrum(replace(CFG, points=500))[0]
