@@ -1,19 +1,18 @@
 """Position-dependent-mass realization on a finite-difference grid.
 
-The generating function g(x) = -exp(-s*x)/s turns the oscillator ladder
-operators into first-order differential operators with an exponentially
-varying mass.  The Hermitian equivalent then reads
+The generating function g(x) = -exp(-s*x)/s turns the su(1,1) generators
+into differential operators K0, K+- (pdm_generators).  The Hermitian
+equivalent h = c0 K0 + c (K+ + K-) of hermitian_equivalent is the same
+combination of the grid generators, whose drifts cancel:
 
-    h = -1/2 d/dx (1/m(x)) d/dx + V_eff(x)
-    m(x) = exp(-2*s*x) / (2*mu*omega)
-    V_eff(x) = -(3/4)*mu*omega*s^2*exp(2*s*x)
-               + (nu/omega) * (-exp(-s*x)/(2*s) + tau)^2
+    h = mu*omega * (F + curv) + (nu/omega) * (g/2 + tau)^2,
+    F = -d/dx (1/g'^2) d/dx,  curv = -(3/4)*s^2*exp(2*s*x),
 
-whose low spectrum must follow sqrt(omega^2 - 4*alpha*beta) * (m + 1/2).
-The operators live on the full line; here Dirichlet walls are imposed far
-enough out that the low eigenfunctions decay below a threshold at both
-walls, and a run whose decay check fails is reported INCONCLUSIVE rather
-than passed.
+from the pointwise terms both share (_grid_terms).  Its mass form
+-1/2 d/dx (1/m) d/dx + V_eff, m = exp(-2*s*x)/(2*mu*omega), is the tests'
+oracle.  The low spectrum must follow sqrt(omega^2 - 4*alpha*beta)(n + 1/2).
+Dirichlet walls stand far enough out that the low eigenfunctions decay
+below a threshold at both; a run whose decay check fails is INCONCLUSIVE.
 
 The grid is solved at three refinement levels, coarse to fine.  The
 coarsest level refines the algebraic law's values by inverse iteration,
@@ -39,7 +38,11 @@ from .metric import SwansonParams, mu_nu, validate_params
 if TYPE_CHECKING:
     from scipy.sparse import dia_array
 
-DECAY_TOL = 1e-8
+# run_pdm_check's protocol
+COUNT = 3             # eigenvalues checked
+RTOL = 0.01           # their tolerance against the law
+DECAY_TOL = 1e-8      # the eigenfunctions' relative amplitude at the walls
+REFINE = (4, 2, 1)    # the grid levels: points // factor, coarse to fine
 LOG_MAX = math.log(np.finfo(float).max)
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -111,41 +114,42 @@ def _interior_grid(cfg: PdmConfig) -> tuple[np.ndarray, float]:
     return x, dx
 
 
-def mass_profile(cfg: PdmConfig, x: np.ndarray) -> np.ndarray:
-    """m(x) = exp(-2 s x) / (2 mu omega); positive on any grid."""
-    mu, _ = mu_nu(cfg.params, cfg.z)
-    if mu <= 0.0:
-        raise InvalidParams(f"mass prefactor requires mu > 0 (got mu = {mu:g})")
-    return np.exp(-2.0 * cfg.s * x) / (2.0 * mu * cfg.params.omega)
+def _grid_terms(cfg: PdmConfig):
+    """(x, dx, w, curv, well, drift, tilt): the pointwise terms of the grid
+    generators for g(x) = -exp(-s x)/s, so g' = exp(-s x) and g'' = -s g'.
+    w, the flux weights of F = -d/dx (1/g'^2) d/dx, sits at the n + 1 half
+    points x_min + dx (k + 1/2); the others at the n interior nodes x.
 
-
-def effective_potential(cfg: PdmConfig, x: np.ndarray) -> np.ndarray:
-    mu, nu = mu_nu(cfg.params, cfg.z)
-    om = cfg.params.omega
-    well = -np.exp(-cfg.s * x) / (2.0 * cfg.s) + cfg.tau
-    v = -0.75 * mu * om * cfg.s ** 2 * np.exp(2.0 * cfg.s * x) + (nu / om) * well ** 2
-    if not np.isfinite(v).all():
-        raise InvalidParams("effective potential is not finite on the grid; "
-                            "shrink the domain or the exponent s")
-    return v
-
-
-def _h_tridiag(cfg: PdmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Diagonal and offdiagonal of the flux-form discretization.
-
-    (T u)_i = -1/2 [ (u_{i+1}-u_i)/(m_{i+1/2} dx^2)
-                     - (u_i-u_{i-1})/(m_{i-1/2} dx^2) ]  + V_i u_i
-
-    with Dirichlet conditions at both walls; symmetric by construction.
+    w      1/(g'^2 dx^2)
+    curv   g'''/(2 g'^3) - (5/4) g''^2/g'^4 = -(3/4) s^2 / g'^2
+    well   g/2 + tau
+    drift  (g + 2 tau)/g'
+    tilt   (g''/g'^2)(g/2 + tau)
     """
     validate_config(cfg)
     x, dx = _interior_grid(cfg)
-    # flux weights at the n + 1 half points x_min + dx*(k + 1/2)
+    s = cfg.s
     half = cfg.x_min + dx * (np.arange(cfg.points + 1) + 0.5)
-    w = 1.0 / (2.0 * mass_profile(cfg, half) * dx * dx)
-    diag = w[1:] + w[:-1] + effective_potential(cfg, x)
-    off = -w[1:-1]
-    return diag, off, x, dx
+    w = np.exp(2.0 * s * half) / (dx * dx)
+    gp = np.exp(-s * x)
+    well = -0.5 * gp / s + cfg.tau
+    return x, dx, w, -0.75 * s * s / (gp * gp), well, 2.0 * well / gp, -s / gp * well
+
+
+def _h_tridiag(cfg: PdmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Diagonal and offdiagonal of h = mu omega (F + curv) + (nu/omega) well^2
+    (see _grid_terms), the combination c0 K0 + c (K+ + K-) of the grid
+    generators, with Dirichlet walls; symmetric by construction."""
+    x, dx, w, curv, well, _, _ = _grid_terms(cfg)
+    mu, nu = mu_nu(cfg.params, cfg.z)
+    if mu <= 0.0:
+        raise InvalidParams(f"mass prefactor requires mu > 0 (got mu = {mu:g})")
+    mw = mu * cfg.params.omega
+    diag = mw * (w[1:] + w[:-1] + curv) + (nu / cfg.params.omega) * well ** 2
+    if not np.isfinite(diag).all():
+        raise InvalidParams("effective potential is not finite on the grid; "
+                            "shrink the domain or the exponent s")
+    return diag, -mw * w[1:-1], x, dx
 
 
 def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -204,12 +208,11 @@ def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int
     return theta, q, resid
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, count: int, eigvals_only: bool):
-    """eigh_tridiagonal's lowest `count` eigenvalues (and vectors), at its
+def _bisect(diag: np.ndarray, off: np.ndarray, count: int):
+    """eigh_tridiagonal's lowest `count` eigenvalues and vectors, at its
     default tolerance; NoConvergence where it fails."""
     try:
-        return eigh_tridiagonal(diag, off, eigvals_only=eigvals_only,
-                                select="i", select_range=(0, count - 1))
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"grid eigensolve failed: {exc}") from exc
 
@@ -233,12 +236,9 @@ def pdm_spectrum(cfg: PdmConfig, count: int = 3,
     diag, off, _, _ = _h_tridiag(cfg)
     got = None if near is None else _certified(diag, off, near, count)
     if got is None:
-        # the bisection's vectors are wanted only where its values do not
-        # certify
-        got = _certified(diag, off, _bisect(diag, off, count, True), count)
-    if got is None:
-        vals, vecs = _bisect(diag, off, count, False)
-        got = vals, vecs, np.full(count, np.inf)
+        vals, vecs = _bisect(diag, off, count)
+        got = (_certified(diag, off, vals, count)
+               or (vals, vecs, np.full(count, np.inf)))
     return got
 
 
@@ -260,54 +260,51 @@ def boundary_decay(vecs: np.ndarray) -> float:
     return float((amp[[0, -1]].max(axis=0) / amp.max(axis=0)).max())
 
 
-def run_pdm_check(cfg: PdmConfig, count: int = 3, rtol: float = 0.01,
-                  decay_tol: float = DECAY_TOL,
-                  refine: tuple[int, ...] = (4, 2, 1)) -> PdmReport:
+def run_pdm_check(cfg: PdmConfig) -> PdmReport:
     """Run the documented refinement protocol and classify the outcome.
 
-    The grid is solved at cfg.points divided by each refinement factor
+    The grid is solved at cfg.points divided by each factor of REFINE
     (coarse to fine); these levels must be distinct grids of at least 100
-    points, so the default factors need 400 points (else InvalidParams).
+    points, so the check needs 400 points (else InvalidParams).
     The coarsest level refines the algebraic law's values and each finer
     level those of the level before it (see pdm_spectrum); the certificate,
     not the seed, makes them the grid's own lowest eigenvalues, so their
-    match with the law is not circular.  Successive eigenvalue changes
-    must shrink by at least 2x (or sit below an absolute floor), the finest
-    eigenvalues must match the algebraic law within rtol, and the lowest
-    eigenfunctions must decay below decay_tol at both walls.  A failed
-    decay check yields INCONCLUSIVE regardless of the spectral match.
+    match with the law is not circular.  Every level must be certified and
+    successive eigenvalue changes must shrink by at least 2x (or sit below
+    an absolute floor), the finest COUNT eigenvalues must match the
+    algebraic law within RTOL, and the lowest eigenfunctions must decay
+    below DECAY_TOL at both walls.  A failed decay check yields
+    INCONCLUSIVE regardless of the spectral match.
     """
     validate_config(cfg)
-    points_used = tuple(cfg.points // f for f in sorted(refine, reverse=True))
-    if points_used[0] < 100 or any(b <= a for a, b in zip(points_used, points_used[1:])):
-        raise InvalidParams(f"the refinement check needs at least {100 * max(refine)} "
+    points_used = tuple(cfg.points // f for f in REFINE)
+    if points_used[0] < 100:
+        raise InvalidParams(f"the refinement check needs at least {100 * REFINE[0]} "
                             f"grid points (got {cfg.points}): its levels "
                             f"{', '.join(map(str, points_used))} must be distinct "
                             "grids of 100 points or more")
     refine_table: dict[int, np.ndarray] = {}
     refine_residuals: dict[int, np.ndarray] = {}
-    near = predicted = predicted_spectrum(cfg.params, count=count)
+    near = predicted = predicted_spectrum(cfg.params, count=COUNT)
     for pts in points_used:
         # the finest grid's vectors are the ones the decay check reads
         vals, vecs, refine_residuals[pts] = pdm_spectrum(
-            replace(cfg, points=pts), count=count, near=near)
+            replace(cfg, points=pts), count=COUNT, near=near)
         near = refine_table[pts] = vals
 
     levels = [refine_table[pts] for pts in points_used]
-    convergence_ok = True
-    for a, b, c in zip(levels, levels[1:], levels[2:]):
-        d_coarse = np.abs(b - a)
-        d_fine = np.abs(c - b)
-        if not np.all(d_fine <= np.maximum(0.5 * d_coarse, 1e-10)):
-            convergence_ok = False
+    # an uncertified level (residuals inf) may hold bisection noise
+    convergence_ok = all(np.isfinite(r).all() for r in refine_residuals.values()) and all(
+        np.all(np.abs(c - b) <= np.maximum(0.5 * np.abs(b - a), 1e-10))
+        for a, b, c in zip(levels, levels[1:], levels[2:]))
 
     finest = levels[-1]
     rel_errors = np.abs(finest - predicted) / np.abs(predicted)
     decay = boundary_decay(vecs)
 
-    if decay > decay_tol:
+    if decay > DECAY_TOL:
         status = "INCONCLUSIVE"
-    elif np.all(rel_errors <= rtol) and convergence_ok:
+    elif np.all(rel_errors <= RTOL) and convergence_ok:
         status = "PASS"
     else:
         status = "FAIL"
@@ -322,38 +319,21 @@ def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOper
     """Finite-difference (K0, Kp, Km) built from the generating function,
     each a tridiagonal DIA array: no N x N array is formed.
 
-    K0 = 1/2 [ -d/dx (1/g'^2) d/dx + g'''/(2 g'^3) - (5/4) g''^2/g'^4
-               + (g/2 + tau)^2 ]
-    K+- = 1/2 [ +d/dx (1/g'^2) d/dx -+ (1/g')(g + 2 tau) d/dx
-                - g'''/(2 g'^3) + (5/4) g''^2/g'^4
-                +- (g''/g'^2)(g/2 + tau) + (g/2 + tau)^2 -+ 1/2 ]
+    K0 = 1/2 [ F + curv + well^2 ]
+    K+- = 1/2 [ -F -+ drift d/dx - curv +- tilt + well^2 -+ 1/2 ]
 
-    K0 is discretized with the symmetric flux stencil; the first-order
-    terms use central differences, so discrete adjointness of Kp and Km
-    holds only up to the grid resolution (checked under refinement).
+    with F, curv, well, drift and tilt the terms of _grid_terms.  F is the
+    symmetric flux stencil; d/dx is the central difference, so discrete
+    adjointness of Kp and Km holds only up to the grid resolution (checked
+    under refinement).
     """
     from scipy.sparse import dia_array
 
-    validate_config(cfg)
-    x, dx = _interior_grid(cfg)
-    s = cfg.s
-    if 4.0 * s * max(abs(cfg.x_min), abs(cfg.x_max)) >= LOG_MAX:
-        raise InvalidParams("the curvature term's g'^4 = e^(-4 s x) overflows "
-                            "on the grid; shrink the domain or the exponent s")
-    e = np.exp(-s * x)
-    g, gp, gpp, gppp = -e / s, e, -s * e, s * s * e
-    half_g_tau = 0.5 * g + cfg.tau
-
-    # flux operator F = -d/dx (1/g'^2) d/dx: f_diag, and -w on both sides
-    w_right = np.exp(2.0 * s * (x + dx / 2.0)) / (dx * dx)
-    f_diag = w_right + np.exp(2.0 * s * (x - dx / 2.0)) / (dx * dx)
-    w = w_right[:-1]
-
-    curv = gppp / (2.0 * gp ** 3) - 1.25 * gpp ** 2 / gp ** 4
+    x, dx, w, curv, well, drift, tilt = _grid_terms(cfg)
+    # flux operator F: f_diag, and -w on both sides
+    f_diag, w = w[1:] + w[:-1], w[1:-1]
     # drift times the central difference: +-step[i] on node i's neighbors
-    step = ((g + 2.0 * cfg.tau) / gp) * (1.0 / (2.0 * dx))
-    tilt = (gpp / gp ** 2) * half_g_tau
-
+    step = drift * (1.0 / (2.0 * dx))
     n = len(x)
 
     def grid_op(lower, main, upper):
@@ -362,10 +342,10 @@ def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOper
         data[0, :-1], data[1], data[2, 1:] = lower, main, upper
         return GridOperator(dia_array((data, (-1, 0, 1)), shape=(n, n)), x, dx)
 
-    return (grid_op(-0.5 * w, 0.5 * (f_diag + (curv + half_g_tau ** 2)), -0.5 * w),
+    return (grid_op(-0.5 * w, 0.5 * (f_diag + (curv + well ** 2)), -0.5 * w),
             grid_op(0.5 * (w + step[1:]),
-                    0.5 * (-f_diag + (-curv + tilt + half_g_tau ** 2 - 0.5)),
+                    0.5 * (-f_diag + (-curv + tilt + well ** 2 - 0.5)),
                     0.5 * (w - step[:-1])),
             grid_op(0.5 * (w - step[1:]),
-                    0.5 * (-f_diag + (-curv - tilt + half_g_tau ** 2 + 0.5)),
+                    0.5 * (-f_diag + (-curv - tilt + well ** 2 + 0.5)),
                     0.5 * (w + step[:-1])))

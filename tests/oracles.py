@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from su11metric import (AlgebraElement, DecompositionSingular, Factorization,
-                        InvalidParams, RealizationMatrices, solve_epsilon)
+                        InvalidParams, RealizationMatrices, mu_nu, solve_epsilon)
 from su11metric.core import PIVOT_TOL
 
 SIGMA_K0 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
@@ -267,6 +267,35 @@ def radial_k0_lowest(L: float, omega: float = 1.0, r_max: float = 14.0,
     off = np.full(points - 1, -1.0 / dr ** 2 / (4.0 * omega))
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
                             eigvals_only=True)
+
+
+def mass_profile(cfg, x: np.ndarray) -> np.ndarray:
+    """PDM mass m(x) = exp(-2 s x) / (2 mu omega), for a PdmConfig."""
+    mu, _ = mu_nu(cfg.params, cfg.z)
+    return np.exp(-2.0 * cfg.s * x) / (2.0 * mu * cfg.params.omega)
+
+
+def effective_potential(cfg, x: np.ndarray) -> np.ndarray:
+    """PDM potential V_eff(x) = -(3/4) mu omega s^2 exp(2 s x)
+    + (nu/omega) (-exp(-s x)/(2 s) + tau)^2, for a PdmConfig."""
+    mu, nu = mu_nu(cfg.params, cfg.z)
+    om = cfg.params.omega
+    well = -np.exp(-cfg.s * x) / (2.0 * cfg.s) + cfg.tau
+    return -0.75 * mu * om * cfg.s ** 2 * np.exp(2.0 * cfg.s * x) + (nu / om) * well ** 2
+
+
+def pdm_flux_form(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, offdiagonal) of the mass form h = -1/2 d/dx (1/m) d/dx + V_eff
+    on the interior nodes of a PdmConfig's grid, Dirichlet walls:
+
+        (h u)_i = -1/2 [ (u_{i+1} - u_i)/m_{i+1/2} - (u_i - u_{i-1})/m_{i-1/2} ] / dx^2
+                  + V_i u_i
+    """
+    dx = (cfg.x_max - cfg.x_min) / (cfg.points + 1)
+    x = cfg.x_min + dx * np.arange(1, cfg.points + 1)
+    half = cfg.x_min + dx * (np.arange(cfg.points + 1) + 0.5)
+    w = 1.0 / (2.0 * mass_profile(cfg, half) * dx * dx)
+    return w[1:] + w[:-1] + effective_potential(cfg, x), -w[1:-1]
 
 
 def chain_spectrum(x, realization, count):

@@ -357,6 +357,16 @@ class TestPdmCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    def test_negative_mu_exit_2(self, capsys):
+        # an admissible z where mu < 0: h is minus an oscillator and the
+        # grid has no positive mass, so the check is refused
+        code, out, err = run_cli(capsys, "pdm", "--omega", "1",
+                                 "--alpha", "0.7543218246483239",
+                                 "--beta", "-2.6068268445611213",
+                                 "--z", "-0.9995320885425871")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "mu > 0" in err
+
     @pytest.mark.parametrize("x_max", ["500", "650", "700"])
     def test_unconverged_grid_exit_3(self, capsys, x_max):
         # the grid's terms fit in a double, but its diagonal spans more
