@@ -17,9 +17,8 @@ below a threshold at both; a run whose decay check fails is INCONCLUSIVE.
 The grid is solved at three refinement levels, coarse to fine.  The
 coarsest level refines the algebraic law's values by inverse iteration,
 and each finer level the coarser level's eigenvalues; every level is
-certified: disjoint residual intervals around the Rayleigh quotients, and
-a Sturm count that finds no other eigenvalue below them.  Only a level
-whose certificate fails falls back to bisection.
+certified by verification._certify, the realization chains' certificate.
+Only a level whose certificate fails falls back to bisection.
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz, dstein
+from scipy.linalg.lapack import dgtsv, dstein
 
-from .errors import InvalidParams, NoConvergence
+from .errors import InvalidParams
 from .metric import SwansonParams, mu_nu, validate_params
+from .verification import _bisect, _certify, _tri_mul, spectrum_prediction
 
 if TYPE_CHECKING:
     from scipy.sparse import dia_array
@@ -44,7 +43,6 @@ RTOL = 0.01           # their tolerance against the law
 DECAY_TOL = 1e-8      # the eigenfunctions' relative amplitude at the walls
 REFINE = (4, 2, 1)    # the grid levels: points // factor, coarse to fine
 LOG_MAX = math.log(np.finfo(float).max)
-SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -152,27 +150,16 @@ def _h_tridiag(cfg: PdmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, floa
     return diag, -mw * w[1:-1], x, dx
 
 
-def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """T @ vecs for the symmetric tridiagonal T = (diag, off)."""
-    out = diag[:, None] * vecs
-    out[:-1] += off[:, None] * vecs[1:]
-    out[1:] += off[:, None] * vecs[:-1]
-    return out
-
-
 def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int):
     """(values, vectors, residuals) of the lowest `count` eigenpairs, refined
     from `shifts` and certified; None where any step or the certificate fails.
 
     Inverse iteration (dstein) from the shifts gives vectors q and Rayleigh
     quotients theta; one more step at each theta lets the tiny wall entries
-    converge too.  With r = ||T q - theta q|| each [theta - r, theta + r]
-    holds an eigenvalue; if the intervals are disjoint and a Sturm count
-    finds exactly `count` eigenvalues up to the top one, each interval holds
-    exactly one and together they are the lowest `count`.  theta is off by
-    about r^2 / gap, so r must also be below sqrt(eps) of the top theta.
-    From shifts far off, such as the algebraic law on a grid whose walls
-    cut the eigenfunctions, r stays near 1e-3 of theta and theta 1e-6 off.
+    converge too.  The residuals r = ||T q - theta q|| then certify theta
+    (see verification._certify).  From shifts far off, such as the
+    algebraic law on a grid whose walls cut the eigenfunctions, r stays
+    near 1e-3 of theta, above the certificate's sqrt(eps) bound.
     """
     n = diag.size
     shifts = np.asarray(shifts, dtype=float)
@@ -196,25 +183,7 @@ def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int
     tq = _tri_mul(diag, off, q)
     theta = np.einsum("ij,ij->j", q, tq)
     resid = np.linalg.norm(tq - theta * q, axis=0)
-    top = theta + resid
-    if not (np.isfinite(top).all() and np.all(theta[1:] - resid[1:] > top[:-1])
-            and resid.max() <= SQRT_EPS * np.abs(theta).max()):
-        return None
-    # range "V": the eigenvalues in (-inf, top[-1]]; an infinite abstol stops
-    # the bisection at once, so only the count is formed
-    found, *_, info = dstebz(diag, off, 1, -np.inf, top[-1], 0, 0, np.inf, "E")
-    if info != 0 or not found == theta.size == count:
-        return None
-    return theta, q, resid
-
-
-def _bisect(diag: np.ndarray, off: np.ndarray, count: int):
-    """eigh_tridiagonal's lowest `count` eigenvalues and vectors, at its
-    default tolerance; NoConvergence where it fails."""
-    try:
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"grid eigensolve failed: {exc}") from exc
+    return (theta, q, resid) if _certify(diag, off, theta, resid, count) else None
 
 
 def pdm_spectrum(cfg: PdmConfig, count: int = 3,
@@ -240,17 +209,6 @@ def pdm_spectrum(cfg: PdmConfig, count: int = 3,
         got = (_certified(diag, off, vals, count)
                or (vals, vecs, np.full(count, np.inf)))
     return got
-
-
-def predicted_spectrum(p: SwansonParams, count: int = 3) -> np.ndarray:
-    """Full-line law sqrt(omega^2 - 4*alpha*beta) * (m + 1/2).
-
-    The exponential-mass realization carries the whole one-boson algebra
-    (both parity sectors), hence the half-integer ladder.
-    """
-    validate_params(p)
-    freq = np.sqrt(p.omega ** 2 - 4.0 * p.alpha * p.beta)
-    return freq * (np.arange(count) + 0.5)
 
 
 def boundary_decay(vecs: np.ndarray) -> float:
@@ -285,7 +243,9 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
                             "grids of 100 points or more")
     refine_table: dict[int, np.ndarray] = {}
     refine_residuals: dict[int, np.ndarray] = {}
-    near = predicted = predicted_spectrum(cfg.params, count=COUNT)
+    # the law on the one-boson algebra's two chains, k = 1/4 and 3/4
+    near = predicted = np.sort(np.concatenate(
+        [spectrum_prediction(cfg.params, k, COUNT) for k in (0.25, 0.75)]))[:COUNT]
     for pts in points_used:
         # the finest grid's vectors are the ones the decay check reads
         vals, vecs, refine_residuals[pts] = pdm_spectrum(

@@ -69,32 +69,83 @@ class OperatorBundle:
 # eigh_tridiagonal's bisection: 2 tiny absolute tolerance (LAPACK's value
 # for the most accurate eigenvalues) and, inside LAPACK, 2 ulp relative
 _TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
+_SQRT_EPS = math.sqrt(_EPS)
 
 
-def _bisect(d: np.ndarray, e: np.ndarray, count: int, vectors: bool):
+def _bisect(diag: np.ndarray, off: np.ndarray, count: int, tol: float = 0.0):
+    """eigh_tridiagonal's lowest `count` eigenvalues and vectors of the
+    symmetric tridiagonal (diag, off), bisected to absolute tolerance `tol`
+    (0 takes LAPACK's default, ulp ||T||); NoConvergence where it fails."""
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i",
-                            tol=2.0 * _TINY, select_range=(0, count - 1))
+    try:
+        return eigh_tridiagonal(diag, off, select="i", tol=tol,
+                                select_range=(0, count - 1))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
 
 
-def _cut_holds(c0: float, c: float, k0: np.ndarray, kp: np.ndarray,
-               d: np.ndarray, e: np.ndarray, w: np.ndarray, u: np.ndarray) -> bool:
-    """Whether the lowest pairs (w, u) of the leading m = d.size states of
-    the chain c0 k0 + c (Kp + Km) are those of the whole chain, to the
-    bisection's tolerance; see _low_eigs."""
-    m = d.size
-    tol = 2.0 * (_TINY + _EPS * np.abs(w))
-    slope = c0 - 2.0 * abs(c)
-    floor = slope * (k0[m] if slope >= 0.0 else k0[-1])
-    if not floor > w[-1]:
+def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """T @ vecs for the symmetric tridiagonal T = (diag, off)."""
+    out = diag[:, None] * vecs
+    out[:-1] += off[:, None] * vecs[1:]
+    out[1:] += off[:, None] * vecs[:-1]
+    return out
+
+
+def _certify(diag: np.ndarray, off: np.ndarray, theta: np.ndarray,
+             resid: np.ndarray, count: int,
+             tail: tuple[float, float] | None = None) -> bool:
+    """Whether the ascending theta are the lowest `count` eigenvalues of
+    the symmetric tridiagonal T = (diag, off), each within
+    rho_i = max(resid_i, tau_i), tau_i = 2 tiny + 2 eps |theta_i|, or with
+    `tail` those of a chain that continues past T: the one eigenvalue
+    certificate of the realization chains and of the PDM grid.
+
+    resid_i = ||T u_i - theta_i u_i|| for a unit vector u_i, so
+    [theta_i - rho_i, theta_i + rho_i] holds an eigenvalue.  tau_i is the
+    width to which dstebz itself bisects theta_i: a count at theta_i plus a
+    smaller residual falls inside the count's own rounding and may miss
+    theta_i.  If every theta_i + rho_i is finite, the intervals are
+    disjoint and a Sturm count (dstebz) finds exactly `count` eigenvalues
+    up to top = theta_count + rho_count, each interval holds exactly one
+    and together they are the lowest `count`.  theta is off by about
+    resid^2 / gap, so max resid <= sqrt(eps) max |theta| is required too.
+
+    With tail = (link, floor), T is the leading block A of a chain
+    [[A, link E], [link E^T, B]], E joining A's last state to B's first,
+    resid is the residual in the whole chain and floor is a lower bound of
+    B's spectrum.  floor must lie above top, and a second count must find
+    `count` up to top in A with its last diagonal entry lowered by
+    link^2 / (floor - top).  For x = top < floor, B - x is positive
+    definite, so by Haynsworth's inertia formula the chain has as many
+    eigenvalues below x as S = A - x - link^2 [(B - x)^-1]_00 E_(m-1, m-1)
+    has negative ones.  The corner term lies in (0, link^2 / (floor - x)],
+    so S lies between the lowered A - x and A - x, whose counts bound S's.
+    """
+    from scipy.linalg.lapack import dstebz
+
+    rho = np.maximum(resid, 2.0 * (_TINY + _EPS * np.abs(theta)))
+    top = theta + rho
+    if not (theta.size == count and np.isfinite(top).all()
+            and np.all(theta[1:] - rho[1:] > top[:-1])
+            and resid.max() <= _SQRT_EPS * np.abs(theta).max()):
         return False
-    link = c * kp[m - 1]
-    if not np.all(np.abs(link * u[-1]) <= tol):
+
+    def holds(d):
+        # range "V": the eigenvalues in (-inf, top]; an infinite abstol
+        # stops the bisection at once, so only the count is formed
+        found, *_, info = dstebz(d, off, 1, -np.inf, top[-1], 0, 0, np.inf, "E")
+        return info == 0 and found == count
+
+    if tail is None:
+        return holds(diag)
+    link, floor = tail
+    if not (floor > top[-1] and holds(diag)):
         return False
-    lowered = d.copy()
-    lowered[-1] -= link * (link / (floor - w[-1]))
-    return bool(np.all(w - _bisect(lowered, e, w.size, False) <= tol))
+    lowered = diag.copy()
+    lowered[-1] -= link * (link / (floor - top[-1]))
+    return holds(lowered)
 
 
 def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
@@ -105,37 +156,21 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     dimension yields all of them; zero yields none.
 
     x couples each state only to the states band away, so the states of
-    each class modulo band form a tridiagonal chain T, which is bisected
-    for its lowest pairs (eigenvalues and eigenvectors by one call, in
-    memory that grows with the states read).  Only the leading m states of
-    a chain are read: m starts at 2 count + 32 and doubles until the cut
-    holds or m covers the chain, which is then bisected whole.  With A the
-    leading m x m block, B the states past m, e = c kp[m - 1] the one link
-    between them, and (theta_i, u_i) the wanted pairs of A, the cut holds
-    when
-
-      tail guard  g > theta_count, where g = (c0 - 2|c|) min k0 over B is
-                  a Gershgorin lower bound of B's spectrum: along a chain
-                  k0 rises by 1 per state and K+ <= K0 + 1/2;
-      residual    |e u_i[m - 1]| <= tau_i, the bisection's tolerance
-                  2 tiny + 2 eps |theta_i|: that is the residual of u_i,
-                  zero-padded past m, in T;
-      bracket     theta_i - theta'_i <= tau_i, for theta'_i the values of
-                  A with its last diagonal entry lowered by e^2/(g - theta_count).
-
-    The guard and the bracket make each value that of the whole chain
-    within tau_i.  For x <= theta_count < g, B - x is positive definite,
-    so by Haynsworth's inertia formula T has as many eigenvalues below x
-    as its Schur complement A - x - e^2 [(B - x)^-1]_00 E_(m-1, m-1) has
-    negative ones; the corner term lies in (0, e^2/(g - theta_count)], and
-    lowering a diagonal entry only adds eigenvalues below x, so
-    theta'_i <= lambda_i(T) <= theta_i (the right side is Cauchy
-    interlacing).  An elliptic x (c0 > 2|c|, a rotated oscillator, as h
-    is) has low eigenvectors that fall off by about t = 2|c|/(c0 + Omega),
-    Omega = sqrt(c0^2 - 4 c^2), per state along every chain, so its cut
-    holds after a number of states that does not grow with N; for any
-    other x (-K0, hyperbolic or parabolic elements) the guard fails and
-    the whole chain is solved.
+    each class modulo band form a tridiagonal chain, bisected to 2 tiny for
+    its lowest pairs (values and vectors by one call).  Only the leading m
+    states of a chain are read: m starts at 2 count + 32 and doubles until
+    the cut holds or m covers the chain.  The cut holds when the one link
+    e = c kp[m - 1] past it leaves each wanted vector u_i nearly unmoved,
+    |e u_i[m - 1]| <= 2 tiny + 2 eps |theta_i|, so that u_i zero-padded
+    past m is the vector returned, and _certify certifies the pairs from
+    the residuals of the padded vectors with tail (e, g), for the
+    Gershgorin floor g = (c0 - 2|c|) min k0 past m: along a chain k0 rises
+    by 1 per state and K+ <= K0 + 1/2.  An elliptic x (c0 > 2|c|, a rotated
+    oscillator, as h is) has low eigenvectors that fall off by about
+    t = 2|c|/(c0 + Omega), Omega = sqrt(c0^2 - 4 c^2), per state along
+    every chain, so its cut holds after a number of states that does not
+    grow with N; for any other x (-K0, hyperbolic or parabolic elements) g
+    lies below the values and the whole chain is solved.
     """
     if count < 0:
         raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
@@ -146,25 +181,30 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     if count == 0:
         return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
     c0, c = x.c0.real, x.cm.real
+    slope = c0 - 2.0 * abs(c)
     w, q = [], []
-    try:
-        for ch in range(min(band, n)):
-            k0 = realization.k0_diag[ch::band]
-            kp = realization.kp_band[ch::band]
-            want = min(count, k0.size)
-            m = min(k0.size, 2 * want + 32)
-            while True:
-                d, e = c0 * k0[:m], c * kp[:m - 1]
-                wc, vc = _bisect(d, e, want, True)
-                if m == k0.size or _cut_holds(c0, c, k0, kp, d, e, wc, vc):
-                    break
-                m = min(k0.size, 2 * m)
-            if vectors:
-                q.append(np.zeros((n, wc.size)))
-                q[-1][ch:ch + band * m:band] = vc
-            w.append(wc)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
+    for ch in range(min(band, n)):
+        k0 = realization.k0_diag[ch::band]
+        kp = realization.kp_band[ch::band]
+        want = min(count, k0.size)
+        m = min(k0.size, 2 * want + 32)
+        while True:
+            d, e = c0 * k0[:m], c * kp[:m - 1]
+            wc, vc = _bisect(d, e, want, 2.0 * _TINY)
+            if m == k0.size:
+                break
+            link = c * kp[m - 1]
+            spill = np.abs(link * vc[-1])
+            resid = np.hypot(np.linalg.norm(_tri_mul(d, e, vc) - wc * vc, axis=0), spill)
+            floor = slope * (k0[m] if slope >= 0.0 else k0[-1])
+            if (np.all(spill <= 2.0 * (_TINY + _EPS * np.abs(wc)))
+                    and _certify(d, e, wc, resid, want, (link, floor))):
+                break
+            m = min(k0.size, 2 * m)
+        if vectors:
+            q.append(np.zeros((n, wc.size)))
+            q[-1][ch:ch + band * m:band] = vc
+        w.append(wc)
     w = np.concatenate(w)
     lowest = np.argsort(w, kind="stable")[:count]
     return (w[lowest], np.hstack(q)[:, lowest]) if vectors else w[lowest]
@@ -414,10 +454,9 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
 
     The spectrum is the lowest `spectrum_count` eigenvalues (default
     trusted // 2, at least 1; all N if more are asked) of h, from its
-    coefficients and the realization's bands.  h is elliptic, so each
-    chain is solved on its leading states alone (see _low_eigs), and each
-    value is that of the whole chain to the bisection's tolerance.  The
-    nine spectral norms of the matrix residuals come from one stacked SVD.
+    coefficients and the realization's bands: h is elliptic, so each chain
+    is solved on its leading states alone and certified (_low_eigs,
+    _certify).  The nine spectral norms come from one stacked SVD.
     """
     validate_params(p)
     n = realization.dim
@@ -476,13 +515,13 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
     lowest `count` pairs (all N if more are asked).  H vanishes outside
     its band, so this reads only phi[:R], R = T + band: H acts on those R
     states as a band shift (realizations.apply), and psi comes from the
-    band's tridiagonal chains, each solved on its leading states and zero
-    past them (_low_eigs: the residual of psi in the whole of h is below
-    the bisection's tolerance).  Of rho^{-1} only the R rows and the
-    columns up to the last state a retained component of psi reaches are
-    formed, so their count follows the decay of psi, not N; columns whose
-    antinormal sums do not complete within the N states are summed to N,
-    not made inf (see materialize_metric_root).  A pair whose phi[:R] or
+    band's tridiagonal chains, each solved on its leading states, zero
+    past them and certified in the whole of h (_low_eigs, _certify).  Of
+    rho^{-1} only the R rows and the columns up to the last state a
+    retained component of psi reaches are formed, so their count follows
+    the decay of psi, not N; columns whose antinormal sums do not complete
+    within the N states are summed to N, not made inf (see
+    materialize_metric_root).  A pair whose phi[:R] or
     residual is not finite gets inf, never NaN.  Components of psi below
     the eigensolver's noise floor are zeroed first: they carry no
     information and rho^{-1} can amplify them exponentially.  The

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from su11metric import SwansonParams, cli, pdm, spectrum_prediction
+from su11metric import (NoConvergence, SwansonParams, cli, discrete_series,
+                        hermitian_equivalent, pdm, spectrum_prediction,
+                        verification)
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
 
@@ -377,6 +380,24 @@ class TestPdmCommand:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_failed_bisection_is_no_convergence(self, capsys, monkeypatch):
+        # the chains and the grid share one bisection and its error path;
+        # --x-max 300 certifies no level, so the grid bisects
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("stebz did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        with pytest.raises(NoConvergence, match="stebz did not converge"):
+            verification._low_eigs(hermitian_equivalent(SwansonParams(1.0, 0.2, 0.1), 0.4),
+                                   discrete_series(0.25, 100), 3)
+        with pytest.raises(NoConvergence, match="stebz did not converge"):
+            pdm.pdm_spectrum(pdm.PdmConfig(params=SwansonParams(1.0, 0.2, 0.1),
+                                           points=400))
+        code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+                                 "--beta", "0.1", "--x-max", "300")
+        assert (code, out) == (3, "")
+        assert err == "error: tridiagonal eigensolve failed: stebz did not converge\n"
+
 
 class TestPublicApi:
     def test_names_pinned(self):
@@ -441,6 +462,24 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy.sparse")),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 [] True"
+
+    @pytest.mark.parametrize("module, scipy_loaded", [("su11metric.verification", False),
+                                                      ("su11metric.pdm", True)])
+    def test_scipy_loads_with_pdm_alone(self, module, scipy_loaded):
+        # the certificate and the bisection import scipy when they run, so
+        # the verification module loads without it; pdm imports it at the
+        # top for its inverse iteration
+        script = f"""
+import sys
+import {module}
+print(any(m.split(".")[0] == "scipy" for m in sys.modules), file=sys.stderr)
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == str(scipy_loaded)
 
 
 class TestParsing:

@@ -10,10 +10,10 @@ from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
 from su11metric import InvalidParams, SwansonParams, hermitian_equivalent, is_admissible
-from su11metric import pdm
+from su11metric import pdm, verification
 from su11metric.pdm import (PdmConfig, _grid_terms, _h_tridiag, _interior_grid,
                             boundary_decay, pdm_generators, pdm_spectrum,
-                            predicted_spectrum, run_pdm_check, validate_config)
+                            run_pdm_check, validate_config)
 
 from oracles import pdm_flux_form
 
@@ -171,7 +171,7 @@ class TestSpectralCheck:
         assert report.rel_errors.max() < 0.01
 
     def test_predicted_spectrum_values(self):
-        vals = predicted_spectrum(P, 3)
+        vals = run_pdm_check(replace(CFG, points=400)).predicted
         assert np.allclose(vals, [0.47958315233127197, 1.438749456993816,
                                   2.39791576165636], rtol=1e-14)
 
@@ -205,7 +205,7 @@ class TestCertifiedChain:
         def refuse(*args, **kwargs):
             raise AssertionError("bisected although the law's values certify")
 
-        monkeypatch.setattr(pdm, "eigh_tridiagonal", refuse)
+        monkeypatch.setattr(pdm, "_bisect", refuse)
         for points in (2000, 8000):
             report = run_pdm_check(replace(CFG, z=z, points=points))
             assert report.status == "PASS", (z, points, report.status)
@@ -218,7 +218,7 @@ class TestCertifiedChain:
         def refuse(*args, **kwargs):
             raise AssertionError("bisected although the shifts certify")
 
-        monkeypatch.setattr(pdm, "eigh_tridiagonal", refuse)
+        monkeypatch.setattr(pdm, "_bisect", refuse)
         vals, _, resid = pdm_spectrum(replace(CFG, points=1000), near=near)
         assert np.all(resid <= 1e-9 * vals)
 
@@ -233,14 +233,16 @@ class TestCertifiedChain:
         assert report.status == "PASS"
 
     def test_shifts_one_level_up_fail_the_certificate(self):
-        # shifts at the 2nd-4th eigenvalues certify three eigenvalues, but
-        # the Sturm count finds four below them: the solve falls back to
-        # bisection and still returns the lowest three
+        # the 2nd-4th eigenvalues, even with residuals 0, are three disjoint
+        # intervals, but the Sturm count finds four up to them: the solve
+        # falls back to bisection and still returns the lowest three
         cfg = replace(CFG, points=1000)
         diag, off, _, _ = _h_tridiag(cfg)
         lowest4 = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                    select_range=(0, 3),
                                    tol=2.0 * np.finfo(float).tiny)
+        assert not verification._certify(diag, off, lowest4[1:], np.zeros(3), 3)
+        assert verification._certify(diag, off, lowest4[:3], np.zeros(3), 3)
         assert pdm._certified(diag, off, lowest4[1:], 3) is None
         vals, _, resid = pdm_spectrum(cfg, near=lowest4[1:])
         assert np.allclose(vals, lowest4[:3], rtol=1e-11, atol=0.0)

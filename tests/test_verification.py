@@ -95,6 +95,64 @@ def _cut_cases():
     return cases
 
 
+class TestCertificate:
+    # verification._certify on small chains whose spectra are known: a
+    # diagonal block A = diag(1, 2, 3), continued by one state b past a
+    # link for the tail cases
+
+    A = np.array([1.0, 2.0, 3.0])
+
+    @staticmethod
+    def chain_below_one(link, b):
+        # eigenvalues of the whole chain below A's lowest, 1
+        full = np.diag([1.0, 2.0, 3.0, b])
+        full[2, 3] = full[3, 2] = link
+        return int(np.sum(np.linalg.eigvalsh(full) < 1.0))
+
+    def test_overlapping_intervals_fail(self):
+        # eigenvalues 1 and 1 + 1e-9: residuals 4e-10 separate them, 1e-9
+        # do not, though the count up to the top one finds exactly two
+        d, e = np.array([1.0, 1.0 + 1e-9, 3.0]), np.zeros(2)
+        assert verification._certify(d, e, d[:2], np.full(2, 4e-10), 2)
+        assert not verification._certify(d, e, d[:2], np.full(2, 1e-9), 2)
+
+    def test_floor_at_or_below_top_fails(self):
+        # b = 0.9 lies below theta = 1: the chain's lowest value is about
+        # 0.9, and a floor below the top would raise A's corner instead of
+        # lowering it
+        assert self.chain_below_one(0.1, 0.9) == 1
+        for floor in (0.9, 1.0):
+            assert not verification._certify(self.A, np.zeros(2), self.A[:1],
+                                             np.zeros(1), 1, (0.1, floor))
+
+    def test_lowered_corner_adding_a_value_fails(self):
+        # with b = 1.6 and link 1.5 the chain's lowest value is 0.645, not
+        # A's 1: the lowered corner, 3 - 1.5^2/0.6, falls below the top;
+        # with link 0.5 the chain's lowest value is A's, and it certifies
+        assert self.chain_below_one(1.5, 1.6) == 1
+        assert self.chain_below_one(0.5, 1.6) == 0
+        assert not verification._certify(self.A, np.zeros(2), self.A[:1],
+                                         np.zeros(1), 1, (1.5, 1.6))
+        assert verification._certify(self.A, np.zeros(2), self.A[:1],
+                                     np.zeros(1), 1, (0.5, 1.6))
+
+    def test_bisected_values_certify_with_zero_residual(self):
+        # the values of a chain's first cut, bisected to 2 tiny, certify
+        # with residual 0: the intervals are at least as wide as the
+        # bisection's own tolerance, and so the count's rounding
+        tiny = np.finfo(float).tiny
+        for r in (discrete_series(0.25, 300), oscillator_full(300)):
+            for z in Z_GRID:
+                x = hermitian_equivalent(P, z)
+                for count in (1, 5, 25):
+                    m = 2 * count + 32
+                    d = x.c0.real * r.k0_diag[::r.band][:m]
+                    e = x.cm.real * r.kp_band[::r.band][:m - 1]
+                    w, _ = verification._bisect(d, e, count, 2.0 * tiny)
+                    assert verification._certify(d, e, w, np.zeros(count), count), \
+                        (r.kind, z, count)
+
+
 class TestChainCut:
     # _low_eigs solves each chain on its leading states; the oracle
     # bisects every chain in full
@@ -146,6 +204,17 @@ class TestChainCut:
         w = verification._low_eigs(AlgebraElement(-1.0, 0.0, 0.0),
                                    discrete_series(0.25, 100), 1)
         assert w[0] == -99.25
+
+    def test_cut_stays_at_the_first_length(self):
+        # h at the base point certifies on each chain's first cut, the
+        # leading 2 count + 32 states: no returned vector reaches past it
+        for r in (discrete_series(0.25, 300), oscillator_full(300)):
+            for z in Z_GRID:
+                for count in (1, 5, 25):
+                    _, q = verification._low_eigs(hermitian_equivalent(P, z), r,
+                                                  count, vectors=True)
+                    reach = np.flatnonzero(q.any(axis=1)).max()
+                    assert reach < r.band * (2 * count + 32), (r.kind, z, count, reach)
 
     def test_tail_count_reads_a_prefix(self):
         # the count of terms found on a doubling prefix is the first one
