@@ -11,7 +11,7 @@ verify, sweep and pdm load it on their first solve.
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over
 tolerance or a failed/inconclusive check, 2 invalid parameters or
-inadmissible z, 3 numerical failure.
+inadmissible z, 3 numerical failure or an uncertified PDM grid level.
 """
 
 from __future__ import annotations
@@ -185,8 +185,7 @@ def cmd_sweep(args) -> int:
             ok = ok and bundle.residuals[name] <= tols[name]
         values = [z, sol.epsilon, sol.mu, sol.nu, sol.mu * sol.nu,
                   sol.u, sol.v, sol.w]
-        values += [bundle.residuals[name] for name in
-                   ("r_herm", "r_eq10", "r_intertwine", "r_quasi", "r_commute")]
+        values += [bundle.residuals[name] for name in RESIDUAL_TOLS]
         values += list(bundle.spectrum_h[:5])
         lines.append(",".join(_fmt(v) for v in values))
     sys.stdout.write("\n".join(lines) + "\n")

@@ -18,7 +18,8 @@ The grid is solved at three refinement levels, coarse to fine.  The
 coarsest level refines the algebraic law's values by inverse iteration,
 and each finer level the coarser level's eigenvalues; every level is
 certified by verification._certify, the realization chains' certificate.
-Only a level whose certificate fails falls back to bisection.
+A level whose seeds fail it refines the bisection's values instead, and
+one that is not certified even then raises NoConvergence.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dstein
 
-from .errors import InvalidParams
+from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, mu_nu, validate_params
 from .verification import _bisect, _certify, _tri_mul, spectrum_prediction
 
@@ -78,7 +79,7 @@ class PdmReport:
     predicted: np.ndarray
     rel_errors: np.ndarray
     refine_table: dict[int, np.ndarray] = field(default_factory=dict)
-    # ||T q - theta q|| per level; inf where the level is not certified
+    # ||T q - theta q|| per level, from its certificate
     refine_residuals: dict[int, np.ndarray] = field(default_factory=dict)
     convergence_ok: bool = False
     boundary_decay: float = float("nan")
@@ -190,24 +191,22 @@ def pdm_spectrum(cfg: PdmConfig, count: int = 3,
                  near: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, vectors, residuals) of the lowest `count` eigenpairs of the
-    grid h, certified where possible.
+    grid h, certified, with residuals ||T q - theta q|| of the vectors q.
 
     `near` holds approximate eigenvalues, such as a coarser grid's or the
     algebraic law's; the solve refines them (see _certified).  Without
-    `near`, or where their certificate fails, bisection gives the shifts
-    for the same refinement.  Where that is not certified either, the
-    bisection's values and vectors are returned as they are, with
-    residuals inf.  The residuals are the norms ||T q - theta q|| of the
-    vector columns.
-
-    NoConvergence where the bisection fails (a diagonal too wide in range).
+    `near`, or where their certificate fails, it refines the bisection's
+    values.  NoConvergence, naming the grid's points and its diagonal's
+    range, where these do not certify either or the bisection fails.
     """
     diag, off, _, _ = _h_tridiag(cfg)
     got = None if near is None else _certified(diag, off, near, count)
     if got is None:
-        vals, vecs = _bisect(diag, off, count)
-        got = (_certified(diag, off, vals, count)
-               or (vals, vecs, np.full(count, np.inf)))
+        got = _certified(diag, off, _bisect(diag, off, count)[0], count)
+    if got is None:
+        raise NoConvergence(
+            f"the {cfg.points}-point grid's lowest {count} eigenvalues cannot be "
+            f"certified (its diagonal spans {diag.min():.3g} to {diag.max():.3g})")
     return got
 
 
@@ -227,11 +226,11 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
     The coarsest level refines the algebraic law's values and each finer
     level those of the level before it (see pdm_spectrum); the certificate,
     not the seed, makes them the grid's own lowest eigenvalues, so their
-    match with the law is not circular.  Every level must be certified and
-    successive eigenvalue changes must shrink by at least 2x (or sit below
-    an absolute floor), the finest COUNT eigenvalues must match the
-    algebraic law within RTOL, and the lowest eigenfunctions must decay
-    below DECAY_TOL at both walls.  A failed decay check yields
+    match with the law is not circular.  Every level is certified (else
+    NoConvergence), successive eigenvalue changes must shrink by at least
+    2x (or sit below an absolute floor), the finest COUNT eigenvalues must
+    match the algebraic law within RTOL, and the lowest eigenfunctions
+    must decay below DECAY_TOL at both walls.  A failed decay check yields
     INCONCLUSIVE regardless of the spectral match.
     """
     validate_config(cfg)
@@ -253,8 +252,7 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
         near = refine_table[pts] = vals
 
     levels = [refine_table[pts] for pts in points_used]
-    # an uncertified level (residuals inf) may hold bisection noise
-    convergence_ok = all(np.isfinite(r).all() for r in refine_residuals.values()) and all(
+    convergence_ok = all(
         np.all(np.abs(c - b) <= np.maximum(0.5 * np.abs(b - a), 1e-10))
         for a, b, c in zip(levels, levels[1:], levels[2:]))
 

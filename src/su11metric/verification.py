@@ -72,14 +72,15 @@ _TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 _SQRT_EPS = math.sqrt(_EPS)
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, count: int, tol: float = 0.0):
+def _bisect(diag: np.ndarray, off: np.ndarray, count: int):
     """eigh_tridiagonal's lowest `count` eigenvalues and vectors of the
-    symmetric tridiagonal (diag, off), bisected to absolute tolerance `tol`
-    (0 takes LAPACK's default, ulp ||T||); NoConvergence where it fails."""
+    symmetric tridiagonal (diag, off), bisected to 2 tiny absolute (at
+    ulp ||T|| a wide diagonal's low values are noise); NoConvergence where
+    it fails."""
     from scipy.linalg import eigh_tridiagonal
 
     try:
-        return eigh_tridiagonal(diag, off, select="i", tol=tol,
+        return eigh_tridiagonal(diag, off, select="i", tol=2.0 * _TINY,
                                 select_range=(0, count - 1))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
@@ -148,29 +149,28 @@ def _certify(diag: np.ndarray, off: np.ndarray, theta: np.ndarray,
     return holds(lowered)
 
 
-def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
-              count: int, vectors: bool = False):
-    """Lowest `count` eigenvalues (ascending) of the real symmetric
-    operator x = c0 K0 + c (Km + Kp) on the realization, with their
-    eigenvectors as columns when `vectors` is set.  A count above the
-    dimension yields all of them; zero yields none.
+def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
+    """(values, vectors): the lowest `count` eigenvalues (ascending) of the
+    real symmetric operator x = c0 K0 + c (Km + Kp) on the realization, and
+    their eigenvectors as columns on the leading states the solves cover,
+    zero past them.  A count above the dimension yields all; zero none.
 
     x couples each state only to the states band away, so the states of
-    each class modulo band form a tridiagonal chain, bisected to 2 tiny for
-    its lowest pairs (values and vectors by one call).  Only the leading m
-    states of a chain are read: m starts at 2 count + 32 and doubles until
-    the cut holds or m covers the chain.  The cut holds when the one link
-    e = c kp[m - 1] past it leaves each wanted vector u_i nearly unmoved,
-    |e u_i[m - 1]| <= 2 tiny + 2 eps |theta_i|, so that u_i zero-padded
-    past m is the vector returned, and _certify certifies the pairs from
-    the residuals of the padded vectors with tail (e, g), for the
-    Gershgorin floor g = (c0 - 2|c|) min k0 past m: along a chain k0 rises
-    by 1 per state and K+ <= K0 + 1/2.  An elliptic x (c0 > 2|c|, a rotated
-    oscillator, as h is) has low eigenvectors that fall off by about
-    t = 2|c|/(c0 + Omega), Omega = sqrt(c0^2 - 4 c^2), per state along
-    every chain, so its cut holds after a number of states that does not
-    grow with N; for any other x (-K0, hyperbolic or parabolic elements) g
-    lies below the values and the whole chain is solved.
+    each class modulo band form a tridiagonal chain, bisected for its
+    lowest pairs.  Along a chain k0 rises by 1 per state and K+ <= K0 + 1/2,
+    so g = (c0 - 2|c|) k0[m] is a Gershgorin floor of the states past m.
+    An elliptic x (c0 > 2|c|, a rotated oscillator, as h is) is solved on
+    the leading m states of each chain: m starts at 2 count + 32 and
+    doubles until the cut holds or m covers the chain.  The cut holds when
+    the one link e = c kp[m - 1] past it leaves each wanted vector u_i
+    nearly unmoved, |e u_i[m - 1]| <= 2 tiny + 2 eps |theta_i|, so that u_i
+    zero-padded past m is the vector returned, and _certify certifies the
+    pairs from the residuals of the padded vectors with tail (e, g).  The
+    low eigenvectors fall off by about t = 2|c|/(c0 + Omega) per state,
+    Omega = sqrt(c0^2 - 4 c^2), so the cut holds after a number of states
+    that does not grow with N.  For any other x (-K0, hyperbolic or
+    parabolic elements) g lies at or below every value, no cut can hold,
+    and each chain is solved whole at once.
     """
     if count < 0:
         raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
@@ -179,35 +179,37 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     n, band = realization.dim, realization.band
     count = min(count, n)
     if count == 0:
-        return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
+        return np.empty(0), np.empty((n, 0))
     c0, c = x.c0.real, x.cm.real
     slope = c0 - 2.0 * abs(c)
-    w, q = [], []
+    w, cuts = [], []
     for ch in range(min(band, n)):
         k0 = realization.k0_diag[ch::band]
         kp = realization.kp_band[ch::band]
         want = min(count, k0.size)
-        m = min(k0.size, 2 * want + 32)
+        m = min(k0.size, 2 * want + 32) if slope > 0.0 else k0.size
         while True:
             d, e = c0 * k0[:m], c * kp[:m - 1]
-            wc, vc = _bisect(d, e, want, 2.0 * _TINY)
+            wc, vc = _bisect(d, e, want)
             if m == k0.size:
                 break
             link = c * kp[m - 1]
             spill = np.abs(link * vc[-1])
             resid = np.hypot(np.linalg.norm(_tri_mul(d, e, vc) - wc * vc, axis=0), spill)
-            floor = slope * (k0[m] if slope >= 0.0 else k0[-1])
             if (np.all(spill <= 2.0 * (_TINY + _EPS * np.abs(wc)))
-                    and _certify(d, e, wc, resid, want, (link, floor))):
+                    and _certify(d, e, wc, resid, want, (link, slope * k0[m]))):
                 break
             m = min(k0.size, 2 * m)
-        if vectors:
-            q.append(np.zeros((n, wc.size)))
-            q[-1][ch:ch + band * m:band] = vc
         w.append(wc)
+        cuts.append((m, vc))
+    # chain ch's m states are rows ch, ch + band, ..., all below band * m
+    q = np.zeros((min(n, band * max(m for m, _ in cuts)), sum(map(len, w))))
+    cols = np.cumsum([0, *map(len, w)])
+    for ch, (m, vc) in enumerate(cuts):
+        q[ch::band][:m, cols[ch]:cols[ch + 1]] = vc
     w = np.concatenate(w)
     lowest = np.argsort(w, kind="stable")[:count]
-    return (w[lowest], np.hstack(q)[:, lowest]) if vectors else w[lowest]
+    return w[lowest], q[:, lowest]
 
 
 # relative size of the neglected tail of an antinormal metric sum
@@ -473,7 +475,7 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     # the spectrum comes first, so that a negative count is rejected
     # before the metric blocks are formed
     count = spectrum_count if spectrum_count is not None else max(1, t // 2)
-    spectrum = _low_eigs(h_coeffs, realization, count)
+    spectrum, _ = _low_eigs(h_coeffs, realization, count)
 
     rho = materialize_metric_root(p, z, realization, sign=1, rows=r)
     zeta = materialize_metric_root(p, z, realization, sign=2, rows=r)
@@ -532,8 +534,7 @@ def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
     mats = bundle.realization
     t = bundle.trusted
     r = min(t + mats.band, mats.dim)
-    w, q = _low_eigs(hermitian_equivalent(bundle.params, bundle.z), mats,
-                     count, vectors=True)
+    w, q = _low_eigs(hermitian_equivalent(bundle.params, bundle.z), mats, count)
     psi = np.where(np.abs(q) < mats.dim * np.finfo(float).eps
                    * np.abs(q).max(axis=0), 0.0, q)
     cols = int(np.flatnonzero(psi.any(axis=1)).max(initial=0)) + 1

@@ -14,9 +14,10 @@ from su11metric import (NoConvergence, SwansonParams, cli, discrete_series,
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
 
-def run_cli(capsys, *argv):
+def run_cli(capture, *argv):
+    # capture: pytest's capsys, or capfd where C code may print
     code = main(list(argv))
-    captured = capsys.readouterr()
+    captured = capture.readouterr()
     return code, captured.out, captured.err
 
 
@@ -304,15 +305,16 @@ class TestPdmCommand:
         assert rows["status"] == "PASS"
         assert float(rows["boundary_decay"]) <= 1e-8
 
-    def test_inconclusive_exit_1(self, capsys):
-        # walls that cut the eigenfunctions, and a wide grid that the
-        # bisection still solves
-        for walls in (("--points", "400", "--x-min", "-2", "--x-max", "2"),
-                      ("--x-max", "300")):
-            code, out, _ = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
-                                   "--beta", "0.1", *walls)
-            assert code == 1, walls
-            assert parse_table(out)["status"] == "INCONCLUSIVE", walls
+    # the wall tests capture file descriptors 1 and 2 (capfd), so that a
+    # print from LAPACK's own code reaches `out` or `err` and fails them
+
+    def test_inconclusive_exit_1(self, capfd):
+        # walls that cut the eigenfunctions
+        code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
+                                 "--beta", "0.1", "--points", "400",
+                                 "--x-min", "-2", "--x-max", "2")
+        assert code == 1 and err == ""
+        assert parse_table(out)["status"] == "INCONCLUSIVE"
 
     def test_fine_grid_anchor_passes(self, capsys):
         # ||T|| = 6.8e11 on this grid: a bisection to ulp*||T|| put e0 1.1e-4
@@ -340,22 +342,32 @@ class TestPdmCommand:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and "at least 400 grid points" in err
 
-    @pytest.mark.parametrize("flag", [("--x-max", "300"), ("--x-min", "-600")])
-    def test_uncertified_grids_print_the_bisection(self, capsys, monkeypatch, flag):
-        # no level of these wide grids is certified, so the report is the
-        # plain bisection's, byte for byte
-        argv = ("pdm", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", *flag)
-        certified = run_cli(capsys, *argv)
-        monkeypatch.setattr(pdm, "_certified", lambda *args: None)
-        assert run_cli(capsys, *argv) == certified
+    def test_uncertified_grid_exit_3(self, capfd):
+        # no level of this wide grid can be certified: a one-line typed
+        # error naming the first such level, not a table of 1e115 noise
+        code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
+                                 "--beta", "0.1", "--x-max", "300")
+        assert code == 3 and out == ""
+        assert err.startswith("error: the 500-point grid's lowest 3 eigenvalues "
+                              "cannot be certified") and err.count("\n") == 1
+
+    def test_wide_grid_reports_certified_values(self, capfd):
+        # every level of this wide grid is certified; its finest values
+        # (e0 = 0.4614) are the grid's own, under-resolved against the law
+        code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
+                                 "--beta", "0.1", "--x-min", "-600")
+        assert code == 1 and err == ""
+        rows = parse_table(out)
+        assert rows["convergence"] == "ok" and rows["status"] == "FAIL"
+        assert abs(float(rows["e0"].split()[0]) - 0.461372500292) <= 1e-10
 
     @pytest.mark.parametrize("flag", [("--s", "50"), ("--x-max", "2000"),
                                       ("--x-min", "-2000"), ("--x-max", "inf")])
-    def test_overflowing_grid_exit_2(self, capsys, flag):
+    def test_overflowing_grid_exit_2(self, capfd, flag):
         # each of these overflowed an exp on the grid and printed numpy
         # RuntimeWarnings before the typed error; now the config is refused
         # before any exp (a leaked RuntimeWarning fails the suite)
-        code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+        code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", *flag)
         assert code == 2 and out == ""
         assert err.startswith("error: ")
@@ -371,16 +383,16 @@ class TestPdmCommand:
         assert err.startswith("error: ") and "mu > 0" in err
 
     @pytest.mark.parametrize("x_max", ["500", "650", "700"])
-    def test_unconverged_grid_exit_3(self, capsys, x_max):
+    def test_unconverged_grid_exit_3(self, capfd, x_max):
         # the grid's terms fit in a double, but its diagonal spans more
         # than 200 orders of magnitude and the bisection gives up: a
         # one-line typed error, not a LinAlgError traceback
-        code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+        code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", "--x-max", x_max)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_failed_bisection_is_no_convergence(self, capsys, monkeypatch):
+    def test_failed_bisection_is_no_convergence(self, capfd, monkeypatch):
         # the chains and the grid share one bisection and its error path;
         # --x-max 300 certifies no level, so the grid bisects
         def fail(*args, **kwargs):
@@ -393,7 +405,7 @@ class TestPdmCommand:
         with pytest.raises(NoConvergence, match="stebz did not converge"):
             pdm.pdm_spectrum(pdm.PdmConfig(params=SwansonParams(1.0, 0.2, 0.1),
                                            points=400))
-        code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+        code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", "--x-max", "300")
         assert (code, out) == (3, "")
         assert err == "error: tridiagonal eigensolve failed: stebz did not converge\n"

@@ -9,7 +9,8 @@ import scipy.linalg
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
-from su11metric import InvalidParams, SwansonParams, hermitian_equivalent, is_admissible
+from su11metric import (InvalidParams, NoConvergence, SwansonParams,
+                        hermitian_equivalent, is_admissible)
 from su11metric import pdm, verification
 from su11metric.pdm import (PdmConfig, _grid_terms, _h_tridiag, _interior_grid,
                             boundary_decay, pdm_generators, pdm_spectrum,
@@ -183,12 +184,14 @@ class TestCertifiedChain:
 
     @pytest.mark.parametrize("z", [-0.9, 0.0, 0.8])
     def test_values_match_tight_bisection(self, z):
-        # the default bisection tolerance ulp*||T|| costs 1e-4 at 8000
+        # LAPACK's default bisection tolerance ulp*||T|| costs 1e-4 at 8000
         # points; the certified values match a bisection to 2*tiny.  On the
         # narrow walls the grid's values sit far above the law, so the seed
-        # is poor, and the values must still be the grid's own
+        # is poor, and the values must still be the grid's own, as must
+        # those of the wide x_min = -600 grid, whose diagonal reaches 1e260
         for cfg in (replace(CFG, z=z, points=2000), replace(CFG, z=z, points=8000),
-                    replace(CFG, z=z, x_min=-2.0, x_max=2.0, points=400)):
+                    replace(CFG, z=z, x_min=-2.0, x_max=2.0, points=400),
+                    replace(CFG, z=z, x_min=-600.0)):
             report = run_pdm_check(cfg)
             for pts in report.points_used:
                 diag, off, _, _ = _h_tridiag(replace(cfg, points=pts))
@@ -249,26 +252,12 @@ class TestCertifiedChain:
         assert np.isfinite(resid).all()
         assert np.array_equal(vals, pdm_spectrum(cfg)[0])
 
-    def test_uncertified_grid_keeps_the_bisection(self):
-        # 2 s max|x| = 300: the residuals cannot separate the intervals, so
-        # every level keeps the plain bisection's values, residuals inf
-        cfg = replace(CFG, x_max=300.0)
-        report = run_pdm_check(cfg)
-        for pts in report.points_used:
-            diag, off, _, _ = _h_tridiag(replace(cfg, points=pts))
-            plain = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                     select_range=(0, 2))
-            assert np.array_equal(report.refine_table[pts], plain)
-            assert np.isinf(report.refine_residuals[pts]).all()
-        assert report.status == "INCONCLUSIVE"
-
-    def test_uncertified_levels_do_not_converge(self):
-        # the bisection's values on this grid are noise of size 1e115 and
-        # may happen to shrink level by level; uncertified, they are no
-        # evidence of convergence
-        report = run_pdm_check(replace(CFG, x_max=300.0))
-        assert not report.convergence_ok
-        assert report.status == "INCONCLUSIVE"
+    def test_uncertified_grid_is_no_convergence(self):
+        # 2 s max|x| = 300: the 500-point level's diagonal spans 0.4 to
+        # 4e130, inverse iteration's vectors are not finite, and the level
+        # cannot be certified; so nothing is reported
+        with pytest.raises(NoConvergence, match="500-point grid"):
+            run_pdm_check(replace(CFG, x_max=300.0))
 
 
 class TestGenerators:

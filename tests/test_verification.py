@@ -41,14 +41,14 @@ class TestSymmetricEigs:
     def test_diagonal(self):
         # k0 = 0.25, 1.25, 2.25: -K0 has its eigenvalues in reverse order
         w, q = verification._low_eigs(AlgebraElement(-1.0, 0.0, 0.0),
-                                      discrete_series(0.25, 3), 3, vectors=True)
+                                      discrete_series(0.25, 3), 3)
         assert np.array_equal(w, [-2.25, -1.25, -0.25])
         assert np.allclose(q @ q.T, np.eye(3), atol=1e-14)
 
     def test_two_by_two(self):
         r = discrete_series(0.25, 2)
         kp = r.kp_band[0]
-        w = verification._low_eigs(AlgebraElement(0.0, 1.0, 1.0), r, 2)
+        w, _ = verification._low_eigs(AlgebraElement(0.0, 1.0, 1.0), r, 2)
         assert np.allclose(w, [-kp, kp])
 
     def test_reconstruction(self):
@@ -59,7 +59,7 @@ class TestSymmetricEigs:
                 c0, c = rng.normal(size=2)
                 x = AlgebraElement(c0, c, c)
                 m = materialize(x, r)
-                w, q = verification._low_eigs(x, r, n, vectors=True)
+                w, q = verification._low_eigs(x, r, n)
                 assert np.linalg.norm((q * w) @ q.T - m, 2) \
                     <= 1e-10 * np.linalg.norm(m, 2)
                 assert np.all(np.diff(w) >= 0.0)
@@ -69,9 +69,8 @@ class TestSymmetricEigs:
         for x in (AlgebraElement(0.0, 1.0, 0.0),
                   AlgebraElement(1.0j, 1.0, 1.0),
                   AlgebraElement(1.0, 1.0j, 1.0j)):
-            for vectors in (False, True):
-                with pytest.raises(InvalidParams):
-                    verification._low_eigs(x, r, 2, vectors=vectors)
+            with pytest.raises(InvalidParams):
+                verification._low_eigs(x, r, 2)
 
 
 def _cut_cases():
@@ -140,7 +139,6 @@ class TestCertificate:
         # the values of a chain's first cut, bisected to 2 tiny, certify
         # with residual 0: the intervals are at least as wide as the
         # bisection's own tolerance, and so the count's rounding
-        tiny = np.finfo(float).tiny
         for r in (discrete_series(0.25, 300), oscillator_full(300)):
             for z in Z_GRID:
                 x = hermitian_equivalent(P, z)
@@ -148,7 +146,7 @@ class TestCertificate:
                     m = 2 * count + 32
                     d = x.c0.real * r.k0_diag[::r.band][:m]
                     e = x.cm.real * r.kp_band[::r.band][:m - 1]
-                    w, _ = verification._bisect(d, e, count, 2.0 * tiny)
+                    w, _ = verification._bisect(d, e, count)
                     assert verification._certify(d, e, w, np.zeros(count), count), \
                         (r.kind, z, count)
 
@@ -159,13 +157,13 @@ class TestChainCut:
 
     @staticmethod
     def assert_matches_oracle(x, r, count):
-        w, q = verification._low_eigs(x, r, count, vectors=True)
+        w, q = verification._low_eigs(x, r, count)
         ref, _ = chain_spectrum(x, r, count)
-        assert np.array_equal(verification._low_eigs(x, r, count), w)
         assert np.all(np.abs(w - ref) <= 4 * np.spacing(np.abs(ref))), \
             (x, r.kind, count, (w - ref) / np.spacing(np.abs(ref)))
-        # residual of each returned vector in the whole operator, against
-        # the rounding of x on the states the vector reaches
+        # residual of each returned vector (zero past its rows) in the
+        # whole operator, against the rounding of x on the states it reaches
+        q = np.pad(q, ((0, r.dim - len(q)), (0, 0)))
         m = materialize(x, r)
         reach = np.abs(m[:, np.flatnonzero(q.any(axis=1))]).sum(axis=0).max()
         res = np.linalg.norm(m @ q - q * w, axis=0)
@@ -198,12 +196,35 @@ class TestChainCut:
                      (AlgebraElement(1.0, 0.6, 0.6), discrete_series(0.25, 100)),
                      (AlgebraElement(1.0, 0.6, 0.6), oscillator_full(100))):
             for count in (1, 5, 25):
-                w, q = verification._low_eigs(x, r, count, vectors=True)
+                w, q = verification._low_eigs(x, r, count)
                 ref, ref_q = chain_spectrum(x, r, count)
                 assert np.array_equal(w, ref) and np.array_equal(q, ref_q), (x, count)
-        w = verification._low_eigs(AlgebraElement(-1.0, 0.0, 0.0),
-                                   discrete_series(0.25, 100), 1)
+        w, _ = verification._low_eigs(AlgebraElement(-1.0, 0.0, 0.0),
+                                      discrete_series(0.25, 100), 1)
         assert w[0] == -99.25
+
+    def test_non_elliptic_chain_bisects_once(self, monkeypatch):
+        # for -K0, a hyperbolic and a parabolic element the floor
+        # (c0 - 2|c|) k0 lies at or below every value, so no cut can hold:
+        # each chain is bisected once, whole; elliptic h once, on its
+        # first cut of 2 count + 32 states
+        sizes = []
+        bisect = verification._bisect
+
+        def counted(d, e, count):
+            sizes.append(d.size)
+            return bisect(d, e, count)
+
+        monkeypatch.setattr(verification, "_bisect", counted)
+        for x, r, expected in (
+                (AlgebraElement(-1.0, 0.0, 0.0), discrete_series(0.25, 800), [800]),
+                (AlgebraElement(1.0, 0.6, 0.6), discrete_series(0.25, 800), [800]),
+                (AlgebraElement(1.0, 0.5, 0.5), discrete_series(0.25, 800), [800]),
+                (AlgebraElement(1.0, 0.6, 0.6), oscillator_full(800), [400, 400]),
+                (hermitian_equivalent(P, 0.0), discrete_series(0.25, 800), [82])):
+            sizes.clear()
+            verification._low_eigs(x, r, 25)
+            assert sizes == expected, (x, r.kind, sizes)
 
     def test_cut_stays_at_the_first_length(self):
         # h at the base point certifies on each chain's first cut, the
@@ -211,8 +232,7 @@ class TestChainCut:
         for r in (discrete_series(0.25, 300), oscillator_full(300)):
             for z in Z_GRID:
                 for count in (1, 5, 25):
-                    _, q = verification._low_eigs(hermitian_equivalent(P, z), r,
-                                                  count, vectors=True)
+                    _, q = verification._low_eigs(hermitian_equivalent(P, z), r, count)
                     reach = np.flatnonzero(q.any(axis=1)).max()
                     assert reach < r.band * (2 * count + 32), (r.kind, z, count, reach)
 
@@ -575,9 +595,9 @@ class TestBuildBundle:
             # the eigenpairs that eigvec_residuals transports come chain by
             # chain; merged, they are the lowest pairs of the whole operator
             for count in (7, 60):
-                wv, q = verification._low_eigs(hermitian_equivalent(p, 0.6), r,
-                                               count, vectors=True)
+                wv, q = verification._low_eigs(hermitian_equivalent(p, 0.6), r, count)
                 assert np.abs(wv - w[:count]).max() <= 1e-12 * np.abs(w).max()
+                q = np.pad(q, ((0, r.dim - len(q)), (0, 0)))
                 assert np.abs(h @ q - q * wv).max() <= 1e-12 * np.abs(w).max()
                 assert np.abs(q.T @ q - np.eye(count)).max() <= 1e-12, desc
 
