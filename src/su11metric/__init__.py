@@ -16,12 +16,18 @@ from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
 from .metric import (MetricSolution, SwansonParams, commuting_observable,
                      conjugated_coeffs, hermitian_equivalent, is_admissible,
                      metric_exponent, mu_nu, power_base, solve_epsilon,
-                     solve_metric, swanson_element, validate_params, z_domain)
-from .realizations import (RealizationMatrices, conformal, discrete_series,
-                           from_descriptor, multiboson, oscillator_full,
-                           oscillator_sector, radial)
-from .verification import (OperatorBundle, build_bundle, eigvec_residuals,
-                           materialize_metric_root, spectrum_prediction)
+                     solve_metric, spectrum_prediction, swanson_element,
+                     validate_params, z_domain)
+
+
+def __getattr__(name):
+    """The matrix layer's public names (numpy), imported on first access (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import realizations, verification
+    return globals().setdefault(
+        name, getattr(realizations, name, None) or getattr(verification, name))
+
 
 __version__ = "0.1.0"
 

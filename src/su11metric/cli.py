@@ -6,8 +6,8 @@ Flags may be preloaded from a line-oriented key=value config file
 printed with 12 significant digits; sweep output is CSV with a fixed,
 documented column order and is fully computed before anything is
 emitted, so no partial CSV is produced on error.  The closed-form
-subcommands (validate, disentangle, metric, spectrum) do not load scipy;
-verify, sweep and pdm load it on their first solve.
+subcommands (validate, disentangle, metric, spectrum) load neither numpy
+nor scipy; verify, sweep and pdm load the matrix layer on first use.
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over
 tolerance or a failed/inconclusive check, 2 invalid parameters or
@@ -20,15 +20,22 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from .core import disentangle_closed_form
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      TrigRegime, TruncationTooSmall, ZOutOfDomain)
 from .metric import (_EDGE, SwansonParams, is_admissible, solve_epsilon,
-                     solve_metric, validate_params)
-from .realizations import from_descriptor
-from .verification import build_bundle, spectrum_prediction
+                     solve_metric, spectrum_prediction, validate_params)
+
+_self = sys.modules[__name__]  # its attributes include wrappers set on the module
+
+
+def __getattr__(name):
+    """from_descriptor and build_bundle, imported on first use (PEP 562);
+    verify and sweep call them as attributes of _self."""
+    if name not in ("from_descriptor", "build_bundle"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
+
 
 RESIDUAL_TOLS = {
     "r_herm": 1e-6,
@@ -83,7 +90,7 @@ def _realization(args, p: SwansonParams):
     if args.size <= args.trusted:
         raise TruncationTooSmall(
             f"need size > trusted (got size = {args.size}, trusted = {args.trusted})")
-    mats, override = from_descriptor(args.realization, args.size, omega=p.omega)
+    mats, override = _self.from_descriptor(args.realization, args.size, omega=p.omega)
     return mats, (override if override is not None else p)
 
 
@@ -146,8 +153,7 @@ def _tolerances(args) -> dict[str, float]:
 def cmd_verify(args) -> int:
     p = _params(args)
     mats, p = _realization(args, p)
-    bundle = build_bundle(p, args.z, mats, trusted=args.trusted,
-                          spectrum_count=5)
+    bundle = _self.build_bundle(p, args.z, mats, trusted=args.trusted, spectrum_count=5)
     tols = _tolerances(args)
     rows = [("realization", mats.kind), ("z", args.z),
             ("size", mats.dim), ("trusted", args.trusted)]
@@ -164,6 +170,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     p = _params(args)
     mats, p = _realization(args, p)
     if args.steps < 1:
@@ -180,7 +188,7 @@ def cmd_sweep(args) -> int:
     for z in zs:
         z = float(z)
         sol = solve_metric(p, z)
-        bundle = build_bundle(p, z, mats, trusted=args.trusted, spectrum_count=5)
+        bundle = _self.build_bundle(p, z, mats, trusted=args.trusted, spectrum_count=5)
         for name in RESIDUAL_TOLS:
             ok = ok and bundle.residuals[name] <= tols[name]
         values = [z, sol.epsilon, sol.mu, sol.nu, sol.mu * sol.nu,

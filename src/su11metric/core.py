@@ -23,8 +23,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DecompositionSingular, InvalidParams, TrigRegime
 
 # pivots smaller than this are treated as singular factorizations
@@ -45,9 +43,6 @@ class AlgebraElement:
     def casimir(self) -> complex:
         """Quadratic form c0**2 - 4*cp*cm, invariant under conjugation."""
         return self.c0 * self.c0 - 4.0 * self.cp * self.cm
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.c0, self.cm, self.cp])
 
     def is_hermitian_form(self, tol: float = _HERM_TOL) -> bool:
         """True when the element represents a Hermitian operator in a
@@ -139,8 +134,8 @@ def disentangle_closed_form(epsilon: float, eta: complex) -> tuple[Factorization
             _ordered_factor(epsilon, eta, "antinormal"))
 
 
-def adjoint_matrix(epsilon: float, eta: complex) -> np.ndarray:
-    """3x3 matrix of the adjoint action of rho = exp(A) on coefficients.
+def adjoint_matrix(epsilon: float, eta: complex) -> tuple[tuple[complex, ...], ...]:
+    """Rows of the 3x3 matrix of the adjoint action of rho = exp(A) on coefficients.
 
     A = 2 eps K0 + 2 eta Km + 2 conj(eta) Kp with real eps and
     theta**2 = eps**2 - 4|eta|**2 >= 0.  Conjugating X = (c0, cm, cp)
@@ -160,11 +155,15 @@ def adjoint_matrix(epsilon: float, eta: complex) -> np.ndarray:
     cm_ = c - epsilon * s
     cp_ = c + epsilon * s
     etc = eta.conjugate()
-    return np.array([
-        [1.0 - 8.0 * abs2 * s * s, -4.0 * etc * s * cm_, 4.0 * eta * s * cp_],
-        [2.0 * eta * s * cm_, cm_ * cm_, 4.0 * eta * eta * s * s],
-        [-2.0 * etc * s * cp_, 4.0 * etc * etc * s * s, cp_ * cp_],
-    ], dtype=complex)
+    return ((complex(1.0 - 8.0 * abs2 * s * s), -4.0 * etc * s * cm_, 4.0 * eta * s * cp_),
+            (2.0 * eta * s * cm_, complex(cm_ * cm_), 4.0 * eta * eta * s * s),
+            (-2.0 * etc * s * cp_, 4.0 * etc * etc * s * s, complex(cp_ * cp_)))
+
+
+def _mat_vec(m, x) -> tuple[complex, complex, complex]:
+    """m @ x for a 3x3 adjoint matrix m, in complex arithmetic."""
+    x0, x1, x2 = (complex(v) for v in x)
+    return tuple(r0 * x0 + r1 * x1 + r2 * x2 for r0, r1, r2 in m)
 
 
 def conjugate(a_exponent: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
@@ -178,6 +177,4 @@ def conjugate(a_exponent: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
             "conjugation exponent must be Hermitian: real c0 and cp = conj(cm)")
     eps = complex(a_exponent.c0).real / 2.0
     eta = complex(a_exponent.cm) / 2.0
-    m = adjoint_matrix(eps, eta)
-    vec = m @ x.as_vector().astype(complex)
-    return AlgebraElement(complex(vec[0]), complex(vec[1]), complex(vec[2]))
+    return AlgebraElement(*_mat_vec(adjoint_matrix(eps, eta), (x.c0, x.cm, x.cp)))

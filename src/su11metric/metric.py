@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AlgebraElement, adjoint_matrix, conjugate
+from .core import AlgebraElement, _mat_vec, adjoint_matrix, conjugate
 from .errors import InvalidParams, ZOutOfDomain
 
 # mu, nu and the power base are only reported at least this far from
@@ -167,8 +167,7 @@ def conjugated_coeffs(p: SwansonParams, epsilon: float,
     solve_epsilon (and eta = z*eps/2 real) U is real and W equals V.
     """
     validate_params(p)
-    u, v, w = adjoint_matrix(epsilon, eta) @ (p.omega, p.alpha, p.beta)
-    return complex(u), complex(v), complex(w)
+    return _mat_vec(adjoint_matrix(epsilon, eta), (p.omega, p.alpha, p.beta))
 
 
 def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
@@ -201,6 +200,22 @@ def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
         mu = (1.0 - z) * gap / (p.omega * (g + term))
         nu = p.omega * (g + term) / (1.0 - z)
     return mu, nu
+
+
+def spectrum_prediction(p: SwansonParams, k: float, count: int) -> tuple[float, ...]:
+    """Closed-form spectrum 2*sqrt(omega^2 - 4*alpha*beta) * (n + k).
+
+    A linear element with positive-definite Casimir form is conjugate to
+    a multiple of K0, so its spectrum on a lowest-weight realization is
+    harmonic with effective frequency sqrt(omega^2 - 4*alpha*beta).
+    """
+    validate_params(p)
+    if k <= 0.0:
+        raise InvalidParams(f"lowest weight k must be positive (got {k:g})")
+    if count < 1:
+        raise InvalidParams("count must be at least 1")
+    freq = 2.0 * math.sqrt(p.omega ** 2 - 4.0 * p.alpha * p.beta)
+    return tuple(freq * (n + k) for n in range(count))
 
 
 def hermitian_equivalent(p: SwansonParams, z: float) -> AlgebraElement:

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dstein
 
 from .errors import InvalidParams, NoConvergence
-from .metric import SwansonParams, mu_nu, validate_params
-from .verification import _bisect, _certify, _tri_mul, spectrum_prediction
+from .metric import SwansonParams, mu_nu, spectrum_prediction, validate_params
+from .verification import _bisect, _certify, _tri_mul
+# scipy last: modules imported after its large import raise the peak RSS by ~1 MB
+from scipy.linalg.lapack import dgtsv, dstein
 
 if TYPE_CHECKING:
     from scipy.sparse import dia_array
@@ -196,17 +197,20 @@ def pdm_spectrum(cfg: PdmConfig, count: int = 3,
     `near` holds approximate eigenvalues, such as a coarser grid's or the
     algebraic law's; the solve refines them (see _certified).  Without
     `near`, or where their certificate fails, it refines the bisection's
-    values.  NoConvergence, naming the grid's points and its diagonal's
-    range, where these do not certify either or the bisection fails.
+    values.  NoConvergence, naming the grid's points, its diagonal's range
+    and any failure of the bisection, where these do not certify either.
     """
     diag, off, _, _ = _h_tridiag(cfg)
     got = None if near is None else _certified(diag, off, near, count)
-    if got is None:
-        got = _certified(diag, off, _bisect(diag, off, count)[0], count)
+    reason = ""
+    try:
+        got = got or _certified(diag, off, _bisect(diag, off, count)[0], count)
+    except NoConvergence as exc:
+        reason = f": {exc}"
     if got is None:
         raise NoConvergence(
-            f"the {cfg.points}-point grid's lowest {count} eigenvalues cannot be "
-            f"certified (its diagonal spans {diag.min():.3g} to {diag.max():.3g})")
+            f"the {cfg.points}-point grid's lowest {count} eigenvalues cannot be certified "
+            f"(its diagonal spans {diag.min():.3g} to {diag.max():.3g}){reason}")
     return got
 
 
@@ -227,11 +231,11 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
     level those of the level before it (see pdm_spectrum); the certificate,
     not the seed, makes them the grid's own lowest eigenvalues, so their
     match with the law is not circular.  Every level is certified (else
-    NoConvergence), successive eigenvalue changes must shrink by at least
-    2x (or sit below an absolute floor), the finest COUNT eigenvalues must
-    match the algebraic law within RTOL, and the lowest eigenfunctions
-    must decay below DECAY_TOL at both walls.  A failed decay check yields
-    INCONCLUSIVE regardless of the spectral match.
+    NoConvergence), each eigenvalue's successive changes must keep their
+    sign and at least halve (or sit below an absolute floor), the finest
+    COUNT eigenvalues must match the algebraic law within RTOL, and the
+    lowest eigenfunctions must decay below DECAY_TOL at both walls.  A
+    failed decay check yields INCONCLUSIVE regardless of the spectral match.
     """
     validate_config(cfg)
     points_used = tuple(cfg.points // f for f in REFINE)
@@ -253,7 +257,8 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
 
     levels = [refine_table[pts] for pts in points_used]
     convergence_ok = all(
-        np.all(np.abs(c - b) <= np.maximum(0.5 * np.abs(b - a), 1e-10))
+        np.all((np.abs(c - b) <= 1e-10)
+               | (((c - b) * (b - a) > 0.0) & (np.abs(c - b) <= 0.5 * np.abs(b - a))))
         for a, b, c in zip(levels, levels[1:], levels[2:]))
 
     finest = levels[-1]

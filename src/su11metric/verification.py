@@ -381,22 +381,6 @@ def materialize_metric_root(p: SwansonParams, z: float,
     return out
 
 
-def spectrum_prediction(p: SwansonParams, k: float, count: int) -> np.ndarray:
-    """Closed-form spectrum 2*sqrt(omega^2 - 4*alpha*beta) * (n + k).
-
-    A linear element with positive-definite Casimir form is conjugate to
-    a multiple of K0, so its spectrum on a lowest-weight realization is
-    harmonic with effective frequency sqrt(omega^2 - 4*alpha*beta).
-    """
-    validate_params(p)
-    if k <= 0.0:
-        raise InvalidParams(f"lowest weight k must be positive (got {k:g})")
-    if count < 1:
-        raise InvalidParams("count must be at least 1")
-    freq = 2.0 * np.sqrt(p.omega ** 2 - 4.0 * p.alpha * p.beta)
-    return freq * (np.arange(count) + k)
-
-
 def _relative_residuals(products: dict[str, tuple[np.ndarray, np.ndarray]],
                         t: int) -> dict[str, float]:
     """{name: |lhs - rhs| / max(|lhs|, |rhs|)} for products {name: (lhs,

@@ -197,7 +197,7 @@ class TestVerifyCommand:
         r_eq10 = float(rows["r_eq10"].split()[0])
         assert r_eq10 <= RESIDUAL_TOLS["r_eq10"]
         got = np.array([float(rows[f"e{i}"]) for i in range(5)])
-        want = spectrum_prediction(p, 0.25, 5)
+        want = np.array(spectrum_prediction(p, 0.25, 5))
         assert np.all(np.abs(got - want) <= 1e-9 * want), (got, want)
 
     def test_truncation_exit_3(self, capsys):
@@ -353,12 +353,15 @@ class TestPdmCommand:
 
     def test_wide_grid_reports_certified_values(self, capfd):
         # every level of this wide grid is certified; its finest values
-        # (e0 = 0.4614) are the grid's own, under-resolved against the law
+        # (e0 = 0.4614) are the grid's own, under-resolved against the law.
+        # e0 runs 0.318 -> 0.486 -> 0.461: its second change is under half
+        # its first but turns back, so the levels have not converged
         code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", "--x-min", "-600")
         assert code == 1 and err == ""
         rows = parse_table(out)
-        assert rows["convergence"] == "ok" and rows["status"] == "FAIL"
+        assert rows["convergence"] == "not ok" and rows["status"] == "FAIL"
+        assert rows["refine_1000"].startswith("0.486")
         assert abs(float(rows["e0"].split()[0]) - 0.461372500292) <= 1e-10
 
     @pytest.mark.parametrize("flag", [("--s", "50"), ("--x-max", "2000"),
@@ -386,11 +389,14 @@ class TestPdmCommand:
     def test_unconverged_grid_exit_3(self, capfd, x_max):
         # the grid's terms fit in a double, but its diagonal spans more
         # than 200 orders of magnitude and the bisection gives up: a
-        # one-line typed error, not a LinAlgError traceback
+        # one-line typed error that names the level and keeps LAPACK's
+        # reason, not a LinAlgError traceback
         code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", "--x-max", x_max)
         assert code == 3 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: the 500-point grid's lowest 3 eigenvalues "
+                              "cannot be certified (its diagonal spans ")
+        assert "LAPACK info=" in err and err.count("\n") == 1
 
     def test_failed_bisection_is_no_convergence(self, capfd, monkeypatch):
         # the chains and the grid share one bisection and its error path;
@@ -408,7 +414,9 @@ class TestPdmCommand:
         code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", "--x-max", "300")
         assert (code, out) == (3, "")
-        assert err == "error: tridiagonal eigensolve failed: stebz did not converge\n"
+        assert err == ("error: the 500-point grid's lowest 3 eigenvalues cannot be "
+                       "certified (its diagonal spans 0.447 to 4.17e+130): "
+                       "tridiagonal eigensolve failed: stebz did not converge\n")
 
 
 class TestPublicApi:
@@ -434,28 +442,72 @@ class TestPublicApi:
 
 
 class TestImports:
+    CLOSED_FORM = {
+        "validate": ["--omega", "1", "--alpha", "0.2", "--beta", "0.1"],
+        "disentangle": ["--epsilon", "1", "--eta", "0.25"],
+        "metric": ["--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--z", "0.4"],
+        "spectrum": ["--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--k",
+                     "0.25", "--count", "2"],
+    }
+
+    @staticmethod
+    def _run(*args):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    @pytest.mark.parametrize("argv", [["-m", "su11metric", command, *flags]
+                                      for command, flags in CLOSED_FORM.items()]
+                             + [["-c", "import su11metric"]])
+    def test_closed_form_launch_loads_no_numpy(self, argv):
+        # -X importtime lists every module a fresh launch imports, one per
+        # stderr line, its name after the last "|"
+        proc = self._run("-X", "importtime", *argv)
+        loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")]
+        assert "su11metric" in loaded
+        assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
+
     def test_closed_form_commands_skip_scipy(self):
-        # the closed-form subcommands load numpy and the package alone;
-        # verify loads scipy on its first solve
-        script = """
+        # the closed-form subcommands load the algebra layer alone; the
+        # star import binds the matrix layer's names, and verify still runs
+        script = f"""
 import sys
 import su11metric
 from su11metric.cli import main
+codes = [main([command] + flags) for command, flags in {self.CLOSED_FORM!r}.items()]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+from su11metric import *
+bound = all(name in globals() for name in su11metric.__all__)
 base = ["--omega", "1", "--alpha", "0.2", "--beta", "0.1"]
-codes = [main(["validate"] + base), main(["metric"] + base + ["--z", "0.4"]),
-         main(["disentangle", "--epsilon", "1", "--eta", "0.25"]),
-         main(["spectrum"] + base + ["--k", "0.25", "--count", "2"])]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(codes, loaded, main(["verify"] + base + ["--z", "0.4", "--size", "60",
-                                               "--trusted", "20"]),
+print(codes, loaded, bound, main(["verify"] + base + ["--z", "0.4", "--size", "60",
+                                                     "--trusted", "20"]),
       file=sys.stderr)
 """
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] [] 0"
+        proc = self._run("-c", script)
+        assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] [] True 0"
+
+    def test_matrix_layer_calls_go_through_cli_names(self, capsys, monkeypatch):
+        # verify and sweep call cli.from_descriptor and cli.build_bundle as
+        # module attributes, so a wrapper set on either name (as a tracer
+        # sets one) is the function they run
+        calls = []
+        for name in ("from_descriptor", "build_bundle"):
+            def recorder(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, recorder)
+        base = ["--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--size", "60",
+                "--trusted", "20"]
+        code, _, _ = run_cli(capsys, "verify", *base, "--z", "0.4")
+        assert code == 0 and calls == ["from_descriptor", "build_bundle"]
+        code, _, _ = run_cli(capsys, "sweep", *base, "--z-from", "-0.4",
+                             "--z-to", "0", "--steps", "2")
+        assert code == 0
+        assert calls[2:] == ["from_descriptor", "build_bundle", "build_bundle"]
 
     def test_pdm_command_skips_scipy_sparse(self):
         # the generators' DIA arrays import scipy.sparse on their first
@@ -468,11 +520,7 @@ code = main(["pdm", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
 print(code, sorted(m for m in sys.modules if m.startswith("scipy.sparse")),
       "scipy.linalg" in sys.modules, file=sys.stderr)
 """
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        proc = self._run("-c", script)
         assert proc.stderr.splitlines()[-1] == "0 [] True"
 
     @pytest.mark.parametrize("module, scipy_loaded", [("su11metric.verification", False),
@@ -486,11 +534,7 @@ import sys
 import {module}
 print(any(m.split(".")[0] == "scipy" for m in sys.modules), file=sys.stderr)
 """
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        proc = self._run("-c", script)
         assert proc.stderr.splitlines()[-1] == str(scipy_loaded)
 
 

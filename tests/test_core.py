@@ -239,8 +239,8 @@ class TestAdjointMatrix:
         rng = np.random.default_rng(29)
         for _ in range(100):
             eps, eta = random_metric_pair(rng, eps_max=2.0)
-            m = adjoint_matrix(eps, eta)
-            m_inv = adjoint_matrix(-eps, -eta)
+            m = np.array(adjoint_matrix(eps, eta))
+            m_inv = np.array(adjoint_matrix(-eps, -eta))
             assert np.allclose(m @ m_inv, np.eye(3), rtol=0,
                                atol=1e-10 * np.linalg.norm(m, 2))
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from su11metric import (AlgebraElement, InvalidParams, SwansonParams,
-                        ZOutOfDomain, commuting_observable, conjugate,
-                        conjugated_coeffs, hermitian_equivalent, is_admissible,
-                        metric_exponent, mu_nu, power_base, solve_epsilon,
-                        solve_metric, swanson_element, validate_params,
-                        z_domain)
+                        ZOutOfDomain, adjoint_matrix, commuting_observable,
+                        conjugate, conjugated_coeffs, hermitian_equivalent,
+                        is_admissible, metric_exponent, mu_nu, power_base,
+                        solve_epsilon, solve_metric, spectrum_prediction,
+                        swanson_element, validate_params, z_domain)
 
 P = SwansonParams(1.0, 0.2, 0.1)
 
@@ -173,6 +173,42 @@ class TestConjugatedCoeffs:
             assert abs(y.c0 - 2.0 * u) < 1e-12 * max(1.0, abs(u))
             assert abs(y.cm - 2.0 * v) < 1e-12 * max(1.0, abs(v))
             assert abs(y.cp - 2.0 * w) < 1e-12 * max(1.0, abs(w))
+
+
+def _bits(values):
+    """The IEEE bits of complex values, signed zeros included."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+class TestNumpyOracle:
+    """The pure-Python algebra layer equals numpy's arithmetic bit for bit."""
+
+    def test_adjoint_action_matches_numpy_matvec(self):
+        rng = np.random.default_rng(2918)
+        draws = 0
+        while draws < 2000:
+            omega = float(rng.uniform(0.05, 3.0))
+            alpha, beta = (float(c) for c in rng.uniform(-2.0, 2.0, size=2))
+            z = float(rng.uniform(-1.0, 1.0))
+            p = SwansonParams(omega, alpha, beta)
+            if omega * omega - 4.0 * alpha * beta <= 0.0 or not is_admissible(p, z):
+                continue
+            draws += 1
+            eps = solve_epsilon(p, z)
+            m = np.array(adjoint_matrix(eps, z * eps / 2.0))
+            assert _bits(conjugated_coeffs(p, eps, z * eps / 2.0)) \
+                == _bits(m @ (omega, alpha, beta)), (p, z)
+            y = conjugate(metric_exponent(p, z), swanson_element(p))
+            assert _bits((y.c0, y.cm, y.cp)) \
+                == _bits(m @ (2.0 * omega, 2.0 * alpha, 2.0 * beta)), (p, z)
+
+    def test_spectrum_prediction_matches_numpy(self):
+        for p in PARAM_SETS:
+            for k in (0.25, 0.5, 0.75, 1.3):
+                want = 2.0 * np.sqrt(p.omega ** 2 - 4.0 * p.alpha * p.beta) \
+                    * (np.arange(9) + k)
+                got = spectrum_prediction(p, k, 9)
+                assert type(got) is tuple and got == tuple(want)
 
 
 class TestMuNu:
