@@ -23,8 +23,9 @@ import sys
 from .core import disentangle_closed_form
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      TrigRegime, TruncationTooSmall, ZOutOfDomain)
-from .metric import (_EDGE, SwansonParams, is_admissible, solve_epsilon,
-                     solve_metric, spectrum_prediction, validate_params)
+from .metric import (_EDGE, SwansonParams, hermitian_equivalent, is_admissible,
+                     mu_nu, solve_epsilon, solve_metric, spectrum_prediction,
+                     validate_params)
 
 _self = sys.modules[__name__]  # its attributes include wrappers set on the module
 
@@ -150,9 +151,27 @@ def _tolerances(args) -> dict[str, float]:
     return tols
 
 
+def _require_positive_mu(p: SwansonParams, z: float) -> None:
+    """Refuse an admissible z where mu <= 0: h is then minus an oscillator,
+    unbounded below, and its truncated spectrum depends on N.  Within 1e-9
+    of |z| = 1, where mu_nu does not reach, mu comes from h's coefficients,
+    c0 - 2c = 2 omega mu.  An inadmissible z is left to the matrix layer,
+    which names it."""
+    if not is_admissible(p, z):
+        return
+    if abs(z) < 1.0 - _EDGE:
+        mu = mu_nu(p, z)[0]
+    else:
+        h = hermitian_equivalent(p, z)
+        mu = (h.c0.real - 2.0 * h.cm.real) / (2.0 * p.omega)
+    if not mu > 0.0:
+        raise InvalidParams(f"h is bounded below only for mu > 0 (got mu = {mu:g})")
+
+
 def cmd_verify(args) -> int:
     p = _params(args)
     mats, p = _realization(args, p)
+    _require_positive_mu(p, args.z)
     bundle = _self.build_bundle(p, args.z, mats, trusted=args.trusted, spectrum_count=5)
     tols = _tolerances(args)
     rows = [("realization", mats.kind), ("z", args.z),
@@ -182,6 +201,7 @@ def cmd_sweep(args) -> int:
             raise ZOutOfDomain(f"sweep point z = {z:g} too close to |z| = 1")
         if not is_admissible(p, float(z)):
             raise ZOutOfDomain(f"sweep point z = {z:g} is not admissible")
+        _require_positive_mu(p, float(z))
     tols = _tolerances(args)
     lines = [",".join(SWEEP_COLUMNS)]
     ok = True

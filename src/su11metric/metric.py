@@ -202,6 +202,13 @@ def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
     return mu, nu
 
 
+def _harmonic_law(freq: float, k: float, count: int) -> tuple[float, ...]:
+    """freq * (n + k) for n = 0, ..., count - 1: the lowest levels of
+    freq K0 on the lowest-weight chain of weight k, and so of every
+    element conjugate to it (the one definition of the harmonic law)."""
+    return tuple(freq * (n + k) for n in range(count))
+
+
 def spectrum_prediction(p: SwansonParams, k: float, count: int) -> tuple[float, ...]:
     """Closed-form spectrum 2*sqrt(omega^2 - 4*alpha*beta) * (n + k).
 
@@ -214,8 +221,7 @@ def spectrum_prediction(p: SwansonParams, k: float, count: int) -> tuple[float, 
         raise InvalidParams(f"lowest weight k must be positive (got {k:g})")
     if count < 1:
         raise InvalidParams("count must be at least 1")
-    freq = 2.0 * math.sqrt(p.omega ** 2 - 4.0 * p.alpha * p.beta)
-    return tuple(freq * (n + k) for n in range(count))
+    return _harmonic_law(2.0 * math.sqrt(p.omega ** 2 - 4.0 * p.alpha * p.beta), k, count)
 
 
 def hermitian_equivalent(p: SwansonParams, z: float) -> AlgebraElement:

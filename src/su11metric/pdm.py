@@ -33,8 +33,6 @@ import numpy as np
 from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, mu_nu, spectrum_prediction, validate_params
 from .verification import _bisect, _certify, _tri_mul
-# scipy last: modules imported after its large import raise the peak RSS by ~1 MB
-from scipy.linalg.lapack import dgtsv, dstein
 
 if TYPE_CHECKING:
     from scipy.sparse import dia_array
@@ -163,6 +161,8 @@ def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int
     algebraic law on a grid whose walls cut the eigenfunctions, r stays
     near 1e-3 of theta, above the certificate's sqrt(eps) bound.
     """
+    from scipy.linalg.lapack import dgtsv, dstein
+
     n = diag.size
     shifts = np.asarray(shifts, dtype=float)
     # dstein refuses unsorted shifts, and LAPACK prints its refusal

@@ -13,9 +13,13 @@ No N x N matrix is formed, and no matrix of H, h or O at all: rho and
 zeta_+ are R x R blocks (R = trusted + band) from one metric kernel whose
 cost does not grow with N (materialize_metric_root), H, h and O act on
 them as band shifts (realizations.apply), and h's lowest eigenpairs come
-from its coefficients and the bands, each chain of states solved on its
-leading states only, as many as a stated bound needs (_low_eigs).  So
-build_bundle's cost does not grow with N; only building the realization,
+from its coefficients and the bands.  h is a rotated oscillator, so on
+each chain of states they are the harmonic law Omega (n + k) and the
+columns of one su(1,1) rotation, formed in closed form on the leading
+states a stated bound needs and certified by a Sturm count in Python
+(_low_eigs, _rotated_chain, _certify); a chain the closed form does not
+reach to rounding is bisected by LAPACK, the one step that loads scipy.
+So build_bundle's cost does not grow with N; only building the realization,
 which the caller does, still does.  Where a metric block does not exist
 in the realization's basis (a divergent series, zeta_+ at
 z = 2 beta / omega) it is inf, and so are the residuals that read it.  The
@@ -36,9 +40,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AlgebraElement, _ordered_factor, conjugate
 from .errors import InvalidParams, NoConvergence, TruncationTooSmall, ZOutOfDomain
-from .metric import (SwansonParams, commuting_observable, hermitian_equivalent,
-                     is_admissible, metric_exponent, solve_epsilon,
-                     swanson_element, validate_params)
+from .metric import (SwansonParams, _harmonic_law, commuting_observable,
+                     hermitian_equivalent, is_admissible, metric_exponent,
+                     solve_epsilon, swanson_element, validate_params)
 from .realizations import RealizationMatrices, apply
 
 DEFAULT_TRUSTED = 50
@@ -68,7 +72,7 @@ class OperatorBundle:
 
 # eigh_tridiagonal's bisection: 2 tiny absolute tolerance (LAPACK's value
 # for the most accurate eigenvalues) and, inside LAPACK, 2 ulp relative
-_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
+_TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
 
 
@@ -94,6 +98,78 @@ def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+# _certify counts in Python up to this many states, dstebz past it.  The
+# Python count takes about 0.9 us a state against dstebz's 0.05 us, but
+# dstebz needs scipy, whose import takes about 400 ms; a chain's first cut
+# has 34 to 82 states, the PDM grid's levels 100 or more
+_PY_COUNT_MAX = 256
+
+
+def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+    """The count of eigenvalues in (-inf, x] of the symmetric tridiagonal
+    (diag, off), formed as LAPACK's dstebz forms it (range "V", vl = -inf,
+    vu = x): the same operations in the same order, so the counts agree.
+
+    dstebz splits T where e_j^2 < |d_j d_(j+1)| ulp^2 + tiny and sets
+    pivmin = tiny max(1, e_j^2 over the links kept).  A block of one state
+    counts where x >= d - pivmin.  A longer block counts the pivots
+    q <= 0 of q_j = d_j - e_(j-1)^2 / q_(j-1) - y, a pivot of magnitude
+    below pivmin taken as -pivmin, at y = min(x, gu), less those at
+    y = gl, [gl, gu] being the block's Gershgorin interval widened by
+    2.1 (ulp size max(|gl|, |gu|) + pivmin).
+    """
+    d, e, x = diag.tolist(), off.tolist(), float(x)
+    n = len(d)
+    if n == 1:
+        return int(x >= d[0])
+    e2 = [v * v for v in e]
+    # the blocks and their Gershgorin bounds, in one pass
+    pivmin, blocks, ulp2, tiny = 1.0, [], _EPS * _EPS, _TINY
+    lo, t1, gu, gl = 0, 0.0, d[0], d[0]
+    for j, (a, b, v, s) in enumerate(zip(d, d[1:], e, e2), 1):
+        split = abs(b * a) * ulp2 + tiny > s
+        if split:
+            v = 0.0
+        else:
+            v = abs(v)
+            if s > pivmin:
+                pivmin = s
+        if a + t1 + v > gu:
+            gu = a + t1 + v
+        if a - t1 - v < gl:
+            gl = a - t1 - v
+        t1 = v
+        if split:
+            blocks.append((lo, j, gl, gu))
+            lo, gu, gl = j, b, b
+    blocks.append((lo, n, min(gl, d[-1] - t1), max(gu, d[-1] + t1)))
+    pivmin *= _TINY
+
+    def below(lo, hi, y):
+        # q < pivmin is exactly the pivots counted, as q <= 0 once a pivot
+        # of magnitude below pivmin is -pivmin
+        c, q = 0, 1.0
+        for a, s in zip(d[lo:hi], [0.0] + e2[lo:hi - 1]):
+            q = a - s / q - y
+            if q < pivmin:
+                c += 1
+                if q > -pivmin:
+                    q = -pivmin
+        return c
+
+    found = 0
+    for lo, hi, gl, gu in blocks:
+        if hi - lo == 1:
+            found += x >= d[lo] - pivmin
+            continue
+        bnorm = max(abs(gl), abs(gu))
+        gl = gl - 2.1 * bnorm * _EPS * (hi - lo) - 2.1 * pivmin
+        gu = min(gu + 2.1 * bnorm * _EPS * (hi - lo) + 2.1 * pivmin, x)
+        if gl < gu:
+            found += below(lo, hi, gu) - below(lo, hi, gl)
+    return found
+
+
 def _certify(diag: np.ndarray, off: np.ndarray, theta: np.ndarray,
              resid: np.ndarray, count: int,
              tail: tuple[float, float] | None = None) -> bool:
@@ -107,46 +183,124 @@ def _certify(diag: np.ndarray, off: np.ndarray, theta: np.ndarray,
     [theta_i - rho_i, theta_i + rho_i] holds an eigenvalue.  tau_i is the
     width to which dstebz itself bisects theta_i: a count at theta_i plus a
     smaller residual falls inside the count's own rounding and may miss
-    theta_i.  If every theta_i + rho_i is finite, the intervals are
-    disjoint and a Sturm count (dstebz) finds exactly `count` eigenvalues
-    up to top = theta_count + rho_count, each interval holds exactly one
-    and together they are the lowest `count`.  theta is off by about
-    resid^2 / gap, so max resid <= sqrt(eps) max |theta| is required too.
+    theta_i.  If every theta_i + rho_i is finite and the intervals are
+    disjoint, there are at least `count` eigenvalues up to
+    top = theta_count + rho_count; if a Sturm count finds exactly `count`
+    there, each interval holds exactly one and together they are the
+    lowest `count`.  theta is off by about resid^2 / gap, so
+    max resid <= sqrt(eps) max |theta| is required too.  The count is
+    _sturm_count's, dstebz's own past _PY_COUNT_MAX states.
 
     With tail = (link, floor), T is the leading block A of a chain
     [[A, link E], [link E^T, B]], E joining A's last state to B's first,
     resid is the residual in the whole chain and floor is a lower bound of
-    B's spectrum.  floor must lie above top, and a second count must find
-    `count` up to top in A with its last diagonal entry lowered by
-    link^2 / (floor - top).  For x = top < floor, B - x is positive
-    definite, so by Haynsworth's inertia formula the chain has as many
-    eigenvalues below x as S = A - x - link^2 [(B - x)^-1]_00 E_(m-1, m-1)
-    has negative ones.  The corner term lies in (0, link^2 / (floor - x)],
-    so S lies between the lowered A - x and A - x, whose counts bound S's.
+    B's spectrum.  floor must lie above top, and the count is taken in A
+    with its last diagonal entry lowered by link^2 / (floor - top).  For
+    x = top < floor, B - x is positive definite, so by Haynsworth's inertia
+    formula the chain has as many eigenvalues below x as
+    S = A - x - link^2 [(B - x)^-1]_00 E_(m-1, m-1) has negative ones.  The
+    corner term lies in (0, link^2 / (floor - x)], so S lies above the
+    lowered A - x, whose count bounds S's from above; the intervals bound
+    it from below.
     """
-    from scipy.linalg.lapack import dstebz
-
     rho = np.maximum(resid, 2.0 * (_TINY + _EPS * np.abs(theta)))
     top = theta + rho
     if not (theta.size == count and np.isfinite(top).all()
             and np.all(theta[1:] - rho[1:] > top[:-1])
             and resid.max() <= _SQRT_EPS * np.abs(theta).max()):
         return False
+    if tail is not None:
+        link, floor = tail
+        if not floor > top[-1]:
+            return False
+        diag = diag.copy()
+        diag[-1] -= link * (link / (floor - top[-1]))
+    if diag.size <= _PY_COUNT_MAX:
+        return _sturm_count(diag, off, top[-1]) == count
+    from scipy.linalg.lapack import dstebz
 
-    def holds(d):
-        # range "V": the eigenvalues in (-inf, top]; an infinite abstol
-        # stops the bisection at once, so only the count is formed
-        found, *_, info = dstebz(d, off, 1, -np.inf, top[-1], 0, 0, np.inf, "E")
-        return info == 0 and found == count
+    # range "V": the eigenvalues in (-inf, top]; an infinite abstol stops
+    # the bisection at once, so only the count is formed
+    found, *_, info = dstebz(diag, off, 1, -np.inf, top[-1], 0, 0, np.inf, "E")
+    return info == 0 and found == count
 
-    if tail is None:
-        return holds(diag)
-    link, floor = tail
-    if not (floor > top[-1] and holds(diag)):
-        return False
-    lowered = diag.copy()
-    lowered[-1] -= link * (link / (floor - top[-1]))
-    return holds(lowered)
+
+def _rotated_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray, want: int):
+    """(values, vectors) of the lowest `want` pairs of the elliptic chain
+    x = c0 K0 + c (K+ + K-) (c0 > 2|c|) with diagonal k0 and links kp, from
+    the su(1,1) rotation, on the chain's leading states, zero past them and
+    certified; None where the closed form's residual is above rounding.
+
+    x = Omega U K0 U^-1, Omega = sqrt(c0^2 - 4 c^2), with the orthogonal
+    U = e^{t K+} (1 - t^2)^{K0} e^{-t K-}, t = -2c / (c0 + Omega).  So on a
+    lowest-weight chain of weight k = k0[0] the values are
+    Omega (n + k) (metric._harmonic_law) and the vectors are U's leading
+    columns, e^{t K+} applied to (1 - t^2)^{k0} e^{-t K-} on the wanted
+    states (_ladder_exp).  They are formed on the leading m states,
+    m = 2 want + 32 doubling, as the bisection's cut is (see _low_eigs),
+    and taken where every residual in the whole chain is at most four
+    times the width tau = 2 tiny + 2 eps theta to which dstebz bisects,
+    the spill past m is at most tau, and _certify certifies them, with the
+    chain's tail where m does not cover the chain.  A residual above that
+    bar away from the cut (a chain that is not lowest-weight, or a
+    near-parabolic x, whose U sums large terms that cancel) gives None at
+    once.
+    """
+    root = math.sqrt((c0 - 2.0 * abs(c)) * (c0 + 2.0 * abs(c)))
+    t = -2.0 * c / (c0 + root)
+    theta = np.array(_harmonic_law(root, float(k0[0]), want))
+    tau = 2.0 * (_TINY + _EPS * theta)
+    # e^{-t K-} = P e^{t K+}^T P with P = diag((-1)^j), so U's column j is
+    # (-1)^j sum_l g[:, l] (-1)^l (1 - t^2)^{k0[l]} g[j, l], g = e^{t K+};
+    # the sign (-1)^j of a vector is free
+    scale = (1.0 - t * t) ** k0[:want]
+    scale[1::2] *= -1.0
+    m = min(k0.size, 2 * want + 32)
+    while True:
+        # the padded vectors' residual reaches the one state past the cut
+        rows = min(m + 1, k0.size)
+        g = _ladder_exp(kp, t, rows, want)
+        u = (g * scale) @ g[:want].T
+        u[m:] = 0.0
+        u /= np.sqrt((u * u).sum(axis=0))
+        d, e = c0 * k0[:rows], c * kp[:rows - 1]
+        r = _tri_mul(d, e, u) - theta * u
+        r *= r
+        resid = np.sqrt(r.sum(axis=0))
+        # rows m - 1 and m miss the states past the cut; the others are
+        # the closed form's own rounding
+        if np.any(np.sqrt(r[:m - 1].sum(axis=0)) > 4.0 * tau):
+            return None
+        if np.all(resid <= 4.0 * tau):
+            if m == k0.size and _certify(d, e, theta, resid, want):
+                return theta, u
+            if (m < k0.size and np.all(np.sqrt(r[m]) <= tau)
+                    and _certify(d[:m], e[:m - 1], theta, resid, want,
+                                 (e[m - 1], (c0 - 2.0 * abs(c)) * k0[m]))):
+                return theta, u[:m]
+        if m == k0.size:
+            return None
+        m = min(k0.size, 2 * m)
+
+
+def _bisected_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray,
+                    want: int, slope: float):
+    """(values, vectors) of the chain's lowest `want` pairs by bisection,
+    on its leading states for an elliptic x (slope > 0), whole otherwise
+    (see _low_eigs)."""
+    m = min(k0.size, 2 * want + 32) if slope > 0.0 else k0.size
+    while True:
+        d, e = c0 * k0[:m], c * kp[:m - 1]
+        wc, vc = _bisect(d, e, want)
+        if m == k0.size:
+            return wc, vc
+        link = c * kp[m - 1]
+        spill = np.abs(link * vc[-1])
+        resid = np.hypot(np.linalg.norm(_tri_mul(d, e, vc) - wc * vc, axis=0), spill)
+        if (np.all(spill <= 2.0 * (_TINY + _EPS * np.abs(wc)))
+                and _certify(d, e, wc, resid, want, (link, slope * k0[m]))):
+            return wc, vc
+        m = min(k0.size, 2 * m)
 
 
 def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
@@ -156,21 +310,26 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
     zero past them.  A count above the dimension yields all; zero none.
 
     x couples each state only to the states band away, so the states of
-    each class modulo band form a tridiagonal chain, bisected for its
-    lowest pairs.  Along a chain k0 rises by 1 per state and K+ <= K0 + 1/2,
-    so g = (c0 - 2|c|) k0[m] is a Gershgorin floor of the states past m.
-    An elliptic x (c0 > 2|c|, a rotated oscillator, as h is) is solved on
-    the leading m states of each chain: m starts at 2 count + 32 and
-    doubles until the cut holds or m covers the chain.  The cut holds when
-    the one link e = c kp[m - 1] past it leaves each wanted vector u_i
-    nearly unmoved, |e u_i[m - 1]| <= 2 tiny + 2 eps |theta_i|, so that u_i
-    zero-padded past m is the vector returned, and _certify certifies the
-    pairs from the residuals of the padded vectors with tail (e, g).  The
-    low eigenvectors fall off by about t = 2|c|/(c0 + Omega) per state,
-    Omega = sqrt(c0^2 - 4 c^2), so the cut holds after a number of states
-    that does not grow with N.  For any other x (-K0, hyperbolic or
-    parabolic elements) g lies at or below every value, no cut can hold,
-    and each chain is solved whole at once.
+    each class modulo band form a tridiagonal chain.  An elliptic x
+    (c0 > 2|c|, a rotated oscillator, as h is) takes each chain's lowest
+    pairs in closed form, Omega (n + k) and the columns of one su(1,1)
+    rotation (_rotated_chain).  A chain whose closed form is not within
+    rounding, or not certified on all its states, and every chain of any
+    other x (-K0, hyperbolic or parabolic elements) are bisected instead.
+
+    Along a chain k0 rises by 1 per state and K+ <= K0 + 1/2, so
+    g = (c0 - 2|c|) k0[m] is a Gershgorin floor of the states past m.  An
+    elliptic chain is solved on its leading m states: m starts at
+    2 count + 32 and doubles until the cut holds or m covers the chain.
+    The cut holds when the one link e = c kp[m - 1] past it leaves each
+    wanted vector u_i nearly unmoved, |e u_i[m - 1]| <= 2 tiny + 2 eps
+    |theta_i|, so that u_i zero-padded past m is the vector returned, and
+    _certify certifies the pairs from the residuals of the padded vectors
+    with tail (e, g).  The low eigenvectors fall off by about
+    t = 2|c|/(c0 + Omega) per state, Omega = sqrt(c0^2 - 4 c^2), so the
+    cut holds after a number of states that does not grow with N.  For
+    any other x, g lies at or below every value, no cut can hold, and
+    each chain is bisected whole at once.
     """
     if count < 0:
         raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
@@ -187,21 +346,10 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
         k0 = realization.k0_diag[ch::band]
         kp = realization.kp_band[ch::band]
         want = min(count, k0.size)
-        m = min(k0.size, 2 * want + 32) if slope > 0.0 else k0.size
-        while True:
-            d, e = c0 * k0[:m], c * kp[:m - 1]
-            wc, vc = _bisect(d, e, want)
-            if m == k0.size:
-                break
-            link = c * kp[m - 1]
-            spill = np.abs(link * vc[-1])
-            resid = np.hypot(np.linalg.norm(_tri_mul(d, e, vc) - wc * vc, axis=0), spill)
-            if (np.all(spill <= 2.0 * (_TINY + _EPS * np.abs(wc)))
-                    and _certify(d, e, wc, resid, want, (link, slope * k0[m]))):
-                break
-            m = min(k0.size, 2 * m)
+        got = _rotated_chain(c0, c, k0, kp, want) if slope > 0.0 else None
+        wc, vc = got or _bisected_chain(c0, c, k0, kp, want, slope)
         w.append(wc)
-        cuts.append((m, vc))
+        cuts.append((len(vc), vc))
     # chain ch's m states are rows ch, ch + band, ..., all below band * m
     q = np.zeros((min(n, band * max(m for m, _ in cuts)), sum(map(len, w))))
     cols = np.cumsum([0, *map(len, w)])

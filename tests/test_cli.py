@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from su11metric import (NoConvergence, SwansonParams, cli, discrete_series,
-                        hermitian_equivalent, pdm, spectrum_prediction,
-                        verification)
+from su11metric import (AlgebraElement, NoConvergence, SwansonParams, cli,
+                        discrete_series, pdm, spectrum_prediction, verification)
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
+
+
+# an admissible z-domain piece, z in (-1, -0.9645), where mu < 0
+NEGATIVE_MU = ("--omega", "1", "--alpha", "0.7543218246483239",
+               "--beta", "-2.6068268445611213")
 
 
 def run_cli(capture, *argv):
@@ -213,6 +217,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "admissible" in err
 
+    @pytest.mark.parametrize("z", ["-0.9995320885425871", "-0.99999999995"])
+    def test_negative_mu_exit_2(self, capsys, z):
+        # admissible z where mu < 0, the second within 1e-9 of z = -1: h is
+        # minus an oscillator, unbounded below, and its truncated spectrum
+        # depends on N (e0 = -4006.86 at N = 200); refused before any
+        # bundle is built, as pdm refuses the same point
+        code, out, err = run_cli(capsys, "verify", *NEGATIVE_MU, f"--z={z}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "mu > 0" in err
+
 
 class TestSweepCommand:
     ARGS = ("sweep", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
@@ -246,6 +260,15 @@ class TestSweepCommand:
                                "--z-to", "0", "--steps", "5")
         assert code == 0
         assert len(out.strip().split("\n")) == 6
+
+    def test_negative_mu_exit_2(self, capsys):
+        # every point of this range is admissible with mu < 0: the sweep
+        # checks them all before it builds a bundle, and emits nothing
+        code, out, err = run_cli(capsys, "sweep", *NEGATIVE_MU,
+                                 "--z-from=-0.9995320885425871", "--z-to=-0.97",
+                                 "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "mu > 0" in err
 
     def test_no_partial_output_on_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--omega", "1", "--alpha",
@@ -378,9 +401,7 @@ class TestPdmCommand:
     def test_negative_mu_exit_2(self, capsys):
         # an admissible z where mu < 0: h is minus an oscillator and the
         # grid has no positive mass, so the check is refused
-        code, out, err = run_cli(capsys, "pdm", "--omega", "1",
-                                 "--alpha", "0.7543218246483239",
-                                 "--beta", "-2.6068268445611213",
+        code, out, err = run_cli(capsys, "pdm", *NEGATIVE_MU,
                                  "--z", "-0.9995320885425871")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "mu > 0" in err
@@ -400,13 +421,14 @@ class TestPdmCommand:
 
     def test_failed_bisection_is_no_convergence(self, capfd, monkeypatch):
         # the chains and the grid share one bisection and its error path;
-        # --x-max 300 certifies no level, so the grid bisects
+        # a hyperbolic element's chain is bisected (no rotation takes it to
+        # K0), and --x-max 300 certifies no level, so the grid bisects
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("stebz did not converge")
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
         with pytest.raises(NoConvergence, match="stebz did not converge"):
-            verification._low_eigs(hermitian_equivalent(SwansonParams(1.0, 0.2, 0.1), 0.4),
+            verification._low_eigs(AlgebraElement(1.0, 0.6, 0.6),
                                    discrete_series(0.25, 100), 3)
         with pytest.raises(NoConvergence, match="stebz did not converge"):
             pdm.pdm_spectrum(pdm.PdmConfig(params=SwansonParams(1.0, 0.2, 0.1),
@@ -471,6 +493,21 @@ class TestImports:
         assert "su11metric" in loaded
         assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
 
+    @pytest.mark.parametrize("realization", ["discrete:k=0.25", "oscillator:parity=full"])
+    @pytest.mark.parametrize("command", [["verify", "--z", "0.4"],
+                                         ["sweep", "--z-from=-0.8", "--z-to", "0",
+                                          "--steps", "3"]])
+    def test_verify_and_sweep_load_no_scipy(self, command, realization):
+        # h is elliptic: its chains take the closed form, and their
+        # certificates count in Python, so no bisection imports scipy
+        proc = self._run("-X", "importtime", "-m", "su11metric", *command,
+                         "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
+                         "--realization", realization)
+        loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")]
+        assert "numpy" in loaded
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
     def test_closed_form_commands_skip_scipy(self):
         # the closed-form subcommands load the algebra layer alone; the
         # star import binds the matrix layer's names, and verify still runs
@@ -526,16 +563,25 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy.sparse")),
     @pytest.mark.parametrize("module, scipy_loaded", [("su11metric.verification", False),
                                                       ("su11metric.pdm", True)])
     def test_scipy_loads_with_pdm_alone(self, module, scipy_loaded):
-        # the certificate and the bisection import scipy when they run, so
-        # the verification module loads without it; pdm imports it at the
-        # top for its inverse iteration
+        # neither module imports scipy; the PDM grid's inverse iteration
+        # does when it runs, while an elliptic h's chains take the closed
+        # form and count their certificates in Python
         script = f"""
 import sys
-import {module}
-print(any(m.split(".")[0] == "scipy" for m in sys.modules), file=sys.stderr)
+import {module} as mod
+from su11metric import SwansonParams, discrete_series
+def scipy():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+imported = scipy()
+p = SwansonParams(1.0, 0.2, 0.1)
+if mod.__name__.endswith("pdm"):
+    mod.run_pdm_check(mod.PdmConfig(params=p, points=400))
+else:
+    mod.build_bundle(p, 0.4, discrete_series(0.25, 200), spectrum_count=5)
+print(imported, scipy(), file=sys.stderr)
 """
         proc = self._run("-c", script)
-        assert proc.stderr.splitlines()[-1] == str(scipy_loaded)
+        assert proc.stderr.splitlines()[-1] == f"False {scipy_loaded}"
 
 
 class TestParsing:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.linalg.lapack import dstebz
 
 import mpmath as mp
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
 from su11metric import commuting_observable, from_descriptor, oscillator_full
 from su11metric import verification
 from su11metric.cli import RESIDUAL_TOLS, main
+from su11metric.pdm import PdmConfig, _h_tridiag
 
 from conftest import spectral_norm
 from oracles import (chain_spectrum, commutator_residuals, exp_raising,
@@ -151,6 +153,72 @@ class TestCertificate:
                         (r.kind, z, count)
 
 
+class TestSturmCount:
+    # verification._sturm_count against dstebz's own count, everywhere the
+    # pure-Python count serves the certificate
+
+    @staticmethod
+    def assert_counts_agree(d, e, points):
+        for x in points:
+            x = float(x)
+            found, *_, info = dstebz(d, e, 1, -np.inf, x, 0, 0, np.inf, "E")
+            assert info == 0
+            assert verification._sturm_count(d, e, x) == found, (d.size, x)
+
+    @staticmethod
+    def probes(d, w, spread=40):
+        # the values w, 1e-15 off them on both sides, one ulp off them,
+        # and points spread over the diagonal's range
+        return np.concatenate([w, w * (1.0 + 1e-15), w * (1.0 - 1e-15),
+                               np.nextafter(w, np.inf), np.nextafter(w, -np.inf),
+                               np.geomspace(1e-3, np.abs(d).max(), spread),
+                               -np.geomspace(1e-3, 1e300, 5), [0.0, np.inf]])
+
+    def test_cut_case_chains(self):
+        # each chain's first cut and its lowered corner, as _certify
+        # counts them
+        for make in ALL_CONSTRUCTORS:
+            r = make(300)
+            for x in _cut_cases():
+                c0, c = x.c0.real, x.cm.real
+                for ch in range(r.band):
+                    k0, kp = r.k0_diag[ch::r.band], r.kp_band[ch::r.band]
+                    for count in (1, 5, 25):
+                        m = min(k0.size - 1, 2 * count + 32)
+                        d, e = c0 * k0[:m], c * kp[:m - 1]
+                        w = verification._bisect(d, e, min(count, m))[0]
+                        lowered = d.copy()
+                        lowered[-1] -= (c * kp[m - 1]) ** 2 / (c0 - 2.0 * abs(c))
+                        law = np.sqrt(c0 ** 2 - 4 * c ** 2) * (np.arange(count) + k0[0])
+                        # the certificate counts just above the top value
+                        top = np.r_[w[-3:], law[-3:]]
+                        for diag in (d, lowered):
+                            self.assert_counts_agree(diag, e, self.probes(diag, top, 8))
+
+    @pytest.mark.parametrize("x_min", [-4.0, -600.0])
+    def test_pdm_levels(self, x_min):
+        # the grid levels of up to _PY_COUNT_MAX points; at x_min = -600
+        # the diagonal reaches 1e260 and its squared links overflow
+        cfg = PdmConfig(params=P, x_min=x_min)
+        for points in (100, 150, 200, verification._PY_COUNT_MAX):
+            d, e, _, _ = _h_tridiag(dataclasses.replace(cfg, points=points))
+            w = verification._bisect(d, e, 5)[0]
+            self.assert_counts_agree(d, e, self.probes(d, w))
+
+    def test_split_chains(self):
+        # zero and negligible links split T into blocks, single states
+        # among them; dstebz counts each block on its own
+        rng = np.random.default_rng(705)
+        for _ in range(100):
+            n = int(rng.integers(2, 40))
+            d = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            e = rng.normal(size=n - 1)
+            e[rng.random(n - 1) < 0.3] = 0.0
+            e[rng.random(n - 1) < 0.2] *= 1e-12
+            w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            self.assert_counts_agree(d, e, self.probes(d, w))
+
+
 class TestChainCut:
     # _low_eigs solves each chain on its leading states; the oracle
     # bisects every chain in full
@@ -206,8 +274,11 @@ class TestChainCut:
     def test_non_elliptic_chain_bisects_once(self, monkeypatch):
         # for -K0, a hyperbolic and a parabolic element the floor
         # (c0 - 2|c|) k0 lies at or below every value, so no cut can hold:
-        # each chain is bisected once, whole; elliptic h once, on its
-        # first cut of 2 count + 32 states
+        # each chain is bisected once, whole.  Elliptic h takes the closed
+        # form at count 5; at count 25 the rotation's 25th column carries
+        # terms that cancel to 47 eps theta at z = 0.4 (25 at z = 0), above
+        # the rounding bar, so the chain is bisected once, on its first cut
+        # of 2 count + 32 states
         sizes = []
         bisect = verification._bisect
 
@@ -216,15 +287,55 @@ class TestChainCut:
             return bisect(d, e, count)
 
         monkeypatch.setattr(verification, "_bisect", counted)
-        for x, r, expected in (
-                (AlgebraElement(-1.0, 0.0, 0.0), discrete_series(0.25, 800), [800]),
-                (AlgebraElement(1.0, 0.6, 0.6), discrete_series(0.25, 800), [800]),
-                (AlgebraElement(1.0, 0.5, 0.5), discrete_series(0.25, 800), [800]),
-                (AlgebraElement(1.0, 0.6, 0.6), oscillator_full(800), [400, 400]),
-                (hermitian_equivalent(P, 0.0), discrete_series(0.25, 800), [82])):
+        for x, r, count, expected in (
+                (AlgebraElement(-1.0, 0.0, 0.0), discrete_series(0.25, 800), 25, [800]),
+                (AlgebraElement(1.0, 0.6, 0.6), discrete_series(0.25, 800), 25, [800]),
+                (AlgebraElement(1.0, 0.5, 0.5), discrete_series(0.25, 800), 25, [800]),
+                (AlgebraElement(1.0, 0.6, 0.6), oscillator_full(800), 25, [400, 400]),
+                (hermitian_equivalent(P, 0.0), discrete_series(0.25, 800), 5, []),
+                (hermitian_equivalent(P, 0.0), discrete_series(0.25, 800), 25, [82])):
             sizes.clear()
-            verification._low_eigs(x, r, 25)
-            assert sizes == expected, (x, r.kind, sizes)
+            verification._low_eigs(x, r, count)
+            assert sizes == expected, (x, r.kind, count, sizes)
+
+    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    def test_elliptic_h_takes_the_closed_form(self, make, monkeypatch):
+        # h at count 5, as verify and sweep ask for it, at every cut case
+        # but the near-parabolic draws: no chain is bisected, and the
+        # values are the harmonic law on each chain
+        def refuse(*args):
+            raise AssertionError("bisected an elliptic chain")
+
+        r = make(300)
+        cases = _cut_cases()[:-3]
+        monkeypatch.setattr(verification, "_bisect", refuse)
+        for x in cases:
+            w, _ = verification._low_eigs(x, r, 5)
+            omega = math.sqrt(x.c0.real ** 2 - 4.0 * x.cm.real ** 2)
+            law = np.sort(np.concatenate([omega * (np.arange(5) + k)
+                                          for k in r.k0_diag[:r.band]]))[:5]
+            assert np.allclose(w, law, rtol=1e-14, atol=0.0), (x, r.kind)
+        monkeypatch.undo()
+        for x in cases:
+            self.assert_matches_oracle(x, r, 5)
+
+    def test_near_parabolic_chains_fall_back(self, monkeypatch):
+        # 2|c|/c0 near 1: U's columns cancel far above rounding, so at
+        # count 25 every chain is bisected, and still matches the oracle
+        calls = []
+        bisect = verification._bisect
+
+        def counted(d, e, count):
+            calls.append(d.size)
+            return bisect(d, e, count)
+
+        monkeypatch.setattr(verification, "_bisect", counted)
+        for make in ALL_CONSTRUCTORS:
+            r = make(300)
+            for x in _cut_cases()[-3:]:
+                calls.clear()
+                self.assert_matches_oracle(x, r, 25)
+                assert len(calls) >= r.band, (x, r.kind, calls)
 
     def test_cut_stays_at_the_first_length(self):
         # h at the base point certifies on each chain's first cut, the
