@@ -19,7 +19,8 @@ coarsest level refines the algebraic law's values by inverse iteration,
 and each finer level the coarser level's eigenvalues; every level is
 certified by verification._certify, the realization chains' certificate.
 A level whose seeds fail it refines the bisection's values instead, and
-one that is not certified even then raises NoConvergence.
+one that is not certified even then raises NoConvergence.  The inverse
+iteration imports scipy's LAPACK when it first runs, not this module.
 """
 
 from __future__ import annotations

@@ -541,7 +541,8 @@ def _relative_residuals(products: dict[str, tuple[np.ndarray, np.ndarray]],
     finite = np.isfinite(blocks).all(axis=(1, 2))
     norms = np.full(len(blocks), np.inf)
     if finite.any():
-        norms[finite] = np.linalg.svd(blocks[finite], compute_uv=False)[:, 0]
+        norms[finite] = np.linalg.svd(blocks if finite.all() else blocks[finite],
+                                      compute_uv=False)[:, 0]
     out = {}
     for name, (d, *operands) in zip(products, norms.reshape(-1, 3).tolist()):
         base = max(operands)
@@ -589,8 +590,9 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     The spectrum is the lowest `spectrum_count` eigenvalues (default
     trusted // 2, at least 1; all N if more are asked) of h, from its
     coefficients and the realization's bands: h is elliptic, so each chain
-    is solved on its leading states alone and certified (_low_eigs,
-    _certify).  The nine spectral norms come from one stacked SVD.
+    takes them in closed form on its leading states alone, certified
+    (_low_eigs, _certify).  The nine spectral norms come from one stacked
+    SVD.
     """
     validate_params(p)
     n = realization.dim
