@@ -313,9 +313,10 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
     each class modulo band form a tridiagonal chain.  An elliptic x
     (c0 > 2|c|, a rotated oscillator, as h is) takes each chain's lowest
     pairs in closed form, Omega (n + k) and the columns of one su(1,1)
-    rotation (_rotated_chain).  A chain whose closed form is not within
-    rounding, or not certified on all its states, and every chain of any
-    other x (-K0, hyperbolic or parabolic elements) are bisected instead.
+    rotation (_rotated_chain).  A chain whose closed-form residual is
+    above rounding, or whose closed form certifies on no cut, and every
+    chain of any other x (-K0, hyperbolic or parabolic elements) are
+    bisected instead (_bisected_chain).
 
     Along a chain k0 rises by 1 per state and K+ <= K0 + 1/2, so
     g = (c0 - 2|c|) k0[m] is a Gershgorin floor of the states past m.  An
