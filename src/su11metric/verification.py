@@ -246,10 +246,12 @@ def _rotated_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray, want: in
     near-parabolic x, whose U sums large terms that cancel) gives None at
     once.
     """
-    root = math.sqrt((c0 - 2.0 * abs(c)) * (c0 + 2.0 * abs(c)))
+    slope = c0 - 2.0 * abs(c)
+    root = math.sqrt(slope * (c0 + 2.0 * abs(c)))
     t = -2.0 * c / (c0 + root)
     theta = np.array(_harmonic_law(root, float(k0[0]), want))
     tau = 2.0 * (_TINY + _EPS * theta)
+    bar = 4.0 * tau
     # e^{-t K-} = P e^{t K+}^T P with P = diag((-1)^j), so U's column j is
     # (-1)^j sum_l g[:, l] (-1)^l (1 - t^2)^{k0[l]} g[j, l], g = e^{t K+};
     # the sign (-1)^j of a vector is free
@@ -269,14 +271,14 @@ def _rotated_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray, want: in
         resid = np.sqrt(r.sum(axis=0))
         # rows m - 1 and m miss the states past the cut; the others are
         # the closed form's own rounding
-        if np.any(np.sqrt(r[:m - 1].sum(axis=0)) > 4.0 * tau):
+        if np.any(np.sqrt(r[:m - 1].sum(axis=0)) > bar):
             return None
-        if np.all(resid <= 4.0 * tau):
+        if np.all(resid <= bar):
             if m == k0.size and _certify(d, e, theta, resid, want):
                 return theta, u
             if (m < k0.size and np.all(np.sqrt(r[m]) <= tau)
                     and _certify(d[:m], e[:m - 1], theta, resid, want,
-                                 (e[m - 1], (c0 - 2.0 * abs(c)) * k0[m]))):
+                                 (e[m - 1], slope * k0[m]))):
                 return theta, u[:m]
         if m == k0.size:
             return None
