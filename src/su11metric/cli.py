@@ -9,10 +9,10 @@ emitted, so no partial CSV is produced on error.  The closed-form
 subcommands (validate, disentangle, metric, spectrum) load neither numpy
 nor scipy; verify, sweep and pdm load the matrix layer (numpy) on first
 use.  Of these only pdm loads scipy, for its grid's inverse iteration:
-verify and sweep solve h's chains in closed form and count their
-certificates in Python, and load scipy only where a chain falls back to
-LAPACK's bisection (verification._low_eigs).  verify and sweep refuse a z
-where mu <= 0, as pdm does: h is then unbounded below.
+verify and sweep take h's values from the harmonic law, and load scipy
+only to bisect a chain where the law does not hold to rounding in N
+states, a near-parabolic h (verification._low_eigs).  verify and sweep
+refuse a z where mu <= 0, as pdm does: h is then unbounded below.
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over
 tolerance or a failed/inconclusive check, 2 invalid parameters or

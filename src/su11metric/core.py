@@ -105,8 +105,8 @@ def _ordered_factor(epsilon: float, eta: complex, ordering: str) -> Factorizatio
     only the pivot of the requested ordering is checked."""
     eta = complex(eta)
     theta_sq = _theta_sq(epsilon, eta)
-    if theta_sq < 0.0:
-        raise TrigRegime(f"theta^2 = {theta_sq:.6g} < 0; no real-theta factorization")
+    if not theta_sq >= 0.0:
+        raise TrigRegime(f"theta^2 = {theta_sq:.6g} is not >= 0; no real-theta factorization")
     c, s = _cosh_sinhc(theta_sq)
     sign, op = (-1.0, "-") if ordering == "normal" else (1.0, "+")
     pivot = c + sign * epsilon * s
@@ -149,8 +149,8 @@ def adjoint_matrix(epsilon: float, eta: complex) -> tuple[tuple[complex, ...], .
     eta = complex(eta)
     abs2 = (eta * eta.conjugate()).real
     theta_sq = _theta_sq(epsilon, eta)
-    if theta_sq < 0.0:
-        raise TrigRegime(f"theta^2 = {theta_sq:.6g} < 0; adjoint closed form unavailable")
+    if not theta_sq >= 0.0:
+        raise TrigRegime(f"theta^2 = {theta_sq:.6g} is not >= 0; adjoint closed form unavailable")
     c, s = _cosh_sinhc(theta_sq)
     cm_ = c - epsilon * s
     cp_ = c + epsilon * s

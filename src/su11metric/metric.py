@@ -95,7 +95,7 @@ def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float]:
     s = (p.alpha - p.beta) * math.sqrt(1.0 - z * z)
     den = p.alpha + p.beta - z * p.omega
     poly = _stability_poly(p, z)
-    if poly <= 0.0:
+    if not poly > 0.0:
         raise ZOutOfDomain(
             f"z = {z:g} is inadmissible: |arctanh argument| >= 1 "
             f"(alpha + beta - omega*z = {den:g})")
@@ -148,7 +148,7 @@ def solve_epsilon(p: SwansonParams, z: float) -> float:
     ln(Lambda) / (4*sqrt(1-z^2)), so an argument rounding to +-1 is harmless.
     """
     validate_params(p)
-    if abs(z) > 1.0:
+    if not abs(z) <= 1.0:
         raise ZOutOfDomain(f"z must lie in [-1, 1] (got z = {z:g})")
     if abs(z) == 1.0:
         den = p.alpha + p.beta - z * p.omega
@@ -181,11 +181,11 @@ def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
     cancelling factor.  Both are refused within 1e-9 of the endpoints.
     """
     validate_params(p)
-    if abs(z) >= 1.0 - _EDGE:
+    if not abs(z) < 1.0 - _EDGE:
         raise ZOutOfDomain(
             f"mu/nu formulas degenerate at |z| = 1 (got z = {z:g}); "
             "assemble the endpoint Hamiltonian by conjugation instead")
-    if _stability_poly(p, z) <= 0.0:
+    if not _stability_poly(p, z) > 0.0:
         raise ZOutOfDomain(f"z = {z:g} is inadmissible")
     den = p.alpha + p.beta - z * p.omega
     diff = p.alpha - p.beta
@@ -217,8 +217,8 @@ def spectrum_prediction(p: SwansonParams, k: float, count: int) -> tuple[float, 
     harmonic with effective frequency sqrt(omega^2 - 4*alpha*beta).
     """
     validate_params(p)
-    if k <= 0.0:
-        raise InvalidParams(f"lowest weight k must be positive (got {k:g})")
+    if not 0.0 < k < math.inf:
+        raise InvalidParams(f"lowest weight k must be positive and finite (got {k:g})")
     if count < 1:
         raise InvalidParams("count must be at least 1")
     return _harmonic_law(2.0 * math.sqrt(p.omega ** 2 - 4.0 * p.alpha * p.beta), k, count)
@@ -272,7 +272,7 @@ def power_base(p: SwansonParams, z: float) -> float:
 
 def commuting_observable(z: float) -> AlgebraElement:
     """O = 2 K0 + z (Kp + Km); Hermitian for real z, |z| <= 1."""
-    if abs(z) > 1.0:
+    if not abs(z) <= 1.0:
         raise InvalidParams(f"observable parameter z must lie in [-1, 1] (got {z:g})")
     return AlgebraElement(2.0, z, z)
 

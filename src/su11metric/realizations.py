@@ -62,8 +62,8 @@ def discrete_series(k: float, n: int) -> RealizationMatrices:
     K+|m> = sqrt((m+1)(m+2k))|m+1> and K- its adjoint; the positive
     weight k fixes the Casimir value k(k-1).
     """
-    if k <= 0.0:
-        raise InvalidParams(f"lowest weight k must be positive (got {k:g})")
+    if not 0.0 < k < np.inf:
+        raise InvalidParams(f"lowest weight k must be positive and finite (got {k:g})")
     if n < 2:
         raise InvalidParams(f"dimension must be at least 2 (got {n})")
     m = np.arange(n, dtype=float)
@@ -120,6 +120,8 @@ def multiboson(l: int, residues: Sequence[float], n: int) -> RealizationMatrices
     if residues.shape != (l,):
         raise InvalidParams(
             f"need exactly l = {l} residue values (got {residues.size})")
+    if not np.isfinite(residues).all():
+        raise InvalidParams(f"residue values must be finite (got {residues.tolist()})")
     if n < l + 2:
         raise InvalidParams(f"dimension must exceed l + 1 (got {n})")
     m = np.arange(n)
@@ -144,8 +146,8 @@ def radial(L: float, n: int) -> RealizationMatrices:
     it.
     """
     k = (2.0 * L + 3.0) / 4.0
-    if k <= 0.0:
-        raise InvalidParams(f"L = {L:g} gives nonpositive weight (2L+3)/4")
+    if not 0.0 < k < np.inf:
+        raise InvalidParams(f"L = {L:g} gives no positive finite weight (2L+3)/4")
     base = discrete_series(k, n)
     return replace(base, kind=f"radial:L={L:g}")
 
@@ -189,6 +191,8 @@ def from_descriptor(text: str, dim: int,
         if "=" in tok:
             key, _, val = tok.partition("=")
             last = key.strip().lower()
+            if last in args:
+                raise InvalidParams(f"descriptor key {last!r} given twice in {text!r}")
             args[last] = [val.strip()]
         elif last is not None:
             args[last].append(tok)

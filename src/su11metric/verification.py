@@ -14,11 +14,11 @@ zeta_+ are R x R blocks (R = trusted + band) from one metric kernel whose
 cost does not grow with N (materialize_metric_root), H, h and O act on
 them as band shifts (realizations.apply), and h's lowest eigenpairs come
 from its coefficients and the bands.  h is a rotated oscillator, so on
-each chain of states they are the harmonic law Omega (n + k) and the
-columns of one su(1,1) rotation, formed in closed form on the leading
-states a stated bound needs and certified by a Sturm count in Python
-(_low_eigs, _rotated_chain, _certify); a chain the closed form does not
-reach to rounding is bisected by LAPACK, the one step that loads scipy.
+each chain its values are the harmonic law Omega (n + k); the vectors
+come from a twisted factorization at those values on the leading states
+a stated bound needs, certified by a Sturm count in Python (_low_eigs,
+_rotated_chain, _certify).  A chain whose law does not hold to rounding
+in its N states is bisected whole by LAPACK, the one step that loads scipy.
 So build_bundle's cost does not grow with N; only building the realization,
 which the caller does, still does.  Where a metric block does not exist
 in the realization's basis (a divergent series, zeta_+ at
@@ -101,7 +101,7 @@ def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 # _certify counts in Python up to this many states, dstebz past it.  The
 # Python count takes about 0.9 us a state against dstebz's 0.05 us, but
 # dstebz needs scipy, whose import takes about 400 ms; a chain's first cut
-# has 34 to 82 states, the PDM grid's levels 100 or more
+# holds 34 to 132 states (count 1 to 50), the PDM grid's levels 100 or more
 _PY_COUNT_MAX = 256
 
 
@@ -225,83 +225,80 @@ def _certify(diag: np.ndarray, off: np.ndarray, theta: np.ndarray,
     return info == 0 and found == count
 
 
+def _twisted_vectors(diag: np.ndarray, off: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Unnormalized v_i with (T - theta_i) v_i = gamma_i e_r, T = (diag, off):
+    the twisted factorization (Dhillon, Parlett and Voemel, ACM TOMS 32,
+    2006; LAPACK's dlar1v).  With x = diag - theta, T - theta has forward
+    pivots D+_j = x_j - e_(j-1)^2 / D+_(j-1) and backward pivots
+    D-_j = x_j - e_j^2 / D-_(j+1), a zero one taken as tiny; r minimizes
+    |gamma_r| = |D+_r + D-_r - x_r|, v_r = 1, v_j / v_(j+1) = -e_j / D+_j
+    below r and v_(j+1) / v_j = -e_j / D-_(j+1) above: each ratio runs in
+    its stable direction only."""
+    d = diag.tolist()
+    e2 = [0.0] + [v * v for v in off.tolist()]
+    d_back, e2_back = d[::-1], [0.0] + e2[:0:-1]
+    # sequential recurrences: on floats, per column, both ways in one pass
+    fwd, bwd = [], []
+    push_f, push_b = fwd.append, bwd.append
+    for th in theta.tolist():
+        q = p = 1.0
+        for a, s, b, t in zip(d, e2, d_back, e2_back):
+            q = (a - th - s / q) or _TINY
+            p = (b - th - t / p) or _TINY
+            push_f(q)
+            push_b(p)
+    fwd = np.array(fwd).reshape(theta.size, -1).T
+    bwd = np.array(bwd).reshape(theta.size, -1).T[::-1]
+    r = np.abs(fwd + bwd - (diag[:, None] - theta)).argmin(axis=0)
+    rows, neg = np.arange(diag.size - 1)[:, None], -off[:, None]
+    # the ratios on the far side of r are 1, so each cumulative product
+    # is v_j / v_r on its own side and 1 on the other
+    below = np.where(rows < r, neg / fwd[:-1], 1.0)
+    above = np.where(rows >= r, neg / bwd[1:], 1.0)
+    v = np.ones(fwd.shape)
+    v[:-1] = np.cumprod(below[::-1], axis=0)[::-1]
+    v[1:] *= np.cumprod(above, axis=0)
+    return v
+
+
 def _rotated_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray, want: int):
     """(values, vectors) of the lowest `want` pairs of the elliptic chain
-    x = c0 K0 + c (K+ + K-) (c0 > 2|c|) with diagonal k0 and links kp, from
-    the su(1,1) rotation, on the chain's leading states, zero past them and
-    certified; None where the closed form's residual is above rounding.
+    x = c0 K0 + c (K+ + K-) (c0 > 2|c|) with diagonal k0 and links kp, on
+    its leading states, zero past them, and certified; None where the law
+    does not hold to rounding in the chain (a near-parabolic x, or a want
+    near the chain's length).
 
-    x = Omega U K0 U^-1, Omega = sqrt(c0^2 - 4 c^2), with the orthogonal
-    U = e^{t K+} (1 - t^2)^{K0} e^{-t K-}, t = -2c / (c0 + Omega).  So on a
-    lowest-weight chain of weight k = k0[0] the values are
-    Omega (n + k) (metric._harmonic_law) and the vectors are U's leading
-    columns, e^{t K+} applied to (1 - t^2)^{k0} e^{-t K-} on the wanted
-    states (_ladder_exp).  They are formed on the leading m states,
-    m = 2 want + 32 doubling, as the bisection's cut is (see _low_eigs),
-    and taken where every residual in the whole chain is at most four
-    times the width tau = 2 tiny + 2 eps theta to which dstebz bisects,
-    the spill past m is at most tau, and _certify certifies them, with the
-    chain's tail where m does not cover the chain.  A residual above that
-    bar away from the cut (a chain that is not lowest-weight, or a
-    near-parabolic x, whose U sums large terms that cancel) gives None at
-    once.
-    """
+    x = Omega U K0 U^-1 for an su(1,1) rotation U, Omega =
+    sqrt(c0^2 - 4 c^2), so the values are Omega (n + k0[0])
+    (metric._harmonic_law) and the vectors _twisted_vectors' at them, on
+    the leading m states, m = 2 want + 32 doubling (see _low_eigs), taken
+    where every residual in the whole chain is at most four times the
+    width tau = 2 tiny + 2 eps theta to which dstebz bisects, the spill
+    past m is at most tau, and _certify certifies them, with the chain's
+    tail where m does not cover it."""
     slope = c0 - 2.0 * abs(c)
-    root = math.sqrt(slope * (c0 + 2.0 * abs(c)))
-    t = -2.0 * c / (c0 + root)
-    theta = np.array(_harmonic_law(root, float(k0[0]), want))
+    theta = np.array(_harmonic_law(math.sqrt(slope * (c0 + 2.0 * abs(c))),
+                                   float(k0[0]), want))
     tau = 2.0 * (_TINY + _EPS * theta)
-    bar = 4.0 * tau
-    # e^{-t K-} = P e^{t K+}^T P with P = diag((-1)^j), so U's column j is
-    # (-1)^j sum_l g[:, l] (-1)^l (1 - t^2)^{k0[l]} g[j, l], g = e^{t K+};
-    # the sign (-1)^j of a vector is free
-    scale = (1.0 - t * t) ** k0[:want]
-    scale[1::2] *= -1.0
     m = min(k0.size, 2 * want + 32)
     while True:
         # the padded vectors' residual reaches the one state past the cut
         rows = min(m + 1, k0.size)
-        g = _ladder_exp(kp, t, rows, want)
-        u = (g * scale) @ g[:want].T
-        u[m:] = 0.0
-        u /= np.sqrt((u * u).sum(axis=0))
         d, e = c0 * k0[:rows], c * kp[:rows - 1]
-        r = _tri_mul(d, e, u) - theta * u
-        r *= r
-        resid = np.sqrt(r.sum(axis=0))
-        # rows m - 1 and m miss the states past the cut; the others are
-        # the closed form's own rounding
-        if np.any(np.sqrt(r[:m - 1].sum(axis=0)) > bar):
+        u = np.zeros((rows, want))
+        # a ratio that overflows leaves a residual that is not taken
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u[:m] = _twisted_vectors(d[:m], e[:m - 1], theta)
+            u /= np.sqrt((u * u).sum(axis=0))
+            r = _tri_mul(d, e, u) - theta * u
+            r *= r
+            resid = np.sqrt(r.sum(axis=0))
+        tail = None if m == k0.size else (e[m - 1], slope * k0[m])
+        if (np.all(resid <= 4.0 * tau) and (tail is None or np.all(np.sqrt(r[m]) <= tau))
+                and _certify(d[:m], e[:m - 1], theta, resid, want, tail)):
+            return theta, u[:m]
+        if tail is None:
             return None
-        if np.all(resid <= bar):
-            if m == k0.size and _certify(d, e, theta, resid, want):
-                return theta, u
-            if (m < k0.size and np.all(np.sqrt(r[m]) <= tau)
-                    and _certify(d[:m], e[:m - 1], theta, resid, want,
-                                 (e[m - 1], slope * k0[m]))):
-                return theta, u[:m]
-        if m == k0.size:
-            return None
-        m = min(k0.size, 2 * m)
-
-
-def _bisected_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray,
-                    want: int, slope: float):
-    """(values, vectors) of the chain's lowest `want` pairs by bisection,
-    on its leading states for an elliptic x (slope > 0), whole otherwise
-    (see _low_eigs)."""
-    m = min(k0.size, 2 * want + 32) if slope > 0.0 else k0.size
-    while True:
-        d, e = c0 * k0[:m], c * kp[:m - 1]
-        wc, vc = _bisect(d, e, want)
-        if m == k0.size:
-            return wc, vc
-        link = c * kp[m - 1]
-        spill = np.abs(link * vc[-1])
-        resid = np.hypot(np.linalg.norm(_tri_mul(d, e, vc) - wc * vc, axis=0), spill)
-        if (np.all(spill <= 2.0 * (_TINY + _EPS * np.abs(wc)))
-                and _certify(d, e, wc, resid, want, (link, slope * k0[m]))):
-            return wc, vc
         m = min(k0.size, 2 * m)
 
 
@@ -312,13 +309,11 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
     zero past them.  A count above the dimension yields all; zero none.
 
     x couples each state only to the states band away, so the states of
-    each class modulo band form a tridiagonal chain.  An elliptic x
-    (c0 > 2|c|, a rotated oscillator, as h is) takes each chain's lowest
-    pairs in closed form, Omega (n + k) and the columns of one su(1,1)
-    rotation (_rotated_chain).  A chain whose closed-form residual is
-    above rounding, or whose closed form certifies on no cut, and every
-    chain of any other x (-K0, hyperbolic or parabolic elements) are
-    bisected instead (_bisected_chain).
+    each class modulo band form a tridiagonal chain.  On an elliptic x
+    (c0 > 2|c|, a rotated oscillator, as h is) a chain takes the law's
+    values with certified vectors (_rotated_chain).  Every other chain is
+    bisected whole (_bisect): those of any other x (-K0, hyperbolic or
+    parabolic elements) and an elliptic chain whose law does not hold.
 
     Along a chain k0 rises by 1 per state and K+ <= K0 + 1/2, so
     g = (c0 - 2|c|) k0[m] is a Gershgorin floor of the states past m.  An
@@ -331,8 +326,7 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
     with tail (e, g).  The low eigenvectors fall off by about
     t = 2|c|/(c0 + Omega) per state, Omega = sqrt(c0^2 - 4 c^2), so the
     cut holds after a number of states that does not grow with N.  For
-    any other x, g lies at or below every value, no cut can hold, and
-    each chain is bisected whole at once.
+    any other x, g lies at or below every value and no cut can hold.
     """
     if count < 0:
         raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
@@ -343,14 +337,13 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
     if count == 0:
         return np.empty(0), np.empty((n, 0))
     c0, c = x.c0.real, x.cm.real
-    slope = c0 - 2.0 * abs(c)
     w, cuts = [], []
     for ch in range(min(band, n)):
         k0 = realization.k0_diag[ch::band]
         kp = realization.kp_band[ch::band]
         want = min(count, k0.size)
-        got = _rotated_chain(c0, c, k0, kp, want) if slope > 0.0 else None
-        wc, vc = got or _bisected_chain(c0, c, k0, kp, want, slope)
+        got = _rotated_chain(c0, c, k0, kp, want) if c0 > 2.0 * abs(c) else None
+        wc, vc = got or _bisect(c0 * k0, c * kp, want)
         w.append(wc)
         cuts.append((len(vc), vc))
     # chain ch's m states are rows ch, ch + band, ..., all below band * m
@@ -369,7 +362,8 @@ _TAIL_TOL = np.finfo(float).eps / 4.0
 
 def _ladder_exp(sub: np.ndarray, coeff: float, rows: int, cols: int) -> np.ndarray:
     """Leading rows x cols block of exp(coeff B), where B holds `sub` on its
-    first subdiagonal (the raising operator along one chain of states).
+    first subdiagonal (the raising operator along one chain of states):
+    the metric kernel's factor G (materialize_metric_root).
 
     Row j + o of column j is coeff^o / o! sub[j] ... sub[j + o - 1], the
     running product down the column of the factors f[o, j] =
@@ -593,9 +587,10 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     The spectrum is the lowest `spectrum_count` eigenvalues (default
     trusted // 2, at least 1; all N if more are asked) of h, from its
     coefficients and the realization's bands: h is elliptic, so each chain
-    takes them in closed form on its leading states alone, certified
-    (_low_eigs, _certify).  The nine spectral norms come from one stacked
-    SVD.
+    takes the harmonic law with twisted-factorization vectors on its
+    leading states alone, certified, and loads no scipy; only a chain
+    whose law does not hold in its N states is bisected (_low_eigs,
+    _certify).  The nine spectral norms come from one stacked SVD.
     """
     validate_params(p)
     n = realization.dim

@@ -228,6 +228,30 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and "mu > 0" in err
 
 
+class TestNonFiniteInputs:
+    # NaN compares false with everything, so a check written as
+    # "refuse if x <= 0" lets it through; each of these printed nan (or
+    # ended in scipy's traceback) before
+    BASE = ("--omega", "1", "--alpha", "0.2", "--beta", "0.1")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", *BASE, "--z", "0.4", "--realization", "discrete:k=nan"),
+        ("verify", *BASE, "--z", "0.4", "--realization", "discrete:k=inf"),
+        ("verify", *BASE, "--z", "0.4", "--realization", "radial:L=nan"),
+        ("verify", *BASE, "--z", "0.4", "--realization", "multiboson:l=2,residues=0.25,nan"),
+        ("verify", *BASE, "--z", "0.4", "--realization", "discrete:k=0.25,k=0.75"),
+        ("metric", *BASE, "--z", "nan"),
+        ("spectrum", *BASE, "--k", "nan"),
+        ("spectrum", *BASE, "--k", "inf"),
+        ("disentangle", "--epsilon", "nan", "--eta", "0.1"),
+        ("disentangle", "--epsilon", "0.3", "--eta", "nan"),
+    ])
+    def test_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
 class TestSweepCommand:
     ARGS = ("sweep", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
             "--z-from", "-0.8", "--z-to", "0.8", "--steps", "9")
@@ -582,6 +606,34 @@ print(imported, scipy(), file=sys.stderr)
 """
         proc = self._run("-c", script)
         assert proc.stderr.splitlines()[-1] == f"False {scipy_loaded}"
+
+    def test_refused_non_finite_input_loads_no_numpy(self):
+        # the closed-form subcommands refuse NaN without the matrix layer
+        script = """
+import sys
+from su11metric.cli import main
+base = ["--omega", "1", "--alpha", "0.2", "--beta", "0.1"]
+codes = [main(argv) for argv in (["metric", *base, "--z", "nan"],
+                                 ["spectrum", *base, "--k", "nan"],
+                                 ["disentangle", "--epsilon", "nan", "--eta", "0.1"])]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")),
+      file=sys.stderr)
+"""
+        proc = self._run("-c", script)
+        assert proc.stderr.splitlines()[-1] == "[2, 2, 2] []"
+
+    def test_default_count_bundle_loads_no_scipy(self):
+        # build_bundle's default count, trusted // 2 = 25, takes the law on
+        # h's chain with certified vectors and bisects nothing
+        script = """
+import sys
+from su11metric import SwansonParams, build_bundle, discrete_series
+bundle = build_bundle(SwansonParams(1.0, 0.2, 0.1), 0.4, discrete_series(0.25, 200))
+print(bundle.spectrum_h.size, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      file=sys.stderr)
+"""
+        proc = self._run("-c", script)
+        assert proc.stderr.splitlines()[-1] == "25 []"
 
 
 class TestParsing:

@@ -118,6 +118,9 @@ class TestDiscreteSeries:
             discrete_series(0.0, 10)
         with pytest.raises(InvalidParams):
             discrete_series(0.5, 1)
+        for k in (math.nan, math.inf):
+            with pytest.raises(InvalidParams, match="finite"):
+                discrete_series(k, 10)
 
 
 class TestRealizationInvariants:
@@ -225,6 +228,13 @@ class TestMultiboson:
         with pytest.raises(InvalidParams, match="radicand"):
             multiboson(2, (-3.0, 0.75), 10)
 
+    def test_non_finite_residue(self):
+        # a NaN radicand compares false with 0, so the radicand check
+        # alone lets it through
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParams, match="finite"):
+                multiboson(2, (0.25, bad), 10)
+
     def test_band_structure(self):
         mb = multiboson(3, (0.3, 0.6, 0.9), 12)
         km = dense(mb)[2]
@@ -250,6 +260,9 @@ class TestRadial:
     def test_invalid(self):
         with pytest.raises(InvalidParams):
             radial(-2.0, 10)
+        for L in (math.nan, math.inf):
+            with pytest.raises(InvalidParams, match="finite"):
+                radial(L, 10)
 
 
 class TestConformal:
@@ -378,3 +391,5 @@ class TestDescriptors:
             from_descriptor("discrete:k=abc", 10)
         with pytest.raises(InvalidParams):
             from_descriptor("discrete:k=0.25,junk=1", 10)
+        with pytest.raises(InvalidParams, match="twice"):
+            from_descriptor("discrete:k=0.25,k=0.75", 10)
