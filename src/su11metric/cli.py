@@ -8,7 +8,7 @@ documented column order and is fully computed before anything is
 emitted, so no partial CSV is produced on error.  The closed-form
 subcommands (validate, disentangle, metric, spectrum) load neither numpy
 nor scipy; verify, sweep and pdm load the matrix layer (numpy) on first
-use.  Of these only pdm loads scipy, for its grid's inverse iteration:
+use.  Of these only pdm loads scipy, for its grid's tridiagonal solves:
 verify and sweep take h's values from the harmonic law, and load scipy
 only to bisect a chain where the law does not hold to rounding in N
 states, a near-parabolic h (verification._low_eigs).  verify and sweep

@@ -76,8 +76,14 @@ class Factorization:
     ordering: str = "normal"
 
 
+# past this theta, _cosh_sinhc scales by e^-theta: cosh overflows near 710
+_SCALE_FROM = 700.0
+
+
 def _cosh_sinhc(theta_sq):
-    """cosh(theta) and sinh(theta)/theta as even functions of theta.
+    """(c, s, scale): cosh(theta) and sinh(theta)/theta as even functions of
+    theta, each times e^-scale, where scale is theta for a real theta past
+    _SCALE_FROM and 0 elsewhere.
 
     Takes theta**2 (real or complex) so no branch of the square root is
     ever distinguished; small arguments use a series to avoid
@@ -86,18 +92,29 @@ def _cosh_sinhc(theta_sq):
     if abs(theta_sq) < 1e-8:
         c = 1.0 + theta_sq * (0.5 + theta_sq * (1.0 / 24.0 + theta_sq / 720.0))
         s = 1.0 + theta_sq * (1.0 / 6.0 + theta_sq * (1.0 / 120.0 + theta_sq / 5040.0))
-        return c, s
+        return c, s, 0.0
     if isinstance(theta_sq, complex) or theta_sq < 0.0:
         th = cmath.sqrt(theta_sq)
-        return cmath.cosh(th), cmath.sinh(th) / th
+        return cmath.cosh(th), cmath.sinh(th) / th, 0.0
     th = math.sqrt(theta_sq)
-    return math.cosh(th), math.sinh(th) / th
+    if th > _SCALE_FROM:
+        e2 = math.exp(-2.0 * th)
+        return 0.5 * (1.0 + e2), 0.5 * (1.0 - e2) / th, th
+    return math.cosh(th), math.sinh(th) / th, 0.0
 
 
 def _theta_sq(epsilon: float, eta: complex) -> float:
     """theta^2 = (|eps| - 2|eta|)(|eps| + 2|eta|); unlike eps^2 - 4|eta|^2,
-    it cannot round below 0 while |eps| >= 2|eta|, even when subnormal."""
-    return (abs(epsilon) - 2.0 * abs(eta)) * (abs(epsilon) + 2.0 * abs(eta))
+    it cannot round below 0 while |eps| >= 2|eta|, even when subnormal.
+    InvalidParams where eps or eta is not finite, or theta^2 overflows."""
+    if not (math.isfinite(epsilon) and cmath.isfinite(eta)):
+        raise InvalidParams(f"epsilon and eta must be finite (got epsilon = {epsilon:g}, "
+                            f"eta = {eta:g})")
+    theta_sq = (abs(epsilon) - 2.0 * abs(eta)) * (abs(epsilon) + 2.0 * abs(eta))
+    if theta_sq == math.inf:
+        raise InvalidParams(f"theta^2 = eps^2 - 4|eta|^2 overflows a double "
+                            f"(epsilon = {epsilon:g}, eta = {eta:g})")
+    return theta_sq
 
 
 def _ordered_factor(epsilon: float, eta: complex, ordering: str) -> Factorization:
@@ -107,14 +124,17 @@ def _ordered_factor(epsilon: float, eta: complex, ordering: str) -> Factorizatio
     theta_sq = _theta_sq(epsilon, eta)
     if not theta_sq >= 0.0:
         raise TrigRegime(f"theta^2 = {theta_sq:.6g} is not >= 0; no real-theta factorization")
-    c, s = _cosh_sinhc(theta_sq)
+    c, s, scale = _cosh_sinhc(theta_sq)
     sign, op = (-1.0, "-") if ordering == "normal" else (1.0, "+")
+    # the pivot times e^-scale, which cancels from p and r; past theta = 745
+    # e^-scale is 0, and only a pivot of 0 is refused
     pivot = c + sign * epsilon * s
-    if abs(pivot) < PIVOT_TOL:
+    if abs(pivot) < PIVOT_TOL * math.exp(-scale) or pivot == 0.0:
+        shown = f"e^{scale:.6g} * {pivot:.3e}" if scale else f"{pivot:.3e}"
         raise DecompositionSingular(
-            f"cosh(theta) {op} eps*sinh(theta)/theta = {pivot:.3e} vanishes")
+            f"cosh(theta) {op} eps*sinh(theta)/theta = {shown} vanishes")
     return Factorization(p=2.0 * eta.conjugate() * s / pivot,
-                         q=sign * 2.0 * cmath.log(complex(pivot)),
+                         q=sign * 2.0 * (cmath.log(complex(pivot)) + scale),
                          r=2.0 * eta * s / pivot,
                          ordering=ordering)
 
@@ -122,7 +142,9 @@ def _ordered_factor(epsilon: float, eta: complex, ordering: str) -> Factorizatio
 def disentangle_closed_form(epsilon: float, eta: complex) -> tuple[Factorization, Factorization]:
     """Both ordered factorizations of exp(2 eps K0 + 2 eta Km + 2 conj(eta) Kp).
 
-    Requires theta**2 = eps**2 - 4|eta|**2 >= 0.  With s = sinh(theta)/theta:
+    Requires finite eps and eta with theta**2 = eps**2 - 4|eta|**2 >= 0.
+    Past theta = _SCALE_FROM the pivots are taken times e^-theta, so that
+    q = -+2 (theta + log(pivot e^-theta)).  With s = sinh(theta)/theta:
 
         normal:      e^{-q/2} = cosh(theta) - eps*s,  r = 2 eta s / e^{-q/2},  p = conj(r)-like
         antinormal:  e^{q'/2} = cosh(theta) + eps*s,  r' = 2 eta s / e^{q'/2}
@@ -137,9 +159,10 @@ def disentangle_closed_form(epsilon: float, eta: complex) -> tuple[Factorization
 def adjoint_matrix(epsilon: float, eta: complex) -> tuple[tuple[complex, ...], ...]:
     """Rows of the 3x3 matrix of the adjoint action of rho = exp(A) on coefficients.
 
-    A = 2 eps K0 + 2 eta Km + 2 conj(eta) Kp with real eps and
-    theta**2 = eps**2 - 4|eta|**2 >= 0.  Conjugating X = (c0, cm, cp)
-    by rho gives coefficients M @ (c0, cm, cp), where with
+    A = 2 eps K0 + 2 eta Km + 2 conj(eta) Kp with finite real eps and
+    0 <= theta**2 = eps**2 - 4|eta|**2, theta at most _SCALE_FROM.
+    Conjugating X = (c0, cm, cp) by rho gives coefficients M @ (c0, cm, cp),
+    where with
     s = sinh(theta)/theta and Cmp = cosh(theta) -+ eps*s:
 
         rho K0 rho^-1 = (1 - 8|eta|^2 s^2) K0 + 2 eta s Cm Km - 2 conj(eta) s Cp Kp
@@ -151,7 +174,10 @@ def adjoint_matrix(epsilon: float, eta: complex) -> tuple[tuple[complex, ...], .
     theta_sq = _theta_sq(epsilon, eta)
     if not theta_sq >= 0.0:
         raise TrigRegime(f"theta^2 = {theta_sq:.6g} is not >= 0; adjoint closed form unavailable")
-    c, s = _cosh_sinhc(theta_sq)
+    c, s, scale = _cosh_sinhc(theta_sq)
+    if scale:
+        raise InvalidParams(f"theta = {scale:g} is past {_SCALE_FROM:g}: the adjoint "
+                            "matrix's entries, of size e^(2 theta), overflow")
     cm_ = c - epsilon * s
     cp_ = c + epsilon * s
     etc = eta.conjugate()

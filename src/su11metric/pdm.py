@@ -15,12 +15,15 @@ Dirichlet walls stand far enough out that the low eigenfunctions decay
 below a threshold at both; a run whose decay check fails is INCONCLUSIVE.
 
 The grid is solved at three refinement levels, coarse to fine.  The
-coarsest level refines the algebraic law's values by inverse iteration,
-and each finer level the coarser level's eigenvalues; every level is
-certified by verification._certify, the realization chains' certificate.
-A level whose seeds fail it refines the bisection's values instead, and
-one that is not certified even then raises NoConvergence.  The inverse
-iteration imports scipy's LAPACK when it first runs, not this module.
+coarsest level refines the algebraic law's values, and each finer level
+the coarser level's eigenvalues, by three Rayleigh-quotient steps taken
+for all three at once: one tridiagonal solve (dgtsv) a step, of the
+shifted systems as the blocks of one matrix.  Every level is certified
+by verification._certify, the realization chains' certificate, from
+residuals that include a bound on their own rounding.  A level whose
+seeds fail it refines the bisection's values instead, and one that is
+not certified even then raises NoConvergence.  The solves import scipy's
+LAPACK when they first run, not this module.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidParams, NoConvergence
+from .errors import InvalidParams, NoConvergence, ZOutOfDomain
 from .metric import SwansonParams, mu_nu, spectrum_prediction, validate_params
-from .verification import _bisect, _certify, _tri_mul
+from .verification import _EPS, _bisect, _certify, _tri_mul
 
 if TYPE_CHECKING:
     from scipy.sparse import dia_array
@@ -88,6 +91,8 @@ class PdmReport:
 
 def validate_config(cfg: PdmConfig) -> PdmConfig:
     validate_params(cfg.params)
+    if not abs(cfg.z) <= 1.0:
+        raise ZOutOfDomain(f"z must lie in [-1, 1] (got z = {cfg.z:g})")
     if not (cfg.s > 0.0):
         raise InvalidParams(f"mass exponent s must be positive (got {cfg.s:g})")
     if not (cfg.x_min < cfg.x_max):
@@ -151,42 +156,71 @@ def _h_tridiag(cfg: PdmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, floa
     return diag, -mw * w[1:-1], x, dx
 
 
+def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
+    """(values, vectors, residuals) refined from `shifts` on the symmetric
+    tridiagonal T = (diag, off); None where a solve fails.
+
+    Three Rayleigh-quotient steps from a constant start, for all k shifts at
+    once: the systems (T - theta_j) x_j = q_j are the blocks of one
+    tridiagonal with zero links between them, so each step is one dgtsv
+    call.  theta_j then moves to theta_j + x_j.q_j / x_j.x_j, the Rayleigh
+    quotient of x_j, and q_j to x_j / ||x_j||.  The values returned are the
+    Rayleigh quotients q.Tq of one product T q on the same blocks: the
+    solves round d - theta_j alike on every row, which would move the last
+    step's value by up to an ulp of the diagonal.  Each residual is
+    ||T q - theta q|| plus 4 eps ||(|T| + |theta|) |q|||, a bound on its
+    own rounding.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    k, n = shifts.size, diag.size
+    # row j holds block j, and a zero last link ends it.  dgtsv overwrites
+    # the diagonal (main) and both link bands (links, the lower over the
+    # upper), so each step fills them anew
+    links, main, q, x = np.empty((2 * k, n)), *(np.empty((k, n)) for _ in range(3))
+    lo = links[:k]
+    q.fill(1.0 / math.sqrt(n))
+    theta = shifts
+    for _ in range(3):
+        links[:, :-1], links[:, -1] = off, 0.0
+        np.subtract(diag, theta[:, None], out=main)
+        x[...] = q
+        if dgtsv(lo.ravel()[:-1], main.ravel(), links[k:].ravel()[:-1], x.ravel(),
+                 1, 1, 1, 1)[-1] != 0:
+            return None
+        xx = np.einsum("ij,ij->i", x, x)
+        theta = theta + np.einsum("ij,ij->i", x, q) / xx
+        np.divide(x, np.sqrt(xx)[:, None], out=q)
+
+    def product(d, e, v):
+        # (d, e) v over the k blocks, one block a row
+        return _tri_mul(d.ravel(), e.ravel()[:-1], v.reshape(-1, 1)).reshape(k, n)
+
+    lo[:, :-1], lo[:, -1] = off, 0.0
+    main[...] = diag
+    r = product(main, lo, q)
+    theta = np.einsum("ij,ij->i", q, r)
+    r -= np.multiply(theta[:, None], q, out=x)
+    resid = np.sqrt(np.einsum("ij,ij->i", r, r))
+    del r  # freed before the second product, which would raise the peak
+    lo[:, :-1] = np.abs(off)
+    np.add(np.abs(diag), np.abs(theta)[:, None], out=main)
+    bound = product(main, lo, np.abs(q, out=x))
+    return theta, q.T, resid + 4.0 * _EPS * np.sqrt(np.einsum("ij,ij->i", bound, bound))
+
+
 def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int):
     """(values, vectors, residuals) of the lowest `count` eigenpairs, refined
-    from `shifts` and certified; None where any step or the certificate fails.
-
-    Inverse iteration (dstein) from the shifts gives vectors q and Rayleigh
-    quotients theta; one more step at each theta lets the tiny wall entries
-    converge too.  The residuals r = ||T q - theta q|| then certify theta
-    (see verification._certify).  From shifts far off, such as the
-    algebraic law on a grid whose walls cut the eigenfunctions, r stays
-    near 1e-3 of theta, above the certificate's sqrt(eps) bound.
+    from `shifts` by _rayleigh and certified by verification._certify; None
+    where a solve or the certificate fails.  From shifts far off, such as
+    the algebraic law on a grid whose walls cut the eigenfunctions, the
+    residuals stay well above the certificate's sqrt(eps) bound.
     """
-    from scipy.linalg.lapack import dgtsv, dstein
-
-    n = diag.size
     shifts = np.asarray(shifts, dtype=float)
-    # dstein refuses unsorted shifts, and LAPACK prints its refusal
-    if not (np.isfinite(shifts).all() and np.all(np.diff(shifts) >= 0.0)):
+    if not np.isfinite(shifts).all():
         return None
-    # one block: the whole matrix
-    iblock = np.ones(n, dtype=np.int32)
-    isplit = np.zeros(n, dtype=np.int32)
-    isplit[0] = n
-    q, info = dstein(diag, off, shifts, iblock, isplit)
-    if info != 0:
-        return None
-    theta = np.einsum("ij,ij->j", q, _tri_mul(diag, off, q))
-    for j, t in enumerate(theta):
-        *_, step, info = dgtsv(off, diag - t, off, q[:, j:j + 1])
-        if info != 0:
-            return None
-        q[:, j] = step[:, 0]
-    q /= np.linalg.norm(q, axis=0)
-    tq = _tri_mul(diag, off, q)
-    theta = np.einsum("ij,ij->j", q, tq)
-    resid = np.linalg.norm(tq - theta * q, axis=0)
-    return (theta, q, resid) if _certify(diag, off, theta, resid, count) else None
+    got = _rayleigh(diag, off, shifts)
+    return got if got is not None and _certify(diag, off, got[0], got[2], count) else None
 
 
 def pdm_spectrum(cfg: PdmConfig, count: int = 3,

@@ -179,12 +179,14 @@ def _certify(diag: np.ndarray, off: np.ndarray, theta: np.ndarray,
     `tail` those of a chain that continues past T: the one eigenvalue
     certificate of the realization chains and of the PDM grid.
 
-    resid_i = ||T u_i - theta_i u_i|| for a unit vector u_i, so
-    [theta_i - rho_i, theta_i + rho_i] holds an eigenvalue.  tau_i is the
-    width to which dstebz itself bisects theta_i: a count at theta_i plus a
-    smaller residual falls inside the count's own rounding and may miss
-    theta_i.  If every theta_i + rho_i is finite and the intervals are
-    disjoint, there are at least `count` eigenvalues up to
+    resid_i must bound the true residual ||T u_i - theta_i u_i|| of a unit
+    vector u_i, the rounding of its own computation included, so that
+    [theta_i - rho_i, theta_i + rho_i] holds an eigenvalue: where T's
+    entries are large, a computed residual can fall below the true one.
+    tau_i is the width to which dstebz itself bisects theta_i: a count at
+    theta_i plus a smaller residual falls inside the count's own rounding
+    and may miss theta_i.  If every theta_i + rho_i is finite and the
+    intervals are disjoint, there are at least `count` eigenvalues up to
     top = theta_count + rho_count; if a Sturm count finds exactly `count`
     there, each interval holds exactly one and together they are the
     lowest `count`.  theta is off by about resid^2 / gap, so

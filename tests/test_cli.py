@@ -111,6 +111,26 @@ class TestDisentangleCommand:
         assert code == 2
         assert "theta" in err
 
+    @pytest.mark.parametrize("epsilon", ["1000", "-1000"])
+    def test_past_the_cosh_overflow(self, capsys, epsilon):
+        # theta = 1000 overflowed math.cosh; the pivots are taken times
+        # e^-theta.  Against 50-digit values; p keeps 8 digits, as below
+        # theta = 700, where cosh(theta) - eps sinh(theta)/theta cancels
+        code, out, _ = run_cli(capsys, "disentangle", "--epsilon", epsilon,
+                               "--eta", "0.1")
+        assert code == 0
+        rows = parse_table(out)
+        big, small = ("p", "q_prime") if epsilon == "1000" else ("p_prime", "q")
+        assert abs(float(rows[big]) + 9999.999899999999) <= 1e-8 * 1e4
+        assert abs(abs(float(rows[small])) - 1999.9999600199996) <= 1e-11 * 2000.0
+        assert "nan" not in out and "inf" not in out
+
+    def test_theta_squared_overflow_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "disentangle", "--epsilon", "1e300",
+                                 "--eta", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta^2 = eps^2 - 4|eta|^2 overflows")
+
 
 class TestSpectrumCommand:
     def test_values(self, capsys):
@@ -245,6 +265,8 @@ class TestNonFiniteInputs:
         ("spectrum", *BASE, "--k", "inf"),
         ("disentangle", "--epsilon", "nan", "--eta", "0.1"),
         ("disentangle", "--epsilon", "0.3", "--eta", "nan"),
+        ("disentangle", "--epsilon", "inf", "--eta", "0.1"),
+        ("disentangle", "--epsilon", "1", "--eta", "0.1", "--eta-im", "inf"),
     ])
     def test_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -422,6 +444,20 @@ class TestPdmCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("z, reason", [
+        ("nan", "z must lie in [-1, 1] (got z = nan)"),
+        ("inf", "z must lie in [-1, 1] (got z = inf)"),
+        ("2", "z must lie in [-1, 1] (got z = 2)"),
+        ("-1", "mu/nu formulas degenerate at |z| = 1 (got z = -1)"),
+    ])
+    def test_z_domain_names_its_wall(self, capsys, z, reason):
+        # a z off [-1, 1] is refused as solve_epsilon refuses it; only
+        # an endpoint reaches mu_nu's degenerate-formula check
+        code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+                                 "--beta", "0.1", f"--z={z}")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {reason}") and err.count("\n") == 1, err
+
     def test_negative_mu_exit_2(self, capsys):
         # an admissible z where mu < 0: h is minus an oscillator and the
         # grid has no positive mass, so the check is refused
@@ -587,7 +623,7 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy.sparse")),
     @pytest.mark.parametrize("module, scipy_loaded", [("su11metric.verification", False),
                                                       ("su11metric.pdm", True)])
     def test_scipy_loads_with_pdm_alone(self, module, scipy_loaded):
-        # neither module imports scipy; the PDM grid's inverse iteration
+        # neither module imports scipy; the PDM grid's solve
         # does when it runs, while an elliptic h's chains take the closed
         # form and count their certificates in Python
         script = f"""

@@ -1,5 +1,6 @@
 import cmath
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -194,8 +195,40 @@ class TestDisentangleClosedForm:
         with pytest.raises(TrigRegime):
             disentangle_closed_form(0.1, 1.0)
 
+    @pytest.mark.parametrize("eps, eta", [(np.inf, 0.1), (-np.inf, 0.0), (np.nan, 0.0),
+                                          (0.3, complex(0.1, np.inf))])
+    def test_non_finite_refused(self, eps, eta):
+        with pytest.raises(InvalidParams, match="must be finite"):
+            disentangle_closed_form(eps, eta)
+        with pytest.raises(InvalidParams, match="must be finite"):
+            adjoint_matrix(eps, eta)
+
+    @pytest.mark.parametrize("eps, eta", [(720.0, 0.3), (-720.0, 0.3j), (1e5, 2e4)])
+    def test_scaled_against_mpmath(self, eps, eta):
+        # past theta = 700 the pivots are taken times e^-theta; at (720, 0.3)
+        # the normal pivot cancels to 3e-7 of cosh(theta), as it would below
+        # 700, which costs p, r and log(pivot) their last 9 digits
+        with mp.workdps(50):
+            theta = mp.sqrt(mp.mpf(eps) ** 2 - 4 * abs(mp.mpc(eta)) ** 2)
+            c, s = mp.cosh(theta), mp.sinh(theta) / theta
+            for f, sign in zip(disentangle_closed_form(eps, eta), (-1, 1)):
+                pivot = c + sign * eps * s
+                r = 2 * mp.mpc(eta) * s / pivot
+                q = sign * 2 * mp.log(mp.mpc(pivot))
+                assert abs(f.r - r) <= 1e-8 * abs(r) and abs(f.p - mp.conj(r)) <= 1e-8 * abs(r)
+                assert abs(f.q - q) <= 1e-12 * abs(q)
+
+    def test_scaled_pivot_that_vanishes(self):
+        # eta = 0: the normal pivot is e^-theta, below PIVOT_TOL
+        with pytest.raises(DecompositionSingular, match="e\\^1000"):
+            disentangle_closed_form(1000.0, 0.0)
+
 
 class TestAdjointMatrix:
+    def test_past_the_overflow_is_typed(self):
+        with pytest.raises(InvalidParams, match="theta = 1000 is past 700"):
+            adjoint_matrix(1000.0, 0.1)
+
     def test_diagonal_case(self):
         for eps in (0.3, -0.7, 1.5):
             m = adjoint_matrix(eps, 0.0)

@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -178,9 +179,10 @@ class TestSpectralCheck:
 
 
 class TestCertifiedChain:
-    """The coarsest level refines the algebraic law's values by inverse
-    iteration, each finer level the coarser level's, and every level is
-    certified; bisection seeds only a level whose certificate fails."""
+    """The coarsest level refines the algebraic law's values by
+    Rayleigh-quotient iteration, each finer level the coarser level's, and
+    every level is certified; bisection seeds only a level whose
+    certificate fails."""
 
     @pytest.mark.parametrize("z", [-0.9, 0.0, 0.8])
     def test_values_match_tight_bisection(self, z):
@@ -252,10 +254,49 @@ class TestCertifiedChain:
         assert np.isfinite(resid).all()
         assert np.array_equal(vals, pdm_spectrum(cfg)[0])
 
+    def test_no_solve_calls_dstein(self, monkeypatch):
+        # one dgtsv call per Rayleigh step solves for every shift at once;
+        # with LAPACK's inverse iteration refused, the statuses stand
+        def refuse(*args, **kwargs):
+            raise AssertionError("dstein called")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", refuse)
+        for cfg, status in ((CFG, "PASS"), (replace(CFG, points=8000), "PASS"),
+                            (replace(CFG, x_min=-2.0, x_max=2.0, points=400), "INCONCLUSIVE"),
+                            (replace(CFG, x_min=-600.0), "FAIL")):
+            assert run_pdm_check(cfg).status == status, (cfg, status)
+
+    def test_residuals_bound_the_true_residual(self, monkeypatch):
+        # on the wide grid the diagonal reaches 1e260, and a computed
+        # ||T q - theta q|| fell below the true one (1.1e-17 against 4.7e-17
+        # at 1000 points); with the bound on its own rounding, each residual
+        # _certified returns covers the 60-digit one of its theta and q
+        got = []
+        certified = pdm._certified
+
+        def record(diag, off, shifts, count):
+            out = certified(diag, off, shifts, count)
+            if out is not None:
+                got.append((diag, off, out))
+            return out
+
+        monkeypatch.setattr(pdm, "_certified", record)
+        report = run_pdm_check(replace(CFG, z=0.8, x_min=-600.0))
+        assert [diag.size for diag, _, _ in got] == list(report.points_used)
+        with mp.workdps(60):
+            for diag, off, (theta, vecs, resid) in got:
+                d, e = [mp.mpf(v) for v in diag], [mp.mpf(v) for v in off] + [mp.mpf(0)]
+                for j, t in enumerate(theta):
+                    q = [mp.mpf(v) for v in vecs[:, j]] + [mp.mpf(0)]
+                    r = [(d[i] - t) * q[i] + e[i - 1] * q[i - 1] + e[i] * q[i + 1]
+                         for i in range(diag.size)]
+                    true = mp.sqrt(mp.fsum(v * v for v in r) / mp.fsum(v * v for v in q))
+                    assert resid[j] >= true, (diag.size, j, resid[j], true)
+
     def test_uncertified_grid_is_no_convergence(self):
         # 2 s max|x| = 300: the 500-point level's diagonal spans 0.4 to
-        # 4e130, inverse iteration's vectors are not finite, and the level
-        # cannot be certified; so nothing is reported
+        # 4e130, the residuals' bound on their own rounding is about 1e14,
+        # and the level cannot be certified; so nothing is reported
         with pytest.raises(NoConvergence, match="500-point grid"):
             run_pdm_check(replace(CFG, x_max=300.0))
 
