@@ -11,8 +11,8 @@ nor scipy; verify, sweep and pdm load the matrix layer (numpy) on first
 use.  Of these only pdm loads scipy, for its grid's tridiagonal solves:
 verify and sweep take h's values from the harmonic law, and load scipy
 only to bisect a chain where the law does not hold to rounding in N
-states, a near-parabolic h (verification._low_eigs).  verify and sweep
-refuse a z where mu <= 0, as pdm does: h is then unbounded below.
+states, a near-parabolic h.  Where mu <= 0, h is unbounded below, and
+its solve (verification._low_eigs) and pdm's grid refuse z (exit 2).
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over
 tolerance or a failed/inconclusive check, 2 invalid parameters or
@@ -28,9 +28,8 @@ import sys
 from .core import disentangle_closed_form
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      TrigRegime, TruncationTooSmall, ZOutOfDomain)
-from .metric import (_EDGE, SwansonParams, hermitian_equivalent, is_admissible,
-                     mu_nu, solve_epsilon, solve_metric, spectrum_prediction,
-                     validate_params)
+from .metric import (_EDGE, SwansonParams, is_admissible, solve_epsilon,
+                     solve_metric, spectrum_prediction, validate_params)
 
 _self = sys.modules[__name__]  # its attributes include wrappers set on the module
 
@@ -156,28 +155,10 @@ def _tolerances(args) -> dict[str, float]:
     return tols
 
 
-def _require_positive_mu(p: SwansonParams, z: float) -> None:
-    """Refuse an admissible z where mu <= 0: h is then minus an oscillator,
-    unbounded below, and its truncated spectrum depends on N.  Within 1e-9
-    of |z| = 1, where mu_nu does not reach, mu comes from h's coefficients,
-    c0 - 2c = 2 omega mu.  An inadmissible z is left to the matrix layer,
-    which names it."""
-    if not is_admissible(p, z):
-        return
-    if abs(z) < 1.0 - _EDGE:
-        mu = mu_nu(p, z)[0]
-    else:
-        h = hermitian_equivalent(p, z)
-        mu = (h.c0.real - 2.0 * h.cm.real) / (2.0 * p.omega)
-    if not mu > 0.0:
-        raise InvalidParams(f"h is bounded below only for mu > 0 (got mu = {mu:g})")
-
-
 def cmd_verify(args) -> int:
     p = _params(args)
     mats, p = _realization(args, p)
-    _require_positive_mu(p, args.z)
-    bundle = _self.build_bundle(p, args.z, mats, trusted=args.trusted, spectrum_count=5)
+    bundle = _self.build_bundle(p, args.z, mats, trusted=args.trusted)
     tols = _tolerances(args)
     rows = [("realization", mats.kind), ("z", args.z),
             ("size", mats.dim), ("trusted", args.trusted)]
@@ -187,8 +168,7 @@ def cmd_verify(args) -> int:
         passed = value <= tols[name]
         ok = ok and passed
         rows.append((name, f"{_fmt(value)}  [{'PASS' if passed else 'FAIL'} <= {tols[name]:g}]"))
-    for i, v in enumerate(bundle.spectrum_h[:5]):
-        rows.append((f"e{i}", v))
+    rows += [(f"e{i}", v) for i, v in enumerate(bundle.spectrum_h)]
     _emit(args, rows)
     return 0 if ok else 1
 
@@ -206,20 +186,19 @@ def cmd_sweep(args) -> int:
             raise ZOutOfDomain(f"sweep point z = {z:g} too close to |z| = 1")
         if not is_admissible(p, float(z)):
             raise ZOutOfDomain(f"sweep point z = {z:g} is not admissible")
-        _require_positive_mu(p, float(z))
     tols = _tolerances(args)
     lines = [",".join(SWEEP_COLUMNS)]
     ok = True
     for z in zs:
         z = float(z)
         sol = solve_metric(p, z)
-        bundle = _self.build_bundle(p, z, mats, trusted=args.trusted, spectrum_count=5)
+        bundle = _self.build_bundle(p, z, mats, trusted=args.trusted)
         for name in RESIDUAL_TOLS:
             ok = ok and bundle.residuals[name] <= tols[name]
         values = [z, sol.epsilon, sol.mu, sol.nu, sol.mu * sol.nu,
                   sol.u, sol.v, sol.w]
         values += [bundle.residuals[name] for name in RESIDUAL_TOLS]
-        values += list(bundle.spectrum_h[:5])
+        values += list(bundle.spectrum_h)
         lines.append(",".join(_fmt(v) for v in values))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1

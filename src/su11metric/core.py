@@ -28,9 +28,6 @@ from .errors import DecompositionSingular, InvalidParams, TrigRegime
 # pivots smaller than this are treated as singular factorizations
 PIVOT_TOL = 1e-14
 
-# metric-form (Hermitian exponent) validation tolerance
-_HERM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class AlgebraElement:
@@ -44,12 +41,12 @@ class AlgebraElement:
         """Quadratic form c0**2 - 4*cp*cm, invariant under conjugation."""
         return self.c0 * self.c0 - 4.0 * self.cp * self.cm
 
-    def is_hermitian_form(self, tol: float = _HERM_TOL) -> bool:
-        """True when the element represents a Hermitian operator in a
-        unitary realization: real c0 and cp = conj(cm)."""
-        scale = max(1.0, abs(self.c0), abs(self.cm), abs(self.cp))
-        return (abs(complex(self.c0).imag) <= tol * scale
-                and abs(self.cp - complex(self.cm).conjugate()) <= tol * scale)
+    def is_hermitian_form(self) -> bool:
+        """True when the element represents a Hermitian operator in a unitary
+        realization: real c0 and cp = conj(cm), to 1e-12 relative."""
+        tol = 1e-12 * max(1.0, abs(self.c0), abs(self.cm), abs(self.cp))
+        return (abs(complex(self.c0).imag) <= tol
+                and abs(self.cp - complex(self.cm).conjugate()) <= tol)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.c0 + other.c0, self.cm + other.cm,
@@ -128,7 +125,11 @@ def _ordered_factor(epsilon: float, eta: complex, ordering: str) -> Factorizatio
     sign, op = (-1.0, "-") if ordering == "normal" else (1.0, "+")
     # the pivot times e^-scale, which cancels from p and r; past theta = 745
     # e^-scale is 0, and only a pivot of 0 is refused
-    pivot = c + sign * epsilon * s
+    # where sign eps < 0, cosh(theta) - |eps| s cancels if 2|eta| << |eps|; it
+    # is e^-theta + (theta - |eps|) s, theta - |eps| = -4|eta|^2/(theta + |eps|)
+    th = math.sqrt(theta_sq)
+    pivot = (c + sign * epsilon * s if sign * epsilon >= 0.0 else
+             math.exp(-th - scale) - 4.0 * abs(eta) ** 2 / (th + abs(epsilon)) * s)
     if abs(pivot) < PIVOT_TOL * math.exp(-scale) or pivot == 0.0:
         shown = f"e^{scale:.6g} * {pivot:.3e}" if scale else f"{pivot:.3e}"
         raise DecompositionSingular(

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidParams, NoConvergence, ZOutOfDomain
 from .metric import SwansonParams, mu_nu, spectrum_prediction, validate_params
-from .verification import _EPS, _bisect, _certify, _tri_mul
+from .verification import _EPS, _TINY, _bisect, _certify, _halves, _tri_mul
 
 if TYPE_CHECKING:
     from scipy.sparse import dia_array
@@ -119,10 +119,11 @@ def _interior_grid(cfg: PdmConfig) -> tuple[np.ndarray, float]:
 
 
 def _grid_terms(cfg: PdmConfig):
-    """(x, dx, w, curv, well, drift, tilt): the pointwise terms of the grid
-    generators for g(x) = -exp(-s x)/s, so g' = exp(-s x) and g'' = -s g'.
-    w, the flux weights of F = -d/dx (1/g'^2) d/dx, sits at the n + 1 half
-    points x_min + dx (k + 1/2); the others at the n interior nodes x.
+    """(x, dx, w, curv, well, drift, tilt): the pointwise terms, finite for a
+    validated cfg, of the grid generators for g(x) = -exp(-s x)/s, so
+    g' = exp(-s x) and g'' = -s g'.  w, the flux weights of F = -d/dx
+    (1/g'^2) d/dx, sits at the n + 1 half points x_min + dx (k + 1/2); the
+    others at the n interior nodes x.
 
     w      1/(g'^2 dx^2)
     curv   g'''/(2 g'^3) - (5/4) g''^2/g'^4 = -(3/4) s^2 / g'^2
@@ -130,7 +131,6 @@ def _grid_terms(cfg: PdmConfig):
     drift  (g + 2 tau)/g'
     tilt   (g''/g'^2)(g/2 + tau)
     """
-    validate_config(cfg)
     x, dx = _interior_grid(cfg)
     s = cfg.s
     half = cfg.x_min + dx * (np.arange(cfg.points + 1) + 0.5)
@@ -140,16 +140,21 @@ def _grid_terms(cfg: PdmConfig):
     return x, dx, w, -0.75 * s * s / (gp * gp), well, 2.0 * well / gp, -s / gp * well
 
 
-def _h_tridiag(cfg: PdmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Diagonal and offdiagonal of h = mu omega (F + curv) + (nu/omega) well^2
-    (see _grid_terms), the combination c0 K0 + c (K+ + K-) of the grid
-    generators, with Dirichlet walls; symmetric by construction."""
-    x, dx, w, curv, well, _, _ = _grid_terms(cfg)
+def _mass_weights(cfg: PdmConfig) -> tuple[float, float]:
+    """(mu omega, nu / omega) of cfg's h (see _h_tridiag); InvalidParams where mu <= 0."""
     mu, nu = mu_nu(cfg.params, cfg.z)
     if mu <= 0.0:
         raise InvalidParams(f"mass prefactor requires mu > 0 (got mu = {mu:g})")
-    mw = mu * cfg.params.omega
-    diag = mw * (w[1:] + w[:-1] + curv) + (nu / cfg.params.omega) * well ** 2
+    return mu * cfg.params.omega, nu / cfg.params.omega
+
+
+def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
+    """Diagonal and offdiagonal of h = mu omega (F + curv) + (nu/omega) well^2
+    (see _grid_terms), the combination c0 K0 + c (K+ + K-) of the grid
+    generators, with Dirichlet walls, for weights = _mass_weights(cfg)."""
+    x, dx, w, curv, well, _, _ = _grid_terms(cfg)
+    mw, nw = weights
+    diag = mw * (w[1:] + w[:-1] + curv) + nw * well ** 2
     if not np.isfinite(diag).all():
         raise InvalidParams("effective potential is not finite on the grid; "
                             "shrink the domain or the exponent s")
@@ -167,9 +172,16 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     quotient of x_j, and q_j to x_j / ||x_j||.  The values returned are the
     Rayleigh quotients q.Tq of one product T q on the same blocks: the
     solves round d - theta_j alike on every row, which would move the last
-    step's value by up to an ulp of the diagonal.  Each residual is
-    ||T q - theta q|| plus 4 eps ||(|T| + |theta|) |q|||, a bound on its
-    own rounding.
+    step's value by up to an ulp of the diagonal.
+
+    Each residual ||r|| + 4 eps ||m|| bounds ||T q - theta q|| with its
+    own rounding, row i of r = T q - theta q being off by at most 4 eps m_i,
+    m = (|T| + |theta|) |q|.  Near a wall whose diagonal reaches 1e27 that
+    is 1e-8 over a hundred rows, past the sqrt(eps) |theta| _certify takes;
+    so a row with 4 eps m_i > sqrt(eps) |theta| / (4 sqrt(n)) and factors
+    below 2^996 is summed again by math.fsum, correctly rounded, from its
+    products split error-free (Dekker, on Veltkamp halves): its error,
+    eps |r_i| + tiny (tiny for products that underflow), replaces 4 eps m_i.
     """
     from scipy.linalg.lapack import dgtsv
 
@@ -205,8 +217,24 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     del r  # freed before the second product, which would raise the peak
     lo[:, :-1] = np.abs(off)
     np.add(np.abs(diag), np.abs(theta)[:, None], out=main)
-    bound = product(main, lo, np.abs(q, out=x))
-    return theta, q.T, resid + 4.0 * _EPS * np.sqrt(np.einsum("ij,ij->i", bound, bound))
+    m = product(main, lo, np.abs(q, out=x))
+    bar = np.abs(theta) / (16.0 * math.sqrt(_EPS * n))  # 4 eps bar = sqrt(eps)|theta|/(4 sqrt n)
+    if (m.max(axis=1) > bar).any():
+        j, i = np.nonzero(m > bar[:, None])
+        lo[:, :-1], main[...] = off, diag
+        r = product(main, lo, q) - theta[:, None] * q
+        # row i reads e[i], e[i + 1] and q[j, i - 1:i + 2], zero past the ends
+        e, qp = np.pad(off, 1), np.pad(q, ((0, 0), (1, 1)))
+        a, b = np.stack((diag[i], e[i], e[i + 1], -theta[j])), qp[j, i + [[1], [0], [2], [1]]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = a * b
+            (ah, al), (bh, bl) = _halves(a), _halves(b)
+            parts = np.concatenate((h, al * bl - (((h - ah * bh) - al * bh) - ah * bl)))
+        ok = np.isfinite(parts).all(axis=0)
+        exact = np.array([math.fsum(v) for v in parts[:, ok].T.tolist()])
+        r[j[ok], i[ok]], m[j[ok], i[ok]] = exact, (_EPS * np.abs(exact) + _TINY) / (4.0 * _EPS)
+        resid = np.sqrt(np.einsum("ij,ij->i", r, r))
+    return theta, q.T, resid + 4.0 * _EPS * np.sqrt(np.einsum("ij,ij->i", m, m))
 
 
 def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int):
@@ -223,10 +251,9 @@ def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int
     return got if got is not None and _certify(diag, off, got[0], got[2], count) else None
 
 
-def pdm_spectrum(cfg: PdmConfig, count: int = 3,
-                 near: np.ndarray | None = None
+def pdm_spectrum(cfg: PdmConfig, near: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, vectors, residuals) of the lowest `count` eigenpairs of the
+    """(values, vectors, residuals) of the lowest COUNT eigenpairs of the
     grid h, certified, with residuals ||T q - theta q|| of the vectors q.
 
     `near` holds approximate eigenvalues, such as a coarser grid's or the
@@ -235,16 +262,21 @@ def pdm_spectrum(cfg: PdmConfig, count: int = 3,
     values.  NoConvergence, naming the grid's points, its diagonal's range
     and any failure of the bisection, where these do not certify either.
     """
-    diag, off, _, _ = _h_tridiag(cfg)
-    got = None if near is None else _certified(diag, off, near, count)
+    return _grid_spectrum(validate_config(cfg), _mass_weights(cfg), near)
+
+
+def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarray | None):
+    """pdm_spectrum of a validated cfg with its _mass_weights."""
+    diag, off, _, _ = _h_tridiag(cfg, weights)
+    got = None if near is None else _certified(diag, off, near, COUNT)
     reason = ""
     try:
-        got = got or _certified(diag, off, _bisect(diag, off, count)[0], count)
+        got = got or _certified(diag, off, _bisect(diag, off, COUNT)[0], COUNT)
     except NoConvergence as exc:
         reason = f": {exc}"
     if got is None:
         raise NoConvergence(
-            f"the {cfg.points}-point grid's lowest {count} eigenvalues cannot be certified "
+            f"the {cfg.points}-point grid's lowest {COUNT} eigenvalues cannot be certified "
             f"(its diagonal spans {diag.min():.3g} to {diag.max():.3g}){reason}")
     return got
 
@@ -279,6 +311,8 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
                             f"grid points (got {cfg.points}): its levels "
                             f"{', '.join(map(str, points_used))} must be distinct "
                             "grids of 100 points or more")
+    # cfg's validation covers the coarser levels, whose terms stay smaller
+    weights = _mass_weights(cfg)
     refine_table: dict[int, np.ndarray] = {}
     refine_residuals: dict[int, np.ndarray] = {}
     # the law on the one-boson algebra's two chains, k = 1/4 and 3/4
@@ -286,8 +320,8 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
         [spectrum_prediction(cfg.params, k, COUNT) for k in (0.25, 0.75)]))[:COUNT]
     for pts in points_used:
         # the finest grid's vectors are the ones the decay check reads
-        vals, vecs, refine_residuals[pts] = pdm_spectrum(
-            replace(cfg, points=pts), count=COUNT, near=near)
+        vals, vecs, refine_residuals[pts] = _grid_spectrum(
+            replace(cfg, points=pts), weights, near)
         near = refine_table[pts] = vals
 
     levels = [refine_table[pts] for pts in points_used]
@@ -327,7 +361,7 @@ def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOper
     """
     from scipy.sparse import dia_array
 
-    x, dx, w, curv, well, drift, tilt = _grid_terms(cfg)
+    x, dx, w, curv, well, drift, tilt = _grid_terms(validate_config(cfg))
     # flux operator F: f_diag, and -w on both sides
     f_diag, w = w[1:] + w[:-1], w[1:-1]
     # drift times the central difference: +-step[i] on node i's neighbors

@@ -13,21 +13,20 @@ No N x N matrix is formed, and no matrix of H, h or O at all: rho and
 zeta_+ are R x R blocks (R = trusted + band) from one metric kernel whose
 cost does not grow with N (materialize_metric_root), H, h and O act on
 them as band shifts (realizations.apply), and h's lowest eigenpairs come
-from its coefficients and the bands.  h is a rotated oscillator, so on
-each chain its values are the harmonic law Omega (n + k); the vectors
-come from a twisted factorization at those values on the leading states
-a stated bound needs, certified by a Sturm count in Python (_low_eigs,
-_rotated_chain, _certify).  A chain whose law does not hold to rounding
-in its N states is bisected whole by LAPACK, the one step that loads scipy.
-So build_bundle's cost does not grow with N; only building the realization,
-which the caller does, still does.  Where a metric block does not exist
-in the realization's basis (a divergent series, zeta_+ at
-z = 2 beta / omega) it is inf, and so are the residuals that read it.  The
-rule is per entry and strict: a block whose tail bound does not fit in
-the N states is inf even where the spectral-norm residuals would not
-move.  Columns asked for past the block's rows (eigvec_residuals reads
-them) are summed to the N states where their own bound does not fit,
-with no inf.
+from its coefficients and the bands, for mu > 0 only, where h is a rotated
+oscillator: on each chain its values are the harmonic law Omega (n + k)
+and its vectors a twisted factorization's at them on the leading states a
+stated bound needs, certified by a Sturm count in Python (_low_eigs,
+_rotated_chain, _certify).  A chain whose law does not hold to rounding in
+its N states is bisected whole by LAPACK, the one step that loads scipy.
+So build_bundle's cost does not grow with N; only building the
+realization, which the caller does, still does.  Where a metric block does
+not exist in the realization's basis (a divergent series, zeta_+ at z = 2
+beta / omega) it is inf, and so are the residuals that read it.  The rule
+is per entry and strict: a block whose tail bound does not fit in the N
+states is inf even where the spectral-norm residuals would not move.
+Columns asked for past the block's rows (eigvec_residuals reads them) are
+summed to the N states where their own bound does not fit, with no inf.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from .metric import (SwansonParams, _harmonic_law, commuting_observable,
 from .realizations import RealizationMatrices, apply
 
 DEFAULT_TRUSTED = 50
+SPECTRUM_COUNT = 5   # h's levels in a bundle: e0 to e4, as verify and sweep print them
 
 
 @dataclass
@@ -271,13 +271,15 @@ def _rotated_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray, want: in
     near the chain's length).
 
     x = Omega U K0 U^-1 for an su(1,1) rotation U, Omega =
-    sqrt(c0^2 - 4 c^2), so the values are Omega (n + k0[0])
-    (metric._harmonic_law) and the vectors _twisted_vectors' at them, on
-    the leading m states, m = 2 want + 32 doubling (see _low_eigs), taken
-    where every residual in the whole chain is at most four times the
-    width tau = 2 tiny + 2 eps theta to which dstebz bisects, the spill
-    past m is at most tau, and _certify certifies them, with the chain's
-    tail where m does not cover it."""
+    sqrt(c0^2 - 4 c^2): the values are Omega (n + k0[0]) (_harmonic_law),
+    the vectors _twisted_vectors' at them on the leading m states, m =
+    2 want + 32 doubling until the cut holds: every residual of the padded
+    vectors in the whole chain is at most 4 tau, tau = 2 tiny + 2 eps
+    theta the width to which dstebz bisects, the link e = c kp[m - 1]
+    moves each by at most tau, and _certify takes them with tail (e, g),
+    g = (c0 - 2|c|) k0[m] a Gershgorin floor of the states past m (k0
+    rises by 1 a state, K+ <= K0 + 1/2).  The vectors fall off by about
+    2|c|/(c0 + Omega) a state, so m does not grow with N."""
     slope = c0 - 2.0 * abs(c)
     theta = np.array(_harmonic_law(math.sqrt(slope * (c0 + 2.0 * abs(c))),
                                    float(k0[0]), want))
@@ -306,46 +308,33 @@ def _rotated_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray, want: in
 
 def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
     """(values, vectors): the lowest `count` eigenvalues (ascending) of the
-    real symmetric operator x = c0 K0 + c (Km + Kp) on the realization, and
-    their eigenvectors as columns on the leading states the solves cover,
-    zero past them.  A count above the dimension yields all; zero none.
+    real symmetric x = c0 K0 + c (Km + Kp) on the realization, and their
+    eigenvectors as columns on the leading states the solves cover, zero
+    past them.  A count above the dimension yields all; zero none.
 
-    x couples each state only to the states band away, so the states of
-    each class modulo band form a tridiagonal chain.  On an elliptic x
-    (c0 > 2|c|, a rotated oscillator, as h is) a chain takes the law's
-    values with certified vectors (_rotated_chain).  Every other chain is
-    bisected whole (_bisect): those of any other x (-K0, hyperbolic or
-    parabolic elements) and an elliptic chain whose law does not hold.
-
-    Along a chain k0 rises by 1 per state and K+ <= K0 + 1/2, so
-    g = (c0 - 2|c|) k0[m] is a Gershgorin floor of the states past m.  An
-    elliptic chain is solved on its leading m states: m starts at
-    2 count + 32 and doubles until the cut holds or m covers the chain.
-    The cut holds when the one link e = c kp[m - 1] past it leaves each
-    wanted vector u_i nearly unmoved, |e u_i[m - 1]| <= 2 tiny + 2 eps
-    |theta_i|, so that u_i zero-padded past m is the vector returned, and
-    _certify certifies the pairs from the residuals of the padded vectors
-    with tail (e, g).  The low eigenvectors fall off by about
-    t = 2|c|/(c0 + Omega) per state, Omega = sqrt(c0^2 - 4 c^2), so the
-    cut holds after a number of states that does not grow with N.  For
-    any other x, g lies at or below every value and no cut can hold.
+    x must be elliptic, c0 > 2|c| (for h, mu > 0, as c0 - 2c = 2 mu omega
+    and c0^2 > 4 c^2): -K0 or a hyperbolic or parabolic x has no lowest
+    levels on the infinite chain and is refused.  Each chain of states
+    equal modulo band is solved on its leading states (_rotated_chain) or,
+    where the law does not hold in its N states, bisected whole (_bisect).
     """
     if count < 0:
         raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
     if x.cm != x.cp or complex(x.c0).imag or complex(x.cm).imag:
         raise InvalidParams(f"operator is not real symmetric: {x}")
+    c0, c = x.c0.real, x.cm.real
+    if not c0 > 2.0 * abs(c):
+        raise InvalidParams(f"h = {c0:g} K0 + {c:g} (K+ + K-) is bounded below only for mu > 0")
     n, band = realization.dim, realization.band
     count = min(count, n)
     if count == 0:
         return np.empty(0), np.empty((n, 0))
-    c0, c = x.c0.real, x.cm.real
     w, cuts = [], []
     for ch in range(min(band, n)):
         k0 = realization.k0_diag[ch::band]
         kp = realization.kp_band[ch::band]
         want = min(count, k0.size)
-        got = _rotated_chain(c0, c, k0, kp, want) if c0 > 2.0 * abs(c) else None
-        wc, vc = got or _bisect(c0 * k0, c * kp, want)
+        wc, vc = _rotated_chain(c0, c, k0, kp, want) or _bisect(c0 * k0, c * kp, want)
         w.append(wc)
         cuts.append((len(vc), vc))
     # chain ch's m states are rows ch, ch + band, ..., all below band * m
@@ -422,16 +411,19 @@ def _tail_count(ratio: float, a: float, spare: int) -> int | None:
         terms *= 2
 
 
+def _halves(v):
+    """Veltkamp's split of v into 26-bit halves, whose products are exact; NaN past 2^996."""
+    t = 134217729.0 * v     # 2^27 + 1
+    high = t - (t - v)
+    return high, v - high
+
+
 def _exp_product(q: float, x: np.ndarray) -> np.ndarray:
     """e^{q x} with the argument q x carried to double length: Veltkamp
     halves make every partial product exact, so the |q x| ulps that
     rounding q x would cost e^{q x} are not lost."""
-    def halves(v):
-        t = 134217729.0 * v     # 2^27 + 1
-        high = t - (t - v)
-        return high, v - high
-    qh, ql = halves(q)
-    xh, xl = halves(x)
+    qh, ql = _halves(q)
+    xh, xl = _halves(x)
     return np.exp(qh * xh) * np.exp(qh * xl + ql * xh + ql * xl)
 
 
@@ -559,8 +551,7 @@ def _largest(x: AlgebraElement) -> float:
 
 
 def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
-                 trusted: int = DEFAULT_TRUSTED,
-                 spectrum_count: int | None = None) -> OperatorBundle:
+                 trusted: int = DEFAULT_TRUSTED) -> OperatorBundle:
     """Form the leading blocks of rho and zeta_+ that the residuals read,
     and check them.
 
@@ -586,13 +577,10 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     the zeta_+ series diverges r_quasi is inf while the other residuals
     stay finite.
 
-    The spectrum is the lowest `spectrum_count` eigenvalues (default
-    trusted // 2, at least 1; all N if more are asked) of h, from its
-    coefficients and the realization's bands: h is elliptic, so each chain
-    takes the harmonic law with twisted-factorization vectors on its
-    leading states alone, certified, and loads no scipy; only a chain
-    whose law does not hold in its N states is bisected (_low_eigs,
-    _certify).  The nine spectral norms come from one stacked SVD.
+    spectrum_h is h's lowest SPECTRUM_COUNT eigenvalues (all N if N is
+    smaller), taken by _low_eigs before any metric block is formed: it
+    refuses an admissible z where mu <= 0, whose h is unbounded below.
+    The nine spectral norms come from one stacked SVD.
     """
     validate_params(p)
     n = realization.dim
@@ -605,11 +593,8 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     t = trusted
     r = min(t + realization.band, n)
     h_coeffs = hermitian_equivalent(p, z)
+    spectrum, _ = _low_eigs(h_coeffs, realization, SPECTRUM_COUNT)
     y = conjugate(metric_exponent(p, z), swanson_element(p))
-    # the spectrum comes first, so that a negative count is rejected
-    # before the metric blocks are formed
-    count = spectrum_count if spectrum_count is not None else max(1, t // 2)
-    spectrum, _ = _low_eigs(h_coeffs, realization, count)
 
     rho = materialize_metric_root(p, z, realization, sign=1, rows=r)
     zeta = materialize_metric_root(p, z, realization, sign=2, rows=r)

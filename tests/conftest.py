@@ -20,7 +20,7 @@ def bundles():
         if key not in cache:
             p = SwansonParams(omega, alpha, beta)
             cache[key] = build_bundle(p, z, discrete_series(k, dim),
-                                      trusted=trusted, spectrum_count=5)
+                                      trusted=trusted)
         return cache[key]
 
     return get

@@ -114,14 +114,14 @@ class TestDisentangleCommand:
     @pytest.mark.parametrize("epsilon", ["1000", "-1000"])
     def test_past_the_cosh_overflow(self, capsys, epsilon):
         # theta = 1000 overflowed math.cosh; the pivots are taken times
-        # e^-theta.  Against 50-digit values; p keeps 8 digits, as below
-        # theta = 700, where cosh(theta) - eps sinh(theta)/theta cancels
+        # e^-theta.  Against 50-digit values; p keeps all 12 printed digits
+        # where cosh(theta) - |eps| sinh(theta)/theta cancels
         code, out, _ = run_cli(capsys, "disentangle", "--epsilon", epsilon,
                                "--eta", "0.1")
         assert code == 0
         rows = parse_table(out)
         big, small = ("p", "q_prime") if epsilon == "1000" else ("p_prime", "q")
-        assert abs(float(rows[big]) + 9999.999899999999) <= 1e-8 * 1e4
+        assert abs(float(rows[big]) + 9999.999899999999) <= 1e-8
         assert abs(abs(float(rows[small])) - 1999.9999600199996) <= 1e-11 * 2000.0
         assert "nan" not in out and "inf" not in out
 
@@ -241,8 +241,8 @@ class TestVerifyCommand:
     def test_negative_mu_exit_2(self, capsys, z):
         # admissible z where mu < 0, the second within 1e-9 of z = -1: h is
         # minus an oscillator, unbounded below, and its truncated spectrum
-        # depends on N (e0 = -4006.86 at N = 200); refused before any
-        # bundle is built, as pdm refuses the same point
+        # depends on N (e0 = -4006.86 at N = 200); the solve of h refuses
+        # it before any metric block is formed, as pdm refuses the same point
         code, out, err = run_cli(capsys, "verify", *NEGATIVE_MU, f"--z={z}")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "mu > 0" in err
@@ -308,8 +308,8 @@ class TestSweepCommand:
         assert len(out.strip().split("\n")) == 6
 
     def test_negative_mu_exit_2(self, capsys):
-        # every point of this range is admissible with mu < 0: the sweep
-        # checks them all before it builds a bundle, and emits nothing
+        # every point of this range is admissible with mu < 0: the first
+        # bundle is refused, and the sweep emits nothing
         code, out, err = run_cli(capsys, "sweep", *NEGATIVE_MU,
                                  "--z-from=-0.9995320885425871", "--z-to=-0.97",
                                  "--steps", "3")
@@ -481,14 +481,15 @@ class TestPdmCommand:
 
     def test_failed_bisection_is_no_convergence(self, capfd, monkeypatch):
         # the chains and the grid share one bisection and its error path;
-        # a hyperbolic element's chain is bisected (no rotation takes it to
-        # K0), and --x-max 300 certifies no level, so the grid bisects
+        # a near-parabolic element's chain is bisected (its law does not
+        # hold to rounding in 100 states), and --x-max 300 certifies no
+        # level, so the grid bisects
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("stebz did not converge")
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
         with pytest.raises(NoConvergence, match="stebz did not converge"):
-            verification._low_eigs(AlgebraElement(1.0, 0.6, 0.6),
+            verification._low_eigs(AlgebraElement(1.0, 0.495, 0.495),
                                    discrete_series(0.25, 100), 3)
         with pytest.raises(NoConvergence, match="stebz did not converge"):
             pdm.pdm_spectrum(pdm.PdmConfig(params=SwansonParams(1.0, 0.2, 0.1),
@@ -637,7 +638,7 @@ p = SwansonParams(1.0, 0.2, 0.1)
 if mod.__name__.endswith("pdm"):
     mod.run_pdm_check(mod.PdmConfig(params=p, points=400))
 else:
-    mod.build_bundle(p, 0.4, discrete_series(0.25, 200), spectrum_count=5)
+    mod.build_bundle(p, 0.4, discrete_series(0.25, 200))
 print(imported, scipy(), file=sys.stderr)
 """
         proc = self._run("-c", script)
@@ -659,17 +660,19 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scip
         assert proc.stderr.splitlines()[-1] == "[2, 2, 2] []"
 
     def test_default_count_bundle_loads_no_scipy(self):
-        # build_bundle's default count, trusted // 2 = 25, takes the law on
-        # h's chain with certified vectors and bisects nothing
+        # build_bundle's five levels, and the 25 pairs eigvec_residuals
+        # transports, take the law on h's chain with certified vectors and
+        # bisect nothing
         script = """
 import sys
-from su11metric import SwansonParams, build_bundle, discrete_series
+from su11metric import SwansonParams, build_bundle, discrete_series, eigvec_residuals
 bundle = build_bundle(SwansonParams(1.0, 0.2, 0.1), 0.4, discrete_series(0.25, 200))
-print(bundle.spectrum_h.size, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-      file=sys.stderr)
+pairs = eigvec_residuals(bundle, count=25)
+print(bundle.spectrum_h.size, pairs.size,
+      sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
 """
         proc = self._run("-c", script)
-        assert proc.stderr.splitlines()[-1] == "25 []"
+        assert proc.stderr.splitlines()[-1] == "5 25 []"
 
 
 class TestParsing:

@@ -218,6 +218,24 @@ class TestDisentangleClosedForm:
                 assert abs(f.r - r) <= 1e-8 * abs(r) and abs(f.p - mp.conj(r)) <= 1e-8 * abs(r)
                 assert abs(f.q - q) <= 1e-12 * abs(q)
 
+    @pytest.mark.parametrize("eps, eta", [(1000.0, 0.1), (400.0, 0.1), (-400.0, 0.1),
+                                          (-1000.0, 0.1j), (30.0, 0.01), (2.0, 1e-6)])
+    def test_small_eta_against_mpmath(self, eps, eta):
+        # where 2|eta| << |eps| the pivot cosh(theta) - |eps| s of the normal
+        # (eps > 0) or antinormal (eps < 0) ordering is about 2|eta|^2/eps^2
+        # of cosh(theta); p, r and q keep every digit, below theta = 700
+        # and past it (disentangle --epsilon 1000 --eta 0.1 printed
+        # p = -9999.99992771 for -9999.9999)
+        with mp.workdps(50):
+            theta = mp.sqrt(mp.mpf(eps) ** 2 - 4 * abs(mp.mpc(eta)) ** 2)
+            c, s = mp.cosh(theta), mp.sinh(theta) / theta
+            for f, sign in zip(disentangle_closed_form(eps, eta), (-1, 1)):
+                pivot = c + sign * eps * s
+                r = 2 * mp.mpc(eta) * s / pivot
+                q = sign * 2 * mp.log(mp.mpc(pivot))
+                assert abs(f.r - r) <= 1e-15 * abs(r) and abs(f.p - mp.conj(r)) <= 1e-15 * abs(r)
+                assert abs(f.q - q) <= 1e-15 * abs(q)
+
     def test_scaled_pivot_that_vanishes(self):
         # eta = 0: the normal pivot is e^-theta, below PIVOT_TOL
         with pytest.raises(DecompositionSingular, match="e\\^1000"):

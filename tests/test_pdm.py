@@ -14,8 +14,8 @@ from su11metric import (InvalidParams, NoConvergence, SwansonParams,
                         hermitian_equivalent, is_admissible)
 from su11metric import pdm, verification
 from su11metric.pdm import (PdmConfig, _grid_terms, _h_tridiag, _interior_grid,
-                            boundary_decay, pdm_generators, pdm_spectrum,
-                            run_pdm_check, validate_config)
+                            _mass_weights, boundary_decay, pdm_generators,
+                            pdm_spectrum, run_pdm_check, validate_config)
 
 from oracles import pdm_flux_form
 
@@ -26,6 +26,11 @@ CFG = PdmConfig(params=P)
 COUPLINGS = [(1.0, 0.2, 0.1), (1.0, 0.45, 0.05), (1.0, 0.05, 0.45), (2.0, 0.5, -0.3),
              (1.0, -0.3, -0.2)]
 ZS = (-0.9, -0.4, 0.0, 0.4, 0.8)
+
+
+def h_tridiag(cfg):
+    """The grid h of a valid cfg, as pdm's solves form it."""
+    return _h_tridiag(cfg, _mass_weights(cfg))
 
 
 def admissible_configs(points):
@@ -65,13 +70,30 @@ class TestConfig:
         assert validate_config(wide) is wide
         assert np.isfinite(pdm_spectrum(wide)[0]).all()
 
+    def test_checked_once_per_call(self, monkeypatch):
+        # run_pdm_check validates its config and takes mu and nu once, not
+        # once per level; pdm_spectrum and pdm_generators check their own
+        # input once each
+        calls = []
+        for name in ("validate_config", "mu_nu"):
+            def counted(*args, _name=name, _f=getattr(pdm, name)):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(pdm, name, counted)
+        for run, expected in ((run_pdm_check, ["validate_config", "mu_nu"]),
+                              (pdm_spectrum, ["validate_config", "mu_nu"]),
+                              (pdm_generators, ["validate_config"])):
+            calls.clear()
+            run(replace(CFG, points=400))
+            assert calls == expected, run.__name__
+
     def test_mass_positive(self):
         # a positive mass is a negative offdiagonal of h
-        _, off, _, _ = _h_tridiag(replace(CFG, points=500))
+        _, off, _, _ = h_tridiag(replace(CFG, points=500))
         assert np.all(off < 0.0)
 
     def test_potential_finite(self):
-        diag, _, _, _ = _h_tridiag(replace(CFG, points=500))
+        diag, _, _, _ = h_tridiag(replace(CFG, points=500))
         assert np.isfinite(diag).all()
 
 
@@ -83,7 +105,7 @@ class TestOneDiscretization:
     def test_bands_match_the_mass_form(self, points):
         cases = 0
         for cfg in admissible_configs(points):
-            diag, off, _, _ = _h_tridiag(cfg)
+            diag, off, _, _ = h_tridiag(cfg)
             ref_diag, ref_off = pdm_flux_form(cfg)
             assert np.abs(diag / ref_diag - 1.0).max() <= 1e-14, cfg
             assert np.abs(off / ref_off - 1.0).max() <= 1e-14, cfg
@@ -96,7 +118,7 @@ class TestOneDiscretization:
             k0, kp, km = pdm_generators(cfg)
             h = hermitian_equivalent(cfg.params, cfg.z)
             comb = (h.c0 * k0.matrix + h.cp * kp.matrix + h.cm * km.matrix).toarray()
-            diag, off, _, _ = _h_tridiag(cfg)
+            diag, off, _, _ = h_tridiag(cfg)
             ref = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             assert np.abs(comb - ref).max() <= 1e-14 * np.abs(ref).max(), cfg
 
@@ -130,7 +152,7 @@ class TestSpectralCheck:
         assert report.convergence_ok
 
     def test_half_integer_law(self):
-        vals = pdm_spectrum(replace(CFG, points=1500), count=3)[0]
+        vals = pdm_spectrum(replace(CFG, points=1500))[0]
         expect = math.sqrt(0.92) * (np.arange(3) + 0.5)
         assert np.abs(vals - expect).max() / expect[0] < 0.01
 
@@ -157,7 +179,7 @@ class TestSpectralCheck:
         report = run_pdm_check(CFG)
         finest = replace(CFG, points=report.points_used[-1])
         near = report.refine_table[report.points_used[-2]]
-        _, vecs, _ = pdm_spectrum(finest, count=3, near=near)
+        _, vecs, _ = pdm_spectrum(finest, near=near)
         assert boundary_decay(vecs) == report.boundary_decay
 
     def test_constant_mass_limit(self):
@@ -166,7 +188,7 @@ class TestSpectralCheck:
         cfg = PdmConfig(params=P, s=s, tau=1.0 / (2.0 * s),
                         x_min=-9.0, x_max=9.0, points=2000)
         # the flux weights of h, so the mass, vary by under 1%
-        _, off, _, _ = _h_tridiag(cfg)
+        _, off, _, _ = h_tridiag(cfg)
         assert off.min() / off.max() < 1.01
         report = run_pdm_check(cfg)
         assert report.status == "PASS"
@@ -196,7 +218,7 @@ class TestCertifiedChain:
                     replace(CFG, z=z, x_min=-600.0)):
             report = run_pdm_check(cfg)
             for pts in report.points_used:
-                diag, off, _, _ = _h_tridiag(replace(cfg, points=pts))
+                diag, off, _, _ = h_tridiag(replace(cfg, points=pts))
                 exact = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                          select_range=(0, 2),
                                          tol=2.0 * np.finfo(float).tiny)
@@ -230,7 +252,7 @@ class TestCertifiedChain:
     def test_boundary_decay_matches_dense_eigh(self):
         cfg = replace(CFG, points=400)
         report = run_pdm_check(cfg)
-        diag, off, _, _ = _h_tridiag(cfg)
+        diag, off, _, _ = h_tridiag(cfg)
         dense_h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         _, vecs = scipy.linalg.eigh(dense_h, subset_by_index=(0, 2))
         dense = boundary_decay(vecs)
@@ -242,7 +264,7 @@ class TestCertifiedChain:
         # intervals, but the Sturm count finds four up to them: the solve
         # falls back to bisection and still returns the lowest three
         cfg = replace(CFG, points=1000)
-        diag, off, _, _ = _h_tridiag(cfg)
+        diag, off, _, _ = h_tridiag(cfg)
         lowest4 = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                    select_range=(0, 3),
                                    tol=2.0 * np.finfo(float).tiny)
@@ -266,11 +288,12 @@ class TestCertifiedChain:
                             (replace(CFG, x_min=-600.0), "FAIL")):
             assert run_pdm_check(cfg).status == status, (cfg, status)
 
-    def test_residuals_bound_the_true_residual(self, monkeypatch):
-        # on the wide grid the diagonal reaches 1e260, and a computed
-        # ||T q - theta q|| fell below the true one (1.1e-17 against 4.7e-17
-        # at 1000 points); with the bound on its own rounding, each residual
-        # _certified returns covers the 60-digit one of its theta and q
+    @staticmethod
+    def certified_levels(monkeypatch, cfg):
+        """run_pdm_check(cfg), and the (diag, off, (theta, vecs, resid)) of
+        each level, coarse to fine, as _certified returned them; each
+        residual must cover the 60-digit ||T q - theta q|| of its theta
+        and q."""
         got = []
         certified = pdm._certified
 
@@ -281,7 +304,7 @@ class TestCertifiedChain:
             return out
 
         monkeypatch.setattr(pdm, "_certified", record)
-        report = run_pdm_check(replace(CFG, z=0.8, x_min=-600.0))
+        report = run_pdm_check(cfg)
         assert [diag.size for diag, _, _ in got] == list(report.points_used)
         with mp.workdps(60):
             for diag, off, (theta, vecs, resid) in got:
@@ -292,6 +315,30 @@ class TestCertifiedChain:
                          for i in range(diag.size)]
                     true = mp.sqrt(mp.fsum(v * v for v in r) / mp.fsum(v * v for v in q))
                     assert resid[j] >= true, (diag.size, j, resid[j], true)
+        return report, got
+
+    def test_residuals_bound_the_true_residual(self, monkeypatch):
+        # on the wide grid the diagonal reaches 1e260, and a computed
+        # ||T q - theta q|| fell below the true one (1.1e-17 against 4.7e-17
+        # at 1000 points); with the bound on its own rounding, each residual
+        # _certified returns covers the 60-digit one of its theta and q
+        self.certified_levels(monkeypatch, replace(CFG, z=0.8, x_min=-600.0))
+
+    def test_wall_rows_taken_error_free(self, monkeypatch):
+        # the diagonal reaches 1.6e27 at the 400-point level and 7.2e27 at
+        # 800: the rounding bound 4 eps ||(|T| + |theta|) |q||| alone gave
+        # 1.9e-8 and 8.4e-8 against a bar of 1.3e-8, and the check exited 3.
+        # With the rows near the wall summed by Dot2 every level certifies,
+        # no residual is above half the bar, and each still covers
+        # the 60-digit one
+        cfg = PdmConfig(params=SwansonParams(0.5, 0.2978680309545344, 0.10774281255720841),
+                        z=-0.11626529395105223, s=1.0, tau=1.4216797492124251,
+                        x_min=-20.0, x_max=30.0, points=800)
+        report, got = self.certified_levels(monkeypatch, cfg)
+        assert report.status == "PASS"
+        for diag, _, (theta, _, resid) in got:
+            assert diag.max() > 1e26
+            assert resid.max() <= np.sqrt(np.finfo(float).eps) * theta.max() / 2.0, resid
 
     def test_uncertified_grid_is_no_convergence(self):
         # 2 s max|x| = 300: the 500-point level's diagonal spans 0.4 to

@@ -23,12 +23,13 @@ from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
 from su11metric import commuting_observable, from_descriptor, oscillator_full
 from su11metric import verification
 from su11metric.cli import RESIDUAL_TOLS, main
-from su11metric.pdm import PdmConfig, _h_tridiag
+from su11metric.pdm import PdmConfig
 
 from conftest import spectral_norm
 from oracles import (chain_spectrum, commutator_residuals, exp_raising,
                      exp_symmetric, materialize, metric_block_definite,
                      metric_power_dense, metric_power_mp)
+from test_pdm import h_tridiag
 from test_realizations import ALL_CONSTRUCTORS
 
 P = SwansonParams(1.0, 0.2, 0.1)
@@ -41,25 +42,38 @@ class TestSymmetricEigs:
     # c0 K0 + c (Km + Kp) and the realization's bands
 
     def test_diagonal(self):
-        # k0 = 0.25, 1.25, 2.25: -K0 has its eigenvalues in reverse order
-        w, q = verification._low_eigs(AlgebraElement(-1.0, 0.0, 0.0),
-                                      discrete_series(0.25, 3), 3)
-        assert np.array_equal(w, [-2.25, -1.25, -0.25])
+        # k0 = 0.25, 1.25, 2.25: K0 takes them in order, and -K0, minus an
+        # oscillator, is refused
+        r = discrete_series(0.25, 3)
+        w, q = verification._low_eigs(AlgebraElement(1.0, 0.0, 0.0), r, 3)
+        assert np.array_equal(w, [0.25, 1.25, 2.25])
         assert np.allclose(q @ q.T, np.eye(3), atol=1e-14)
+        with pytest.raises(InvalidParams, match="mu > 0"):
+            verification._low_eigs(AlgebraElement(-1.0, 0.0, 0.0), r, 3)
 
     def test_two_by_two(self):
+        # K+ + K- alone is hyperbolic and refused; with K0 added it is an
+        # oscillator whose two levels the 2 x 2 block gives
         r = discrete_series(0.25, 2)
         kp = r.kp_band[0]
-        w, _ = verification._low_eigs(AlgebraElement(0.0, 1.0, 1.0), r, 2)
-        assert np.allclose(w, [-kp, kp])
+        with pytest.raises(InvalidParams, match="mu > 0"):
+            verification._low_eigs(AlgebraElement(0.0, 1.0, 1.0), r, 2)
+        w, _ = verification._low_eigs(AlgebraElement(1.0, 0.3, 0.3), r, 2)
+        assert np.allclose(w, np.linalg.eigvalsh([[0.25, 0.3 * kp], [0.3 * kp, 1.25]]),
+                           rtol=1e-14, atol=0.0)
 
     def test_reconstruction(self):
+        # each draw is refused where it is not elliptic, and its elliptic
+        # counterpart (c0 -> |c0| + 2|c|) is rebuilt from its pairs
         from su11metric import oscillator_full
         rng = np.random.default_rng(47)
         for n in (5, 40):
             for r in (discrete_series(0.25, n), oscillator_full(n)):
                 c0, c = rng.normal(size=2)
-                x = AlgebraElement(c0, c, c)
+                if not c0 > 2.0 * abs(c):
+                    with pytest.raises(InvalidParams, match="mu > 0"):
+                        verification._low_eigs(AlgebraElement(c0, c, c), r, n)
+                x = AlgebraElement(abs(c0) + 2.0 * abs(c), c, c)
                 m = materialize(x, r)
                 w, q = verification._low_eigs(x, r, n)
                 assert np.linalg.norm((q * w) @ q.T - m, 2) \
@@ -201,7 +215,7 @@ class TestSturmCount:
         # the diagonal reaches 1e260 and its squared links overflow
         cfg = PdmConfig(params=P, x_min=x_min)
         for points in (100, 150, 200, verification._PY_COUNT_MAX):
-            d, e, _, _ = _h_tridiag(dataclasses.replace(cfg, points=points))
+            d, e, _, _ = h_tridiag(dataclasses.replace(cfg, points=points))
             w = verification._bisect(d, e, 5)[0]
             self.assert_counts_agree(d, e, self.probes(d, w))
 
@@ -254,46 +268,22 @@ class TestChainCut:
             for count in (25, 41):
                 self.assert_matches_oracle(x, r, count)
 
-    def test_non_elliptic_is_the_full_chain(self):
-        # the leading m states of -K0 hold its highest levels (a cut there
-        # gives -(m - 1) - 0.25 for the lowest level, not -99.25); a
-        # hyperbolic element (2|c| > c0) is unbounded below on the infinite
-        # chain; neither has a tail guard that holds, so both are solved
-        # on the whole chain, exactly as the oracle does
-        for x, r in ((AlgebraElement(-1.0, 0.0, 0.0), discrete_series(0.25, 100)),
-                     (AlgebraElement(1.0, 0.6, 0.6), discrete_series(0.25, 100)),
-                     (AlgebraElement(1.0, 0.6, 0.6), oscillator_full(100))):
-            for count in (1, 5, 25):
-                w, q = verification._low_eigs(x, r, count)
-                ref, ref_q = chain_spectrum(x, r, count)
-                assert np.array_equal(w, ref) and np.array_equal(q, ref_q), (x, count)
-        w, _ = verification._low_eigs(AlgebraElement(-1.0, 0.0, 0.0),
-                                      discrete_series(0.25, 100), 1)
-        assert w[0] == -99.25
+    def test_non_elliptic_is_refused(self, monkeypatch):
+        # -K0 (minus an oscillator), a hyperbolic (2|c| > c0) and a
+        # parabolic (2|c| = c0) element have no lowest levels on the
+        # infinite chain: the floor (c0 - 2|c|) k0 lies at or below every
+        # value, so each truncated spectrum depends on N.  Each is refused
+        # before any chain is solved, at every count and realization
+        def refuse(*args):
+            raise AssertionError("bisected a non-elliptic chain")
 
-    def test_non_elliptic_chain_bisects_once(self, monkeypatch):
-        # for -K0, a hyperbolic and a parabolic element the floor
-        # (c0 - 2|c|) k0 lies at or below every value, so no cut can hold:
-        # each chain is bisected once, whole.  Elliptic h takes the law at
-        # counts 5 and 25 and is not bisected at all
-        sizes = []
-        bisect = verification._bisect
-
-        def counted(d, e, count):
-            sizes.append(d.size)
-            return bisect(d, e, count)
-
-        monkeypatch.setattr(verification, "_bisect", counted)
-        for x, r, count, expected in (
-                (AlgebraElement(-1.0, 0.0, 0.0), discrete_series(0.25, 800), 25, [800]),
-                (AlgebraElement(1.0, 0.6, 0.6), discrete_series(0.25, 800), 25, [800]),
-                (AlgebraElement(1.0, 0.5, 0.5), discrete_series(0.25, 800), 25, [800]),
-                (AlgebraElement(1.0, 0.6, 0.6), oscillator_full(800), 25, [400, 400]),
-                (hermitian_equivalent(P, 0.0), discrete_series(0.25, 800), 5, []),
-                (hermitian_equivalent(P, 0.0), discrete_series(0.25, 800), 25, [])):
-            sizes.clear()
-            verification._low_eigs(x, r, count)
-            assert sizes == expected, (x, r.kind, count, sizes)
+        monkeypatch.setattr(verification, "_bisect", refuse)
+        for x in (AlgebraElement(-1.0, 0.0, 0.0), AlgebraElement(1.0, 0.6, 0.6),
+                  AlgebraElement(1.0, 0.5, 0.5), AlgebraElement(1.0, -0.5, -0.5)):
+            for r in (discrete_series(0.25, 100), oscillator_full(800)):
+                for count in (1, 5, 25):
+                    with pytest.raises(InvalidParams, match="mu > 0"):
+                        verification._low_eigs(x, r, count)
 
     @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
     def test_elliptic_h_takes_the_closed_form(self, make, monkeypatch):
@@ -702,11 +692,12 @@ class TestBuildBundle:
                      "conformal:k=0.75,c=1"):
             r, implied = from_descriptor(desc, 60)
             p = implied if implied is not None else P
-            b = build_bundle(p, 0.6, r, trusted=20, spectrum_count=60)
+            b = build_bundle(p, 0.6, r, trusted=20)
             h = materialize(hermitian_equivalent(p, 0.6), r)
             w = np.linalg.eigh(h)[0]
-            assert np.abs(b.spectrum_h - w).max() \
-                <= 1e-12 * np.abs(w).max(), desc
+            assert np.abs(b.spectrum_h - w[:5]).max() <= 1e-12 * np.abs(w).max(), desc
+            every, _ = verification._low_eigs(hermitian_equivalent(p, 0.6), r, 60)
+            assert np.abs(every - w).max() <= 1e-12 * np.abs(w).max(), desc
             # the eigenpairs that eigvec_residuals transports come chain by
             # chain; merged, they are the lowest pairs of the whole operator
             for count in (7, 60):
@@ -717,15 +708,39 @@ class TestBuildBundle:
                 assert np.abs(q.T @ q - np.eye(count)).max() <= 1e-12, desc
 
     def test_spectrum_count_edges(self):
-        r = discrete_series(0.25, 10)
-        none = build_bundle(P, 0.4, r, trusted=5, spectrum_count=0)
-        assert none.spectrum_h.shape == (0,)
-        every = build_bundle(P, 0.4, r, trusted=5, spectrum_count=12)
-        w = np.linalg.eigh(materialize(hermitian_equivalent(P, 0.4), r))[0]
-        assert every.spectrum_h.shape == (10,)
-        assert np.abs(every.spectrum_h - w).max() <= 1e-12 * np.abs(w).max()
+        # a bundle holds e0 to e4, or all N levels where N is smaller; the
+        # solve itself yields none at count 0, all N above N, and refuses a
+        # negative count
+        x = hermitian_equivalent(P, 0.4)
+        for n in (4, 10):
+            r = discrete_series(0.25, n)
+            w = np.linalg.eigh(materialize(x, r))[0]
+            b = build_bundle(P, 0.4, r, trusted=2)
+            assert b.spectrum_h.shape == (min(n, 5),)
+            assert np.abs(b.spectrum_h - w[:5]).max() <= 1e-12 * np.abs(w).max()
+        assert verification._low_eigs(x, r, 0)[0].shape == (0,)
+        every = verification._low_eigs(x, r, 12)[0]
+        assert every.shape == (10,)
+        assert np.abs(every - w).max() <= 1e-12 * np.abs(w).max()
         with pytest.raises(InvalidParams):
-            build_bundle(P, 0.4, r, trusted=5, spectrum_count=-1)
+            verification._low_eigs(x, r, -1)
+
+    def test_negative_mu_is_refused(self):
+        # an admissible z where mu < 0: h is minus an oscillator, and its
+        # truncated spectrum depended on N (e0 = -4006.86 at N = 200,
+        # -8136.13 at N = 400); the bundle is refused, as is the solve of
+        # h that eigvec_residuals makes
+        p, z = SwansonParams(1.0, 0.7543218246483239, -2.6068268445611213), -0.99953
+        assert is_admissible(p, z)
+        h = hermitian_equivalent(p, z)
+        assert h.c0.real < 0.0
+        for n in (200, 400):
+            with pytest.raises(InvalidParams, match="mu > 0"):
+                build_bundle(p, z, discrete_series(0.25, n))
+        moved = dataclasses.replace(build_bundle(P, 0.4, discrete_series(0.25, 200)),
+                                    params=p, z=z)
+        with pytest.raises(InvalidParams, match="mu > 0"):
+            eigvec_residuals(moved)
 
     def test_large_basis_without_dense_operators(self):
         # at N = 6400 one N x N matrix takes 328 MB; at z = 0, where the
@@ -736,7 +751,7 @@ class TestBuildBundle:
         peaks = []
         tracemalloc.start()
         try:
-            b = build_bundle(P, 0.0, r, trusted=50, spectrum_count=5)
+            b = build_bundle(P, 0.0, r, trusted=50)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             certificates = eigvec_residuals(b, count=5)
@@ -751,8 +766,7 @@ class TestBuildBundle:
             assert b.residuals[name] <= tol, (name, b.residuals[name])
         assert certificates.max() <= 1e-5
         assert max(commutators.values()) < 1e-12
-        small = build_bundle(P, 0.0, discrete_series(0.25, 800), trusted=50,
-                             spectrum_count=5)
+        small = build_bundle(P, 0.0, discrete_series(0.25, 800), trusted=50)
         assert np.all(np.abs(b.spectrum_h - small.spectrum_h)
                       <= 1e-12 * np.abs(small.spectrum_h))
 
@@ -767,7 +781,7 @@ class TestBuildBundle:
                 warnings.simplefilter("error")
                 tracemalloc.start()
                 try:
-                    b = build_bundle(P, z, r, trusted=50, spectrum_count=5)
+                    b = build_bundle(P, z, r, trusted=50)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -791,13 +805,12 @@ class TestBuildBundle:
         for z in (0.4, -0.4):
             tracemalloc.start()
             try:
-                b = build_bundle(P, z, big, trusted=50, spectrum_count=5)
+                b = build_bundle(P, z, big, trusted=50)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= 2 ** 20, peak / 2 ** 20
-            small = build_bundle(P, z, discrete_series(0.25, 800), trusted=50,
-                                 spectrum_count=5)
+            small = build_bundle(P, z, discrete_series(0.25, 800), trusted=50)
             assert np.all(np.abs(b.spectrum_h - small.spectrum_h)
                           <= 4 * np.spacing(small.spectrum_h)), z
             assert main(["verify", "--omega", "1", "--alpha", "0.2", "--beta",
@@ -805,11 +818,12 @@ class TestBuildBundle:
 
     def test_oscillator_realization_bundle(self):
         from su11metric import oscillator_full
-        b = build_bundle(P, 0.4, oscillator_full(200), trusted=50,
-                         spectrum_count=6)
+        b = build_bundle(P, 0.4, oscillator_full(200), trusted=50)
         assert max(b.residuals.values()) <= 1e-6
         expect = math.sqrt(0.92) * (np.arange(6) + 0.5)
-        assert np.abs(b.spectrum_h - expect).max() <= 1e-6
+        assert np.abs(b.spectrum_h - expect[:5]).max() <= 1e-6
+        w, _ = verification._low_eigs(hermitian_equivalent(P, 0.4), oscillator_full(200), 6)
+        assert np.abs(w - expect).max() <= 1e-6
 
 
 class TestZetaSeriesWall:
@@ -861,6 +875,18 @@ class TestZetaSeriesWall:
                                             2, rows=10)
             assert np.isposinf(block).all(), (p, z)
             checked += 1
+
+
+def _mu_sign(p, z):
+    """The sign of mu, the weight of (2 K0 - K+ - K-) in 2 omega h, from
+    50 digits: mu = (g - den s) / ((1 + z) omega), g = omega - (alpha +
+    beta) z, den = alpha + beta - omega z, s = sqrt(1 - (alpha - beta)^2
+    (1 - z^2) / den^2)."""
+    with mp.workdps(50):
+        w, al, be, z = (mp.mpf(v) for v in (p.omega, p.alpha, p.beta, z))
+        den = al + be - w * z
+        s = mp.sqrt(1 - (al - be) ** 2 * (1 - z * z) / den ** 2)
+        return mp.sign((w - (al + be) * z - den * s) / ((1 + z) * w))
 
 
 def _stability_roots(omega, alpha, beta):
@@ -966,7 +992,12 @@ class TestCoefficientResiduals:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(admissible_points())
     def test_within_tolerances_across_the_domain(self, point):
+        # a point where mu <= 0 is refused, one where mu > 0 checked
         p, z = point
+        if _mu_sign(p, z) <= 0:
+            with pytest.raises(InvalidParams, match="mu > 0"):
+                build_bundle(p, z, discrete_series(0.25, 8), trusted=4)
+            return
         b = build_bundle(p, z, discrete_series(0.25, 8), trusted=4)
         assert b.residuals["r_herm"] <= RESIDUAL_TOLS["r_herm"]
         assert b.residuals["r_eq10"] <= RESIDUAL_TOLS["r_eq10"]
