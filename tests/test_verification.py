@@ -268,22 +268,42 @@ class TestChainCut:
             for count in (25, 41):
                 self.assert_matches_oracle(x, r, count)
 
-    def test_non_elliptic_is_refused(self, monkeypatch):
+    def test_non_elliptic_is_the_full_chain(self):
         # -K0 (minus an oscillator), a hyperbolic (2|c| > c0) and a
         # parabolic (2|c| = c0) element have no lowest levels on the
         # infinite chain: the floor (c0 - 2|c|) k0 lies at or below every
-        # value, so each truncated spectrum depends on N.  Each is refused
-        # before any chain is solved, at every count and realization
-        def refuse(*args):
-            raise AssertionError("bisected a non-elliptic chain")
-
-        monkeypatch.setattr(verification, "_bisect", refuse)
+        # value, so no cut holds and only the full truncated chain has a
+        # spectrum, one that depends on N.  Each is refused instead, at
+        # every count and realization
         for x in (AlgebraElement(-1.0, 0.0, 0.0), AlgebraElement(1.0, 0.6, 0.6),
                   AlgebraElement(1.0, 0.5, 0.5), AlgebraElement(1.0, -0.5, -0.5)):
-            for r in (discrete_series(0.25, 100), oscillator_full(800)):
+            for r in (discrete_series(0.25, 100), oscillator_full(100)):
                 for count in (1, 5, 25):
                     with pytest.raises(InvalidParams, match="mu > 0"):
                         verification._low_eigs(x, r, count)
+
+    def test_non_elliptic_chain_bisects_once(self, monkeypatch):
+        # no chain is bisected more than once, and here none at all: a
+        # non-elliptic element is refused before any chain is solved, and
+        # elliptic h takes the law at counts 5 and 25
+        sizes = []
+        bisect = verification._bisect
+
+        def counted(d, e, count):
+            sizes.append(d.size)
+            return bisect(d, e, count)
+
+        monkeypatch.setattr(verification, "_bisect", counted)
+        for x, r in ((AlgebraElement(-1.0, 0.0, 0.0), discrete_series(0.25, 800)),
+                     (AlgebraElement(1.0, 0.6, 0.6), discrete_series(0.25, 800)),
+                     (AlgebraElement(1.0, 0.5, 0.5), discrete_series(0.25, 800)),
+                     (AlgebraElement(1.0, 0.6, 0.6), oscillator_full(800))):
+            with pytest.raises(InvalidParams, match="mu > 0"):
+                verification._low_eigs(x, r, 25)
+        for count in (5, 25):
+            verification._low_eigs(hermitian_equivalent(P, 0.0),
+                                   discrete_series(0.25, 800), count)
+        assert sizes == []
 
     @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
     def test_elliptic_h_takes_the_closed_form(self, make, monkeypatch):
