@@ -28,7 +28,7 @@ import sys
 from .core import disentangle_closed_form
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      TrigRegime, TruncationTooSmall, ZOutOfDomain)
-from .metric import (_EDGE, SwansonParams, is_admissible, solve_epsilon,
+from .metric import (_EDGE, SwansonParams, _theta, is_admissible, solve_epsilon,
                      solve_metric, spectrum_prediction, validate_params)
 
 _self = sys.modules[__name__]  # its attributes include wrappers set on the module
@@ -124,7 +124,7 @@ def cmd_metric(args) -> int:
     if abs(z) >= 1.0 - _EDGE:
         eps = solve_epsilon(p, z)
         rows = [("z", z), ("epsilon", eps), ("eta", z * eps / 2.0),
-                ("theta", 0.0),
+                ("theta", _theta(p, z, eps)),
                 ("note", "mu/nu and the power base degenerate at |z| = 1; "
                          "exponent coefficients only")]
         _emit(args, rows)

@@ -100,10 +100,15 @@ def _cosh_sinhc(theta_sq):
     return math.cosh(th), math.sinh(th) / th, 0.0
 
 
-def _theta_sq(epsilon: float, eta: complex) -> float:
-    """theta^2 = (|eps| - 2|eta|)(|eps| + 2|eta|); unlike eps^2 - 4|eta|^2,
-    it cannot round below 0 while |eps| >= 2|eta|, even when subnormal.
-    InvalidParams where eps or eta is not finite, or theta^2 overflows."""
+def _pivots(epsilon: float, eta: complex) -> tuple[float, float, float, float, float]:
+    """(s, scale, Cm, Cp, ln C): s = sinh(theta)/theta and Cmp = cosh(theta) -+
+    eps s, times e^-scale (_cosh_sinhc), and ln C for the larger pivot C =
+    cosh(theta) + |eps| s.  theta^2 = (|eps| - 2|eta|)(|eps| + 2|eta|) cannot
+    round below 0 while |eps| >= 2|eta|; InvalidParams for a non-finite eps,
+    eta or theta^2, TrigRegime for theta^2 < 0.  The smaller pivot cancels
+    where 2|eta| << |eps|: it is e^-theta - 4|eta|^2 s / (theta + |eps|).
+    Below _SCALE_FROM, ln C = log1p(s (theta^2 s / (cosh(theta) + 1) + |eps|))
+    is off by a rounding only, which e^{q k0} multiplies by k0."""
     if not (math.isfinite(epsilon) and cmath.isfinite(eta)):
         raise InvalidParams(f"epsilon and eta must be finite (got epsilon = {epsilon:g}, "
                             f"eta = {eta:g})")
@@ -111,25 +116,26 @@ def _theta_sq(epsilon: float, eta: complex) -> float:
     if theta_sq == math.inf:
         raise InvalidParams(f"theta^2 = eps^2 - 4|eta|^2 overflows a double "
                             f"(epsilon = {epsilon:g}, eta = {eta:g})")
-    return theta_sq
+    if not theta_sq >= 0.0:
+        raise TrigRegime(f"theta^2 = {theta_sq:.6g} is not >= 0; no real-theta factorization")
+    c, s, scale = _cosh_sinhc(theta_sq)
+    th = math.sqrt(theta_sq)
+    big = c + abs(epsilon) * s
+    small = (math.exp(-th - scale) - 4.0 * abs(eta) ** 2 / (th + abs(epsilon)) * s
+             if epsilon else big)
+    log_big = (math.log(big) + scale if scale
+               else math.log1p(s * (theta_sq * s / (c + 1.0) + abs(epsilon))))
+    return (s, scale, small, big, log_big) if epsilon > 0.0 else (s, scale, big, small, log_big)
 
 
 def _ordered_factor(epsilon: float, eta: complex, ordering: str) -> Factorization:
     """One ordered factorization of exp(2 eps K0 + 2 eta Km + 2 conj(eta) Kp);
     only the pivot of the requested ordering is checked."""
     eta = complex(eta)
-    theta_sq = _theta_sq(epsilon, eta)
-    if not theta_sq >= 0.0:
-        raise TrigRegime(f"theta^2 = {theta_sq:.6g} is not >= 0; no real-theta factorization")
-    c, s, scale = _cosh_sinhc(theta_sq)
-    sign, op = (-1.0, "-") if ordering == "normal" else (1.0, "+")
+    s, scale, cm, cp, _ = _pivots(epsilon, eta)
+    sign, op, pivot = (-1.0, "-", cm) if ordering == "normal" else (1.0, "+", cp)
     # the pivot times e^-scale, which cancels from p and r; past theta = 745
     # e^-scale is 0, and only a pivot of 0 is refused
-    # where sign eps < 0, cosh(theta) - |eps| s cancels if 2|eta| << |eps|; it
-    # is e^-theta + (theta - |eps|) s, theta - |eps| = -4|eta|^2/(theta + |eps|)
-    th = math.sqrt(theta_sq)
-    pivot = (c + sign * epsilon * s if sign * epsilon >= 0.0 else
-             math.exp(-th - scale) - 4.0 * abs(eta) ** 2 / (th + abs(epsilon)) * s)
     if abs(pivot) < PIVOT_TOL * math.exp(-scale) or pivot == 0.0:
         shown = f"e^{scale:.6g} * {pivot:.3e}" if scale else f"{pivot:.3e}"
         raise DecompositionSingular(
@@ -144,8 +150,8 @@ def disentangle_closed_form(epsilon: float, eta: complex) -> tuple[Factorization
     """Both ordered factorizations of exp(2 eps K0 + 2 eta Km + 2 conj(eta) Kp).
 
     Requires finite eps and eta with theta**2 = eps**2 - 4|eta|**2 >= 0.
-    Past theta = _SCALE_FROM the pivots are taken times e^-theta, so that
-    q = -+2 (theta + log(pivot e^-theta)).  With s = sinh(theta)/theta:
+    Past theta = _SCALE_FROM the pivots (_pivots) are taken times e^-theta,
+    so that q = -+2 (theta + log(pivot e^-theta)).  With s = sinh(theta)/theta:
 
         normal:      e^{-q/2} = cosh(theta) - eps*s,  r = 2 eta s / e^{-q/2},  p = conj(r)-like
         antinormal:  e^{q'/2} = cosh(theta) + eps*s,  r' = 2 eta s / e^{q'/2}
@@ -164,7 +170,7 @@ def adjoint_matrix(epsilon: float, eta: complex) -> tuple[tuple[complex, ...], .
     0 <= theta**2 = eps**2 - 4|eta|**2, theta at most _SCALE_FROM.
     Conjugating X = (c0, cm, cp) by rho gives coefficients M @ (c0, cm, cp),
     where with
-    s = sinh(theta)/theta and Cmp = cosh(theta) -+ eps*s:
+    s = sinh(theta)/theta and Cmp = cosh(theta) -+ eps*s (from _pivots):
 
         rho K0 rho^-1 = (1 - 8|eta|^2 s^2) K0 + 2 eta s Cm Km - 2 conj(eta) s Cp Kp
         rho Km rho^-1 = -4 conj(eta) s Cm K0 + Cm^2 Km + 4 conj(eta)^2 s^2 Kp
@@ -172,19 +178,14 @@ def adjoint_matrix(epsilon: float, eta: complex) -> tuple[tuple[complex, ...], .
     """
     eta = complex(eta)
     abs2 = (eta * eta.conjugate()).real
-    theta_sq = _theta_sq(epsilon, eta)
-    if not theta_sq >= 0.0:
-        raise TrigRegime(f"theta^2 = {theta_sq:.6g} is not >= 0; adjoint closed form unavailable")
-    c, s, scale = _cosh_sinhc(theta_sq)
+    s, scale, cm, cp, _ = _pivots(epsilon, eta)
     if scale:
         raise InvalidParams(f"theta = {scale:g} is past {_SCALE_FROM:g}: the adjoint "
                             "matrix's entries, of size e^(2 theta), overflow")
-    cm_ = c - epsilon * s
-    cp_ = c + epsilon * s
     etc = eta.conjugate()
-    return ((complex(1.0 - 8.0 * abs2 * s * s), -4.0 * etc * s * cm_, 4.0 * eta * s * cp_),
-            (2.0 * eta * s * cm_, complex(cm_ * cm_), 4.0 * eta * eta * s * s),
-            (-2.0 * etc * s * cp_, 4.0 * etc * etc * s * s, complex(cp_ * cp_)))
+    return ((complex(1.0 - 8.0 * abs2 * s * s), -4.0 * etc * s * cm, 4.0 * eta * s * cp),
+            (2.0 * eta * s * cm, complex(cm * cm), 4.0 * eta * eta * s * s),
+            (-2.0 * etc * s * cp, 4.0 * etc * etc * s * s, complex(cp * cp)))
 
 
 def _mat_vec(m, x) -> tuple[complex, complex, complex]:

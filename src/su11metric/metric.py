@@ -69,72 +69,63 @@ def swanson_element(p: SwansonParams) -> AlgebraElement:
     return AlgebraElement(2.0 * p.omega, 2.0 * p.alpha, 2.0 * p.beta)
 
 
-def _stability_coeffs(p: SwansonParams) -> tuple[float, float, float]:
-    """(a, b, c) of the stability polynomial a z^2 + b z + c."""
-    a = p.omega * p.omega + (p.alpha - p.beta) ** 2
-    b = -2.0 * (p.alpha + p.beta) * p.omega
-    c = 4.0 * p.alpha * p.beta
-    return a, b, c
+def _stability(p: SwansonParams, z: float) -> tuple[float, float, float]:
+    """(den, 1 - z^2, P): den = alpha + beta - omega z and the stability
+    polynomial P = den^2 - (alpha-beta)^2 (1 - z^2), exact on the float
+    inputs (integers over one power of two) and rounded once.  z in [-1, 1]
+    is admissible exactly where P > 0.  InvalidParams for a non-finite
+    input or result."""
+    try:
+        ratios = [x.as_integer_ratio() for x in (p.omega, p.alpha, p.beta, z)]
+        d = max(m for _, m in ratios)
+        w, a, b, t = (n * (d // m) for n, m in ratios)
+        den, one, d2 = (a + b) * d - w * t, d * d - t * t, d * d
+        return den / d2, one / d2, (den * den - (a - b) ** 2 * one) / (d2 * d2)
+    except (OverflowError, ValueError):
+        raise InvalidParams(f"the stability polynomial at z = {z:g} is not "
+                            "a finite double") from None
 
 
-def _stability_poly(p: SwansonParams, z: float) -> float:
-    """(alpha+beta-omega*z)**2 - (alpha-beta)**2 (1-z**2), expanded.
-
-    Positive exactly where the arctanh argument of eps(z) has modulus
-    below one (equivalently where the mu/nu square root is real).
-    """
-    a, b, c = _stability_coeffs(p)
-    return (a * z + b) * z + c
-
-
-def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float]:
-    """(ln Lambda, Lambda), Lambda = (den + s) / (den - s) for s = (alpha-beta)
-    sqrt(1-z^2) and den = alpha+beta-omega*z.  With big = |den| + |s| and the
-    stability polynomial P = den^2 - s^2 = (|den| - |s|) big > 0, nothing
-    cancels in ln Lambda = +-log1p(2 |s| big / P), Lambda = (big^2 / P)^(+-1)."""
-    s = (p.alpha - p.beta) * math.sqrt(1.0 - z * z)
-    den = p.alpha + p.beta - z * p.omega
-    poly = _stability_poly(p, z)
+def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float, float]:
+    """(ln Lambda, Lambda, sqrt(1-z^2)), Lambda = (den + s) / (den - s) for
+    s = (alpha-beta) sqrt(1-z^2).  With big = |den| + |s| and P = den^2 - s^2
+    = (|den| - |s|) big from _stability, ln Lambda = +-log1p(2 |s| big / P)
+    and Lambda = (big^2 / P)^(+-1) cancel nowhere, next to a root too."""
+    den, one, poly = _stability(p, z)
     if not poly > 0.0:
         raise ZOutOfDomain(
             f"z = {z:g} is inadmissible: |arctanh argument| >= 1 "
             f"(alpha + beta - omega*z = {den:g})")
+    root = math.sqrt(one)
+    s = (p.alpha - p.beta) * root
     big = abs(den) + abs(s)
     log_lam = math.log1p(2.0 * abs(s) * big / poly)
     if (s > 0.0) == (den > 0.0):
-        return log_lam, big * big / poly
-    return -log_lam, poly / (big * big)
+        return log_lam, big * big / poly, root
+    return -log_lam, poly / (big * big), root
 
 
 def is_admissible(p: SwansonParams, z: float) -> bool:
-    """True when z in [-1, 1] gives a finite real solution eps(z)."""
+    """True when z in [-1, 1] gives a finite real solution eps(z): P > 0."""
     validate_params(p)
-    if abs(z) > 1.0:
-        return False
-    return _stability_poly(p, z) > 0.0
+    return abs(z) <= 1.0 and _stability(p, z)[2] > 0.0
 
 
 def z_domain(p: SwansonParams) -> list[tuple[float, float]]:
     """Admissible subset of [-1, 1] as a list of intervals.
 
-    The excluded set is the closed band between the two real roots of the
-    stability polynomial (the discriminant (alpha-beta)**2 (omega**2 -
-    4 alpha beta) is positive for valid parameters).  Interval endpoints
-    are the closure; use is_admissible for the strict pointwise test
-    (relevant only at z = +-1 when omega = -+(alpha+beta)).
-    """
+    The excluded set is the closed band between the roots of P = a z^2 +
+    b z + c (a = omega^2 + (alpha-beta)^2, b = -2 (alpha+beta) omega, c =
+    4 alpha beta, disc = 4 (alpha-beta)^2 (omega^2 - 4 alpha beta) > 0):
+    q / a and c / q, q = -(b + sign(b) sqrt(disc)) / 2, neither cancelling.
+    The intervals are closed; is_admissible is the strict pointwise test."""
     validate_params(p)
-    a, b, c = _stability_coeffs(p)
-    disc = b * b - 4.0 * a * c
-    root = math.sqrt(disc)
-    z1 = (-b - root) / (2.0 * a)
-    z2 = (-b + root) / (2.0 * a)
-    intervals = []
-    if min(z1, 1.0) > -1.0:
-        intervals.append((-1.0, min(z1, 1.0)))
-    if max(z2, -1.0) < 1.0:
-        intervals.append((max(z2, -1.0), 1.0))
-    return intervals
+    gap = p.omega * p.omega - 4.0 * p.alpha * p.beta
+    q = math.copysign(abs(p.alpha + p.beta) * p.omega
+                      + abs(p.alpha - p.beta) * math.sqrt(gap), p.alpha + p.beta)
+    z1, z2 = sorted((q / (p.omega * p.omega + (p.alpha - p.beta) ** 2),
+                     4.0 * p.alpha * p.beta / q))
+    return [iv for iv in ((-1.0, min(z1, 1.0)), (max(z2, -1.0), 1.0)) if iv[0] < iv[1]]
 
 
 def solve_epsilon(p: SwansonParams, z: float) -> float:
@@ -144,19 +135,20 @@ def solve_epsilon(p: SwansonParams, z: float) -> float:
               / (2*sqrt(1-z^2))
 
     on the principal real branch; at |z| = 1 the analytic limit
-    (alpha-beta) / (2*(alpha+beta-z*omega)) is returned.  Computed as
-    ln(Lambda) / (4*sqrt(1-z^2)), so an argument rounding to +-1 is harmless.
+    (alpha-beta) / (2*(alpha+beta-z*omega)).  Taken as ln(Lambda) /
+    (4*sqrt(1-z^2)) (_log_power_base), exact to rounding next to a root.
     """
     validate_params(p)
     if not abs(z) <= 1.0:
         raise ZOutOfDomain(f"z must lie in [-1, 1] (got z = {z:g})")
     if abs(z) == 1.0:
-        den = p.alpha + p.beta - z * p.omega
+        den = _stability(p, z)[0]
         if den == 0.0:
             raise ZOutOfDomain(
                 f"alpha + beta - omega*z vanishes at z = {z:g}")
         return (p.alpha - p.beta) / (2.0 * den)
-    return _log_power_base(p, z)[0] / (4.0 * math.sqrt(1.0 - z * z))
+    log_lam, _, root = _log_power_base(p, z)
+    return log_lam / (4.0 * root)
 
 
 def conjugated_coeffs(p: SwansonParams, epsilon: float,
@@ -170,36 +162,39 @@ def conjugated_coeffs(p: SwansonParams, epsilon: float,
     return _mat_vec(adjoint_matrix(epsilon, eta), (p.omega, p.alpha, p.beta))
 
 
-def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
-    """Oscillator weights (mu, nu) of the Hermitian equivalent.
-
-    mu scales the (2K0 - Kp - Km) part and nu the (2K0 + Kp + Km) part of
-    2*omega*h.  Their product equals omega**2 - 4*alpha*beta for every
-    admissible z.  mu = (g - term) / ((1 + z) omega) is 0/0 at z = -1 and
-    nu = omega (g + term) / (1 - z) at z = +1; there the product law
-    (g - term)(g + term) = (1 - z^2)(omega^2 - 4 alpha beta) replaces the
-    cancelling factor.  Both are refused within 1e-9 of the endpoints.
-    """
+def _weights(p: SwansonParams, z: float) -> tuple[float, float, float]:
+    """(mu, nu, c) of h = ((nu + mu omega^2)/omega) K0 + c (Km + Kp) from
+    _stability, with t = sign(den) sqrt(P), g = omega - (alpha+beta) z and
+    gap = omega^2 - 4 alpha beta.  (g - t)(g + t) = (1 - z^2) gap replaces
+    the factor that cancels: mu = (g - t)/((1 + z) omega), nu = omega (g +
+    t)/(1 - z).  c = (t + z g)/(1 - z^2) = (P - z^2 gap)/(t - z g), by the
+    sum that does not cancel, as (nu - mu omega^2)/(2 omega) does."""
     validate_params(p)
     if not abs(z) < 1.0 - _EDGE:
         raise ZOutOfDomain(
             f"mu/nu formulas degenerate at |z| = 1 (got z = {z:g}); "
             "assemble the endpoint Hamiltonian by conjugation instead")
-    if not _stability_poly(p, z) > 0.0:
+    den, one, poly = _stability(p, z)
+    if not poly > 0.0:
         raise ZOutOfDomain(f"z = {z:g} is inadmissible")
-    den = p.alpha + p.beta - z * p.omega
-    diff = p.alpha - p.beta
-    s = math.sqrt(1.0 - diff * diff * (1.0 - z * z) / (den * den))
-    term = den * s
+    t = math.copysign(math.sqrt(poly), den)
     g = p.omega - (p.alpha + p.beta) * z
     gap = p.omega * p.omega - 4.0 * p.alpha * p.beta
     if z >= 0.0:
-        mu = (g - term) / ((1.0 + z) * p.omega)
-        nu = p.omega * (1.0 + z) * gap / (g - term)
+        mu = (g - t) / ((1.0 + z) * p.omega)
+        nu = p.omega * (1.0 + z) * gap / (g - t)
     else:
-        mu = (1.0 - z) * gap / (p.omega * (g + term))
-        nu = p.omega * (g + term) / (1.0 - z)
-    return mu, nu
+        mu = (1.0 - z) * gap / (p.omega * (g + t))
+        nu = p.omega * (g + t) / (1.0 - z)
+    zg = z * g
+    return mu, nu, ((t + zg) / one if t * zg >= 0.0 else (poly - z * z * gap) / (t - zg))
+
+
+def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
+    """Oscillator weights (mu, nu) of the Hermitian equivalent: mu scales the
+    (2K0 - Kp - Km) part and nu the (2K0 + Kp + Km) part of 2*omega*h, and
+    mu nu = omega^2 - 4 alpha beta.  Refused within 1e-9 of |z| = 1."""
+    return _weights(p, z)[:2]
 
 
 def _harmonic_law(freq: float, k: float, count: int) -> tuple[float, ...]:
@@ -227,20 +222,17 @@ def spectrum_prediction(p: SwansonParams, k: float, count: int) -> tuple[float, 
 def hermitian_equivalent(p: SwansonParams, z: float) -> AlgebraElement:
     """Coefficients of h = rho H rho^{-1}, exactly symmetric in Kp/Km.
 
-    Away from the endpoints h = ((nu + mu*omega^2)/omega) K0
-    + ((nu - mu*omega^2)/(2*omega)) (Km + Kp), which shares no code with
-    the adjoint closed form that build_bundle's r_eq10 compares it with.
-    Within 1e-9 of |z| = 1 it is the Hermitian part of that conjugation.
+    Away from the endpoints h = ((nu + mu*omega^2)/omega) K0 + c (Km + Kp)
+    with c from _weights, which shares no code with the adjoint closed form
+    that build_bundle's r_eq10 compares it with.  Within 1e-9 of |z| = 1
+    it is the Hermitian part of that conjugation.
     """
     if abs(z) < 1.0 - _EDGE:
-        mu, nu = mu_nu(p, z)
-        c0 = (nu + mu * p.omega * p.omega) / p.omega
-        c = (nu - mu * p.omega * p.omega) / (2.0 * p.omega)
-        return AlgebraElement(c0, c, c)
+        mu, nu, c = _weights(p, z)
+        return AlgebraElement((nu + mu * p.omega * p.omega) / p.omega, c, c)
     conj = conjugate(metric_exponent(p, z), swanson_element(p))
-    c0 = complex(conj.c0).real
     c = (complex(conj.cm) + complex(conj.cp)).real / 2.0
-    return AlgebraElement(c0, c, c)
+    return AlgebraElement(complex(conj.c0).real, c, c)
 
 
 def metric_exponent(p: SwansonParams, z: float) -> AlgebraElement:
@@ -261,8 +253,8 @@ def power_base(p: SwansonParams, z: float) -> float:
         Lambda = (alpha+beta-omega*z + (alpha-beta)*sqrt(1-z^2))
                / (alpha+beta-omega*z - (alpha-beta)*sqrt(1-z^2)),
 
-    equivalent to eps = ln(Lambda) / (4*sqrt(1-z^2)); degenerate (0/0)
-    at |z| = 1.
+    equivalent to eps = ln(Lambda) / (4*sqrt(1-z^2)), taken as (big^2 /
+    P)^(+-1) from the exact P (_log_power_base); 0/0 at |z| = 1.
     """
     validate_params(p)
     if abs(z) >= 1.0 - _EDGE:
@@ -277,11 +269,16 @@ def commuting_observable(z: float) -> AlgebraElement:
     return AlgebraElement(2.0, z, z)
 
 
+def _theta(p: SwansonParams, z: float, eps: float) -> float:
+    """theta = |eps| sqrt(1 - z^2), from _stability's exact 1 - z^2."""
+    return abs(eps) * math.sqrt(_stability(p, z)[1])
+
+
 def solve_metric(p: SwansonParams, z: float) -> MetricSolution:
     """Solve the full family at one z away from the endpoints."""
     eps = solve_epsilon(p, z)
     eta = z * eps / 2.0
-    theta = abs(eps) * math.sqrt(max(0.0, 1.0 - z * z))
+    theta = _theta(p, z, eps)
     mu, nu = mu_nu(p, z)
     lam = power_base(p, z)
     u, v, w = conjugated_coeffs(p, eps, eta)

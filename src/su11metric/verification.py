@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import AlgebraElement, _ordered_factor, conjugate
+from .core import AlgebraElement, _pivots, conjugate
 from .errors import InvalidParams, NoConvergence, TruncationTooSmall, ZOutOfDomain
 from .metric import (SwansonParams, _harmonic_law, commuting_observable,
                      hermitian_equivalent, is_admissible, metric_exponent,
@@ -435,16 +435,17 @@ def _ordered_metric(p: SwansonParams, z: float, sign: int) -> tuple[bool, float,
     K+ raises k0 by exactly 1, so e^{(q/2) K0} K+ e^{-(q/2) K0} = e^{q/2} K+
     and exp(p K+) S = S exp(p e^{-q/2} K+); the antinormal ordering moves
     S the other way.  So c = p e^{-q/2} (normal) or p e^{q/2}
-    (antinormal), in both cases 2 eta sinh(theta)/theta.
-    Only the pivot of the ordering taken is checked; it is >= 1.
+    (antinormal), in both cases 2 eta sinh(theta)/theta, and q = -+2 ln C
+    for the ordering's pivot C = cosh(theta) + |eps| sinh(theta)/theta >= 1;
+    both are taken from core._pivots, so that neither carries the other's
+    rounding.
     """
     eps = sign * solve_epsilon(p, z)
+    eta = z * eps / 2.0
+    s, scale, _, _, log_big = _pivots(eps, eta)
     antinormal = eps > 0.0
-    f = _ordered_factor(eps, z * eps / 2.0, "antinormal" if antinormal else "normal")
-    # eta = z eps / 2 is real, so r = p and exp(p Km) = exp(p Kp)^T
-    assert f.r.real == f.p.real
-    q = f.q.real
-    return antinormal, q, f.p.real * math.exp(0.5 * q if antinormal else -0.5 * q)
+    q = 2.0 * log_big if antinormal else -2.0 * log_big
+    return antinormal, q, 2.0 * eta * s * math.exp(scale)
 
 
 def materialize_metric_root(p: SwansonParams, z: float,
@@ -560,7 +561,8 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     the largest coefficient, and independent of realization, N and T:
 
         r_herm        Hermiticity defect of y: |Im c0|, |cm - conj(cp)|
-        r_eq10        y vs hermitian_equivalent(p, z) (the mu/nu formula)
+        r_eq10        y vs hermitian_equivalent(p, z) (mu, nu and c from
+                      the exact stability polynomial, metric._weights)
 
     The rest are spectral norms of the leading trusted x trusted block,
     normalized by the operand norms:

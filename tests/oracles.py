@@ -188,16 +188,27 @@ def metric_power_dense(p, z, realization, power=1, rows=None):
     the whole truncated basis, rows x N, as the ordered product of the
     dense factors exp(a Kp), diag(e^{q k0}) and exp(a Km): the normal
     ordering for eps <= 0, the antinormal one otherwise, with the Gauss
-    factors of the closed-form 2 x 2 exponential.  Only the asked rows are
-    formed, so overflowed entries of the factors never meet zeros in the
-    rows past them."""
+    factors of the 2 x 2 exponential taken to 50 digits and rounded once
+    (a float log of the pivot is off by a few ulps of q, which e^{q k0}
+    multiplies by k0).  Only the asked rows are formed, so overflowed
+    entries of the factors never meet zeros in the rows past them."""
     eps = power * solve_epsilon(p, z)
-    g = exp_defining(AlgebraElement(2.0 * eps, z * eps, z * eps))
-    f = gauss_decompose(g, "normal" if eps <= 0.0 else "antinormal")
-    e = exp_raising(realization.kp_band, realization.band, f.p.real,
-                    realization.dim)
-    mid = np.exp(f.q.real * realization.k0_diag)
+    a, q = (float(x) for x in _gauss_factors_mp(eps, z, 50))
+    e = exp_raising(realization.kp_band, realization.band, a, realization.dim)
+    mid = np.exp(q * realization.k0_diag)
     return (e[:rows] * mid) @ e.T if eps <= 0.0 else (e[:, :rows].T * mid) @ e
+
+
+def _gauss_factors_mp(eps, z, dps):
+    """(a, q) of exp(A), A = 2 eps K0 + z eps (Km + Kp), to `dps` digits:
+    mpmath's expm of the 2 x 2 element, factored on the pivot of the
+    ordering whose pivot is >= 1 (normal for eps <= 0, else antinormal)."""
+    with mp.workdps(dps):
+        eps, eta = mp.mpf(eps), mp.mpf(z) * mp.mpf(eps) / 2
+        g = mp.expm(mp.matrix([[eps, 2 * eta], [-2 * eta, -eps]]))
+        if eps <= 0:
+            return g[0, 1] / g[1, 1], -2 * mp.log(g[1, 1])
+        return g[0, 1] / g[0, 0], 2 * mp.log(g[0, 0])
 
 
 def metric_power_mp(eps, z, kappa, size, depth, dps=50):
@@ -210,12 +221,7 @@ def metric_power_mp(eps, z, kappa, size, depth, dps=50):
     <i|exp(a Kp)|k> e^{q (k + kappa)} <j|exp(a Kp)|k> (normal) or
     <k|exp(a Kp)|i> e^{q (k + kappa)} <k|exp(a Kp)|j> (antinormal)."""
     with mp.workdps(dps):
-        eps, eta = mp.mpf(eps), mp.mpf(z) * mp.mpf(eps) / 2
-        g = mp.expm(mp.matrix([[eps, 2 * eta], [-2 * eta, -eps]]))
-        if eps <= 0:
-            a, q = g[0, 1] / g[1, 1], -2 * mp.log(g[1, 1])
-        else:
-            a, q = g[0, 1] / g[0, 0], 2 * mp.log(g[0, 0])
+        a, q = _gauss_factors_mp(eps, z, dps)
         kappa = mp.mpf(kappa)
         # e[k][j] = <k|exp(a Kp)|j>, K+|m> = sqrt((m + 1)(m + 2 kappa))|m + 1>
         e = [[mp.mpf(0)] * size for _ in range(depth)]
@@ -234,6 +240,41 @@ def metric_power_mp(eps, z, kappa, size, depth, dps=50):
                     terms = (e[k][i] * mid[k] * e[k][j] for k in range(depth))
                 out[i, j] = float(mp.fsum(terms))
         return out
+
+
+def stability_roots_mp(p, dps=50):
+    """The roots of P(z) = (omega^2 + (alpha-beta)^2) z^2 - 2 (alpha+beta)
+    omega z + 4 alpha beta, between which z is inadmissible, ascending, to
+    `dps` digits; taken in the form that does not cancel, so that a small
+    root keeps its digits."""
+    with mp.workdps(dps):
+        w, al, be = mp.mpf(p.omega), mp.mpf(p.alpha), mp.mpf(p.beta)
+        a, b, c = w * w + (al - be) ** 2, -2 * (al + be) * w, 4 * al * be
+        root = mp.sqrt(b * b - 4 * a * c)
+        q = -(b + root if b >= 0 else b - root) / 2
+        return tuple(sorted((q / a, c / q)))
+
+
+def metric_family_mp(p, z, dps=50):
+    """{P, epsilon, mu, nu, lam, c0, c} at (p, z) from the textbook forms,
+    to `dps` digits: P = den^2 - (alpha-beta)^2 (1-z^2), eps = arctanh(s /
+    den) / (2 sqrt(1-z^2)), s = (alpha-beta) sqrt(1-z^2), den = alpha+beta -
+    omega z; mu = (g - term) / ((1+z) omega), nu = omega (g + term) / (1-z),
+    term = den sqrt(1 - s^2/den^2), g = omega - (alpha+beta) z; Lambda =
+    (den + s) / (den - s), c0 = (nu + mu omega^2) / omega and c = (nu - mu
+    omega^2) / (2 omega).  Only P is defined where P <= 0."""
+    with mp.workdps(dps):
+        w, a, b, z = (mp.mpf(v) for v in (p.omega, p.alpha, p.beta, z))
+        q, den = 1 - z * z, a + b - w * z
+        s = (a - b) * mp.sqrt(q)
+        out = {"P": den * den - s * s}
+        if out["P"] <= 0:
+            return out
+        term, g = den * mp.sqrt(1 - s * s / (den * den)), w - (a + b) * z
+        mu, nu = (g - term) / ((1 + z) * w), w * (g + term) / (1 - z)
+        return dict(out, epsilon=mp.atanh(s / den) / (2 * mp.sqrt(q)), mu=mu, nu=nu,
+                    lam=(den + s) / (den - s), c0=(nu + mu * w * w) / w,
+                    c=(nu - mu * w * w) / (2 * w))
 
 
 def metric_block_definite(rows: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +12,8 @@ import scipy.linalg
 from su11metric import (AlgebraElement, NoConvergence, SwansonParams, cli,
                         discrete_series, pdm, spectrum_prediction, verification)
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
+
+from oracles import metric_family_mp
 
 
 # an admissible z-domain piece, z in (-1, -0.9645), where mu < 0
@@ -51,6 +54,38 @@ class TestMetricCommand:
         rows = parse_table(out)
         assert abs(float(rows["epsilon"]) + 0.0714286) < 1e-6
         assert "mu" not in rows
+
+    @pytest.mark.parametrize("z", ["0.9999999995", "-0.9999999999", "1"])
+    def test_theta_at_the_edge(self, capsys, z):
+        # within 1e-9 of |z| = 1 only the exponent is reported; theta =
+        # |eps| sqrt(1 - z^2) is 2.3e-6 at the first z, not 0 (0 only at
+        # |z| = 1), from the exact 1 - z^2
+        code, out, _ = run_cli(capsys, "metric", "--omega", "1", "--alpha", "0.2",
+                               "--beta", "0.1", "--z", z)
+        assert code == 0
+        rows = parse_table(out)
+        with mp.workdps(50):
+            w, a, b, zz = (mp.mpf(v) for v in (1.0, 0.2, 0.1, float(z)))
+            q = 1 - zz * zz
+            den = a + b - w * zz
+            eps = ((a - b) / (2 * den) if q == 0
+                   else mp.atanh((a - b) * mp.sqrt(q) / den) / (2 * mp.sqrt(q)))
+            assert rows["epsilon"] == f"{float(eps):.12g}"
+            assert rows["theta"] == f"{float(abs(eps) * mp.sqrt(q)):.12g}"
+
+    @pytest.mark.parametrize("flags, z", [
+        (("--omega", "1", "--alpha", "-2.003654464483188",
+          "--beta", "3.003956316645997"), "0.9999999981864903"),
+        (("--omega", "1", "--alpha", "0.8215410721214909",
+          "--beta", "-1.822265625"), "-0.9999999624443531")])
+    def test_epsilon_next_to_a_root(self, capsys, flags, z):
+        # z is 3.3e-12 from a root 1.8e-9 inside z = 1, and next to a root
+        # 3.8e-8 inside z = -1: eps was 7.2e-7 and 1.4e-6 off (printed
+        # -31983.9139109 and -10348.2959165); it prints its 60-digit value
+        code, out, _ = run_cli(capsys, "metric", *flags, f"--z={z}")
+        assert code == 0
+        eps = metric_family_mp(SwansonParams(*map(float, flags[1::2])), float(z), 60)["epsilon"]
+        assert parse_table(out)["epsilon"] == f"{float(eps):.12g}"
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "metric", "--omega", "1",
@@ -211,15 +246,17 @@ class TestVerifyCommand:
 
     def test_near_root_precision(self, capsys):
         # z = -1e-12 lies 1e-12 from the stability root z = 0 (alpha = 0),
-        # with mu, nu > 0: eq. (10) holds within its tolerance (4.2e-8) and
-        # h has the harmonic spectrum
+        # with mu, nu > 0.  The stability polynomial is exact and c does not
+        # cancel, so h's coefficients hold to rounding: r_herm, r_eq10 and
+        # r_intertwine read 2.0e-20, 1.0e-20 and 1.1e-16 (they were 2.2e-14,
+        # 4.2e-8 and 1.2e-7, c being 4.7e-3 off); h has the harmonic spectrum
         p = SwansonParams(0.03162277660168379, 0.0, 5.0)
         code, out, _ = run_cli(capsys, "verify", "--omega", repr(p.omega),
                                "--alpha", "0", "--beta", "5", "--z=-1e-12")
         assert code == 0
         rows = parse_table(out)
-        r_eq10 = float(rows["r_eq10"].split()[0])
-        assert r_eq10 <= RESIDUAL_TOLS["r_eq10"]
+        for name in ("r_herm", "r_eq10", "r_intertwine"):
+            assert float(rows[name].split()[0]) <= 1e-15, (name, rows[name])
         got = np.array([float(rows[f"e{i}"]) for i in range(5)])
         want = np.array(spectrum_prediction(p, 0.25, 5))
         assert np.all(np.abs(got - want) <= 1e-9 * want), (got, want)
@@ -261,6 +298,8 @@ class TestNonFiniteInputs:
         ("verify", *BASE, "--z", "0.4", "--realization", "multiboson:l=2,residues=0.25,nan"),
         ("verify", *BASE, "--z", "0.4", "--realization", "discrete:k=0.25,k=0.75"),
         ("metric", *BASE, "--z", "nan"),
+        # the stability polynomial, 4e400, overflowed with a traceback (exit 1)
+        ("metric", "--omega", "1", "--alpha", "1e200", "--beta=-1e200", "--z", "0.1"),
         ("spectrum", *BASE, "--k", "nan"),
         ("spectrum", *BASE, "--k", "inf"),
         ("disentangle", "--epsilon", "nan", "--eta", "0.1"),
@@ -552,7 +591,9 @@ class TestImports:
         loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                   if line.startswith("import time:")]
         assert "su11metric" in loaded
-        assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
+        # nor fractions or decimal: the stability polynomial is exact in ints
+        assert [m for m in loaded if m.split(".")[0]
+                in ("numpy", "scipy", "fractions", "decimal")] == []
 
     @pytest.mark.parametrize("realization", ["discrete:k=0.25", "oscillator:parity=full"])
     @pytest.mark.parametrize("command", [["verify", "--z", "0.4"],

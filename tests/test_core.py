@@ -6,11 +6,11 @@ import pytest
 from scipy.linalg import expm
 
 from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
-                        TrigRegime, adjoint_matrix, conjugate,
-                        disentangle_closed_form)
+                        SwansonParams, TrigRegime, adjoint_matrix, conjugate,
+                        disentangle_closed_form, solve_epsilon)
 
 from oracles import (SIGMA_K0, SIGMA_KM, SIGMA_KP, defining_rep, exp_defining,
-                     gauss_decompose, reconstruct_defining)
+                     gauss_decompose, reconstruct_defining, stability_roots_mp)
 
 # expm-oracle values for eps = 1, eta = 0.25 (theta^2 = 0.75)
 EXP_A_ORACLE = np.array([[2.528803433906753, 0.564886041630807],
@@ -298,6 +298,36 @@ class TestAdjointMatrix:
     def test_trig_regime(self):
         with pytest.raises(TrigRegime):
             adjoint_matrix(0.0, 0.3)
+
+    @pytest.mark.parametrize("below", [1e-12, 1e-9])
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.001), (0.001, 0.5)])
+    def test_near_root_against_mpmath(self, alpha, beta, below):
+        # just below the lower stability root eps = +-6.9 and 2|eta| << |eps|,
+        # so cosh(theta) - |eps| s cancels: formed directly, Cm^2 (alpha >
+        # beta) or Cp^2 was 9.8e-8 off at 1e-12 below the root and 3.5e-12 at
+        # 1e-9.  At 1e-12 that pivot, -5.0e-7, is the difference of parts of
+        # 1e-3, so its entries move by 4e-13 when eps or eta moves by an ulp:
+        # each entry is held to 1e-14 plus what 4 ulps of eps and of eta move
+        # it, all from 60 digits
+        p = SwansonParams(1.0, alpha, beta)
+        with mp.workdps(50):
+            z = float(stability_roots_mp(p)[0] - below)
+        eps = solve_epsilon(p, z)
+        eta = z * eps / 2.0
+        got = [x for row in adjoint_matrix(eps, eta) for x in row]
+        with mp.workdps(60):
+            def entries(e, h):
+                theta = mp.sqrt(e * e - 4 * h * h)
+                c, s = mp.cosh(theta), mp.sinh(theta) / theta
+                cm, cp = c - e * s, c + e * s
+                return (1 - 8 * h * h * s * s, -4 * h * s * cm, 4 * h * s * cp,
+                        2 * h * s * cm, cm * cm, 4 * h * h * s * s,
+                        -2 * h * s * cp, 4 * h * h * s * s, cp * cp)
+            e, h = mp.mpf(eps), mp.mpf(eta)
+            for k, (x, w) in enumerate(zip(got, entries(e, h))):
+                moved = (abs(e * mp.diff(lambda t: entries(t, h)[k], e))
+                         + abs(h * mp.diff(lambda t: entries(e, t)[k], h)))
+                assert abs(x - w) <= 1e-14 * abs(w) + 4 * 2.0 ** -52 * moved, (k, x, w)
 
 
 class TestConjugate:

@@ -11,7 +11,19 @@ from su11metric import (AlgebraElement, InvalidParams, SwansonParams,
                         solve_epsilon, solve_metric, spectrum_prediction,
                         swanson_element, validate_params, z_domain)
 
+from oracles import metric_family_mp, stability_roots_mp
+
 P = SwansonParams(1.0, 0.2, 0.1)
+
+# parameters with both stability roots inside (-1, 1): weak and strong
+# coupling, the two near-root points reported for eps(z) (alpha = 0 at
+# |beta|/omega = 158, with its root at z = 0, and a root 1.8e-9 inside z = 1)
+# and a third (a root 3.8e-8 inside z = -1)
+NEAR_ROOT_PARAMS = [SwansonParams(*t) for t in (
+    (1.0, 0.2, 0.1), (1.0, 0.45, 0.05), (1.0, 0.5, 0.001), (1.0, 0.001, 0.5),
+    (0.03162277660168379, 0.0, 5.0), (1.0, 0.25, -0.25), (2.76, 0.977, -4.66),
+    (1.0, -2.003654464483188, 3.003956316645997),
+    (1.0, 0.8215410721214909, -1.822265625))]
 
 PARAM_SETS = [SwansonParams(om, al, be)
               for om in (0.8, 1.0, 1.3, 1.7)
@@ -89,10 +101,30 @@ class TestZDomain:
         assert abs(ivs[0][1] + cut) < 1e-12
         assert abs(ivs[1][0] - cut) < 1e-12
 
+    @pytest.mark.parametrize("p", [SwansonParams(1.0, 1e-9, 0.5),
+                                   SwansonParams(2.0, -1e-8, 0.7), *NEAR_ROOT_PARAMS],
+                             ids=str)
+    def test_roots_against_mpmath(self, p):
+        # (-b -+ sqrt(disc)) / (2a) cancelled in the smaller root: 1.999999989e-9
+        # for 2.000000001e-9 at (1, 1e-9, 0.5), 2.7e-9 relative at (2, -1e-8,
+        # 0.7); each endpoint is the 50-digit root to an ulp or so, and
+        # admissibility changes sign within four ulps of it
+        (lo, z1), (z2, hi) = z_domain(p)
+        assert (lo, hi) == (-1.0, 1.0)
+        for end, root in zip((z1, z2), stability_roots_mp(p)):
+            assert abs(end - root) <= 2.0 * math.ulp(float(root)), (end, root)
+        for end, inside in ((z1, 1.0), (z2, -1.0)):
+            step = 4.0 * math.ulp(end)
+            assert is_admissible(p, end - inside * step), end
+            assert not is_admissible(p, end + inside * step), end
+
     def test_endpoints(self):
-        # z = 1 admissible iff omega != alpha + beta
+        # z = 1 admissible iff omega != alpha + beta, which the exact P
+        # reads on the doubles: 0.2 + 0.1 is not the double 0.3, so the
+        # border takes couplings whose sum is exact
         assert is_admissible(P, 1.0) and is_admissible(P, -1.0)
-        border = SwansonParams(0.3, 0.2, 0.1)
+        assert is_admissible(SwansonParams(0.3, 0.2, 0.1), 1.0)
+        border = SwansonParams(0.75, 0.5, 0.25)
         assert not is_admissible(border, 1.0)
         assert is_admissible(border, -1.0)
 
@@ -243,13 +275,9 @@ class TestMuNu:
         for p in (P, SwansonParams(2.76, 0.977, -4.66),
                   SwansonParams(1.0, 0.45, 0.05), SwansonParams(0.7, -0.2, 0.3)):
             for z in (s * (1.0 - d) for s in (-1.0, 1.0) for d in (1e-4, 1e-7, 2e-9)):
-                with mp.workdps(50):
-                    w, a, b, zz = (mp.mpf(v) for v in (p.omega, p.alpha, p.beta, z))
-                    den = a + b - zz * w
-                    term = den * mp.sqrt(1 - (a - b) ** 2 * (1 - zz * zz) / den ** 2)
-                    g = w - (a + b) * zz
-                    want = ((g - term) / ((1 + zz) * w), w * (g + term) / (1 - zz))
-                    errs = [abs((got - ref) / ref) for got, ref in zip(mu_nu(p, z), want)]
+                want = metric_family_mp(p, z)
+                errs = [abs((got - want[name]) / want[name])
+                        for got, name in zip(mu_nu(p, z), ("mu", "nu"))]
                 assert max(errs) <= 1e-11, (p, z)
 
     def test_endpoint_refused(self):
@@ -257,6 +285,53 @@ class TestMuNu:
             mu_nu(P, 1.0)
         with pytest.raises(ZOutOfDomain):
             mu_nu(P, -1.0 + 1e-12)
+
+
+def _near_root_points(p):
+    """z from 1e-15 to 1e-6 on both sides of each stability root of p, at
+    least 1e-9 inside |z| = 1, where mu, nu and the power base are formed."""
+    with mp.workdps(50):
+        zs = [float(root + side * mp.mpf(10) ** k) for root in stability_roots_mp(p)
+              for k in range(-15, -5) for side in (-1, 1)]
+    return [z for z in zs if abs(z) < 1.0 - 1e-9]
+
+
+class TestNearRoot:
+    # against 50 digits of the textbook forms (oracles.metric_family_mp).
+    # The stability polynomial P and alpha + beta - omega z are exact, so
+    # nothing cancels: at the alpha = 0 root z = 0 c was 100% off, at the
+    # upper root of (1, 0.45, 0.05) eps 3.7e-3 and Lambda 0.13 (P from
+    # its float expansion; mu from sqrt(1 - (alpha-beta)^2 (1-z^2)/den^2);
+    # c = (nu - mu omega^2) / (2 omega)).  Inside the band z is refused;
+    # where mu <= 0 h is unbounded below, and only eps is formed.
+    @staticmethod
+    def _check(p, z):
+        want = metric_family_mp(p, z)
+        assert is_admissible(p, z) == (want["P"] > 0), (p, z)
+        if want["P"] <= 0:
+            with pytest.raises(ZOutOfDomain):
+                solve_epsilon(p, z)
+            return
+        got = {"epsilon": solve_epsilon(p, z)}
+        if want["mu"] > 0:
+            h = hermitian_equivalent(p, z)
+            got.update(zip(("mu", "nu"), mu_nu(p, z)), lam=power_base(p, z),
+                       c0=h.c0, c=h.cm)
+        for name, value in got.items():
+            assert abs(value - want[name]) <= 1e-15 * abs(want[name]), (p, z, name)
+
+    @pytest.mark.parametrize("p", NEAR_ROOT_PARAMS, ids=str)
+    def test_against_mpmath(self, p):
+        for z in _near_root_points(p):
+            self._check(p, z)
+
+    @pytest.mark.parametrize("p, z", [(NEAR_ROOT_PARAMS[-2], 0.9999999981864903),
+                                      (NEAR_ROOT_PARAMS[4], -1e-12),
+                                      (NEAR_ROOT_PARAMS[-1], -0.9999999624443531)])
+    def test_reported_points(self, p, z):
+        # eps was 7.2e-7 and 1.4e-6 off at the first and third (mu < 0 at
+        # both), and at the second c 4.7e-3
+        self._check(p, z)
 
 
 class TestHermitianEquivalent:

@@ -28,7 +28,8 @@ from su11metric.pdm import PdmConfig
 from conftest import spectral_norm
 from oracles import (chain_spectrum, commutator_residuals, exp_raising,
                      exp_symmetric, materialize, metric_block_definite,
-                     metric_power_dense, metric_power_mp)
+                     metric_family_mp, metric_power_dense, metric_power_mp,
+                     stability_roots_mp)
 from test_pdm import h_tridiag
 from test_realizations import ALL_CONSTRUCTORS
 
@@ -899,28 +900,13 @@ class TestZetaSeriesWall:
 
 def _mu_sign(p, z):
     """The sign of mu, the weight of (2 K0 - K+ - K-) in 2 omega h, from
-    50 digits: mu = (g - den s) / ((1 + z) omega), g = omega - (alpha +
-    beta) z, den = alpha + beta - omega z, s = sqrt(1 - (alpha - beta)^2
-    (1 - z^2) / den^2)."""
-    with mp.workdps(50):
-        w, al, be, z = (mp.mpf(v) for v in (p.omega, p.alpha, p.beta, z))
-        den = al + be - w * z
-        s = mp.sqrt(1 - (al - be) ** 2 * (1 - z * z) / den ** 2)
-        return mp.sign((w - (al + be) * z - den * s) / ((1 + z) * w))
+    50 digits."""
+    return mp.sign(metric_family_mp(p, z)["mu"])
 
 
 def _stability_roots(omega, alpha, beta):
-    """Roots of (omega^2 + (alpha-beta)^2) z^2 - 2 (alpha+beta) omega z
-    + 4 alpha beta, between which z is inadmissible, from 50 digits."""
-    with mp.workdps(50):
-        w, al, be = mp.mpf(omega), mp.mpf(alpha), mp.mpf(beta)
-        a = w * w + (al - be) ** 2
-        b = -2 * (al + be) * w
-        c = 4 * al * be
-        # the form without cancellation, so that a small root keeps its digits
-        root = mp.sqrt(b * b - 4 * a * c)
-        q = -(b + root if b >= 0 else b - root) / 2
-        return tuple(sorted((float(q / a), float(c / q))))
+    """The stability roots, between which z is inadmissible, from 50 digits."""
+    return tuple(float(r) for r in stability_roots_mp(SwansonParams(omega, alpha, beta)))
 
 
 @st.composite
@@ -953,8 +939,10 @@ def admissible_points(draw):
 class TestCoefficientResiduals:
     def test_unused_ordering_pivot_vanishes(self):
         # at these z the ordering that is not materialized has a zero
-        # pivot; only the decaying one may be checked
-        for p, z in ((P, 0.3923048454132638), (STRONG, 0.7787192621510003)):
+        # pivot; only the decaying one may be checked.  Each z is the double
+        # nearest the 50-digit zero of that pivot (P's was one ulp above
+        # it, where the pivot is 1.5e-14, found with an eps 1.2e-14 off)
+        for p, z in ((P, 0.39230484541326377), (STRONG, 0.7787192621510003)):
             eps = solve_epsilon(p, z)
             with pytest.raises(DecompositionSingular):
                 disentangle_closed_form(eps, z * eps / 2.0)
