@@ -1,0 +1,73 @@
+"""Rewrite tests/golden_cli.json and list every cell that moved.
+
+    PYTHONPATH=src:tests python tests/regen_golden.py
+
+The calls are the distinct verify, sweep and pdm calls that the
+benchmark's workloads (perfbench/workloads.py) make for four seeds, and
+PINS: points that carry a known wall or a precision edge.  Each call
+runs in-process; its argv, exit code, stdout and stderr are stored.
+Before the file is overwritten, every cell that differs from the old
+record is printed, the ones within test_golden's tolerances marked
+"(within tolerance)", so that a change which moves outputs can list them.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+from test_golden import GOLDEN, moved, run
+
+SEEDS = (401, 613, 907, 2718)
+BASE = ["--omega", "1", "--alpha", "0.2", "--beta", "0.1"]
+NEGATIVE_MU = ["--omega", "1", "--alpha", "0.7543218246483239",
+               "--beta", "-2.6068268445611213"]
+NEAR_ROOT = ["--omega", "0.03162277660168379", "--alpha", "0", "--beta", "5"]
+NEAR_PARABOLIC = ["--omega", "1", "--alpha", "0.5", "--beta", "0.49999999999"]
+PINS = [
+    ["verify", *BASE, "--z", "0.2", "--size", "400"],
+    ["pdm", *BASE, "--x-max", "500"],
+    ["verify", *NEGATIVE_MU, "--z=-0.9995320885425871"],
+    ["pdm", *NEGATIVE_MU, "--z=-0.9995320885425871"],
+    ["verify", *NEAR_ROOT, "--z=-1e-12"],
+    ["metric", *NEAR_ROOT, "--z=-1e-12"],
+    ["verify", *NEAR_PARABOLIC, "--z", "0.3"],
+    ["metric", *NEAR_PARABOLIC, "--z", "0.3"],
+    *([command, *BASE, f"--z={z}"] for command in ("metric", "verify", "pdm")
+      for z in ("-1", "1")),
+    ["metric", "--omega", "1", "--alpha", "0.7", "--beta", "0.3", "--z", "1"],
+]
+
+
+def benchmark_calls():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    out = []
+    for seed in SEEDS:
+        for workload in workloads.WORKLOADS:
+            out += [list(c.argv) for c in workloads.build_calls(workload, seed)
+                    if c.kind in ("verify", "sweep", "pdm") and list(c.argv) not in out]
+    return out
+
+
+def main():
+    old = {tuple(r["argv"]): r for r in json.loads(GOLDEN.read_text(encoding="utf-8"))} \
+        if GOLDEN.exists() else {}
+    records = []
+    for argv in benchmark_calls() + PINS:
+        code, stdout, stderr = run(argv)
+        record = {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr}
+        if tuple(argv) not in old:
+            print(f"new: {' '.join(argv)}")
+        else:
+            loose = moved(old[tuple(argv)], code, stdout, stderr)
+            for label, a, b in moved(old[tuple(argv)], code, stdout, stderr, strict=True):
+                note = "" if (label, a, b) in loose else "  (within tolerance)"
+                print(f"{' '.join(argv)}: {label}: {a!r} -> {b!r}{note}")
+        records.append(record)
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(records)} calls written to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()
