@@ -28,8 +28,8 @@ import sys
 from .core import disentangle_closed_form
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      TrigRegime, TruncationTooSmall, ZOutOfDomain)
-from .metric import (_EDGE, SwansonParams, _theta, is_admissible, solve_epsilon,
-                     solve_metric, spectrum_prediction, validate_params)
+from .metric import (SwansonParams, _exact, is_admissible, solve_metric,
+                     spectrum_prediction, validate_params)
 
 _self = sys.modules[__name__]  # its attributes include wrappers set on the module
 
@@ -104,7 +104,7 @@ def cmd_validate(args) -> int:
     sys.stdout.write(
         f"parameters valid: omega = {_fmt(p.omega)}, alpha = {_fmt(p.alpha)}, "
         f"beta = {_fmt(p.beta)}, omega^2 - 4*alpha*beta = "
-        f"{_fmt(p.omega ** 2 - 4 * p.alpha * p.beta)}\n")
+        f"{_fmt(_exact(p)[0])}\n")
     return 0
 
 
@@ -119,17 +119,7 @@ def cmd_disentangle(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    p = _params(args)
-    z = args.z
-    if abs(z) >= 1.0 - _EDGE:
-        eps = solve_epsilon(p, z)
-        rows = [("z", z), ("epsilon", eps), ("eta", z * eps / 2.0),
-                ("theta", _theta(p, z, eps)),
-                ("note", "mu/nu and the power base degenerate at |z| = 1; "
-                         "exponent coefficients only")]
-        _emit(args, rows)
-        return 0
-    sol = solve_metric(p, z)
+    sol = solve_metric(_params(args), args.z)
     rows = [("z", sol.z), ("epsilon", sol.epsilon), ("eta", sol.eta),
             ("theta", sol.theta), ("lambda", sol.lambda_base),
             ("mu", sol.mu), ("nu", sol.nu), ("mu_nu_product", sol.mu * sol.nu),
@@ -146,28 +136,18 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _tolerances(args) -> dict[str, float]:
-    tols = dict(RESIDUAL_TOLS)
-    for key in RESIDUAL_TOLS:
-        override = getattr(args, f"tol_{key[2:]}", None)
-        if override is not None:
-            tols[key] = override
-    return tols
-
-
 def cmd_verify(args) -> int:
     p = _params(args)
     mats, p = _realization(args, p)
     bundle = _self.build_bundle(p, args.z, mats, trusted=args.trusted)
-    tols = _tolerances(args)
     rows = [("realization", mats.kind), ("z", args.z),
             ("size", mats.dim), ("trusted", args.trusted)]
     ok = True
-    for name in RESIDUAL_TOLS:
+    for name, tol in RESIDUAL_TOLS.items():
         value = bundle.residuals[name]
-        passed = value <= tols[name]
+        passed = value <= tol
         ok = ok and passed
-        rows.append((name, f"{_fmt(value)}  [{'PASS' if passed else 'FAIL'} <= {tols[name]:g}]"))
+        rows.append((name, f"{_fmt(value)}  [{'PASS' if passed else 'FAIL'} <= {tol:g}]"))
     rows += [(f"e{i}", v) for i, v in enumerate(bundle.spectrum_h)]
     _emit(args, rows)
     return 0 if ok else 1
@@ -182,19 +162,16 @@ def cmd_sweep(args) -> int:
         raise InvalidParams(f"steps must be at least 1 (got {args.steps})")
     zs = np.sort(np.linspace(args.z_from, args.z_to, args.steps))
     for z in zs:
-        if abs(z) >= 1.0 - _EDGE:
-            raise ZOutOfDomain(f"sweep point z = {z:g} too close to |z| = 1")
         if not is_admissible(p, float(z)):
             raise ZOutOfDomain(f"sweep point z = {z:g} is not admissible")
-    tols = _tolerances(args)
     lines = [",".join(SWEEP_COLUMNS)]
     ok = True
     for z in zs:
         z = float(z)
         sol = solve_metric(p, z)
         bundle = _self.build_bundle(p, z, mats, trusted=args.trusted)
-        for name in RESIDUAL_TOLS:
-            ok = ok and bundle.residuals[name] <= tols[name]
+        for name, tol in RESIDUAL_TOLS.items():
+            ok = ok and bundle.residuals[name] <= tol
         values = [z, sol.epsilon, sol.mu, sol.nu, sol.mu * sol.nu,
                   sol.u, sol.v, sol.w]
         values += [bundle.residuals[name] for name in RESIDUAL_TOLS]
@@ -251,9 +228,6 @@ def _add_matrix_flags(sp) -> None:
                     help="basis truncation N (default 200)")
     sp.add_argument("--trusted", type=int, default=50,
                     help="trusted leading block T (default 50)")
-    for key, default in RESIDUAL_TOLS.items():
-        sp.add_argument(f"--tol-{key[2:]}", type=float, default=None,
-                        help=f"tolerance for {key} (default {default:g})")
 
 
 @functools.cache

@@ -15,12 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AlgebraElement, _mat_vec, adjoint_matrix, conjugate
+from .core import AlgebraElement, _mat_vec, adjoint_matrix
 from .errors import InvalidParams, ZOutOfDomain
-
-# mu, nu and the power base are only reported at least this far from
-# |z| = 1; the endpoint Hamiltonian is assembled by conjugation.
-_EDGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,7 @@ def validate_params(p: SwansonParams) -> SwansonParams:
     if p.alpha == p.beta:
         raise InvalidParams(
             f"alpha and beta must differ (got alpha = beta = {p.alpha:g})")
-    gap = p.omega * p.omega - 4.0 * p.alpha * p.beta
+    gap = _exact(p)[0]
     if not (gap > 0.0):
         raise InvalidParams(
             f"omega^2 - 4*alpha*beta must be positive (got {gap:g})")
@@ -69,29 +65,43 @@ def swanson_element(p: SwansonParams) -> AlgebraElement:
     return AlgebraElement(2.0 * p.omega, 2.0 * p.alpha, 2.0 * p.beta)
 
 
-def _stability(p: SwansonParams, z: float) -> tuple[float, float, float]:
-    """(den, 1 - z^2, P): den = alpha + beta - omega z and the stability
-    polynomial P = den^2 - (alpha-beta)^2 (1 - z^2), exact on the float
-    inputs (integers over one power of two) and rounded once.  z in [-1, 1]
-    is admissible exactly where P > 0.  InvalidParams for a non-finite
-    input or result."""
+def _exact(p: SwansonParams, z: float = 0.0) -> tuple[float, float, float, float, float]:
+    """(gap, den, 1 - z^2, P, g) at z in [-1, 1]: gap = omega^2 - 4 alpha
+    beta, den = alpha + beta - omega z, the stability polynomial P = den^2 -
+    (alpha-beta)^2 (1 - z^2) and g = omega - (alpha+beta) z, each exact on
+    the float inputs (integers over one power of two) and rounded once.  z
+    is admissible exactly where P > 0.  ZOutOfDomain for z off [-1, 1];
+    InvalidParams for a non-finite input, or the first of the five that
+    is out of range."""
+    if not abs(z) <= 1.0:
+        raise ZOutOfDomain(f"z must lie in [-1, 1] (got z = {z:g})")
     try:
         ratios = [x.as_integer_ratio() for x in (p.omega, p.alpha, p.beta, z)]
-        d = max(m for _, m in ratios)
-        w, a, b, t = (n * (d // m) for n, m in ratios)
-        den, one, d2 = (a + b) * d - w * t, d * d - t * t, d * d
-        return den / d2, one / d2, (den * den - (a - b) ** 2 * one) / (d2 * d2)
     except (OverflowError, ValueError):
-        raise InvalidParams(f"the stability polynomial at z = {z:g} is not "
-                            "a finite double") from None
+        raise InvalidParams("omega, alpha and beta must be finite (got "
+                            f"{p.omega:g}, {p.alpha:g}, {p.beta:g})") from None
+    d = max(m for _, m in ratios)
+    w, a, b, t = (n * (d // m) for n, m in ratios)
+    d2, den, one = d * d, (a + b) * d - w * t, d * d - t * t
+    out = []
+    for name, num, scale in (
+            ("omega^2 - 4*alpha*beta", w * w - 4 * a * b, d2),
+            ("alpha + beta - omega*z at z = {:g}", den, d2), ("1 - z^2", one, d2),
+            ("the stability polynomial at z = {:g}", den * den - (a - b) ** 2 * one, d2 * d2),
+            ("omega - (alpha + beta)*z at z = {:g}", w * d - (a + b) * t, d2)):
+        try:
+            out.append(num / scale)
+        except OverflowError:
+            raise InvalidParams(f"{name.format(z)} is not a finite double") from None
+    return tuple(out)
 
 
 def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float, float]:
     """(ln Lambda, Lambda, sqrt(1-z^2)), Lambda = (den + s) / (den - s) for
     s = (alpha-beta) sqrt(1-z^2).  With big = |den| + |s| and P = den^2 - s^2
-    = (|den| - |s|) big from _stability, ln Lambda = +-log1p(2 |s| big / P)
+    = (|den| - |s|) big from _exact, ln Lambda = +-log1p(2 |s| big / P)
     and Lambda = (big^2 / P)^(+-1) cancel nowhere, next to a root too."""
-    den, one, poly = _stability(p, z)
+    den, one, poly = _exact(p, z)[1:4]
     if not poly > 0.0:
         raise ZOutOfDomain(
             f"z = {z:g} is inadmissible: |arctanh argument| >= 1 "
@@ -108,7 +118,7 @@ def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float, float]:
 def is_admissible(p: SwansonParams, z: float) -> bool:
     """True when z in [-1, 1] gives a finite real solution eps(z): P > 0."""
     validate_params(p)
-    return abs(z) <= 1.0 and _stability(p, z)[2] > 0.0
+    return abs(z) <= 1.0 and _exact(p, z)[3] > 0.0
 
 
 def z_domain(p: SwansonParams) -> list[tuple[float, float]]:
@@ -120,7 +130,7 @@ def z_domain(p: SwansonParams) -> list[tuple[float, float]]:
     q / a and c / q, q = -(b + sign(b) sqrt(disc)) / 2, neither cancelling.
     The intervals are closed; is_admissible is the strict pointwise test."""
     validate_params(p)
-    gap = p.omega * p.omega - 4.0 * p.alpha * p.beta
+    gap = _exact(p)[0]
     q = math.copysign(abs(p.alpha + p.beta) * p.omega
                       + abs(p.alpha - p.beta) * math.sqrt(gap), p.alpha + p.beta)
     z1, z2 = sorted((q / (p.omega * p.omega + (p.alpha - p.beta) ** 2),
@@ -139,10 +149,8 @@ def solve_epsilon(p: SwansonParams, z: float) -> float:
     (4*sqrt(1-z^2)) (_log_power_base), exact to rounding next to a root.
     """
     validate_params(p)
-    if not abs(z) <= 1.0:
-        raise ZOutOfDomain(f"z must lie in [-1, 1] (got z = {z:g})")
     if abs(z) == 1.0:
-        den = _stability(p, z)[0]
+        den = _exact(p, z)[1]
         if den == 0.0:
             raise ZOutOfDomain(
                 f"alpha + beta - omega*z vanishes at z = {z:g}")
@@ -162,38 +170,41 @@ def conjugated_coeffs(p: SwansonParams, epsilon: float,
     return _mat_vec(adjoint_matrix(epsilon, eta), (p.omega, p.alpha, p.beta))
 
 
-def _weights(p: SwansonParams, z: float) -> tuple[float, float, float]:
-    """(mu, nu, c) of h = ((nu + mu omega^2)/omega) K0 + c (Km + Kp) from
-    _stability, with t = sign(den) sqrt(P), g = omega - (alpha+beta) z and
-    gap = omega^2 - 4 alpha beta.  (g - t)(g + t) = (1 - z^2) gap replaces
-    the factor that cancels: mu = (g - t)/((1 + z) omega), nu = omega (g +
-    t)/(1 - z).  c = (t + z g)/(1 - z^2) = (P - z^2 gap)/(t - z g), by the
-    sum that does not cancel, as (nu - mu omega^2)/(2 omega) does."""
+def _weights(p: SwansonParams, z: float) -> tuple[float, float, float, float]:
+    """(mu, nu, c0, c) of h = c0 K0 + c (Km + Kp), c0 = (nu + mu omega^2)/omega,
+    at every admissible z, |z| = 1 included, from _exact's den, P, g and
+    gap with t = sign(den) sqrt(P).  mu = (g - t)/((1 + z) omega) and nu =
+    omega (g + t)/(1 - z); (g - t)(g + t) = (1 - z^2) gap replaces the
+    factor that cancels, g - t where g and t share a sign and g + t where
+    they do not, so neither cancels as gap -> 0.  At z = 1 t = -g and at
+    z = -1 t = g, so the form taken never divides by 1 -+ z = 0 there.
+    c = (t + z g)/(1 - z^2) = (P - z^2 gap)/(t - z g), by the sum that does
+    not cancel, as (nu - mu omega^2)/(2 omega) does.  InvalidParams names
+    a weight that is not a finite double."""
     validate_params(p)
-    if not abs(z) < 1.0 - _EDGE:
-        raise ZOutOfDomain(
-            f"mu/nu formulas degenerate at |z| = 1 (got z = {z:g}); "
-            "assemble the endpoint Hamiltonian by conjugation instead")
-    den, one, poly = _stability(p, z)
+    gap, den, one, poly, g = _exact(p, z)
     if not poly > 0.0:
         raise ZOutOfDomain(f"z = {z:g} is inadmissible")
     t = math.copysign(math.sqrt(poly), den)
-    g = p.omega - (p.alpha + p.beta) * z
-    gap = p.omega * p.omega - 4.0 * p.alpha * p.beta
-    if z >= 0.0:
-        mu = (g - t) / ((1.0 + z) * p.omega)
-        nu = p.omega * (1.0 + z) * gap / (g - t)
+    if g < 0.0 < t or t < 0.0 < g:
+        mu = (g - t) / (1.0 + z) / p.omega
+        nu = (1.0 + z) * gap / (g - t) * p.omega
     else:
-        mu = (1.0 - z) * gap / (p.omega * (g + t))
-        nu = p.omega * (g + t) / (1.0 - z)
+        mu = (1.0 - z) * gap / (g + t) / p.omega
+        nu = (g + t) / (1.0 - z) * p.omega
     zg = z * g
-    return mu, nu, ((t + zg) / one if t * zg >= 0.0 else (poly - z * z * gap) / (t - zg))
+    c = (poly - z * z * gap) / (t - zg) if t < 0.0 < zg or zg < 0.0 < t else (t + zg) / one
+    out = (mu, nu, (nu + mu * p.omega * p.omega) / p.omega, c)
+    for name, value in zip(("mu", "nu", "c0", "c"), out):
+        if not math.isfinite(value):
+            raise InvalidParams(f"{name} is not a finite double at z = {z:g} (got {value:g})")
+    return out
 
 
 def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
     """Oscillator weights (mu, nu) of the Hermitian equivalent: mu scales the
     (2K0 - Kp - Km) part and nu the (2K0 + Kp + Km) part of 2*omega*h, and
-    mu nu = omega^2 - 4 alpha beta.  Refused within 1e-9 of |z| = 1."""
+    mu nu = omega^2 - 4 alpha beta, at every admissible z (_weights)."""
     return _weights(p, z)[:2]
 
 
@@ -216,23 +227,17 @@ def spectrum_prediction(p: SwansonParams, k: float, count: int) -> tuple[float, 
         raise InvalidParams(f"lowest weight k must be positive and finite (got {k:g})")
     if count < 1:
         raise InvalidParams("count must be at least 1")
-    return _harmonic_law(2.0 * math.sqrt(p.omega ** 2 - 4.0 * p.alpha * p.beta), k, count)
+    return _harmonic_law(2.0 * math.sqrt(_exact(p)[0]), k, count)
 
 
 def hermitian_equivalent(p: SwansonParams, z: float) -> AlgebraElement:
-    """Coefficients of h = rho H rho^{-1}, exactly symmetric in Kp/Km.
-
-    Away from the endpoints h = ((nu + mu*omega^2)/omega) K0 + c (Km + Kp)
-    with c from _weights, which shares no code with the adjoint closed form
-    that build_bundle's r_eq10 compares it with.  Within 1e-9 of |z| = 1
-    it is the Hermitian part of that conjugation.
+    """Coefficients of h = rho H rho^{-1}, exactly symmetric in Kp/Km:
+    h = ((nu + mu*omega^2)/omega) K0 + c (Km + Kp) with mu, nu and c from
+    _weights at every admissible z, |z| = 1 included.  It shares no code
+    with the adjoint closed form that build_bundle's r_eq10 compares it with.
     """
-    if abs(z) < 1.0 - _EDGE:
-        mu, nu, c = _weights(p, z)
-        return AlgebraElement((nu + mu * p.omega * p.omega) / p.omega, c, c)
-    conj = conjugate(metric_exponent(p, z), swanson_element(p))
-    c = (complex(conj.cm) + complex(conj.cp)).real / 2.0
-    return AlgebraElement(complex(conj.c0).real, c, c)
+    _, _, c0, c = _weights(p, z)
+    return AlgebraElement(c0, c, c)
 
 
 def metric_exponent(p: SwansonParams, z: float) -> AlgebraElement:
@@ -254,11 +259,10 @@ def power_base(p: SwansonParams, z: float) -> float:
                / (alpha+beta-omega*z - (alpha-beta)*sqrt(1-z^2)),
 
     equivalent to eps = ln(Lambda) / (4*sqrt(1-z^2)), taken as (big^2 /
-    P)^(+-1) from the exact P (_log_power_base); 0/0 at |z| = 1.
+    P)^(+-1) from the exact P (_log_power_base).  At |z| = 1 Lambda takes
+    its limit 1; it is eps's form that is 0/0 there, not Lambda's.
     """
     validate_params(p)
-    if abs(z) >= 1.0 - _EDGE:
-        raise ZOutOfDomain(f"power base degenerates at |z| = 1 (got z = {z:g})")
     return _log_power_base(p, z)[1]
 
 
@@ -270,12 +274,12 @@ def commuting_observable(z: float) -> AlgebraElement:
 
 
 def _theta(p: SwansonParams, z: float, eps: float) -> float:
-    """theta = |eps| sqrt(1 - z^2), from _stability's exact 1 - z^2."""
-    return abs(eps) * math.sqrt(_stability(p, z)[1])
+    """theta = |eps| sqrt(1 - z^2), from _exact's 1 - z^2."""
+    return abs(eps) * math.sqrt(_exact(p, z)[2])
 
 
 def solve_metric(p: SwansonParams, z: float) -> MetricSolution:
-    """Solve the full family at one z away from the endpoints."""
+    """Solve the full family at one admissible z, |z| = 1 included."""
     eps = solve_epsilon(p, z)
     eta = z * eps / 2.0
     theta = _theta(p, z, eps)

@@ -262,9 +262,13 @@ def metric_family_mp(p, z, dps=50):
     omega z; mu = (g - term) / ((1+z) omega), nu = omega (g + term) / (1-z),
     term = den sqrt(1 - s^2/den^2), g = omega - (alpha+beta) z; Lambda =
     (den + s) / (den - s), c0 = (nu + mu omega^2) / omega and c = (nu - mu
-    omega^2) / (2 omega).  Only P is defined where P <= 0."""
-    with mp.workdps(dps):
+    omega^2) / (2 omega).  Only P is defined where P <= 0.  At |z| = 1,
+    where mu's or nu's form is 0/0, every form is taken at +-(1 - 1e-40)
+    to at least 80 digits: its limit to about 1e-20 / |den|."""
+    with mp.workdps(max(dps, 80) if abs(z) == 1 else dps):
         w, a, b, z = (mp.mpf(v) for v in (p.omega, p.alpha, p.beta, z))
+        if abs(z) == 1:
+            z *= 1 - mp.mpf(10) ** -40
         q, den = 1 - z * z, a + b - w * z
         s = (a - b) * mp.sqrt(q)
         out = {"P": den * den - s * s}

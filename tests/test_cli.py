@@ -47,19 +47,23 @@ class TestMetricCommand:
         assert abs(float(rows["nu"]) - 1.2828427) < 1e-6
         assert abs(float(rows["mu_nu_product"]) - 0.92) < 1e-10
 
-    def test_endpoint_partial_report(self, capsys):
+    @pytest.mark.parametrize("z", ["1", "-1"])
+    def test_endpoint_full_report(self, capsys, z):
+        # |z| = 1 gets the rows of every other z; each prints the limit of
+        # the textbook forms, taken 1e-40 inside to 80 digits (lambda 1)
         code, out, _ = run_cli(capsys, "metric", "--omega", "1",
-                               "--alpha", "0.2", "--beta", "0.1", "--z", "1")
+                               "--alpha", "0.2", "--beta", "0.1", f"--z={z}")
         assert code == 0
         rows = parse_table(out)
-        assert abs(float(rows["epsilon"]) + 0.0714286) < 1e-6
-        assert "mu" not in rows
+        want = metric_family_mp(SwansonParams(1.0, 0.2, 0.1), float(z))
+        for name in ("epsilon", "lam", "mu", "nu"):
+            assert rows["lambda" if name == "lam" else name] == f"{float(want[name]):.12g}"
+        assert rows["V"] == rows["W"]
 
     @pytest.mark.parametrize("z", ["0.9999999995", "-0.9999999999", "1"])
     def test_theta_at_the_edge(self, capsys, z):
-        # within 1e-9 of |z| = 1 only the exponent is reported; theta =
-        # |eps| sqrt(1 - z^2) is 2.3e-6 at the first z, not 0 (0 only at
-        # |z| = 1), from the exact 1 - z^2
+        # theta = |eps| sqrt(1 - z^2) is 2.3e-6 at the first z, not 0 (0
+        # only at |z| = 1), from the exact 1 - z^2
         code, out, _ = run_cli(capsys, "metric", "--omega", "1", "--alpha", "0.2",
                                "--beta", "0.1", "--z", z)
         assert code == 0
@@ -103,6 +107,26 @@ class TestMetricCommand:
         rows = parse_table(out)
         assert abs(float(rows["epsilon"]) - 10.3616329185) < 1e-9
         assert abs(float(rows["lambda"]) - 1e18) < 1e6
+
+    def test_weight_out_of_range_named(self, capsys):
+        # mu = -1.1e315 is no double: its (1 + z) omega underflowed to 0,
+        # a ZeroDivisionError traceback (exit 1); it is refused by name
+        code, out, err = run_cli(capsys, "metric", "--omega", "5e-324", "--alpha", "1e-09",
+                                 "--beta=-0.20635540602258096", "--z=-0.5756502923476372")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: mu is not a finite double") and err.count("\n") == 1
+
+    def test_large_weight_is_finite(self, capsys):
+        # nu = 1e300 is a double, but omega (1 + z) gap = 1.9e450 is not, and
+        # nu printed inf: the weights divide before they scale by omega
+        code, out, _ = run_cli(capsys, "metric", "--omega", "1e150", "--alpha", "353.4",
+                               "--beta", "0.93", "--z", "0.9")
+        assert code == 0
+        rows = parse_table(out)
+        want = metric_family_mp(SwansonParams(1e150, 353.4, 0.93), 0.9)
+        for name in ("mu", "nu"):
+            assert rows[name] == f"{float(want[name]):.12g}", (name, rows[name])
+        assert rows["mu_nu_product"] == "1e+300"
 
     def test_missing_params(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--omega", "1")
@@ -261,6 +285,17 @@ class TestVerifyCommand:
         want = np.array(spectrum_prediction(p, 0.25, 5))
         assert np.all(np.abs(got - want) <= 1e-9 * want), (got, want)
 
+    def test_near_parabolic_precision(self, capsys):
+        # omega^2 - 4 alpha beta = 2e-11: mu, nu and c0 of the form picked by
+        # the sign of z cancelled, r_eq10 read 5.1e-6 [FAIL] and r_intertwine
+        # 2.8e-6 [FAIL]; the form picked by the sign of g t holds h to rounding
+        code, out, _ = run_cli(capsys, "verify", "--omega", "1", "--alpha", "0.5",
+                               "--beta", "0.49999999999", "--z", "0.3")
+        assert code == 0
+        rows = parse_table(out)
+        for name in ("r_herm", "r_eq10", "r_intertwine"):
+            assert float(rows[name].split()[0]) <= 1e-15, (name, rows[name])
+
     def test_truncation_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--omega", "1",
                                "--alpha", "0.2", "--beta", "0.1",
@@ -300,6 +335,13 @@ class TestNonFiniteInputs:
         ("metric", *BASE, "--z", "nan"),
         # the stability polynomial, 4e400, overflowed with a traceback (exit 1)
         ("metric", "--omega", "1", "--alpha", "1e200", "--beta=-1e200", "--z", "0.1"),
+        # omega^2 - 4 alpha beta is inf or past the doubles: "parameters
+        # valid ... = inf" (exit 0), or an OverflowError traceback (exit 1)
+        ("validate", "--omega", "inf", "--alpha", "0.18", "--beta", "1e-18"),
+        ("validate", "--omega", "1e300", "--alpha", "-0.0", "--beta", "-0.24"),
+        ("spectrum", "--omega", "1.7e308", "--alpha", "-6.5", "--beta", "-0.5",
+         "--k", "0.0102", "--count", "50"),
+        ("pdm", "--omega", "1.7e308", "--alpha", "-6.5", "--beta", "-0.5"),
         ("spectrum", *BASE, "--k", "nan"),
         ("spectrum", *BASE, "--k", "inf"),
         ("disentangle", "--epsilon", "nan", "--eta", "0.1"),
@@ -487,15 +529,26 @@ class TestPdmCommand:
         ("nan", "z must lie in [-1, 1] (got z = nan)"),
         ("inf", "z must lie in [-1, 1] (got z = inf)"),
         ("2", "z must lie in [-1, 1] (got z = 2)"),
-        ("-1", "mu/nu formulas degenerate at |z| = 1 (got z = -1)"),
     ])
     def test_z_domain_names_its_wall(self, capsys, z, reason):
-        # a z off [-1, 1] is refused as solve_epsilon refuses it; only
-        # an endpoint reaches mu_nu's degenerate-formula check
+        # a z off [-1, 1] is refused as solve_epsilon refuses it
         code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", f"--z={z}")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {reason}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("z", [-1.0, 1.0])
+    def test_endpoint_runs_and_passes(self, capsys, z):
+        # the grid's mass weights (mu omega, nu / omega) at |z| = 1 are the
+        # limits of the textbook forms to 80 digits, and the check passes
+        p = SwansonParams(1.0, 0.2, 0.1)
+        code, out, _ = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
+                               "--beta", "0.1", f"--z={z:g}")
+        assert code == 0 and parse_table(out)["status"] == "PASS"
+        want = metric_family_mp(p, z)
+        for got, ref in zip(pdm._mass_weights(pdm.PdmConfig(params=p, z=z)),
+                            (want["mu"] * p.omega, want["nu"] / p.omega)):
+            assert abs(got - ref) <= 1e-15 * abs(ref)
 
     def test_negative_mu_exit_2(self, capsys):
         # an admissible z where mu < 0: h is minus an oscillator and the
@@ -722,6 +775,13 @@ class TestParsing:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_no_tolerance_flags(self, capsys):
+        # RESIDUAL_TOLS is the one table of tolerances; no flag loosens one
+        code, out, err = run_cli(capsys, "verify", "--omega", "1", "--alpha", "0.2",
+                                 "--beta", "0.1", "--tol-herm", "1")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol-herm 1" in err
 
     def test_parser_reused_across_calls(self, capsys, tmp_path):
         # main() builds its parser once per process; no parse, failed or

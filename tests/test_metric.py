@@ -25,6 +25,12 @@ NEAR_ROOT_PARAMS = [SwansonParams(*t) for t in (
     (1.0, -2.003654464483188, 3.003956316645997),
     (1.0, 0.8215410721214909, -1.822265625))]
 
+# near-parabolic: omega^2 - 4 alpha beta = 2e-11, where mu, nu and c0 of
+# the form picked by the sign of z cancelled (5.1e-6 off at z = 0.3), and
+# 4e-11, where the float expansion of the gap cancels (1.9e-7 off)
+NEAR_PARABOLIC = SwansonParams(1.0, 0.5, 0.49999999999)
+FLOAT_GAP_OFF = SwansonParams(1.0, 0.3, 0.8333333333)
+
 PARAM_SETS = [SwansonParams(om, al, be)
               for om in (0.8, 1.0, 1.3, 1.7)
               for (al, be) in ((0.2, 0.1), (0.3, -0.15), (-0.25, 0.4),
@@ -234,13 +240,20 @@ class TestNumpyOracle:
             assert _bits((y.c0, y.cm, y.cp)) \
                 == _bits(m @ (2.0 * omega, 2.0 * alpha, 2.0 * beta)), (p, z)
 
-    def test_spectrum_prediction_matches_numpy(self):
-        for p in PARAM_SETS:
+
+class TestGap:
+    def test_spectrum_prediction_from_the_rounded_gap(self):
+        # the law's frequency is 2 sqrt(gap) of the 60-digit gap rounded
+        # once, bit for bit; at FLOAT_GAP_OFF the float expansion of the
+        # gap is 1.9e-7 off it
+        for p in (*PARAM_SETS, NEAR_PARABOLIC, FLOAT_GAP_OFF):
+            with mp.workdps(60):
+                gap = float(mp.mpf(p.omega) ** 2 - 4 * mp.mpf(p.alpha) * mp.mpf(p.beta))
             for k in (0.25, 0.5, 0.75, 1.3):
-                want = 2.0 * np.sqrt(p.omega ** 2 - 4.0 * p.alpha * p.beta) \
-                    * (np.arange(9) + k)
                 got = spectrum_prediction(p, k, 9)
-                assert type(got) is tuple and got == tuple(want)
+                assert got == tuple(2.0 * math.sqrt(gap) * (n + k) for n in range(9)), p
+        p = FLOAT_GAP_OFF
+        assert abs((p.omega ** 2 - 4.0 * p.alpha * p.beta) / gap - 1) > 1e-7
 
 
 class TestMuNu:
@@ -271,29 +284,38 @@ class TestMuNu:
 
     def test_near_endpoints_against_mpmath(self):
         # the textbook forms are 0/0 at z = -1 (mu) and z = +1 (nu); a
-        # 50-digit evaluation of them at the same float z is the oracle
+        # 50-digit evaluation of them at the same float z is the oracle,
+        # down to |z| = 1 itself, where it takes them 1e-40 inside
         for p in (P, SwansonParams(2.76, 0.977, -4.66),
                   SwansonParams(1.0, 0.45, 0.05), SwansonParams(0.7, -0.2, 0.3)):
-            for z in (s * (1.0 - d) for s in (-1.0, 1.0) for d in (1e-4, 1e-7, 2e-9)):
+            for z in (s * (1.0 - d) for s in (-1.0, 1.0)
+                      for d in (1e-4, 1e-7, 2e-9, 1e-12, 1e-15, 0.0)):
                 want = metric_family_mp(p, z)
-                errs = [abs((got - want[name]) / want[name])
-                        for got, name in zip(mu_nu(p, z), ("mu", "nu"))]
-                assert max(errs) <= 1e-11, (p, z)
+                mu, nu = mu_nu(p, z)
+                c = hermitian_equivalent(p, z).cm
+                for got, name, tol in ((mu, "mu", 1e-15), (nu, "nu", 1e-15), (c, "c", 1e-13)):
+                    assert abs(got - want[name]) <= tol * abs(want[name]), (p, z, name)
 
-    def test_endpoint_refused(self):
-        with pytest.raises(ZOutOfDomain):
-            mu_nu(P, 1.0)
-        with pytest.raises(ZOutOfDomain):
-            mu_nu(P, -1.0 + 1e-12)
+    def test_endpoint_values(self):
+        # at |z| = 1 the closed forms hold as elsewhere: mu = g/omega and
+        # nu = omega gap/g at z = 1, mu = gap/(omega g) and nu = omega g at
+        # z = -1 (g = omega - (alpha+beta) z), within an ulp of their limit
+        for p in (P, SwansonParams(2.76, 0.977, -4.66), SwansonParams(0.7, -0.2, 0.3)):
+            for z in (-1.0, 1.0):
+                want = metric_family_mp(p, z)
+                h = hermitian_equivalent(p, z)
+                got = dict(zip(("mu", "nu"), mu_nu(p, z)), c0=h.c0, c=h.cm)
+                for name, value in got.items():
+                    assert abs(value - want[name]) <= 1e-15 * abs(want[name]), (p, z, name)
 
 
 def _near_root_points(p):
-    """z from 1e-15 to 1e-6 on both sides of each stability root of p, at
-    least 1e-9 inside |z| = 1, where mu, nu and the power base are formed."""
+    """z from 1e-15 to 1e-6 on both sides of each stability root of p, in
+    [-1, 1], and the endpoints +-1."""
     with mp.workdps(50):
         zs = [float(root + side * mp.mpf(10) ** k) for root in stability_roots_mp(p)
               for k in range(-15, -5) for side in (-1, 1)]
-    return [z for z in zs if abs(z) < 1.0 - 1e-9]
+    return [z for z in zs if abs(z) <= 1.0] + [-1.0, 1.0]
 
 
 class TestNearRoot:
@@ -334,6 +356,31 @@ class TestNearRoot:
         self._check(p, z)
 
 
+class TestNearParabolic:
+    # gap = omega^2 - 4 alpha beta from 1e-12 to 1e-1 at omega = 1, with both
+    # signs of z and of den = alpha + beta - omega z: the mu/nu form picked
+    # by the sign of z cancelled where g and t share a sign, and mu and c0
+    # were up to 1.2e-4 off; the form picked by the sign of g t and the
+    # exact gap keep mu, nu, c0 and c within 1e-15 of 60 digits
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(2007)
+        seen, draws = set(), 0
+        while draws < 300:
+            alpha = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 0.7))
+            beta = (1.0 - 10.0 ** rng.uniform(-12.0, -1.0)) / (4.0 * alpha)
+            p, z = SwansonParams(1.0, alpha, beta), float(rng.uniform(-0.9, 0.9))
+            if not is_admissible(p, z):
+                continue
+            draws += 1
+            seen.add((z > 0.0, alpha + beta - z > 0.0))
+            want = metric_family_mp(p, z, 60)
+            h = hermitian_equivalent(p, z)
+            got = dict(zip(("mu", "nu"), mu_nu(p, z)), c0=h.c0, c=h.cm)
+            for name, value in got.items():
+                assert abs(value - want[name]) <= 1e-15 * abs(want[name]), (p, z, name)
+        assert len(seen) == 4
+
+
 class TestHermitianEquivalent:
     def test_z_zero_coefficients(self):
         h = hermitian_equivalent(P, 0.0)
@@ -354,6 +401,8 @@ class TestHermitianEquivalent:
                     assert abs(a - b) < 1e-10
 
     def test_endpoint_falls_back_to_conjugation(self):
+        # at |z| = 1 the closed form (TestMuNu.test_endpoint_values) and
+        # the conjugation agree
         h = hermitian_equivalent(P, 1.0)
         y = conjugate(metric_exponent(P, 1.0), swanson_element(P))
         assert abs(h.c0 - y.c0.real) < 1e-13
@@ -385,9 +434,12 @@ class TestMetricExponent:
     def test_power_base_value_at_zero(self):
         assert abs(power_base(P, 0.0) - 2.0) < 1e-14
 
-    def test_power_base_endpoint_refused(self):
-        with pytest.raises(ZOutOfDomain):
-            power_base(P, 1.0)
+    def test_power_base_endpoint_limit(self):
+        # s = (alpha-beta) sqrt(1-z^2) vanishes at |z| = 1, and Lambda =
+        # (den + s)/(den - s) takes its limit 1; eps's form is the 0/0 one
+        for p in (P, SwansonParams(2.76, 0.977, -4.66), SwansonParams(0.7, -0.2, 0.3)):
+            for z in (-1.0, 1.0):
+                assert abs(power_base(p, z) - metric_family_mp(p, z)["lam"]) <= 2.3e-16, (p, z)
 
     def test_endpoint_exponent_reported(self):
         a = metric_exponent(P, 1.0)

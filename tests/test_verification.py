@@ -913,7 +913,7 @@ def _stability_roots(omega, alpha, beta):
 def admissible_points(draw):
     """Valid (omega, alpha, beta) with alpha / omega and beta / omega zero
     or of magnitude 1e-100..5, and an admissible z, drawn uniformly,
-    1e-12..1e-3 beyond a stability root, or 1e-9..1e-3 inside |z| = 1."""
+    1e-12..1e-3 beyond a stability root, or 0..1e-3 inside |z| = 1."""
     omega = draw(st.floats(0.1, 10.0))
     ratio = st.floats(-5.0, 5.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
     a = draw(ratio)
@@ -928,9 +928,9 @@ def admissible_points(draw):
     elif near == "high root" and hi < 1.0:
         z = hi + offset
     elif near == "edge":
-        z = draw(st.sampled_from((-1.0, 1.0))) * (1.0 - max(offset, 1e-9))
+        z = draw(st.sampled_from((-1.0, 1.0))) * (1.0 - draw(st.sampled_from((0.0, offset))))
     else:
-        z = draw(st.floats(-1.0 + 1e-9, 1.0 - 1e-9))
+        z = draw(st.floats(-1.0, 1.0))
     p = SwansonParams(omega, alpha, beta)
     assume(min(abs(z - lo), abs(z - hi)) >= 1e-12 and is_admissible(p, z))
     return p, z
