@@ -28,8 +28,8 @@ import sys
 from .core import disentangle_closed_form
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      TrigRegime, TruncationTooSmall, ZOutOfDomain)
-from .metric import (SwansonParams, _exact, is_admissible, solve_metric,
-                     spectrum_prediction, validate_params)
+from .metric import (SwansonParams, _admissible, _exact, solve_metric,
+                     spectrum_prediction)
 
 _self = sys.modules[__name__]  # its attributes include wrappers set on the module
 
@@ -100,7 +100,7 @@ def _realization(args, p: SwansonParams):
 
 
 def cmd_validate(args) -> int:
-    p = validate_params(_params(args))
+    p = _params(args)
     sys.stdout.write(
         f"parameters valid: omega = {_fmt(p.omega)}, alpha = {_fmt(p.alpha)}, "
         f"beta = {_fmt(p.beta)}, omega^2 - 4*alpha*beta = "
@@ -111,34 +111,29 @@ def cmd_validate(args) -> int:
 def cmd_disentangle(args) -> int:
     eta = complex(args.eta, args.eta_im)
     normal, anti = disentangle_closed_form(args.epsilon, eta)
-    rows = [("epsilon", args.epsilon), ("eta", eta),
-            ("p", normal.p), ("q", normal.q), ("r", normal.r),
-            ("r_prime", anti.r), ("q_prime", anti.q), ("p_prime", anti.p)]
-    _emit(args, rows)
+    _emit(args, [("epsilon", args.epsilon), ("eta", eta),
+                 ("p", normal.p), ("q", normal.q), ("r", normal.r),
+                 ("r_prime", anti.r), ("q_prime", anti.q), ("p_prime", anti.p)])
     return 0
 
 
 def cmd_metric(args) -> int:
     sol = solve_metric(_params(args), args.z)
-    rows = [("z", sol.z), ("epsilon", sol.epsilon), ("eta", sol.eta),
-            ("theta", sol.theta), ("lambda", sol.lambda_base),
-            ("mu", sol.mu), ("nu", sol.nu), ("mu_nu_product", sol.mu * sol.nu),
-            ("U", sol.u), ("V", sol.v), ("W", sol.w)]
-    _emit(args, rows)
+    _emit(args, [("z", sol.z), ("epsilon", sol.epsilon), ("eta", sol.eta),
+                 ("theta", sol.theta), ("lambda", sol.lambda_base),
+                 ("mu", sol.mu), ("nu", sol.nu), ("mu_nu_product", sol.mu * sol.nu),
+                 ("U", sol.u), ("V", sol.v), ("W", sol.w)])
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    p = _params(args)
-    vals = spectrum_prediction(p, args.k, args.count)
-    rows = [(f"e{i}", v) for i, v in enumerate(vals)]
-    _emit(args, rows)
+    vals = spectrum_prediction(_params(args), args.k, args.count)
+    _emit(args, [(f"e{i}", v) for i, v in enumerate(vals)])
     return 0
 
 
 def cmd_verify(args) -> int:
-    p = _params(args)
-    mats, p = _realization(args, p)
+    mats, p = _realization(args, _params(args))
     bundle = _self.build_bundle(p, args.z, mats, trusted=args.trusted)
     rows = [("realization", mats.kind), ("z", args.z),
             ("size", mats.dim), ("trusted", args.trusted)]
@@ -156,14 +151,14 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     import numpy as np
 
-    p = _params(args)
-    mats, p = _realization(args, p)
+    mats, p = _realization(args, _params(args))
     if args.steps < 1:
         raise InvalidParams(f"steps must be at least 1 (got {args.steps})")
+    for end in (args.z_from, args.z_to):  # in range before linspace warns on inf
+        _exact(p, end)
     zs = np.sort(np.linspace(args.z_from, args.z_to, args.steps))
     for z in zs:
-        if not is_admissible(p, float(z)):
-            raise ZOutOfDomain(f"sweep point z = {z:g} is not admissible")
+        _admissible(p, float(z))
     lines = [",".join(SWEEP_COLUMNS)]
     ok = True
     for z in zs:

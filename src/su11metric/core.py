@@ -77,22 +77,18 @@ class Factorization:
 _SCALE_FROM = 700.0
 
 
-def _cosh_sinhc(theta_sq):
+def _cosh_sinhc(theta_sq: float) -> tuple[float, float, float]:
     """(c, s, scale): cosh(theta) and sinh(theta)/theta as even functions of
-    theta, each times e^-scale, where scale is theta for a real theta past
-    _SCALE_FROM and 0 elsewhere.
+    theta, each times e^-scale, where scale is theta past _SCALE_FROM and 0
+    elsewhere.
 
-    Takes theta**2 (real or complex) so no branch of the square root is
-    ever distinguished; small arguments use a series to avoid
-    cancellation near theta = 0.
+    Takes a finite real theta**2 >= 0, as _pivots forms it; small
+    arguments use a series to avoid cancellation near theta = 0.
     """
-    if abs(theta_sq) < 1e-8:
+    if theta_sq < 1e-8:
         c = 1.0 + theta_sq * (0.5 + theta_sq * (1.0 / 24.0 + theta_sq / 720.0))
         s = 1.0 + theta_sq * (1.0 / 6.0 + theta_sq * (1.0 / 120.0 + theta_sq / 5040.0))
         return c, s, 0.0
-    if isinstance(theta_sq, complex) or theta_sq < 0.0:
-        th = cmath.sqrt(theta_sq)
-        return cmath.cosh(th), cmath.sinh(th) / th, 0.0
     th = math.sqrt(theta_sq)
     if th > _SCALE_FROM:
         e2 = math.exp(-2.0 * th)
@@ -105,14 +101,17 @@ def _pivots(epsilon: float, eta: complex) -> tuple[float, float, float, float, f
     eps s, times e^-scale (_cosh_sinhc), and ln C for the larger pivot C =
     cosh(theta) + |eps| s.  theta^2 = (|eps| - 2|eta|)(|eps| + 2|eta|) cannot
     round below 0 while |eps| >= 2|eta|; InvalidParams for a non-finite eps,
-    eta or theta^2, TrigRegime for theta^2 < 0.  The smaller pivot cancels
+    eta, |eta| or theta^2, TrigRegime for theta^2 < 0.  The smaller pivot cancels
     where 2|eta| << |eps|: it is e^-theta - 4|eta|^2 s / (theta + |eps|).
     Below _SCALE_FROM, ln C = log1p(s (theta^2 s / (cosh(theta) + 1) + |eps|))
     is off by a rounding only, which e^{q k0} multiplies by k0."""
     if not (math.isfinite(epsilon) and cmath.isfinite(eta)):
         raise InvalidParams(f"epsilon and eta must be finite (got epsilon = {epsilon:g}, "
                             f"eta = {eta:g})")
-    theta_sq = (abs(epsilon) - 2.0 * abs(eta)) * (abs(epsilon) + 2.0 * abs(eta))
+    a = math.hypot(eta.real, eta.imag)  # abs(eta), but inf where that overflows
+    if a == math.inf:
+        raise InvalidParams(f"|eta| is not a finite double (got eta = {eta:g})")
+    theta_sq = (abs(epsilon) - 2.0 * a) * (abs(epsilon) + 2.0 * a)
     if theta_sq == math.inf:
         raise InvalidParams(f"theta^2 = eps^2 - 4|eta|^2 overflows a double "
                             f"(epsilon = {epsilon:g}, eta = {eta:g})")
@@ -121,7 +120,7 @@ def _pivots(epsilon: float, eta: complex) -> tuple[float, float, float, float, f
     c, s, scale = _cosh_sinhc(theta_sq)
     th = math.sqrt(theta_sq)
     big = c + abs(epsilon) * s
-    small = (math.exp(-th - scale) - 4.0 * abs(eta) ** 2 / (th + abs(epsilon)) * s
+    small = (math.exp(-th - scale) - 4.0 * a * a / (th + abs(epsilon)) * s
              if epsilon else big)
     log_big = (math.log(big) + scale if scale
                else math.log1p(s * (theta_sq * s / (c + 1.0) + abs(epsilon))))
@@ -130,9 +129,10 @@ def _pivots(epsilon: float, eta: complex) -> tuple[float, float, float, float, f
 
 def _ordered_factor(epsilon: float, eta: complex, ordering: str) -> Factorization:
     """One ordered factorization of exp(2 eps K0 + 2 eta Km + 2 conj(eta) Kp);
-    only the pivot of the requested ordering is checked."""
+    only the pivot of the requested ordering is checked.  q = -+2 ln(pivot),
+    the larger pivot's log from _pivots' ln C, the smaller's from itself."""
     eta = complex(eta)
-    s, scale, cm, cp, _ = _pivots(epsilon, eta)
+    s, scale, cm, cp, log_big = _pivots(epsilon, eta)
     sign, op, pivot = (-1.0, "-", cm) if ordering == "normal" else (1.0, "+", cp)
     # the pivot times e^-scale, which cancels from p and r; past theta = 745
     # e^-scale is 0, and only a pivot of 0 is refused
@@ -141,7 +141,8 @@ def _ordered_factor(epsilon: float, eta: complex, ordering: str) -> Factorizatio
         raise DecompositionSingular(
             f"cosh(theta) {op} eps*sinh(theta)/theta = {shown} vanishes")
     return Factorization(p=2.0 * eta.conjugate() * s / pivot,
-                         q=sign * 2.0 * (cmath.log(complex(pivot)) + scale),
+                         q=sign * 2.0 * (log_big if pivot == max(cm, cp)
+                                         else cmath.log(complex(pivot)) + scale),
                          r=2.0 * eta * s / pivot,
                          ordering=ordering)
 

@@ -46,17 +46,9 @@ class MetricSolution:
 
 
 def validate_params(p: SwansonParams) -> SwansonParams:
-    """Check the constraints that keep the spectrum real and the family
-    nontrivial; returns the parameters unchanged when valid."""
-    if not (p.omega > 0.0):
-        raise InvalidParams(f"omega must be positive (got omega = {p.omega:g})")
-    if p.alpha == p.beta:
-        raise InvalidParams(
-            f"alpha and beta must differ (got alpha = beta = {p.alpha:g})")
-    gap = _exact(p)[0]
-    if not (gap > 0.0):
-        raise InvalidParams(
-            f"omega^2 - 4*alpha*beta must be positive (got {gap:g})")
+    """The parameters unchanged when they keep the spectrum real and the
+    family nontrivial: the checks of p that open _exact."""
+    _exact(p)
     return p
 
 
@@ -65,35 +57,58 @@ def swanson_element(p: SwansonParams) -> AlgebraElement:
     return AlgebraElement(2.0 * p.omega, 2.0 * p.alpha, 2.0 * p.beta)
 
 
+def _double(name: str, num: int, scale: int) -> float:
+    """num / scale rounded once; InvalidParams naming it past the doubles."""
+    try:
+        return num / scale
+    except OverflowError:
+        raise InvalidParams(f"{name} is not a finite double") from None
+
+
 def _exact(p: SwansonParams, z: float = 0.0) -> tuple[float, float, float, float, float]:
     """(gap, den, 1 - z^2, P, g) at z in [-1, 1]: gap = omega^2 - 4 alpha
     beta, den = alpha + beta - omega z, the stability polynomial P = den^2 -
     (alpha-beta)^2 (1 - z^2) and g = omega - (alpha+beta) z, each exact on
-    the float inputs (integers over one power of two) and rounded once.  z
-    is admissible exactly where P > 0.  ZOutOfDomain for z off [-1, 1];
-    InvalidParams for a non-finite input, or the first of the five that
-    is out of range."""
-    if not abs(z) <= 1.0:
-        raise ZOutOfDomain(f"z must lie in [-1, 1] (got z = {z:g})")
+    the float inputs (integers over one power of two) and rounded once.
+    The one check of p and of z's range, p first: InvalidParams for omega
+    <= 0, alpha = beta, a non-finite omega, alpha or beta, or a gap that is
+    not a positive double; then ZOutOfDomain for z off [-1, 1]; then
+    InvalidParams for the first of the other four past the doubles.  z is
+    admissible exactly where P > 0 (_admissible)."""
+    if not (p.omega > 0.0):
+        raise InvalidParams(f"omega must be positive (got omega = {p.omega:g})")
+    if p.alpha == p.beta:
+        raise InvalidParams(
+            f"alpha and beta must differ (got alpha = beta = {p.alpha:g})")
     try:
-        ratios = [x.as_integer_ratio() for x in (p.omega, p.alpha, p.beta, z)]
+        ratios = [x.as_integer_ratio() for x in (p.omega, p.alpha, p.beta)]
     except (OverflowError, ValueError):
         raise InvalidParams("omega, alpha and beta must be finite (got "
                             f"{p.omega:g}, {p.alpha:g}, {p.beta:g})") from None
+    ratios.append(z.as_integer_ratio() if abs(z) <= 1.0 else (0, 1))
     d = max(m for _, m in ratios)
     w, a, b, t = (n * (d // m) for n, m in ratios)
     d2, den, one = d * d, (a + b) * d - w * t, d * d - t * t
-    out = []
-    for name, num, scale in (
-            ("omega^2 - 4*alpha*beta", w * w - 4 * a * b, d2),
-            ("alpha + beta - omega*z at z = {:g}", den, d2), ("1 - z^2", one, d2),
-            ("the stability polynomial at z = {:g}", den * den - (a - b) ** 2 * one, d2 * d2),
-            ("omega - (alpha + beta)*z at z = {:g}", w * d - (a + b) * t, d2)):
-        try:
-            out.append(num / scale)
-        except OverflowError:
-            raise InvalidParams(f"{name.format(z)} is not a finite double") from None
-    return tuple(out)
+    gap = _double("omega^2 - 4*alpha*beta", w * w - 4 * a * b, d2)
+    if not gap > 0.0:
+        raise InvalidParams(f"omega^2 - 4*alpha*beta must be positive (got {gap:g})")
+    if not abs(z) <= 1.0:
+        raise ZOutOfDomain(f"z must lie in [-1, 1] (got z = {z:g})")
+    return (gap, *(_double(name.format(z), num, scale) for name, num, scale in (
+        ("alpha + beta - omega*z at z = {:g}", den, d2), ("1 - z^2", one, d2),
+        ("the stability polynomial at z = {:g}", den * den - (a - b) ** 2 * one, d2 * d2),
+        ("omega - (alpha + beta)*z at z = {:g}", w * d - (a + b) * t, d2))))
+
+
+def _admissible(p: SwansonParams, z: float) -> tuple[float, float, float, float, float]:
+    """_exact(p, z) at an admissible z; ZOutOfDomain, the one refusal of an
+    inadmissible z in [-1, 1], where P <= 0."""
+    out = _exact(p, z)
+    if not out[3] > 0.0:
+        raise ZOutOfDomain(
+            f"z = {z:g} is inadmissible: |arctanh argument| >= 1 "
+            f"(alpha + beta - omega*z = {out[1]:g})")
+    return out
 
 
 def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float, float]:
@@ -101,11 +116,7 @@ def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float, float]:
     s = (alpha-beta) sqrt(1-z^2).  With big = |den| + |s| and P = den^2 - s^2
     = (|den| - |s|) big from _exact, ln Lambda = +-log1p(2 |s| big / P)
     and Lambda = (big^2 / P)^(+-1) cancel nowhere, next to a root too."""
-    den, one, poly = _exact(p, z)[1:4]
-    if not poly > 0.0:
-        raise ZOutOfDomain(
-            f"z = {z:g} is inadmissible: |arctanh argument| >= 1 "
-            f"(alpha + beta - omega*z = {den:g})")
+    den, one, poly = _admissible(p, z)[1:4]
     root = math.sqrt(one)
     s = (p.alpha - p.beta) * root
     big = abs(den) + abs(s)
@@ -116,9 +127,12 @@ def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float, float]:
 
 
 def is_admissible(p: SwansonParams, z: float) -> bool:
-    """True when z in [-1, 1] gives a finite real solution eps(z): P > 0."""
-    validate_params(p)
-    return abs(z) <= 1.0 and _exact(p, z)[3] > 0.0
+    """True when z in [-1, 1] gives a finite real solution eps(z): P > 0.
+    InvalidParams, as _exact, for a bad p, whatever z is."""
+    try:
+        return _admissible(p, z)[3] > 0.0
+    except ZOutOfDomain:
+        return False
 
 
 def z_domain(p: SwansonParams) -> list[tuple[float, float]]:
@@ -129,7 +143,6 @@ def z_domain(p: SwansonParams) -> list[tuple[float, float]]:
     4 alpha beta, disc = 4 (alpha-beta)^2 (omega^2 - 4 alpha beta) > 0):
     q / a and c / q, q = -(b + sign(b) sqrt(disc)) / 2, neither cancelling.
     The intervals are closed; is_admissible is the strict pointwise test."""
-    validate_params(p)
     gap = _exact(p)[0]
     q = math.copysign(abs(p.alpha + p.beta) * p.omega
                       + abs(p.alpha - p.beta) * math.sqrt(gap), p.alpha + p.beta)
@@ -147,13 +160,10 @@ def solve_epsilon(p: SwansonParams, z: float) -> float:
     on the principal real branch; at |z| = 1 the analytic limit
     (alpha-beta) / (2*(alpha+beta-z*omega)).  Taken as ln(Lambda) /
     (4*sqrt(1-z^2)) (_log_power_base), exact to rounding next to a root.
+    _admissible refuses p and z, den = 0 at |z| = 1 too, where P = den^2.
     """
-    validate_params(p)
     if abs(z) == 1.0:
-        den = _exact(p, z)[1]
-        if den == 0.0:
-            raise ZOutOfDomain(
-                f"alpha + beta - omega*z vanishes at z = {z:g}")
+        den = _admissible(p, z)[1]
         return (p.alpha - p.beta) / (2.0 * den)
     log_lam, _, root = _log_power_base(p, z)
     return log_lam / (4.0 * root)
@@ -166,7 +176,7 @@ def conjugated_coeffs(p: SwansonParams, epsilon: float,
     The adjoint action of rho on (omega, alpha, beta); for eps solved by
     solve_epsilon (and eta = z*eps/2 real) U is real and W equals V.
     """
-    validate_params(p)
+    _exact(p)
     return _mat_vec(adjoint_matrix(epsilon, eta), (p.omega, p.alpha, p.beta))
 
 
@@ -181,10 +191,7 @@ def _weights(p: SwansonParams, z: float) -> tuple[float, float, float, float]:
     c = (t + z g)/(1 - z^2) = (P - z^2 gap)/(t - z g), by the sum that does
     not cancel, as (nu - mu omega^2)/(2 omega) does.  InvalidParams names
     a weight that is not a finite double."""
-    validate_params(p)
-    gap, den, one, poly, g = _exact(p, z)
-    if not poly > 0.0:
-        raise ZOutOfDomain(f"z = {z:g} is inadmissible")
+    gap, den, one, poly, g = _admissible(p, z)
     t = math.copysign(math.sqrt(poly), den)
     if g < 0.0 < t or t < 0.0 < g:
         mu = (g - t) / (1.0 + z) / p.omega
@@ -221,13 +228,17 @@ def spectrum_prediction(p: SwansonParams, k: float, count: int) -> tuple[float, 
     A linear element with positive-definite Casimir form is conjugate to
     a multiple of K0, so its spectrum on a lowest-weight realization is
     harmonic with effective frequency sqrt(omega^2 - 4*alpha*beta).
+    InvalidParams names a level that is not a finite double.
     """
-    validate_params(p)
+    freq = 2.0 * math.sqrt(_exact(p)[0])
     if not 0.0 < k < math.inf:
         raise InvalidParams(f"lowest weight k must be positive and finite (got {k:g})")
     if count < 1:
         raise InvalidParams("count must be at least 1")
-    return _harmonic_law(2.0 * math.sqrt(_exact(p)[0]), k, count)
+    levels = _harmonic_law(freq, k, count)
+    if levels[-1] == math.inf:
+        raise InvalidParams(f"level e{count - 1} is not a finite double (k = {k:g})")
+    return levels
 
 
 def hermitian_equivalent(p: SwansonParams, z: float) -> AlgebraElement:
@@ -262,7 +273,6 @@ def power_base(p: SwansonParams, z: float) -> float:
     P)^(+-1) from the exact P (_log_power_base).  At |z| = 1 Lambda takes
     its limit 1; it is eps's form that is 0/0 there, not Lambda's.
     """
-    validate_params(p)
     return _log_power_base(p, z)[1]
 
 
@@ -273,16 +283,11 @@ def commuting_observable(z: float) -> AlgebraElement:
     return AlgebraElement(2.0, z, z)
 
 
-def _theta(p: SwansonParams, z: float, eps: float) -> float:
-    """theta = |eps| sqrt(1 - z^2), from _exact's 1 - z^2."""
-    return abs(eps) * math.sqrt(_exact(p, z)[2])
-
-
 def solve_metric(p: SwansonParams, z: float) -> MetricSolution:
     """Solve the full family at one admissible z, |z| = 1 included."""
     eps = solve_epsilon(p, z)
     eta = z * eps / 2.0
-    theta = _theta(p, z, eps)
+    theta = abs(eps) * math.sqrt(_exact(p, z)[2])  # |eps| sqrt(1 - z^2)
     mu, nu = mu_nu(p, z)
     lam = power_base(p, z)
     u, v, w = conjugated_coeffs(p, eps, eta)

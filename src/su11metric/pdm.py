@@ -34,8 +34,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidParams, NoConvergence, ZOutOfDomain
-from .metric import SwansonParams, mu_nu, spectrum_prediction, validate_params
+from .errors import InvalidParams, NoConvergence
+from .metric import SwansonParams, _exact, mu_nu, spectrum_prediction
 from .verification import _EPS, _TINY, _bisect, _certify, _halves, _tri_mul
 
 if TYPE_CHECKING:
@@ -90,9 +90,7 @@ class PdmReport:
 
 
 def validate_config(cfg: PdmConfig) -> PdmConfig:
-    validate_params(cfg.params)
-    if not abs(cfg.z) <= 1.0:
-        raise ZOutOfDomain(f"z must lie in [-1, 1] (got z = {cfg.z:g})")
+    _exact(cfg.params, cfg.z)
     if not (cfg.s > 0.0):
         raise InvalidParams(f"mass exponent s must be positive (got {cfg.s:g})")
     if not (cfg.x_min < cfg.x_max):
@@ -119,9 +117,9 @@ def _interior_grid(cfg: PdmConfig) -> tuple[np.ndarray, float]:
 
 
 def _grid_terms(cfg: PdmConfig):
-    """(x, dx, w, curv, well, drift, tilt): the pointwise terms, finite for a
-    validated cfg, of the grid generators for g(x) = -exp(-s x)/s, so
-    g' = exp(-s x) and g'' = -s g'.  w, the flux weights of F = -d/dx
+    """(x, dx, w, curv, well, drift, tilt): the pointwise terms of the grid
+    generators for g(x) = -exp(-s x)/s, so g' = exp(-s x) and g'' = -s g',
+    w and curv finite for a validated cfg.  w, the flux weights of F = -d/dx
     (1/g'^2) d/dx, sits at the n + 1 half points x_min + dx (k + 1/2); the
     others at the n interior nodes x.
 
@@ -149,12 +147,13 @@ def _mass_weights(cfg: PdmConfig) -> tuple[float, float]:
 
 
 def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
-    """Diagonal and offdiagonal of h = mu omega (F + curv) + (nu/omega) well^2
-    (see _grid_terms), the combination c0 K0 + c (K+ + K-) of the grid
-    generators, with Dirichlet walls, for weights = _mass_weights(cfg)."""
-    x, dx, w, curv, well, _, _ = _grid_terms(cfg)
+    """Diagonal and offdiagonal of h = mu omega (F + curv) + (nu/omega) well^2,
+    the grid generators' c0 K0 + c (K+ + K-) with Dirichlet walls (_grid_terms),
+    for weights = _mass_weights(cfg); refused where a term (tau's) overflows."""
     mw, nw = weights
-    diag = mw * (w[1:] + w[:-1] + curv) + nw * well ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, dx, w, curv, well, _, _ = _grid_terms(cfg)
+        diag = mw * (w[1:] + w[:-1] + curv) + nw * well ** 2
     if not np.isfinite(diag).all():
         raise InvalidParams("effective potential is not finite on the grid; "
                             "shrink the domain or the exponent s")
@@ -163,7 +162,7 @@ def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
 
 def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     """(values, vectors, residuals) refined from `shifts` on the symmetric
-    tridiagonal T = (diag, off); None where a solve fails.
+    tridiagonal T = (diag, off); None where a solve fails or leaves the doubles.
 
     Three Rayleigh-quotient steps from a constant start, for all k shifts at
     once: the systems (T - theta_j) x_j = q_j are the blocks of one
@@ -197,10 +196,11 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
         links[:, :-1], links[:, -1] = off, 0.0
         np.subtract(diag, theta[:, None], out=main)
         x[...] = q
-        if dgtsv(lo.ravel()[:-1], main.ravel(), links[k:].ravel()[:-1], x.ravel(),
-                 1, 1, 1, 1)[-1] != 0:
-            return None
+        info = dgtsv(lo.ravel()[:-1], main.ravel(), links[k:].ravel()[:-1], x.ravel(),
+                     1, 1, 1, 1)[-1]
         xx = np.einsum("ij,ij->i", x, x)
+        if info != 0 or not (min(sums := xx.tolist()) > 0.0 and math.isfinite(sum(sums))):
+            return None
         theta = theta + np.einsum("ij,ij->i", x, q) / xx
         np.divide(x, np.sqrt(xx)[:, None], out=q)
 

@@ -38,10 +38,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AlgebraElement, _pivots, conjugate
-from .errors import InvalidParams, NoConvergence, TruncationTooSmall, ZOutOfDomain
+from .errors import InvalidParams, NoConvergence, TruncationTooSmall
 from .metric import (SwansonParams, _harmonic_law, commuting_observable,
-                     hermitian_equivalent, is_admissible, metric_exponent,
-                     solve_epsilon, swanson_element, validate_params)
+                     hermitian_equivalent, metric_exponent, solve_epsilon,
+                     swanson_element, validate_params)
 from .realizations import RealizationMatrices, apply
 
 DEFAULT_TRUSTED = 50
@@ -554,7 +554,8 @@ def _largest(x: AlgebraElement) -> float:
 def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
                  trusted: int = DEFAULT_TRUSTED) -> OperatorBundle:
     """Form the leading blocks of rho and zeta_+ that the residuals read,
-    and check them.
+    and check them.  p is checked first (validate_params), then T, and z
+    last, by hermitian_equivalent's gate (metric._admissible).
 
     Residuals.  r_herm and r_eq10 are coefficient-level, on the adjoint
     closed form y = core.conjugate(metric_exponent(p, z), H), relative to
@@ -589,8 +590,6 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     if trusted >= n or trusted < 2:
         raise TruncationTooSmall(
             f"need 2 <= trusted < dim (got trusted = {trusted}, dim = {n})")
-    if not is_admissible(p, z):
-        raise ZOutOfDomain(f"z = {z:g} is not admissible for these parameters")
 
     t = trusted
     r = min(t + realization.band, n)

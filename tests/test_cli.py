@@ -184,6 +184,14 @@ class TestDisentangleCommand:
         assert abs(abs(float(rows[small])) - 1999.9999600199996) <= 1e-11 * 2000.0
         assert "nan" not in out and "inf" not in out
 
+    def test_larger_pivot_q_is_exact(self, capsys):
+        # q = 2 theta = 2e-5 in both orderings; q_prime was 2 log of the
+        # rounded pivot cosh(theta) + eps sinh(theta)/theta, 1.99999999998e-05
+        code, out, _ = run_cli(capsys, "disentangle", "--epsilon", "1e-5", "--eta", "0")
+        assert code == 0
+        rows = parse_table(out)
+        assert (rows["q"], rows["q_prime"]) == ("2e-05", "2e-05")
+
     def test_theta_squared_overflow_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "disentangle", "--epsilon", "1e300",
                                  "--eta", "1")
@@ -353,6 +361,59 @@ class TestNonFiniteInputs:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("argv, message", [
+        # |eta| of two finite parts overflowed abs(): an OverflowError
+        # traceback (exit 1)
+        (("disentangle", "--epsilon", "1", "--eta", "1.7e308", "--eta-im", "1.7e308"),
+         "|eta| is not a finite double"),
+        # printed e0 to e4 = inf (exit 0)
+        (("spectrum", *BASE, "--k", "1.7e308"), "level e4 is not a finite double"),
+        # np.linspace's RuntimeWarning came before the refusal
+        (("sweep", *BASE, "--z-from", "0", "--z-to", "inf", "--steps", "3"),
+         "z must lie in [-1, 1] (got z = inf)"),
+        # well^2 (and the drift, which h does not read) overflowed with a
+        # RuntimeWarning before the refusal
+        (("pdm", *BASE, "--tau", "1e160"), "effective potential is not finite"),
+        (("pdm", *BASE, "--tau", "1e300"), "effective potential is not finite"),
+        (("pdm", *BASE, "--tau=-1.7e308"), "effective potential is not finite"),
+    ])
+    def test_refused_by_name(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+    def test_rayleigh_norm_underflow_exit_3(self, capsys):
+        # at s = 2.2e-97 the grid's diagonal is 6.78e192 throughout, and x.x
+        # of a Rayleigh step underflowed to 0: a divide-by-zero RuntimeWarning
+        code, out, err = run_cli(capsys, "pdm", *self.BASE, "--s", "2.174763340727069e-97")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the 500-point grid's lowest 3 eigenvalues cannot "
+                              "be certified") and err.count("\n") == 1, err
+
+
+class TestOneRefusal:
+    """Every subcommand refuses an inadmissible z by the one message of
+    metric._admissible, and a bad p before a bad z."""
+
+    BASE = ("--omega", "1", "--alpha", "0.2", "--beta", "0.1")
+    MESSAGE = ("error: z = 0.3 is inadmissible: |arctanh argument| >= 1 "
+               "(alpha + beta - omega*z = 2.77556e-17)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("metric", *BASE, "--z", "0.3"),
+        ("verify", *BASE, "--z", "0.3"),
+        ("sweep", *BASE, "--z-from", "0.3", "--z-to", "0.3", "--steps", "1"),
+        ("pdm", *BASE, "--z", "0.3"),
+    ], ids=lambda argv: argv[0])
+    def test_one_message(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (2, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("command", ["metric", "verify", "pdm"])
+    def test_bad_omega_before_bad_z(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--omega", "nan", "--alpha", "0.2",
+                                 "--beta", "0.1", "--z", "2")
+        assert (code, out, err) == (2, "", "error: omega must be positive (got omega = nan)\n")
 
 
 class TestSweepCommand:

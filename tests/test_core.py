@@ -236,6 +236,21 @@ class TestDisentangleClosedForm:
                 assert abs(f.r - r) <= 1e-15 * abs(r) and abs(f.p - mp.conj(r)) <= 1e-15 * abs(r)
                 assert abs(f.q - q) <= 1e-15 * abs(q)
 
+    @pytest.mark.parametrize("eps, eta", [(1e-5, 0.0), (-1e-5, 0.0), (1e-3, 4e-4j),
+                                          (-3e-8, 1e-8), (0.5, 0.1), (-2.0, 0.3j),
+                                          (40.0, 7.0), (-1000.0, 0.1)])
+    def test_larger_pivot_q_against_mpmath(self, eps, eta):
+        # the ordering whose pivot is C = cosh(theta) + |eps| s takes q = +-2
+        # ln C from _pivots' log1p, as metric roots do: 2 log of the rounded
+        # C lost the digits of C - 1 (q_prime 1.99999999998e-05 at (1e-5, 0))
+        with mp.workdps(50):
+            theta = mp.sqrt(mp.mpf(eps) ** 2 - 4 * abs(mp.mpc(eta)) ** 2)
+            q = 2 * mp.log(mp.cosh(theta) + abs(eps) * mp.sinh(theta) / theta)
+        normal, anti = disentangle_closed_form(eps, eta)
+        f, sign = (anti, 1) if eps > 0.0 else (normal, -1)
+        assert f.q.imag == 0.0
+        assert abs(f.q - sign * q) <= 2e-16 * abs(q), (f.q, q)
+
     def test_scaled_pivot_that_vanishes(self):
         # eta = 0: the normal pivot is e^-theta, below PIVOT_TOL
         with pytest.raises(DecompositionSingular, match="e\\^1000"):

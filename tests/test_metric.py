@@ -1,15 +1,17 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from su11metric import (AlgebraElement, InvalidParams, SwansonParams,
-                        ZOutOfDomain, adjoint_matrix, commuting_observable,
-                        conjugate, conjugated_coeffs, hermitian_equivalent,
-                        is_admissible, metric_exponent, mu_nu, power_base,
-                        solve_epsilon, solve_metric, spectrum_prediction,
-                        swanson_element, validate_params, z_domain)
+                        ZOutOfDomain, adjoint_matrix, build_bundle,
+                        commuting_observable, conjugate, conjugated_coeffs,
+                        discrete_series, hermitian_equivalent, is_admissible,
+                        metric, metric_exponent, mu_nu, power_base, solve_epsilon,
+                        solve_metric, spectrum_prediction, swanson_element,
+                        validate_params, z_domain)
 
 from oracles import metric_family_mp, stability_roots_mp
 
@@ -133,6 +135,61 @@ class TestZDomain:
         border = SwansonParams(0.75, 0.5, 0.25)
         assert not is_admissible(border, 1.0)
         assert is_admissible(border, -1.0)
+
+
+class TestOneGate:
+    """metric._exact checks p and then z's range; metric._admissible is the
+    one refusal of a z where the stability polynomial P is not positive."""
+
+    # den = alpha + beta - omega z = 0 exactly at z = 1, where P = den^2
+    DEN_ZERO = SwansonParams(1.0, 0.75, 0.25)
+
+    @pytest.mark.parametrize("f", [solve_epsilon, mu_nu, power_base, hermitian_equivalent],
+                             ids=lambda f: f.__name__)
+    def test_den_zero_at_endpoint(self, f):
+        # solve_epsilon refused it by its own message, "vanishes at z = 1"
+        with pytest.raises(ZOutOfDomain) as exc:
+            f(self.DEN_ZERO, 1.0)
+        assert str(exc.value) == ("z = 1 is inadmissible: |arctanh argument| >= 1 "
+                                  "(alpha + beta - omega*z = 0)")
+        assert not is_admissible(self.DEN_ZERO, 1.0)
+
+    @pytest.mark.parametrize("p, z, message", [
+        (SwansonParams(float("nan"), 0.2, 0.1), 2.0, "omega must be positive"),
+        (SwansonParams(-1.0, 0.2, 0.1), float("nan"), "omega must be positive"),
+        (SwansonParams(1.0, 0.3, 0.3), 2.0, "alpha and beta must differ"),
+        (SwansonParams(float("inf"), 0.2, 0.1), -3.0, "omega, alpha and beta must be finite"),
+        (SwansonParams(1.0, 2.0, 2.5), float("inf"), "omega^2 - 4*alpha*beta must be positive"),
+        (SwansonParams(1.0, 1e300, -1e300), 2.0, "omega^2 - 4*alpha*beta is not a finite"),
+    ])
+    @pytest.mark.parametrize("f", [is_admissible, solve_epsilon, mu_nu, power_base],
+                             ids=lambda f: f.__name__)
+    def test_bad_p_before_bad_z(self, f, p, z, message):
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}"):
+            f(p, z)
+
+    @pytest.mark.parametrize("z", [2.0, -1.5, float("nan"), float("inf")])
+    def test_z_off_the_range(self, z):
+        assert not is_admissible(P, z)
+        with pytest.raises(ZOutOfDomain, match="z must lie in"):
+            solve_epsilon(P, z)
+
+    @pytest.mark.parametrize("z", [0.0, 0.4])
+    def test_exact_at_most_five_times(self, monkeypatch, z):
+        # each step checked p and z again: 11 _exact evaluations per
+        # build_bundle and 8 per solve_metric
+        calls = []
+
+        def counted(*args, _f=metric._exact):
+            calls.append(args)
+            return _f(*args)
+
+        monkeypatch.setattr(metric, "_exact", counted)
+        for run in (lambda: solve_metric(P, z),
+                    lambda: build_bundle(P, z, discrete_series(0.25, 200), trusted=50)):
+            calls.clear()
+            run()
+            assert 0 < len(calls) <= 5, calls
 
 
 class TestSolveEpsilon:
