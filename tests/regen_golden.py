@@ -35,6 +35,7 @@ PINS = [
     *([command, *BASE, f"--z={z}"] for command in ("metric", "verify", "pdm")
       for z in ("-1", "1")),
     ["metric", "--omega", "1", "--alpha", "0.7", "--beta", "0.3", "--z", "1"],
+    *(["pdm", *BASE, "--points", points] for points in ("400", "1024")),
 ]
 
 
