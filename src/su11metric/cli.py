@@ -8,10 +8,10 @@ documented column order and is fully computed before anything is
 emitted, so no partial CSV is produced on error.  The closed-form
 subcommands (validate, disentangle, metric, spectrum) load neither numpy
 nor scipy; verify, sweep and pdm load the matrix layer (numpy) on first
-use.  Of these only pdm loads scipy, for its grid's tridiagonal solves:
-verify and sweep take h's values from the harmonic law, and load scipy
-only to bisect a chain where the law does not hold to rounding in N
-states, a near-parabolic h.  Where mu <= 0, h is unbounded below, and
+use.  Only pdm loads scipy, for its grid's solves and counts: verify and
+sweep take h's values from the harmonic law, count them in Python, and
+bisect with scipy only a chain where the law does not hold to rounding in
+N states, a near-parabolic h.  Where mu <= 0, h is unbounded below, and
 its solve (verification._low_eigs) and pdm's grid refuse z (exit 2).
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over

@@ -58,11 +58,14 @@ def swanson_element(p: SwansonParams) -> AlgebraElement:
 
 
 def _double(name: str, num: int, scale: int) -> float:
-    """num / scale rounded once; InvalidParams naming it past the doubles."""
+    """num / scale rounded once; InvalidParams naming it past the doubles,
+    or where a nonzero value rounds to 0, so that no sign is read off a 0."""
     try:
-        return num / scale
+        if (out := num / scale) or not num:
+            return out
     except OverflowError:
         raise InvalidParams(f"{name} is not a finite double") from None
+    raise InvalidParams(f"{name} is nonzero but rounds to 0 as a double")
 
 
 def _exact(p: SwansonParams, z: float = 0.0) -> tuple[float, float, float, float, float]:
@@ -73,8 +76,8 @@ def _exact(p: SwansonParams, z: float = 0.0) -> tuple[float, float, float, float
     The one check of p and of z's range, p first: InvalidParams for omega
     <= 0, alpha = beta, a non-finite omega, alpha or beta, or a gap that is
     not a positive double; then ZOutOfDomain for z off [-1, 1]; then
-    InvalidParams for the first of the other four past the doubles.  z is
-    admissible exactly where P > 0 (_admissible)."""
+    InvalidParams for the first of the other four that _double refuses.  z
+    is admissible exactly where P > 0 (_admissible)."""
     if not (p.omega > 0.0):
         raise InvalidParams(f"omega must be positive (got omega = {p.omega:g})")
     if p.alpha == p.beta:
@@ -128,7 +131,7 @@ def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float, float]:
 
 def is_admissible(p: SwansonParams, z: float) -> bool:
     """True when z in [-1, 1] gives a finite real solution eps(z): P > 0.
-    InvalidParams, as _exact, for a bad p, whatever z is."""
+    InvalidParams as _exact, for a bad p or a z whose terms _double refuses."""
     try:
         return _admissible(p, z)[3] > 0.0
     except ZOutOfDomain:

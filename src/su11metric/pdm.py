@@ -19,11 +19,11 @@ coarsest level refines the algebraic law's values, and each finer level
 the coarser level's eigenvalues, by three Rayleigh-quotient steps taken
 for all three at once: one tridiagonal solve (dgtsv) a step, of the
 shifted systems as the blocks of one matrix.  Every level is certified
-by verification._certify, the realization chains' certificate, from
-residuals that include a bound on their own rounding.  A level whose
-seeds fail it refines the bisection's values instead, and one that is
-not certified even then raises NoConvergence.  The solves import scipy's
-LAPACK when they first run, not this module.
+on the intervals of the chains' certificate (verification._certify) from
+residuals that bound their own rounding, and counted by LAPACK (dstebz).
+A level whose seeds fail it refines the bisection's values instead, and
+one not certified even then raises NoConvergence.  The solves import
+scipy's LAPACK when they first run, not this module.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, _exact, mu_nu, spectrum_prediction
-from .verification import _EPS, _TINY, _bisect, _certify, _halves, _tri_mul
+from .verification import _EPS, _TINY, _bisect, _halves, _interval_top, _tri_mul
 
 if TYPE_CHECKING:
     from scipy.sparse import dia_array
@@ -117,25 +117,23 @@ def _interior_grid(cfg: PdmConfig) -> tuple[np.ndarray, float]:
 
 
 def _grid_terms(cfg: PdmConfig):
-    """(x, dx, w, curv, well, drift, tilt): the pointwise terms of the grid
-    generators for g(x) = -exp(-s x)/s, so g' = exp(-s x) and g'' = -s g',
-    w and curv finite for a validated cfg.  w, the flux weights of F = -d/dx
+    """(x, dx, w, curv, well, gp): the pointwise terms of the grid generators
+    for g(x) = -exp(-s x)/s, so g' = exp(-s x) and g'' = -s g', w, curv and
+    g' finite for a validated cfg.  w, the flux weights of F = -d/dx
     (1/g'^2) d/dx, sits at the n + 1 half points x_min + dx (k + 1/2); the
     others at the n interior nodes x.
 
     w      1/(g'^2 dx^2)
     curv   g'''/(2 g'^3) - (5/4) g''^2/g'^4 = -(3/4) s^2 / g'^2
     well   g/2 + tau
-    drift  (g + 2 tau)/g'
-    tilt   (g''/g'^2)(g/2 + tau)
+    gp     g'
     """
     x, dx = _interior_grid(cfg)
     s = cfg.s
     half = cfg.x_min + dx * (np.arange(cfg.points + 1) + 0.5)
     w = np.exp(2.0 * s * half) / (dx * dx)
     gp = np.exp(-s * x)
-    well = -0.5 * gp / s + cfg.tau
-    return x, dx, w, -0.75 * s * s / (gp * gp), well, 2.0 * well / gp, -s / gp * well
+    return x, dx, w, -0.75 * s * s / (gp * gp), -0.5 * gp / s + cfg.tau, gp
 
 
 def _mass_weights(cfg: PdmConfig) -> tuple[float, float]:
@@ -152,7 +150,7 @@ def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
     for weights = _mass_weights(cfg); refused where a term (tau's) overflows."""
     mw, nw = weights
     with np.errstate(over="ignore", invalid="ignore"):
-        x, dx, w, curv, well, _, _ = _grid_terms(cfg)
+        x, dx, w, curv, well, _ = _grid_terms(cfg)
         diag = mw * (w[1:] + w[:-1] + curv) + nw * well ** 2
     if not np.isfinite(diag).all():
         raise InvalidParams("effective potential is not finite on the grid; "
@@ -176,7 +174,7 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     Each residual ||r|| + 4 eps ||m|| bounds ||T q - theta q|| with its
     own rounding, row i of r = T q - theta q being off by at most 4 eps m_i,
     m = (|T| + |theta|) |q|.  Near a wall whose diagonal reaches 1e27 that
-    is 1e-8 over a hundred rows, past the sqrt(eps) |theta| _certify takes;
+    is 1e-8 over a hundred rows, past the certificate's sqrt(eps) |theta|;
     so a row with 4 eps m_i > sqrt(eps) |theta| / (4 sqrt(n)) and factors
     below 2^996 is summed again by math.fsum, correctly rounded, from its
     products split error-free (Dekker, on Veltkamp halves): its error,
@@ -239,16 +237,22 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
 
 def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int):
     """(values, vectors, residuals) of the lowest `count` eigenpairs, refined
-    from `shifts` by _rayleigh and certified by verification._certify; None
-    where a solve or the certificate fails.  From shifts far off, such as
-    the algebraic law on a grid whose walls cut the eigenfunctions, the
-    residuals stay well above the certificate's sqrt(eps) bound.
+    from `shifts` by _rayleigh, certified on verification._certify's
+    intervals with dstebz's own count; None where a solve or the certificate
+    fails.  From shifts far off, such as the law on a grid whose walls cut
+    the eigenfunctions, the residuals stay well above its sqrt(eps) bound.
     """
+    from scipy.linalg.lapack import dstebz
+
     shifts = np.asarray(shifts, dtype=float)
-    if not np.isfinite(shifts).all():
+    got = _rayleigh(diag, off, shifts) if np.isfinite(shifts).all() else None
+    top = None if got is None else _interval_top(got[0], got[2], count)
+    if top is None:
         return None
-    got = _rayleigh(diag, off, shifts)
-    return got if got is not None and _certify(diag, off, got[0], got[2], count) else None
+    # range "V": the eigenvalues in (-inf, top]; an infinite abstol stops
+    # the bisection at once, so only the count is formed
+    found, *_, info = dstebz(diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
+    return got if info == 0 and found == count else None
 
 
 def pdm_spectrum(cfg: PdmConfig, near: np.ndarray | None = None
@@ -354,30 +358,31 @@ def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOper
     K0 = 1/2 [ F + curv + well^2 ]
     K+- = 1/2 [ -F -+ drift d/dx - curv +- tilt + well^2 -+ 1/2 ]
 
-    with F, curv, well, drift and tilt the terms of _grid_terms.  F is the
-    symmetric flux stencil; d/dx is the central difference, so discrete
-    adjointness of Kp and Km holds only up to the grid resolution (checked
-    under refinement).
+    with F, curv and well the terms of _grid_terms, drift = (g + 2 tau)/g'
+    and tilt = (g''/g'^2) well.  F is the symmetric flux stencil; d/dx is
+    the central difference, so Kp and Km are adjoint only up to the grid
+    resolution (checked under refinement).  A nonfinite entry is refused.
     """
     from scipy.sparse import dia_array
 
-    x, dx, w, curv, well, drift, tilt = _grid_terms(validate_config(cfg))
-    # flux operator F: f_diag, and -w on both sides
-    f_diag, w = w[1:] + w[:-1], w[1:-1]
-    # drift times the central difference: +-step[i] on node i's neighbors
-    step = drift * (1.0 / (2.0 * dx))
-    n = len(x)
+    x, dx, w, curv, well, gp = _grid_terms(validate_config(cfg))
 
-    def grid_op(lower, main, upper):
+    def grid_op(name, lower, main, upper):
         # DIA layout: data[k, j] is the entry at (j - offsets[k], j)
-        data = np.zeros((3, n))
+        data = np.zeros((3, x.size))
         data[0, :-1], data[1], data[2, 1:] = lower, main, upper
-        return GridOperator(dia_array((data, (-1, 0, 1)), shape=(n, n)), x, dx)
+        if not np.isfinite(data).all():
+            raise InvalidParams(f"the grid generator {name} is not finite "
+                                f"(tau = {cfg.tau:g}); shrink tau, the domain or s")
+        return GridOperator(dia_array((data, (-1, 0, 1)), shape=(x.size, x.size)), x, dx)
 
-    return (grid_op(-0.5 * w, 0.5 * (f_diag + (curv + well ** 2)), -0.5 * w),
-            grid_op(0.5 * (w + step[1:]),
-                    0.5 * (-f_diag + (-curv + tilt + well ** 2 - 0.5)),
-                    0.5 * (w - step[:-1])),
-            grid_op(0.5 * (w - step[1:]),
-                    0.5 * (-f_diag + (-curv - tilt + well ** 2 + 0.5)),
-                    0.5 * (w + step[:-1])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # flux operator F: f_diag, and -w on both sides
+        f_diag, w, sq = w[1:] + w[:-1], w[1:-1], well ** 2
+        # drift times the central difference: +-step[i] on node i's neighbors
+        step, tilt = 2.0 * well / gp * (1.0 / (2.0 * dx)), -cfg.s / gp * well
+        return (grid_op("K0", -0.5 * w, 0.5 * (f_diag + (curv + sq)), -0.5 * w),
+                grid_op("K+", 0.5 * (w + step[1:]),
+                        0.5 * (-f_diag + (-curv + tilt + sq - 0.5)), 0.5 * (w - step[:-1])),
+                grid_op("K-", 0.5 * (w - step[1:]),
+                        0.5 * (-f_diag + (-curv - tilt + sq + 0.5)), 0.5 * (w + step[:-1])))

@@ -98,19 +98,12 @@ def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-# _certify counts in Python up to this many states, dstebz past it.  The
-# Python count takes about 0.9 us a state against dstebz's 0.05 us, but
-# dstebz needs scipy, whose import takes about 400 ms; a chain's first cut
-# holds 34 to 132 states (count 1 to 50), the PDM grid's levels 100 or more
-_PY_COUNT_MAX = 256
-
-
 def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     """The count of eigenvalues in (-inf, x] of the symmetric tridiagonal
-    (diag, off), formed as LAPACK's dstebz forms it (range "V", vl = -inf,
+    (diag, off), formed as LAPACK's ?stebz forms it (range "V", vl = -inf,
     vu = x): the same operations in the same order, so the counts agree.
 
-    dstebz splits T where e_j^2 < |d_j d_(j+1)| ulp^2 + tiny and sets
+    ?stebz splits T where e_j^2 < |d_j d_(j+1)| ulp^2 + tiny and sets
     pivmin = tiny max(1, e_j^2 over the links kept).  A block of one state
     counts where x >= d - pivmin.  A longer block counts the pivots
     q <= 0 of q_j = d_j - e_(j-1)^2 / q_(j-1) - y, a pivot of magnitude
@@ -170,20 +163,31 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     return found
 
 
+def _interval_top(theta: np.ndarray, resid: np.ndarray, count: int) -> float | None:
+    """_certify's interval tests: the top theta_count + rho_count, or None."""
+    rho = np.maximum(resid, 2.0 * (_TINY + _EPS * np.abs(theta)))
+    top = theta + rho
+    if not (theta.size == count and np.isfinite(top).all()
+            and np.all(theta[1:] - rho[1:] > top[:-1])
+            and resid.max() <= _SQRT_EPS * np.abs(theta).max()):
+        return None
+    return float(top[-1])
+
+
 def _certify(diag: np.ndarray, off: np.ndarray, theta: np.ndarray,
              resid: np.ndarray, count: int,
              tail: tuple[float, float] | None = None) -> bool:
     """Whether the ascending theta are the lowest `count` eigenvalues of
     the symmetric tridiagonal T = (diag, off), each within
     rho_i = max(resid_i, tau_i), tau_i = 2 tiny + 2 eps |theta_i|, or with
-    `tail` those of a chain that continues past T: the one eigenvalue
-    certificate of the realization chains and of the PDM grid.
+    `tail` those of a chain that continues past T: the realization chains'
+    eigenvalue certificate, its intervals _interval_top's.
 
     resid_i must bound the true residual ||T u_i - theta_i u_i|| of a unit
     vector u_i, the rounding of its own computation included, so that
     [theta_i - rho_i, theta_i + rho_i] holds an eigenvalue: where T's
     entries are large, a computed residual can fall below the true one.
-    tau_i is the width to which dstebz itself bisects theta_i: a count at
+    tau_i is the width to which ?stebz itself bisects theta_i: a count at
     theta_i plus a smaller residual falls inside the count's own rounding
     and may miss theta_i.  If every theta_i + rho_i is finite and the
     intervals are disjoint, there are at least `count` eigenvalues up to
@@ -191,7 +195,7 @@ def _certify(diag: np.ndarray, off: np.ndarray, theta: np.ndarray,
     there, each interval holds exactly one and together they are the
     lowest `count`.  theta is off by about resid^2 / gap, so
     max resid <= sqrt(eps) max |theta| is required too.  The count is
-    _sturm_count's, dstebz's own past _PY_COUNT_MAX states.
+    _sturm_count's, at every size.
 
     With tail = (link, floor), T is the leading block A of a chain
     [[A, link E], [link E^T, B]], E joining A's last state to B's first,
@@ -205,26 +209,14 @@ def _certify(diag: np.ndarray, off: np.ndarray, theta: np.ndarray,
     lowered A - x, whose count bounds S's from above; the intervals bound
     it from below.
     """
-    rho = np.maximum(resid, 2.0 * (_TINY + _EPS * np.abs(theta)))
-    top = theta + rho
-    if not (theta.size == count and np.isfinite(top).all()
-            and np.all(theta[1:] - rho[1:] > top[:-1])
-            and resid.max() <= _SQRT_EPS * np.abs(theta).max()):
-        return False
-    if tail is not None:
+    top = _interval_top(theta, resid, count)
+    if tail is not None and top is not None:
         link, floor = tail
-        if not floor > top[-1]:
+        if not floor > top:
             return False
         diag = diag.copy()
-        diag[-1] -= link * (link / (floor - top[-1]))
-    if diag.size <= _PY_COUNT_MAX:
-        return _sturm_count(diag, off, top[-1]) == count
-    from scipy.linalg.lapack import dstebz
-
-    # range "V": the eigenvalues in (-inf, top]; an infinite abstol stops
-    # the bisection at once, so only the count is formed
-    found, *_, info = dstebz(diag, off, 1, -np.inf, top[-1], 0, 0, np.inf, "E")
-    return info == 0 and found == count
+        diag[-1] -= link * (link / (floor - top))
+    return top is not None and _sturm_count(diag, off, top) == count
 
 
 def _twisted_vectors(diag: np.ndarray, off: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -275,7 +267,7 @@ def _rotated_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray, want: in
     the vectors _twisted_vectors' at them on the leading m states, m =
     2 want + 32 doubling until the cut holds: every residual of the padded
     vectors in the whole chain is at most 4 tau, tau = 2 tiny + 2 eps
-    theta the width to which dstebz bisects, the link e = c kp[m - 1]
+    theta the width to which ?stebz bisects, the link e = c kp[m - 1]
     moves each by at most tau, and _certify takes them with tail (e, g),
     g = (c0 - 2|c|) k0[m] a Gershgorin floor of the states past m (k0
     rises by 1 a state, K+ <= K0 + 1/2).  The vectors fall off by about

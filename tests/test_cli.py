@@ -377,6 +377,14 @@ class TestNonFiniteInputs:
         (("pdm", *BASE, "--tau", "1e160"), "effective potential is not finite"),
         (("pdm", *BASE, "--tau", "1e300"), "effective potential is not finite"),
         (("pdm", *BASE, "--tau=-1.7e308"), "effective potential is not finite"),
+        # P = 7.4e-332 > 0 rounded to 0: "z = 1 is inadmissible"
+        (("metric", "--omega", "3.054936363499605e-151", "--alpha", "2.2912022726247035e-151",
+          "--beta", "7.637340908749039e-152", "--z", "1"),
+         "the stability polynomial at z = 1 is nonzero but rounds to 0 as a double"),
+        # a gap of 2^-1080 rounded to 0: "must be positive (got 0)"
+        (("validate", "--omega", "2.778448436856347e-163", "--alpha", "2.409919865102884e-181",
+          "--beta", "1.204959932551442e-181"),
+         "omega^2 - 4*alpha*beta is nonzero but rounds to 0 as a double"),
     ])
     def test_refused_by_name(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -828,6 +836,20 @@ print(bundle.spectrum_h.size, pairs.size,
 """
         proc = self._run("-c", script)
         assert proc.stderr.splitlines()[-1] == "5 25 []"
+
+    def test_long_chain_cut_loads_no_scipy(self):
+        # this x's certified cut holds 328 states: the chains' certificate
+        # counts in Python at every size, so no count imports scipy
+        script = """
+import sys
+from su11metric import AlgebraElement, discrete_series
+from su11metric.verification import _low_eigs
+c = 1.071386903518382
+_, vecs = _low_eigs(AlgebraElement(2.8690555219658664, c, c), discrete_series(0.25, 1200), 25)
+print(vecs.shape, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+        proc = self._run("-c", script)
+        assert proc.stderr.splitlines()[-1] == "(328, 25) []"
 
 
 class TestParsing:

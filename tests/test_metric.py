@@ -168,6 +168,19 @@ class TestOneGate:
         with pytest.raises(InvalidParams, match=f"^{re.escape(message)}"):
             f(p, z)
 
+    def test_nonzero_rounded_to_zero_is_refused(self):
+        # P = den^2 = 7.4e-332 > 0 exactly at z = 1, and a gap of 2^-1080,
+        # round to 0: z = 1 read as inadmissible, the gap as not positive
+        w = 2.0 ** -500
+        tiny_p = SwansonParams(w, 0.75 * w, 0.25 * w + 2.0 ** -550)
+        message = "the stability polynomial at z = 1 is nonzero but rounds to 0 as a double"
+        for f in (is_admissible, solve_metric, solve_epsilon, mu_nu, power_base):
+            with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+                f(tiny_p, 1.0)
+        assert is_admissible(tiny_p, 0.5)
+        with pytest.raises(InvalidParams, match=r"^omega\^2 - 4\*alpha\*beta is nonzero"):
+            validate_params(SwansonParams(2.0 ** -540, 2.0 ** -600, 2.0 ** -601))
+
     @pytest.mark.parametrize("z", [2.0, -1.5, float("nan"), float("inf")])
     def test_z_off_the_range(self, z):
         assert not is_admissible(P, z)

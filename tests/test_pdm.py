@@ -123,9 +123,18 @@ class TestOneDiscretization:
             assert np.abs(comb - ref).max() <= 1e-14 * np.abs(ref).max(), cfg
 
     @pytest.mark.parametrize("tau", [3.0, 2.7])
-    def test_terms_match_the_g_derivatives(self, tau):
+    def test_terms_match_the_g_derivatives(self, tau, monkeypatch):
         cfg = replace(CFG, tau=tau, points=1000)
-        x, dx, w, curv, well, drift, tilt = _grid_terms(cfg)
+        x, dx, w, curv, well, gp_got = _grid_terms(cfg)
+        # pdm_generators' own drift and tilt: with w and curv zeroed, K+ - K-
+        # holds exactly +-drift/(2 dx) on its links and tilt - 1/2 on its
+        # diagonal, up to well^2's rounding
+        monkeypatch.setattr(pdm, "_grid_terms",
+                            lambda _: (x, dx, 0.0 * w, 0.0 * curv, well, gp_got))
+        _, kp, km = pdm_generators(cfg)
+        diff = kp.matrix - km.matrix
+        drift = np.append(-diff.diagonal(1), diff.diagonal(-1)[-1]) * (2.0 * dx)
+        tilt = diff.diagonal() + 0.5
         s = cfg.s
         half = cfg.x_min + dx * (np.arange(cfg.points + 1) + 0.5)
         g = -np.exp(-s * x) / s
@@ -134,6 +143,7 @@ class TestOneDiscretization:
             "w": (w, 1.0 / (np.exp(-s * half) ** 2 * dx * dx)),
             "curv": (curv, gppp / (2.0 * gp ** 3) - 1.25 * gpp ** 2 / gp ** 4),
             "well": (well, g / 2.0 + tau),
+            "gp": (gp_got, gp),
             "drift": (drift, (g + 2.0 * tau) / gp),
             "tilt": (tilt, (gpp / gp ** 2) * (g / 2.0 + tau)),
         }
@@ -430,6 +440,14 @@ class TestGenerators:
             ops = pdm_generators(cfg)
         for op in ops:
             assert np.isfinite(op.matrix.data).all()
+
+    def test_overflowing_tau_is_refused_by_name(self):
+        # well^2 overflows at tau = 1e160: the refusal is the only report
+        cfg = PdmConfig(SwansonParams(1, 0.2, 0.1), tau=1e160, points=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match="generator K0 is not finite"):
+                pdm_generators(cfg)
 
     def test_commutator_refinement(self):
         cfg = replace(CFG, x_min=-4.0, x_max=6.0)

@@ -169,8 +169,8 @@ class TestCertificate:
 
 
 class TestSturmCount:
-    # verification._sturm_count against dstebz's own count, everywhere the
-    # pure-Python count serves the certificate
+    # verification._sturm_count against dstebz's own count: on the chain
+    # cuts the certificate counts, and on grid diagonals and split chains
 
     @staticmethod
     def assert_counts_agree(d, e, points):
@@ -212,10 +212,12 @@ class TestSturmCount:
 
     @pytest.mark.parametrize("x_min", [-4.0, -600.0])
     def test_pdm_levels(self, x_min):
-        # the grid levels of up to _PY_COUNT_MAX points; at x_min = -600
-        # the diagonal reaches 1e260 and its squared links overflow
+        # grid diagonals of 100 to 256 points, which pdm counts with dstebz:
+        # no serving path, but the widest entries the count meets; at
+        # x_min = -600 the diagonal reaches 1e260 and its squared links
+        # overflow
         cfg = PdmConfig(params=P, x_min=x_min)
-        for points in (100, 150, 200, verification._PY_COUNT_MAX):
+        for points in (100, 150, 200, 256):
             d, e, _, _ = h_tridiag(dataclasses.replace(cfg, points=points))
             w = verification._bisect(d, e, 5)[0]
             self.assert_counts_agree(d, e, self.probes(d, w))
