@@ -36,6 +36,9 @@ PINS = [
       for z in ("-1", "1")),
     ["metric", "--omega", "1", "--alpha", "0.7", "--beta", "0.3", "--z", "1"],
     *(["pdm", *BASE, "--points", points] for points in ("400", "1024")),
+    *(["verify", *BASE, "--realization", realization, z, "--size", "400"]
+      for realization in ("oscillator:parity=full", "multiboson:l=3,residues=0.25,0.5,0.75")
+      for z in ("--z=0.4", "--z=-0.5")),
 ]
 
 
