@@ -23,6 +23,9 @@ NEGATIVE_MU = ["--omega", "1", "--alpha", "0.7543218246483239",
                "--beta", "-2.6068268445611213"]
 NEAR_ROOT = ["--omega", "0.03162277660168379", "--alpha", "0", "--beta", "5"]
 NEAR_PARABOLIC = ["--omega", "1", "--alpha", "0.5", "--beta", "0.49999999999"]
+# band 12 past T = 10: chains 10 and 11 hold no trusted state
+BAND_PAST_T = ["--realization", "multiboson:l=12,residues=" + ",".join(
+    str(0.25 * k) for k in range(1, 13)), "--trusted", "10"]
 PINS = [
     ["verify", *BASE, "--z", "0.2", "--size", "400"],
     ["pdm", *BASE, "--x-max", "500"],
@@ -39,6 +42,7 @@ PINS = [
     *(["verify", *BASE, "--realization", realization, z, "--size", "400"]
       for realization in ("oscillator:parity=full", "multiboson:l=3,residues=0.25,0.5,0.75")
       for z in ("--z=0.4", "--z=-0.5")),
+    ["verify", *BASE, *BAND_PAST_T, "--z", "0.4"],
 ]
 
 
