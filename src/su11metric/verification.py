@@ -6,8 +6,9 @@ Hermiticity of rho H rho^{-1} and eq. (10) rest only on the su(1,1)
 commutators, so they are checked on coefficient triples.  The matrix
 diagnostics (intertwining, quasi-Hermiticity, metric/observable
 commutation) are measured in the spectral norm of the leading trusted
-block, normalized by the operand norms, because the metric amplifies
-truncation error at the top of the basis.
+block, normalized by the left-hand side's, because the metric amplifies
+truncation error at the top of the basis; each block's norm is its
+chains' largest, one small SVD per chain (_relative_residuals).
 
 No N x N matrix is formed, and no matrix of H, h or O at all: rho and
 zeta_+ are R x R blocks (R = trusted + band) from one metric kernel whose
@@ -514,27 +515,35 @@ def materialize_metric_root(p: SwansonParams, z: float,
 
 
 def _relative_residuals(products: dict[str, tuple[np.ndarray, np.ndarray]],
-                        t: int) -> dict[str, float]:
-    """{name: |lhs - rhs| / max(|lhs|, |rhs|)} for products {name: (lhs,
-    rhs)}, in the spectral norm of the leading t x t blocks (the bare
-    difference where both operands vanish).  The norms of all the blocks
-    come from one stacked SVD; a block with a non-finite entry reads inf,
-    and so does every residual that reads it."""
+                        t: int, band: int = 1) -> dict[str, float]:
+    """{name: |lhs - rhs| / |lhs|} for products {name: (lhs, rhs)}, in the
+    spectral norm of the leading t x t blocks.  This bounds the symmetric
+    r = |lhs - rhs| / max(|lhs|, |rhs|) from above, and barely: |rhs| <=
+    |lhs| + |lhs - rhs| gives r <= r' <= r / (1 - r), so at rounding-level
+    residuals no printed digit moves, and it takes two norms per product,
+    not three.  Where lhs vanishes the residual is 0 if the difference
+    does and 1 otherwise (|rhs| / |rhs|), never the bare difference, which
+    a tiny rhs would pass.
+
+    Every block is block-diagonal over the realization's chains (states
+    c, c + band, ...): rho and zeta_+ are written chain by chain
+    (materialize_metric_root), and K0 and K+- keep each state on its
+    chain.  So a block's norm is exactly the largest of its chains',
+    one stacked SVD per chain of at most ceil(t / band) states; chains
+    past t are empty.  A block with a non-finite entry reads inf, and so
+    does every residual that reads it."""
     blocks = np.stack([b[:t, :t] for lhs, rhs in products.values()
-                       for b in (lhs - rhs, lhs, rhs)])
+                       for b in (lhs - rhs, lhs)])
     finite = np.isfinite(blocks).all(axis=(1, 2))
     norms = np.full(len(blocks), np.inf)
     if finite.any():
-        norms[finite] = np.linalg.svd(blocks if finite.all() else blocks[finite],
-                                      compute_uv=False)[:, 0]
-    out = {}
-    for name, (d, *operands) in zip(products, norms.reshape(-1, 3).tolist()):
-        base = max(operands)
-        if not math.isfinite(d + base):
-            out[name] = math.inf
-        else:
-            out[name] = d / base if base > 0.0 else d
-    return out
+        kept = blocks if finite.all() else blocks[finite]
+        norms[finite] = np.max([np.linalg.svd(kept[:, c::band, c::band],
+                                              compute_uv=False)[:, 0]
+                                for c in range(min(band, t))], axis=0)
+    return {name: math.inf if not math.isfinite(d + base)
+            else d / base if base > 0.0 else float(d > 0.0)
+            for name, (d, base) in zip(products, norms.reshape(-1, 2).tolist())}
 
 
 def _largest(x: AlgebraElement) -> float:
@@ -558,7 +567,7 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
                       the exact stability polynomial, metric._weights)
 
     The rest are spectral norms of the leading trusted x trusted block,
-    normalized by the operand norms:
+    normalized by the left-hand side's (_relative_residuals):
 
         r_intertwine  h rho - rho H
         r_quasi       zeta_+ H - H^T zeta_+
@@ -575,7 +584,7 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     spectrum_h is h's lowest SPECTRUM_COUNT eigenvalues (all N if N is
     smaller), taken by _low_eigs before any metric block is formed: it
     refuses an admissible z where mu <= 0, whose h is unbounded below.
-    The nine spectral norms come from one stacked SVD.
+    The six spectral norms come from one stacked SVD per chain.
     """
     validate_params(p)
     n = realization.dim
@@ -608,7 +617,7 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
             "r_intertwine": (prod[0], prod[1].T),
             "r_quasi": (prod[2].T, prod[3]),
             "r_commute": (prod[4].T, prod[5]),
-        }, t)
+        }, t, realization.band)
     residuals = {
         "r_herm": max(abs(y.c0.imag), abs(y.cm - y.cp.conjugate())) / _largest(y),
         "r_eq10": max(abs(y.c0 - h_coeffs.c0), abs(y.cm - h_coeffs.cm),

@@ -938,6 +938,15 @@ def admissible_points(draw):
     return p, z
 
 
+# The largest singular value LAPACK gives for a 50 x 50 residual block was
+# up to 13 ulps off a 40-digit solve (a chain's 25 x 25 block: 4), so two
+# ways of taking a norm ratio agree to about 11 ulps, not to one.
+SVD_ULPS = 16
+# (realization, T): the z0 workload's five at T = 50, and a band past T
+CHAIN_CASES = [*((desc, 50) for desc in KINDS[:5]),
+               ("multiboson:l=12,residues=" + ",".join(str(0.25 * k) for k in range(1, 13)), 10)]
+
+
 class TestCoefficientResiduals:
     def test_unused_ordering_pivot_vanishes(self):
         # at these z the ordering that is not materialized has a zero
@@ -982,22 +991,79 @@ class TestCoefficientResiduals:
         for name in ("r_intertwine", "r_quasi", "r_commute"):
             assert b.residuals[name] == np.inf, name
 
-    def test_relative_residuals_from_one_svd(self):
-        # the stacked SVD gives each block the norm of its own SVD, bit for
-        # bit; a non-finite entry in the difference or in an operand reads
-        # inf, and vanishing operands leave the bare difference
+    def test_relative_residuals_over_lhs_by_chain(self):
+        # each residual is |lhs - rhs| / |lhs|, bit for bit the norms of
+        # its own SVDs at band 1, and within the symmetric residual's
+        # bracket [r, r / (1 - r)]; a non-finite entry in the difference or
+        # in an operand reads inf; a vanishing lhs reads 0 where the
+        # difference vanishes and 1 otherwise, however small the rhs
         rng = np.random.default_rng(11)
-        a, b = rng.normal(size=(2, 12, 12))
+        a, e = rng.normal(size=(2, 12, 12))
+        b = a + 0.1 * e
         nan, inf, zero = a.copy(), np.full((12, 12), np.inf), np.zeros((12, 12))
         nan[3, 4] = np.nan
+        tiny = zero.copy()
+        tiny[2, 5] = 1e-300
         got = verification._relative_residuals(
-            {"plain": (a, b), "nan": (nan, b), "inf": (a, inf),
-             "zero": (zero, zero), "same": (a, a)}, 10)
-        assert got["plain"] == (spectral_norm((a - b)[:10, :10])
-                                / max(spectral_norm(a[:10, :10]),
-                                      spectral_norm(b[:10, :10])))
+            {"plain": (a, b), "swapped": (b, a), "nan": (nan, b), "inf": (a, inf),
+             "zero": (zero, zero), "same": (a, a), "zero lhs": (zero, tiny)}, 10)
+        d, na, nb = (spectral_norm(m[:10, :10]) for m in (a - b, a, b))
+        assert got["plain"] == d / na and got["swapped"] == d / nb
+        old = d / max(na, nb)
+        assert 0.0 < old < 1.0 and na != nb
+        for name in ("plain", "swapped"):
+            assert old <= got[name] <= old / (1.0 - old), name
         assert got["nan"] == got["inf"] == math.inf
         assert got["zero"] == got["same"] == 0.0
+        assert got["zero lhs"] == 1.0
+
+        # on blocks that are block-diagonal over the chains of band 2 and
+        # 3, the largest chain norm is the whole block's
+        i = np.arange(12)
+        for band in (2, 3):
+            chains = (i[:, None] - i) % band == 0
+            got = verification._relative_residuals(
+                {"chains": (a * chains, b * chains)}, 10, band)["chains"]
+            want = (spectral_norm(((a - b) * chains)[:10, :10])
+                    / spectral_norm((a * chains)[:10, :10]))
+            assert abs(got - want) <= SVD_ULPS * np.spacing(want), band
+
+    def test_matrix_residuals_bracket_the_whole_block_norms(self, monkeypatch):
+        # each matrix residual of build_bundle lies in [r, r / (1 - r)] of
+        # the symmetric r, taken here with whole T x T SVDs of the same
+        # products, for the z0 workload's realizations and a band past T
+        taken = []
+        exact = verification._relative_residuals
+        monkeypatch.setattr(verification, "_relative_residuals",
+                            lambda products, t, band: taken.append(products)
+                            or exact(products, t, band))
+        for desc, t in CHAIN_CASES:
+            r, _ = from_descriptor(desc, 200)
+            for z in (0.0, 0.4):
+                taken.clear()
+                b = build_bundle(P, z, r, trusted=t)
+                for name, (lhs, rhs) in taken[0].items():
+                    d, nl, nr = (spectral_norm(m[:t, :t]) for m in (lhs - rhs, lhs, rhs))
+                    old, got = d / max(nl, nr), b.residuals[name]
+                    slack = SVD_ULPS * np.spacing(old)
+                    assert old - slack <= got <= old / (1.0 - old) + slack, (desc, z, name)
+
+    def test_six_chain_blocks_per_chain(self, monkeypatch):
+        # the norms come from SVDs of the chains' blocks: six per chain
+        # (lhs - rhs and lhs of three products), none past ceil(T / band)
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(verification.np.linalg, "svd",
+                            lambda a, *args, **kwargs: shapes.append(a.shape)
+                            or svd(a, *args, **kwargs))
+        for desc, t in CHAIN_CASES:
+            r, _ = from_descriptor(desc, 200)
+            for z in (0.0, 0.4):
+                shapes.clear()
+                build_bundle(P, z, r, trusted=t)
+                side = -(-t // r.band)
+                assert sum(s[0] for s in shapes) == 6 * min(r.band, t), (desc, z, shapes)
+                assert all(s[1] == s[2] <= side for s in shapes), (desc, z, shapes)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(admissible_points())
