@@ -515,7 +515,7 @@ def materialize_metric_root(p: SwansonParams, z: float,
 
 
 def _relative_residuals(products: dict[str, tuple[np.ndarray, np.ndarray]],
-                        t: int, band: int = 1) -> dict[str, float]:
+                        t: int, band: int) -> dict[str, float]:
     """{name: |lhs - rhs| / |lhs|} for products {name: (lhs, rhs)}, in the
     spectral norm of the leading t x t blocks.  This bounds the symmetric
     r = |lhs - rhs| / max(|lhs|, |rhs|) from above, and barely: |rhs| <=

@@ -1006,7 +1006,7 @@ class TestCoefficientResiduals:
         tiny[2, 5] = 1e-300
         got = verification._relative_residuals(
             {"plain": (a, b), "swapped": (b, a), "nan": (nan, b), "inf": (a, inf),
-             "zero": (zero, zero), "same": (a, a), "zero lhs": (zero, tiny)}, 10)
+             "zero": (zero, zero), "same": (a, a), "zero lhs": (zero, tiny)}, 10, 1)
         d, na, nb = (spectral_norm(m[:10, :10]) for m in (a - b, a, b))
         assert got["plain"] == d / na and got["swapped"] == d / nb
         old = d / max(na, nb)
