@@ -43,6 +43,19 @@ PINS = [
       for realization in ("oscillator:parity=full", "multiboson:l=3,residues=0.25,0.5,0.75")
       for z in ("--z=0.4", "--z=-0.5")),
     ["verify", *BASE, *BAND_PAST_T, "--z", "0.4"],
+    # the 500-point level certifies only from the bisection's values
+    ["pdm", *BASE, "--x-min=-2", "--x-max", "6"],
+    ["pdm", *BASE, "--tau", "1.0"],
+    # the sectors, a zero multiboson residue and weights other than 1/4 at
+    # z != 0; alpha = -beta = 1/4 makes |z| <= 0.447 inadmissible for conformal
+    *(["verify", *BASE, "--realization", realization, z, "--size", "400"]
+      for realization, z in (("oscillator:parity=even", "--z=0.4"),
+                             ("oscillator:parity=odd", "--z=-0.5"),
+                             ("radial:L=1", "--z=0.4"),
+                             ("conformal:k=0.75,c=1", "--z=0.6"),
+                             ("multiboson:l=2,residues=0,0.5", "--z=0"),
+                             ("multiboson:l=2,residues=0,0.5", "--z=0.4"),
+                             ("discrete:k=1.6", "--z=-0.5"))),
 ]
 
 
