@@ -14,16 +14,16 @@ oracle.  The low spectrum must follow sqrt(omega^2 - 4*alpha*beta)(n + 1/2).
 Dirichlet walls stand far enough out that the low eigenfunctions decay
 below a threshold at both; a run whose decay check fails is INCONCLUSIVE.
 
-The grid is solved at three refinement levels, coarse to fine.  The
-coarsest level refines the algebraic law's values, and each finer level
-the coarser level's eigenvalues, by three Rayleigh-quotient steps taken
-for all three at once: one tridiagonal solve (dgtsv) a step, of the
-shifted systems as the blocks of one matrix.  Every level is certified
-on the intervals of the chains' certificate (verification._certify) from
-residuals that bound their own rounding, and counted by LAPACK (dstebz).
-A level whose seeds fail it refines the bisection's values instead, and
-one not certified even then raises NoConvergence.  The solves import
-scipy's LAPACK when they first run, not this module.
+The grid is solved at three refinement levels, coarse to fine, each by
+_grid_spectrum from seeds: the algebraic law's values at the coarsest
+level, the coarser level's eigenvalues at each finer one.  Three
+Rayleigh-quotient steps refine them, all three at once, with one
+tridiagonal solve (dgtsv) a step.  Each level is certified on the chains'
+intervals (verification._certify) from residuals that bound their own
+rounding, and counted by LAPACK (dstebz).  A level whose seeds fail it
+refines the bisection's values instead, and one not certified even then
+raises NoConvergence.  The solves import scipy's LAPACK when they first
+run, not this module.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class GridOperator:
 class PdmReport:
     """Outcome of the spectral check with its refinement protocol."""
 
-    config: PdmConfig
     points_used: tuple[int, ...]
     eigenvalues: np.ndarray
     predicted: np.ndarray
@@ -235,54 +234,41 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     return theta, q.T, resid + 4.0 * _EPS * np.sqrt(np.einsum("ij,ij->i", m, m))
 
 
-def _certified(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, count: int):
-    """(values, vectors, residuals) of the lowest `count` eigenpairs, refined
-    from `shifts` by _rayleigh, certified on verification._certify's
-    intervals with dstebz's own count; None where a solve or the certificate
-    fails.  From shifts far off, such as the law on a grid whose walls cut
-    the eigenfunctions, the residuals stay well above its sqrt(eps) bound.
-    """
-    from scipy.linalg.lapack import dstebz
-
-    shifts = np.asarray(shifts, dtype=float)
-    got = _rayleigh(diag, off, shifts) if np.isfinite(shifts).all() else None
-    top = None if got is None else _interval_top(got[0], got[2], count)
-    if top is None:
-        return None
-    # range "V": the eigenvalues in (-inf, top]; an infinite abstol stops
-    # the bisection at once, so only the count is formed
-    found, *_, info = dstebz(diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
-    return got if info == 0 and found == count else None
-
-
-def pdm_spectrum(cfg: PdmConfig, near: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarray):
     """(values, vectors, residuals) of the lowest COUNT eigenpairs of the
-    grid h, certified, with residuals ||T q - theta q|| of the vectors q.
+    grid h of a validated cfg with its _mass_weights, certified, with
+    residuals ||T q - theta q|| of the vectors q.
 
-    `near` holds approximate eigenvalues, such as a coarser grid's or the
-    algebraic law's; the solve refines them (see _certified).  Without
-    `near`, or where their certificate fails, it refines the bisection's
-    values.  NoConvergence, naming the grid's points, its diagonal's range
-    and any failure of the bisection, where these do not certify either.
+    _rayleigh refines `near`, approximate eigenvalues such as a coarser
+    grid's or the algebraic law's, and the result is certified on
+    verification._certify's intervals with dstebz's own count.  Seeds far
+    off, such as the law on a grid whose walls cut the eigenfunctions,
+    leave residuals well above its sqrt(eps) bound; the bisection's values
+    are then refined and certified the same way.  NoConvergence, naming the
+    grid's points, its diagonal's range and any failure of the bisection,
+    where these do not certify either.
     """
-    return _grid_spectrum(validate_config(cfg), _mass_weights(cfg), near)
-
-
-def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarray | None):
-    """pdm_spectrum of a validated cfg with its _mass_weights."""
     diag, off, _, _ = _h_tridiag(cfg, weights)
-    got = None if near is None else _certified(diag, off, near, COUNT)
+    from scipy.linalg.lapack import dstebz
     reason = ""
-    try:
-        got = got or _certified(diag, off, _bisect(diag, off, COUNT)[0], COUNT)
-    except NoConvergence as exc:
-        reason = f": {exc}"
-    if got is None:
-        raise NoConvergence(
-            f"the {cfg.points}-point grid's lowest {COUNT} eigenvalues cannot be certified "
-            f"(its diagonal spans {diag.min():.3g} to {diag.max():.3g}){reason}")
-    return got
+    for shifts in (near, None):
+        if shifts is None:
+            try:
+                shifts = _bisect(diag, off, COUNT)[0]
+            except NoConvergence as exc:
+                reason = f": {exc}"
+                break
+        got = _rayleigh(diag, off, shifts) if np.isfinite(shifts).all() else None
+        top = None if got is None else _interval_top(got[0], got[2], COUNT)
+        if top is not None:
+            # range "V": the eigenvalues in (-inf, top]; an infinite abstol
+            # stops the bisection at once, so only the count is formed
+            found, *_, info = dstebz(diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
+            if info == 0 and found == COUNT:
+                return got
+    raise NoConvergence(
+        f"the {cfg.points}-point grid's lowest {COUNT} eigenvalues cannot be certified "
+        f"(its diagonal spans {diag.min():.3g} to {diag.max():.3g}){reason}")
 
 
 def boundary_decay(vecs: np.ndarray) -> float:
@@ -299,7 +285,7 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
     (coarse to fine); these levels must be distinct grids of at least 100
     points, so the check needs 400 points (else InvalidParams).
     The coarsest level refines the algebraic law's values and each finer
-    level those of the level before it (see pdm_spectrum); the certificate,
+    level those of the level before it (see _grid_spectrum); the certificate,
     not the seed, makes them the grid's own lowest eigenvalues, so their
     match with the law is not circular.  Every level is certified (else
     NoConvergence), each eigenvalue's successive changes must keep their
@@ -344,10 +330,9 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
         status = "PASS"
     else:
         status = "FAIL"
-    return PdmReport(config=cfg, points_used=points_used, eigenvalues=finest,
-                     predicted=predicted, rel_errors=rel_errors,
-                     refine_table=refine_table, refine_residuals=refine_residuals,
-                     convergence_ok=convergence_ok,
+    return PdmReport(points_used=points_used, eigenvalues=finest, predicted=predicted,
+                     rel_errors=rel_errors, refine_table=refine_table,
+                     refine_residuals=refine_residuals, convergence_ok=convergence_ok,
                      boundary_decay=decay, status=status)
 
 

@@ -652,9 +652,10 @@ class TestPdmCommand:
         with pytest.raises(NoConvergence, match="stebz did not converge"):
             verification._low_eigs(AlgebraElement(1.0, 0.495, 0.495),
                                    discrete_series(0.25, 100), 3)
+        # a non-finite seed certifies nothing, so the grid bisects
+        cfg = pdm.PdmConfig(params=SwansonParams(1.0, 0.2, 0.1), points=400)
         with pytest.raises(NoConvergence, match="stebz did not converge"):
-            pdm.pdm_spectrum(pdm.PdmConfig(params=SwansonParams(1.0, 0.2, 0.1),
-                                           points=400))
+            pdm._grid_spectrum(cfg, pdm._mass_weights(cfg), np.full(3, np.nan))
         code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", "--x-max", "300")
         assert (code, out) == (3, "")

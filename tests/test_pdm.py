@@ -13,9 +13,9 @@ from scipy.linalg import eigh_tridiagonal
 from su11metric import (InvalidParams, NoConvergence, SwansonParams,
                         hermitian_equivalent, is_admissible)
 from su11metric import pdm, verification
-from su11metric.pdm import (PdmConfig, _grid_terms, _h_tridiag, _interior_grid,
-                            _mass_weights, boundary_decay, pdm_generators,
-                            pdm_spectrum, run_pdm_check, validate_config)
+from su11metric.pdm import (PdmConfig, _grid_spectrum, _grid_terms, _h_tridiag,
+                            _interior_grid, _mass_weights, boundary_decay,
+                            pdm_generators, run_pdm_check, validate_config)
 
 from oracles import pdm_flux_form
 
@@ -33,6 +33,16 @@ def h_tridiag(cfg):
     return _h_tridiag(cfg, _mass_weights(cfg))
 
 
+def grid_spectrum(cfg, near=None):
+    """_grid_spectrum of cfg from `near`, or without it from the
+    bisection's values."""
+    cfg = validate_config(cfg)
+    if near is None:
+        diag, off, _, _ = h_tridiag(cfg)
+        near = verification._bisect(diag, off, pdm.COUNT)[0]
+    return _grid_spectrum(cfg, _mass_weights(cfg), near)
+
+
 def admissible_configs(points):
     for coupling in COUPLINGS:
         params = SwansonParams(*coupling)
@@ -43,37 +53,36 @@ def admissible_configs(points):
 
 class TestConfig:
     def test_defaults_valid(self):
-        vals = pdm_spectrum(CFG)[0]
+        vals = grid_spectrum(CFG)[0]
         assert vals.shape == (3,) and np.isfinite(vals).all()
 
     def test_invalid(self):
         with pytest.raises(InvalidParams):
-            pdm_spectrum(replace(CFG, s=-0.5))
+            validate_config(replace(CFG, s=-0.5))
         with pytest.raises(InvalidParams):
-            pdm_spectrum(replace(CFG, x_min=2.0, x_max=-2.0))
+            validate_config(replace(CFG, x_min=2.0, x_max=-2.0))
         with pytest.raises(InvalidParams):
-            pdm_spectrum(replace(CFG, points=50))
+            validate_config(replace(CFG, points=50))
         # non-finite inputs, and grids whose e^(2 s max|x|) over dx^2 or
         # over (2 s)^2 leaves the double range, are refused before any exp
         for name, bad in (("s", math.inf), ("tau", math.nan), ("tau", math.inf),
                           ("x_min", -math.inf), ("x_max", math.inf)):
             with pytest.raises(InvalidParams, match="must be finite"):
-                pdm_spectrum(replace(CFG, **{name: bad}))
+                validate_config(replace(CFG, **{name: bad}))
         for bad in (dict(s=50.0), dict(x_max=2000.0), dict(x_min=-2000.0),
                     dict(s=1e-160)):
             with pytest.raises(InvalidParams, match="grid terms overflow"):
-                pdm_spectrum(replace(CFG, **bad))
+                validate_config(replace(CFG, **bad))
 
     def test_wide_domain_accepted(self):
         # 2 s max|x| = 600 is representable; the spectrum takes it
         wide = replace(CFG, x_min=-600.0)
         assert validate_config(wide) is wide
-        assert np.isfinite(pdm_spectrum(wide)[0]).all()
+        assert np.isfinite(grid_spectrum(wide)[0]).all()
 
     def test_checked_once_per_call(self, monkeypatch):
         # run_pdm_check validates its config and takes mu and nu once, not
-        # once per level; pdm_spectrum and pdm_generators check their own
-        # input once each
+        # once per level; pdm_generators checks its own input once
         calls = []
         for name in ("validate_config", "mu_nu"):
             def counted(*args, _name=name, _f=getattr(pdm, name)):
@@ -81,7 +90,6 @@ class TestConfig:
                 return _f(*args)
             monkeypatch.setattr(pdm, name, counted)
         for run, expected in ((run_pdm_check, ["validate_config", "mu_nu"]),
-                              (pdm_spectrum, ["validate_config", "mu_nu"]),
                               (pdm_generators, ["validate_config"])):
             calls.clear()
             run(replace(CFG, points=400))
@@ -162,7 +170,7 @@ class TestSpectralCheck:
         assert report.convergence_ok
 
     def test_half_integer_law(self):
-        vals = pdm_spectrum(replace(CFG, points=1500))[0]
+        vals = grid_spectrum(replace(CFG, points=1500))[0]
         expect = math.sqrt(0.92) * (np.arange(3) + 0.5)
         assert np.abs(vals - expect).max() / expect[0] < 0.01
 
@@ -189,7 +197,7 @@ class TestSpectralCheck:
         report = run_pdm_check(CFG)
         finest = replace(CFG, points=report.points_used[-1])
         near = report.refine_table[report.points_used[-2]]
-        _, vecs, _ = pdm_spectrum(finest, near=near)
+        _, vecs, _ = grid_spectrum(finest, near)
         assert boundary_decay(vecs) == report.boundary_decay
 
     def test_constant_mass_limit(self):
@@ -250,13 +258,13 @@ class TestCertifiedChain:
                 assert np.isfinite(resid).all(), (z, points, resid)
 
     def test_coarser_values_skip_the_bisection(self, monkeypatch):
-        near = pdm_spectrum(replace(CFG, points=500))[0]
+        near = grid_spectrum(replace(CFG, points=500))[0]
 
         def refuse(*args, **kwargs):
             raise AssertionError("bisected although the shifts certify")
 
         monkeypatch.setattr(pdm, "_bisect", refuse)
-        vals, _, resid = pdm_spectrum(replace(CFG, points=1000), near=near)
+        vals, _, resid = grid_spectrum(replace(CFG, points=1000), near)
         assert np.all(resid <= 1e-9 * vals)
 
     def test_boundary_decay_matches_dense_eigh(self):
@@ -269,7 +277,7 @@ class TestCertifiedChain:
         assert abs(report.boundary_decay - dense) <= 1e-10 * dense
         assert report.status == "PASS"
 
-    def test_shifts_one_level_up_fail_the_certificate(self):
+    def test_shifts_one_level_up_fail_the_certificate(self, monkeypatch):
         # the 2nd-4th eigenvalues, even with residuals 0, are three disjoint
         # intervals, but the Sturm count finds four up to them: the solve
         # falls back to bisection and still returns the lowest three
@@ -280,11 +288,19 @@ class TestCertifiedChain:
                                    tol=2.0 * np.finfo(float).tiny)
         assert not verification._certify(diag, off, lowest4[1:], np.zeros(3), 3)
         assert verification._certify(diag, off, lowest4[:3], np.zeros(3), 3)
-        assert pdm._certified(diag, off, lowest4[1:], 3) is None
-        vals, _, resid = pdm_spectrum(cfg, near=lowest4[1:])
+        bisected = []
+
+        def counted(*args, _f=pdm._bisect):
+            bisected.append(args[2])
+            return _f(*args)
+
+        monkeypatch.setattr(pdm, "_bisect", counted)
+        vals, _, resid = grid_spectrum(cfg, lowest4[1:])
+        # the shifts' own refinement fails the certificate
+        assert bisected == [3]
         assert np.allclose(vals, lowest4[:3], rtol=1e-11, atol=0.0)
         assert np.isfinite(resid).all()
-        assert np.array_equal(vals, pdm_spectrum(cfg)[0])
+        assert np.array_equal(vals, grid_spectrum(cfg)[0])
 
     def test_no_solve_calls_dstein(self, monkeypatch):
         # one dgtsv call per Rayleigh step solves for every shift at once;
@@ -301,19 +317,19 @@ class TestCertifiedChain:
     @staticmethod
     def certified_levels(monkeypatch, cfg):
         """run_pdm_check(cfg), and the (diag, off, (theta, vecs, resid)) of
-        each level, coarse to fine, as _certified returned them; each
+        each level, coarse to fine, as _grid_spectrum returned them; each
         residual must cover the 60-digit ||T q - theta q|| of its theta
         and q."""
         got = []
-        certified = pdm._certified
+        solve = pdm._grid_spectrum
 
-        def record(diag, off, shifts, count):
-            out = certified(diag, off, shifts, count)
-            if out is not None:
-                got.append((diag, off, out))
+        def record(level, weights, near):
+            out = solve(level, weights, near)
+            diag, off, _, _ = _h_tridiag(level, weights)
+            got.append((diag, off, out))
             return out
 
-        monkeypatch.setattr(pdm, "_certified", record)
+        monkeypatch.setattr(pdm, "_grid_spectrum", record)
         report = run_pdm_check(cfg)
         assert [diag.size for diag, _, _ in got] == list(report.points_used)
         with mp.workdps(60):
@@ -331,7 +347,7 @@ class TestCertifiedChain:
         # on the wide grid the diagonal reaches 1e260, and a computed
         # ||T q - theta q|| fell below the true one (1.1e-17 against 4.7e-17
         # at 1000 points); with the bound on its own rounding, each residual
-        # _certified returns covers the 60-digit one of its theta and q
+        # _grid_spectrum returns covers the 60-digit one of its theta and q
         self.certified_levels(monkeypatch, replace(CFG, z=0.8, x_min=-600.0))
 
     def test_wall_rows_taken_error_free(self, monkeypatch):
