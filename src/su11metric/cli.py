@@ -7,8 +7,10 @@ printed with 12 significant digits; sweep output is CSV with a fixed,
 documented column order and is fully computed before anything is
 emitted, so no partial CSV is produced on error.  The closed-form
 subcommands (validate, disentangle, metric, spectrum) load neither numpy
-nor scipy; verify, sweep and pdm load the matrix layer (numpy) on first
-use.  Only pdm loads scipy, for its grid's solves and counts: verify and
+nor scipy nor dataclasses: the algebra layer's records are NamedTuples.
+verify, sweep and pdm load the matrix layer (numpy) on first use, and
+its records are dataclasses, whose import is a small share of numpy's.
+Only pdm loads scipy, for its grid's solves and counts: verify and
 sweep take h's values from the harmonic law, count them in Python, and
 bisect with scipy only a chain where the law does not hold to rounding in
 N states, a near-parabolic h.  Where mu <= 0, h is unbounded below, and

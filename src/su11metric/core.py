@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DecompositionSingular, InvalidParams, TrigRegime
 
@@ -29,13 +29,16 @@ from .errors import DecompositionSingular, InvalidParams, TrigRegime
 PIVOT_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(NamedTuple):
     """Coefficient triple (c0, cm, cp) of c0*K0 + cm*Km + cp*Kp."""
 
     c0: complex
     cm: complex
     cp: complex
+
+    # a tuple is a sequence, which numpy scalars would broadcast over:
+    # None makes np.float64(2.0) * x defer to __rmul__
+    __array_ufunc__ = None
 
     def casimir(self) -> complex:
         """Quadratic form c0**2 - 4*cp*cm, invariant under conjugation."""
@@ -59,8 +62,7 @@ class AlgebraElement:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Ordered-product parameters of a group element.
 
     ordering "normal":      exp(p Kp) exp(q K0) exp(r Km)

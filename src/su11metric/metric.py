@@ -13,14 +13,13 @@ observable fixed by rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import AlgebraElement, _mat_vec, adjoint_matrix
 from .errors import InvalidParams, ZOutOfDomain
 
 
-@dataclass(frozen=True)
-class SwansonParams:
+class SwansonParams(NamedTuple):
     """Oscillator frequency and the two non-Hermitian couplings."""
 
     omega: float
@@ -28,8 +27,7 @@ class SwansonParams:
     beta: float
 
 
-@dataclass(frozen=True)
-class MetricSolution:
+class MetricSolution(NamedTuple):
     """All derived quantities of the metric family at one (params, z)."""
 
     params: SwansonParams

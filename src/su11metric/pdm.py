@@ -18,8 +18,8 @@ The grid is solved at three refinement levels, coarse to fine, each by
 _grid_spectrum from seeds: the algebraic law's values at the coarsest
 level, the coarser level's eigenvalues at each finer one.  Three
 Rayleigh-quotient steps refine them, all three at once, with one
-tridiagonal solve (dgtsv) a step.  Each level is certified on the chains'
-intervals (verification._certify) from residuals that bound their own
+tridiagonal solve (dgtsv) a step.  Each level is certified on disjoint
+intervals (verification._interval_top) from residuals that bound their own
 rounding, and counted by LAPACK (dstebz).  A level whose seeds fail it
 refines the bisection's values instead, and one not certified even then
 raises NoConvergence.  The solves import scipy's LAPACK when they first
@@ -241,7 +241,7 @@ def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarra
 
     _rayleigh refines `near`, approximate eigenvalues such as a coarser
     grid's or the algebraic law's, and the result is certified on
-    verification._certify's intervals with dstebz's own count.  Seeds far
+    verification._interval_top's intervals with dstebz's own count.  Seeds far
     off, such as the law on a grid whose walls cut the eigenfunctions,
     leave residuals well above its sqrt(eps) bound; the bisection's values
     are then refined and certified the same way.  NoConvergence, naming the

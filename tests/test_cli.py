@@ -714,9 +714,12 @@ class TestImports:
         loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                   if line.startswith("import time:")]
         assert "su11metric" in loaded
-        # nor fractions or decimal: the stability polynomial is exact in ints
+        # nor fractions or decimal: the stability polynomial is exact in ints;
+        # nor dataclasses or the inspect tree it imports: the algebra
+        # layer's records are NamedTuples
         assert [m for m in loaded if m.split(".")[0]
-                in ("numpy", "scipy", "fractions", "decimal")] == []
+                in ("numpy", "scipy", "fractions", "decimal", "dataclasses",
+                    "inspect")] == []
 
     @pytest.mark.parametrize("realization", ["discrete:k=0.25", "oscillator:parity=full"])
     @pytest.mark.parametrize("command", [["verify", "--z", "0.4"],

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
-                        SwansonParams, TrigRegime, adjoint_matrix, conjugate,
-                        disentangle_closed_form, solve_epsilon)
+from su11metric import (AlgebraElement, DecompositionSingular, Factorization,
+                        InvalidParams, SwansonParams, TrigRegime, adjoint_matrix,
+                        conjugate, disentangle_closed_form, solve_epsilon)
 
 from oracles import (SIGMA_K0, SIGMA_KM, SIGMA_KP, defining_rep, exp_defining,
                      gauss_decompose, reconstruct_defining, stability_roots_mp)
@@ -28,6 +28,35 @@ def random_metric_pair(rng, eps_max=3.0):
     amp = 0.5 * abs(eps) * np.sqrt(rng.uniform())
     eta = amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     return eps, eta
+
+
+class TestRecords:
+    def test_fields_in_order(self):
+        assert AlgebraElement._fields == ("c0", "cm", "cp")
+        assert Factorization._fields == ("p", "q", "r", "ordering")
+        assert Factorization(1.0, 2.0, 3.0).ordering == "normal"
+        assert repr(Factorization(1.0, 2.0, 3.0)) == \
+            "Factorization(p=1.0, q=2.0, r=3.0, ordering='normal')"
+
+    def test_frozen(self):
+        x = AlgebraElement(1.0, 2.0, 3.0)
+        with pytest.raises(AttributeError):
+            x.c0 = 4.0
+        with pytest.raises(AttributeError):
+            Factorization(1.0, 2.0, 3.0).ordering = "antinormal"
+
+    def test_numpy_scalar_scales_the_element(self):
+        # a numpy scalar must defer to the element, not broadcast over it
+        x = AlgebraElement(1.0, 2.0 - 1j, 3.0)
+        for product in (np.float64(2.0) * x, x * np.float64(2.0)):
+            assert type(product) is AlgebraElement
+            assert product == 2.0 * x == AlgebraElement(2.0, 4.0 - 2j, 6.0)
+
+    def test_sum_is_the_coefficient_sum(self):
+        x, y = AlgebraElement(1.0, 2.0, 3.0), AlgebraElement(0.5j, -1.0, 4.0)
+        total = x + y
+        assert type(total) is AlgebraElement
+        assert total == AlgebraElement(1.0 + 0.5j, 1.0, 7.0)
 
 
 class TestDefiningRep:

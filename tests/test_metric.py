@@ -5,8 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from su11metric import (AlgebraElement, InvalidParams, SwansonParams,
-                        ZOutOfDomain, adjoint_matrix, build_bundle,
+from su11metric import (AlgebraElement, InvalidParams, MetricSolution,
+                        SwansonParams, ZOutOfDomain, adjoint_matrix, build_bundle,
                         commuting_observable, conjugate, conjugated_coeffs,
                         discrete_series, hermitian_equivalent, is_admissible,
                         metric, metric_exponent, mu_nu, power_base, solve_epsilon,
@@ -52,6 +52,25 @@ def admissible_samples(p, count=20, xmax=0.97):
     assert len(out) >= count
     idx = np.linspace(0, len(out) - 1, count).astype(int)
     return [out[i] for i in idx]
+
+
+class TestRecords:
+    def test_fields_in_order(self):
+        assert SwansonParams._fields == ("omega", "alpha", "beta")
+        assert MetricSolution._fields == ("params", "z", "epsilon", "eta", "theta",
+                                          "mu", "nu", "lambda_base", "u", "v", "w")
+
+    def test_repr(self):
+        assert repr(SwansonParams(1.0, 0.2, 0.1)) == \
+            "SwansonParams(omega=1.0, alpha=0.2, beta=0.1)"
+        assert repr(solve_metric(P, 0.0)).startswith(
+            "MetricSolution(params=SwansonParams(omega=1.0, alpha=0.2, beta=0.1), z=0.0, ")
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            P.alpha = 0.3
+        with pytest.raises(AttributeError):
+            solve_metric(P, 0.4).epsilon = 0.0
 
 
 class TestValidateParams:
