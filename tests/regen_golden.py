@@ -56,6 +56,11 @@ PINS = [
                              ("multiboson:l=2,residues=0,0.5", "--z=0"),
                              ("multiboson:l=2,residues=0,0.5", "--z=0.4"),
                              ("discrete:k=1.6", "--z=-0.5"))),
+    # chains too short for the law take the chain fallback: e2-e4 are the
+    # truncated chain's levels, not the law's
+    ["verify", *BASE, "--size", "12", "--trusted", "5", "--z", "0.4"],
+    ["verify", *BASE, "--realization", "multiboson:l=3,residues=0.25,0.5,0.75",
+     "--size", "12", "--trusted", "4", "--z", "0.4"],
 ]
 
 
