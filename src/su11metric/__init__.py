@@ -42,7 +42,7 @@ __all__ = [
     "swanson_element", "validate_params", "z_domain",
     "RealizationMatrices", "conformal", "discrete_series", "from_descriptor",
     "multiboson", "oscillator_full", "oscillator_sector", "radial",
-    "OperatorBundle", "build_bundle", "eigvec_residuals",
-    "materialize_metric_root", "spectrum_prediction",
+    "OperatorBundle", "build_bundle", "materialize_metric_root",
+    "spectrum_prediction",
     "__version__",
 ]

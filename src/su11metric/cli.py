@@ -11,10 +11,12 @@ nor scipy nor dataclasses: the algebra layer's records are NamedTuples.
 verify, sweep and pdm load the matrix layer (numpy) on first use, and
 its records are dataclasses, whose import is a small share of numpy's.
 Only pdm loads scipy, for its grid's solves and counts: verify and
-sweep take h's values from the harmonic law, count them in Python, and
-bisect with scipy only a chain where the law does not hold to rounding in
-N states, a near-parabolic h.  Where mu <= 0, h is unbounded below, and
-its solve (verification._low_eigs) and pdm's grid refuse z (exit 2).
+sweep take h's values from the harmonic law and count them in Python.
+A chain where the law does not hold to rounding in its N states, a
+near-parabolic h's or one too short for the law (e2 to e4 of verify
+--size 12), has its values alone bisected with scipy, no eigenvectors.
+Where mu <= 0, h is unbounded below, and its solve
+(verification._low_eigs) and pdm's grid refuse z (exit 2).
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over
 tolerance or a failed/inconclusive check, 2 invalid parameters or

@@ -29,7 +29,7 @@ run, not this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -80,12 +80,12 @@ class PdmReport:
     eigenvalues: np.ndarray
     predicted: np.ndarray
     rel_errors: np.ndarray
-    refine_table: dict[int, np.ndarray] = field(default_factory=dict)
+    refine_table: dict[int, np.ndarray]
     # ||T q - theta q|| per level, from its certificate
-    refine_residuals: dict[int, np.ndarray] = field(default_factory=dict)
-    convergence_ok: bool = False
-    boundary_decay: float = float("nan")
-    status: str = "FAIL"
+    refine_residuals: dict[int, np.ndarray]
+    convergence_ok: bool
+    boundary_decay: float
+    status: str
 
 
 def validate_config(cfg: PdmConfig) -> PdmConfig:
@@ -144,17 +144,17 @@ def _mass_weights(cfg: PdmConfig) -> tuple[float, float]:
 
 
 def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
-    """Diagonal and offdiagonal of h = mu omega (F + curv) + (nu/omega) well^2,
+    """(diag, off) of h = mu omega (F + curv) + (nu/omega) well^2,
     the grid generators' c0 K0 + c (K+ + K-) with Dirichlet walls (_grid_terms),
     for weights = _mass_weights(cfg); refused where a term (tau's) overflows."""
     mw, nw = weights
     with np.errstate(over="ignore", invalid="ignore"):
-        x, dx, w, curv, well, _ = _grid_terms(cfg)
+        _, _, w, curv, well, _ = _grid_terms(cfg)
         diag = mw * (w[1:] + w[:-1] + curv) + nw * well ** 2
     if not np.isfinite(diag).all():
         raise InvalidParams("effective potential is not finite on the grid; "
                             "shrink the domain or the exponent s")
-    return diag, -mw * w[1:-1], x, dx
+    return diag, -mw * w[1:-1]
 
 
 def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
@@ -248,13 +248,13 @@ def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarra
     grid's points, its diagonal's range and any failure of the bisection,
     where these do not certify either.
     """
-    diag, off, _, _ = _h_tridiag(cfg, weights)
+    diag, off = _h_tridiag(cfg, weights)
     from scipy.linalg.lapack import dstebz
     reason = ""
     for shifts in (near, None):
         if shifts is None:
             try:
-                shifts = _bisect(diag, off, COUNT)[0]
+                shifts = _bisect(diag, off, COUNT)
             except NoConvergence as exc:
                 reason = f": {exc}"
                 break

@@ -13,27 +13,30 @@ chains' largest, one small SVD per chain (_relative_residuals).
 No N x N matrix is formed, and no matrix of H, h or O at all: rho and
 zeta_+ are R x R blocks (R = trusted + band) from one metric kernel whose
 cost does not grow with N (materialize_metric_root), H, h and O act on
-them as band shifts (realizations.apply), and h's lowest eigenpairs come
-from its coefficients and the bands, for mu > 0 only, where h is a rotated
-oscillator: on each chain its values are the harmonic law Omega (n + k)
-and its vectors a twisted factorization's at them on the leading states a
-stated bound needs, certified by a Sturm count in Python (_low_eigs,
+them as band shifts (realizations.apply), and h's lowest eigenvalues
+come from its coefficients and the bands, for mu > 0 only, where h is a
+rotated oscillator: on each chain they are the harmonic law Omega (n + k),
+certified by a twisted factorization's vectors at them on the leading
+states a stated bound needs and a Sturm count in Python (_low_eigs,
 _rotated_chain, _certify).  A chain whose law does not hold to rounding in
-its N states is bisected whole by LAPACK, the one step that loads scipy.
-So build_bundle's cost does not grow with N; only building the
-realization, which the caller does, still does.  Where a metric block does
-not exist in the realization's basis (a divergent series, zeta_+ at z = 2
-beta / omega) it is inf, and so are the residuals that read it.  The rule
-is per entry and strict: a block whose tail bound does not fit in the N
-states is inf even where the spectral-norm residuals would not move.
-Columns asked for past the block's rows (eigvec_residuals reads them) are
-summed to the N states where their own bound does not fit, with no inf.
+its N states (a near-parabolic h, or a chain too short for it) has its
+values bisected whole by LAPACK, the one step that loads scipy.  Only
+values leave the solve.  So build_bundle's cost does not grow with N; only
+building the realization, which the caller does, still does.  Where a
+metric block does not exist in the realization's basis (a divergent
+series, zeta_+ at z = 2 beta / omega) it is inf, and so are the residuals
+that read it.  The rule is per entry and strict: a block whose tail bound
+does not fit in the N states is inf even where the spectral-norm
+residuals would not move.
+Columns asked for past the block's rows (acceptance criterion 5 and the
+tests' transport check phi = rho^{-1} psi read them) are summed to the N
+states where their own bound does not fit, with no inf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,8 +70,8 @@ class OperatorBundle:
     trusted: int
     rho: np.ndarray
     zeta_plus: np.ndarray
-    residuals: dict[str, float] = field(default_factory=dict)
-    spectrum_h: np.ndarray = field(default_factory=lambda: np.empty(0))
+    residuals: dict[str, float]
+    spectrum_h: np.ndarray
 
 
 # eigh_tridiagonal's bisection: 2 tiny absolute tolerance (LAPACK's value
@@ -77,16 +80,16 @@ _TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, count: int):
-    """eigh_tridiagonal's lowest `count` eigenvalues and vectors of the
+def _bisect(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
+    """eigh_tridiagonal's lowest `count` eigenvalues (ascending) of the
     symmetric tridiagonal (diag, off), bisected to 2 tiny absolute (at
-    ulp ||T|| a wide diagonal's low values are noise); NoConvergence where
-    it fails."""
+    ulp ||T|| a wide diagonal's low values are noise), with no
+    eigenvectors; NoConvergence where it fails."""
     from scipy.linalg import eigh_tridiagonal
 
     try:
-        return eigh_tridiagonal(diag, off, select="i", tol=2.0 * _TINY,
-                                select_range=(0, count - 1))
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                tol=2.0 * _TINY, select_range=(0, count - 1))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
 
@@ -299,20 +302,21 @@ def _rotated_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray, want: in
         m = min(k0.size, 2 * m)
 
 
-def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
-    """(values, vectors): the lowest `count` eigenvalues (ascending) of the
-    real symmetric x = c0 K0 + c (Km + Kp) on the realization, and their
-    eigenvectors as columns on the leading states the solves cover, zero
-    past them.  A count above the dimension yields all; zero none.
+def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
+              count: int) -> np.ndarray:
+    """The lowest `count` eigenvalues (ascending) of the real symmetric
+    x = c0 K0 + c (Km + Kp) on the realization, certified.  A count above
+    the dimension yields all; zero none.
 
     x must be elliptic, c0 > 2|c| (for h, mu > 0, as c0 - 2c = 2 mu omega
     and c0^2 > 4 c^2): -K0 or a hyperbolic or parabolic x has no lowest
     levels on the infinite chain and is refused.  Each chain of states
     equal modulo band is solved on its leading states (_rotated_chain) or,
-    where the law does not hold in its N states, bisected whole (_bisect).
+    where the law does not hold in its N states, its values bisected whole
+    (_bisect).
     """
     if count < 0:
-        raise InvalidParams(f"eigenpair count must be nonnegative (got {count})")
+        raise InvalidParams(f"eigenvalue count must be nonnegative (got {count})")
     if x.cm != x.cp or complex(x.c0).imag or complex(x.cm).imag:
         raise InvalidParams(f"operator is not real symmetric: {x}")
     c0, c = x.c0.real, x.cm.real
@@ -321,23 +325,15 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices, count: int):
     n, band = realization.dim, realization.band
     count = min(count, n)
     if count == 0:
-        return np.empty(0), np.empty((n, 0))
-    w, cuts = [], []
+        return np.empty(0)
+    w = []
     for ch in range(min(band, n)):
         k0 = realization.k0_diag[ch::band]
         kp = realization.kp_band[ch::band]
         want = min(count, k0.size)
-        wc, vc = _rotated_chain(c0, c, k0, kp, want) or _bisect(c0 * k0, c * kp, want)
-        w.append(wc)
-        cuts.append((len(vc), vc))
-    # chain ch's m states are rows ch, ch + band, ..., all below band * m
-    q = np.zeros((min(n, band * max(m for m, _ in cuts)), sum(map(len, w))))
-    cols = np.cumsum([0, *map(len, w)])
-    for ch, (m, vc) in enumerate(cuts):
-        q[ch::band][:m, cols[ch]:cols[ch + 1]] = vc
-    w = np.concatenate(w)
-    lowest = np.argsort(w, kind="stable")[:count]
-    return w[lowest], q[:, lowest]
+        pairs = _rotated_chain(c0, c, k0, kp, want)
+        w.append(_bisect(c0 * k0, c * kp, want) if pairs is None else pairs[0])
+    return np.sort(np.concatenate(w), kind="stable")[:count]
 
 
 # relative size of the neglected tail of an antinormal metric sum
@@ -462,10 +458,12 @@ def materialize_metric_root(p: SwansonParams, z: float,
                   N states (p^2 e^q >= 1: the matrix elements do not
                   exist, e.g. zeta_+ at z = 2 beta / omega), the block is
                   inf, not a number that depends on N.  Columns past
-                  `rows` take the count their own k0 needs; where that
-                  does not fit either, their sums run to the N states
-                  (the leading rows of the product on the truncated
-                  basis) and are not made inf.
+                  `rows`, which acceptance criterion 5 and the tests'
+                  transport check phi = rho^{-1} psi read, take the count
+                  their own k0 needs; where that does not fit either,
+                  their sums run to the N states (the leading rows of
+                  the product on the truncated basis) and are not made
+                  inf.
 
     For fixed (i, j) every term carries the same sign, so nothing cancels
     (exponentiating A through its eigensystem instead loses the far
@@ -595,7 +593,7 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     t = trusted
     r = min(t + realization.band, n)
     h_coeffs = hermitian_equivalent(p, z)
-    spectrum, _ = _low_eigs(h_coeffs, realization, SPECTRUM_COUNT)
+    spectrum = _low_eigs(h_coeffs, realization, SPECTRUM_COUNT)
     y = conjugate(metric_exponent(p, z), swanson_element(p))
 
     rho = materialize_metric_root(p, z, realization, sign=1, rows=r)
@@ -628,44 +626,3 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     return OperatorBundle(params=p, z=z, realization=realization,
                           trusted=t, rho=rho, zeta_plus=zeta,
                           residuals=residuals, spectrum_h=spectrum)
-
-
-def eigvec_residuals(bundle: OperatorBundle, count: int = 5) -> np.ndarray:
-    """Certify reconstructed eigenvectors of H on the trusted block.
-
-    Eigenvectors psi of h map to phi = rho^{-1} psi of H with the same
-    eigenvalue; returns |((H - lambda) phi)[:T]| / |phi[:T]| for the
-    lowest `count` pairs (all N if more are asked).  H vanishes outside
-    its band, so this reads only phi[:R], R = T + band: H acts on those R
-    states as a band shift (realizations.apply), and psi comes from the
-    band's tridiagonal chains, each solved on its leading states, zero
-    past them and certified in the whole of h (_low_eigs, _certify).  Of
-    rho^{-1} only the R rows and the columns up to the last state a
-    retained component of psi reaches are formed, so their count follows
-    the decay of psi, not N; columns whose antinormal sums do not complete
-    within the N states are summed to N, not made inf (see
-    materialize_metric_root).  A pair whose phi[:R] or
-    residual is not finite gets inf, never NaN.  Components of psi below
-    the eigensolver's noise floor are zeroed first: they carry no
-    information and rho^{-1} can amplify them exponentially.  The
-    certificate degrades once the metric's dynamic range is such that
-    even the retained rounding noise outruns the certified vector, which
-    is a property of the similarity itself, not of the algorithm.
-    """
-    mats = bundle.realization
-    t = bundle.trusted
-    r = min(t + mats.band, mats.dim)
-    w, q = _low_eigs(hermitian_equivalent(bundle.params, bundle.z), mats, count)
-    psi = np.where(np.abs(q) < mats.dim * np.finfo(float).eps
-                   * np.abs(q).max(axis=0), 0.0, q)
-    cols = int(np.flatnonzero(psi.any(axis=1)).max(initial=0)) + 1
-    # inf * 0 in the rows of rho^{-1} or in phi gives NaN; such a pair is inf
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rho_inv = materialize_metric_root(bundle.params, bundle.z, mats,
-                                          sign=-1, rows=r, cols=cols)
-        phi = rho_inv @ psi[:cols]
-        num = np.linalg.norm(apply(swanson_element(bundle.params), mats, phi)[:t]
-                             - w * phi[:t], axis=0)
-        den = np.linalg.norm(phi[:t], axis=0)
-    finite = np.isfinite(phi).all(axis=0) & np.isfinite(num) & np.isfinite(den)
-    return np.divide(num, den, out=np.full(w.size, np.inf), where=finite & (den > 0.0))

@@ -676,7 +676,7 @@ class TestPublicApi:
             "ZOutOfDomain", "__version__", "adjoint_matrix", "build_bundle",
             "commuting_observable", "conformal", "conjugate",
             "conjugated_coeffs", "discrete_series", "disentangle_closed_form",
-            "eigvec_residuals", "from_descriptor", "hermitian_equivalent",
+            "from_descriptor", "hermitian_equivalent",
             "is_admissible", "materialize_metric_root", "metric_exponent",
             "mu_nu", "multiboson", "oscillator_full", "oscillator_sector",
             "power_base", "radial", "solve_epsilon", "solve_metric",
@@ -827,15 +827,17 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scip
         assert proc.stderr.splitlines()[-1] == "[2, 2, 2] []"
 
     def test_default_count_bundle_loads_no_scipy(self):
-        # build_bundle's five levels, and the 25 pairs eigvec_residuals
-        # transports, take the law on h's chain with certified vectors and
-        # bisect nothing
+        # build_bundle's five levels, and h's lowest 25, take the law on h's
+        # chain, certified by its vectors, and bisect nothing
         script = """
 import sys
-from su11metric import SwansonParams, build_bundle, discrete_series, eigvec_residuals
-bundle = build_bundle(SwansonParams(1.0, 0.2, 0.1), 0.4, discrete_series(0.25, 200))
-pairs = eigvec_residuals(bundle, count=25)
-print(bundle.spectrum_h.size, pairs.size,
+from su11metric import (SwansonParams, build_bundle, discrete_series,
+                        hermitian_equivalent)
+from su11metric.verification import _low_eigs
+p, r = SwansonParams(1.0, 0.2, 0.1), discrete_series(0.25, 200)
+bundle = build_bundle(p, 0.4, r)
+levels = _low_eigs(hermitian_equivalent(p, 0.4), r, 25)
+print(bundle.spectrum_h.size, levels.size,
       sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
 """
         proc = self._run("-c", script)
@@ -843,13 +845,15 @@ print(bundle.spectrum_h.size, pairs.size,
 
     def test_long_chain_cut_loads_no_scipy(self):
         # this x's certified cut holds 328 states: the chains' certificate
-        # counts in Python at every size, so no count imports scipy
+        # counts in Python at every size, so neither the values nor the
+        # chain's certified vectors import scipy
         script = """
 import sys
 from su11metric import AlgebraElement, discrete_series
-from su11metric.verification import _low_eigs
-c = 1.071386903518382
-_, vecs = _low_eigs(AlgebraElement(2.8690555219658664, c, c), discrete_series(0.25, 1200), 25)
+from su11metric.verification import _low_eigs, _rotated_chain
+c0, c, r = 2.8690555219658664, 1.071386903518382, discrete_series(0.25, 1200)
+_low_eigs(AlgebraElement(c0, c, c), r, 25)
+_, vecs = _rotated_chain(c0, c, r.k0_diag, r.kp_band, 25)
 print(vecs.shape, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
 """
         proc = self._run("-c", script)

@@ -38,8 +38,8 @@ def grid_spectrum(cfg, near=None):
     bisection's values."""
     cfg = validate_config(cfg)
     if near is None:
-        diag, off, _, _ = h_tridiag(cfg)
-        near = verification._bisect(diag, off, pdm.COUNT)[0]
+        diag, off = h_tridiag(cfg)
+        near = verification._bisect(diag, off, pdm.COUNT)
     return _grid_spectrum(cfg, _mass_weights(cfg), near)
 
 
@@ -97,11 +97,11 @@ class TestConfig:
 
     def test_mass_positive(self):
         # a positive mass is a negative offdiagonal of h
-        _, off, _, _ = h_tridiag(replace(CFG, points=500))
+        _, off = h_tridiag(replace(CFG, points=500))
         assert np.all(off < 0.0)
 
     def test_potential_finite(self):
-        diag, _, _, _ = h_tridiag(replace(CFG, points=500))
+        diag, _ = h_tridiag(replace(CFG, points=500))
         assert np.isfinite(diag).all()
 
 
@@ -113,7 +113,7 @@ class TestOneDiscretization:
     def test_bands_match_the_mass_form(self, points):
         cases = 0
         for cfg in admissible_configs(points):
-            diag, off, _, _ = h_tridiag(cfg)
+            diag, off = h_tridiag(cfg)
             ref_diag, ref_off = pdm_flux_form(cfg)
             assert np.abs(diag / ref_diag - 1.0).max() <= 1e-14, cfg
             assert np.abs(off / ref_off - 1.0).max() <= 1e-14, cfg
@@ -126,7 +126,7 @@ class TestOneDiscretization:
             k0, kp, km = pdm_generators(cfg)
             h = hermitian_equivalent(cfg.params, cfg.z)
             comb = (h.c0 * k0.matrix + h.cp * kp.matrix + h.cm * km.matrix).toarray()
-            diag, off, _, _ = h_tridiag(cfg)
+            diag, off = h_tridiag(cfg)
             ref = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             assert np.abs(comb - ref).max() <= 1e-14 * np.abs(ref).max(), cfg
 
@@ -206,7 +206,7 @@ class TestSpectralCheck:
         cfg = PdmConfig(params=P, s=s, tau=1.0 / (2.0 * s),
                         x_min=-9.0, x_max=9.0, points=2000)
         # the flux weights of h, so the mass, vary by under 1%
-        _, off, _, _ = h_tridiag(cfg)
+        _, off = h_tridiag(cfg)
         assert off.min() / off.max() < 1.01
         report = run_pdm_check(cfg)
         assert report.status == "PASS"
@@ -236,7 +236,7 @@ class TestCertifiedChain:
                     replace(CFG, z=z, x_min=-600.0)):
             report = run_pdm_check(cfg)
             for pts in report.points_used:
-                diag, off, _, _ = h_tridiag(replace(cfg, points=pts))
+                diag, off = h_tridiag(replace(cfg, points=pts))
                 exact = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                          select_range=(0, 2),
                                          tol=2.0 * np.finfo(float).tiny)
@@ -270,7 +270,7 @@ class TestCertifiedChain:
     def test_boundary_decay_matches_dense_eigh(self):
         cfg = replace(CFG, points=400)
         report = run_pdm_check(cfg)
-        diag, off, _, _ = h_tridiag(cfg)
+        diag, off = h_tridiag(cfg)
         dense_h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         _, vecs = scipy.linalg.eigh(dense_h, subset_by_index=(0, 2))
         dense = boundary_decay(vecs)
@@ -282,7 +282,7 @@ class TestCertifiedChain:
         # intervals, but the Sturm count finds four up to them: the solve
         # falls back to bisection and still returns the lowest three
         cfg = replace(CFG, points=1000)
-        diag, off, _, _ = h_tridiag(cfg)
+        diag, off = h_tridiag(cfg)
         lowest4 = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                    select_range=(0, 3),
                                    tol=2.0 * np.finfo(float).tiny)
@@ -325,7 +325,7 @@ class TestCertifiedChain:
 
         def record(level, weights, near):
             out = solve(level, weights, near)
-            diag, off, _, _ = _h_tridiag(level, weights)
+            diag, off = _h_tridiag(level, weights)
             got.append((diag, off, out))
             return out
 
