@@ -2,10 +2,12 @@
 
 Subcommands: validate, disentangle, metric, spectrum, sweep, pdm, verify.
 Flags may be preloaded from a line-oriented key=value config file
-(--config FILE); explicit flags override file values.  Numeric output is
-printed with 12 significant digits; sweep output is CSV with a fixed,
-documented column order and is fully computed before anything is
-emitted, so no partial CSV is produced on error.  The closed-form
+(--config FILE or --config=FILE); explicit flags override file values.
+Numeric output is printed with 12 significant digits; sweep output is
+CSV with a fixed, documented column order and is fully computed before
+anything is emitted, so no partial CSV is produced on error.  verify and
+sweep refuse T (2 <= T < N) before p and z, and solve each (p, z) once
+(solve_metric), before any bundle is built from its record.  The closed-form
 subcommands (validate, disentangle, metric, spectrum) load neither numpy
 nor scipy nor dataclasses: the algebra layer's records are NamedTuples.
 verify, sweep and pdm load the matrix layer (numpy) on first use, and
@@ -32,8 +34,7 @@ import sys
 from .core import disentangle_closed_form
 from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      TrigRegime, TruncationTooSmall, ZOutOfDomain)
-from .metric import (SwansonParams, _admissible, _exact, solve_metric,
-                     spectrum_prediction)
+from .metric import SwansonParams, _exact, solve_metric, spectrum_prediction
 
 _self = sys.modules[__name__]  # its attributes include wrappers set on the module
 
@@ -96,9 +97,9 @@ def _params(args) -> SwansonParams:
 
 
 def _realization(args, p: SwansonParams):
-    if args.size <= args.trusted:
+    if not 2 <= args.trusted < args.size:
         raise TruncationTooSmall(
-            f"need size > trusted (got size = {args.size}, trusted = {args.trusted})")
+            f"need 2 <= trusted < size (got size = {args.size}, trusted = {args.trusted})")
     mats, override = _self.from_descriptor(args.realization, args.size, omega=p.omega)
     return mats, (override if override is not None else p)
 
@@ -138,7 +139,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     mats, p = _realization(args, _params(args))
-    bundle = _self.build_bundle(p, args.z, mats, trusted=args.trusted)
+    bundle = _self.build_bundle(solve_metric(p, args.z), mats, trusted=args.trusted)
     rows = [("realization", mats.kind), ("z", args.z),
             ("size", mats.dim), ("trusted", args.trusted)]
     ok = True
@@ -160,18 +161,16 @@ def cmd_sweep(args) -> int:
         raise InvalidParams(f"steps must be at least 1 (got {args.steps})")
     for end in (args.z_from, args.z_to):  # in range before linspace warns on inf
         _exact(p, end)
-    zs = np.sort(np.linspace(args.z_from, args.z_to, args.steps))
-    for z in zs:
-        _admissible(p, float(z))
+    # every z solved, and so refused, before any bundle is built
+    sols = [solve_metric(p, float(z))
+            for z in np.sort(np.linspace(args.z_from, args.z_to, args.steps))]
     lines = [",".join(SWEEP_COLUMNS)]
     ok = True
-    for z in zs:
-        z = float(z)
-        sol = solve_metric(p, z)
-        bundle = _self.build_bundle(p, z, mats, trusted=args.trusted)
+    for sol in sols:
+        bundle = _self.build_bundle(sol, mats, trusted=args.trusted)
         for name, tol in RESIDUAL_TOLS.items():
             ok = ok and bundle.residuals[name] <= tol
-        values = [z, sol.epsilon, sol.mu, sol.nu, sol.mu * sol.nu,
+        values = [sol.z, sol.epsilon, sol.mu, sol.nu, sol.mu * sol.nu,
                   sol.u, sol.v, sol.w]
         values += [bundle.residuals[name] for name in RESIDUAL_TOLS]
         values += list(bundle.spectrum_h)
@@ -236,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="su11metric",
         description="Metric operators, Hermitian equivalents, and commuting "
                     "observables for su(1,1) oscillator Hamiltonians.")
-    ap.add_argument("--config", default=None, help=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="check the parameter constraints")
@@ -296,7 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice config-file values in as flags ahead of the explicit ones."""
+    """Splice config-file values (--config FILE or --config=FILE, before or
+    after the subcommand) in as flags ahead of the explicit ones."""
+    argv = [x for t in argv for x in (t.split("=", 1) if t.startswith("--config=") else [t])]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")

@@ -28,7 +28,8 @@ class SwansonParams(NamedTuple):
 
 
 class MetricSolution(NamedTuple):
-    """All derived quantities of the metric family at one (params, z)."""
+    """All derived quantities of the metric family at one (params, z): rho H
+    rho^{-1} = 2u K0 + 2v Km + 2w Kp (adjoint form), h = c0 K0 + c (Km + Kp)."""
 
     params: SwansonParams
     z: float
@@ -41,6 +42,8 @@ class MetricSolution(NamedTuple):
     u: float
     v: float
     w: float
+    c0: float
+    c: float
 
 
 def validate_params(p: SwansonParams) -> SwansonParams:
@@ -112,19 +115,22 @@ def _admissible(p: SwansonParams, z: float) -> tuple[float, float, float, float,
     return out
 
 
-def _log_power_base(p: SwansonParams, z: float) -> tuple[float, float, float]:
-    """(ln Lambda, Lambda, sqrt(1-z^2)), Lambda = (den + s) / (den - s) for
-    s = (alpha-beta) sqrt(1-z^2).  With big = |den| + |s| and P = den^2 - s^2
-    = (|den| - |s|) big from _exact, ln Lambda = +-log1p(2 |s| big / P)
-    and Lambda = (big^2 / P)^(+-1) cancel nowhere, next to a root too."""
-    den, one, poly = _admissible(p, z)[1:4]
+def _power_form(p: SwansonParams, exact: tuple) -> tuple[float, float]:
+    """(eps, Lambda) from _admissible(p, z)'s tuple: Lambda = (den + s) /
+    (den - s) for s = (alpha-beta) sqrt(1-z^2), eps = ln Lambda / (4 sqrt(1-z^2))
+    or, where 1 - z^2 = 0 (|z| = 1), its limit (alpha-beta) / (2 den).  With big
+    = |den| + |s| and P = den^2 - s^2 = (|den| - |s|) big, ln Lambda = +-log1p(2
+    |s| big / P) and Lambda = (big^2 / P)^(+-1) cancel nowhere, near a root too."""
+    den, one, poly = exact[1:4]
     root = math.sqrt(one)
     s = (p.alpha - p.beta) * root
     big = abs(den) + abs(s)
     log_lam = math.log1p(2.0 * abs(s) * big / poly)
-    if (s > 0.0) == (den > 0.0):
-        return log_lam, big * big / poly, root
-    return -log_lam, poly / (big * big), root
+    same = (s > 0.0) == (den > 0.0)
+    lam = big * big / poly if same else poly / (big * big)
+    if not one:
+        return (p.alpha - p.beta) / (2.0 * den), lam
+    return (log_lam if same else -log_lam) / (4.0 * root), lam
 
 
 def is_admissible(p: SwansonParams, z: float) -> bool:
@@ -160,14 +166,10 @@ def solve_epsilon(p: SwansonParams, z: float) -> float:
 
     on the principal real branch; at |z| = 1 the analytic limit
     (alpha-beta) / (2*(alpha+beta-z*omega)).  Taken as ln(Lambda) /
-    (4*sqrt(1-z^2)) (_log_power_base), exact to rounding next to a root.
+    (4*sqrt(1-z^2)) (_power_form), exact to rounding next to a root.
     _admissible refuses p and z, den = 0 at |z| = 1 too, where P = den^2.
     """
-    if abs(z) == 1.0:
-        den = _admissible(p, z)[1]
-        return (p.alpha - p.beta) / (2.0 * den)
-    log_lam, _, root = _log_power_base(p, z)
-    return log_lam / (4.0 * root)
+    return _power_form(p, _admissible(p, z))[0]
 
 
 def conjugated_coeffs(p: SwansonParams, epsilon: float,
@@ -181,10 +183,10 @@ def conjugated_coeffs(p: SwansonParams, epsilon: float,
     return _mat_vec(adjoint_matrix(epsilon, eta), (p.omega, p.alpha, p.beta))
 
 
-def _weights(p: SwansonParams, z: float) -> tuple[float, float, float, float]:
+def _weights(p: SwansonParams, z: float, exact: tuple) -> tuple[float, float, float, float]:
     """(mu, nu, c0, c) of h = c0 K0 + c (Km + Kp), c0 = (nu + mu omega^2)/omega,
-    at every admissible z, |z| = 1 included, from _exact's den, P, g and
-    gap with t = sign(den) sqrt(P).  mu = (g - t)/((1 + z) omega) and nu =
+    at every admissible z, |z| = 1 included, from _admissible(p, z)'s gap,
+    den, P and g with t = sign(den) sqrt(P).  mu = (g - t)/((1 + z) omega) and nu =
     omega (g + t)/(1 - z); (g - t)(g + t) = (1 - z^2) gap replaces the
     factor that cancels, g - t where g and t share a sign and g + t where
     they do not, so neither cancels as gap -> 0.  At z = 1 t = -g and at
@@ -192,7 +194,7 @@ def _weights(p: SwansonParams, z: float) -> tuple[float, float, float, float]:
     c = (t + z g)/(1 - z^2) = (P - z^2 gap)/(t - z g), by the sum that does
     not cancel, as (nu - mu omega^2)/(2 omega) does.  InvalidParams names
     a weight that is not a finite double."""
-    gap, den, one, poly, g = _admissible(p, z)
+    gap, den, one, poly, g = exact
     t = math.copysign(math.sqrt(poly), den)
     if g < 0.0 < t or t < 0.0 < g:
         mu = (g - t) / (1.0 + z) / p.omega
@@ -213,7 +215,7 @@ def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
     """Oscillator weights (mu, nu) of the Hermitian equivalent: mu scales the
     (2K0 - Kp - Km) part and nu the (2K0 + Kp + Km) part of 2*omega*h, and
     mu nu = omega^2 - 4 alpha beta, at every admissible z (_weights)."""
-    return _weights(p, z)[:2]
+    return _weights(p, z, _admissible(p, z))[:2]
 
 
 def _harmonic_law(freq: float, k: float, count: int) -> tuple[float, ...]:
@@ -248,7 +250,7 @@ def hermitian_equivalent(p: SwansonParams, z: float) -> AlgebraElement:
     _weights at every admissible z, |z| = 1 included.  It shares no code
     with the adjoint closed form that build_bundle's r_eq10 compares it with.
     """
-    _, _, c0, c = _weights(p, z)
+    _, _, c0, c = _weights(p, z, _admissible(p, z))
     return AlgebraElement(c0, c, c)
 
 
@@ -271,10 +273,10 @@ def power_base(p: SwansonParams, z: float) -> float:
                / (alpha+beta-omega*z - (alpha-beta)*sqrt(1-z^2)),
 
     equivalent to eps = ln(Lambda) / (4*sqrt(1-z^2)), taken as (big^2 /
-    P)^(+-1) from the exact P (_log_power_base).  At |z| = 1 Lambda takes
+    P)^(+-1) from the exact P (_power_form).  At |z| = 1 Lambda takes
     its limit 1; it is eps's form that is 0/0 there, not Lambda's.
     """
-    return _log_power_base(p, z)[1]
+    return _power_form(p, _admissible(p, z))[1]
 
 
 def commuting_observable(z: float) -> AlgebraElement:
@@ -285,13 +287,13 @@ def commuting_observable(z: float) -> AlgebraElement:
 
 
 def solve_metric(p: SwansonParams, z: float) -> MetricSolution:
-    """Solve the full family at one admissible z, |z| = 1 included."""
-    eps = solve_epsilon(p, z)
+    """Solve the full family at one admissible z, |z| = 1 too, from one _admissible."""
+    exact = _admissible(p, z)
+    eps, lam = _power_form(p, exact)
     eta = z * eps / 2.0
-    theta = abs(eps) * math.sqrt(_exact(p, z)[2])  # |eps| sqrt(1 - z^2)
-    mu, nu = mu_nu(p, z)
-    lam = power_base(p, z)
-    u, v, w = conjugated_coeffs(p, eps, eta)
+    theta = abs(eps) * math.sqrt(exact[2])  # |eps| sqrt(1 - z^2)
+    mu, nu, c0, c = _weights(p, z, exact)
+    u, v, w = _mat_vec(adjoint_matrix(eps, eta), p)  # conjugated_coeffs
     return MetricSolution(params=p, z=z, epsilon=eps, eta=eta, theta=theta,
                           mu=mu, nu=nu, lambda_base=lam,
-                          u=u.real, v=v.real, w=w.real)
+                          u=u.real, v=v.real, w=w.real, c0=c0, c=c)

@@ -3,7 +3,8 @@
 Everything spectral goes through the Hermitian equivalent h: spectra of
 the non-Hermitian H are never computed with a nonsymmetric eigensolver.
 Hermiticity of rho H rho^{-1} and eq. (10) rest only on the su(1,1)
-commutators, so they are checked on coefficient triples.  The matrix
+commutators, so they are checked on coefficient triples, read like eps
+from the one record solve_metric forms per (p, z), not solved again.  The matrix
 diagnostics (intertwining, quasi-Hermiticity, metric/observable
 commutation) are measured in the spectral norm of the leading trusted
 block, normalized by the left-hand side's, because the metric amplifies
@@ -41,11 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import AlgebraElement, _pivots, conjugate
+from .core import AlgebraElement, _pivots
 from .errors import InvalidParams, NoConvergence, TruncationTooSmall
-from .metric import (SwansonParams, _harmonic_law, commuting_observable,
-                     hermitian_equivalent, metric_exponent, solve_epsilon,
-                     swanson_element, validate_params)
+from .metric import (MetricSolution, _harmonic_law, commuting_observable,
+                     swanson_element)
 from .realizations import RealizationMatrices, apply
 
 DEFAULT_TRUSTED = 50
@@ -60,12 +60,11 @@ class OperatorBundle:
     Nothing is N x N: with R = trusted + band (at most N), `rho` and
     `zeta_plus` are the leading R x R blocks of rho = exp(A) and
     zeta_+ = exp(2A), each inf where its matrix elements do not exist.
-    H, h and O are not kept; their coefficients follow from `params`
-    and `z`.
+    H, h and O are not kept; their coefficients follow from `solution`,
+    the metric family's record at the bundle's (p, z) (solve_metric).
     """
 
-    params: SwansonParams
-    z: float
+    solution: MetricSolution
     realization: RealizationMatrices
     trusted: int
     rho: np.ndarray
@@ -416,7 +415,7 @@ def _exp_product(q: float, x: np.ndarray) -> np.ndarray:
     return np.exp(qh * xh) * np.exp(qh * xl + ql * xh + ql * xl)
 
 
-def _ordered_metric(p: SwansonParams, z: float, sign: int) -> tuple[bool, float, float]:
+def _ordered_metric(sol: MetricSolution, sign: int) -> tuple[bool, float, float]:
     """(antinormal, q, c) for rho^sign = exp(sign A) = S M S, where
     S = e^{q K0 / 2} and M is built from G = exp(c K+): M = G G^T in the
     normal ordering (eps <= 0), G^T G in the antinormal one.
@@ -427,22 +426,22 @@ def _ordered_metric(p: SwansonParams, z: float, sign: int) -> tuple[bool, float,
     (antinormal), in both cases 2 eta sinh(theta)/theta, and q = -+2 ln C
     for the ordering's pivot C = cosh(theta) + |eps| sinh(theta)/theta >= 1;
     both are taken from core._pivots, so that neither carries the other's
-    rounding.
+    rounding.  eps is the record's (solve_metric), so nothing is solved.
     """
-    eps = sign * solve_epsilon(p, z)
-    eta = z * eps / 2.0
+    eps = sign * sol.epsilon
+    eta = sol.z * eps / 2.0
     s, scale, _, _, log_big = _pivots(eps, eta)
     antinormal = eps > 0.0
     q = 2.0 * log_big if antinormal else -2.0 * log_big
     return antinormal, q, 2.0 * eta * s * math.exp(scale)
 
 
-def materialize_metric_root(p: SwansonParams, z: float,
-                            realization: RealizationMatrices, sign: int = 1,
-                            *, rows: int, cols: int | None = None) -> np.ndarray:
+def materialize_metric_root(sol: MetricSolution, realization: RealizationMatrices,
+                            sign: int = 1, *, rows: int,
+                            cols: int | None = None) -> np.ndarray:
     """The leading rows x cols block (cols = rows if not given; both at
     most N) of rho^sign = exp(sign A): rho^{-1}, rho, or zeta_+ = exp(2A)
-    for sign = -1, 1, 2.
+    for sign = -1, 1, 2, at the record's (p, z) (solve_metric).
 
     The block is S[:rows] M S[:cols] (see _ordered_metric), with the scale
     S = e^{q k0 / 2} kept apart and M computed chain by chain (states
@@ -475,7 +474,7 @@ def materialize_metric_root(p: SwansonParams, z: float,
     rows = min(rows, n)
     cols = rows if cols is None else min(cols, n)
     size = max(rows, cols)
-    antinormal, q, coeff = _ordered_metric(p, z, sign)
+    antinormal, q, coeff = _ordered_metric(sol, sign)
     k0 = realization.k0_diag
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if coeff == 0.0:
@@ -550,19 +549,19 @@ def _largest(x: AlgebraElement) -> float:
     return max(abs(x.c0), abs(x.cm), abs(x.cp))
 
 
-def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
+def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
                  trusted: int = DEFAULT_TRUSTED) -> OperatorBundle:
     """Form the leading blocks of rho and zeta_+ that the residuals read,
-    and check them.  p is checked first (validate_params), then T, and z
-    last, by hermitian_equivalent's gate (metric._admissible).
+    and check them, at the (p, z) of sol (solve_metric, which checked p
+    and z; nothing here solves again).  T must satisfy 2 <= T < N.
 
     Residuals.  r_herm and r_eq10 are coefficient-level, on the adjoint
-    closed form y = core.conjugate(metric_exponent(p, z), H), relative to
+    closed form y = 2 (u, v, w) (real for real eps and eta), relative to
     the largest coefficient, and independent of realization, N and T:
 
-        r_herm        Hermiticity defect of y: |Im c0|, |cm - conj(cp)|
-        r_eq10        y vs hermitian_equivalent(p, z) (mu, nu and c from
-                      the exact stability polynomial, metric._weights)
+        r_herm        Hermiticity defect of y: |cm - cp|
+        r_eq10        y vs h = (c0, c, c) (mu, nu and c from the exact
+                      stability polynomial, metric._weights)
 
     The rest are spectral norms of the leading trusted x trusted block,
     normalized by the left-hand side's (_relative_residuals):
@@ -584,7 +583,6 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
     refuses an admissible z where mu <= 0, whose h is unbounded below.
     The six spectral norms come from one stacked SVD per chain.
     """
-    validate_params(p)
     n = realization.dim
     if trusted >= n or trusted < 2:
         raise TruncationTooSmall(
@@ -592,16 +590,16 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
 
     t = trusted
     r = min(t + realization.band, n)
-    h_coeffs = hermitian_equivalent(p, z)
+    h_coeffs = AlgebraElement(sol.c0, sol.c, sol.c)
     spectrum = _low_eigs(h_coeffs, realization, SPECTRUM_COUNT)
-    y = conjugate(metric_exponent(p, z), swanson_element(p))
+    y = AlgebraElement(2.0 * sol.u, 2.0 * sol.v, 2.0 * sol.w)
 
-    rho = materialize_metric_root(p, z, realization, sign=1, rows=r)
-    zeta = materialize_metric_root(p, z, realization, sign=2, rows=r)
+    rho = materialize_metric_root(sol, realization, sign=1, rows=r)
+    zeta = materialize_metric_root(sol, realization, sign=2, rows=r)
 
     # the six products by one stacked band shift on the R states, cut to
     # T x T; a right product B X is (X^T B^T)^T, X^T swapping cm and cp
-    h_mat, o_mat = swanson_element(p), commuting_observable(z)
+    h_mat, o_mat = swanson_element(sol.params), commuting_observable(sol.z)
     h_t, o_t = (AlgebraElement(x.c0, x.cp, x.cm) for x in (h_mat, o_mat))
     ops, operands = zip(
         (h_coeffs, rho[:, :t]), (h_t, rho[:t].T),      # h rho, (rho H)^T
@@ -617,12 +615,12 @@ def build_bundle(p: SwansonParams, z: float, realization: RealizationMatrices,
             "r_commute": (prod[4].T, prod[5]),
         }, t, realization.band)
     residuals = {
-        "r_herm": max(abs(y.c0.imag), abs(y.cm - y.cp.conjugate())) / _largest(y),
+        "r_herm": abs(y.cm - y.cp) / _largest(y),
         "r_eq10": max(abs(y.c0 - h_coeffs.c0), abs(y.cm - h_coeffs.cm),
                       abs(y.cp - h_coeffs.cp)) / _largest(h_coeffs),
         **residuals,
     }
 
-    return OperatorBundle(params=p, z=z, realization=realization,
+    return OperatorBundle(solution=sol, realization=realization,
                           trusted=t, rho=rho, zeta_plus=zeta,
                           residuals=residuals, spectrum_h=spectrum)

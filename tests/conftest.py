@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from su11metric import SwansonParams, build_bundle, discrete_series
+from su11metric import SwansonParams, build_bundle, discrete_series, solve_metric
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,7 @@ def bundles():
         key = (k, z, dim, trusted, omega, alpha, beta)
         if key not in cache:
             p = SwansonParams(omega, alpha, beta)
-            cache[key] = build_bundle(p, z, discrete_series(k, dim),
+            cache[key] = build_bundle(solve_metric(p, z), discrete_series(k, dim),
                                       trusted=trusted)
         return cache[key]
 

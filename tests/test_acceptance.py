@@ -167,7 +167,7 @@ def test_criterion_5_matrix_bundle(bundle_grid):
             for name in ("r_herm", "r_eq10", "r_quasi", "r_intertwine"):
                 worst_res = max(worst_res, b.residuals[name])
             # the trusted rows of rho with every column they reach
-            rows = sm.materialize_metric_root(P, z, b.realization,
+            rows = sm.materialize_metric_root(b.solution, b.realization,
                                               rows=b.trusted,
                                               cols=b.realization.dim)
             min_posdef = min(min_posdef, metric_block_definite(rows))

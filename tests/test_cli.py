@@ -424,6 +424,16 @@ class TestOneRefusal:
         assert (code, out, err) == (2, "", "error: omega must be positive (got omega = nan)\n")
 
 
+    @pytest.mark.parametrize("trusted", ["1", "20"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", *BASE, "--z", "5"),
+        ("sweep", *BASE, "--z-from", "0", "--z-to", "0.3", "--steps", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_bad_trusted_before_bad_z(self, capsys, argv, trusted):
+        # both commands refuse T outside 2 <= T < N before they solve any z
+        assert run_cli(capsys, *argv, "--size", "20", "--trusted", trusted) == (
+            3, "", f"error: need 2 <= trusted < size (got size = 20, trusted = {trusted})\n")
+
 class TestSweepCommand:
     ARGS = ("sweep", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
             "--z-from", "-0.8", "--z-to", "0.8", "--steps", "9")
@@ -514,6 +524,20 @@ class TestConfigFile:
         assert code == 2
         assert "key=value" in err
 
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("spelling", [lambda path: ["--config", path],
+                                          lambda path: [f"--config={path}"]],
+                             ids=["space", "equals"])
+    def test_config_spellings(self, capsys, tmp_path, spelling, before):
+        # the file is read in both spellings, before or after the subcommand
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("z = 0.4\n", encoding="utf-8")
+        command = ["metric", "--omega", "1", "--alpha", "0.2", "--beta", "0.1"]
+        argv = spelling(str(cfg)) + command if before else command + spelling(str(cfg))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert float(parse_table(out)["z"]) == 0.4
 
 class TestPdmCommand:
     def test_smoke_pass(self, capsys):
@@ -797,7 +821,7 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy.sparse")),
         script = f"""
 import sys
 import {module} as mod
-from su11metric import SwansonParams, discrete_series
+from su11metric import SwansonParams, discrete_series, solve_metric
 def scipy():
     return any(m.split(".")[0] == "scipy" for m in sys.modules)
 imported = scipy()
@@ -805,7 +829,7 @@ p = SwansonParams(1.0, 0.2, 0.1)
 if mod.__name__.endswith("pdm"):
     mod.run_pdm_check(mod.PdmConfig(params=p, points=400))
 else:
-    mod.build_bundle(p, 0.4, discrete_series(0.25, 200))
+    mod.build_bundle(solve_metric(p, 0.4), discrete_series(0.25, 200))
 print(imported, scipy(), file=sys.stderr)
 """
         proc = self._run("-c", script)
@@ -832,10 +856,10 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scip
         script = """
 import sys
 from su11metric import (SwansonParams, build_bundle, discrete_series,
-                        hermitian_equivalent)
+                        hermitian_equivalent, solve_metric)
 from su11metric.verification import _low_eigs
 p, r = SwansonParams(1.0, 0.2, 0.1), discrete_series(0.25, 200)
-bundle = build_bundle(p, 0.4, r)
+bundle = build_bundle(solve_metric(p, 0.4), r)
 levels = _low_eigs(hermitian_equivalent(p, 0.4), r, 25)
 print(bundle.spectrum_h.size, levels.size,
       sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)

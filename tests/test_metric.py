@@ -13,6 +13,8 @@ from su11metric import (AlgebraElement, InvalidParams, MetricSolution,
                         solve_metric, spectrum_prediction, swanson_element,
                         validate_params, z_domain)
 
+from su11metric import cli, core, verification
+
 from oracles import metric_family_mp, stability_roots_mp
 
 P = SwansonParams(1.0, 0.2, 0.1)
@@ -58,13 +60,16 @@ class TestRecords:
     def test_fields_in_order(self):
         assert SwansonParams._fields == ("omega", "alpha", "beta")
         assert MetricSolution._fields == ("params", "z", "epsilon", "eta", "theta",
-                                          "mu", "nu", "lambda_base", "u", "v", "w")
+                                          "mu", "nu", "lambda_base", "u", "v", "w",
+                                          "c0", "c")
 
     def test_repr(self):
         assert repr(SwansonParams(1.0, 0.2, 0.1)) == \
             "SwansonParams(omega=1.0, alpha=0.2, beta=0.1)"
-        assert repr(solve_metric(P, 0.0)).startswith(
+        sol = solve_metric(P, 0.0)
+        assert repr(sol).startswith(
             "MetricSolution(params=SwansonParams(omega=1.0, alpha=0.2, beta=0.1), z=0.0, ")
+        assert repr(sol).endswith(f", c0={sol.c0!r}, c={sol.c!r})")
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -206,22 +211,48 @@ class TestOneGate:
         with pytest.raises(ZOutOfDomain, match="z must lie in"):
             solve_epsilon(P, z)
 
+    @staticmethod
+    def counter(monkeypatch, home, name):
+        """Calls of home's private function `name`, under every su11metric
+        module name bound to it."""
+        calls, original = [], getattr(home, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (core, metric, verification, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
     @pytest.mark.parametrize("z", [0.0, 0.4])
     def test_exact_at_most_five_times(self, monkeypatch, z):
-        # each step checked p and z again: 11 _exact evaluations per
-        # build_bundle and 8 per solve_metric
-        calls = []
+        # each step checked p and z again: 5 _exact evaluations per
+        # solve_metric and 5 per build_bundle; the record is solved once,
+        # and build_bundle reads it
+        calls = self.counter(monkeypatch, metric, "_exact")
+        sol = solve_metric(P, z)
+        assert len(calls) == 1, calls
+        build_bundle(sol, discrete_series(0.25, 200), trusted=50)
+        assert len(calls) == 1, calls
 
-        def counted(*args, _f=metric._exact):
-            calls.append(args)
-            return _f(*args)
-
-        monkeypatch.setattr(metric, "_exact", counted)
-        for run in (lambda: solve_metric(P, z),
-                    lambda: build_bundle(P, z, discrete_series(0.25, 200), trusted=50)):
-            calls.clear()
-            run()
-            assert 0 < len(calls) <= 5, calls
+    @pytest.mark.parametrize("argv, exact, pivots", [
+        # verify at z = 0.4: one solve, and the pivots of the adjoint form,
+        # rho and zeta_+ (5 _exact when build_bundle solved again)
+        (["verify", "--z", "0.4"], 1, 3),
+        # the 9-row sweep at N = 400: two range checks of its ends and one
+        # solve per row (101 _exact and 36 _pivots when each row was solved
+        # twice and the adjoint form formed twice)
+        (["sweep", "--z-from", "-0.8", "--z-to", "0.8", "--steps", "9",
+          "--size", "400"], 11, 27),
+    ])
+    def test_cli_solves_each_z_once(self, monkeypatch, capsys, argv, exact, pivots):
+        exact_calls = self.counter(monkeypatch, metric, "_exact")
+        pivot_calls = self.counter(monkeypatch, core, "_pivots")
+        cli.main(argv[:1] + ["--omega", "1", "--alpha", "0.2", "--beta", "0.1"] + argv[1:])
+        assert capsys.readouterr().out.count("\n") > 5
+        assert (len(exact_calls), len(pivot_calls)) == (exact, pivots)
 
 
 class TestSolveEpsilon:
@@ -564,6 +595,42 @@ class TestSolveMetric:
         assert abs(sol.mu * sol.nu - 0.92) < 1e-12
         assert abs(sol.w - sol.v) < 1e-12
         assert abs(sol.epsilon - (-0.2676588313787481)) < 1e-14
+
+    @staticmethod
+    def record_points():
+        """Seeded admissible (p, z): omega from 1e-2 to 1e2, alpha and beta
+        in [-1, 1], z in [-1, 1]; STRONG next to its stability roots; |z|
+        at 1 and next to it."""
+        rng = np.random.default_rng(2007)
+        points = []
+        while len(points) < 2000:
+            p = SwansonParams(10.0 ** rng.uniform(-2.0, 2.0), *rng.uniform(-1.0, 1.0, 2))
+            z = rng.uniform(-1.0, 1.0)
+            if p.omega ** 2 > 4.0 * p.alpha * p.beta and is_admissible(p, z):
+                points.append((p, z))
+        strong = SwansonParams(1.0, 0.45, 0.05)
+        for edge in (x for iv in z_domain(strong) for x in iv):
+            points += [(strong, z) for z in np.nextafter(edge, 0.0) + 2e-16 * np.arange(-20, 21)
+                       if is_admissible(strong, z)]
+        for p in NEAR_ROOT_PARAMS:
+            points += [(p, s * (1.0 - 2.0 ** -k)) for k in range(1, 54) for s in (-1, 1)
+                       if is_admissible(p, s * (1.0 - 2.0 ** -k))]
+            points += [(p, z) for z in (-1.0, 1.0) if is_admissible(p, z)]
+        return points
+
+    def test_record_matches_the_separate_paths(self):
+        # the record is the one solve build_bundle reads: its y = 2 (u, v, w)
+        # is core.conjugate's adjoint form bit for bit, with imaginary parts
+        # exactly 0, and (c0, c, c) is hermitian_equivalent's h
+        for p, z in self.record_points():
+            sol = solve_metric(p, z)
+            y = conjugate(metric_exponent(p, z), swanson_element(p))
+            assert _bits([2.0 * sol.u, 2.0 * sol.v, 2.0 * sol.w]) == \
+                _bits([y.c0.real, y.cm.real, y.cp.real]), (p, z)
+            assert [y.c0.imag, y.cm.imag, y.cp.imag] == [0.0] * 3, (p, z)
+            coeffs = conjugated_coeffs(p, sol.epsilon, sol.eta)
+            assert [x.imag for x in coeffs] == [0.0] * 3, (p, z)
+            assert _bits([sol.c0, sol.c, sol.c]) == _bits(hermitian_equivalent(p, z)), (p, z)
 
     def test_hermiticity_across_grid(self):
         for p in PARAM_SETS:

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         SwansonParams, TruncationTooSmall, ZOutOfDomain,
-                        build_bundle, discrete_series,
+                        build_bundle, conjugated_coeffs, discrete_series,
                         disentangle_closed_form,
                         hermitian_equivalent, is_admissible,
                         materialize_metric_root, metric_exponent,
-                        power_base, solve_epsilon,
+                        power_base, solve_epsilon, solve_metric,
                         spectrum_prediction, swanson_element, z_domain)
 from su11metric import commuting_observable, from_descriptor, oscillator_full
 from su11metric import verification
@@ -510,7 +510,7 @@ class TestMetricRoot:
         # on the leading block of a larger basis
         r = discrete_series(0.25, 60)
         for z in Z_GRID:
-            block = materialize_metric_root(P, z, r, rows=20)
+            block = materialize_metric_root(solve_metric(P, z), r, rows=20)
             direct = expm(materialize(metric_exponent(P, z), r))[:20, :20]
             num = np.linalg.norm(block - direct, 2)
             assert num <= 1e-9 * np.linalg.norm(direct, 2)
@@ -523,8 +523,8 @@ class TestMetricRoot:
         t = 40
         for z in (-0.8, -0.4, 0.0, 0.8):
             # rho[:t, :] rho^{-1}[:, :t], and rho^{-1} is symmetric
-            rho = materialize_metric_root(P, z, r, 1, rows=t, cols=120)
-            rho_inv = materialize_metric_root(P, z, r, -1, rows=t, cols=120)
+            rho = materialize_metric_root(solve_metric(P, z), r, 1, rows=t, cols=120)
+            rho_inv = materialize_metric_root(solve_metric(P, z), r, -1, rows=t, cols=120)
             prod = rho @ rho_inv.T
             assert np.abs(prod - np.eye(t)).max() < 1e-11, z
 
@@ -541,9 +541,9 @@ class TestMetricRoot:
                 if not is_admissible(p, z):
                     continue
                 for sign in (-1, 1, 2):
-                    wide = materialize_metric_root(p, z, r, sign, rows=rows,
+                    wide = materialize_metric_root(solve_metric(p, z), r, sign, rows=rows,
                                                    cols=300)
-                    got = materialize_metric_root(p, z, r, sign, rows=rows)
+                    got = materialize_metric_root(solve_metric(p, z), r, sign, rows=rows)
                     assert got.shape == (rows, rows)
                     assert np.all(np.abs(got - wide[:, :rows])
                                   <= 1e-14 * np.abs(wide[:, :rows])), \
@@ -554,14 +554,14 @@ class TestMetricRoot:
             eps = solve_epsilon(p, 0.0)
             for sign in (1, -1):
                 want = np.diag(np.exp(2.0 * sign * eps * r.k0_diag))[:rows, :rows]
-                got = materialize_metric_root(p, 0.0, r, sign, rows=rows)
+                got = materialize_metric_root(solve_metric(p, 0.0), r, sign, rows=rows)
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), \
                     (desc, sign)
 
     def test_symmetry(self):
         r = discrete_series(0.25, 80)
         for z in Z_GRID:
-            blk = materialize_metric_root(P, z, r, 1, rows=30)
+            blk = materialize_metric_root(solve_metric(P, z), r, 1, rows=30)
             assert np.abs(blk - blk.T).max() <= 1e-13 * np.abs(blk).max()
 
     def test_matches_dense_route(self):
@@ -579,7 +579,7 @@ class TestMetricRoot:
                 if not is_admissible(p, z):
                     continue
                 for sign in (-1, 1, 2):
-                    got = materialize_metric_root(p, z, r, sign, rows=rows)
+                    got = materialize_metric_root(solve_metric(p, z), r, sign, rows=rows)
                     want = metric_power_dense(p, z, r, sign, rows)[:, :rows]
                     zero = want == 0.0
                     assert np.array_equal(got[zero], want[zero])
@@ -594,7 +594,7 @@ class TestMetricRoot:
         r = discrete_series(0.25, 120)
         for z in (0.4, -0.4):
             for sign in (1, 2):
-                got = materialize_metric_root(P, z, r, sign, rows=21)
+                got = materialize_metric_root(solve_metric(P, z), r, sign, rows=21)
                 want = metric_power_mp(sign * solve_epsilon(P, z), z, 0.25,
                                        21, 120)
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), \
@@ -616,15 +616,15 @@ class TestMetricRoot:
                 for sign in (-1, 1, 2):
                     if solve_epsilon(p, z) * sign <= 0.0:
                         continue
-                    wide = materialize_metric_root(p, z, r, sign, rows=rows,
+                    wide = materialize_metric_root(solve_metric(p, z), r, sign, rows=rows,
                                                    cols=120)
-                    want = materialize_metric_root(p, z, r, sign, rows=120)
+                    want = materialize_metric_root(solve_metric(p, z), r, sign, rows=120)
                     assert np.all(np.abs(wide - want[:rows])
                                   <= 1e-14 * np.abs(want[:rows])), \
                         (desc, z, sign)
                     # the dense route loses |q k0| ulps in e^{q k0} far out,
                     # and the two underflow at different points
-                    full = materialize_metric_root(p, z, r, sign, rows=rows,
+                    full = materialize_metric_root(solve_metric(p, z), r, sign, rows=rows,
                                                    cols=400)
                     with np.errstate(over="ignore"):
                         want = metric_power_dense(p, z, r, sign, rows)
@@ -673,16 +673,16 @@ def eigvec_residuals(bundle, count=5):
     not finite gets inf, never NaN."""
     mats, t = bundle.realization, bundle.trusted
     r = min(t + mats.band, mats.dim)
-    w, q = chain_spectrum(hermitian_equivalent(bundle.params, bundle.z), mats, count)
+    sol = bundle.solution
+    w, q = chain_spectrum(hermitian_equivalent(sol.params, sol.z), mats, count)
     psi = np.where(np.abs(q) < mats.dim * np.finfo(float).eps
                    * np.abs(q).max(axis=0), 0.0, q)
     cols = int(np.flatnonzero(psi.any(axis=1)).max(initial=0)) + 1
     # inf * 0 in the rows of rho^{-1} or in phi gives NaN; such a pair is inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rho_inv = materialize_metric_root(bundle.params, bundle.z, mats,
-                                          sign=-1, rows=r, cols=cols)
+        rho_inv = materialize_metric_root(sol, mats, sign=-1, rows=r, cols=cols)
         phi = rho_inv @ psi[:cols]
-        num = np.linalg.norm(apply(swanson_element(bundle.params), mats, phi)[:t]
+        num = np.linalg.norm(apply(swanson_element(sol.params), mats, phi)[:t]
                              - w * phi[:t], axis=0)
         den = np.linalg.norm(phi[:t], axis=0)
     finite = np.isfinite(phi).all(axis=0) & np.isfinite(num) & np.isfinite(den)
@@ -718,7 +718,7 @@ class TestBuildBundle:
     def test_metric_positive_definite(self):
         r = discrete_series(0.25, 200)
         for z in Z_GRID:
-            rows = materialize_metric_root(P, z, r, rows=50, cols=200)
+            rows = materialize_metric_root(solve_metric(P, z), r, rows=50, cols=200)
             assert metric_block_definite(rows) > 0.0
 
     def test_h_direct_exactly_symmetric(self):
@@ -731,20 +731,20 @@ class TestBuildBundle:
     def test_truncation_guard(self):
         r = discrete_series(0.25, 20)
         with pytest.raises(TruncationTooSmall):
-            build_bundle(P, 0.0, r, trusted=20)
+            build_bundle(solve_metric(P, 0.0), r, trusted=20)
         with pytest.raises(TruncationTooSmall):
-            build_bundle(P, 0.0, r, trusted=1)
+            build_bundle(solve_metric(P, 0.0), r, trusted=1)
 
     def test_inadmissible_z(self):
         r = discrete_series(0.25, 20)
         with pytest.raises(ZOutOfDomain):
-            build_bundle(P, 0.3, r, trusted=5)
+            build_bundle(solve_metric(P, 0.3), r, trusted=5)
 
     def test_convergence_in_dimension(self):
         # doubling the basis leaves every residual below threshold
         for z in (-0.4, 0.8):
-            small = build_bundle(P, z, discrete_series(0.25, 200), trusted=50)
-            large = build_bundle(P, z, discrete_series(0.25, 400), trusted=50)
+            small = build_bundle(solve_metric(P, z), discrete_series(0.25, 200), trusted=50)
+            large = build_bundle(solve_metric(P, z), discrete_series(0.25, 400), trusted=50)
             for name in small.residuals:
                 assert (large.residuals[name] <= small.residuals[name]
                         or large.residuals[name] < 1e-6)
@@ -778,7 +778,7 @@ class TestBuildBundle:
         for desc in ("oscillator:parity=full",
                      "multiboson:l=3,residues=0.25,0.5,0.75"):
             r, _ = from_descriptor(desc, 120)
-            b = build_bundle(P, z, r, trusted=t)
+            b = build_bundle(solve_metric(P, z), r, trusted=t)
             rho = metric_power_dense(P, z, r)
             zeta = rho @ rho
             h = materialize(swanson_element(P), r)
@@ -801,7 +801,7 @@ class TestBuildBundle:
                      "multiboson:l=3,residues=0.25,0.5,0.75"):
             r, _ = from_descriptor(desc, 120)
             for z in (-0.4, 0.0, 0.4):
-                b = build_bundle(P, z, r, trusted=t)
+                b = build_bundle(solve_metric(P, z), r, trusted=t)
                 rows = t + r.band
                 assert b.rho.shape == (rows, rows), (desc, z)
                 assert b.zeta_plus.shape == (rows, rows), (desc, z)
@@ -811,7 +811,7 @@ class TestBuildBundle:
         # at N = 400 the full rho^{-1} of this point is mostly inf and NaN;
         # the bundle keeps no such field, and every field it keeps is
         # finite (test_cli checks that verify passes here)
-        b = build_bundle(STRONG, 0.77, discrete_series(0.25, 400), trusted=50)
+        b = build_bundle(solve_metric(STRONG, 0.77), discrete_series(0.25, 400), trusted=50)
         for f in dataclasses.fields(b):
             value = getattr(b, f.name)
             if isinstance(value, np.ndarray):
@@ -820,13 +820,13 @@ class TestBuildBundle:
     def test_eigvec_residuals_inf_not_nan(self):
         # the rows of rho^{-1} overflow here, so no transported vector is
         # finite; each pair reports inf, not NaN
-        b = build_bundle(STRONG, 0.77, discrete_series(0.25, 400), trusted=50)
+        b = build_bundle(solve_metric(STRONG, 0.77), discrete_series(0.25, 400), trusted=50)
         res = eigvec_residuals(b, count=5)
         assert np.isposinf(res).all()
 
     def test_eigvec_residuals_count_above_dimension(self):
         # as for the spectrum, a count above N certifies all N pairs
-        b = build_bundle(P, 0.4, discrete_series(0.25, 12), trusted=5)
+        b = build_bundle(solve_metric(P, 0.4), discrete_series(0.25, 12), trusted=5)
         assert eigvec_residuals(b, count=13).shape == (12,)
 
     def test_banded_spectrum_matches_dense(self):
@@ -837,7 +837,7 @@ class TestBuildBundle:
                      "conformal:k=0.75,c=1"):
             r, implied = from_descriptor(desc, 60)
             p = implied if implied is not None else P
-            b = build_bundle(p, 0.6, r, trusted=20)
+            b = build_bundle(solve_metric(p, 0.6), r, trusted=20)
             h = materialize(hermitian_equivalent(p, 0.6), r)
             w = np.linalg.eigh(h)[0]
             assert np.abs(b.spectrum_h - w[:5]).max() <= 1e-12 * np.abs(w).max(), desc
@@ -864,7 +864,7 @@ class TestBuildBundle:
         for n in (4, 10):
             r = discrete_series(0.25, n)
             w = np.linalg.eigh(materialize(x, r))[0]
-            b = build_bundle(P, 0.4, r, trusted=2)
+            b = build_bundle(solve_metric(P, 0.4), r, trusted=2)
             assert b.spectrum_h.shape == (min(n, 5),)
             assert np.abs(b.spectrum_h - w[:5]).max() <= 1e-12 * np.abs(w).max()
         assert verification._low_eigs(x, r, 0).shape == (0,)
@@ -884,7 +884,7 @@ class TestBuildBundle:
         assert h.c0.real < 0.0
         for n in (200, 400):
             with pytest.raises(InvalidParams, match="mu > 0"):
-                build_bundle(p, z, discrete_series(0.25, n))
+                build_bundle(solve_metric(p, z), discrete_series(0.25, n))
             with pytest.raises(InvalidParams, match="mu > 0"):
                 verification._low_eigs(h, discrete_series(0.25, n),
                                        verification.SPECTRUM_COUNT)
@@ -898,7 +898,7 @@ class TestBuildBundle:
         peaks = []
         tracemalloc.start()
         try:
-            b = build_bundle(P, 0.0, r, trusted=50)
+            b = build_bundle(solve_metric(P, 0.0), r, trusted=50)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             certificates = eigvec_residuals(b, count=5)
@@ -913,7 +913,7 @@ class TestBuildBundle:
             assert b.residuals[name] <= tol, (name, b.residuals[name])
         assert certificates.max() <= 1e-5
         assert max(commutators.values()) < 1e-12
-        small = build_bundle(P, 0.0, discrete_series(0.25, 800), trusted=50)
+        small = build_bundle(solve_metric(P, 0.0), discrete_series(0.25, 800), trusted=50)
         assert np.all(np.abs(b.spectrum_h - small.spectrum_h)
                       <= 1e-12 * np.abs(small.spectrum_h))
 
@@ -928,12 +928,12 @@ class TestBuildBundle:
                 warnings.simplefilter("error")
                 tracemalloc.start()
                 try:
-                    b = build_bundle(P, z, r, trusted=50)
+                    b = build_bundle(solve_metric(P, z), r, trusted=50)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
             assert peak <= 2 * 2 ** 20, peak / 2 ** 20
-            small = build_bundle(P, z, discrete_series(0.25, 800), trusted=50)
+            small = build_bundle(solve_metric(P, z), discrete_series(0.25, 800), trusted=50)
             for name, tol in RESIDUAL_TOLS.items():
                 assert b.residuals[name] <= tol, (z, name, b.residuals[name])
                 assert b.residuals[name] == small.residuals[name], (z, name)
@@ -952,12 +952,12 @@ class TestBuildBundle:
         for z in (0.4, -0.4):
             tracemalloc.start()
             try:
-                b = build_bundle(P, z, big, trusted=50)
+                b = build_bundle(solve_metric(P, z), big, trusted=50)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= 2 ** 20, peak / 2 ** 20
-            small = build_bundle(P, z, discrete_series(0.25, 800), trusted=50)
+            small = build_bundle(solve_metric(P, z), discrete_series(0.25, 800), trusted=50)
             assert np.all(np.abs(b.spectrum_h - small.spectrum_h)
                           <= 4 * np.spacing(small.spectrum_h)), z
             assert main(["verify", "--omega", "1", "--alpha", "0.2", "--beta",
@@ -965,7 +965,7 @@ class TestBuildBundle:
 
     def test_oscillator_realization_bundle(self):
         from su11metric import oscillator_full
-        b = build_bundle(P, 0.4, oscillator_full(200), trusted=50)
+        b = build_bundle(solve_metric(P, 0.4), oscillator_full(200), trusted=50)
         assert max(b.residuals.values()) <= 1e-6
         expect = math.sqrt(0.92) * (np.arange(6) + 0.5)
         assert np.abs(b.spectrum_h - expect[:5]).max() <= 1e-6
@@ -979,12 +979,12 @@ class TestZetaSeriesWall:
     # z = 2 beta / omega, where the matrix elements do not exist
 
     def test_base_row_at_two_beta_over_omega(self, capsys):
-        assert verification._ordered_metric(P, 0.2, 1)[2] ** 2 \
+        assert verification._ordered_metric(solve_metric(P, 0.2), 1)[2] ** 2 \
             == pytest.approx(0.083, abs=1e-3)
         for n in (200, 400, 800):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                b = build_bundle(P, 0.2, discrete_series(0.25, n), trusted=50)
+                b = build_bundle(solve_metric(P, 0.2), discrete_series(0.25, n), trusted=50)
                 rc = main(["verify", "--omega", "1", "--alpha", "0.2",
                            "--beta", "0.1", "--z", "0.2", "--size", str(n)])
             assert np.isposinf(b.zeta_plus).all(), n
@@ -1008,7 +1008,7 @@ class TestZetaSeriesWall:
                     or abs(z) >= 0.99 or not is_admissible(p, z)):
                 continue
             eps = 2.0 * solve_epsilon(p, z)
-            antinormal, q, c = verification._ordered_metric(p, z, 2)
+            antinormal, q, c = verification._ordered_metric(solve_metric(p, z), 2)
             assert antinormal, (p, z)     # eps > 0 on the wall
             with mp.workdps(50):
                 e, eta = mp.mpf(eps), mp.mpf(z) * mp.mpf(eps) / 2
@@ -1018,7 +1018,7 @@ class TestZetaSeriesWall:
                 assert abs(c * c - ratio) <= 1e-12, (p, z)
                 assert abs(ratio - 1) <= 1e-12, (p, z)
             # no count of terms completes the series: the block is inf
-            block = materialize_metric_root(p, z, discrete_series(0.25, 400),
+            block = materialize_metric_root(solve_metric(p, z), discrete_series(0.25, 400),
                                             2, rows=10)
             assert np.isposinf(block).all(), (p, z)
             checked += 1
@@ -1081,22 +1081,21 @@ class TestCoefficientResiduals:
             with pytest.raises(DecompositionSingular):
                 disentangle_closed_form(eps, z * eps / 2.0)
             for n in (60, 200):
-                b = build_bundle(p, z, discrete_series(0.25, n), trusted=50)
+                b = build_bundle(solve_metric(p, z), discrete_series(0.25, n), trusted=50)
                 for name, tol in RESIDUAL_TOLS.items():
                     assert b.residuals[name] <= tol, (p, z, n, name)
 
-    def test_r_herm_detects_a_wrong_exponent(self, monkeypatch):
-        exact = verification.metric_exponent
-        monkeypatch.setattr(verification, "metric_exponent",
-                            lambda p, z: (1.0 + 1e-4) * exact(p, z))
-        b = build_bundle(STRONG, 0.77, discrete_series(0.25, 30), trusted=10)
+    def test_r_herm_detects_a_wrong_exponent(self):
+        # the record's adjoint form at an exponent 1e-4 off
+        sol = solve_metric(STRONG, 0.77)
+        eps = (1.0 + 1e-4) * sol.epsilon
+        u, v, w = (x.real for x in conjugated_coeffs(STRONG, eps, 0.77 * eps / 2.0))
+        b = build_bundle(sol._replace(u=u, v=v, w=w), discrete_series(0.25, 30), trusted=10)
         assert b.residuals["r_herm"] > RESIDUAL_TOLS["r_herm"]
 
-    def test_r_eq10_detects_a_wrong_hermitian_equivalent(self, monkeypatch):
-        exact = verification.hermitian_equivalent
-        monkeypatch.setattr(verification, "hermitian_equivalent",
-                            lambda p, z: exact(p, z) + AlgebraElement(1e-6, 0.0, 0.0))
-        b = build_bundle(STRONG, 0.77, discrete_series(0.25, 30), trusted=10)
+    def test_r_eq10_detects_a_wrong_hermitian_equivalent(self):
+        sol = solve_metric(STRONG, 0.77)
+        b = build_bundle(sol._replace(c0=sol.c0 + 1e-6), discrete_series(0.25, 30), trusted=10)
         assert b.residuals["r_eq10"] > RESIDUAL_TOLS["r_eq10"]
 
     def test_overflow_in_a_metric_block_is_inf(self, monkeypatch):
@@ -1110,7 +1109,7 @@ class TestCoefficientResiduals:
             rows[0, -1] = np.inf
             return rows
         monkeypatch.setattr(verification, "materialize_metric_root", overflowing)
-        b = build_bundle(P, 0.4, discrete_series(0.25, 30), trusted=10)
+        b = build_bundle(solve_metric(P, 0.4), discrete_series(0.25, 30), trusted=10)
         for name in ("r_intertwine", "r_quasi", "r_commute"):
             assert b.residuals[name] == np.inf, name
 
@@ -1164,7 +1163,7 @@ class TestCoefficientResiduals:
             r, _ = from_descriptor(desc, 200)
             for z in (0.0, 0.4):
                 taken.clear()
-                b = build_bundle(P, z, r, trusted=t)
+                b = build_bundle(solve_metric(P, z), r, trusted=t)
                 for name, (lhs, rhs) in taken[0].items():
                     d, nl, nr = (spectral_norm(m[:t, :t]) for m in (lhs - rhs, lhs, rhs))
                     old, got = d / max(nl, nr), b.residuals[name]
@@ -1183,7 +1182,7 @@ class TestCoefficientResiduals:
             r, _ = from_descriptor(desc, 200)
             for z in (0.0, 0.4):
                 shapes.clear()
-                build_bundle(P, z, r, trusted=t)
+                build_bundle(solve_metric(P, z), r, trusted=t)
                 side = -(-t // r.band)
                 assert sum(s[0] for s in shapes) == 6 * min(r.band, t), (desc, z, shapes)
                 assert all(s[1] == s[2] <= side for s in shapes), (desc, z, shapes)
@@ -1195,8 +1194,8 @@ class TestCoefficientResiduals:
         p, z = point
         if _mu_sign(p, z) <= 0:
             with pytest.raises(InvalidParams, match="mu > 0"):
-                build_bundle(p, z, discrete_series(0.25, 8), trusted=4)
+                build_bundle(solve_metric(p, z), discrete_series(0.25, 8), trusted=4)
             return
-        b = build_bundle(p, z, discrete_series(0.25, 8), trusted=4)
+        b = build_bundle(solve_metric(p, z), discrete_series(0.25, 8), trusted=4)
         assert b.residuals["r_herm"] <= RESIDUAL_TOLS["r_herm"]
         assert b.residuals["r_eq10"] <= RESIDUAL_TOLS["r_eq10"]
