@@ -46,6 +46,14 @@ PINS = [
     # the 500-point level certifies only from the bisection's values
     ["pdm", *BASE, "--x-min=-2", "--x-max", "6"],
     ["pdm", *BASE, "--tau", "1.0"],
+    # mu, nu and the gap reach the grid from couplings other than BASE:
+    # strong non-Hermiticity both ways, an inadmissible z, and a model wall
+    # that passes with e2 0.63% off the law
+    ["pdm", "--omega", "1", "--alpha", "0.45", "--beta", "0.05", "--z", "0.9"],
+    ["pdm", "--omega", "1", "--alpha", "0.05", "--beta", "0.45", "--z=-0.9"],
+    ["pdm", "--omega", "1", "--alpha", "0.45", "--beta", "0.05", "--z", "0.5"],
+    ["pdm", "--omega", "0.5", "--alpha", "0.3", "--beta", "0.1", "--z=-0.1", "--s", "1",
+     "--tau", "1.4", "--x-min=-12", "--x-max", "20", "--points", "4000"],
     # the sectors, a zero multiboson residue and weights other than 1/4 at
     # z != 0; alpha = -beta = 1/4 makes |z| <= 0.447 inadmissible for conformal
     *(["verify", *BASE, "--realization", realization, z, "--size", "400"]
