@@ -29,7 +29,8 @@ class SwansonParams(NamedTuple):
 
 class MetricSolution(NamedTuple):
     """All derived quantities of the metric family at one (params, z): rho H
-    rho^{-1} = 2u K0 + 2v Km + 2w Kp (adjoint form), h = c0 K0 + c (Km + Kp)."""
+    rho^{-1} = 2u K0 + 2v Km + 2w Kp (adjoint form), h = c0 K0 + c (Km + Kp),
+    and gap = omega^2 - 4 alpha beta as _exact rounds it once."""
 
     params: SwansonParams
     z: float
@@ -44,6 +45,7 @@ class MetricSolution(NamedTuple):
     w: float
     c0: float
     c: float
+    gap: float
 
 
 def validate_params(p: SwansonParams) -> SwansonParams:
@@ -296,4 +298,4 @@ def solve_metric(p: SwansonParams, z: float) -> MetricSolution:
     u, v, w = _mat_vec(adjoint_matrix(eps, eta), p)  # conjugated_coeffs
     return MetricSolution(params=p, z=z, epsilon=eps, eta=eta, theta=theta,
                           mu=mu, nu=nu, lambda_base=lam,
-                          u=u.real, v=v.real, w=w.real, c0=c0, c=c)
+                          u=u.real, v=v.real, w=w.real, c0=c0, c=c, gap=exact[0])

@@ -11,6 +11,7 @@ combination of the grid generators, whose drifts cancel:
 from the pointwise terms both share (_grid_terms).  Its mass form
 -1/2 d/dx (1/m) d/dx + V_eff, m = exp(-2*s*x)/(2*mu*omega), is the tests'
 oracle.  The low spectrum must follow sqrt(omega^2 - 4*alpha*beta)(n + 1/2).
+run_pdm_check reads mu, nu and that gap from one solve_metric record.
 Dirichlet walls stand far enough out that the low eigenfunctions decay
 below a threshold at both; a run whose decay check fails is INCONCLUSIVE.
 
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParams, NoConvergence
-from .metric import SwansonParams, _exact, mu_nu, spectrum_prediction
+from .metric import SwansonParams, _exact, _harmonic_law, solve_metric
 from .verification import _EPS, _TINY, _bisect, _halves, _interval_top, _tri_mul
 
 if TYPE_CHECKING:
@@ -135,18 +136,10 @@ def _grid_terms(cfg: PdmConfig):
     return x, dx, w, -0.75 * s * s / (gp * gp), -0.5 * gp / s + cfg.tau, gp
 
 
-def _mass_weights(cfg: PdmConfig) -> tuple[float, float]:
-    """(mu omega, nu / omega) of cfg's h (see _h_tridiag); InvalidParams where mu <= 0."""
-    mu, nu = mu_nu(cfg.params, cfg.z)
-    if mu <= 0.0:
-        raise InvalidParams(f"mass prefactor requires mu > 0 (got mu = {mu:g})")
-    return mu * cfg.params.omega, nu / cfg.params.omega
-
-
 def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
     """(diag, off) of h = mu omega (F + curv) + (nu/omega) well^2,
     the grid generators' c0 K0 + c (K+ + K-) with Dirichlet walls (_grid_terms),
-    for weights = _mass_weights(cfg); refused where a term (tau's) overflows."""
+    for weights = (mu omega, nu / omega); refused where a term (tau's) overflows."""
     mw, nw = weights
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, w, curv, well, _ = _grid_terms(cfg)
@@ -236,7 +229,7 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
 
 def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarray):
     """(values, vectors, residuals) of the lowest COUNT eigenpairs of the
-    grid h of a validated cfg with its _mass_weights, certified, with
+    grid h of a validated cfg with its weights (_h_tridiag), certified, with
     residuals ||T q - theta q|| of the vectors q.
 
     _rayleigh refines `near`, approximate eigenvalues such as a coarser
@@ -283,7 +276,9 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
 
     The grid is solved at cfg.points divided by each factor of REFINE
     (coarse to fine); these levels must be distinct grids of at least 100
-    points, so the check needs 400 points (else InvalidParams).
+    points, so the check needs 400 points (else InvalidParams).  One
+    solve_metric record gives the grid's weights (mu omega, nu / omega),
+    refused where mu <= 0, and the law sqrt(gap) (n + 1/2).
     The coarsest level refines the algebraic law's values and each finer
     level those of the level before it (see _grid_spectrum); the certificate,
     not the seed, makes them the grid's own lowest eigenvalues, so their
@@ -302,12 +297,13 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
                             f"{', '.join(map(str, points_used))} must be distinct "
                             "grids of 100 points or more")
     # cfg's validation covers the coarser levels, whose terms stay smaller
-    weights = _mass_weights(cfg)
+    sol = solve_metric(cfg.params, cfg.z)
+    if sol.mu <= 0.0:
+        raise InvalidParams(f"mass prefactor requires mu > 0 (got mu = {sol.mu:g})")
+    weights = (sol.mu * cfg.params.omega, sol.nu / cfg.params.omega)
     refine_table: dict[int, np.ndarray] = {}
     refine_residuals: dict[int, np.ndarray] = {}
-    # the law on the one-boson algebra's two chains, k = 1/4 and 3/4
-    near = predicted = np.sort(np.concatenate(
-        [spectrum_prediction(cfg.params, k, COUNT) for k in (0.25, 0.75)]))[:COUNT]
+    near = predicted = np.array(_harmonic_law(math.sqrt(sol.gap), 0.5, COUNT))
     for pts in points_used:
         # the finest grid's vectors are the ones the decay check reads
         vals, vecs, refine_residuals[pts] = _grid_spectrum(

@@ -10,7 +10,8 @@ import pytest
 import scipy.linalg
 
 from su11metric import (AlgebraElement, NoConvergence, SwansonParams, cli,
-                        discrete_series, pdm, spectrum_prediction, verification)
+                        discrete_series, pdm, solve_metric, spectrum_prediction,
+                        verification)
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
 from oracles import metric_family_mp
@@ -639,7 +640,8 @@ class TestPdmCommand:
                                "--beta", "0.1", f"--z={z:g}")
         assert code == 0 and parse_table(out)["status"] == "PASS"
         want = metric_family_mp(p, z)
-        for got, ref in zip(pdm._mass_weights(pdm.PdmConfig(params=p, z=z)),
+        sol = solve_metric(p, z)
+        for got, ref in zip((sol.mu * p.omega, sol.nu / p.omega),
                             (want["mu"] * p.omega, want["nu"] / p.omega)):
             assert abs(got - ref) <= 1e-15 * abs(ref)
 
@@ -677,9 +679,10 @@ class TestPdmCommand:
             verification._low_eigs(AlgebraElement(1.0, 0.495, 0.495),
                                    discrete_series(0.25, 100), 3)
         # a non-finite seed certifies nothing, so the grid bisects
-        cfg = pdm.PdmConfig(params=SwansonParams(1.0, 0.2, 0.1), points=400)
+        p = SwansonParams(1.0, 0.2, 0.1)
+        cfg, sol = pdm.PdmConfig(params=p, points=400), solve_metric(p, 0.0)
         with pytest.raises(NoConvergence, match="stebz did not converge"):
-            pdm._grid_spectrum(cfg, pdm._mass_weights(cfg), np.full(3, np.nan))
+            pdm._grid_spectrum(cfg, (sol.mu * p.omega, sol.nu / p.omega), np.full(3, np.nan))
         code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", "--x-max", "300")
         assert (code, out) == (3, "")

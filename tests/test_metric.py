@@ -13,7 +13,7 @@ from su11metric import (AlgebraElement, InvalidParams, MetricSolution,
                         solve_metric, spectrum_prediction, swanson_element,
                         validate_params, z_domain)
 
-from su11metric import cli, core, verification
+from su11metric import cli, core, pdm, verification
 
 from oracles import metric_family_mp, stability_roots_mp
 
@@ -61,7 +61,7 @@ class TestRecords:
         assert SwansonParams._fields == ("omega", "alpha", "beta")
         assert MetricSolution._fields == ("params", "z", "epsilon", "eta", "theta",
                                           "mu", "nu", "lambda_base", "u", "v", "w",
-                                          "c0", "c")
+                                          "c0", "c", "gap")
 
     def test_repr(self):
         assert repr(SwansonParams(1.0, 0.2, 0.1)) == \
@@ -69,7 +69,7 @@ class TestRecords:
         sol = solve_metric(P, 0.0)
         assert repr(sol).startswith(
             "MetricSolution(params=SwansonParams(omega=1.0, alpha=0.2, beta=0.1), z=0.0, ")
-        assert repr(sol).endswith(f", c0={sol.c0!r}, c={sol.c!r})")
+        assert repr(sol).endswith(f", c0={sol.c0!r}, c={sol.c!r}, gap={sol.gap!r})")
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -221,7 +221,7 @@ class TestOneGate:
             calls.append(args)
             return original(*args)
 
-        for module in (core, metric, verification, cli):
+        for module in (core, metric, verification, cli, pdm):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
         return calls
@@ -246,6 +246,10 @@ class TestOneGate:
         # twice and the adjoint form formed twice)
         (["sweep", "--z-from", "-0.8", "--z-to", "0.8", "--steps", "9",
           "--size", "400"], 11, 27),
+        # pdm at z = 0.4: validate_config's check and one solve, whose
+        # adjoint form pdm does not read (4 _exact when mu, nu and the law
+        # were each taken apart)
+        (["pdm", "--z", "0.4"], 2, 1),
     ])
     def test_cli_solves_each_z_once(self, monkeypatch, capsys, argv, exact, pivots):
         exact_calls = self.counter(monkeypatch, metric, "_exact")

@@ -10,11 +10,13 @@ import scipy.linalg
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
-from su11metric import (InvalidParams, NoConvergence, SwansonParams,
-                        hermitian_equivalent, is_admissible)
-from su11metric import pdm, verification
+from su11metric import (InvalidParams, NoConvergence, Su11MetricError, SwansonParams,
+                        hermitian_equivalent, is_admissible, mu_nu, solve_metric,
+                        spectrum_prediction, z_domain)
+from su11metric import metric, pdm, verification
+from su11metric.metric import _harmonic_law
 from su11metric.pdm import (PdmConfig, _grid_spectrum, _grid_terms, _h_tridiag,
-                            _interior_grid, _mass_weights, boundary_decay,
+                            _interior_grid, boundary_decay,
                             pdm_generators, run_pdm_check, validate_config)
 
 from oracles import pdm_flux_form
@@ -28,9 +30,15 @@ COUPLINGS = [(1.0, 0.2, 0.1), (1.0, 0.45, 0.05), (1.0, 0.05, 0.45), (2.0, 0.5, -
 ZS = (-0.9, -0.4, 0.0, 0.4, 0.8)
 
 
+def mass_weights(cfg):
+    """(mu omega, nu / omega) of cfg's h, as run_pdm_check reads them."""
+    sol = solve_metric(cfg.params, cfg.z)
+    return sol.mu * cfg.params.omega, sol.nu / cfg.params.omega
+
+
 def h_tridiag(cfg):
     """The grid h of a valid cfg, as pdm's solves form it."""
-    return _h_tridiag(cfg, _mass_weights(cfg))
+    return _h_tridiag(cfg, mass_weights(cfg))
 
 
 def grid_spectrum(cfg, near=None):
@@ -40,7 +48,7 @@ def grid_spectrum(cfg, near=None):
     if near is None:
         diag, off = h_tridiag(cfg)
         near = verification._bisect(diag, off, pdm.COUNT)
-    return _grid_spectrum(cfg, _mass_weights(cfg), near)
+    return _grid_spectrum(cfg, mass_weights(cfg), near)
 
 
 def admissible_configs(points):
@@ -81,15 +89,15 @@ class TestConfig:
         assert np.isfinite(grid_spectrum(wide)[0]).all()
 
     def test_checked_once_per_call(self, monkeypatch):
-        # run_pdm_check validates its config and takes mu and nu once, not
+        # run_pdm_check validates its config and solves (p, z) once, not
         # once per level; pdm_generators checks its own input once
         calls = []
-        for name in ("validate_config", "mu_nu"):
+        for name in ("validate_config", "solve_metric"):
             def counted(*args, _name=name, _f=getattr(pdm, name)):
                 calls.append(_name)
                 return _f(*args)
             monkeypatch.setattr(pdm, name, counted)
-        for run, expected in ((run_pdm_check, ["validate_config", "mu_nu"]),
+        for run, expected in ((run_pdm_check, ["validate_config", "solve_metric"]),
                               (pdm_generators, ["validate_config"])):
             calls.clear()
             run(replace(CFG, points=400))
@@ -216,6 +224,68 @@ class TestSpectralCheck:
         vals = run_pdm_check(replace(CFG, points=400)).predicted
         assert np.allclose(vals, [0.47958315233127197, 1.438749456993816,
                                   2.39791576165636], rtol=1e-14)
+
+
+def two_chain_law(p):
+    """The law as the union of the one-boson algebra's two chains, k = 1/4
+    and 3/4: the form run_pdm_check took before it read the gap."""
+    return np.sort(np.concatenate(
+        [spectrum_prediction(p, k, pdm.COUNT) for k in (0.25, 0.75)]))[:pdm.COUNT]
+
+
+class TestOneSolve:
+    """run_pdm_check reads mu, nu and the gap from one solve_metric record;
+    mu_nu and the two chains' laws, which it read before, are the reference."""
+
+    @staticmethod
+    def draws(count, seed=37):
+        # omega = 10^U(-2, 2), alpha and beta in [-omega, omega], and z
+        # uniform, at +-1, within 1e-6 of 1 or within 1e-6 of a stability root
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            omega = 10.0 ** rng.uniform(-2.0, 2.0)
+            p = SwansonParams(omega, *rng.uniform(-omega, omega, 2))
+            kind = i % 4
+            domain = TestOneSolve.outcome(z_domain, p)[0] if kind == 3 else None
+            roots = [b for iv in domain or () for b in iv if abs(b) < 1.0]
+            if roots:
+                z = float(np.clip(rng.choice(roots) + rng.uniform(-1e-6, 1e-6), -1.0, 1.0))
+            elif kind == 2:
+                z = float(rng.uniform(0.999999, 1.0))
+            elif kind == 1:
+                z = float(rng.choice([-1.0, 1.0]))
+            else:
+                z = float(rng.uniform(-1.0, 1.0))
+            yield p, z
+
+    @staticmethod
+    def outcome(f, *args):
+        try:
+            return f(*args), None
+        except Su11MetricError as exc:
+            return None, (type(exc), str(exc))
+
+    def test_record_matches_the_separate_solves(self):
+        accepted = 0
+        for p, z in self.draws(4000):
+            ref, ref_err = self.outcome(mu_nu, p, z)
+            sol, err = self.outcome(solve_metric, p, z)
+            assert err == ref_err, (p, z)
+            if err is not None:
+                continue
+            accepted += 1
+            mu, nu = ref
+            assert (sol.mu * p.omega, sol.nu / p.omega) == (mu * p.omega, nu / p.omega), (p, z)
+            assert sol.gap == metric._exact(p)[0], (p, z)
+            law = np.array(_harmonic_law(math.sqrt(sol.gap), 0.5, pdm.COUNT))
+            assert np.array_equal(law, two_chain_law(p)), (p, z)
+        assert accepted > 2000
+
+    def test_report_reads_the_law(self):
+        for cfg in admissible_configs(400):
+            sol = solve_metric(cfg.params, cfg.z)
+            if sol.mu > 0.0:
+                assert np.array_equal(run_pdm_check(cfg).predicted, two_chain_law(cfg.params))
 
 
 class TestCertifiedChain:
