@@ -23,24 +23,25 @@ tridiagonal solve (dgtsv) a step.  Each level is certified on disjoint
 intervals (verification._interval_top) from residuals that bound their own
 rounding, and counted by LAPACK (dstebz).  A level whose seeds fail it
 refines the bisection's values instead, and one not certified even then
-raises NoConvergence.  The solves import scipy's LAPACK when they first
-run, not this module.
+raises NoConvergence.  The solves call scipy's compiled LAPACK wrappers,
+which _lapack loads on first use without scipy's Python packages; only the
+bisection's fallback (verification._bisect) imports scipy.linalg.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, _exact, _harmonic_law, solve_metric
 from .verification import _EPS, _TINY, _bisect, _halves, _interval_top, _tri_mul
-
-if TYPE_CHECKING:
-    from scipy.sparse import dia_array
 
 # run_pdm_check's protocol
 COUNT = 3             # eigenvalues checked
@@ -63,12 +64,64 @@ class PdmConfig:
     points: int = 2000
 
 
+class Tridiagonal:
+    """A square tridiagonal operator held as scipy.sparse.dia_array holds
+    one: data[k, j] is the entry at (j - offsets[k], j), offsets (-1, 0, 1),
+    so data[0, -1] and data[2, 0] lie outside it.  Products sum the lower,
+    main and upper bands in that order from zero, as dia_array's do, so
+    they are bitwise the same."""
+
+    __array_ufunc__ = None  # np.float64 * op is an operator, not an object array
+    offsets = np.array([-1, 0, 1])
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self.shape = (data.shape[1],) * 2
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        lower, main, upper = self.data.reshape(self.data.shape + (1,) * (x.ndim - 1))
+        y = np.zeros(x.shape, np.result_type(self.data, x))
+        y[1:] += lower[:-1] * x[:-1]
+        y += main * x
+        y[:-1] += upper[1:] * x[1:]
+        return y
+
+    def __mul__(self, c):
+        return Tridiagonal(self.data * c) if np.isscalar(c) else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, Tridiagonal):
+            return NotImplemented
+        return Tridiagonal(self.data + other.data)
+
+    def __sub__(self, other):
+        if not isinstance(other, Tridiagonal):
+            return NotImplemented
+        return Tridiagonal(self.data - other.data)
+
+    def diagonal(self, k: int = 0) -> np.ndarray:
+        n = self.shape[0]
+        if abs(k) > 1:
+            return np.zeros(max(n - abs(k), 0))
+        return self.data[k + 1, max(k, 0):n + min(k, 0)]
+
+    def toarray(self) -> np.ndarray:
+        n = self.shape[0]
+        out = np.zeros(self.shape)
+        flat = out.reshape(-1)
+        flat[n::n + 1] += self.data[0, :-1]
+        flat[::n + 1] += self.data[1]
+        flat[1::n + 1] += self.data[2, 1:]
+        return out
+
+
 @dataclass
 class GridOperator:
-    """Tridiagonal finite-difference operator on the interior grid nodes,
-    held as a DIA array with offsets (-1, 0, 1)."""
+    """Tridiagonal finite-difference operator on the interior grid nodes."""
 
-    matrix: dia_array
+    matrix: Tridiagonal
     grid: np.ndarray
     dx: float
 
@@ -150,6 +203,32 @@ def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
     return diag, -mw * w[1:-1]
 
 
+def _lapack():
+    """scipy.linalg._flapack, scipy's compiled LAPACK wrappers: the module
+    in sys.modules if scipy.linalg (or an earlier call) loaded it, else its
+    extension file next to scipy's package, loaded without importing scipy's
+    Python packages and registered under its name, so that a later import of
+    scipy.linalg reuses it.  ImportError, naming the path, where it is missing."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise ImportError("scipy is not installed: the PDM solves need its LAPACK "
+                          "wrappers", name=name)
+    stem = os.path.join(os.path.dirname(spec.origin), "linalg", "_flapack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK wrappers are missing: no {paths[0]}",
+                          name=name, path=paths[0])
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     """(values, vectors, residuals) refined from `shifts` on the symmetric
     tridiagonal T = (diag, off); None where a solve fails or leaves the doubles.
@@ -172,8 +251,7 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     products split error-free (Dekker, on Veltkamp halves): its error,
     eps |r_i| + tiny (tiny for products that underflow), replaces 4 eps m_i.
     """
-    from scipy.linalg.lapack import dgtsv
-
+    dgtsv = _lapack().dgtsv
     k, n = shifts.size, diag.size
     # row j holds block j, and a zero last link ends it.  dgtsv overwrites
     # the diagonal (main) and both link bands (links, the lower over the
@@ -242,7 +320,7 @@ def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarra
     where these do not certify either.
     """
     diag, off = _h_tridiag(cfg, weights)
-    from scipy.linalg.lapack import dstebz
+    dstebz = _lapack().dstebz
     reason = ""
     for shifts in (near, None):
         if shifts is None:
@@ -334,7 +412,7 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
 
 def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOperator]:
     """Finite-difference (K0, Kp, Km) built from the generating function,
-    each a tridiagonal DIA array: no N x N array is formed.
+    each a Tridiagonal band: no N x N array is formed.
 
     K0 = 1/2 [ F + curv + well^2 ]
     K+- = 1/2 [ -F -+ drift d/dx - curv +- tilt + well^2 -+ 1/2 ]
@@ -344,18 +422,16 @@ def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOper
     the central difference, so Kp and Km are adjoint only up to the grid
     resolution (checked under refinement).  A nonfinite entry is refused.
     """
-    from scipy.sparse import dia_array
-
     x, dx, w, curv, well, gp = _grid_terms(validate_config(cfg))
 
     def grid_op(name, lower, main, upper):
-        # DIA layout: data[k, j] is the entry at (j - offsets[k], j)
+        # Tridiagonal's layout: data[k, j] is the entry at (j - offsets[k], j)
         data = np.zeros((3, x.size))
         data[0, :-1], data[1], data[2, 1:] = lower, main, upper
         if not np.isfinite(data).all():
             raise InvalidParams(f"the grid generator {name} is not finite "
                                 f"(tau = {cfg.tau:g}); shrink tau, the domain or s")
-        return GridOperator(dia_array((data, (-1, 0, 1)), shape=(x.size, x.size)), x, dx)
+        return GridOperator(Tridiagonal(data), x, dx)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # flux operator F: f_diag, and -w on both sides

@@ -21,7 +21,8 @@ certified by a twisted factorization's vectors at them on the leading
 states a stated bound needs and a Sturm count in Python (_low_eigs,
 _rotated_chain, _certify).  A chain whose law does not hold to rounding in
 its N states (a near-parabolic h, or a chain too short for it) has its
-values bisected whole by LAPACK, the one step that loads scipy.  Only
+values bisected whole by LAPACK, the one step that imports scipy.linalg
+(pdm's grid solves load only its compiled wrappers).  Only
 values leave the solve.  So build_bundle's cost does not grow with N; only
 building the realization, which the caller does, still does.  Where a
 metric block does not exist in the realization's basis (a divergent

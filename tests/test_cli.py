@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import mpmath as mp
@@ -801,26 +802,63 @@ print(codes, loaded, bound, main(["verify"] + base + ["--z", "0.4", "--size", "6
         assert code == 0
         assert calls[2:] == ["from_descriptor", "build_bundle", "build_bundle"]
 
-    def test_pdm_command_skips_scipy_sparse(self):
-        # the generators' DIA arrays import scipy.sparse on their first
-        # build; the pdm subcommand's tridiagonal solves do not need it
+    def test_pdm_loads_only_the_lapack_wrappers(self):
+        # the grid's solves and counts call scipy's compiled LAPACK wrappers,
+        # loaded without scipy's Python packages, and the generators are
+        # pdm's own bands: no scipy.linalg, scipy.sparse or scipy._lib
         script = """
 import sys
+from su11metric import SwansonParams
 from su11metric.cli import main
+from su11metric.pdm import PdmConfig, pdm_generators
 code = main(["pdm", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
              "--points", "400"])
-print(code, sorted(m for m in sys.modules if m.startswith("scipy.sparse")),
-      "scipy.linalg" in sys.modules, file=sys.stderr)
+ops = pdm_generators(PdmConfig(SwansonParams(1.0, 0.2, 0.1), points=400))
+print(code, len(ops), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      file=sys.stderr)
 """
         proc = self._run("-c", script)
-        assert proc.stderr.splitlines()[-1] == "0 [] True"
+        assert proc.stderr.splitlines()[-1] == "0 3 ['scipy.linalg._flapack']"
+
+    def test_lapack_wrappers_load_once(self):
+        # a later scipy.linalg import reuses the module pdm loaded
+        script = """
+import sys
+from su11metric import SwansonParams, pdm
+pdm.run_pdm_check(pdm.PdmConfig(SwansonParams(1.0, 0.2, 0.1), points=400))
+import scipy.linalg.lapack
+print(scipy.linalg.lapack.dgtsv is pdm._lapack().dgtsv,
+      sys.modules["scipy.linalg._flapack"] is pdm._lapack(), file=sys.stderr)
+"""
+        proc = self._run("-c", script)
+        assert proc.stderr.splitlines()[-1] == "True True"
+
+    def test_missing_lapack_wrappers_are_an_import_error(self, tmp_path):
+        # a scipy package without the extension file: the check raises
+        # ImportError naming the path, and nothing falls back to scipy.linalg
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        script = f"""
+import sys
+sys.path.insert(0, {str(tmp_path)!r})
+from su11metric import SwansonParams, pdm
+try:
+    pdm.run_pdm_check(pdm.PdmConfig(SwansonParams(1.0, 0.2, 0.1), points=400))
+except ImportError as exc:
+    print(exc, file=sys.stderr)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+        proc = self._run("-c", script)
+        path = tmp_path / "scipy" / "linalg" / f"_flapack{EXTENSION_SUFFIXES[0]}"
+        assert proc.stderr.splitlines()[-2:] == [
+            f"scipy's LAPACK wrappers are missing: no {path}", "[]"]
 
     @pytest.mark.parametrize("module, scipy_loaded", [("su11metric.verification", False),
                                                       ("su11metric.pdm", True)])
     def test_scipy_loads_with_pdm_alone(self, module, scipy_loaded):
-        # neither module imports scipy; the PDM grid's solve
-        # does when it runs, while an elliptic h's chains take the closed
-        # form and count their certificates in Python
+        # neither module imports scipy; the PDM grid's solve loads its
+        # LAPACK wrappers when it runs, while an elliptic h's chains take
+        # the closed form and count their certificates in Python
         script = f"""
 import sys
 import {module} as mod

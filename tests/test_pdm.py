@@ -374,11 +374,12 @@ class TestCertifiedChain:
 
     def test_no_solve_calls_dstein(self, monkeypatch):
         # one dgtsv call per Rayleigh step solves for every shift at once;
-        # with LAPACK's inverse iteration refused, the statuses stand
+        # with LAPACK's inverse iteration refused on the wrappers the solves
+        # read, the statuses stand
         def refuse(*args, **kwargs):
             raise AssertionError("dstein called")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstein", refuse)
+        monkeypatch.setattr(pdm._lapack(), "dstein", refuse)
         for cfg, status in ((CFG, "PASS"), (replace(CFG, points=8000), "PASS"),
                             (replace(CFG, x_min=-2.0, x_max=2.0, points=400), "INCONCLUSIVE"),
                             (replace(CFG, x_min=-600.0), "FAIL")):
@@ -444,6 +445,45 @@ class TestCertifiedChain:
             run_pdm_check(replace(CFG, x_max=300.0))
 
 
+class TestTridiagonal:
+    """pdm.Tridiagonal against scipy.sparse.dia_array on the same bands:
+    every result byte for byte, as the generators' callers read them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 1001])
+    def test_matches_dia_array(self, n):
+        rng = np.random.default_rng(n)
+        bands = [rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8, 8, (3, n))
+                 for _ in range(2)]
+        a, b = (pdm.Tridiagonal(d) for d in bands)
+        ref_a, ref_b = (sparse.dia_array((d, (-1, 0, 1)), shape=(n, n)) for d in bands)
+        x, xs = rng.standard_normal(n), rng.standard_normal((n, 4))
+        c = rng.standard_normal()
+        pairs = [(a @ x, ref_a @ x), (a @ xs, ref_a @ xs), (a @ xs[:, :1], ref_a @ xs[:, :1]),
+                 (a.toarray(), ref_a.toarray()),
+                 ((c * a).toarray(), (c * ref_a).toarray()),
+                 ((np.float64(c) * a).toarray(), (np.float64(c) * ref_a).toarray()),
+                 ((a * c).toarray(), (ref_a * c).toarray()),
+                 ((a + b).toarray(), (ref_a + ref_b).toarray()),
+                 ((a - b).toarray(), (ref_a - ref_b).toarray()),
+                 ((c * a + b) @ x, (c * ref_a + ref_b) @ x)]
+        pairs += [(a.diagonal(k), ref_a.diagonal(k)) for k in (-2, -1, 0, 1, 2)]
+        assert a.shape == ref_a.shape == (n, n)
+        assert a.offsets.tolist() == ref_a.offsets.tolist()
+        for i, (got, want) in enumerate(pairs):
+            assert got.shape == want.shape and got.dtype == want.dtype, i
+            assert got.tobytes() == want.tobytes(), i
+
+    def test_refuses_other_operands(self):
+        a = pdm.Tridiagonal(np.ones((3, 4)))
+        for other in (np.ones((3, 4)), 1.0):
+            with pytest.raises(TypeError):
+                a + other
+            with pytest.raises(TypeError):
+                a - other
+        with pytest.raises(TypeError):
+            a * np.ones(4)
+
+
 class TestGenerators:
     @staticmethod
     def _probe_residual(cfg):
@@ -491,7 +531,7 @@ class TestGenerators:
         ops = pdm_generators(cfg)
         x, dx = _interior_grid(cfg)
         for op, ref in zip(ops, self._dense_reference(cfg)):
-            assert isinstance(op.matrix, sparse.dia_array)
+            assert isinstance(op.matrix, pdm.Tridiagonal)
             assert op.matrix.offsets.tolist() == [-1, 0, 1]
             assert np.array_equal(op.matrix.toarray(), ref)
             assert np.array_equal(op.grid, x) and op.dx == dx
@@ -503,7 +543,8 @@ class TestGenerators:
 
     def test_generators_stay_banded_in_memory(self):
         # three dense 4000 x 4000 operators would take 384 MB; the bands
-        # take 0.3 MB (the first call imports scipy.sparse outside the trace)
+        # take 0.3 MB (a first small call runs numpy's one-time setup
+        # outside the trace)
         pdm_generators(replace(CFG, points=100))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
