@@ -69,6 +69,10 @@ PINS = [
     ["verify", *BASE, "--size", "12", "--trusted", "5", "--z", "0.4"],
     ["verify", *BASE, "--realization", "multiboson:l=3,residues=0.25,0.5,0.75",
      "--size", "12", "--trusted", "4", "--z", "0.4"],
+    # a one-state chain: at N = 5 the third of band 3 holds one state, and
+    # the bisection takes it as its own eigenvalue
+    ["verify", *BASE, "--realization", "multiboson:l=3,residues=0.25,0.5,0.75",
+     "--size", "5", "--trusted", "2"],
 ]
 
 
