@@ -12,14 +12,13 @@ subcommands (validate, disentangle, metric, spectrum) load neither numpy
 nor scipy nor dataclasses: the algebra layer's records are NamedTuples.
 verify, sweep and pdm load the matrix layer (numpy) on first use, and
 its records are dataclasses, whose import is a small share of numpy's.
-Only pdm loads scipy, and of it only the compiled LAPACK wrappers
-(pdm._lapack), for its grid's solves and counts: verify and sweep take
-h's values from the harmonic law and count them in Python.  The one path
-that imports scipy.linalg is the bisection (verification._bisect): pdm's
-fallback for a grid level whose seeds do not certify, and a chain where
-the law does not hold to rounding in its N states, a near-parabolic h's
-or one too short for the law (e2 to e4 of verify --size 12), whose values
-alone it bisects, no eigenvectors.
+No module imports scipy; its compiled LAPACK wrappers alone are loaded,
+on first use (verification._lapack): by pdm, for its grid's solves and
+counts, and by the bisection (verification._bisect, values alone), for a
+grid level whose seeds do not certify and for a chain where the law does
+not hold to rounding in its N states, a near-parabolic h's or one too
+short for the law (e2 to e4 of verify --size 12).  Otherwise verify and
+sweep take h's values from the harmonic law and count them in Python.
 Where mu <= 0, h is unbounded below, and its solve
 (verification._low_eigs) and pdm's grid refuse z (exit 2).
 

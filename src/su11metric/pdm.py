@@ -23,25 +23,19 @@ tridiagonal solve (dgtsv) a step.  Each level is certified on disjoint
 intervals (verification._interval_top) from residuals that bound their own
 rounding, and counted by LAPACK (dstebz).  A level whose seeds fail it
 refines the bisection's values instead, and one not certified even then
-raises NoConvergence.  The solves call scipy's compiled LAPACK wrappers,
-which _lapack loads on first use without scipy's Python packages; only the
-bisection's fallback (verification._bisect) imports scipy.linalg.
+raises NoConvergence; each LAPACK call goes through verification._lapack.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, _exact, _harmonic_law, solve_metric
-from .verification import _EPS, _TINY, _bisect, _halves, _interval_top, _tri_mul
+from .verification import _EPS, _TINY, _bisect, _halves, _interval_top, _lapack, _tri_mul
 
 # run_pdm_check's protocol
 COUNT = 3             # eigenvalues checked
@@ -201,32 +195,6 @@ def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
         raise InvalidParams("effective potential is not finite on the grid; "
                             "shrink the domain or the exponent s")
     return diag, -mw * w[1:-1]
-
-
-def _lapack():
-    """scipy.linalg._flapack, scipy's compiled LAPACK wrappers: the module
-    in sys.modules if scipy.linalg (or an earlier call) loaded it, else its
-    extension file next to scipy's package, loaded without importing scipy's
-    Python packages and registered under its name, so that a later import of
-    scipy.linalg reuses it.  ImportError, naming the path, where it is missing."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or spec.origin is None:
-        raise ImportError("scipy is not installed: the PDM solves need its LAPACK "
-                          "wrappers", name=name)
-    stem = os.path.join(os.path.dirname(spec.origin), "linalg", "_flapack")
-    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if os.path.isfile(p)), None)
-    if path is None:
-        raise ImportError(f"scipy's LAPACK wrappers are missing: no {paths[0]}",
-                          name=name, path=paths[0])
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-    loader.exec_module(module)
-    sys.modules[name] = module
-    return module
 
 
 def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):

@@ -21,15 +21,14 @@ certified by a twisted factorization's vectors at them on the leading
 states a stated bound needs and a Sturm count in Python (_low_eigs,
 _rotated_chain, _certify).  A chain whose law does not hold to rounding in
 its N states (a near-parabolic h, or a chain too short for it) has its
-values bisected whole by LAPACK, the one step that imports scipy.linalg
-(pdm's grid solves load only its compiled wrappers).  Only
-values leave the solve.  So build_bundle's cost does not grow with N; only
-building the realization, which the caller does, still does.  Where a
-metric block does not exist in the realization's basis (a divergent
-series, zeta_+ at z = 2 beta / omega) it is inf, and so are the residuals
-that read it.  The rule is per entry and strict: a block whose tail bound
-does not fit in the N states is inf even where the spectral-norm
-residuals would not move.
+values alone bisected whole by LAPACK (_bisect; _lapack loads scipy's
+compiled wrappers, the one route to LAPACK, without importing scipy).  So
+build_bundle's cost does not grow with N; only building the realization,
+which the caller does, still does.  Where a metric block does not exist
+in the realization's basis (a divergent series, zeta_+ at z = 2 beta /
+omega) it is inf, and so are the residuals that read it.  The rule is per
+entry and strict: a block whose tail bound does not fit in the N states
+is inf even where the spectral-norm residuals would not move.
 Columns asked for past the block's rows (acceptance criterion 5 and the
 tests' transport check phi = rho^{-1} psi read them) are summed to the N
 states where their own bound does not fit, with no inf.
@@ -37,7 +36,11 @@ states where their own bound does not fit, with no inf.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,24 +77,50 @@ class OperatorBundle:
     spectrum_h: np.ndarray
 
 
-# eigh_tridiagonal's bisection: 2 tiny absolute tolerance (LAPACK's value
-# for the most accurate eigenvalues) and, inside LAPACK, 2 ulp relative
+# _bisect's tolerance: 2 tiny absolute (LAPACK's value for the most
+# accurate eigenvalues) and, inside LAPACK, 2 ulp relative
 _TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
-    """eigh_tridiagonal's lowest `count` eigenvalues (ascending) of the
-    symmetric tridiagonal (diag, off), bisected to 2 tiny absolute (at
-    ulp ||T|| a wide diagonal's low values are noise), with no
-    eigenvectors; NoConvergence where it fails."""
-    from scipy.linalg import eigh_tridiagonal
+def _lapack():
+    """scipy.linalg._flapack, scipy's compiled LAPACK wrappers: the loaded
+    module, else its extension file next to scipy's package, loaded without
+    scipy's Python packages and registered under its name, for a later
+    scipy.linalg to reuse.  ImportError, naming the path, where it is missing."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise ImportError("scipy is not installed: the tridiagonal solves need its "
+                          "LAPACK wrappers", name=name)
+    stem = os.path.join(os.path.dirname(spec.origin), "linalg", "_flapack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK wrappers are missing: no {paths[0]}",
+                          name=name, path=paths[0])
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
-    try:
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                tol=2.0 * _TINY, select_range=(0, count - 1))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
+
+def _bisect(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
+    """The lowest `count` eigenvalues (ascending) of the finite symmetric
+    tridiagonal (diag, off), values alone, bisected by dstebz to 2 tiny
+    absolute (at ulp ||T|| a wide diagonal's low values are noise) as
+    scipy's eigh_tridiagonal does; NoConvergence, in its words, where it
+    fails.  A one-state T (dstebz refuses its empty off) is its own value."""
+    if diag.size == 1:
+        return diag.copy()
+    m, w, *_, info = _lapack().dstebz(diag, off, 2, 0.0, 1.0, 1, count, 2.0 * _TINY, "E")
+    if info != 0:
+        raise NoConvergence("tridiagonal eigensolve failed: stebz (eigh_tridiagonal) "
+                            f"did not converge (LAPACK info={info})")
+    return w[:m]
 
 
 def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -326,6 +355,10 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     count = min(count, n)
     if count == 0:
         return np.empty(0)
+    # LAPACK reads finite bands; |c| K+ <= c0 (K0 + 1/2) / 2 is finite with c0 K0
+    k0_max = float(realization.k0_diag.max())
+    if c0 * k0_max == math.inf:
+        raise InvalidParams(f"h's diagonal overflows (c0 = {c0:g}, K0 up to {k0_max:g})")
     w = []
     for ch in range(min(band, n)):
         k0 = realization.k0_diag[ch::band]

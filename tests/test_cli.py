@@ -1,14 +1,15 @@
+import ast
 import os
 import subprocess
 import sys
 import warnings
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
-import scipy.linalg
 
 from su11metric import (AlgebraElement, NoConvergence, SwansonParams, cli,
                         discrete_series, pdm, solve_metric, spectrum_prediction,
@@ -387,6 +388,10 @@ class TestNonFiniteInputs:
         (("validate", "--omega", "2.778448436856347e-163", "--alpha", "2.409919865102884e-181",
           "--beta", "1.204959932551442e-181"),
          "omega^2 - 4*alpha*beta is nonzero but rounds to 0 as a double"),
+        # c0 K0 overflowed on h's chain: a RuntimeWarning, then a ValueError
+        # traceback from the bisection's finiteness check (exit 1)
+        (("verify", *BASE, "--z", "0.4", "--realization", "discrete:k=1e308"),
+         "h's diagonal overflows (c0 = 2.05714, K0 up to 1e+308)"),
     ])
     def test_refused_by_name(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -671,25 +676,28 @@ class TestPdmCommand:
         # the chains and the grid share one bisection and its error path;
         # a near-parabolic element's chain is bisected (its law does not
         # hold to rounding in 100 states), and --x-max 300 certifies no
-        # level, so the grid bisects
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("stebz did not converge")
+        # level, so the grid bisects.  The loader's dstebz reports that the
+        # bisection did not converge
+        def fail(d, e, *args):
+            return 0, np.zeros_like(d), None, None, 3
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
-        with pytest.raises(NoConvergence, match="stebz did not converge"):
+        monkeypatch.setattr(verification, "_lapack", lambda: SimpleNamespace(dstebz=fail))
+        failed = r"stebz \(eigh_tridiagonal\) did not converge \(LAPACK info=3\)"
+        with pytest.raises(NoConvergence, match=failed):
             verification._low_eigs(AlgebraElement(1.0, 0.495, 0.495),
                                    discrete_series(0.25, 100), 3)
         # a non-finite seed certifies nothing, so the grid bisects
         p = SwansonParams(1.0, 0.2, 0.1)
         cfg, sol = pdm.PdmConfig(params=p, points=400), solve_metric(p, 0.0)
-        with pytest.raises(NoConvergence, match="stebz did not converge"):
+        with pytest.raises(NoConvergence, match=failed):
             pdm._grid_spectrum(cfg, (sol.mu * p.omega, sol.nu / p.omega), np.full(3, np.nan))
         code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", "--x-max", "300")
         assert (code, out) == (3, "")
         assert err == ("error: the 500-point grid's lowest 3 eigenvalues cannot be "
                        "certified (its diagonal spans 0.447 to 4.17e+130): "
-                       "tridiagonal eigensolve failed: stebz did not converge\n")
+                       "tridiagonal eigensolve failed: stebz (eigh_tridiagonal) did not "
+                       "converge (LAPACK info=3)\n")
 
 
 class TestPublicApi:
@@ -819,6 +827,36 @@ print(code, len(ops), sorted(m for m in sys.modules if m.split(".")[0] == "scipy
 """
         proc = self._run("-c", script)
         assert proc.stderr.splitlines()[-1] == "0 3 ['scipy.linalg._flapack']"
+        # nor where the bisection runs: a grid level whose seeds do not
+        # certify (its bisection fails, exit 3) and chains too short for
+        # the law (exit 0) reach dstebz through the same loader
+        base = ["--omega", "1", "--alpha", "0.2", "--beta", "0.1"]
+        for argv, code in ((["pdm", *base, "--x-max", "500"], 3),
+                           (["verify", *base, "--size", "12", "--trusted", "5", "--z", "0.4"], 0)):
+            script = f"""
+import sys
+from su11metric.cli import main
+code = main({argv!r})
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+            proc = self._run("-c", script)
+            assert proc.stderr.splitlines()[-1] == f"{code} ['scipy.linalg._flapack']", argv
+
+    def test_src_imports_no_scipy(self):
+        # the program reaches LAPACK through verification._lapack alone: no
+        # module of the package imports scipy
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
     def test_lapack_wrappers_load_once(self):
         # a later scipy.linalg import reuses the module pdm loaded

@@ -258,10 +258,9 @@ def chain_pairs(x, r, count):
 
 
 class TestBisect:
-    # _bisect's values, with no eigenvectors, are byte for byte those of
-    # eigh_tridiagonal's bisection with them (stebz, then stein), on the
-    # chains and grid levels that reach it in the golden pins and on
-    # split chains
+    # _bisect's values are byte for byte those of eigh_tridiagonal's
+    # values-only bisection (stebz alone), on the chains and grid levels
+    # that reach it in the golden pins and on split chains
 
     @staticmethod
     def assert_same_values(d, e, count):
@@ -301,21 +300,26 @@ class TestBisect:
             self.assert_same_values(d, e, int(rng.integers(1, n + 1)))
 
     def test_values_only(self, monkeypatch):
-        # the chain fallback and the grid's ask eigh_tridiagonal for values
-        # alone, so no stein runs
-        asked = []
-        exact = scipy.linalg.eigh_tridiagonal
+        # the chain fallback and the grid's bisect by index (dstebz's range
+        # 2) for values alone, so no dstein runs; the grid also counts its
+        # levels by value (range 1)
+        lapack, ranges = verification._lapack(), []
+        exact = lapack.dstebz
 
-        def record(*args, **kwargs):
-            asked.append(kwargs.get("eigvals_only", False))
-            return exact(*args, **kwargs)
+        def record(d, e, select, *args):
+            ranges.append(select)
+            return exact(d, e, select, *args)
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", record)
+        def refuse(*args, **kwargs):
+            raise AssertionError("dstein ran")
+
+        monkeypatch.setattr(lapack, "dstebz", record)
+        monkeypatch.setattr(lapack, "dstein", refuse)
         w = verification._low_eigs(hermitian_equivalent(NEAR_PARABOLIC, 0.3),
                                    discrete_series(0.25, 200), 5)
-        assert w.shape == (5,) and asked == [True]
+        assert w.shape == (5,) and ranges == [2]
         run_pdm_check(PdmConfig(params=P, x_min=-2.0, x_max=6.0))
-        assert len(asked) > 1 and all(asked), asked
+        assert ranges.count(2) > 1 and set(ranges) == {1, 2}, ranges
 
 
 class TestChainCut:
