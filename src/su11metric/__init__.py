@@ -14,10 +14,9 @@ from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      Su11MetricError, TrigRegime, TruncationTooSmall,
                      ZOutOfDomain)
 from .metric import (MetricSolution, SwansonParams, commuting_observable,
-                     conjugated_coeffs, hermitian_equivalent, is_admissible,
-                     metric_exponent, mu_nu, power_base, solve_epsilon,
-                     solve_metric, spectrum_prediction, swanson_element,
-                     validate_params, z_domain)
+                     conjugated_coeffs, is_admissible, solve_metric,
+                     spectrum_prediction, swanson_element, validate_params,
+                     z_domain)
 
 
 def __getattr__(name):
@@ -37,9 +36,8 @@ __all__ = [
     "Su11MetricError", "InvalidParams", "TrigRegime", "DecompositionSingular",
     "ZOutOfDomain", "NoConvergence", "TruncationTooSmall",
     "MetricSolution", "SwansonParams", "commuting_observable",
-    "conjugated_coeffs", "hermitian_equivalent", "is_admissible",
-    "metric_exponent", "mu_nu", "power_base", "solve_epsilon", "solve_metric",
-    "swanson_element", "validate_params", "z_domain",
+    "conjugated_coeffs", "is_admissible", "solve_metric", "swanson_element",
+    "validate_params", "z_domain",
     "RealizationMatrices", "conformal", "discrete_series", "from_descriptor",
     "multiboson", "oscillator_full", "oscillator_sector", "radial",
     "OperatorBundle", "build_bundle", "materialize_metric_root",

@@ -3,11 +3,12 @@
 For H = 2*omega*K0 + 2*alpha*Km + 2*beta*Kp with alpha != beta and
 omega**2 - 4*alpha*beta > 0, a one-parameter family of Hermitian
 exponents A(z) = 2*eps*K0 + 2*eta*(Km + Kp), z in [-1, 1], makes
-h = rho H rho^{-1} Hermitian for rho = exp(A).  This module solves the
-Hermiticity condition for eps(z) (eta = z*eps/2), evaluates the
-conjugated coefficients (U, V, W), the oscillator weights (mu, nu) of h,
-the positive base Lambda of the power form of rho, and the commuting
-observable fixed by rho.
+h = rho H rho^{-1} Hermitian for rho = exp(A).  solve_metric solves the
+Hermiticity condition for eps(z) (eta = z*eps/2) once per (p, z) and
+returns every quantity built on it in one MetricSolution record: the
+conjugated coefficients (U, V, W), the oscillator weights (mu, nu) and
+the coefficients of h, and the positive base Lambda of the power form of
+rho.  commuting_observable gives the observable fixed by rho.
 """
 
 from __future__ import annotations
@@ -28,9 +29,29 @@ class SwansonParams(NamedTuple):
 
 
 class MetricSolution(NamedTuple):
-    """All derived quantities of the metric family at one (params, z): rho H
-    rho^{-1} = 2u K0 + 2v Km + 2w Kp (adjoint form), h = c0 K0 + c (Km + Kp),
-    and gap = omega^2 - 4 alpha beta as _exact rounds it once."""
+    """All derived quantities of the metric family at one admissible
+    (params, z), |z| = 1 included; den = alpha + beta - omega z and s =
+    (alpha-beta) sqrt(1-z^2).
+
+    epsilon: eps = arctanh(s / den) / (2 sqrt(1-z^2)) on the principal real
+        branch, taken as ln(Lambda) / (4 sqrt(1-z^2)), exact to rounding
+        next to a root; at |z| = 1 its limit (alpha-beta) / (2 den).
+    eta: z eps / 2.  The exponent of rho = exp(A) is A = 2 eps K0 + 2 eta
+        (Km + Kp) = eps (2 K0 + z Km + z Kp), proportional to the
+        commuting observable O, so [rho, O] = 0 at the coefficient level.
+    theta: |eps| sqrt(1-z^2).
+    mu, nu: the oscillator weights of h, 2 omega h = nu (2K0 + Kp + Km) +
+        mu omega^2 (2K0 - Kp - Km), with mu nu = omega^2 - 4 alpha beta.
+    lambda_base: the positive base Lambda of rho = Lambda^(O / (4
+        sqrt(1-z^2))), Lambda = (den + s) / (den - s).  At |z| = 1 it takes
+        its limit 1; it is eps's form that is 0/0 there, not Lambda's.
+    u, v, w: rho H rho^{-1} = 2u K0 + 2v Km + 2w Kp, the adjoint action of
+        rho on (omega, alpha, beta); Hermitian means w = v.
+    c0, c: h = rho H rho^{-1} = c0 K0 + c (Km + Kp), exactly symmetric,
+        c0 = (nu + mu omega^2) / omega, from _weights: no code shared with
+        the adjoint form (u, v, w) that build_bundle's r_eq10 compares it with.
+    gap: omega^2 - 4 alpha beta as _exact rounds it once.
+    """
 
     params: SwansonParams
     z: float
@@ -139,9 +160,10 @@ def is_admissible(p: SwansonParams, z: float) -> bool:
     """True when z in [-1, 1] gives a finite real solution eps(z): P > 0.
     InvalidParams as _exact, for a bad p or a z whose terms _double refuses."""
     try:
-        return _admissible(p, z)[3] > 0.0
+        _admissible(p, z)
     except ZOutOfDomain:
         return False
+    return True
 
 
 def z_domain(p: SwansonParams) -> list[tuple[float, float]]:
@@ -160,26 +182,12 @@ def z_domain(p: SwansonParams) -> list[tuple[float, float]]:
     return [iv for iv in ((-1.0, min(z1, 1.0)), (max(z2, -1.0), 1.0)) if iv[0] < iv[1]]
 
 
-def solve_epsilon(p: SwansonParams, z: float) -> float:
-    """Scale eps of the metric exponent at family parameter z.
-
-        eps = arctanh( (alpha-beta)*sqrt(1-z^2) / (alpha+beta-z*omega) )
-              / (2*sqrt(1-z^2))
-
-    on the principal real branch; at |z| = 1 the analytic limit
-    (alpha-beta) / (2*(alpha+beta-z*omega)).  Taken as ln(Lambda) /
-    (4*sqrt(1-z^2)) (_power_form), exact to rounding next to a root.
-    _admissible refuses p and z, den = 0 at |z| = 1 too, where P = den^2.
-    """
-    return _power_form(p, _admissible(p, z))[0]
-
-
 def conjugated_coeffs(p: SwansonParams, epsilon: float,
                       eta: complex) -> tuple[complex, complex, complex]:
     """(U, V, W) with rho H rho^{-1} = 2U K0 + 2V Km + 2W Kp.
 
-    The adjoint action of rho on (omega, alpha, beta); for eps solved by
-    solve_epsilon (and eta = z*eps/2 real) U is real and W equals V.
+    The adjoint action of rho on (omega, alpha, beta) at any (eps, eta); at
+    a solve_metric record's (epsilon, eta) U is real and W equals V.
     """
     _exact(p)
     return _mat_vec(adjoint_matrix(epsilon, eta), (p.omega, p.alpha, p.beta))
@@ -213,13 +221,6 @@ def _weights(p: SwansonParams, z: float, exact: tuple) -> tuple[float, float, fl
     return out
 
 
-def mu_nu(p: SwansonParams, z: float) -> tuple[float, float]:
-    """Oscillator weights (mu, nu) of the Hermitian equivalent: mu scales the
-    (2K0 - Kp - Km) part and nu the (2K0 + Kp + Km) part of 2*omega*h, and
-    mu nu = omega^2 - 4 alpha beta, at every admissible z (_weights)."""
-    return _weights(p, z, _admissible(p, z))[:2]
-
-
 def _harmonic_law(freq: float, k: float, count: int) -> tuple[float, ...]:
     """freq * (n + k) for n = 0, ..., count - 1: the lowest levels of
     freq K0 on the lowest-weight chain of weight k, and so of every
@@ -244,41 +245,6 @@ def spectrum_prediction(p: SwansonParams, k: float, count: int) -> tuple[float, 
     if levels[-1] == math.inf:
         raise InvalidParams(f"level e{count - 1} is not a finite double (k = {k:g})")
     return levels
-
-
-def hermitian_equivalent(p: SwansonParams, z: float) -> AlgebraElement:
-    """Coefficients of h = rho H rho^{-1}, exactly symmetric in Kp/Km:
-    h = ((nu + mu*omega^2)/omega) K0 + c (Km + Kp) with mu, nu and c from
-    _weights at every admissible z, |z| = 1 included.  It shares no code
-    with the adjoint closed form that build_bundle's r_eq10 compares it with.
-    """
-    _, _, c0, c = _weights(p, z, _admissible(p, z))
-    return AlgebraElement(c0, c, c)
-
-
-def metric_exponent(p: SwansonParams, z: float) -> AlgebraElement:
-    """Exponent A with rho = exp(A): A = eps * (2 K0 + z Km + z Kp).
-
-    A is proportional to the commuting observable, so [rho, O] = 0 holds
-    at the coefficient level.
-    """
-    eps = solve_epsilon(p, z)
-    return AlgebraElement(2.0 * eps, z * eps, z * eps)
-
-
-def power_base(p: SwansonParams, z: float) -> float:
-    """Positive base Lambda of the power form of rho.
-
-    rho = Lambda ** (O / (4*sqrt(1-z^2))) with
-
-        Lambda = (alpha+beta-omega*z + (alpha-beta)*sqrt(1-z^2))
-               / (alpha+beta-omega*z - (alpha-beta)*sqrt(1-z^2)),
-
-    equivalent to eps = ln(Lambda) / (4*sqrt(1-z^2)), taken as (big^2 /
-    P)^(+-1) from the exact P (_power_form).  At |z| = 1 Lambda takes
-    its limit 1; it is eps's form that is 0/0 there, not Lambda's.
-    """
-    return _power_form(p, _admissible(p, z))[1]
 
 
 def commuting_observable(z: float) -> AlgebraElement:

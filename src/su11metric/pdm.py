@@ -2,7 +2,7 @@
 
 The generating function g(x) = -exp(-s*x)/s turns the su(1,1) generators
 into differential operators K0, K+- (pdm_generators).  The Hermitian
-equivalent h = c0 K0 + c (K+ + K-) of hermitian_equivalent is the same
+equivalent h = c0 K0 + c (K+ + K-) of a solve_metric record is the same
 combination of the grid generators, whose drifts cancel:
 
     h = mu*omega * (F + curv) + (nu/omega) * (g/2 + tau)^2,
@@ -60,13 +60,12 @@ class PdmConfig:
 
 class Tridiagonal:
     """A square tridiagonal operator held as scipy.sparse.dia_array holds
-    one: data[k, j] is the entry at (j - offsets[k], j), offsets (-1, 0, 1),
-    so data[0, -1] and data[2, 0] lie outside it.  Products sum the lower,
-    main and upper bands in that order from zero, as dia_array's do, so
-    they are bitwise the same."""
+    one: data[k, j] is the entry at (j - k + 1, j), k = 0, 1, 2 for the
+    lower, main and upper bands, so data[0, -1] and data[2, 0] lie outside
+    it.  Products sum the lower, main and upper bands in that order from
+    zero, as dia_array's do, so they are bitwise the same."""
 
     __array_ufunc__ = None  # np.float64 * op is an operator, not an object array
-    offsets = np.array([-1, 0, 1])
 
     def __init__(self, data: np.ndarray):
         self.data = data
@@ -84,31 +83,6 @@ class Tridiagonal:
         return Tridiagonal(self.data * c) if np.isscalar(c) else NotImplemented
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, Tridiagonal):
-            return NotImplemented
-        return Tridiagonal(self.data + other.data)
-
-    def __sub__(self, other):
-        if not isinstance(other, Tridiagonal):
-            return NotImplemented
-        return Tridiagonal(self.data - other.data)
-
-    def diagonal(self, k: int = 0) -> np.ndarray:
-        n = self.shape[0]
-        if abs(k) > 1:
-            return np.zeros(max(n - abs(k), 0))
-        return self.data[k + 1, max(k, 0):n + min(k, 0)]
-
-    def toarray(self) -> np.ndarray:
-        n = self.shape[0]
-        out = np.zeros(self.shape)
-        flat = out.reshape(-1)
-        flat[n::n + 1] += self.data[0, :-1]
-        flat[::n + 1] += self.data[1]
-        flat[1::n + 1] += self.data[2, 1:]
-        return out
 
 
 @dataclass
@@ -393,7 +367,7 @@ def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOper
     x, dx, w, curv, well, gp = _grid_terms(validate_config(cfg))
 
     def grid_op(name, lower, main, upper):
-        # Tridiagonal's layout: data[k, j] is the entry at (j - offsets[k], j)
+        # Tridiagonal's layout: data[k, j] is the entry at (j - k + 1, j)
         data = np.zeros((3, x.size))
         data[0, :-1], data[1], data[2, 1:] = lower, main, upper
         if not np.isfinite(data).all():

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from su11metric import (AlgebraElement, DecompositionSingular, Factorization,
-                        InvalidParams, RealizationMatrices, mu_nu, solve_epsilon)
+                        InvalidParams, RealizationMatrices, solve_metric)
 from su11metric.core import PIVOT_TOL
 
 SIGMA_K0 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
@@ -192,7 +192,7 @@ def metric_power_dense(p, z, realization, power=1, rows=None):
     (a float log of the pivot is off by a few ulps of q, which e^{q k0}
     multiplies by k0).  Only the asked rows are formed, so overflowed
     entries of the factors never meet zeros in the rows past them."""
-    eps = power * solve_epsilon(p, z)
+    eps = power * solve_metric(p, z).epsilon
     a, q = (float(x) for x in _gauss_factors_mp(eps, z, 50))
     e = exp_raising(realization.kp_band, realization.band, a, realization.dim)
     mid = np.exp(q * realization.k0_diag)
@@ -316,15 +316,15 @@ def radial_k0_lowest(L: float, omega: float = 1.0, r_max: float = 14.0,
 
 def mass_profile(cfg, x: np.ndarray) -> np.ndarray:
     """PDM mass m(x) = exp(-2 s x) / (2 mu omega), for a PdmConfig."""
-    mu, _ = mu_nu(cfg.params, cfg.z)
+    mu = solve_metric(cfg.params, cfg.z).mu
     return np.exp(-2.0 * cfg.s * x) / (2.0 * mu * cfg.params.omega)
 
 
 def effective_potential(cfg, x: np.ndarray) -> np.ndarray:
     """PDM potential V_eff(x) = -(3/4) mu omega s^2 exp(2 s x)
     + (nu/omega) (-exp(-s x)/(2 s) + tau)^2, for a PdmConfig."""
-    mu, nu = mu_nu(cfg.params, cfg.z)
-    om = cfg.params.omega
+    sol = solve_metric(cfg.params, cfg.z)
+    mu, nu, om = sol.mu, sol.nu, cfg.params.omega
     well = -np.exp(-cfg.s * x) / (2.0 * cfg.s) + cfg.tau
     return -0.75 * mu * om * cfg.s ** 2 * np.exp(2.0 * cfg.s * x) + (nu / om) * well ** 2
 

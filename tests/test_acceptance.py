@@ -101,8 +101,8 @@ def test_criterion_2_hermiticity_conditions(coefficient_grid):
     worst_im = worst_wv = 0.0
     for p, zs in coefficient_grid:
         for z in zs:
-            eps = sm.solve_epsilon(p, z)
-            u, v, w = sm.conjugated_coeffs(p, eps, z * eps / 2.0)
+            sol = sm.solve_metric(p, z)
+            u, v, w = sm.conjugated_coeffs(p, sol.epsilon, sol.eta)
             worst_im = max(worst_im, abs(u.imag))
             worst_wv = max(worst_wv, abs(w - v))
     ok = worst_im <= 1e-10 and worst_wv <= 1e-10
@@ -115,10 +115,9 @@ def test_criterion_3_invariant_products(coefficient_grid):
     for p, zs in coefficient_grid:
         target = p.omega ** 2 - 4.0 * p.alpha * p.beta
         for z in zs:
-            mu, nu = sm.mu_nu(p, z)
-            worst_mn = max(worst_mn, abs(mu * nu - target) / target)
-            eps = sm.solve_epsilon(p, z)
-            u, v, w = sm.conjugated_coeffs(p, eps, z * eps / 2.0)
+            sol = sm.solve_metric(p, z)
+            worst_mn = max(worst_mn, abs(sol.mu * sol.nu - target) / target)
+            u, v, w = sm.conjugated_coeffs(p, sol.epsilon, sol.eta)
             cas = (u * u - 4.0 * v * w).real
             worst_cas = max(worst_cas, abs(cas - target) / target)
     ok = worst_mn <= 1e-10 and worst_cas <= 1e-10
@@ -131,17 +130,18 @@ def test_criterion_4_family_consistency(coefficient_grid, bundle_grid):
     worst_h = 0.0
     for p, zs in coefficient_grid:
         for z in zs:
-            h = sm.hermitian_equivalent(p, z)
-            y = sm.conjugate(sm.metric_exponent(p, z), sm.swanson_element(p))
-            worst_h = max(worst_h, abs(h.c0 - y.c0), abs(h.cm - y.cm),
-                          abs(h.cp - y.cp))
+            sol = sm.solve_metric(p, z)
+            a = sm.AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta)
+            y = sm.conjugate(a, sm.swanson_element(p))
+            worst_h = max(worst_h, abs(sol.c0 - y.c0), abs(sol.c - y.cm),
+                          abs(sol.c - y.cp))
     # matrix level: the metric root equals the power of the observable,
     # and commutes with it, on the trusted block
     realization = sm.discrete_series(0.25, 200)
     worst_pow = worst_comm = 0.0
     for z in Z_GRID:
         b = bundle_grid[(0.25, z)]
-        lam = sm.power_base(P, z)
+        lam = sm.solve_metric(P, z).lambda_base
         scale = math.log(lam) / (4.0 * math.sqrt(1.0 - z * z))
         o_mat = materialize(sm.commuting_observable(z), realization)
         alt = exp_symmetric(o_mat, scale)

@@ -17,6 +17,7 @@ from su11metric import (AlgebraElement, NoConvergence, SwansonParams, cli,
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
 from oracles import metric_family_mp
+from test_metric import RECORD_READINGS
 
 
 # an admissible z-domain piece, z in (-1, -0.9645), where mu < 0
@@ -631,7 +632,7 @@ class TestPdmCommand:
         ("2", "z must lie in [-1, 1] (got z = 2)"),
     ])
     def test_z_domain_names_its_wall(self, capsys, z, reason):
-        # a z off [-1, 1] is refused as solve_epsilon refuses it
+        # a z off [-1, 1] is refused as solve_metric refuses it
         code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", f"--z={z}")
         assert (code, out) == (2, "")
@@ -712,14 +713,18 @@ class TestPublicApi:
             "ZOutOfDomain", "__version__", "adjoint_matrix", "build_bundle",
             "commuting_observable", "conformal", "conjugate",
             "conjugated_coeffs", "discrete_series", "disentangle_closed_form",
-            "from_descriptor", "hermitian_equivalent",
-            "is_admissible", "materialize_metric_root", "metric_exponent",
-            "mu_nu", "multiboson", "oscillator_full", "oscillator_sector",
-            "power_base", "radial", "solve_epsilon", "solve_metric",
-            "spectrum_prediction", "swanson_element", "validate_params",
-            "z_domain"]
+            "from_descriptor", "is_admissible", "materialize_metric_root",
+            "multiboson", "oscillator_full", "oscillator_sector", "radial",
+            "solve_metric", "spectrum_prediction", "swanson_element",
+            "validate_params", "z_domain"]
         for name in su11metric.__all__:
             assert hasattr(su11metric, name), name
+
+    @pytest.mark.parametrize("name", sorted(RECORD_READINGS))
+    def test_record_fields_have_no_wrappers(self, name):
+        # solve_metric's record is the one public source of these fields
+        with pytest.raises(ImportError):
+            exec(f"from su11metric import {name}", {})
 
 
 class TestImports:
@@ -934,12 +939,12 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scip
         # chain, certified by its vectors, and bisect nothing
         script = """
 import sys
-from su11metric import (SwansonParams, build_bundle, discrete_series,
-                        hermitian_equivalent, solve_metric)
+from su11metric import (AlgebraElement, SwansonParams, build_bundle,
+                        discrete_series, solve_metric)
 from su11metric.verification import _low_eigs
-p, r = SwansonParams(1.0, 0.2, 0.1), discrete_series(0.25, 200)
-bundle = build_bundle(solve_metric(p, 0.4), r)
-levels = _low_eigs(hermitian_equivalent(p, 0.4), r, 25)
+sol, r = solve_metric(SwansonParams(1.0, 0.2, 0.1), 0.4), discrete_series(0.25, 200)
+bundle = build_bundle(sol, r)
+levels = _low_eigs(AlgebraElement(sol.c0, sol.c, sol.c), r, 25)
 print(bundle.spectrum_h.size, levels.size,
       sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
 """

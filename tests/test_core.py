@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from su11metric import (AlgebraElement, DecompositionSingular, Factorization,
                         InvalidParams, SwansonParams, TrigRegime, adjoint_matrix,
-                        conjugate, disentangle_closed_form, solve_epsilon)
+                        conjugate, disentangle_closed_form, solve_metric)
 
 from oracles import (SIGMA_K0, SIGMA_KM, SIGMA_KP, defining_rep, exp_defining,
                      gauss_decompose, reconstruct_defining, stability_roots_mp)
@@ -356,8 +356,8 @@ class TestAdjointMatrix:
         p = SwansonParams(1.0, alpha, beta)
         with mp.workdps(50):
             z = float(stability_roots_mp(p)[0] - below)
-        eps = solve_epsilon(p, z)
-        eta = z * eps / 2.0
+        sol = solve_metric(p, z)
+        eps, eta = sol.epsilon, sol.eta
         got = [x for row in adjoint_matrix(eps, eta) for x in row]
         with mp.workdps(60):
             def entries(e, h):

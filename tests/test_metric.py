@@ -8,16 +8,32 @@ import pytest
 from su11metric import (AlgebraElement, InvalidParams, MetricSolution,
                         SwansonParams, ZOutOfDomain, adjoint_matrix, build_bundle,
                         commuting_observable, conjugate, conjugated_coeffs,
-                        discrete_series, hermitian_equivalent, is_admissible,
-                        metric, metric_exponent, mu_nu, power_base, solve_epsilon,
-                        solve_metric, spectrum_prediction, swanson_element,
-                        validate_params, z_domain)
+                        discrete_series, is_admissible, metric, solve_metric,
+                        spectrum_prediction, swanson_element, validate_params,
+                        z_domain)
 
 from su11metric import cli, core, pdm, verification
 
 from oracles import metric_family_mp, stability_roots_mp
 
 P = SwansonParams(1.0, 0.2, 0.1)
+
+# the single-field wrappers that solve_metric's record replaced, by name,
+# each with the reading of the record that its callers take in its place
+RECORD_READINGS = {
+    "solve_epsilon": lambda sol: sol.epsilon,
+    "power_base": lambda sol: sol.lambda_base,
+    "mu_nu": lambda sol: (sol.mu, sol.nu),
+    "hermitian_equivalent": lambda sol: AlgebraElement(sol.c0, sol.c, sol.c),
+    "metric_exponent": lambda sol: AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta,
+                                                  2.0 * sol.eta),
+}
+
+
+def _reading(name):
+    """pytest.param of the reading that replaced `name`, from a fresh solve."""
+    return pytest.param(lambda p, z: RECORD_READINGS[name](solve_metric(p, z)), id=name)
+
 
 # parameters with both stability roots inside (-1, 1): weak and strong
 # coupling, the two near-root points reported for eps(z) (alpha = 0 at
@@ -168,10 +184,9 @@ class TestOneGate:
     # den = alpha + beta - omega z = 0 exactly at z = 1, where P = den^2
     DEN_ZERO = SwansonParams(1.0, 0.75, 0.25)
 
-    @pytest.mark.parametrize("f", [solve_epsilon, mu_nu, power_base, hermitian_equivalent],
-                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("f", [_reading(name) for name in (
+        "solve_epsilon", "mu_nu", "power_base", "hermitian_equivalent")])
     def test_den_zero_at_endpoint(self, f):
-        # solve_epsilon refused it by its own message, "vanishes at z = 1"
         with pytest.raises(ZOutOfDomain) as exc:
             f(self.DEN_ZERO, 1.0)
         assert str(exc.value) == ("z = 1 is inadmissible: |arctanh argument| >= 1 "
@@ -186,8 +201,8 @@ class TestOneGate:
         (SwansonParams(1.0, 2.0, 2.5), float("inf"), "omega^2 - 4*alpha*beta must be positive"),
         (SwansonParams(1.0, 1e300, -1e300), 2.0, "omega^2 - 4*alpha*beta is not a finite"),
     ])
-    @pytest.mark.parametrize("f", [is_admissible, solve_epsilon, mu_nu, power_base],
-                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("f", [pytest.param(is_admissible, id="is_admissible")] + [
+        _reading(name) for name in ("solve_epsilon", "mu_nu", "power_base")])
     def test_bad_p_before_bad_z(self, f, p, z, message):
         with pytest.raises(InvalidParams, match=f"^{re.escape(message)}"):
             f(p, z)
@@ -198,7 +213,7 @@ class TestOneGate:
         w = 2.0 ** -500
         tiny_p = SwansonParams(w, 0.75 * w, 0.25 * w + 2.0 ** -550)
         message = "the stability polynomial at z = 1 is nonzero but rounds to 0 as a double"
-        for f in (is_admissible, solve_metric, solve_epsilon, mu_nu, power_base):
+        for f in (is_admissible, solve_metric):
             with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
                 f(tiny_p, 1.0)
         assert is_admissible(tiny_p, 0.5)
@@ -209,7 +224,7 @@ class TestOneGate:
     def test_z_off_the_range(self, z):
         assert not is_admissible(P, z)
         with pytest.raises(ZOutOfDomain, match="z must lie in"):
-            solve_epsilon(P, z)
+            solve_metric(P, z)
 
     @staticmethod
     def counter(monkeypatch, home, name):
@@ -262,19 +277,19 @@ class TestOneGate:
 class TestSolveEpsilon:
     def test_z_zero_value(self):
         # (1/2) arctanh(1/3) = ln(2)/4
-        assert abs(solve_epsilon(P, 0.0) - math.log(2.0) / 4.0) < 1e-15
+        assert abs(solve_metric(P, 0.0).epsilon - math.log(2.0) / 4.0) < 1e-15
 
     def test_endpoint_limit(self):
-        val = solve_epsilon(P, 1.0)
+        val = solve_metric(P, 1.0).epsilon
         assert abs(val - 0.1 / (2.0 * (0.3 - 1.0))) < 1e-15
         # agrees with the interior formula approached from below
-        assert abs(val - solve_epsilon(P, 1.0 - 1e-8)) < 1e-7
+        assert abs(val - solve_metric(P, 1.0 - 1e-8).epsilon) < 1e-7
 
     def test_singular_z(self):
         with pytest.raises(ZOutOfDomain):
-            solve_epsilon(P, 0.3)
+            solve_metric(P, 0.3)
         with pytest.raises(ZOutOfDomain):
-            solve_epsilon(P, 1.5)
+            solve_metric(P, 1.5)
 
     def test_argument_rounding_to_one_against_mpmath(self):
         # (alpha - beta) / (alpha + beta) rounds to 1; the stability
@@ -284,18 +299,19 @@ class TestSolveEpsilon:
             a, b = mp.mpf(p.alpha), mp.mpf(p.beta)
             eps = mp.atanh((a - b) / (a + b)) / 2
             lam = (a + b + (a - b)) / (a + b - (a - b))
-            assert abs((solve_epsilon(p, 0.0) - eps) / eps) <= 1e-15
-            assert abs((power_base(p, 0.0) - lam) / lam) <= 1e-15
+            sol = solve_metric(p, 0.0)
+            assert abs((sol.epsilon - eps) / eps) <= 1e-15
+            assert abs((sol.lambda_base - lam) / lam) <= 1e-15
             # the mirrored couplings give -eps and 1 / Lambda
-            q = SwansonParams(1.0, 1e-18, 1.0)
-            assert abs((solve_epsilon(q, 0.0) + eps) / eps) <= 1e-15
-            assert abs((power_base(q, 0.0) * lam - 1)) <= 1e-15
+            sol = solve_metric(SwansonParams(1.0, 1e-18, 1.0), 0.0)
+            assert abs((sol.epsilon + eps) / eps) <= 1e-15
+            assert abs((sol.lambda_base * lam - 1)) <= 1e-15
 
     def test_hermiticity_residual(self):
         # tanh(2 theta)/theta == (alpha-beta) / ((alpha+beta) eps - 2 omega eta)
         for p in PARAM_SETS:
             for z in admissible_samples(p, count=8):
-                eps = solve_epsilon(p, z)
+                eps = solve_metric(p, z).epsilon
                 eta = z * eps / 2.0
                 theta = abs(eps) * math.sqrt(1.0 - z * z)
                 lhs = math.tanh(2.0 * theta) / theta if theta else 2.0
@@ -306,7 +322,7 @@ class TestSolveEpsilon:
 
 class TestConjugatedCoeffs:
     def test_z_zero_values(self):
-        eps = solve_epsilon(P, 0.0)
+        eps = solve_metric(P, 0.0).epsilon
         u, v, w = conjugated_coeffs(P, eps, 0.0)
         assert abs(u - 1.0) < 1e-14
         assert abs(v - 0.2 * math.exp(-2.0 * eps)) < 1e-14
@@ -328,10 +344,10 @@ class TestConjugatedCoeffs:
 
     def test_matches_conjugate(self):
         for z in (-0.7, -0.2, 0.0, 0.5, 0.9):
-            eps = solve_epsilon(P, z)
-            eta = z * eps / 2.0
-            u, v, w = conjugated_coeffs(P, eps, eta)
-            y = conjugate(metric_exponent(P, z), swanson_element(P))
+            sol = solve_metric(P, z)
+            u, v, w = conjugated_coeffs(P, sol.epsilon, sol.eta)
+            y = conjugate(AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta),
+                          swanson_element(P))
             assert abs(y.c0 - 2.0 * u) < 1e-12 * max(1.0, abs(u))
             assert abs(y.cm - 2.0 * v) < 1e-12 * max(1.0, abs(v))
             assert abs(y.cp - 2.0 * w) < 1e-12 * max(1.0, abs(w))
@@ -356,11 +372,12 @@ class TestNumpyOracle:
             if omega * omega - 4.0 * alpha * beta <= 0.0 or not is_admissible(p, z):
                 continue
             draws += 1
-            eps = solve_epsilon(p, z)
-            m = np.array(adjoint_matrix(eps, z * eps / 2.0))
-            assert _bits(conjugated_coeffs(p, eps, z * eps / 2.0)) \
+            sol = solve_metric(p, z)
+            m = np.array(adjoint_matrix(sol.epsilon, sol.eta))
+            assert _bits(conjugated_coeffs(p, sol.epsilon, sol.eta)) \
                 == _bits(m @ (omega, alpha, beta)), (p, z)
-            y = conjugate(metric_exponent(p, z), swanson_element(p))
+            y = conjugate(AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta),
+                          swanson_element(p))
             assert _bits((y.c0, y.cm, y.cp)) \
                 == _bits(m @ (2.0 * omega, 2.0 * alpha, 2.0 * beta)), (p, z)
 
@@ -382,7 +399,8 @@ class TestGap:
 
 class TestMuNu:
     def test_z_zero_values(self):
-        mu, nu = mu_nu(P, 0.0)
+        sol = solve_metric(P, 0.0)
+        mu, nu = sol.mu, sol.nu
         assert abs(mu - (1.0 - math.sqrt(0.08))) < 1e-15
         assert abs(nu - (1.0 + math.sqrt(0.08))) < 1e-15
 
@@ -390,21 +408,21 @@ class TestMuNu:
         for p in PARAM_SETS:
             target = p.omega ** 2 - 4.0 * p.alpha * p.beta
             for z in admissible_samples(p, count=50):
-                mu, nu = mu_nu(p, z)
-                assert abs(mu * nu - target) < 1e-10 * target
+                sol = solve_metric(p, z)
+                assert abs(sol.mu * sol.nu - target) < 1e-10 * target
 
     def test_consistency_with_uvw(self):
-        mu, nu = mu_nu(P, 0.0)
-        eps = solve_epsilon(P, 0.0)
-        u, v, _ = conjugated_coeffs(P, eps, 0.0)
+        sol = solve_metric(P, 0.0)
+        mu, nu = sol.mu, sol.nu
+        u, v, _ = conjugated_coeffs(P, sol.epsilon, 0.0)
         assert abs((nu + mu * P.omega ** 2) / P.omega - 2.0 * u) < 1e-12
         assert abs((nu - mu * P.omega ** 2) / (2.0 * P.omega) - 2.0 * v) < 1e-12
 
     def test_positive_on_grid(self):
         for p in PARAM_SETS:
             for z in admissible_samples(p, count=20):
-                mu, nu = mu_nu(p, z)
-                assert mu > 0.0 and nu > 0.0
+                sol = solve_metric(p, z)
+                assert sol.mu > 0.0 and sol.nu > 0.0
 
     def test_near_endpoints_against_mpmath(self):
         # the textbook forms are 0/0 at z = -1 (mu) and z = +1 (nu); a
@@ -415,9 +433,9 @@ class TestMuNu:
             for z in (s * (1.0 - d) for s in (-1.0, 1.0)
                       for d in (1e-4, 1e-7, 2e-9, 1e-12, 1e-15, 0.0)):
                 want = metric_family_mp(p, z)
-                mu, nu = mu_nu(p, z)
-                c = hermitian_equivalent(p, z).cm
-                for got, name, tol in ((mu, "mu", 1e-15), (nu, "nu", 1e-15), (c, "c", 1e-13)):
+                sol = solve_metric(p, z)
+                for got, name, tol in ((sol.mu, "mu", 1e-15), (sol.nu, "nu", 1e-15),
+                                       (sol.c, "c", 1e-13)):
                     assert abs(got - want[name]) <= tol * abs(want[name]), (p, z, name)
 
     def test_endpoint_values(self):
@@ -427,9 +445,9 @@ class TestMuNu:
         for p in (P, SwansonParams(2.76, 0.977, -4.66), SwansonParams(0.7, -0.2, 0.3)):
             for z in (-1.0, 1.0):
                 want = metric_family_mp(p, z)
-                h = hermitian_equivalent(p, z)
-                got = dict(zip(("mu", "nu"), mu_nu(p, z)), c0=h.c0, c=h.cm)
-                for name, value in got.items():
+                sol = solve_metric(p, z)
+                for name in ("mu", "nu", "c0", "c"):
+                    value = getattr(sol, name)
                     assert abs(value - want[name]) <= 1e-15 * abs(want[name]), (p, z, name)
 
 
@@ -449,20 +467,19 @@ class TestNearRoot:
     # upper root of (1, 0.45, 0.05) eps 3.7e-3 and Lambda 0.13 (P from
     # its float expansion; mu from sqrt(1 - (alpha-beta)^2 (1-z^2)/den^2);
     # c = (nu - mu omega^2) / (2 omega)).  Inside the band z is refused;
-    # where mu <= 0 h is unbounded below, and only eps is formed.
+    # where mu <= 0 h is unbounded below, and only eps is checked.
     @staticmethod
     def _check(p, z):
         want = metric_family_mp(p, z)
         assert is_admissible(p, z) == (want["P"] > 0), (p, z)
         if want["P"] <= 0:
             with pytest.raises(ZOutOfDomain):
-                solve_epsilon(p, z)
+                solve_metric(p, z)
             return
-        got = {"epsilon": solve_epsilon(p, z)}
+        sol = solve_metric(p, z)
+        got = {"epsilon": sol.epsilon}
         if want["mu"] > 0:
-            h = hermitian_equivalent(p, z)
-            got.update(zip(("mu", "nu"), mu_nu(p, z)), lam=power_base(p, z),
-                       c0=h.c0, c=h.cm)
+            got.update(mu=sol.mu, nu=sol.nu, lam=sol.lambda_base, c0=sol.c0, c=sol.c)
         for name, value in got.items():
             assert abs(value - want[name]) <= 1e-15 * abs(want[name]), (p, z, name)
 
@@ -498,77 +515,85 @@ class TestNearParabolic:
             draws += 1
             seen.add((z > 0.0, alpha + beta - z > 0.0))
             want = metric_family_mp(p, z, 60)
-            h = hermitian_equivalent(p, z)
-            got = dict(zip(("mu", "nu"), mu_nu(p, z)), c0=h.c0, c=h.cm)
-            for name, value in got.items():
+            sol = solve_metric(p, z)
+            for name in ("mu", "nu", "c0", "c"):
+                value = getattr(sol, name)
                 assert abs(value - want[name]) <= 1e-15 * abs(want[name]), (p, z, name)
         assert len(seen) == 4
 
 
 class TestHermitianEquivalent:
+    @staticmethod
+    def h_and_conjugation(p, z):
+        """h = c0 K0 + c (Km + Kp) of the record and rho H rho^{-1} by
+        core.conjugate with the record's exponent A = 2 eps K0 + 2 eta (Km + Kp)."""
+        sol = solve_metric(p, z)
+        a = AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta)
+        return AlgebraElement(sol.c0, sol.c, sol.c), conjugate(a, swanson_element(p))
+
     def test_z_zero_coefficients(self):
-        h = hermitian_equivalent(P, 0.0)
-        assert abs(h.c0 - 2.0) < 1e-14
-        assert abs(h.cm - math.sqrt(0.08)) < 1e-14
-        assert h.cm == h.cp
+        sol = solve_metric(P, 0.0)
+        assert abs(sol.c0 - 2.0) < 1e-14
+        assert abs(sol.c - math.sqrt(0.08)) < 1e-14
 
     def test_casimir_value(self):
-        h = hermitian_equivalent(P, 0.0)
+        h, _ = self.h_and_conjugation(P, 0.0)
         assert abs(h.casimir() - 4.0 * 0.92) < 1e-13
 
     def test_matches_conjugation_everywhere(self):
         for p in PARAM_SETS[:8]:
             for z in admissible_samples(p, count=10):
-                h = hermitian_equivalent(p, z)
-                y = conjugate(metric_exponent(p, z), swanson_element(p))
+                h, y = self.h_and_conjugation(p, z)
                 for a, b in ((h.c0, y.c0), (h.cm, y.cm), (h.cp, y.cp)):
                     assert abs(a - b) < 1e-10
 
     def test_endpoint_falls_back_to_conjugation(self):
         # at |z| = 1 the closed form (TestMuNu.test_endpoint_values) and
         # the conjugation agree
-        h = hermitian_equivalent(P, 1.0)
-        y = conjugate(metric_exponent(P, 1.0), swanson_element(P))
+        h, y = self.h_and_conjugation(P, 1.0)
         assert abs(h.c0 - y.c0.real) < 1e-13
-        assert h.cm == h.cp
+        assert abs(h.cm - y.cm.real) < 1e-13
 
 
 class TestMetricExponent:
     def test_z_zero(self):
-        a = metric_exponent(P, 0.0)
-        assert abs(a.c0 - math.log(2.0) / 2.0) < 1e-15
-        assert a.cm == 0.0 and a.cp == 0.0
+        sol = solve_metric(P, 0.0)
+        assert abs(2.0 * sol.epsilon - math.log(2.0) / 2.0) < 1e-15
+        assert sol.eta == 0.0
 
     def test_proportional_to_observable(self):
+        # A = 2 eps K0 + 2 eta (Km + Kp) is eps O bit for bit: 2 eta = z eps
         for z in (-0.9, -0.5, 0.0, 0.45, 0.99):
-            a = metric_exponent(P, z)
-            eps = solve_epsilon(P, z)
+            sol = solve_metric(P, z)
             o = commuting_observable(z)
-            assert a.c0 == eps * o.c0
-            assert a.cm == eps * o.cm and a.cp == eps * o.cp
+            assert 2.0 * sol.epsilon == sol.epsilon * o.c0
+            assert 2.0 * sol.eta == sol.epsilon * o.cm == sol.epsilon * o.cp
 
     def test_power_base_consistency(self):
         for z in (-0.9, -0.5, 0.0, 0.45, 0.99):
-            lam = power_base(P, z)
+            sol = solve_metric(P, z)
+            lam, eps = sol.lambda_base, sol.epsilon
             assert lam > 0.0
-            eps = solve_epsilon(P, z)
             assert abs(eps - math.log(lam) / (4.0 * math.sqrt(1 - z * z))) \
                 < 1e-12 * max(1.0, abs(eps))
 
     def test_power_base_value_at_zero(self):
-        assert abs(power_base(P, 0.0) - 2.0) < 1e-14
+        assert abs(solve_metric(P, 0.0).lambda_base - 2.0) < 1e-14
 
     def test_power_base_endpoint_limit(self):
         # s = (alpha-beta) sqrt(1-z^2) vanishes at |z| = 1, and Lambda =
         # (den + s)/(den - s) takes its limit 1; eps's form is the 0/0 one
         for p in (P, SwansonParams(2.76, 0.977, -4.66), SwansonParams(0.7, -0.2, 0.3)):
             for z in (-1.0, 1.0):
-                assert abs(power_base(p, z) - metric_family_mp(p, z)["lam"]) <= 2.3e-16, (p, z)
+                assert abs(solve_metric(p, z).lambda_base
+                           - metric_family_mp(p, z)["lam"]) <= 2.3e-16, (p, z)
 
     def test_endpoint_exponent_reported(self):
-        a = metric_exponent(P, 1.0)
-        eps = solve_epsilon(P, 1.0)
-        assert (a.c0, a.cm, a.cp) == (2.0 * eps, eps, eps)
+        # at z = 1, A = eps (2 K0 + Km + Kp) with eps at its 50-digit limit
+        sol = solve_metric(P, 1.0)
+        eps = metric_family_mp(P, 1.0)["epsilon"]
+        assert abs(sol.epsilon - eps) <= 1e-15 * abs(eps)
+        assert 2.0 * sol.eta == sol.epsilon
 
 
 class TestCommutingObservable:
@@ -625,16 +650,18 @@ class TestSolveMetric:
     def test_record_matches_the_separate_paths(self):
         # the record is the one solve build_bundle reads: its y = 2 (u, v, w)
         # is core.conjugate's adjoint form bit for bit, with imaginary parts
-        # exactly 0, and (c0, c, c) is hermitian_equivalent's h
+        # exactly 0, and (mu, nu, c0, c) is _weights' on its own _admissible
         for p, z in self.record_points():
             sol = solve_metric(p, z)
-            y = conjugate(metric_exponent(p, z), swanson_element(p))
+            a = AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta)
+            y = conjugate(a, swanson_element(p))
             assert _bits([2.0 * sol.u, 2.0 * sol.v, 2.0 * sol.w]) == \
                 _bits([y.c0.real, y.cm.real, y.cp.real]), (p, z)
             assert [y.c0.imag, y.cm.imag, y.cp.imag] == [0.0] * 3, (p, z)
             coeffs = conjugated_coeffs(p, sol.epsilon, sol.eta)
             assert [x.imag for x in coeffs] == [0.0] * 3, (p, z)
-            assert _bits([sol.c0, sol.c, sol.c]) == _bits(hermitian_equivalent(p, z)), (p, z)
+            assert _bits([sol.mu, sol.nu, sol.c0, sol.c]) == \
+                _bits(metric._weights(p, z, metric._admissible(p, z))), (p, z)
 
     def test_hermiticity_across_grid(self):
         for p in PARAM_SETS:

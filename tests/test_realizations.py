@@ -7,11 +7,12 @@ from scipy.linalg import block_diag
 from su11metric import (AlgebraElement, InvalidParams, SwansonParams,
                         commuting_observable, conformal, discrete_series,
                         from_descriptor, multiboson, oscillator_full,
-                        oscillator_sector, radial, swanson_element, z_domain)
+                        oscillator_sector, radial, solve_metric, swanson_element,
+                        z_domain)
 from su11metric.realizations import apply
 
-from oracles import (commutator_residuals, materialize, radial_k0_lowest,
-                     residue_root_of_unity)
+from oracles import (commutator_residuals, materialize, metric_family_mp,
+                     radial_k0_lowest, residue_root_of_unity)
 
 ALL_CONSTRUCTORS = [
     lambda n: discrete_series(0.25, n),
@@ -279,10 +280,12 @@ class TestConformal:
         assert abs(ivs[0][1] + cut) < 1e-12 and abs(ivs[1][0] - cut) < 1e-12
 
     def test_h_symmetric_in_ladder(self):
-        from su11metric import hermitian_equivalent
+        # h = c0 K0 + c (Km + Kp) at the realization's parameters: one c
+        # for both ladders, and c0 and c at their 50-digit forms
         _, p = conformal(0.75, 1.0, 1.0, 10)
-        h = hermitian_equivalent(p, 0.6)
-        assert h.cm == h.cp
+        sol, want = solve_metric(p, 0.6), metric_family_mp(p, 0.6)
+        for name in ("c0", "c"):
+            assert abs(getattr(sol, name) - want[name]) <= 1e-15 * abs(want[name]), name
 
 
 class TestMaterialize:

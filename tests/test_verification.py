@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         SwansonParams, TruncationTooSmall, ZOutOfDomain,
                         build_bundle, conjugated_coeffs, discrete_series,
-                        disentangle_closed_form,
-                        hermitian_equivalent, is_admissible,
-                        materialize_metric_root, metric_exponent,
-                        power_base, solve_epsilon, solve_metric,
+                        disentangle_closed_form, is_admissible,
+                        materialize_metric_root, solve_metric,
                         spectrum_prediction, swanson_element, z_domain)
 from su11metric import commuting_observable, from_descriptor, oscillator_full
 from su11metric import verification
@@ -101,13 +99,13 @@ def _cut_cases():
     root of the stability polynomial, and near-parabolic draws with
     2|c|/c0 in [0.95, 0.999]."""
     mirror = SwansonParams(1.0, 0.05, 0.45)
-    cases = [hermitian_equivalent(p, z) for p, z in (
-        (P, -0.8), (P, 0.0), (P, 0.4), (P, 0.8), (STRONG, 0.77),
-        (STRONG, 0.9), (mirror, -0.89393), (mirror, 0.8))]
+    points = [(P, -0.8), (P, 0.0), (P, 0.4), (P, 0.8), (STRONG, 0.77),
+              (STRONG, 0.9), (mirror, -0.89393), (mirror, 0.8)]
     for p in (P, STRONG, mirror):
         (_, z1), (z2, _) = z_domain(p)
-        cases += [hermitian_equivalent(p, z1 - 5e-4),
-                  hermitian_equivalent(p, z2 + 5e-4)]
+        points += [(p, z1 - 5e-4), (p, z2 + 5e-4)]
+    cases = [AlgebraElement(sol.c0, sol.c, sol.c)
+             for sol in (solve_metric(p, z) for p, z in points)]
     rng = np.random.default_rng(2868)
     for _ in range(3):
         c0 = rng.uniform(0.5, 3.0)
@@ -163,11 +161,11 @@ class TestCertificate:
         # bisection's own tolerance, and so the count's rounding
         for r in (discrete_series(0.25, 300), oscillator_full(300)):
             for z in Z_GRID:
-                x = hermitian_equivalent(P, z)
+                sol = solve_metric(P, z)
                 for count in (1, 5, 25):
                     m = 2 * count + 32
-                    d = x.c0.real * r.k0_diag[::r.band][:m]
-                    e = x.cm.real * r.kp_band[::r.band][:m - 1]
+                    d = sol.c0 * r.k0_diag[::r.band][:m]
+                    e = sol.c * r.kp_band[::r.band][:m - 1]
                     w = verification._bisect(d, e, count)
                     assert verification._certify(d, e, w, np.zeros(count), count), \
                         (r.kind, z, count)
@@ -274,9 +272,9 @@ class TestBisect:
     def test_pinned_chains(self, p, z, desc):
         # the near-parabolic pin's chain and the band-12 pin's 12, at N = 200
         r, _ = from_descriptor(desc, 200)
-        x = hermitian_equivalent(p, z)
+        sol = solve_metric(p, z)
         for ch in range(r.band):
-            d, e = x.c0.real * r.k0_diag[ch::r.band], x.cm.real * r.kp_band[ch::r.band]
+            d, e = sol.c0 * r.k0_diag[ch::r.band], sol.c * r.kp_band[ch::r.band]
             self.assert_same_values(d, e, min(verification.SPECTRUM_COUNT, d.size))
 
     @pytest.mark.parametrize("flags", [{"x_min": -2.0, "x_max": 6.0}, {"tau": 1.0}])
@@ -315,7 +313,8 @@ class TestBisect:
 
         monkeypatch.setattr(lapack, "dstebz", record)
         monkeypatch.setattr(lapack, "dstein", refuse)
-        w = verification._low_eigs(hermitian_equivalent(NEAR_PARABOLIC, 0.3),
+        sol = solve_metric(NEAR_PARABOLIC, 0.3)
+        w = verification._low_eigs(AlgebraElement(sol.c0, sol.c, sol.c),
                                    discrete_series(0.25, 200), 5)
         assert w.shape == (5,) and ranges == [2]
         run_pdm_check(PdmConfig(params=P, x_min=-2.0, x_max=6.0))
@@ -391,8 +390,9 @@ class TestChainCut:
                      (AlgebraElement(1.0, 0.6, 0.6), oscillator_full(800))):
             with pytest.raises(InvalidParams, match="mu > 0"):
                 verification._low_eigs(x, r, 25)
+        sol = solve_metric(P, 0.0)
         for count in (5, 25):
-            verification._low_eigs(hermitian_equivalent(P, 0.0),
+            verification._low_eigs(AlgebraElement(sol.c0, sol.c, sol.c),
                                    discrete_series(0.25, 800), count)
         assert sizes == []
 
@@ -447,8 +447,9 @@ class TestChainCut:
         # leading 2 count + 32 states: no certified vector reaches past it
         for r in (discrete_series(0.25, 300), oscillator_full(300)):
             for z in Z_GRID:
+                sol = solve_metric(P, z)
                 for count in (1, 5, 25):
-                    pairs = chain_pairs(hermitian_equivalent(P, z), r, count)
+                    pairs = chain_pairs(AlgebraElement(sol.c0, sol.c, sol.c), r, count)
                     assert len(pairs) == r.band, (r.kind, z, count)
                     for ch, _, q in pairs:
                         reach = np.flatnonzero(q.any(axis=1)).max()
@@ -473,7 +474,8 @@ class TestExpSymmetric:
     def test_diagonal_metric(self):
         # z = 0 gives a diagonal metric root
         r = discrete_series(0.25, 10)
-        a = materialize(metric_exponent(P, 0.0), r)
+        sol = solve_metric(P, 0.0)
+        a = materialize(AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta), r)
         eps = math.log(2.0) / 4.0
         expect = np.diag(np.exp(2.0 * eps * (np.arange(10) + 0.25)))
         assert np.allclose(exp_symmetric(a), expect, rtol=1e-14)
@@ -514,8 +516,10 @@ class TestMetricRoot:
         # on the leading block of a larger basis
         r = discrete_series(0.25, 60)
         for z in Z_GRID:
-            block = materialize_metric_root(solve_metric(P, z), r, rows=20)
-            direct = expm(materialize(metric_exponent(P, z), r))[:20, :20]
+            sol = solve_metric(P, z)
+            block = materialize_metric_root(sol, r, rows=20)
+            a = AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta)
+            direct = expm(materialize(a, r))[:20, :20]
             num = np.linalg.norm(block - direct, 2)
             assert num <= 1e-9 * np.linalg.norm(direct, 2)
 
@@ -555,10 +559,10 @@ class TestMetricRoot:
             if not is_admissible(p, 0.0):
                 continue
             # at z = 0 the block is exp(+-2 eps K0) from the shortcut
-            eps = solve_epsilon(p, 0.0)
+            sol = solve_metric(p, 0.0)
             for sign in (1, -1):
-                want = np.diag(np.exp(2.0 * sign * eps * r.k0_diag))[:rows, :rows]
-                got = materialize_metric_root(solve_metric(p, 0.0), r, sign, rows=rows)
+                want = np.diag(np.exp(2.0 * sign * sol.epsilon * r.k0_diag))[:rows, :rows]
+                got = materialize_metric_root(sol, r, sign, rows=rows)
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), \
                     (desc, sign)
 
@@ -597,10 +601,10 @@ class TestMetricRoot:
         # eps < 0 (normal), z = -0.4 eps > 0 (antinormal)
         r = discrete_series(0.25, 120)
         for z in (0.4, -0.4):
+            sol = solve_metric(P, z)
             for sign in (1, 2):
-                got = materialize_metric_root(solve_metric(P, z), r, sign, rows=21)
-                want = metric_power_mp(sign * solve_epsilon(P, z), z, 0.25,
-                                       21, 120)
+                got = materialize_metric_root(sol, r, sign, rows=21)
+                want = metric_power_mp(sign * sol.epsilon, z, 0.25, 21, 120)
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), \
                     (z, sign)
 
@@ -617,12 +621,12 @@ class TestMetricRoot:
             for z in (-0.8, -0.4, 0.4, 0.8):
                 if not is_admissible(p, z):
                     continue
+                sol = solve_metric(p, z)
                 for sign in (-1, 1, 2):
-                    if solve_epsilon(p, z) * sign <= 0.0:
+                    if sol.epsilon * sign <= 0.0:
                         continue
-                    wide = materialize_metric_root(solve_metric(p, z), r, sign, rows=rows,
-                                                   cols=120)
-                    want = materialize_metric_root(solve_metric(p, z), r, sign, rows=120)
+                    wide = materialize_metric_root(sol, r, sign, rows=rows, cols=120)
+                    want = materialize_metric_root(sol, r, sign, rows=120)
                     assert np.all(np.abs(wide - want[:rows])
                                   <= 1e-14 * np.abs(want[:rows])), \
                         (desc, z, sign)
@@ -678,7 +682,7 @@ def eigvec_residuals(bundle, count=5):
     mats, t = bundle.realization, bundle.trusted
     r = min(t + mats.band, mats.dim)
     sol = bundle.solution
-    w, q = chain_spectrum(hermitian_equivalent(sol.params, sol.z), mats, count)
+    w, q = chain_spectrum(AlgebraElement(sol.c0, sol.c, sol.c), mats, count)
     psi = np.where(np.abs(q) < mats.dim * np.finfo(float).eps
                    * np.abs(q).max(axis=0), 0.0, q)
     cols = int(np.flatnonzero(psi.any(axis=1)).max(initial=0)) + 1
@@ -727,9 +731,8 @@ class TestBuildBundle:
 
     def test_h_direct_exactly_symmetric(self):
         # the eigensolvers read cm alone, so h must have cm == cp exactly
-        h_coeffs = hermitian_equivalent(P, 0.4)
-        assert h_coeffs.cm == h_coeffs.cp
-        h = materialize(h_coeffs, discrete_series(0.25, 200))
+        sol = solve_metric(P, 0.4)
+        h = materialize(AlgebraElement(sol.c0, sol.c, sol.c), discrete_series(0.25, 200))
         assert np.array_equal(h, h.T)
 
     def test_truncation_guard(self):
@@ -758,7 +761,7 @@ class TestBuildBundle:
         r = discrete_series(0.25, 200)
         for z in Z_GRID:
             b = bundles(k=0.25, z=z)
-            lam = power_base(P, z)
+            lam = solve_metric(P, z).lambda_base
             scale = math.log(lam) / (4.0 * math.sqrt(1.0 - z * z))
             o_mat = materialize(commuting_observable(z), r)
             alt = exp_symmetric(o_mat, scale)
@@ -782,12 +785,13 @@ class TestBuildBundle:
         for desc in ("oscillator:parity=full",
                      "multiboson:l=3,residues=0.25,0.5,0.75"):
             r, _ = from_descriptor(desc, 120)
-            b = build_bundle(solve_metric(P, z), r, trusted=t)
+            sol = solve_metric(P, z)
+            b = build_bundle(sol, r, trusted=t)
             rho = metric_power_dense(P, z, r)
             zeta = rho @ rho
             h = materialize(swanson_element(P), r)
             o = materialize(commuting_observable(z), r)
-            h_direct = materialize(hermitian_equivalent(P, z), r)
+            h_direct = materialize(AlgebraElement(sol.c0, sol.c, sol.c), r)
             for name, (lhs, rhs) in (
                     ("r_intertwine", (h_direct @ rho, rho @ h)),
                     ("r_quasi", (zeta @ h, h.T @ zeta)),
@@ -841,19 +845,21 @@ class TestBuildBundle:
                      "conformal:k=0.75,c=1"):
             r, implied = from_descriptor(desc, 60)
             p = implied if implied is not None else P
-            b = build_bundle(solve_metric(p, 0.6), r, trusted=20)
-            h = materialize(hermitian_equivalent(p, 0.6), r)
+            sol = solve_metric(p, 0.6)
+            b = build_bundle(sol, r, trusted=20)
+            x = AlgebraElement(sol.c0, sol.c, sol.c)
+            h = materialize(x, r)
             w = np.linalg.eigh(h)[0]
             assert np.abs(b.spectrum_h - w[:5]).max() <= 1e-12 * np.abs(w).max(), desc
-            every = verification._low_eigs(hermitian_equivalent(p, 0.6), r, 60)
+            every = verification._low_eigs(x, r, 60)
             assert np.abs(every - w).max() <= 1e-12 * np.abs(w).max(), desc
             # the values come chain by chain; merged, they are the lowest of
             # the whole operator, and each chain's certified vectors are
             # eigenvectors of its block of the whole operator
             for count in (7, 60):
-                wv = verification._low_eigs(hermitian_equivalent(p, 0.6), r, count)
+                wv = verification._low_eigs(x, r, count)
                 assert np.abs(wv - w[:count]).max() <= 1e-12 * np.abs(w).max()
-                for ch, theta, q in chain_pairs(hermitian_equivalent(p, 0.6), r, count):
+                for ch, theta, q in chain_pairs(x, r, count):
                     hc = h[ch::r.band, ch::r.band]
                     assert np.abs(hc @ q - q * theta).max() <= 1e-12 * np.abs(w).max()
                     assert np.abs(q.T @ q - np.eye(theta.size)).max() <= 1e-12, desc
@@ -864,11 +870,12 @@ class TestBuildBundle:
         # a bundle holds e0 to e4, or all N levels where N is smaller; the
         # solve itself yields none at count 0, all N above N, and refuses a
         # negative count
-        x = hermitian_equivalent(P, 0.4)
+        sol = solve_metric(P, 0.4)
+        x = AlgebraElement(sol.c0, sol.c, sol.c)
         for n in (4, 10):
             r = discrete_series(0.25, n)
             w = np.linalg.eigh(materialize(x, r))[0]
-            b = build_bundle(solve_metric(P, 0.4), r, trusted=2)
+            b = build_bundle(sol, r, trusted=2)
             assert b.spectrum_h.shape == (min(n, 5),)
             assert np.abs(b.spectrum_h - w[:5]).max() <= 1e-12 * np.abs(w).max()
         assert verification._low_eigs(x, r, 0).shape == (0,)
@@ -884,11 +891,12 @@ class TestBuildBundle:
         # -8136.13 at N = 400); the bundle is refused, as is h's solve
         p, z = SwansonParams(1.0, 0.7543218246483239, -2.6068268445611213), -0.99953
         assert is_admissible(p, z)
-        h = hermitian_equivalent(p, z)
-        assert h.c0.real < 0.0
+        sol = solve_metric(p, z)
+        h = AlgebraElement(sol.c0, sol.c, sol.c)
+        assert h.c0 < 0.0
         for n in (200, 400):
             with pytest.raises(InvalidParams, match="mu > 0"):
-                build_bundle(solve_metric(p, z), discrete_series(0.25, n))
+                build_bundle(sol, discrete_series(0.25, n))
             with pytest.raises(InvalidParams, match="mu > 0"):
                 verification._low_eigs(h, discrete_series(0.25, n),
                                        verification.SPECTRUM_COUNT)
@@ -969,11 +977,13 @@ class TestBuildBundle:
 
     def test_oscillator_realization_bundle(self):
         from su11metric import oscillator_full
-        b = build_bundle(solve_metric(P, 0.4), oscillator_full(200), trusted=50)
+        sol = solve_metric(P, 0.4)
+        b = build_bundle(sol, oscillator_full(200), trusted=50)
         assert max(b.residuals.values()) <= 1e-6
         expect = math.sqrt(0.92) * (np.arange(6) + 0.5)
         assert np.abs(b.spectrum_h - expect[:5]).max() <= 1e-6
-        w = verification._low_eigs(hermitian_equivalent(P, 0.4), oscillator_full(200), 6)
+        w = verification._low_eigs(AlgebraElement(sol.c0, sol.c, sol.c),
+                                   oscillator_full(200), 6)
         assert np.abs(w - expect).max() <= 1e-6
 
 
@@ -1011,8 +1021,9 @@ class TestZetaSeriesWall:
             if (alpha == beta or omega ** 2 <= 4.0 * alpha * beta
                     or abs(z) >= 0.99 or not is_admissible(p, z)):
                 continue
-            eps = 2.0 * solve_epsilon(p, z)
-            antinormal, q, c = verification._ordered_metric(solve_metric(p, z), 2)
+            sol = solve_metric(p, z)
+            eps = 2.0 * sol.epsilon
+            antinormal, q, c = verification._ordered_metric(sol, 2)
             assert antinormal, (p, z)     # eps > 0 on the wall
             with mp.workdps(50):
                 e, eta = mp.mpf(eps), mp.mpf(z) * mp.mpf(eps) / 2
@@ -1081,11 +1092,11 @@ class TestCoefficientResiduals:
         # nearest the 50-digit zero of that pivot (P's was one ulp above
         # it, where the pivot is 1.5e-14, found with an eps 1.2e-14 off)
         for p, z in ((P, 0.39230484541326377), (STRONG, 0.7787192621510003)):
-            eps = solve_epsilon(p, z)
+            sol = solve_metric(p, z)
             with pytest.raises(DecompositionSingular):
-                disentangle_closed_form(eps, z * eps / 2.0)
+                disentangle_closed_form(sol.epsilon, sol.eta)
             for n in (60, 200):
-                b = build_bundle(solve_metric(p, z), discrete_series(0.25, n), trusted=50)
+                b = build_bundle(sol, discrete_series(0.25, n), trusted=50)
                 for name, tol in RESIDUAL_TOLS.items():
                     assert b.residuals[name] <= tol, (p, z, n, name)
 
