@@ -119,3 +119,40 @@ def test_tolerances_reject_a_changed_digit():
     assert moved(record, 0, stdout.replace("2.2e-16", "2.4e-16"), "") == []
     for change in (("PASS", "FAIL"), ("0.479583152331", "0.479583152332")):
         assert moved(record, 0, stdout.replace(*change), "") != []
+
+
+# The verify and sweep records whose chains of h reach the bisection, with
+# the length of each chain bisected; every other record takes the law on
+# every chain.  A change to the chains' certificate that moves a chain
+# between the two paths moves this table.
+BISECTED = {
+    "verify --omega 1 --alpha 0.5 --beta 0.49999999999 --z 0.3": [200],
+    "verify --omega 1 --alpha 0.2 --beta 0.1 --realization multiboson:l=12,residues="
+    "0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0,2.25,2.5,2.75,3.0 --trusted 10 --z 0.4":
+        [17] * 8 + [16] * 4,
+    "verify --omega 1 --alpha 0.2 --beta 0.1 --size 12 --trusted 5 --z 0.4": [12],
+    "verify --omega 1 --alpha 0.2 --beta 0.1 --realization multiboson:l=3,residues="
+    "0.25,0.5,0.75 --size 12 --trusted 4 --z 0.4": [4, 4, 4],
+    "verify --omega 1 --alpha 0.2 --beta 0.1 --realization multiboson:l=3,residues="
+    "0.25,0.5,0.75 --size 5 --trusted 2": [2, 2, 1],
+}
+
+
+def test_bisected_chains_are_pinned(monkeypatch):
+    from su11metric import verification
+
+    sizes, bisect = [], verification._bisect
+
+    def counted(d, e, count):
+        sizes.append(d.size)
+        return bisect(d, e, count)
+
+    monkeypatch.setattr(verification, "_bisect", counted)
+    seen = {}
+    for record in RECORDS:
+        if record["argv"][0] in ("verify", "sweep"):
+            sizes.clear()
+            run(record["argv"])
+            if sizes:
+                seen[" ".join(record["argv"])] = list(sizes)
+    assert seen == BISECTED
