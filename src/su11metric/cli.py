@@ -15,10 +15,10 @@ its records are dataclasses, whose import is a small share of numpy's.
 No module imports scipy; its compiled LAPACK wrappers alone are loaded,
 on first use (verification._lapack): by pdm, for its grid's solves and
 counts, and by the bisection (verification._bisect, values alone), for a
-grid level whose seeds do not certify and for a chain where the law does
-not hold to rounding in its N states, a near-parabolic h's or one too
-short for the law (e2 to e4 of verify --size 12).  Otherwise verify and
-sweep take h's values from the harmonic law and count them in Python.
+grid level whose seeds do not certify and for a chain whose law the
+closed-form bracket does not certify in its N states, a near-parabolic
+h's or one too short for it (e2 to e4 of verify --size 12).  Otherwise
+verify and sweep take h's values from that certified harmonic law.
 Where mu <= 0, h is unbounded below, and its solve
 (verification._low_eigs) and pdm's grid refuse z (exit 2).
 

@@ -15,14 +15,14 @@ No N x N matrix is formed, and no matrix of H, h or O at all: rho and
 zeta_+ are R x R blocks (R = trusted + band) from one metric kernel whose
 cost does not grow with N (materialize_metric_root), H, h and O act on
 them as band shifts (realizations.apply), and h's lowest eigenvalues
-come from its coefficients and the bands, for mu > 0 only, where h is a
-rotated oscillator: on each chain they are the harmonic law Omega (n + k),
-certified by a twisted factorization's vectors at them on the leading
-states a stated bound needs and a Sturm count in Python (_low_eigs,
-_rotated_chain, _certify).  A chain whose law does not hold to rounding in
-its N states (a near-parabolic h, or a chain too short for it) has its
-values alone bisected whole by LAPACK (_bisect; _lapack loads scipy's
-compiled wrappers, the one route to LAPACK, without importing scipy).  So
+come from its coefficients alone, for mu > 0 only, where h is a rotated
+oscillator: on each chain, a discrete series D+(k), they are the harmonic
+law Omega (n + k), certified in the chain's N states in closed form by
+interlacing and a Kato-Temple bound from the one cut link (_low_eigs,
+_chain_bracket).  A chain the bracket does not certify (a near-parabolic
+h, or a chain too short for the law) has its values alone bisected whole
+by LAPACK (_bisect; _lapack loads scipy's compiled wrappers, the one route
+to LAPACK, without importing scipy).  So
 build_bundle's cost does not grow with N; only building the realization,
 which the caller does, still does.  Where a metric block does not exist
 in the realization's basis (a divergent series, zeta_+ at z = 2 beta /
@@ -131,73 +131,13 @@ def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """The count of eigenvalues in (-inf, x] of the symmetric tridiagonal
-    (diag, off), formed as LAPACK's ?stebz forms it (range "V", vl = -inf,
-    vu = x): the same operations in the same order, so the counts agree.
-
-    ?stebz splits T where e_j^2 < |d_j d_(j+1)| ulp^2 + tiny and sets
-    pivmin = tiny max(1, e_j^2 over the links kept).  A block of one state
-    counts where x >= d - pivmin.  A longer block counts the pivots
-    q <= 0 of q_j = d_j - e_(j-1)^2 / q_(j-1) - y, a pivot of magnitude
-    below pivmin taken as -pivmin, at y = min(x, gu), less those at
-    y = gl, [gl, gu] being the block's Gershgorin interval widened by
-    2.1 (ulp size max(|gl|, |gu|) + pivmin).
-    """
-    d, e, x = diag.tolist(), off.tolist(), float(x)
-    n = len(d)
-    if n == 1:
-        return int(x >= d[0])
-    e2 = [v * v for v in e]
-    # the blocks and their Gershgorin bounds, in one pass
-    pivmin, blocks, ulp2, tiny = 1.0, [], _EPS * _EPS, _TINY
-    lo, t1, gu, gl = 0, 0.0, d[0], d[0]
-    for j, (a, b, v, s) in enumerate(zip(d, d[1:], e, e2), 1):
-        split = abs(b * a) * ulp2 + tiny > s
-        if split:
-            v = 0.0
-        else:
-            v = abs(v)
-            if s > pivmin:
-                pivmin = s
-        if a + t1 + v > gu:
-            gu = a + t1 + v
-        if a - t1 - v < gl:
-            gl = a - t1 - v
-        t1 = v
-        if split:
-            blocks.append((lo, j, gl, gu))
-            lo, gu, gl = j, b, b
-    blocks.append((lo, n, min(gl, d[-1] - t1), max(gu, d[-1] + t1)))
-    pivmin *= _TINY
-
-    def below(lo, hi, y):
-        # q < pivmin is exactly the pivots counted, as q <= 0 once a pivot
-        # of magnitude below pivmin is -pivmin
-        c, q = 0, 1.0
-        for a, s in zip(d[lo:hi], [0.0] + e2[lo:hi - 1]):
-            q = a - s / q - y
-            if q < pivmin:
-                c += 1
-                if q > -pivmin:
-                    q = -pivmin
-        return c
-
-    found = 0
-    for lo, hi, gl, gu in blocks:
-        if hi - lo == 1:
-            found += x >= d[lo] - pivmin
-            continue
-        bnorm = max(abs(gl), abs(gu))
-        gl = gl - 2.1 * bnorm * _EPS * (hi - lo) - 2.1 * pivmin
-        gu = min(gu + 2.1 * bnorm * _EPS * (hi - lo) + 2.1 * pivmin, x)
-        if gl < gu:
-            found += below(lo, hi, gu) - below(lo, hi, gl)
-    return found
-
-
 def _interval_top(theta: np.ndarray, resid: np.ndarray, count: int) -> float | None:
-    """_certify's interval tests: the top theta_count + rho_count, or None."""
+    """The top theta_count + rho_count of a count certificate's intervals
+    theta_i +- rho_i, rho_i = max(resid_i, tau_i), tau_i = 2 tiny + 2 eps
+    |theta_i| the width ?stebz bisects to, where the `count` of them are
+    finite and disjoint and max resid <= sqrt(eps) max |theta| (theta is
+    off by about resid^2 / gap); else None.  resid_i must bound a unit
+    vector's true residual, its rounding included."""
     rho = np.maximum(resid, 2.0 * (_TINY + _EPS * np.abs(theta)))
     top = theta + rho
     if not (theta.size == count and np.isfinite(top).all()
@@ -207,128 +147,89 @@ def _interval_top(theta: np.ndarray, resid: np.ndarray, count: int) -> float | N
     return float(top[-1])
 
 
-def _certify(diag: np.ndarray, off: np.ndarray, theta: np.ndarray,
-             resid: np.ndarray, count: int,
-             tail: tuple[float, float] | None = None) -> bool:
-    """Whether the ascending theta are the lowest `count` eigenvalues of
-    the symmetric tridiagonal T = (diag, off), each within
-    rho_i = max(resid_i, tau_i), tau_i = 2 tiny + 2 eps |theta_i|, or with
-    `tail` those of a chain that continues past T: the realization chains'
-    eigenvalue certificate, its intervals _interval_top's.
-
-    resid_i must bound the true residual ||T u_i - theta_i u_i|| of a unit
-    vector u_i, the rounding of its own computation included, so that
-    [theta_i - rho_i, theta_i + rho_i] holds an eigenvalue: where T's
-    entries are large, a computed residual can fall below the true one.
-    tau_i is the width to which ?stebz itself bisects theta_i: a count at
-    theta_i plus a smaller residual falls inside the count's own rounding
-    and may miss theta_i.  If every theta_i + rho_i is finite and the
-    intervals are disjoint, there are at least `count` eigenvalues up to
-    top = theta_count + rho_count; if a Sturm count finds exactly `count`
-    there, each interval holds exactly one and together they are the
-    lowest `count`.  theta is off by about resid^2 / gap, so
-    max resid <= sqrt(eps) max |theta| is required too.  The count is
-    _sturm_count's, at every size.
-
-    With tail = (link, floor), T is the leading block A of a chain
-    [[A, link E], [link E^T, B]], E joining A's last state to B's first,
-    resid is the residual in the whole chain and floor is a lower bound of
-    B's spectrum.  floor must lie above top, and the count is taken in A
-    with its last diagonal entry lowered by link^2 / (floor - top).  For
-    x = top < floor, B - x is positive definite, so by Haynsworth's inertia
-    formula the chain has as many eigenvalues below x as
-    S = A - x - link^2 [(B - x)^-1]_00 E_(m-1, m-1) has negative ones.  The
-    corner term lies in (0, link^2 / (floor - x)], so S lies above the
-    lowered A - x, whose count bounds S's from above; the intervals bound
-    it from below.
-    """
-    top = _interval_top(theta, resid, count)
-    if tail is not None and top is not None:
-        link, floor = tail
-        if not floor > top:
-            return False
-        diag = diag.copy()
-        diag[-1] -= link * (link / (floor - top))
-    return top is not None and _sturm_count(diag, off, top) == count
+def _exp_or_inf(x: float) -> float:
+    return math.exp(x) if x < 709.0 else math.inf
 
 
-def _twisted_vectors(diag: np.ndarray, off: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Unnormalized v_i with (T - theta_i) v_i = gamma_i e_r, T = (diag, off):
-    the twisted factorization (Dhillon, Parlett and Voemel, ACM TOMS 32,
-    2006; LAPACK's dlar1v).  With x = diag - theta, T - theta has forward
-    pivots D+_j = x_j - e_(j-1)^2 / D+_(j-1) and backward pivots
-    D-_j = x_j - e_j^2 / D-_(j+1), a zero one taken as tiny; r minimizes
-    |gamma_r| = |D+_r + D-_r - x_r|, v_r = 1, v_j / v_(j+1) = -e_j / D+_j
-    below r and v_(j+1) / v_j = -e_j / D-_(j+1) above: each ratio runs in
-    its stable direction only."""
-    d = diag.tolist()
-    e2 = [0.0] + [v * v for v in off.tolist()]
-    d_back, e2_back = d[::-1], [0.0] + e2[:0:-1]
-    # sequential recurrences: on floats, per column, both ways in one pass
-    fwd, bwd = [], []
-    push_f, push_b = fwd.append, bwd.append
-    for th in theta.tolist():
-        q = p = 1.0
-        for a, s, b, t in zip(d, e2, d_back, e2_back):
-            q = (a - th - s / q) or _TINY
-            p = (b - th - t / p) or _TINY
-            push_f(q)
-            push_b(p)
-    fwd = np.array(fwd).reshape(theta.size, -1).T
-    bwd = np.array(bwd).reshape(theta.size, -1).T[::-1]
-    r = np.abs(fwd + bwd - (diag[:, None] - theta)).argmin(axis=0)
-    rows, neg = np.arange(diag.size - 1)[:, None], -off[:, None]
-    # the ratios on the far side of r are 1, so each cumulative product
-    # is v_j / v_r on its own side and 1 on the other
-    below = np.where(rows < r, neg / fwd[:-1], 1.0)
-    above = np.where(rows >= r, neg / bwd[1:], 1.0)
-    v = np.ones(fwd.shape)
-    v[:-1] = np.cumprod(below[::-1], axis=0)[::-1]
-    v[1:] *= np.cumprod(above, axis=0)
-    return v
+def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
+    """The law theta_n = Omega (n + k), n < want, as the lowest levels of
+    x = c0 K0 + c (K+ + K-) (c0 > 2|c|) on the leading N = n_states states
+    of the discrete series D+(k), where each is certified within 4 tau_n,
+    tau_n = 2 tiny + 2 eps theta_n, for the exact truncation with these c0,
+    c and k (not its rounded bands); else None.  k = 0 (a zero multiboson
+    residue) is a decoupled 0 plus D+(1).
 
+    x = Omega U K0 U^-1; Bargmann's elements bound psi_n = U|n> term by term
+    at the cut and past it (log_bound).  The cut link l = |c| sqrt(N (N - 1
+    + 2k)) alone leaves the kept states, so P psi_n's Rayleigh quotient rho
+    is within l |psi_n(N-1) psi_n(N)| / |P psi_n|^2 of theta_n, its residual
+    r <= l |psi_n(N)| / |P psi_n|.  Interlacing puts each level at or above
+    the law; Kato-Temple puts lambda_0 <= rho and, where r^2 < (rho - a)
+    (theta_(n+1) - rho), a the previous level's upper end, the one level in
+    (a, theta_(n+1)) at most rho + r^2 / (rho - a).  Logarithms are raised
+    by `err` over their rounding; both ends widen by the law's (2.25 eps)."""
+    if k == 0.0:
+        rest = _chain_bracket(c0, c, 1.0, n_states - 1, want - 1) if want > 1 else ()
+        return None if rest is None else np.r_[0.0, rest]
+    a, n_cut = abs(c), n_states
+    square = (c0 - 2.0 * a) * (c0 + 2.0 * a)
+    omega = math.sqrt(square)
+    theta = _harmonic_law(omega, k, want + 1)
+    # past k = 1 / eps the rounding of lgamma(2k) alone outgrows every bound
+    if not (square >= _TINY and theta[-1] < math.inf and 0.0 < k < 1.0 / _EPS):
+        return None
+    if a == 0.0:
+        return np.array(theta[:want])
+    logs = [math.log(2.0 * a), math.log(2.0 * omega), math.log(c0 + omega)]
+    log_t, log_u = logs[0] - logs[2], logs[1] - logs[2]
+    log_link = math.log(a) + 0.5 * (math.log(n_cut) + math.log(n_cut - 1 + 2.0 * k))
+    t2 = (2.0 * a / (c0 + omega)) ** 2 * (1.0 + 16.0 * _EPS)
+    s = [t2 * (n_cut + 1.0) / (n_cut + 1.0 - j)
+         * max(1.0, (n_cut + 2.0 * k) / (n_cut + 1.0 - j)) for j in range(want)]
+    if max(s) >= 1.0:
+        return None
+    lg = [math.lgamma(i + 1.0) for i in range(want + 1)]
+    lg2k = [math.lgamma(i + 2.0 * k) for i in range(want + 1)]
+    near_cut = [math.lgamma(n_cut + 1.0 - i) for i in range(want + 1)]
+    edge = {m: 0.5 * (math.lgamma(m + 1.0) + math.lgamma(m + 2.0 * k))
+            for m in (n_cut - 1, n_cut)}
+    # what a log term's rounding scales with: its logs and lgammas, Omega's 2.5 ulp
+    size = ((2 * n_cut + 2 * want + k) * (sum(map(abs, logs)) + 1.0) + abs(log_link)
+            + 8.0 * max(map(abs, lg + lg2k + near_cut + list(edge.values()))))
+    err = (64.0 + 2.0 * want) * _EPS * (size + 16.0)
 
-def _rotated_chain(c0: float, c: float, k0: np.ndarray, kp: np.ndarray, want: int):
-    """(values, vectors) of the lowest `want` pairs of the elliptic chain
-    x = c0 K0 + c (K+ + K-) (c0 > 2|c|) with diagonal k0 and links kp, on
-    its leading states, zero past them, and certified; None where the law
-    does not hold to rounding in the chain (a near-parabolic x, or a want
-    near the chain's length).
+    def log_bound(m, n, tail=False):
+        # log sum_(j <= n) T_j(m) >= log |psi_n(m)| (n < N: m = N - 1, N),
+        # T_j(m) = t^(m+n-2j) (1 - t^2)^(j+k) sqrt(m! G(m+2k) n! G(n+2k)) /
+        # ((m-j)! (n-j)! j! G(j+2k)), t = 2|c| / (c0 + Omega), 1 - t^2 =
+        # 2 Omega / (c0 + Omega); or, with `tail`, >= log |(1 - P) psi_n|,
+        # each T_j(N) over sqrt(1 - s_j), s_j >= T_j(m+1)^2 / T_j(m)^2, m >= N
+        return err + np.logaddexp.reduce([
+            (m + n - 2 * j) * log_t + (j + k) * log_u + edge[m] + 0.5 * (lg[n] + lg2k[n])
+            - near_cut[n_cut - m + j] - lg[n - j] - lg[j] - lg2k[j]
+            - (0.5 * math.log1p(-s[j]) if tail else 0.0) for j in range(n + 1)])
 
-    x = Omega U K0 U^-1 for an su(1,1) rotation U, Omega =
-    sqrt(c0^2 - 4 c^2): the values are Omega (n + k0[0]) (_harmonic_law),
-    the vectors _twisted_vectors' at them on the leading m states, m =
-    2 want + 32 doubling until the cut holds: every residual of the padded
-    vectors in the whole chain is at most 4 tau, tau = 2 tiny + 2 eps
-    theta the width to which ?stebz bisects, the link e = c kp[m - 1]
-    moves each by at most tau, and _certify takes them with tail (e, g),
-    g = (c0 - 2|c|) k0[m] a Gershgorin floor of the states past m (k0
-    rises by 1 a state, K+ <= K0 + 1/2).  The vectors fall off by about
-    2|c|/(c0 + Omega) a state, so m does not grow with N."""
-    slope = c0 - 2.0 * abs(c)
-    theta = np.array(_harmonic_law(math.sqrt(slope * (c0 + 2.0 * abs(c))),
-                                   float(k0[0]), want))
-    tau = 2.0 * (_TINY + _EPS * theta)
-    m = min(k0.size, 2 * want + 32)
-    while True:
-        # the padded vectors' residual reaches the one state past the cut
-        rows = min(m + 1, k0.size)
-        d, e = c0 * k0[:rows], c * kp[:rows - 1]
-        u = np.zeros((rows, want))
-        # a ratio that overflows leaves a residual that is not taken
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            u[:m] = _twisted_vectors(d[:m], e[:m - 1], theta)
-            u /= np.sqrt((u * u).sum(axis=0))
-            r = _tri_mul(d, e, u) - theta * u
-            r *= r
-            resid = np.sqrt(r.sum(axis=0))
-        tail = None if m == k0.size else (e[m - 1], slope * k0[m])
-        if (np.all(resid <= 4.0 * tau) and (tail is None or np.all(np.sqrt(r[m]) <= tau))
-                and _certify(d[:m], e[:m - 1], theta, resid, want, tail)):
-            return theta, u[:m]
-        if tail is None:
+    law_err = [2.5 * _EPS * x + _TINY for x in theta]
+    width = []
+    for n in range(want):
+        tail2 = _exp_or_inf(2.0 * log_bound(n_cut, n, tail=True))
+        if not tail2 < 1.0:
             return None
-        m = min(k0.size, 2 * m)
+        log_norm = math.log1p(-tail2)
+        inside, outside = (min(0.0, log_bound(m, n)) for m in (n_cut - 1, n_cut))
+        w = law_err[n] + _exp_or_inf(log_link + inside + outside - log_norm + err)
+        if n:
+            # rho - a and theta_(n+1) - rho, from below
+            resid2 = _exp_or_inf(2.0 * (log_link + outside) - log_norm + err)
+            gap = (theta[n] - theta[n - 1]) * (1.0 - _EPS) - (w + width[-1])
+            room = (theta[n + 1] - theta[n]) * (1.0 - _EPS) - (law_err[n + 1] + w)
+            if not (gap > 0.0 and resid2 < gap * room * (1.0 - _EPS)):
+                return None
+            w += resid2 / gap
+        if not w <= 8.0 * (_TINY + _EPS * theta[n]):
+            return None
+        width.append(w)
+    return np.array(theta[:want])
 
 
 def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
@@ -340,9 +241,9 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     x must be elliptic, c0 > 2|c| (for h, mu > 0, as c0 - 2c = 2 mu omega
     and c0^2 > 4 c^2): -K0 or a hyperbolic or parabolic x has no lowest
     levels on the infinite chain and is refused.  Each chain of states
-    equal modulo band is solved on its leading states (_rotated_chain) or,
-    where the law does not hold in its N states, its values bisected whole
-    (_bisect).
+    equal modulo band is the discrete series D+(k) of its lowest K0 = k in
+    every realization here; it takes the law where _chain_bracket certifies
+    it in the chain's states, else its values are bisected whole (_bisect).
     """
     if count < 0:
         raise InvalidParams(f"eigenvalue count must be nonnegative (got {count})")
@@ -364,8 +265,8 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
         k0 = realization.k0_diag[ch::band]
         kp = realization.kp_band[ch::band]
         want = min(count, k0.size)
-        pairs = _rotated_chain(c0, c, k0, kp, want)
-        w.append(_bisect(c0 * k0, c * kp, want) if pairs is None else pairs[0])
+        law = _chain_bracket(c0, c, float(k0[0]), k0.size, want)
+        w.append(_bisect(c0 * k0, c * kp, want) if law is None else law)
     return np.sort(np.concatenate(w), kind="stable")[:count]
 
 
@@ -552,9 +453,9 @@ def _relative_residuals(products: dict[str, tuple[np.ndarray, np.ndarray]],
     r = |lhs - rhs| / max(|lhs|, |rhs|) from above, and barely: |rhs| <=
     |lhs| + |lhs - rhs| gives r <= r' <= r / (1 - r), so at rounding-level
     residuals no printed digit moves, and it takes two norms per product,
-    not three.  Where lhs vanishes the residual is 0 if the difference
-    does and 1 otherwise (|rhs| / |rhs|), never the bare difference, which
-    a tiny rhs would pass.
+    not three.  A vanishing lhs reads inf: for admissible input h rho,
+    zeta_+ H and rho O are never zero in exact arithmetic, so a zero block
+    underflowed, and a check that compares nothing must not pass.
 
     Every block is block-diagonal over the realization's chains (states
     c, c + band, ...): rho and zeta_+ are written chain by chain
@@ -572,8 +473,7 @@ def _relative_residuals(products: dict[str, tuple[np.ndarray, np.ndarray]],
         norms[finite] = np.max([np.linalg.svd(kept[:, c::band, c::band],
                                               compute_uv=False)[:, 0]
                                 for c in range(min(band, t))], axis=0)
-    return {name: math.inf if not math.isfinite(d + base)
-            else d / base if base > 0.0 else float(d > 0.0)
+    return {name: d / base if base > 0.0 and math.isfinite(d + base) else math.inf
             for name, (d, base) in zip(products, norms.reshape(-1, 2).tolist())}
 
 

@@ -3,11 +3,13 @@
 They share no code with the paths under test: each one works on dense
 matrices (the 2 x 2 representation of su(1,1) among them) or whole
 tridiagonal chains with a general-purpose numpy, scipy or cmath routine,
-or in mpmath.
+or in mpmath or decimal.
 """
 
 import cmath
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -363,3 +365,33 @@ def chain_spectrum(x, realization, count):
     w = np.concatenate(w)
     lowest = np.argsort(w, kind="stable")[:count]
     return w[lowest], np.hstack(q)[:, lowest]
+
+
+@lru_cache(maxsize=64)
+def _exact_chain(c0, c, k, n):
+    # the diagonal c0 (i + k) and squared links c^2 i (i - 1 + 2k) of x =
+    # c0 K0 + c (K+ + K-) on D+(k), in 40-digit decimals of the floats
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c0, c2, k = Decimal(c0), Decimal(c) * Decimal(c), Decimal(k)
+        return ([c0 * (i + k) for i in range(n)],
+                [c2 * i * (i - 1 + 2 * k) for i in range(n)])
+
+
+@lru_cache(maxsize=8192)
+def chain_count_mp(c0, c, k, n, x):
+    """The count of eigenvalues below x of x = c0 K0 + c (K+ + K-) on the
+    leading n states of the discrete series D+(k), with the floats c0, c,
+    k and x taken exactly: a Sturm count at 40 significant digits (in
+    decimal, which runs it about 20 times faster than mpmath here), whose
+    pivots carry no rounding that a level 1e-25 relative away could flip."""
+    diag, links = _exact_chain(c0, c, k, n)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x, q, found = Decimal(x), Decimal(1), 0
+        for d, e2 in zip(diag, links):
+            q = d - x - e2 / q
+            if not q:
+                q = Decimal("1e-60")
+            found += q < 0
+    return found

@@ -308,6 +308,22 @@ class TestVerifyCommand:
         for name in ("r_herm", "r_eq10", "r_intertwine"):
             assert float(rows[name].split()[0]) <= 1e-15, (name, rows[name])
 
+    @pytest.mark.parametrize("k, underflowed", [
+        ("1000", ("r_intertwine", "r_quasi", "r_commute")), ("300", ("r_quasi",))])
+    def test_underflowed_block_fails(self, capsys, k, underflowed):
+        # at a large lowest weight e^{q k0} underflows: at k = 1000 both
+        # metric blocks are zeros, at k = 300 zeta_+ alone.  Each residual
+        # that reads a zero lhs printed a vacuous 0 [PASS] and the run
+        # exited 0; it now reads inf [FAIL], and the others still pass
+        code, out, _ = run_cli(capsys, "verify", "--omega", "1", "--alpha", "0.2",
+                               "--beta", "0.1", "--z", "0.4",
+                               "--realization", f"discrete:k={k}")
+        assert code == 1
+        rows = parse_table(out)
+        for name in RESIDUAL_TOLS:
+            want = "inf  [FAIL" if name in underflowed else "[PASS"
+            assert want in rows[name] and not rows[name].startswith("0 "), (name, rows[name])
+
     def test_truncation_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--omega", "1",
                                "--alpha", "0.2", "--beta", "0.1",
@@ -462,6 +478,21 @@ class TestSweepCommand:
         # z = 0.2 sits so close to the inadmissible band that the metric
         # square overflows at this truncation; the run must say so
         assert code == 1
+
+    def test_underflowed_blocks_fail(self, capsys):
+        # at k = 1000 and z = 0.4 both metric blocks underflow to zeros: the
+        # row's three matrix residuals read inf, not a vacuous 0, and the
+        # sweep exits 1; the z = 0.6 row's blocks hold, and it passes
+        code, out, _ = run_cli(capsys, "sweep", "--omega", "1", "--alpha", "0.2",
+                               "--beta", "0.1", "--z-from", "0.4", "--z-to", "0.6",
+                               "--steps", "2", "--realization", "discrete:k=1000")
+        assert code == 1
+        lines = out.strip().split("\n")
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [rows[0][name] for name in ("r_intertwine", "r_quasi", "r_commute")] \
+            == ["inf"] * 3
+        for name, tol in RESIDUAL_TOLS.items():
+            assert 0.0 < float(rows[1][name]) <= tol, (name, rows[1][name])
 
     def test_byte_reproducible(self, capsys):
         _, first, _ = run_cli(capsys, *self.ARGS)
@@ -936,7 +967,7 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scip
 
     def test_default_count_bundle_loads_no_scipy(self):
         # build_bundle's five levels, and h's lowest 25, take the law on h's
-        # chain, certified by its vectors, and bisect nothing
+        # chain, certified by its closed-form bracket, and bisect nothing
         script = """
 import sys
 from su11metric import (AlgebraElement, SwansonParams, build_bundle,
@@ -952,20 +983,22 @@ print(bundle.spectrum_h.size, levels.size,
         assert proc.stderr.splitlines()[-1] == "5 25 []"
 
     def test_long_chain_cut_loads_no_scipy(self):
-        # this x's certified cut holds 328 states: the chains' certificate
-        # counts in Python at every size, so neither the values nor the
-        # chain's certified vectors import scipy
+        # this x's eigenvectors decay slowly (the vectors that certified it
+        # before the closed-form bracket needed 328 states): the bracket
+        # takes the law on the 1200-state chain from its length and lowest
+        # weight alone, so the values import no scipy
         script = """
 import sys
 from su11metric import AlgebraElement, discrete_series
-from su11metric.verification import _low_eigs, _rotated_chain
+from su11metric.verification import _chain_bracket, _low_eigs
 c0, c, r = 2.8690555219658664, 1.071386903518382, discrete_series(0.25, 1200)
-_low_eigs(AlgebraElement(c0, c, c), r, 25)
-_, vecs = _rotated_chain(c0, c, r.k0_diag, r.kp_band, 25)
-print(vecs.shape, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+levels = _low_eigs(AlgebraElement(c0, c, c), r, 25)
+law = _chain_bracket(c0, c, 0.25, 1200, 25)
+print(levels.size, law is not None and (law == levels).all(),
+      sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
 """
         proc = self._run("-c", script)
-        assert proc.stderr.splitlines()[-1] == "(328, 25) []"
+        assert proc.stderr.splitlines()[-1] == "25 True []"
 
 
 class TestParsing:

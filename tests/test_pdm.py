@@ -351,15 +351,24 @@ class TestCertifiedChain:
 
     def test_shifts_one_level_up_fail_the_certificate(self, monkeypatch):
         # the 2nd-4th eigenvalues, even with residuals 0, are three disjoint
-        # intervals, but the Sturm count finds four up to them: the solve
+        # intervals, but dstebz's count finds four up to them: the solve
         # falls back to bisection and still returns the lowest three
         cfg = replace(CFG, points=1000)
         diag, off = h_tridiag(cfg)
         lowest4 = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                    select_range=(0, 3),
                                    tol=2.0 * np.finfo(float).tiny)
-        assert not verification._certify(diag, off, lowest4[1:], np.zeros(3), 3)
-        assert verification._certify(diag, off, lowest4[:3], np.zeros(3), 3)
+
+        def counted_up_to_top(theta):
+            # the count below _interval_top's top, as _grid_spectrum takes it
+            top = verification._interval_top(theta, np.zeros(3), 3)
+            found, *_, info = verification._lapack().dstebz(
+                diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
+            assert info == 0
+            return found
+
+        assert counted_up_to_top(lowest4[1:]) == 4
+        assert counted_up_to_top(lowest4[:3]) == 3
         bisected = []
 
         def counted(*args, _f=pdm._bisect):
