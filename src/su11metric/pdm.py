@@ -20,7 +20,7 @@ _grid_spectrum from seeds: the algebraic law's values at the coarsest
 level, the coarser level's eigenvalues at each finer one.  Three
 Rayleigh-quotient steps refine them, all three at once, with one
 tridiagonal solve (dgtsv) a step.  Each level is certified on disjoint
-intervals (verification._interval_top) from residuals that bound their own
+intervals (_interval_top) from residuals that bound their own
 rounding, and counted by LAPACK (dstebz).  A level whose seeds fail it
 refines the bisection's values instead, and one not certified even then
 raises NoConvergence; each LAPACK call goes through verification._lapack.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, _exact, _harmonic_law, solve_metric
-from .verification import _EPS, _TINY, _bisect, _halves, _interval_top, _lapack, _tri_mul
+from .verification import _EPS, _TINY, _bisect, _halves, _lapack
 
 # run_pdm_check's protocol
 COUNT = 3             # eigenvalues checked
@@ -43,6 +43,7 @@ RTOL = 0.01           # their tolerance against the law
 DECAY_TOL = 1e-8      # the eigenfunctions' relative amplitude at the walls
 REFINE = (4, 2, 1)    # the grid levels: points // factor, coarse to fine
 LOG_MAX = math.log(np.finfo(float).max)
+_SQRT_EPS = math.sqrt(_EPS)
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,30 @@ def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
     return diag, -mw * w[1:-1]
 
 
+def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """T @ vecs for the symmetric tridiagonal T = (diag, off)."""
+    out = diag[:, None] * vecs
+    out[:-1] += off[:, None] * vecs[1:]
+    out[1:] += off[:, None] * vecs[:-1]
+    return out
+
+
+def _interval_top(theta: np.ndarray, resid: np.ndarray, count: int) -> float | None:
+    """The top theta_count + rho_count of a count certificate's intervals
+    theta_i +- rho_i, rho_i = max(resid_i, tau_i), tau_i = 2 tiny + 2 eps
+    |theta_i| the width ?stebz bisects to, where the `count` of them are
+    finite and disjoint and max resid <= sqrt(eps) max |theta| (theta is
+    off by about resid^2 / gap); else None.  resid_i must bound a unit
+    vector's true residual, its rounding included."""
+    rho = np.maximum(resid, 2.0 * (_TINY + _EPS * np.abs(theta)))
+    top = theta + rho
+    if not (theta.size == count and np.isfinite(top).all()
+            and np.all(theta[1:] - rho[1:] > top[:-1])
+            and resid.max() <= _SQRT_EPS * np.abs(theta).max()):
+        return None
+    return float(top[-1])
+
+
 def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     """(values, vectors, residuals) refined from `shifts` on the symmetric
     tridiagonal T = (diag, off); None where a solve fails or leaves the doubles.
@@ -254,7 +279,7 @@ def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarra
 
     _rayleigh refines `near`, approximate eigenvalues such as a coarser
     grid's or the algebraic law's, and the result is certified on
-    verification._interval_top's intervals with dstebz's own count.  Seeds far
+    _interval_top's intervals with dstebz's own count.  Seeds far
     off, such as the law on a grid whose walls cut the eigenfunctions,
     leave residuals well above its sqrt(eps) bound; the bisection's values
     are then refined and certified the same way.  NoConvergence, naming the

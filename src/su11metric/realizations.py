@@ -2,7 +2,11 @@
 
 Every constructor returns the diagonal of K0 and the one band of K+;
 K- is its transpose.  No matrix of them is built: `apply` multiplies a
-block by c0 K0 + cm K- + cp K+ as three shifts along the band.
+block by c0 K0 + cm K- + cp K+ as three shifts along the band.  Each
+realization is a table of discrete series: chain c < band, the states
+c + j band, is D+(k_c), K0 = j + k_c and K+ = sqrt((j + 1)(j + 2 k_c))
+(_chains); oscillator_full alone forms K+ as the boson product a'a'/2,
+its D+(1/4) + D+(3/4) table in exact arithmetic and within 2 ulp of it.
 Truncating an infinite basis corrupts operator products only near the
 top of the basis, so each realization has a trusted leading block (dim
 minus the band) inside which the commutation relations hold to rounding.
@@ -23,7 +27,8 @@ from .metric import SwansonParams
 @dataclass(frozen=True)
 class RealizationMatrices:
     """Truncated generators by their bands: k0_diag[m] = <m|K0|m> (N
-    entries) and kp_band[m] = <m+band|K+|m> = <m|K-|m+band> (N - band)."""
+    entries) and kp_band[m] = <m+band|K+|m> = <m|K-|m+band> (N - band);
+    state m is on chain m mod band, a D+(k_c), k0_diag[c] = k_c (c < band)."""
 
     k0_diag: np.ndarray
     kp_band: np.ndarray
@@ -33,10 +38,6 @@ class RealizationMatrices:
     @property
     def dim(self) -> int:
         return len(self.k0_diag)
-
-    @property
-    def trusted(self) -> int:
-        return self.dim - self.band
 
 
 def apply(x: AlgebraElement, r: RealizationMatrices, b: np.ndarray) -> np.ndarray:
@@ -56,6 +57,21 @@ def apply(x: AlgebraElement, r: RealizationMatrices, b: np.ndarray) -> np.ndarra
     return out
 
 
+def _chains(weights: Sequence[float], n: int, kind: str) -> RealizationMatrices:
+    """The direct sum of D+(k_c), k_c = weights[c], on n states with band
+    b = len(weights): column c of the ceil(n / b) x b table holds chain c,
+    K0 = j + k_c and K+ = sqrt((j + 1)(j + 2 k_c)), raveled row by row.
+    Refuses a K+ entry past the doubles."""
+    w = np.asarray(weights, dtype=float)
+    j = np.arange(-(-n // w.size), dtype=float)[:, None]
+    with np.errstate(over="ignore"):
+        kp = np.sqrt((j + 1.0) * (j + 2.0 * w)).ravel()[:n - w.size]
+    if kp.max() == np.inf:
+        k = w[int(np.argmax(kp == np.inf)) % w.size]
+        raise InvalidParams(f"K+ overflows the doubles at lowest weight k = {k:g}, N = {n}")
+    return RealizationMatrices((j + w).ravel()[:n], kp, w.size, kind)
+
+
 def discrete_series(k: float, n: int) -> RealizationMatrices:
     """Lowest-weight realization with K0 eigenvalues m + k.
 
@@ -66,9 +82,7 @@ def discrete_series(k: float, n: int) -> RealizationMatrices:
         raise InvalidParams(f"lowest weight k must be positive and finite (got {k:g})")
     if n < 2:
         raise InvalidParams(f"dimension must be at least 2 (got {n})")
-    m = np.arange(n, dtype=float)
-    kp = np.sqrt((m[:-1] + 1.0) * (m[:-1] + 2.0 * k))
-    return RealizationMatrices(m + k, kp, 1, f"discrete:k={k:g}")
+    return _chains((k,), n, f"discrete:k={k:g}")
 
 
 def oscillator_full(n: int) -> RealizationMatrices:
@@ -91,49 +105,33 @@ def oscillator_sector(parity: str, n: int) -> RealizationMatrices:
         raise InvalidParams(f"parity must be 'even' or 'odd' (got {parity!r})")
     if n < 4:
         raise InvalidParams(f"dimension must be at least 4 (got {n})")
-    offset = 0 if parity == "even" else 1
-    fock = 2 * np.arange(n) + offset
-    # Kp between neighbors is half the a'^2 matrix element
-    f = fock[1:].astype(float)
-    kp = 0.5 * np.sqrt(f * (f - 1.0))
-    return RealizationMatrices((2.0 * fock + 1.0) / 4.0, kp, 1,
-                               f"oscillator:parity={parity}")
+    return _chains((0.25 if parity == "even" else 0.75,), n, f"oscillator:parity={parity}")
 
 
 def multiboson(l: int, residues: Sequence[float], n: int) -> RealizationMatrices:
     """l-boson realization K0 = a0(N), Km = am(N) a^l, Kp = a'^l am(N).
 
-    a0(m) = (m - r)/l + residues[r] with r = m mod l, and
-
-        am(m) = sqrt( ((m-r)/l + 2*residues[r]) ((m-r)/l + 1)
-                      / ((m+1)(m+2)...(m+l)) ).
-
-    The Pochhammer factor cancels against a^l in the band entries
-    <m|Km|m+l> = sqrt( ((m-r)/l + 2*residues[r]) ((m-r)/l + 1) ).
-    The residue values a0 on r = 0..l-1 are free configuration; the
-    default two-boson choice (1/4, 3/4) reproduces the one-boson
-    realization exactly.  Raises when a radicand turns negative.
+    With r = m mod l and j = (m - r)/l, a0(m) = j + residues[r] and
+    am(m) = sqrt((j + 2 residues[r]) (j + 1) / ((m+1)(m+2)...(m+l))), whose
+    Pochhammer factor cancels against a^l: chain r is D+(residues[r]).
+    The residue values are free configuration; the two-boson choice
+    (1/4, 3/4) reproduces the one-boson realization exactly.  Raises when a
+    radicand turns negative, first at m = r for the first negative residue r.
     """
     if l < 1:
         raise InvalidParams(f"period l must be a positive integer (got {l})")
     residues = np.asarray(residues, dtype=float)
     if residues.shape != (l,):
-        raise InvalidParams(
-            f"need exactly l = {l} residue values (got {residues.size})")
+        raise InvalidParams(f"need exactly l = {l} residue values (got {residues.size})")
     if not np.isfinite(residues).all():
         raise InvalidParams(f"residue values must be finite (got {residues.tolist()})")
     if n < l + 2:
         raise InvalidParams(f"dimension must exceed l + 1 (got {n})")
-    m = np.arange(n)
-    r = m % l
-    whole = (m - r) // l
-    radicand = (whole + 2.0 * residues[r]) * (whole + 1.0)
-    if radicand.min() < 0.0:
+    if residues.min() < 0.0:
         raise InvalidParams(
-            f"negative radicand in lowering coefficient at m = {int(np.argmax(radicand < 0))}; "
+            f"negative radicand in lowering coefficient at m = {int(np.argmax(residues < 0))}; "
             "choose residue values with (m-r)/l + 2*a0(r) >= 0")
-    return RealizationMatrices(whole + residues[r], np.sqrt(radicand[:n - l]), l,
-                               f"multiboson:l={l}")
+    return _chains(residues, n, f"multiboson:l={l}")
 
 
 def radial(L: float, n: int) -> RealizationMatrices:
@@ -148,8 +146,7 @@ def radial(L: float, n: int) -> RealizationMatrices:
     k = (2.0 * L + 3.0) / 4.0
     if not 0.0 < k < np.inf:
         raise InvalidParams(f"L = {L:g} gives no positive finite weight (2L+3)/4")
-    base = discrete_series(k, n)
-    return replace(base, kind=f"radial:L={L:g}")
+    return replace(discrete_series(k, n), kind=f"radial:L={L:g}")
 
 
 def conformal(k: float, c: float, omega: float,
@@ -160,8 +157,7 @@ def conformal(k: float, c: float, omega: float,
     parameter triple; omega**2 - 4*alpha*beta = omega**2 + c**2/4 is the
     squared effective frequency.
     """
-    base = discrete_series(k, n)
-    mats = replace(base, kind=f"conformal:k={k:g},c={c:g}")
+    mats = replace(discrete_series(k, n), kind=f"conformal:k={k:g},c={c:g}")
     return mats, SwansonParams(omega, c / 4.0, -c / 4.0)
 
 

@@ -80,7 +80,6 @@ class OperatorBundle:
 # _bisect's tolerance: 2 tiny absolute (LAPACK's value for the most
 # accurate eigenvalues) and, inside LAPACK, 2 ulp relative
 _TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
-_SQRT_EPS = math.sqrt(_EPS)
 
 
 def _lapack():
@@ -123,30 +122,6 @@ def _bisect(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
     return w[:m]
 
 
-def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """T @ vecs for the symmetric tridiagonal T = (diag, off)."""
-    out = diag[:, None] * vecs
-    out[:-1] += off[:, None] * vecs[1:]
-    out[1:] += off[:, None] * vecs[:-1]
-    return out
-
-
-def _interval_top(theta: np.ndarray, resid: np.ndarray, count: int) -> float | None:
-    """The top theta_count + rho_count of a count certificate's intervals
-    theta_i +- rho_i, rho_i = max(resid_i, tau_i), tau_i = 2 tiny + 2 eps
-    |theta_i| the width ?stebz bisects to, where the `count` of them are
-    finite and disjoint and max resid <= sqrt(eps) max |theta| (theta is
-    off by about resid^2 / gap); else None.  resid_i must bound a unit
-    vector's true residual, its rounding included."""
-    rho = np.maximum(resid, 2.0 * (_TINY + _EPS * np.abs(theta)))
-    top = theta + rho
-    if not (theta.size == count and np.isfinite(top).all()
-            and np.all(theta[1:] - rho[1:] > top[:-1])
-            and resid.max() <= _SQRT_EPS * np.abs(theta).max()):
-        return None
-    return float(top[-1])
-
-
 def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
@@ -154,10 +129,10 @@ def _exp_or_inf(x: float) -> float:
 def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
     """The law theta_n = Omega (n + k), n < want, as the lowest levels of
     x = c0 K0 + c (K+ + K-) (c0 > 2|c|) on the leading N = n_states states
-    of the discrete series D+(k), where each is certified within 4 tau_n,
-    tau_n = 2 tiny + 2 eps theta_n, for the exact truncation with these c0,
-    c and k (not its rounded bands); else None.  k = 0 (a zero multiboson
-    residue) is a decoupled 0 plus D+(1).
+    of D+(k), a chain as realizations._chains forms it, where each is
+    certified within 4 tau_n, tau_n = 2 tiny + 2 eps theta_n, for the exact
+    truncation with these c0, c and k (not its rounded bands); else None.
+    k = 0 (a zero multiboson residue) is a decoupled 0 plus D+(1).
 
     x = Omega U K0 U^-1; Bargmann's elements bound psi_n = U|n> term by term
     at the cut and past it (log_bound).  The cut link l = |c| sqrt(N (N - 1
@@ -241,9 +216,9 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     x must be elliptic, c0 > 2|c| (for h, mu > 0, as c0 - 2c = 2 mu omega
     and c0^2 > 4 c^2): -K0 or a hyperbolic or parabolic x has no lowest
     levels on the infinite chain and is refused.  Each chain of states
-    equal modulo band is the discrete series D+(k) of its lowest K0 = k in
-    every realization here; it takes the law where _chain_bracket certifies
-    it in the chain's states, else its values are bisected whole (_bisect).
+    equal modulo band is a D+(k), k its lowest K0 (realizations._chains);
+    it takes the law where _chain_bracket certifies it in the chain's
+    states, else its values are bisected whole (_bisect).
     """
     if count < 0:
         raise InvalidParams(f"eigenvalue count must be nonnegative (got {count})")
@@ -302,8 +277,8 @@ def _tail_count(ratio: float, a: float, spare: int) -> int | None:
     M[i, j] = sum_k G[k, i] G[k, j] of every entry of the block to
     _TAIL_TOL relative; None when the first `spare` + 1 terms do not.
 
-    Along a chain k0 rises by 1 per step and K+ <= K0 + 1/2 in every
-    lowest-weight realization, so the ratio of term o + 1 to term o is at
+    Along a chain k0 rises by 1 per step and K+ <= K0 + 1/2 (a D+(k) chain
+    of realizations._chains), so the ratio of term o + 1 to term o is at
     most r_o = ratio ((a + o) / (o + 1))^2, with a = max k0 + 1/2 over the
     block and `ratio` = coeff^2 = p^2 e^q.  The terms share one sign, so
     the sum is at least its largest term, and the tail past term O is at

@@ -123,7 +123,7 @@ def commutator_residuals(r: RealizationMatrices,
     defining right-hand side on that block.  The generators move a state
     by at most the band, so only the leading trusted + band states enter.
     """
-    t = r.trusted if trusted is None else trusted
+    t = r.dim - r.band if trusted is None else trusted
     if not (1 <= t <= r.dim):
         raise InvalidParams(f"trusted block {t} outside 1..{r.dim}")
     m = min(t + r.band, r.dim)

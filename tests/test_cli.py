@@ -376,6 +376,12 @@ class TestNonFiniteInputs:
         ("disentangle", "--epsilon", "0.3", "--eta", "nan"),
         ("disentangle", "--epsilon", "inf", "--eta", "0.1"),
         ("disentangle", "--epsilon", "1", "--eta", "0.1", "--eta-im", "inf"),
+        # a K+ entry past the doubles: an overflow RuntimeWarning, then
+        # exit 3 from dstebz (or, for the multiboson, a traceback)
+        ("verify", *BASE, "--z", "0.4", "--realization", "discrete:k=1e306"),
+        ("verify", *BASE, "--z", "0.4", "--realization", "radial:L=1e306"),
+        ("verify", *BASE, "--z", "0.4", "--realization", "conformal:k=1e306,c=1"),
+        ("verify", *BASE, "--z", "0.4", "--realization", "multiboson:l=2,residues=0.25,1e306"),
     ])
     def test_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -405,10 +411,14 @@ class TestNonFiniteInputs:
         (("validate", "--omega", "2.778448436856347e-163", "--alpha", "2.409919865102884e-181",
           "--beta", "1.204959932551442e-181"),
          "omega^2 - 4*alpha*beta is nonzero but rounds to 0 as a double"),
-        # c0 K0 overflowed on h's chain: a RuntimeWarning, then a ValueError
-        # traceback from the bisection's finiteness check (exit 1)
+        # c0 K0 and K+ overflowed on h's chain: a RuntimeWarning, then a
+        # ValueError traceback from the bisection's finiteness check (exit 1)
         (("verify", *BASE, "--z", "0.4", "--realization", "discrete:k=1e308"),
-         "h's diagonal overflows (c0 = 2.05714, K0 up to 1e+308)"),
+         "K+ overflows the doubles at lowest weight k = 1e+308, N = 200"),
+        # finite bands whose diagonal c0 K0 overflows
+        (("verify", "--omega", "1e150", "--alpha", "2e149", "--beta", "1e149", "--z", "0.4",
+          "--realization", "discrete:k=1e160"),
+         "h's diagonal overflows (c0 = 2.05714e+150, K0 up to 1e+160)"),
     ])
     def test_refused_by_name(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

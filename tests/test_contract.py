@@ -56,6 +56,16 @@ CASES = (
     # x.x of a Rayleigh step underflowed to 0 on this grid, whose diagonal
     # is 6.78e192 throughout: a divide-by-zero RuntimeWarning, now exit 3
     ["pdm", "--omega=1.0", "--alpha=0.2", "--beta=0.1", "--s=2.174763340727069e-97"],
+    # a K+ entry past the doubles leaked an overflow RuntimeWarning; the
+    # multiboson's ended in a traceback
+    ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--z", "0.4",
+     "--realization", "discrete:k=1e306"],
+    ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--z", "0.4",
+     "--realization", "radial:L=1e306"],
+    ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--z", "0.4",
+     "--realization", "conformal:k=1e306,c=1"],
+    ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--z", "0.4",
+     "--realization", "multiboson:l=2,residues=0.25,1e306"],
 )
 
 extreme = st.one_of(st.sampled_from(EXTREMES), st.floats(-2.0, 2.0),

@@ -9,9 +9,11 @@ import pytest
 import scipy.linalg
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from su11metric import (InvalidParams, NoConvergence, Su11MetricError, SwansonParams,
-                        is_admissible, solve_metric, spectrum_prediction, z_domain)
+                        discrete_series, is_admissible, oscillator_full, solve_metric,
+                        spectrum_prediction, z_domain)
 from su11metric import metric, pdm, verification
 from su11metric.metric import _harmonic_law
 from su11metric.pdm import (PdmConfig, _grid_spectrum, _grid_terms, _h_tridiag,
@@ -361,7 +363,7 @@ class TestCertifiedChain:
 
         def counted_up_to_top(theta):
             # the count below _interval_top's top, as _grid_spectrum takes it
-            top = verification._interval_top(theta, np.zeros(3), 3)
+            top = pdm._interval_top(theta, np.zeros(3), 3)
             found, *_, info = verification._lapack().dstebz(
                 diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
             assert info == 0
@@ -454,6 +456,35 @@ class TestCertifiedChain:
         # and the level cannot be certified; so nothing is reported
         with pytest.raises(NoConvergence, match="500-point grid"):
             run_pdm_check(replace(CFG, x_max=300.0))
+
+
+class TestCertificate:
+    # _interval_top, the intervals of the grid's count certificate, on
+    # chains whose spectra are known
+
+    def test_overlapping_intervals_fail(self):
+        # eigenvalues 1 and 1 + 1e-9: residuals 4e-10 separate them, 1e-9
+        # do not
+        d = np.array([1.0, 1.0 + 1e-9, 3.0])
+        assert pdm._interval_top(d[:2], np.full(2, 4e-10), 2) == d[1] + 4e-10
+        assert pdm._interval_top(d[:2], np.full(2, 1e-9), 2) is None
+
+    def test_bisected_values_certify_with_zero_residual(self):
+        # the values of a chain's leading states, bisected to 2 tiny,
+        # certify with residual 0 by dstebz's own count up to the top, as
+        # pdm counts: the intervals are at least as wide as the bisection's
+        # own tolerance, and so the count's rounding
+        for r in (discrete_series(0.25, 300), oscillator_full(300)):
+            for z in (-0.8, -0.4, 0.0, 0.4, 0.8):
+                sol = solve_metric(P, z)
+                for count in (1, 5, 25):
+                    m = 2 * count + 32
+                    d = sol.c0 * r.k0_diag[::r.band][:m]
+                    e = sol.c * r.kp_band[::r.band][:m - 1]
+                    w = verification._bisect(d, e, count)
+                    top = pdm._interval_top(w, np.zeros(count), count)
+                    found, *_, info = dstebz(d, e, 1, -np.inf, top, 0, 0, np.inf, "E")
+                    assert (found, info) == (count, 0), (r.kind, z, count)
 
 
 class TestTridiagonal:

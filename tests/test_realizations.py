@@ -76,6 +76,17 @@ def _ref_multiboson(l, residues, n):
     return np.diag(whole + residues[r]), km.T.copy(), km
 
 
+def _ref_chains(weights, n):
+    """The band-b direct sum of _ref_discrete(k_c) blocks, b = len(weights):
+    chain c on the states c, c + b, c + 2b, ..."""
+    out = tuple(np.zeros((n, n)) for _ in range(3))
+    for c, k in enumerate(weights):
+        states = np.arange(c, n, len(weights))
+        for o, block in zip(out, _ref_discrete(k, states.size)):
+            o[np.ix_(states, states)] = block
+    return out
+
+
 REFERENCES = [
     lambda n: _ref_discrete(0.25, n),
     lambda n: _ref_discrete(0.75, n),
@@ -87,6 +98,17 @@ REFERENCES = [
     lambda n: _ref_multiboson(3, (0.3, 0.6, 0.9), n),
     lambda n: _ref_discrete(1.25, n),
 ]
+BAND_12 = tuple(0.25 * k for k in range(1, 13))
+# (constructor, its dense reference, its D+(k_c) weights): ALL_CONSTRUCTORS,
+# then conformal and multibosons with a zero residue and with band 12
+DENSE_CASES = list(zip(ALL_CONSTRUCTORS, REFERENCES, [
+    (0.25,), (0.75,), (1.6,), (0.25, 0.75), (0.25,), (0.75,), (0.25, 0.75),
+    (0.3, 0.6, 0.9), (1.25,)])) + [
+    (lambda n: conformal(0.75, 1.0, 1.0, n)[0], lambda n: _ref_discrete(0.75, n), (0.75,)),
+    (lambda n: multiboson(3, (0.0, 0.5, 0.25), n),
+     lambda n: _ref_multiboson(3, (0.0, 0.5, 0.25), n), (0.0, 0.5, 0.25)),
+    (lambda n: multiboson(12, BAND_12, n), lambda n: _ref_multiboson(12, BAND_12, n), BAND_12)]
+CHAIN_WEIGHTS = {make: weights for make, _, weights in DENSE_CASES}
 
 
 class TestDiscreteSeries:
@@ -101,7 +123,7 @@ class TestDiscreteSeries:
     def test_casimir_constant(self):
         for k in (0.25, 0.75, 1.3):
             r = discrete_series(k, 60)
-            t = r.trusted
+            t = r.dim - r.band
             k0, kp, km = dense(r)
             cas = k0 @ k0 - 0.5 * (kp @ km + km @ kp)
             target = k * (k - 1.0) * np.eye(60)
@@ -109,7 +131,7 @@ class TestDiscreteSeries:
 
     def test_defining_commutator(self):
         r = discrete_series(0.25, 40)
-        t = r.trusted
+        t = r.dim - r.band
         k0, kp, km = dense(r)
         comm = kp @ km - km @ kp
         assert np.abs((comm + 2.0 * k0)[:t, :t]).max() < 1e-12
@@ -148,7 +170,7 @@ class TestRealizationInvariants:
             return float(np.linalg.norm(m[:t, :t], 2))
 
         for t in (None, 5, 60 - r.band - 1, 60):
-            b = r.trusted if t is None else t
+            b = r.dim - r.band if t is None else t
             want = {
                 "k0_kp": norm(k0 @ kp - kp @ k0 - kp, b) / norm(kp, b),
                 "k0_km": norm(k0 @ km - km @ k0 + km, b) / norm(km, b),
@@ -313,22 +335,32 @@ class TestMaterialize:
                            materialize(x, r) + materialize(y, r), atol=1e-13)
 
 
-    @pytest.mark.parametrize(
-        "make, reference",
-        list(zip(ALL_CONSTRUCTORS, REFERENCES))
-        + [(lambda n: conformal(0.75, 1.0, 1.0, n)[0],
-            lambda n: _ref_discrete(0.75, n))])
+    @pytest.mark.parametrize("make, reference", [case[:2] for case in DENSE_CASES])
     def test_generators_match_dense_reference(self, make, reference):
-        for n in (7, 60, 200):
+        # the Fock-space reference, and the D+(k_c) chains byte for byte
+        weights = CHAIN_WEIGHTS[make]
+
+        def close(got, ref):
+            assert np.array_equal(got == 0.0, ref == 0.0)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+        for n in (7, 14, 60, 200):
+            if n < len(weights) + 2:
+                continue  # below multiboson's smallest dimension, l + 2
             r = make(n)
-            for got, ref in zip(dense(r), reference(n)):
+            for got, ref, chain in zip(dense(r), reference(n), _ref_chains(weights, n)):
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 if r.kind.startswith("multiboson"):
                     # the closed form replaces a product of l square roots
-                    assert np.array_equal(got == 0.0, ref == 0.0)
-                    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+                    close(got, ref)
                 else:
                     assert got.tobytes() == ref.tobytes()
+                if r.kind == "oscillator:parity=full":
+                    # the boson product sqrt(m+1) sqrt(m+2) / 2, within 2 ulp
+                    # of its D+(1/4) + D+(3/4) chains
+                    close(got, chain)
+                else:
+                    assert got.tobytes() == chain.tobytes(), r.kind
 
     @pytest.mark.parametrize("make, reference", [
         (lambda n: discrete_series(0.25, n), lambda n: _ref_discrete(0.25, n)),
@@ -371,11 +403,12 @@ class TestDescriptors:
 
     def test_oscillator_forms(self):
         assert from_descriptor("oscillator", 12)[0].kind == "oscillator:parity=full"
-        assert from_descriptor("oscillator:parity=even", 12)[0].trusted == 11
+        r = from_descriptor("oscillator:parity=even", 12)[0]
+        assert r.dim - r.band == 11
 
     def test_multiboson(self):
         r, _ = from_descriptor("multiboson:l=3,residues=0.25,0.5,0.75", 15)
-        assert r.trusted == 12
+        assert r.dim - r.band == 12
 
     def test_radial(self):
         r, _ = from_descriptor("radial:L=1", 15)

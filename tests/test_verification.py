@@ -130,35 +130,6 @@ def one_chain(r, ch):
     return RealizationMatrices(r.k0_diag[ch::r.band], r.kp_band[ch::r.band], 1, r.kind)
 
 
-class TestCertificate:
-    # verification._interval_top, the intervals of pdm's count certificate,
-    # on chains whose spectra are known
-
-    def test_overlapping_intervals_fail(self):
-        # eigenvalues 1 and 1 + 1e-9: residuals 4e-10 separate them, 1e-9
-        # do not
-        d = np.array([1.0, 1.0 + 1e-9, 3.0])
-        assert verification._interval_top(d[:2], np.full(2, 4e-10), 2) == d[1] + 4e-10
-        assert verification._interval_top(d[:2], np.full(2, 1e-9), 2) is None
-
-    def test_bisected_values_certify_with_zero_residual(self):
-        # the values of a chain's leading states, bisected to 2 tiny,
-        # certify with residual 0 by dstebz's own count up to the top, as
-        # pdm counts: the intervals are at least as wide as the bisection's
-        # own tolerance, and so the count's rounding
-        for r in (discrete_series(0.25, 300), oscillator_full(300)):
-            for z in Z_GRID:
-                sol = solve_metric(P, z)
-                for count in (1, 5, 25):
-                    m = 2 * count + 32
-                    d = sol.c0 * r.k0_diag[::r.band][:m]
-                    e = sol.c * r.kp_band[::r.band][:m - 1]
-                    w = verification._bisect(d, e, count)
-                    top = verification._interval_top(w, np.zeros(count), count)
-                    found, *_, info = dstebz(d, e, 1, -np.inf, top, 0, 0, np.inf, "E")
-                    assert (found, info) == (count, 0), (r.kind, z, count)
-
-
 class TestChainBracket:
     # verification._chain_bracket against the 40-digit count of the exact
     # chain: where it returns the law, every level is within 4 tau of it
