@@ -4,7 +4,8 @@
 
 The calls are the distinct verify, sweep and pdm calls that the
 benchmark's workloads (perfbench/workloads.py) make for four seeds, and
-PINS: points that carry a known wall or a precision edge.  Each call
+PINS: points that carry a known wall or a precision edge, and calls of
+the closed-form commands validate, disentangle and spectrum.  Each call
 runs in-process; its argv, exit code, stdout and stderr are stored.
 Before the file is overwritten, every cell that differs from the old
 record is printed, the ones within test_golden's tolerances marked
@@ -73,6 +74,17 @@ PINS = [
     # the bisection takes it as its own eigenvalue
     ["verify", *BASE, "--realization", "multiboson:l=3,residues=0.25,0.5,0.75",
      "--size", "5", "--trusted", "2"],
+    # the closed-form commands, each with a refusal: alpha = beta, and a
+    # theta^2 < 0 with no real-theta factorization
+    ["validate", *BASE],
+    ["validate", "--omega", "1", "--alpha", "0.5", "--beta", "0.5"],
+    ["disentangle", "--epsilon", "0.3", "--eta", "0.1"],
+    ["disentangle", "--epsilon", "0.5", "--eta", "0.1", "--eta-im", "0.2"],
+    ["disentangle", "--epsilon", "0.5", "--eta", "0.1", "--eta-im", "0.2", "--output", "csv"],
+    ["disentangle", "--epsilon", "-0.2", "--eta", "0.05", "--eta-im", "0.3"],
+    ["spectrum", *BASE],
+    ["spectrum", *BASE, "--k", "0.75", "--count", "3"],
+    ["spectrum", *NEAR_PARABOLIC, "--k", "1.6"],
 ]
 
 
