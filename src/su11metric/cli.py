@@ -12,15 +12,14 @@ subcommands (validate, disentangle, metric, spectrum) load neither numpy
 nor scipy nor dataclasses: the algebra layer's records are NamedTuples.
 verify, sweep and pdm load the matrix layer (numpy) on first use, and
 its records are dataclasses, whose import is a small share of numpy's.
-No module imports scipy; its compiled LAPACK wrappers alone are loaded,
-on first use (verification._lapack): by pdm, for its grid's solves and
-counts, and by the bisection (verification._bisect, values alone), for a
-grid level whose seeds do not certify and for a chain whose law the
-closed-form bracket does not certify in its N states, a near-parabolic
-h's or one too short for it (e2 to e4 of verify --size 12).  Otherwise
-verify and sweep take h's values from that certified harmonic law.
-Where mu <= 0, h is unbounded below, and its solve
-(verification._low_eigs) and pdm's grid refuse z (exit 2).
+verify and sweep work one D+(k) chain at a time, so their cost does not
+grow with --size.  No module imports scipy; its LAPACK wrappers alone are
+loaded, on first use (verification._lapack), by pdm and by the bisection
+(verification._bisect, values alone): for a grid level whose seeds do not
+certify, and for a chain of h whose harmonic law the closed-form bracket
+does not certify in that chain's states (a near-parabolic h, or a chain
+too short for the law: e2 to e4 of verify --size 12).  Where mu <= 0, h
+is unbounded below, and verify, sweep and pdm refuse z (exit 2).
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over
 tolerance or a failed/inconclusive check, 2 invalid parameters or

@@ -1,19 +1,21 @@
 """Truncated matrix realizations of the su(1,1) generators.
 
-Every constructor returns the diagonal of K0 and the one band of K+;
-K- is its transpose.  No matrix of them is built: `apply` multiplies a
-block by c0 K0 + cm K- + cp K+ as three shifts along the band.  Each
-realization is a table of discrete series: chain c < band, the states
-c + j band, is D+(k_c), K0 = j + k_c and K+ = sqrt((j + 1)(j + 2 k_c))
-(_chains); oscillator_full alone forms K+ as the boson product a'a'/2,
-its D+(1/4) + D+(3/4) table in exact arithmetic and within 2 ulp of it.
-Truncating an infinite basis corrupts operator products only near the
-top of the basis, so each realization has a trusted leading block (dim
-minus the band) inside which the commutation relations hold to rounding.
+Every realization is a direct sum of discrete series: on state j of chain
+c, a D+(k_c), K0 = j + k_c and K+ = sqrt((j + 1)(j + 2 k_c)) leads to
+state j + 1 (oscillator_full alone forms K+ as the boson product a'a'/2,
+within 2 ulp).  K0 and K+- keep every state on its chain, so operators
+are worked one chain at a time: a realization stores only its weights and
+size, gives a chain's leading bands on demand, and `apply` acts on a
+chain's states by unit shifts.  The N states of the basis (--size)
+interleave the chains, state m on chain m mod band (lengths, _interleave).
+Truncation corrupts operator products only at the top of each chain, so
+the commutation relations hold to rounding on the leading dim - band.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -26,50 +28,72 @@ from .metric import SwansonParams
 
 @dataclass(frozen=True)
 class RealizationMatrices:
-    """Truncated generators by their bands: k0_diag[m] = <m|K0|m> (N
-    entries) and kp_band[m] = <m+band|K+|m> = <m|K-|m+band> (N - band);
-    state m is on chain m mod band, a D+(k_c), k0_diag[c] = k_c (c < band)."""
+    """The direct sum of D+(k_c), k_c = weights[c], over band = len(weights)
+    chains, truncated to dim states in all: lengths(m) of the leading m
+    states lie on each chain, and bands(c, m) are chain c's leading m."""
 
-    k0_diag: np.ndarray
-    kp_band: np.ndarray
-    band: int
+    weights: tuple[float, ...]
+    dim: int
     kind: str
 
     @property
-    def dim(self) -> int:
-        return len(self.k0_diag)
+    def band(self) -> int:
+        return len(self.weights)
+
+    def lengths(self, m: int | None = None) -> list[int]:
+        """How many of the leading m states (all dim if not given) lie on
+        each chain: state i is state i // band of chain i mod band."""
+        m = self.dim if m is None else m
+        return [len(range(c, m, self.band)) for c in range(self.band)]
+
+    def bands(self, c: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """K0 (m entries) and K+ (m - 1, state j to j + 1) on the leading m
+        states of chain c."""
+        k, j = self.weights[c], np.arange(float(m))
+        if self.kind == "oscillator:parity=full":
+            # the boson product at Fock state 2j + c, within 2 ulp of the chain's
+            f = 2.0 * j[:-1] + c
+            return j + k, 0.5 * (np.sqrt(f + 1.0) * np.sqrt(f + 2.0))
+        return j + k, np.sqrt((j[:-1] + 1.0) * (j[:-1] + 2.0 * k))
 
 
-def apply(x: AlgebraElement, r: RealizationMatrices, b: np.ndarray) -> np.ndarray:
-    """(c0 K0 + cm K- + cp K+) b on the leading m = b.shape[-2] <= N
-    states, as three shifts: K0 scales row i of b, K+ moves it to row
-    i + band and K- to row i - band; rows within band of m miss the states
-    past m.  Coefficients of shape (s, 1, 1) act on a stack b of shape
-    (s, m, k), one operand each.  A right product B X is (X^T B^T)^T, X^T
-    swapping cm and cp.
-    """
-    m, band = b.shape[-2], r.band
-    n = max(m - band, 0)
-    k0, kp = r.k0_diag[:m, None], r.kp_band[:n, None]
+def _interleave(blocks: Sequence[np.ndarray], rows: int, cols: int) -> np.ndarray:
+    """The rows x cols block of the basis with blocks[c] on chain c's states
+    (c, c + band, ...) and 0 across chains, which no operator here links."""
+    band, out = len(blocks), np.zeros((rows, cols))
+    for c, block in enumerate(blocks):
+        out[c::band, c::band] = block
+    return out
+
+
+def apply(x: AlgebraElement, k0: np.ndarray, kp: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(c0 K0 + cm K- + cp K+) b on the leading m = b.shape[-2] states of a
+    chain whose bands k0 and kp cover them: K0 scales row j of b, K+ moves
+    it to row j + 1 and K- to row j - 1; the last row misses the state past
+    m.  Coefficients of shape (s, 1, 1) act on a stack b of shape (s, m, k),
+    one operand each.  A right product B X is (X^T B^T)^T, X^T swapping cm
+    and cp."""
+    m = b.shape[-2]
+    n = max(m - 1, 0)
+    k0, kp = k0[:m, None], kp[:n, None]
     out = np.multiply(x.c0 * k0, b, dtype=np.result_type(x.c0, x.cm, x.cp, b))
-    out[..., band:, :] += x.cp * kp * b[..., :n, :]
-    out[..., :n, :] += x.cm * kp * b[..., band:, :]
+    out[..., 1:, :] += x.cp * kp * b[..., :n, :]
+    out[..., :n, :] += x.cm * kp * b[..., 1:, :]
     return out
 
 
 def _chains(weights: Sequence[float], n: int, kind: str) -> RealizationMatrices:
-    """The direct sum of D+(k_c), k_c = weights[c], on n states with band
-    b = len(weights): column c of the ceil(n / b) x b table holds chain c,
-    K0 = j + k_c and K+ = sqrt((j + 1)(j + 2 k_c)), raveled row by row.
-    Refuses a K+ entry past the doubles."""
-    w = np.asarray(weights, dtype=float)
-    j = np.arange(-(-n // w.size), dtype=float)[:, None]
-    with np.errstate(over="ignore"):
-        kp = np.sqrt((j + 1.0) * (j + 2.0 * w)).ravel()[:n - w.size]
-    if kp.max() == np.inf:
-        k = w[int(np.argmax(kp == np.inf)) % w.size]
-        raise InvalidParams(f"K+ overflows the doubles at lowest weight k = {k:g}, N = {n}")
-    return RealizationMatrices((j + w).ravel()[:n], kp, w.size, kind)
+    """The direct sum of D+(k_c), k_c = weights[c], on n states.  Refuses a
+    K+ entry past the doubles by the weight of the first in the basis: K+
+    rises along a chain, so a chain overflows if its last link does, and
+    from the link that bisection finds on."""
+    r = RealizationMatrices(tuple(map(float, weights)), n, kind)
+    first = [(bisect_left(range(m - 1), True, key=lambda j: (j + 1.0) * (j + 2.0 * k) == math.inf),
+              c, k) for c, (k, m) in enumerate(zip(r.weights, r.lengths()))
+             if m > 1 and (m - 1.0) * (m - 2.0 + 2.0 * k) == math.inf]
+    if first:
+        raise InvalidParams(f"K+ overflows the doubles at lowest weight k = {min(first)[2]:g}, N = {n}")
+    return r
 
 
 def discrete_series(k: float, n: int) -> RealizationMatrices:
@@ -89,10 +113,7 @@ def oscillator_full(n: int) -> RealizationMatrices:
     """One-boson realization K0 = (a'a + 1/2)/2, Kp = a'a'/2, Km = aa/2."""
     if n < 4:
         raise InvalidParams(f"dimension must be at least 4 (got {n})")
-    m = np.arange(n - 2, dtype=float)
-    kp = 0.5 * (np.sqrt(m + 1.0) * np.sqrt(m + 2.0))
-    return RealizationMatrices((2.0 * np.arange(n) + 1.0) / 4.0, kp, 2,
-                               "oscillator:parity=full")
+    return _chains((0.25, 0.75), n, "oscillator:parity=full")
 
 
 def oscillator_sector(parity: str, n: int) -> RealizationMatrices:

@@ -3,35 +3,20 @@
 Everything spectral goes through the Hermitian equivalent h: spectra of
 the non-Hermitian H are never computed with a nonsymmetric eigensolver.
 Hermiticity of rho H rho^{-1} and eq. (10) rest only on the su(1,1)
-commutators, so they are checked on coefficient triples, read like eps
-from the one record solve_metric forms per (p, z), not solved again.  The matrix
-diagnostics (intertwining, quasi-Hermiticity, metric/observable
-commutation) are measured in the spectral norm of the leading trusted
-block, normalized by the left-hand side's, because the metric amplifies
-truncation error at the top of the basis; each block's norm is its
-chains' largest, one small SVD per chain (_relative_residuals).
-
-No N x N matrix is formed, and no matrix of H, h or O at all: rho and
-zeta_+ are R x R blocks (R = trusted + band) from one metric kernel whose
-cost does not grow with N (materialize_metric_root), H, h and O act on
-them as band shifts (realizations.apply), and h's lowest eigenvalues
-come from its coefficients alone, for mu > 0 only, where h is a rotated
-oscillator: on each chain, a discrete series D+(k), they are the harmonic
-law Omega (n + k), certified in the chain's N states in closed form by
-interlacing and a Kato-Temple bound from the one cut link (_low_eigs,
-_chain_bracket).  A chain the bracket does not certify (a near-parabolic
-h, or a chain too short for the law) has its values alone bisected whole
-by LAPACK (_bisect; _lapack loads scipy's compiled wrappers, the one route
-to LAPACK, without importing scipy).  So
-build_bundle's cost does not grow with N; only building the realization,
-which the caller does, still does.  Where a metric block does not exist
-in the realization's basis (a divergent series, zeta_+ at z = 2 beta /
-omega) it is inf, and so are the residuals that read it.  The rule is per
-entry and strict: a block whose tail bound does not fit in the N states
-is inf even where the spectral-norm residuals would not move.
-Columns asked for past the block's rows (acceptance criterion 5 and the
-tests' transport check phi = rho^{-1} psi read them) are summed to the N
-states where their own bound does not fit, with no inf.
+commutators, so they are checked on coefficient triples of the record
+solve_metric forms per (p, z).  The matrix checks (intertwining,
+quasi-Hermiticity, metric/observable commutation) are spectral norms of
+the leading trusted block relative to the left-hand side's, because the
+metric amplifies truncation error at the top of the basis.  Every
+operator keeps each state on its chain, a D+(k_c) of the realization, so
+build_bundle works one chain at a time and nothing it does grows with N:
+h's levels from the certified harmonic law (_chain_bracket, or LAPACK's
+bisection of a chain it cannot certify, _bisect), the chain's blocks of
+rho and zeta_+ (_chain_root), H, h and O on them as unit shifts
+(realizations.apply), and one SVD for the chain's norms.  The chain
+blocks are interleaved into the basis only for output.  A metric block
+that does not exist in the basis (a divergent series, zeta_+ at z =
+2 beta / omega) is inf, as are the residuals that read it.
 """
 
 from __future__ import annotations
@@ -50,7 +35,7 @@ from .core import AlgebraElement, _pivots
 from .errors import InvalidParams, NoConvergence, TruncationTooSmall
 from .metric import (MetricSolution, _harmonic_law, commuting_observable,
                      swanson_element)
-from .realizations import RealizationMatrices, apply
+from .realizations import RealizationMatrices, _interleave, apply
 
 DEFAULT_TRUSTED = 50
 SPECTRUM_COUNT = 5   # h's levels in a bundle: e0 to e4, as verify and sweep print them
@@ -58,15 +43,9 @@ SPECTRUM_COUNT = 5   # h's levels in a bundle: e0 to e4, as verify and sweep pri
 
 @dataclass
 class OperatorBundle:
-    """The metric blocks the residuals read, the residuals and the
-    spectrum of h.
-
-    Nothing is N x N: with R = trusted + band (at most N), `rho` and
-    `zeta_plus` are the leading R x R blocks of rho = exp(A) and
-    zeta_+ = exp(2A), each inf where its matrix elements do not exist.
-    H, h and O are not kept; their coefficients follow from `solution`,
-    the metric family's record at the bundle's (p, z) (solve_metric).
-    """
+    """The residuals, h's spectrum and the metric blocks they read: with
+    R = trusted + band (at most N), the leading R x R of rho = exp(A) and
+    zeta_+ = exp(2A), inf on a chain where its elements do not exist."""
 
     solution: MetricSolution
     realization: RealizationMatrices
@@ -129,7 +108,7 @@ def _exp_or_inf(x: float) -> float:
 def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
     """The law theta_n = Omega (n + k), n < want, as the lowest levels of
     x = c0 K0 + c (K+ + K-) (c0 > 2|c|) on the leading N = n_states states
-    of D+(k), a chain as realizations._chains forms it, where each is
+    of D+(k), a chain of the realization, where each is
     certified within 4 tau_n, tau_n = 2 tiny + 2 eps theta_n, for the exact
     truncation with these c0, c and k (not its rounded bands); else None.
     k = 0 (a zero multiboson residue) is a decoupled 0 plus D+(1).
@@ -207,41 +186,52 @@ def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
     return np.array(theta[:want])
 
 
-def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
-              count: int) -> np.ndarray:
-    """The lowest `count` eigenvalues (ascending) of the real symmetric
-    x = c0 K0 + c (Km + Kp) on the realization, certified.  A count above
-    the dimension yields all; zero none.
+def _k0_max(realization: RealizationMatrices, m: int) -> float:
+    """The largest K0 of the leading m states: each chain's last."""
+    return max(float(l - 1) + k for k, l in zip(realization.weights, realization.lengths(m)) if l)
 
-    x must be elliptic, c0 > 2|c| (for h, mu > 0, as c0 - 2c = 2 mu omega
-    and c0^2 > 4 c^2): -K0 or a hyperbolic or parabolic x has no lowest
-    levels on the infinite chain and is refused.  Each chain of states
-    equal modulo band is a D+(k), k its lowest K0 (realizations._chains);
-    it takes the law where _chain_bracket certifies it in the chain's
-    states, else its values are bisected whole (_bisect).
-    """
-    if count < 0:
-        raise InvalidParams(f"eigenvalue count must be nonnegative (got {count})")
+
+def _elliptic(x: AlgebraElement, realization: RealizationMatrices) -> tuple[float, float]:
+    """(c0, c) of the real symmetric x = c0 K0 + c (Km + Kp), refused unless
+    elliptic, c0 > 2|c| (for h, mu > 0): -K0 or a hyperbolic or parabolic x
+    has no lowest levels on the infinite chain.  Also refused where c0 K0
+    overflows: LAPACK reads finite bands, |c| K+ <= c0 (K0 + 1/2) / 2."""
     if x.cm != x.cp or complex(x.c0).imag or complex(x.cm).imag:
         raise InvalidParams(f"operator is not real symmetric: {x}")
     c0, c = x.c0.real, x.cm.real
     if not c0 > 2.0 * abs(c):
         raise InvalidParams(f"h = {c0:g} K0 + {c:g} (K+ + K-) is bounded below only for mu > 0")
-    n, band = realization.dim, realization.band
-    count = min(count, n)
-    if count == 0:
-        return np.empty(0)
-    # LAPACK reads finite bands; |c| K+ <= c0 (K0 + 1/2) / 2 is finite with c0 K0
-    k0_max = float(realization.k0_diag.max())
+    k0_max = _k0_max(realization, realization.dim)
     if c0 * k0_max == math.inf:
         raise InvalidParams(f"h's diagonal overflows (c0 = {c0:g}, K0 up to {k0_max:g})")
-    w = []
-    for ch in range(min(band, n)):
-        k0 = realization.k0_diag[ch::band]
-        kp = realization.kp_band[ch::band]
-        want = min(count, k0.size)
-        law = _chain_bracket(c0, c, float(k0[0]), k0.size, want)
-        w.append(_bisect(c0 * k0, c * kp, want) if law is None else law)
+    return c0, c
+
+
+def _chain_levels(c0: float, c: float, realization: RealizationMatrices, ch: int,
+                  n_states: int, want: int) -> np.ndarray:
+    """The lowest `want` levels of elliptic c0 K0 + c (Km + Kp) on chain ch
+    (n_states states): the law where _chain_bracket certifies it, else the
+    chain's values bisected whole."""
+    law = _chain_bracket(c0, c, realization.weights[ch], n_states, want)
+    if law is not None:
+        return law
+    k0, kp = realization.bands(ch, n_states)
+    return _bisect(c0 * k0, c * kp, want)
+
+
+def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
+              count: int) -> np.ndarray:
+    """The lowest `count` eigenvalues (ascending) of the real symmetric,
+    elliptic x (_elliptic) on the realization, chain by chain, certified.
+    A count above the dimension yields all; zero none."""
+    if count < 0:
+        raise InvalidParams(f"eigenvalue count must be nonnegative (got {count})")
+    c0, c = _elliptic(x, realization)
+    count = min(count, realization.dim)
+    if count == 0:
+        return np.empty(0)
+    w = [_chain_levels(c0, c, realization, ch, m, min(count, m))
+         for ch, m in enumerate(realization.lengths())]
     return np.sort(np.concatenate(w), kind="stable")[:count]
 
 
@@ -252,7 +242,7 @@ _TAIL_TOL = np.finfo(float).eps / 4.0
 def _ladder_exp(sub: np.ndarray, coeff: float, rows: int, cols: int) -> np.ndarray:
     """Leading rows x cols block of exp(coeff B), where B holds `sub` on its
     first subdiagonal (the raising operator along one chain of states):
-    the metric kernel's factor G (materialize_metric_root).
+    the metric kernel's factor G (_chain_root).
 
     Row j + o of column j is coeff^o / o! sub[j] ... sub[j + o - 1], the
     running product down the column of the factors f[o, j] =
@@ -277,10 +267,10 @@ def _tail_count(ratio: float, a: float, spare: int) -> int | None:
     M[i, j] = sum_k G[k, i] G[k, j] of every entry of the block to
     _TAIL_TOL relative; None when the first `spare` + 1 terms do not.
 
-    Along a chain k0 rises by 1 per step and K+ <= K0 + 1/2 (a D+(k) chain
-    of realizations._chains), so the ratio of term o + 1 to term o is at
-    most r_o = ratio ((a + o) / (o + 1))^2, with a = max k0 + 1/2 over the
-    block and `ratio` = coeff^2 = p^2 e^q.  The terms share one sign, so
+    Along a chain k0 rises by 1 per step and K+ <= K0 + 1/2 (a D+(k)), so
+    the ratio of term o + 1 to term o is at most r_o = ratio ((a + o) /
+    (o + 1))^2, with a = max k0 + 1/2 over the block and `ratio` = coeff^2
+    = p^2 e^q.  The terms share one sign, so
     the sum is at least its largest term, and the tail past term O is at
     most t_O rbar / (1 - rbar), rbar = sup_{o >= O} r_o = max(r_O, ratio).
     A ratio of 1 or more never meets the bound: the series diverges.
@@ -346,6 +336,57 @@ def _ordered_metric(sol: MetricSolution, sign: int) -> tuple[bool, float, float]
     return antinormal, q, 2.0 * eta * s * math.exp(scale)
 
 
+def _root_plan(sol: MetricSolution, realization: RealizationMatrices, sign: int,
+               rows: int, cols: int) -> tuple[bool, float, float, int | None]:
+    """(antinormal, q, c, count) for the leading rows x cols block of
+    rho^sign (_ordered_metric), count the states past the block that each
+    chain's antinormal sums run: _tail_count's for the block's largest k0,
+    or None where it does not fit in the N states (p^2 e^q >= 1).  Columns
+    past `rows` take the count their own k0 needs, or run to the end."""
+    n, band = realization.dim, realization.band
+    antinormal, q, coeff = _ordered_metric(sol, sign)
+    if not antinormal or coeff == 0.0:
+        return antinormal, q, coeff, 0
+    size, ratio = max(rows, cols), coeff * coeff
+    count = _tail_count(ratio, _k0_max(realization, rows) + 0.5, (n - rows) // band)
+    if count is not None and cols > rows:
+        count = _tail_count(ratio, _k0_max(realization, size) + 0.5, (n - size) // band)
+        count = n if count is None else count
+    return antinormal, q, coeff, count
+
+
+def _chain_root(plan: tuple[bool, float, float, int | None],
+                realization: RealizationMatrices, ch: int, n_states: int,
+                rows: int, cols: int) -> np.ndarray:
+    """The leading rows x cols block of rho^sign on chain ch (n_states
+    states) by its block's plan (_root_plan): S[:rows] M S[:cols] with
+    S = e^{q k0 / 2}, G a running product of the chain's K+ band
+    (_ladder_exp) and M = G G^T (normal: a finite sum over k <= min(i, j))
+    or G^T G (antinormal: a series over k >= max(i, j), cut `count` states
+    past the block).  No sum cancels.  An entry out of range is inf, never
+    NaN.  At p = 0 (every z = 0) the block is diag(e^{q k0})."""
+    antinormal, q, coeff, count = plan
+    size = max(rows, cols)
+    if count is None:
+        return np.full((rows, cols), np.inf)
+    depth = min(n_states, size + count) if antinormal else size
+    k0, kp = realization.bands(ch, depth)
+    if coeff == 0.0:
+        out = np.zeros((rows, cols))
+        np.fill_diagonal(out, _exp_product(q, k0[:min(rows, cols)]))
+        return out
+    if antinormal:
+        g = _ladder_exp(kp, coeff, depth, size)
+        m = g[:, :rows].T @ g[:, :cols]
+    else:
+        g = _ladder_exp(kp, coeff, size, min(rows, cols))
+        m = g[:rows] @ g[:cols].T
+    scale = _exp_product(0.5 * q, k0[:size])
+    out = scale[:rows, None] * m * scale[:cols]
+    out[np.isnan(out)] = np.inf
+    return out
+
+
 def materialize_metric_root(sol: MetricSolution, realization: RealizationMatrices,
                             sign: int = 1, *, rows: int,
                             cols: int | None = None) -> np.ndarray:
@@ -353,103 +394,41 @@ def materialize_metric_root(sol: MetricSolution, realization: RealizationMatrice
     most N) of rho^sign = exp(sign A): rho^{-1}, rho, or zeta_+ = exp(2A)
     for sign = -1, 1, 2, at the record's (p, z) (solve_metric).
 
-    The block is S[:rows] M S[:cols] (see _ordered_metric), with the scale
-    S = e^{q k0 / 2} kept apart and M computed chain by chain (states
-    m = c mod band), where G is a running product of band entries:
-
-      normal      M = G G^T, a finite sum over k <= min(i, j): only the
-                  leading block of G enters, and no N;
-      antinormal  M = G^T G, a series over k >= max(i, j) whose terms
-                  shrink like (p^2 e^q)^k.  It is cut after the count of
-                  terms past the last row that _tail_count takes from a
-                  closed-form bound, and never past the N states the
-                  realization holds.  Where that count does not fit in
-                  N states (p^2 e^q >= 1: the matrix elements do not
-                  exist, e.g. zeta_+ at z = 2 beta / omega), the block is
-                  inf, not a number that depends on N.  Columns past
-                  `rows`, which acceptance criterion 5 and the tests'
-                  transport check phi = rho^{-1} psi read, take the count
-                  their own k0 needs; where that does not fit either,
-                  their sums run to the N states (the leading rows of
-                  the product on the truncated basis) and are not made
-                  inf.
-
-    For fixed (i, j) every term carries the same sign, so nothing cancels
-    (exponentiating A through its eigensystem instead loses the far
-    entries once the eigenvalue spread is large).  An entry out of range
-    is inf, never NaN, and no warning is raised.
-    At p = 0 (every z = 0) the block is diag(e^{q k0}).
-    """
-    n, band = realization.dim, realization.band
-    rows = min(rows, n)
-    cols = rows if cols is None else min(cols, n)
-    size = max(rows, cols)
-    antinormal, q, coeff = _ordered_metric(sol, sign)
-    k0 = realization.k0_diag
+    The chains' blocks (_chain_root), inf where their matrix elements do
+    not exist in the basis, are interleaved into it, 0 across chains.
+    Columns past `rows` (acceptance criterion 5 and the transport check
+    read them) take their own tail count, else run to the N states."""
+    rows = min(rows, realization.dim)
+    cols = rows if cols is None else min(cols, realization.dim)
+    plan = _root_plan(sol, realization, sign, rows, cols)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if coeff == 0.0:
-            out = np.zeros((rows, cols))
-            np.fill_diagonal(out, _exp_product(q, k0[:min(rows, cols)]))
-            return out
-        depth = size
-        if antinormal:
-            count = _tail_count(coeff * coeff, k0[:rows].max() + 0.5,
-                                (n - rows) // band)
-            if count is None:
-                return np.full((rows, cols), np.inf)
-            if cols > rows:
-                # the columns past `rows` take the count their own k0 needs,
-                # or run to the N states where that does not fit
-                count = _tail_count(coeff * coeff, k0[:size].max() + 0.5,
-                                    (n - size) // band)
-                count = n if count is None else count
-            depth = min(n, size + band * count)
-        scale = _exp_product(0.5 * q, k0[:size])
-        out = np.zeros((rows, cols))
-        for c in range(min(band, size)):
-            nr, nc = len(range(c, rows, band)), len(range(c, cols, band))
-            sub = realization.kp_band[c::band]
-            if antinormal:
-                g = _ladder_exp(sub, coeff, len(range(c, depth, band)), max(nr, nc))
-                m = g[:, :nr].T @ g[:, :nc]
-            else:
-                g = _ladder_exp(sub, coeff, max(nr, nc), min(nr, nc))
-                m = g[:nr] @ g[:nc].T
-            s = scale[c::band]
-            out[c::band, c::band] = s[:nr, None] * m * s[:nc]
-        out[np.isnan(out)] = np.inf
-    return out
+        blocks = [_chain_root(plan, realization, ch, *shape) for ch, shape in enumerate(
+            zip(*map(realization.lengths, (realization.dim, rows, cols))))]
+    return _interleave(blocks, rows, cols)
 
 
-def _relative_residuals(products: dict[str, tuple[np.ndarray, np.ndarray]],
-                        t: int, band: int) -> dict[str, float]:
-    """{name: |lhs - rhs| / |lhs|} for products {name: (lhs, rhs)}, in the
-    spectral norm of the leading t x t blocks.  This bounds the symmetric
-    r = |lhs - rhs| / max(|lhs|, |rhs|) from above, and barely: |rhs| <=
-    |lhs| + |lhs - rhs| gives r <= r' <= r / (1 - r), so at rounding-level
-    residuals no printed digit moves, and it takes two norms per product,
-    not three.  A vanishing lhs reads inf: for admissible input h rho,
-    zeta_+ H and rho O are never zero in exact arithmetic, so a zero block
-    underflowed, and a check that compares nothing must not pass.
-
-    Every block is block-diagonal over the realization's chains (states
-    c, c + band, ...): rho and zeta_+ are written chain by chain
-    (materialize_metric_root), and K0 and K+- keep each state on its
-    chain.  So a block's norm is exactly the largest of its chains',
-    one stacked SVD per chain of at most ceil(t / band) states; chains
-    past t are empty.  A block with a non-finite entry reads inf, and so
-    does every residual that reads it."""
-    blocks = np.stack([b[:t, :t] for lhs, rhs in products.values()
-                       for b in (lhs - rhs, lhs)])
+def _chain_norms(pairs) -> np.ndarray:
+    """[|lhs - rhs|, |lhs|, ...] of one chain's (lhs, rhs) blocks in the
+    spectral norm, from one stacked SVD; inf for a non-finite block."""
+    blocks = np.stack([b for lhs, rhs in pairs for b in (lhs - rhs, lhs)])
     finite = np.isfinite(blocks).all(axis=(1, 2))
     norms = np.full(len(blocks), np.inf)
     if finite.any():
         kept = blocks if finite.all() else blocks[finite]
-        norms[finite] = np.max([np.linalg.svd(kept[:, c::band, c::band],
-                                              compute_uv=False)[:, 0]
-                                for c in range(min(band, t))], axis=0)
+        norms[finite] = np.linalg.svd(kept, compute_uv=False)[:, 0]
+    return norms
+
+
+def _relative_residuals(names, chain_norms) -> dict[str, float]:
+    """{name: |lhs - rhs| / |lhs|} of the products `names` from each chain's
+    _chain_norms (a product's norm is its chains' largest): above the
+    symmetric r = |lhs - rhs| / max(|lhs|, |rhs|), and barely, r <= r' <=
+    r / (1 - r), with two norms per product.  A vanishing lhs reads inf: h
+    rho, zeta_+ H and rho O never vanish in exact arithmetic, so a zero
+    block underflowed, and a check that compares nothing must not pass."""
+    norms = np.max(chain_norms, axis=0).reshape(-1, 2).tolist()
     return {name: d / base if base > 0.0 and math.isfinite(d + base) else math.inf
-            for name, (d, base) in zip(products, norms.reshape(-1, 2).tolist())}
+            for name, (d, base) in zip(names, norms)}
 
 
 def _largest(x: AlgebraElement) -> float:
@@ -479,18 +458,13 @@ def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
         r_quasi       zeta_+ H - H^T zeta_+
         r_commute     rho O - O rho
 
-    H, h and O vanish outside their band, so the leading T x T block of
-    each product reads only the leading R = T + band rows and columns of
-    rho and zeta_+, two R x R blocks of the same kernel; H, h and O act on
-    them as band shifts (realizations.apply), all six products in one
-    call.  No operator matrix is formed, and rho^{-1} not at all.  Where
-    the zeta_+ series diverges r_quasi is inf while the other residuals
-    stay finite.
-
-    spectrum_h is h's lowest SPECTRUM_COUNT eigenvalues (all N if N is
-    smaller), taken by _low_eigs before any metric block is formed: it
-    refuses an admissible z where mu <= 0, whose h is unbounded below.
-    The six spectral norms come from one stacked SVD per chain.
+    One pass over the chains: h, H and O link neighbours only, so the
+    T_c x T_c block of each product on chain c reads the R_c x R_c blocks
+    of rho and zeta_+ alone (T_c of the T trusted states and R_c of the
+    leading R = T + band are on it).  rho^{-1} is never formed.  Where the
+    zeta_+ series diverges r_quasi is inf and the others stay finite.
+    spectrum_h is h's lowest SPECTRUM_COUNT levels (all N if N is smaller);
+    a z where mu <= 0, whose h is unbounded below, is refused first.
     """
     n = realization.dim
     if trusted >= n or trusted < 2:
@@ -500,29 +474,31 @@ def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
     t = trusted
     r = min(t + realization.band, n)
     h_coeffs = AlgebraElement(sol.c0, sol.c, sol.c)
-    spectrum = _low_eigs(h_coeffs, realization, SPECTRUM_COUNT)
+    c0, c = _elliptic(h_coeffs, realization)
     y = AlgebraElement(2.0 * sol.u, 2.0 * sol.v, 2.0 * sol.w)
+    plans = [_root_plan(sol, realization, sign, r, r) for sign in (1, 2)]
 
-    rho = materialize_metric_root(sol, realization, sign=1, rows=r)
-    zeta = materialize_metric_root(sol, realization, sign=2, rows=r)
-
-    # the six products by one stacked band shift on the R states, cut to
-    # T x T; a right product B X is (X^T B^T)^T, X^T swapping cm and cp
+    # h rho, (rho H)^T, (zeta H)^T, H^T zeta, (rho O)^T and O rho in one
+    # call; a right product B X is (X^T B^T)^T, X^T swapping cm and cp
     h_mat, o_mat = swanson_element(sol.params), commuting_observable(sol.z)
     h_t, o_t = (AlgebraElement(x.c0, x.cp, x.cm) for x in (h_mat, o_mat))
-    ops, operands = zip(
-        (h_coeffs, rho[:, :t]), (h_t, rho[:t].T),      # h rho, (rho H)^T
-        (h_t, zeta[:t].T), (h_t, zeta[:, :t]),          # (zeta H)^T, H^T zeta
-        (o_t, rho[:t].T), (o_mat, rho[:, :t]))          # (rho O)^T, O rho
-    coeffs = np.array([(x.c0, x.cm, x.cp) for x in ops]).T[..., None, None]
+    ops = (h_coeffs, h_t, h_t, h_t, o_t, o_mat)
+    six = AlgebraElement(*np.array([(x.c0, x.cm, x.cp) for x in ops]).T[..., None, None])
+    levels, rhos, zetas, norms = [], [], [], []
     # an inf block gives inf * 0 = NaN in the products, which read inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        prod = apply(AlgebraElement(*coeffs), realization, np.stack(operands))[:, :t]
-        residuals = _relative_residuals({
-            "r_intertwine": (prod[0], prod[1].T),
-            "r_quasi": (prod[2].T, prod[3]),
-            "r_commute": (prod[4].T, prod[5]),
-        }, t, realization.band)
+        for ch, (n_c, r_c, t_c) in enumerate(zip(*map(realization.lengths, (n, r, t)))):
+            levels.append(_chain_levels(c0, c, realization, ch, n_c, min(SPECTRUM_COUNT, n_c)))
+            rho, zeta = (_chain_root(plan, realization, ch, n_c, r_c, r_c) for plan in plans)
+            rhos.append(rho)
+            zetas.append(zeta)
+            if t_c:
+                prod = apply(six, *realization.bands(ch, r_c), np.stack((
+                    rho[:, :t_c], rho[:t_c].T, zeta[:t_c].T, zeta[:, :t_c],
+                    rho[:t_c].T, rho[:, :t_c])))[:, :t_c]
+                norms.append(_chain_norms(((prod[0], prod[1].T), (prod[2].T, prod[3]),
+                                           (prod[4].T, prod[5]))))
+        residuals = _relative_residuals(("r_intertwine", "r_quasi", "r_commute"), norms)
     residuals = {
         "r_herm": abs(y.cm - y.cp) / _largest(y),
         "r_eq10": max(abs(y.c0 - h_coeffs.c0), abs(y.cm - h_coeffs.cm),
@@ -530,6 +506,7 @@ def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
         **residuals,
     }
 
-    return OperatorBundle(solution=sol, realization=realization,
-                          trusted=t, rho=rho, zeta_plus=zeta,
-                          residuals=residuals, spectrum_h=spectrum)
+    return OperatorBundle(solution=sol, realization=realization, trusted=t,
+                          rho=_interleave(rhos, r, r), zeta_plus=_interleave(zetas, r, r),
+                          residuals=residuals, spectrum_h=np.sort(
+                              np.concatenate(levels), kind="stable")[:SPECTRUM_COUNT])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from su11metric import SwansonParams, build_bundle, discrete_series, solve_metric
+from su11metric.realizations import apply
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,15 @@ def bundles():
 
 def spectral_norm(m):
     return np.linalg.norm(np.asarray(m), 2)
+
+
+def apply_basis(x, r, b):
+    """realizations.apply, chain by chain, on an operand b over the leading
+    m = b.shape[-2] states of the basis, state i on chain i mod band."""
+    out = None
+    for c, m in enumerate(r.lengths(b.shape[-2])):
+        part = apply(x, *r.bands(c, m), b[..., c::r.band, :])
+        if out is None:
+            out = np.empty(part.shape[:-2] + b.shape[-2:], part.dtype)
+        out[..., c::r.band, :] = part
+    return out

@@ -89,19 +89,30 @@ def gauss_decompose(m: np.ndarray, ordering: str = "normal") -> Factorization:
     raise InvalidParams(f"unknown ordering {ordering!r}")
 
 
+def basis_bands(r: RealizationMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """K0's diagonal (N entries) and the band of K+ (N - band), kp[m] =
+    <m + band|K+|m>, on the N states of the basis: state m is on chain
+    m mod band, and each chain's bands are the realization's."""
+    k0, kp = np.empty(r.dim), np.empty(r.dim - r.band)
+    for c, m in enumerate(r.lengths()):
+        k0[c::r.band], kp[c::r.band] = r.bands(c, m)
+    return k0, kp
+
+
 def materialize(x: AlgebraElement, r: RealizationMatrices) -> np.ndarray:
     """Dense N x N matrix of c0*K0 + cm*Km + cp*Kp, each entry, zeros too,
     summed as in the dense generators (same signed zeros and complex
     parts); a vanishing imaginary part is dropped."""
     zero = np.zeros(r.dim)
     off = zero[r.band:]
+    k0_diag, kp_band = basis_bands(r)
 
     def entries(k0, km, kp):
         return x.c0 * k0 + x.cm * km + x.cp * kp
 
-    bands = {0: entries(r.k0_diag, zero, zero),
-             r.band: entries(off, r.kp_band, off),
-             -r.band: entries(off, off, r.kp_band)}
+    bands = {0: entries(k0_diag, zero, zero),
+             r.band: entries(off, kp_band, off),
+             -r.band: entries(off, off, kp_band)}
     fill = entries(zero[0], zero[0], zero[0])
     n = r.dim
     out = np.full((n, n), fill, dtype=np.result_type(fill, *bands.values()))
@@ -127,7 +138,7 @@ def commutator_residuals(r: RealizationMatrices,
     if not (1 <= t <= r.dim):
         raise InvalidParams(f"trusted block {t} outside 1..{r.dim}")
     m = min(t + r.band, r.dim)
-    block = replace(r, k0_diag=r.k0_diag[:m], kp_band=r.kp_band[:m - r.band])
+    block = replace(r, dim=m)
     k0, km, kp = (materialize(AlgebraElement(*e), block) for e in np.eye(3))
 
     def _n(mat):
@@ -196,8 +207,9 @@ def metric_power_dense(p, z, realization, power=1, rows=None):
     entries of the factors never meet zeros in the rows past them."""
     eps = power * solve_metric(p, z).epsilon
     a, q = (float(x) for x in _gauss_factors_mp(eps, z, 50))
-    e = exp_raising(realization.kp_band, realization.band, a, realization.dim)
-    mid = np.exp(q * realization.k0_diag)
+    k0_diag, kp_band = basis_bands(realization)
+    e = exp_raising(kp_band, realization.band, a, realization.dim)
+    mid = np.exp(q * k0_diag)
     return (e[:rows] * mid) @ e.T if eps <= 0.0 else (e[:, :rows].T * mid) @ e
 
 
@@ -345,6 +357,15 @@ def pdm_flux_form(cfg) -> tuple[np.ndarray, np.ndarray]:
     return w[1:] + w[:-1] + effective_potential(cfg, x), -w[1:-1]
 
 
+def chain_values(x, k0, kp, count):
+    """The lowest `count` eigenvalues (ascending) of the symmetric element
+    x = c0 K0 + c (Km + Kp) on one chain with K0 and K+ bands k0 and kp,
+    bisected in full by eigh_tridiagonal, as chain_spectrum does."""
+    return eigh_tridiagonal(x.c0.real * k0, x.cm.real * kp, select="i",
+                            select_range=(0, count - 1), eigvals_only=True,
+                            tol=2.0 * np.finfo(float).tiny)
+
+
 def chain_spectrum(x, realization, count):
     """Lowest `count` eigenvalues (ascending) and eigenvectors of the
     symmetric element x = c0 K0 + c (Km + Kp) on the whole realization:
@@ -352,10 +373,10 @@ def chain_spectrum(x, realization, count):
     eigh_tridiagonal, with the most accurate tolerance, 2 tiny."""
     n, band = realization.dim, realization.band
     w, q = [], []
-    for c in range(band):
-        d = x.c0.real * realization.k0_diag[c::band]
-        k = min(count, d.size)
-        wc, vc = eigh_tridiagonal(d, x.cm.real * realization.kp_band[c::band],
+    for c, m in enumerate(realization.lengths()):
+        k0, kp = realization.bands(c, m)
+        k = min(count, m)
+        wc, vc = eigh_tridiagonal(x.c0.real * k0, x.cm.real * kp,
                                   select="i", select_range=(0, k - 1),
                                   tol=2.0 * np.finfo(float).tiny)
         full = np.zeros((n, k))

@@ -1,5 +1,6 @@
 import ast
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -220,6 +221,31 @@ class TestVerifyCommand:
                                "--alpha", "0.2", "--beta", "0.1", "--z", "0.4")
         assert code == 0
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("realization", ["discrete:k=0.25",
+                                             "multiboson:l=3,residues=0.25,0.5,0.75",
+                                             "oscillator:parity=full"])
+    def test_oversized_basis_under_a_memory_cap(self, capsys, realization):
+        # N = 10^8 in a process capped at 600 MB of address space: the
+        # chains are worked from their leading states, so the run prints
+        # what N = 800 prints but the size row (an N-long table ended in a
+        # numpy MemoryError traceback, exit 1)
+        argv = ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--z", "0.4",
+                "--realization", realization]
+        cap = 600_000 * 1024
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "su11metric", *argv, "--size", "100000000"], env=env,
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        code, out, _ = run_cli(capsys, *argv, "--size", "800")
+        assert code == 0
+        big, small = proc.stdout.splitlines(), out.splitlines()
+        assert [line for line in big if not line.startswith("size ")] \
+            == [line for line in small if not line.startswith("size ")]
+        assert "size          100000000" in big and "size          800" in small
 
     def test_strong_coupling_point(self, capsys):
         # strong non-Hermiticity near the domain edge, N = 200, T = 50

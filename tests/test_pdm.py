@@ -479,8 +479,8 @@ class TestCertificate:
                 sol = solve_metric(P, z)
                 for count in (1, 5, 25):
                     m = 2 * count + 32
-                    d = sol.c0 * r.k0_diag[::r.band][:m]
-                    e = sol.c * r.kp_band[::r.band][:m - 1]
+                    k0, kp = r.bands(0, m)
+                    d, e = sol.c0 * k0, sol.c * kp
                     w = verification._bisect(d, e, count)
                     top = pdm._interval_top(w, np.zeros(count), count)
                     found, *_, info = dstebz(d, e, 1, -np.inf, top, 0, 0, np.inf, "E")

@@ -1,17 +1,19 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import su11metric
 from su11metric import (AlgebraElement, InvalidParams, SwansonParams,
                         commuting_observable, conformal, discrete_series,
                         from_descriptor, multiboson, oscillator_full,
                         oscillator_sector, radial, solve_metric, swanson_element,
                         z_domain)
-from su11metric.realizations import apply
-
-from oracles import (commutator_residuals, materialize, metric_family_mp,
+from conftest import apply_basis
+from oracles import (basis_bands, commutator_residuals, materialize, metric_family_mp,
                      radial_k0_lowest, residue_root_of_unity)
 
 ALL_CONSTRUCTORS = [
@@ -114,9 +116,9 @@ CHAIN_WEIGHTS = {make: weights for make, _, weights in DENSE_CASES}
 class TestDiscreteSeries:
     def test_reference_entries(self):
         r = discrete_series(0.25, 3)
-        assert r.band == 1
-        assert np.array_equal(r.k0_diag, [0.25, 1.25, 2.25])
-        sub = r.kp_band
+        assert r.band == 1 and r.weights == (0.25,) and r.lengths() == [3]
+        k0, sub = r.bands(0, 3)
+        assert np.array_equal(k0, [0.25, 1.25, 2.25])
         assert abs(sub[0] - math.sqrt(0.5)) < 1e-15
         assert abs(sub[1] - math.sqrt(3.0)) < 1e-15
 
@@ -150,7 +152,9 @@ class TestRealizationInvariants:
     @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
     def test_adjoint_pair(self, make):
         r = make(30)
-        assert r.k0_diag.shape == (30,) and r.kp_band.shape == (30 - r.band,)
+        assert sum(r.lengths()) == 30 and len(r.lengths()) == r.band
+        for c, m in enumerate(r.lengths()):
+            assert [b.shape for b in r.bands(c, m)] == [(m,), (m - 1,)]
         k0, kp, km = dense(r)
         assert np.array_equal(km, kp.T)
         assert np.array_equal(k0, k0.T)
@@ -189,19 +193,19 @@ class TestRealizationInvariants:
             want = c[0] * k0 + c[1] * km + c[2] * kp
             for m in (r.band + 1, 17, 40, 55):
                 m = min(m, 40)
-                got = apply(x, r, np.eye(m))
+                got = apply_basis(x, r, np.eye(m))
                 assert np.array_equal(got, want[:m, :m]), (r.kind, c, m)
 
     @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
     def test_k0_strictly_increasing(self, make):
-        d = make(30).k0_diag
+        d = basis_bands(make(30))[0]
         assert np.all(np.diff(d) > 0.0)
 
 
 class TestOscillator:
     def test_k0_diagonal(self):
         r = oscillator_full(10)
-        assert np.allclose(r.k0_diag, (2.0 * np.arange(10) + 1.0) / 4.0)
+        assert np.array_equal(basis_bands(r)[0], (2.0 * np.arange(10) + 1.0) / 4.0)
 
     def test_even_sector_lowering_element(self):
         r = oscillator_sector("even", 6)
@@ -213,8 +217,8 @@ class TestOscillator:
             sec = oscillator_sector(parity, 25)
             ref = discrete_series(k, 25)
             assert sec.band == ref.band
-            assert np.abs(sec.k0_diag - ref.k0_diag).max() < 1e-14
-            assert np.abs(sec.kp_band - ref.kp_band).max() < 1e-14
+            for got, want in zip(basis_bands(sec), basis_bands(ref)):
+                assert np.abs(got - want).max() < 1e-14
 
     def test_parity_block_diagonalization(self):
         n = 12
@@ -267,8 +271,8 @@ class TestMultiboson:
 
 class TestRadial:
     def test_weight_mapping(self):
-        assert np.allclose(radial(0.0, 5).k0_diag, np.arange(5) + 0.75)
-        assert np.allclose(radial(1.0, 5).k0_diag, np.arange(5) + 1.25)
+        assert np.allclose(basis_bands(radial(0.0, 5))[0], np.arange(5) + 0.75)
+        assert np.allclose(basis_bands(radial(1.0, 5))[0], np.arange(5) + 1.25)
 
     def test_grid_oracle(self):
         # finite differences on the half-line reproduce the lowest weight
@@ -314,7 +318,7 @@ class TestMaterialize:
     def test_observable_at_z_zero(self):
         r = discrete_series(0.25, 12)
         assert np.array_equal(materialize(commuting_observable(0.0), r),
-                              np.diag(2.0 * r.k0_diag))
+                              np.diag(2.0 * basis_bands(r)[0]))
 
     def test_swanson_structure(self):
         p = SwansonParams(1.0, 0.2, 0.1)
@@ -384,16 +388,16 @@ class TestMaterialize:
             x = AlgebraElement(*c)
             want = c[0] * k0 + c[1] * km + c[2] * kp
             for m in (r.band + 1, 17, 60):
-                assert np.array_equal(apply(x, r, np.eye(m)), want[:m, :m]), (c, m)
+                assert np.array_equal(apply_basis(x, r, np.eye(m)), want[:m, :m]), (c, m)
                 b = rng.normal(size=(m, 7))
                 ref = materialize(x, r)[:m, :m] @ b
-                assert np.abs(apply(x, r, b) - ref).max() \
+                assert np.abs(apply_basis(x, r, b) - ref).max() \
                     <= 1e-14 * np.abs(ref).max(), (c, m)
         # a stack of operands, one coefficient triple each, in one call
         bs = rng.normal(size=(len(COEFFICIENTS), 17, 7))
         stacked = AlgebraElement(*np.array(COEFFICIENTS).T[..., None, None])
-        for c, b, got in zip(COEFFICIENTS, bs, apply(stacked, r, bs)):
-            assert np.array_equal(got, apply(AlgebraElement(*c), r, b)), c
+        for c, b, got in zip(COEFFICIENTS, bs, apply_basis(stacked, r, bs)):
+            assert np.array_equal(got, apply_basis(AlgebraElement(*c), r, b)), c
 
 
 class TestDescriptors:
@@ -412,7 +416,7 @@ class TestDescriptors:
 
     def test_radial(self):
         r, _ = from_descriptor("radial:L=1", 15)
-        assert np.isclose(r.k0_diag[0], 1.25)
+        assert r.weights == (1.25,)
 
     def test_conformal_returns_params(self):
         r, p = from_descriptor("conformal:k=0.75,c=1", 15, omega=1.0)
@@ -429,3 +433,62 @@ class TestDescriptors:
             from_descriptor("discrete:k=0.25,junk=1", 10)
         with pytest.raises(InvalidParams, match="twice"):
             from_descriptor("discrete:k=0.25,k=0.75", 10)
+
+
+class TestChainLayout:
+    def test_interleave_is_in_one_place(self):
+        # every operator works on one chain's states; only the output
+        # helper slices the basis by the chains' stride
+        stepped = set()
+        for path in sorted(Path(su11metric.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(tree):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    stepped |= {(path.name, func.name) for node in ast.walk(func)
+                                if isinstance(node, ast.Slice) and node.step is not None}
+            # a slice outside every function counts under the module's name
+            outside = [node for node in ast.walk(tree)
+                       if isinstance(node, ast.Slice) and node.step is not None]
+            inside = [node for func in ast.walk(tree)
+                      if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      for node in ast.walk(func) if isinstance(node, ast.Slice)]
+            if any(node not in inside for node in outside):
+                stepped.add((path.name, None))
+        assert stepped == {("realizations.py", "_interleave")}
+
+    def test_nothing_n_long_is_stored(self):
+        # a realization holds its weights and size; its chains' bands are
+        # formed on demand from their leading states, at any N
+        for r, weights in ((discrete_series(0.25, 10 ** 12), (0.25,)),
+                           (multiboson(3, (0.25, 0.5, 0.75), 10 ** 12 + 1), (0.25, 0.5, 0.75)),
+                           (oscillator_full(10 ** 12), (0.25, 0.75))):
+            assert r.weights == weights and sum(r.lengths()) == r.dim
+            assert all(not isinstance(getattr(r, f), np.ndarray)
+                       for f in r.__dataclass_fields__)
+            for c, k in enumerate(weights):
+                k0, kp = r.bands(c, 3)
+                assert np.array_equal(k0, np.arange(3) + k)
+        assert multiboson(3, (0.25, 0.5, 0.75), 10 ** 12 + 1).lengths() == \
+            [333333333334, 333333333334, 333333333333]
+
+    @pytest.mark.parametrize("weights", [(5e307, 6e307), (6e307, 5e307), (1e307, 1e308),
+                                         (1e308, 1e307), (0.25, 2e306), (2e306, 3e306, 1e307)])
+    def test_overflow_names_the_first_entry(self, weights):
+        # the refused weight is that of the first K+ entry past the doubles
+        # in the basis, as the N-long band, chain c on the states c, c +
+        # band, ..., names it
+        b, refused = len(weights), 0
+        for n in (b + 2, 37, 200):
+            j = np.arange(-(-n // b), dtype=float)[:, None]
+            with np.errstate(over="ignore"):
+                kp = np.sqrt((j + 1.0) * (j + 2.0 * np.array(weights))).ravel()[:n - b]
+            if not (kp == np.inf).any():
+                assert multiboson(b, weights, n).weights == weights
+                continue
+            first = int(np.argmax(kp == np.inf))
+            with pytest.raises(InvalidParams) as err:
+                multiboson(b, weights, n)
+            assert str(err.value) == (f"K+ overflows the doubles at lowest weight "
+                                      f"k = {weights[first % b]:g}, N = {n}")
+            refused += 1
+        assert refused, weights

@@ -19,16 +19,15 @@ from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         disentangle_closed_form, is_admissible,
                         materialize_metric_root, solve_metric,
                         spectrum_prediction, swanson_element, z_domain)
-from su11metric import (RealizationMatrices, commuting_observable,
-                        from_descriptor, multiboson, oscillator_full)
+from su11metric import (commuting_observable, from_descriptor, multiboson,
+                        oscillator_full)
 from su11metric import verification
 from su11metric.cli import RESIDUAL_TOLS, main
 from su11metric.pdm import PdmConfig, run_pdm_check
-from su11metric.realizations import apply
 
-from conftest import spectral_norm
-from oracles import (chain_count_mp, chain_spectrum, commutator_residuals,
-                     exp_raising, exp_symmetric, materialize,
+from conftest import apply_basis, spectral_norm
+from oracles import (basis_bands, chain_count_mp, chain_spectrum, chain_values,
+                     commutator_residuals, exp_raising, exp_symmetric, materialize,
                      metric_block_definite, metric_family_mp,
                      metric_power_dense, metric_power_mp, stability_roots_mp)
 from test_pdm import h_tridiag
@@ -60,7 +59,7 @@ class TestSymmetricEigs:
         # K+ + K- alone is hyperbolic and refused; with K0 added it is an
         # oscillator whose two levels the 2 x 2 block gives
         r = discrete_series(0.25, 2)
-        kp = r.kp_band[0]
+        kp = r.bands(0, 2)[1][0]
         with pytest.raises(InvalidParams, match="mu > 0"):
             verification._low_eigs(AlgebraElement(0.0, 1.0, 1.0), r, 2)
         w = verification._low_eigs(AlgebraElement(1.0, 0.3, 0.3), r, 2)
@@ -125,11 +124,6 @@ def law_holds_mp(c0, c, k, n_states, law):
                for n, (theta, t) in enumerate(zip(law, tau)))
 
 
-def one_chain(r, ch):
-    """Chain ch of r (states ch, ch + band, ...) as a realization of its own."""
-    return RealizationMatrices(r.k0_diag[ch::r.band], r.kp_band[ch::r.band], 1, r.kind)
-
-
 class TestChainBracket:
     # verification._chain_bracket against the 40-digit count of the exact
     # chain: where it returns the law, every level is within 4 tau of it
@@ -150,12 +144,12 @@ class TestChainBracket:
             assert got is not None or n_states < 60, n_states
 
     def test_first_length_that_takes_the_law(self):
-        # each cut case on three lowest weights: the shortest chain whose
-        # bracket returns the law, where the exact levels lie nearest the
-        # edge of 4 tau, holds it
+        # each cut case on four lowest weights, a zero multiboson residue
+        # among them: the shortest chain whose bracket returns the law,
+        # where the exact levels lie nearest the edge of 4 tau, holds it
         for x in _cut_cases():
             c0, c = x.c0.real, x.cm.real
-            for k in (0.25, 0.75, 1.6):
+            for k in (0.0, 0.25, 0.75, 1.6):
                 for want in (1, 5):
                     first = next(n for n in range(want, 400)
                                  if verification._chain_bracket(c0, c, k, n, want) is not None)
@@ -202,8 +196,8 @@ class TestSturmCount:
             r = make(60)
             for x in _cut_cases():
                 c0, c = x.c0.real, x.cm.real
-                for ch in range(r.band):
-                    k0, kp = r.k0_diag[ch::r.band], r.kp_band[ch::r.band]
+                for ch, m in enumerate(r.lengths()):
+                    k0, kp = r.bands(ch, m)
                     d, e = c0 * k0, c * kp
                     w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
                     probes = np.r_[w[:6] * (1.0 - 1e-6), (w[:5] + w[1:6]) / 2.0]
@@ -231,8 +225,9 @@ class TestBisect:
         # the near-parabolic pin's chain and the band-12 pin's 12, at N = 200
         r, _ = from_descriptor(desc, 200)
         sol = solve_metric(p, z)
-        for ch in range(r.band):
-            d, e = sol.c0 * r.k0_diag[ch::r.band], sol.c * r.kp_band[ch::r.band]
+        for ch, m in enumerate(r.lengths()):
+            k0, kp = r.bands(ch, m)
+            d, e = sol.c0 * k0, sol.c * kp
             self.assert_same_values(d, e, min(verification.SPECTRUM_COUNT, d.size))
 
     @pytest.mark.parametrize("flags", [{"x_min": -2.0, "x_max": 6.0}, {"tau": 1.0}])
@@ -290,14 +285,13 @@ class TestChainCut:
         # float chain's, bisected in full (chain_spectrum)
         w = verification._low_eigs(x, r, count)
         c0, c, parts = x.c0.real, x.cm.real, []
-        for ch in range(min(r.band, r.dim)):
-            chain = one_chain(r, ch)
-            k, want = float(chain.k0_diag[0]), min(count, chain.dim)
-            law = verification._chain_bracket(c0, c, k, chain.dim, want)
+        for ch, m in enumerate(r.lengths()):
+            k, want = r.weights[ch], min(count, m)
+            law = verification._chain_bracket(c0, c, k, m, want)
             if law is None:
-                parts.append(chain_spectrum(x, chain, want)[0])
+                parts.append(chain_values(x, *r.bands(ch, m), want))
             else:
-                assert law_holds_mp(c0, c, k, chain.dim, law), (x, r.kind, count, ch)
+                assert law_holds_mp(c0, c, k, m, law), (x, r.kind, count, ch)
                 parts.append(law)
         ref = np.sort(np.concatenate(parts))[:count]
         assert np.all(np.abs(w - ref) <= 4 * np.spacing(np.abs(ref))), \
@@ -375,7 +369,7 @@ class TestChainCut:
             for count in counts:
                 w = verification._low_eigs(x, r, count)
                 law = np.sort(np.concatenate([omega * (np.arange(count) + k)
-                                              for k in r.k0_diag[:r.band]]))[:count]
+                                              for k in r.weights]))[:count]
                 assert np.allclose(w, law, rtol=1e-14, atol=0.0), (x, r.kind, count)
         monkeypatch.undo()
         for x in cases:
@@ -411,7 +405,7 @@ class TestChainCut:
                 sol = solve_metric(P, z)
                 for count in (1, 5, 25):
                     for ch in range(r.band):
-                        k = float(r.k0_diag[ch])
+                        k = r.weights[ch]
                         for n_states in (2 * count + 32, r.dim // r.band):
                             law = verification._chain_bracket(sol.c0, sol.c, k, n_states, count)
                             assert law is not None, (r.kind, z, count, ch, n_states)
@@ -522,7 +516,8 @@ class TestMetricRoot:
             # at z = 0 the block is exp(+-2 eps K0) from the shortcut
             sol = solve_metric(p, 0.0)
             for sign in (1, -1):
-                want = np.diag(np.exp(2.0 * sign * sol.epsilon * r.k0_diag))[:rows, :rows]
+                k0 = basis_bands(r)[0]
+                want = np.diag(np.exp(2.0 * sign * sol.epsilon * k0))[:rows, :rows]
                 got = materialize_metric_root(sol, r, sign, rows=rows)
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), \
                     (desc, sign)
@@ -542,7 +537,8 @@ class TestMetricRoot:
             r, implied = from_descriptor(desc, 200)
             p = implied if implied is not None else P
             # the premise of the antinormal tail bound: K+ <= K0 + 1/2
-            assert np.all(r.kp_band <= r.k0_diag[:-r.band] + 0.5), desc
+            k0, kp = basis_bands(r)
+            assert np.all(kp <= k0[:-r.band] + 0.5), desc
             rows = 20 + r.band
             for z in (-0.8, -0.4, 0.4, 0.8):
                 if not is_admissible(p, z):
@@ -651,7 +647,7 @@ def eigvec_residuals(bundle, count=5):
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rho_inv = materialize_metric_root(sol, mats, sign=-1, rows=r, cols=cols)
         phi = rho_inv @ psi[:cols]
-        num = np.linalg.norm(apply(swanson_element(sol.params), mats, phi)[:t]
+        num = np.linalg.norm(apply_basis(swanson_element(sol.params), mats, phi)[:t]
                              - w * phi[:t], axis=0)
         den = np.linalg.norm(phi[:t], axis=0)
     finite = np.isfinite(phi).all(axis=0) & np.isfinite(num) & np.isfinite(den)
@@ -820,11 +816,9 @@ class TestBuildBundle:
             for count in (7, 60):
                 wv = verification._low_eigs(x, r, count)
                 assert np.abs(wv - w[:count]).max() <= 1e-12 * np.abs(w).max()
-                for ch in range(r.band):
-                    k0 = r.k0_diag[ch::r.band]
-                    want = min(count, k0.size)
-                    law = verification._chain_bracket(sol.c0, sol.c, float(k0[0]),
-                                                      k0.size, want)
+                for ch, m in enumerate(r.lengths()):
+                    want = min(count, m)
+                    law = verification._chain_bracket(sol.c0, sol.c, r.weights[ch], m, want)
                     if law is not None:
                         wc = np.linalg.eigvalsh(h[ch::r.band, ch::r.band])[:want]
                         assert np.abs(wc - law).max() <= 1e-12 * np.abs(w).max(), desc
@@ -1079,16 +1073,16 @@ class TestCoefficientResiduals:
         assert b.residuals["r_eq10"] > RESIDUAL_TOLS["r_eq10"]
 
     def test_overflow_in_a_metric_block_is_inf(self, monkeypatch):
-        # the blocks hold only the R = T + band columns the products read,
-        # so an overflow even in the last column of rho and zeta_+ reaches
-        # every matrix residual
-        exact = verification.materialize_metric_root
+        # the chain blocks hold only the R_c = T_c + 1 columns the products
+        # read, so an overflow even in the last column of rho and zeta_+
+        # reaches every matrix residual
+        exact = verification._chain_root
 
         def overflowing(*args, **kwargs):
             rows = exact(*args, **kwargs)
             rows[0, -1] = np.inf
             return rows
-        monkeypatch.setattr(verification, "materialize_metric_root", overflowing)
+        monkeypatch.setattr(verification, "_chain_root", overflowing)
         b = build_bundle(solve_metric(P, 0.4), discrete_series(0.25, 30), trusted=10)
         for name in ("r_intertwine", "r_quasi", "r_commute"):
             assert b.residuals[name] == np.inf, name
@@ -1100,6 +1094,13 @@ class TestCoefficientResiduals:
         # in an operand reads inf; so does a vanishing lhs, whether or not
         # the difference vanishes: for admissible input no lhs is zero in
         # exact arithmetic, so a zero one underflowed and compares nothing
+        def relative_residuals(products, t, band):
+            # each chain's norms of the products' leading t x t blocks
+            norms = [verification._chain_norms([
+                (lhs[:t, :t][c::band, c::band], rhs[:t, :t][c::band, c::band])
+                for lhs, rhs in products.values()]) for c in range(band)]
+            return verification._relative_residuals(list(products), norms)
+
         rng = np.random.default_rng(11)
         a, e = rng.normal(size=(2, 12, 12))
         b = a + 0.1 * e
@@ -1107,7 +1108,7 @@ class TestCoefficientResiduals:
         nan[3, 4] = np.nan
         tiny = zero.copy()
         tiny[2, 5] = 1e-300
-        got = verification._relative_residuals(
+        got = relative_residuals(
             {"plain": (a, b), "swapped": (b, a), "nan": (nan, b), "inf": (a, inf),
              "zero": (zero, zero), "same": (a, a), "zero lhs": (zero, tiny)}, 10, 1)
         d, na, nb = (spectral_norm(m[:10, :10]) for m in (a - b, a, b))
@@ -1125,7 +1126,7 @@ class TestCoefficientResiduals:
         i = np.arange(12)
         for band in (2, 3):
             chains = (i[:, None] - i) % band == 0
-            got = verification._relative_residuals(
+            got = relative_residuals(
                 {"chains": (a * chains, b * chains)}, 10, band)["chains"]
             want = (spectral_norm(((a - b) * chains)[:10, :10])
                     / spectral_norm((a * chains)[:10, :10]))
@@ -1134,19 +1135,23 @@ class TestCoefficientResiduals:
     def test_matrix_residuals_bracket_the_whole_block_norms(self, monkeypatch):
         # each matrix residual of build_bundle lies in [r, r / (1 - r)] of
         # the symmetric r, taken here with whole T x T SVDs of the same
-        # products, for the z0 workload's realizations and a band past T
+        # products, their chains' blocks placed on the chains' states, for
+        # the z0 workload's realizations and a band past T
         taken = []
-        exact = verification._relative_residuals
-        monkeypatch.setattr(verification, "_relative_residuals",
-                            lambda products, t, band: taken.append(products)
-                            or exact(products, t, band))
+        exact = verification._chain_norms
+        monkeypatch.setattr(verification, "_chain_norms",
+                            lambda pairs: taken.append(pairs) or exact(pairs))
         for desc, t in CHAIN_CASES:
             r, _ = from_descriptor(desc, 200)
             for z in (0.0, 0.4):
                 taken.clear()
                 b = build_bundle(solve_metric(P, z), r, trusted=t)
-                for name, (lhs, rhs) in taken[0].items():
-                    d, nl, nr = (spectral_norm(m[:t, :t]) for m in (lhs - rhs, lhs, rhs))
+                assert len(taken) == min(r.band, t), (desc, z)
+                for i, name in enumerate(("r_intertwine", "r_quasi", "r_commute")):
+                    lhs, rhs = np.zeros((2, t, t))
+                    for c, pairs in enumerate(taken):
+                        lhs[c::r.band, c::r.band], rhs[c::r.band, c::r.band] = pairs[i]
+                    d, nl, nr = (spectral_norm(m) for m in (lhs - rhs, lhs, rhs))
                     old, got = d / max(nl, nr), b.residuals[name]
                     slack = SVD_ULPS * np.spacing(old)
                     assert old - slack <= got <= old / (1.0 - old) + slack, (desc, z, name)
