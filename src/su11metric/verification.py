@@ -421,11 +421,11 @@ def _chain_norms(pairs) -> np.ndarray:
 
 def _relative_residuals(names, chain_norms) -> dict[str, float]:
     """{name: |lhs - rhs| / |lhs|} of the products `names` from each chain's
-    _chain_norms (a product's norm is its chains' largest): above the
-    symmetric r = |lhs - rhs| / max(|lhs|, |rhs|), and barely, r <= r' <=
-    r / (1 - r), with two norms per product.  A vanishing lhs reads inf: h
-    rho, zeta_+ H and rho O never vanish in exact arithmetic, so a zero
-    block underflowed, and a check that compares nothing must not pass."""
+    _chain_norms (a product's norm is its chains' largest).  It bounds the
+    symmetric r = |lhs - rhs| / max(|lhs|, |rhs|) from above, and barely:
+    r <= r' <= r / (1 - r), from two norms per product.  A vanishing lhs
+    reads inf: h rho, zeta_+ H and rho O never vanish in exact arithmetic,
+    so a zero block underflowed, and a check comparing nothing must fail."""
     norms = np.max(chain_norms, axis=0).reshape(-1, 2).tolist()
     return {name: d / base if base > 0.0 and math.isfinite(d + base) else math.inf
             for name, (d, base) in zip(names, norms)}
