@@ -1,6 +1,5 @@
 import ast
 import os
-import resource
 import subprocess
 import sys
 import warnings
@@ -232,13 +231,13 @@ class TestVerifyCommand:
         # numpy MemoryError traceback, exit 1)
         argv = ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--z", "0.4",
                 "--realization", realization]
-        cap = 600_000 * 1024
+        capped = ("import resource, runpy; cap = 600_000 * 1024; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+                  "runpy.run_module('su11metric', run_name='__main__')")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "su11metric", *argv, "--size", "100000000"], env=env,
-            capture_output=True, text=True, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        proc = subprocess.run([sys.executable, "-c", capped, *argv, "--size", "100000000"],
+                              env=env, capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
         code, out, _ = run_cli(capsys, *argv, "--size", "800")
         assert code == 0
