@@ -15,7 +15,6 @@ the commutation relations hold to rounding on the leading dim - band.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -44,11 +43,10 @@ class RealizationMatrices:
         """How many of the leading m states (all dim if not given) lie on
         each chain: state i is state i // band of chain i mod band."""
         m = self.dim if m is None else m
-        return [len(range(c, m, self.band)) for c in range(self.band)]
+        return [max(0, -((c - m) // self.band)) for c in range(self.band)]
 
     def bands(self, c: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """K0 (m entries) and K+ (m - 1, state j to j + 1) on the leading m
-        states of chain c."""
+        """K0 and K+ (state j to j + 1: m - 1) on chain c's leading m states."""
         k, j = self.weights[c], np.arange(float(m))
         if self.kind == "oscillator:parity=full":
             # the boson product at Fock state 2j + c, within 2 ulp of the chain's
@@ -84,13 +82,19 @@ def apply(x: AlgebraElement, k0: np.ndarray, kp: np.ndarray, b: np.ndarray) -> n
 
 def _chains(weights: Sequence[float], n: int, kind: str) -> RealizationMatrices:
     """The direct sum of D+(k_c), k_c = weights[c], on n states.  Refuses a
-    K+ entry past the doubles by the weight of the first in the basis: K+
-    rises along a chain, so a chain overflows if its last link does, and
-    from the link that bisection finds on."""
+    K+ entry past the doubles by the weight of the first in the basis."""
     r = RealizationMatrices(tuple(map(float, weights)), n, kind)
-    first = [(bisect_left(range(m - 1), True, key=lambda j: (j + 1.0) * (j + 2.0 * k) == math.inf),
-              c, k) for c, (k, m) in enumerate(zip(r.weights, r.lengths()))
-             if m > 1 and (m - 1.0) * (m - 2.0 + 2.0 * k) == math.inf]
+
+    def overflows(k, j):  # K+^2 on link j: it rises along the chain
+        return j >= 2 ** 1023 or (j + 1.0) * (j + 2.0 * k) == math.inf
+
+    first = []
+    for c, (k, m) in enumerate(zip(r.weights, r.lengths())):
+        lo, hi = 0, m - 2
+        while lo < hi and overflows(k, hi):  # bisect for the first link past
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if overflows(k, mid) else (mid + 1, hi)
+        first += [(lo, c, k)] if m > 1 and overflows(k, lo) else []
     if first:
         raise InvalidParams(f"K+ overflows the doubles at lowest weight k = {min(first)[2]:g}, N = {n}")
     return r

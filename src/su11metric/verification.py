@@ -193,9 +193,8 @@ def _k0_max(realization: RealizationMatrices, m: int) -> float:
 
 def _elliptic(x: AlgebraElement, realization: RealizationMatrices) -> tuple[float, float]:
     """(c0, c) of the real symmetric x = c0 K0 + c (Km + Kp), refused unless
-    elliptic, c0 > 2|c| (for h, mu > 0): -K0 or a hyperbolic or parabolic x
-    has no lowest levels on the infinite chain.  Also refused where c0 K0
-    overflows: LAPACK reads finite bands, |c| K+ <= c0 (K0 + 1/2) / 2."""
+    elliptic, c0 > 2|c| (for h, mu > 0; no other x has lowest levels on the
+    infinite chain), or where c0 K0, which bounds |c| K+, is not finite."""
     if x.cm != x.cp or complex(x.c0).imag or complex(x.cm).imag:
         raise InvalidParams(f"operator is not real symmetric: {x}")
     c0, c = x.c0.real, x.cm.real
@@ -338,11 +337,10 @@ def _ordered_metric(sol: MetricSolution, sign: int) -> tuple[bool, float, float]
 
 def _root_plan(sol: MetricSolution, realization: RealizationMatrices, sign: int,
                rows: int, cols: int) -> tuple[bool, float, float, int | None]:
-    """(antinormal, q, c, count) for the leading rows x cols block of
-    rho^sign (_ordered_metric), count the states past the block that each
-    chain's antinormal sums run: _tail_count's for the block's largest k0,
-    or None where it does not fit in the N states (p^2 e^q >= 1).  Columns
-    past `rows` take the count their own k0 needs, or run to the end."""
+    """(antinormal, q, c, count) for the leading rows x cols block of rho^sign
+    (_ordered_metric): count states past the block end each chain's sums, by
+    _tail_count for the block's largest k0; None where they do not fit in N
+    (p^2 e^q >= 1).  Columns past `rows` take their own, or run to the end."""
     n, band = realization.dim, realization.band
     antinormal, q, coeff = _ordered_metric(sol, sign)
     if not antinormal or coeff == 0.0:

@@ -239,12 +239,16 @@ class TestVerifyCommand:
         proc = subprocess.run([sys.executable, "-c", capped, *argv, "--size", "100000000"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        def cells(stdout):
+            return [line for line in stdout.splitlines() if not line.startswith("size ")]
+
         code, out, _ = run_cli(capsys, *argv, "--size", "800")
-        assert code == 0
-        big, small = proc.stdout.splitlines(), out.splitlines()
-        assert [line for line in big if not line.startswith("size ")] \
-            == [line for line in small if not line.startswith("size ")]
-        assert "size          100000000" in big and "size          800" in small
+        assert code == 0 and "size          800" in out.splitlines()
+        assert cells(proc.stdout) == cells(out)
+        assert "size          100000000" in proc.stdout.splitlines()
+        # in process, at a size past a C index, nothing N long is formed either
+        code, big, _ = run_cli(capsys, *argv, "--size", str(10 ** 20))
+        assert (code, cells(big)) == (0, cells(out))
 
     def test_strong_coupling_point(self, capsys):
         # strong non-Hermiticity near the domain edge, N = 200, T = 50
@@ -444,6 +448,11 @@ class TestNonFiniteInputs:
         (("verify", "--omega", "1e150", "--alpha", "2e149", "--beta", "1e149", "--z", "0.4",
           "--realization", "discrete:k=1e160"),
          "h's diagonal overflows (c0 = 2.05714e+150, K0 up to 1e+160)"),
+        # the last K+ of a chain of 10^200 states: a range too long for a
+        # C index (OverflowError traceback, exit 1)
+        pytest.param(("verify", *BASE, "--z", "0.4", "--size", str(10 ** 200)),
+                     f"K+ overflows the doubles at lowest weight k = 0.25, N = {10 ** 200}",
+                     id="size 10^200"),
     ])
     def test_refused_by_name(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
