@@ -91,7 +91,7 @@ def _chains(weights: Sequence[float], n: int, kind: str) -> RealizationMatrices:
     first = []
     for c, (k, m) in enumerate(zip(r.weights, r.lengths())):
         lo, hi = 0, m - 2
-        while lo < hi and overflows(k, hi):  # bisect for the first link past
+        while lo < hi and overflows(k, hi):  # bisect for the first that overflows
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if overflows(k, mid) else (mid + 1, hi)
         first += [(lo, c, k)] if m > 1 and overflows(k, lo) else []
