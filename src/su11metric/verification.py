@@ -16,7 +16,9 @@ rho and zeta_+ (_chain_root), H, h and O on them as unit shifts
 (realizations.apply), and one SVD for the chain's norms.  The chain
 blocks are interleaved into the basis only for output.  A metric block
 that does not exist in the basis (a divergent series, zeta_+ at z =
-2 beta / omega) is inf, as are the residuals that read it.
+2 beta / omega) is inf, as are the residuals that read it.  The rule is
+per entry and strict: a block whose tail bound does not fit in the N
+states is inf even where the spectral-norm residuals would not move.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ def _lapack():
     loader.exec_module(module)
     sys.modules[name] = module
     return module
+
+
+# the most states dstebz takes: it counts them in a Fortran INTEGER, 32
+# bits in scipy's wrappers (their iblock and isplit are int32 arrays)
+_BISECT_MAX = 2 ** 31 - 1
 
 
 def _bisect(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
@@ -191,46 +198,47 @@ def _k0_max(realization: RealizationMatrices, m: int) -> float:
     return max(float(l - 1) + k for k, l in zip(realization.weights, realization.lengths(m)) if l)
 
 
-def _elliptic(x: AlgebraElement, realization: RealizationMatrices) -> tuple[float, float]:
-    """(c0, c) of the real symmetric x = c0 K0 + c (Km + Kp), refused unless
-    elliptic, c0 > 2|c| (for h, mu > 0; no other x has lowest levels on the
-    infinite chain), or where c0 K0, which bounds |c| K+, is not finite."""
+def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
+              count: int) -> np.ndarray:
+    """The lowest `count` eigenvalues (ascending) of the real symmetric
+    x = c0 K0 + c (Km + Kp) on the realization, certified.  A count above
+    the dimension yields all; zero none.
+
+    x must be elliptic, c0 > 2|c| (for h, mu > 0, as c0 - 2c = 2 mu omega
+    and c0^2 > 4 c^2): -K0 or a hyperbolic or parabolic x has no lowest
+    levels on the infinite chain and is refused.  Each chain, a D+(k),
+    takes the law where _chain_bracket certifies it in the chain's states,
+    else its values are bisected whole (_bisect), which a chain longer
+    than dstebz counts (_BISECT_MAX) refuses by name.
+    """
+    if count < 0:
+        raise InvalidParams(f"eigenvalue count must be nonnegative (got {count})")
     if x.cm != x.cp or complex(x.c0).imag or complex(x.cm).imag:
         raise InvalidParams(f"operator is not real symmetric: {x}")
     c0, c = x.c0.real, x.cm.real
     if not c0 > 2.0 * abs(c):
         raise InvalidParams(f"h = {c0:g} K0 + {c:g} (K+ + K-) is bounded below only for mu > 0")
+    # LAPACK reads finite bands; |c| K+ <= c0 (K0 + 1/2) / 2 is finite with c0 K0
     k0_max = _k0_max(realization, realization.dim)
     if c0 * k0_max == math.inf:
         raise InvalidParams(f"h's diagonal overflows (c0 = {c0:g}, K0 up to {k0_max:g})")
-    return c0, c
-
-
-def _chain_levels(c0: float, c: float, realization: RealizationMatrices, ch: int,
-                  n_states: int, want: int) -> np.ndarray:
-    """The lowest `want` levels of elliptic c0 K0 + c (Km + Kp) on chain ch
-    (n_states states): the law where _chain_bracket certifies it, else the
-    chain's values bisected whole."""
-    law = _chain_bracket(c0, c, realization.weights[ch], n_states, want)
-    if law is not None:
-        return law
-    k0, kp = realization.bands(ch, n_states)
-    return _bisect(c0 * k0, c * kp, want)
-
-
-def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
-              count: int) -> np.ndarray:
-    """The lowest `count` eigenvalues (ascending) of the real symmetric,
-    elliptic x (_elliptic) on the realization, chain by chain, certified.
-    A count above the dimension yields all; zero none."""
-    if count < 0:
-        raise InvalidParams(f"eigenvalue count must be nonnegative (got {count})")
-    c0, c = _elliptic(x, realization)
     count = min(count, realization.dim)
     if count == 0:
         return np.empty(0)
-    w = [_chain_levels(c0, c, realization, ch, m, min(count, m))
-         for ch, m in enumerate(realization.lengths())]
+    w = []
+    # chain c starts at state c: the first dim chains are those with states
+    for ch, m in enumerate(realization.lengths()[:realization.dim]):
+        k, want = realization.weights[ch], min(count, m)
+        law = _chain_bracket(c0, c, k, m, want)
+        if law is None:
+            if m > _BISECT_MAX:
+                raise InvalidParams(f"h's levels on the chain of lowest weight k = {k:g}, "
+                                    f"{m} of the N = {realization.dim} states, take no "
+                                    f"certified law, and the bisection takes at most "
+                                    f"{_BISECT_MAX} states")
+            k0, kp = realization.bands(ch, m)
+            law = _bisect(c0 * k0, c * kp, want)
+        w.append(law)
     return np.sort(np.concatenate(w), kind="stable")[:count]
 
 
@@ -360,9 +368,13 @@ def _chain_root(plan: tuple[bool, float, float, int | None],
     states) by its block's plan (_root_plan): S[:rows] M S[:cols] with
     S = e^{q k0 / 2}, G a running product of the chain's K+ band
     (_ladder_exp) and M = G G^T (normal: a finite sum over k <= min(i, j))
-    or G^T G (antinormal: a series over k >= max(i, j), cut `count` states
-    past the block).  No sum cancels.  An entry out of range is inf, never
-    NaN.  At p = 0 (every z = 0) the block is diag(e^{q k0})."""
+    or G^T G (antinormal: a series over k >= max(i, j) whose terms shrink
+    like (p^2 e^q)^k, cut `count` states past the block; where the count
+    does not fit, the block is inf, not a number that depends on N).
+    For fixed (i, j) every term carries the same sign, so nothing cancels
+    (exponentiating A through its eigensystem instead loses the far
+    entries once the eigenvalue spread is large).  An entry out of range
+    is inf, never NaN.  At p = 0 (every z = 0) the block is diag(e^{q k0})."""
     antinormal, q, coeff, count = plan
     size = max(rows, cols)
     if count is None:
@@ -419,11 +431,15 @@ def _chain_norms(pairs) -> np.ndarray:
 
 def _relative_residuals(names, chain_norms) -> dict[str, float]:
     """{name: |lhs - rhs| / |lhs|} of the products `names` from each chain's
-    _chain_norms (a product's norm is its chains' largest).  It bounds the
-    symmetric r = |lhs - rhs| / max(|lhs|, |rhs|) from above, and barely:
-    r <= r' <= r / (1 - r), from two norms per product.  A vanishing lhs
-    reads inf: h rho, zeta_+ H and rho O never vanish in exact arithmetic,
-    so a zero block underflowed, and a check comparing nothing must fail."""
+    _chain_norms.  Every product is block-diagonal over the chains: rho and
+    zeta_+ are formed chain by chain, and K0 and K+- keep each state on its
+    chain, so a product's norm is exactly the largest of its chains'.  This
+    bounds the symmetric r = |lhs - rhs| / max(|lhs|, |rhs|) from above,
+    and barely: |rhs| <= |lhs| + |lhs - rhs| gives r <= r' <= r / (1 - r),
+    so at rounding-level residuals no printed digit moves, and it takes two
+    norms per product, not three.  A vanishing lhs reads inf: h rho,
+    zeta_+ H and rho O never vanish in exact arithmetic, so a zero block
+    underflowed, and a check comparing nothing must fail."""
     norms = np.max(chain_norms, axis=0).reshape(-1, 2).tolist()
     return {name: d / base if base > 0.0 and math.isfinite(d + base) else math.inf
             for name, (d, base) in zip(names, norms)}
@@ -472,7 +488,7 @@ def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
     t = trusted
     r = min(t + realization.band, n)
     h_coeffs = AlgebraElement(sol.c0, sol.c, sol.c)
-    c0, c = _elliptic(h_coeffs, realization)
+    spectrum = _low_eigs(h_coeffs, realization, SPECTRUM_COUNT)
     y = AlgebraElement(2.0 * sol.u, 2.0 * sol.v, 2.0 * sol.w)
     plans = [_root_plan(sol, realization, sign, r, r) for sign in (1, 2)]
 
@@ -482,11 +498,10 @@ def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
     h_t, o_t = (AlgebraElement(x.c0, x.cp, x.cm) for x in (h_mat, o_mat))
     ops = (h_coeffs, h_t, h_t, h_t, o_t, o_mat)
     six = AlgebraElement(*np.array([(x.c0, x.cm, x.cp) for x in ops]).T[..., None, None])
-    levels, rhos, zetas, norms = [], [], [], []
+    rhos, zetas, norms = [], [], []
     # an inf block gives inf * 0 = NaN in the products, which read inf
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for ch, (n_c, r_c, t_c) in enumerate(zip(*map(realization.lengths, (n, r, t)))):
-            levels.append(_chain_levels(c0, c, realization, ch, n_c, min(SPECTRUM_COUNT, n_c)))
             rho, zeta = (_chain_root(plan, realization, ch, n_c, r_c, r_c) for plan in plans)
             rhos.append(rho)
             zetas.append(zeta)
@@ -506,5 +521,4 @@ def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
 
     return OperatorBundle(solution=sol, realization=realization, trusted=t,
                           rho=_interleave(rhos, r, r), zeta_plus=_interleave(zetas, r, r),
-                          residuals=residuals, spectrum_h=np.sort(
-                              np.concatenate(levels), kind="stable")[:SPECTRUM_COUNT])
+                          residuals=residuals, spectrum_h=spectrum)

@@ -453,6 +453,14 @@ class TestNonFiniteInputs:
         pytest.param(("verify", *BASE, "--z", "0.4", "--size", str(10 ** 200)),
                      f"K+ overflows the doubles at lowest weight k = 0.25, N = {10 ** 200}",
                      id="size 10^200"),
+        # k past 1 / eps, which the harmonic law never certifies, on a chain
+        # too long for the bisection: numpy's "Maximum allowed size
+        # exceeded" ValueError traceback (exit 1) from forming its bands
+        pytest.param(("verify", *BASE, "--z", "0.4", "--realization", "discrete:k=1e17",
+                      "--size", str(10 ** 20)),
+                     f"h's levels on the chain of lowest weight k = 1e+17, {10 ** 20} of "
+                     f"the N = {10 ** 20} states, take no certified law, and the bisection "
+                     "takes at most 2147483647 states", id="k 1e17 size 10^20"),
     ])
     def test_refused_by_name(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -66,6 +66,10 @@ CASES = (
      "--realization", "conformal:k=1e306,c=1"],
     ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--z", "0.4",
      "--realization", "multiboson:l=2,residues=0.25,1e306"],
+    # a chain that the harmonic law does not certify and the bisection
+    # cannot take ended in a ValueError traceback
+    ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
+     "--realization", "discrete:k=1e17", "--size", str(10 ** 20)],
 )
 
 extreme = st.one_of(st.sampled_from(EXTREMES), st.floats(-2.0, 2.0),
