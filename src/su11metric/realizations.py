@@ -1,15 +1,16 @@
 """Truncated matrix realizations of the su(1,1) generators.
 
-Every realization is a direct sum of discrete series: on state j of chain
-c, a D+(k_c), K0 = j + k_c and K+ = sqrt((j + 1)(j + 2 k_c)) leads to
-state j + 1 (oscillator_full alone forms K+ as the boson product a'a'/2,
-within 2 ulp).  K0 and K+- keep every state on its chain, so operators
-are worked one chain at a time: a realization stores only its weights and
-size, gives a chain's leading bands on demand, and `apply` acts on a
-chain's states by unit shifts.  The N states of the basis (--size)
-interleave the chains, state m on chain m mod band (lengths, _interleave).
-Truncation corrupts operator products only at the top of each chain, so
-the commutation relations hold to rounding on the leading dim - band.
+Every realization is a direct sum of discrete series: on state j of
+chain c, a D+(k_c), K0 = j + k_c and K+ = sqrt((j + 1)(j + 2 k_c)) leads
+to state j + 1.  A realization enters only through its weights k_c; its
+kind is only a label.  K0 and K+- keep every state on its chain, so
+operators are worked one chain at a time: a realization stores only its
+weights and size, gives a chain's leading bands on demand, and `apply`
+acts on a chain's states by unit shifts.  The N states of the basis
+(--size) interleave the chains, state m on chain m mod band (lengths,
+_interleave).  Truncation corrupts operator products only at the top of
+each chain, so the commutation relations hold to rounding on the leading
+dim - band.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ class RealizationMatrices:
     def bands(self, c: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """K0 and K+ (state j to j + 1: m - 1) on chain c's leading m states."""
         k, j = self.weights[c], np.arange(float(m))
-        if self.kind == "oscillator:parity=full":
-            # the boson product at Fock state 2j + c, within 2 ulp of the chain's
-            f = 2.0 * j[:-1] + c
-            return j + k, 0.5 * (np.sqrt(f + 1.0) * np.sqrt(f + 2.0))
         return j + k, np.sqrt((j[:-1] + 1.0) * (j[:-1] + 2.0 * k))
 
 
@@ -114,7 +111,9 @@ def discrete_series(k: float, n: int) -> RealizationMatrices:
 
 
 def oscillator_full(n: int) -> RealizationMatrices:
-    """One-boson realization K0 = (a'a + 1/2)/2, Kp = a'a'/2, Km = aa/2."""
+    """One-boson realization K0 = (a'a + 1/2)/2, Kp = a'a'/2, Km = aa/2: Fock
+    state 2j + c is state j of D+((2c + 1)/4), as sqrt((2j + c + 1)(2j + c +
+    2))/2 = sqrt((j + 1)(j + (2c + 1)/2))."""
     if n < 4:
         raise InvalidParams(f"dimension must be at least 4 (got {n})")
     return _chains((0.25, 0.75), n, "oscillator:parity=full")

@@ -461,6 +461,27 @@ class TestNonFiniteInputs:
                      f"h's levels on the chain of lowest weight k = 1e+17, {10 ** 20} of "
                      f"the N = {10 ** 20} states, take no certified law, and the bisection "
                      "takes at most 2147483647 states", id="k 1e17 size 10^20"),
+        # refusals of a realization's descriptor, a count and a config flag
+        (("verify", *BASE, "--realization", "oscillator", "--size", "3", "--trusted", "2"),
+         "dimension must be at least 4 (got 3)"),
+        (("verify", *BASE, "--realization", "oscillator:parity=up"),
+         "parity must be 'even' or 'odd' (got 'up')"),
+        (("verify", *BASE, "--realization", "oscillator:parity=even", "--size", "3",
+          "--trusted", "2"), "dimension must be at least 4 (got 3)"),
+        (("verify", *BASE, "--realization", "multiboson:l=0,residues=0.25"),
+         "period l must be a positive integer (got 0)"),
+        (("verify", *BASE, "--realization", "multiboson:l=2,residues=0.25"),
+         "need exactly l = 2 residue values (got 1)"),
+        (("verify", *BASE, "--realization", "multiboson:l=3,residues=0.25,0.5,0.75",
+          "--size", "4", "--trusted", "2"), "dimension must exceed l + 1 (got 4)"),
+        (("verify", *BASE, "--realization", "discrete:0.25"),
+         "malformed realization descriptor 'discrete:0.25'"),
+        (("verify", *BASE, "--realization", "discrete:k=0.25,0.5"),
+         "descriptor key 'k' takes one value"),
+        (("verify", *BASE, "--realization", "multiboson:l=2"),
+         "multiboson descriptor needs residues=..."),
+        (("spectrum", *BASE, "--count", "0"), "count must be at least 1"),
+        (("verify", *BASE, "--config"), "--config needs a file path"),
     ])
     def test_refused_by_name(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -14,7 +14,9 @@ computation carry a tolerance:
   there a level that moves at rounding level can flip a digit and fail;
 - pdm rel_error within REL_ERROR_ABS absolute.
 
-regen_golden.py rewrites the file and lists the cells that moved.
+regen_golden.py rewrites the file and lists the cells that moved.  The
+closed-form records (disentangle and spectrum) are also held against
+oracles that share no code with the program, to the 12 printed digits.
 """
 
 import contextlib
@@ -24,8 +26,11 @@ import math
 import re
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
+from oracles import exp_defining, gauss_decompose
+from su11metric import AlgebraElement
 from su11metric.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -110,6 +115,65 @@ RECORDS = json.loads(GOLDEN.read_text(encoding="utf-8"))
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: " ".join(r["argv"]))
 def test_matches_golden(record):
     assert moved(record, *run(record["argv"])) == []
+
+
+def _oracle(argv):
+    """{name: value} of a closed-form call from its oracle: disentangle's
+    factors from the 2x2 group element exp(2 eps K0 + 2 eta Km + 2
+    conj(eta) Kp) in closed form, Gauss-factored on each pivot, and
+    spectrum's levels 2 sqrt(omega^2 - 4 alpha beta) (n + k) to 50 digits
+    (k = 0.25 and five levels unless given)."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] == "disentangle":
+        eps = float(flags["--epsilon"])
+        eta = complex(float(flags["--eta"]), float(flags.get("--eta-im", 0.0)))
+        m = exp_defining(AlgebraElement(2.0 * eps, 2.0 * eta, 2.0 * eta.conjugate()))
+        normal, anti = gauss_decompose(m, "normal"), gauss_decompose(m, "antinormal")
+        return {"epsilon": eps, "eta": eta, "p": normal.p, "q": normal.q, "r": normal.r,
+                "r_prime": anti.r, "q_prime": anti.q, "p_prime": anti.p}
+    with mp.workdps(50):
+        w, a, b, k = (mp.mpf(float(flags.get(f, d))) for f, d in (
+            ("--omega", None), ("--alpha", None), ("--beta", None), ("--k", 0.25)))
+        freq = 2 * mp.sqrt(w * w - 4 * a * b)
+        return {f"e{n}": complex(freq * (n + k)) for n in range(int(flags.get("--count", 5)))}
+
+
+def _printed_as(text, want):
+    """Whether text, each part printed to 12 significant digits, is want
+    rounded there: within half a unit of its last digit, and of the rounding
+    of a double (1e-15 of |want|)."""
+    got, want = complex(text), complex(want)
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        half = 0.5 * 10.0 ** (math.floor(math.log10(abs(g))) - 11) if g else 0.0
+        if not abs(g - w) <= half + 1e-15 * abs(want):
+            return False
+    return True
+
+
+CLOSED_FORMS = [r for r in RECORDS if r["argv"][0] in ("disentangle", "spectrum")
+                and r["code"] == 0]
+
+
+@pytest.mark.parametrize("record", CLOSED_FORMS, ids=lambda r: " ".join(r["argv"]))
+def test_closed_forms_match_oracles(record):
+    argv = record["argv"]
+    csv = "--output" in argv and argv[argv.index("--output") + 1] == "csv"
+    want = _oracle(argv)
+    for stdout in (record["stdout"], run(argv)[1]):
+        lines = stdout.splitlines()[1:] if csv else stdout.splitlines()
+        got = dict(line.split("," if csv else None, 1) for line in lines)
+        assert list(got) == list(want)
+        bad = {name: (text.strip(), want[name]) for name, text in got.items()
+               if not _printed_as(text.strip(), want[name])}
+        assert bad == {}
+
+
+def test_oracle_check_rejects_a_changed_digit():
+    assert _printed_as("0.479583152331", 0.4795831523312719)
+    assert _printed_as("0.387138204716-0.774276409432j", 0.3871382047156 - 0.7742764094324j)
+    assert _printed_as("1.30428978498", 1.304289784980001 + 1e-17j)
+    for text in ("0.479583152332", "0.47958315233", "0.479583152331+1e-12j"):
+        assert not _printed_as(text, 0.4795831523312719)
 
 
 def test_tolerances_reject_a_changed_digit():
