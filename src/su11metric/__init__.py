@@ -14,9 +14,8 @@ from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
                      Su11MetricError, TrigRegime, TruncationTooSmall,
                      ZOutOfDomain)
 from .metric import (MetricSolution, SwansonParams, commuting_observable,
-                     conjugated_coeffs, is_admissible, solve_metric,
-                     spectrum_prediction, swanson_element, validate_params,
-                     z_domain)
+                     is_admissible, solve_metric, spectrum_prediction,
+                     swanson_element, z_domain)
 
 
 def __getattr__(name):
@@ -36,8 +35,7 @@ __all__ = [
     "Su11MetricError", "InvalidParams", "TrigRegime", "DecompositionSingular",
     "ZOutOfDomain", "NoConvergence", "TruncationTooSmall",
     "MetricSolution", "SwansonParams", "commuting_observable",
-    "conjugated_coeffs", "is_admissible", "solve_metric", "swanson_element",
-    "validate_params", "z_domain",
+    "is_admissible", "solve_metric", "swanson_element", "z_domain",
     "RealizationMatrices", "conformal", "discrete_series", "from_descriptor",
     "multiboson", "oscillator_full", "oscillator_sector", "radial",
     "OperatorBundle", "build_bundle", "materialize_metric_root",

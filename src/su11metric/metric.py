@@ -69,13 +69,6 @@ class MetricSolution(NamedTuple):
     gap: float
 
 
-def validate_params(p: SwansonParams) -> SwansonParams:
-    """The parameters unchanged when they keep the spectrum real and the
-    family nontrivial: the checks of p that open _exact."""
-    _exact(p)
-    return p
-
-
 def swanson_element(p: SwansonParams) -> AlgebraElement:
     """H as an algebra element: (2*omega, 2*alpha, 2*beta)."""
     return AlgebraElement(2.0 * p.omega, 2.0 * p.alpha, 2.0 * p.beta)
@@ -182,17 +175,6 @@ def z_domain(p: SwansonParams) -> list[tuple[float, float]]:
     return [iv for iv in ((-1.0, min(z1, 1.0)), (max(z2, -1.0), 1.0)) if iv[0] < iv[1]]
 
 
-def conjugated_coeffs(p: SwansonParams, epsilon: float,
-                      eta: complex) -> tuple[complex, complex, complex]:
-    """(U, V, W) with rho H rho^{-1} = 2U K0 + 2V Km + 2W Kp.
-
-    The adjoint action of rho on (omega, alpha, beta) at any (eps, eta); at
-    a solve_metric record's (epsilon, eta) U is real and W equals V.
-    """
-    _exact(p)
-    return _mat_vec(adjoint_matrix(epsilon, eta), (p.omega, p.alpha, p.beta))
-
-
 def _weights(p: SwansonParams, z: float, exact: tuple) -> tuple[float, float, float, float]:
     """(mu, nu, c0, c) of h = c0 K0 + c (Km + Kp), c0 = (nu + mu omega^2)/omega,
     at every admissible z, |z| = 1 included, from _admissible(p, z)'s gap,
@@ -261,7 +243,7 @@ def solve_metric(p: SwansonParams, z: float) -> MetricSolution:
     eta = z * eps / 2.0
     theta = abs(eps) * math.sqrt(exact[2])  # |eps| sqrt(1 - z^2)
     mu, nu, c0, c = _weights(p, z, exact)
-    u, v, w = _mat_vec(adjoint_matrix(eps, eta), p)  # conjugated_coeffs
+    u, v, w = _mat_vec(adjoint_matrix(eps, eta), p)  # rho's adjoint action on p
     return MetricSolution(params=p, z=z, epsilon=eps, eta=eta, theta=theta,
                           mu=mu, nu=nu, lambda_base=lam,
                           u=u.real, v=v.real, w=w.real, c0=c0, c=c, gap=exact[0])

@@ -124,6 +124,9 @@ def validate_config(cfg: PdmConfig) -> PdmConfig:
     # the largest grid terms are e^(2 s |x|) over dx^2 (the flux weights)
     # and over (2 s)^2 (the well); refuse before any exp overflows
     dx = (cfg.x_max - cfg.x_min) / (cfg.points + 1)
+    if not dx > 0.0:
+        raise InvalidParams(f"grid spacing (x_max - x_min) / (points + 1) rounds to 0 "
+                            f"(x_min = {cfg.x_min:g}, x_max = {cfg.x_max:g})")
     reach = 2.0 * cfg.s * max(abs(cfg.x_min), abs(cfg.x_max))
     if reach + max(0.0, -2.0 * math.log(dx), -2.0 * math.log(2.0 * cfg.s)) >= LOG_MAX:
         raise InvalidParams(f"grid terms overflow (2 s max|x| = {reach:g}, "

@@ -13,8 +13,9 @@ build_bundle works one chain at a time and nothing it does grows with N:
 h's levels from the certified harmonic law (_chain_bracket, or LAPACK's
 bisection of a chain it cannot certify, _bisect), the chain's blocks of
 rho and zeta_+ (_chain_root), H, h and O on them as unit shifts
-(realizations.apply), and one SVD for the chain's norms.  The chain
-blocks are interleaved into the basis only for output.  A metric block
+(realizations.apply), and one SVD for the chain's norms.  The bundle
+keeps no metric block: materialize_metric_root, which forms the same
+chain blocks, alone interleaves them into the basis.  A metric block
 that does not exist in the basis (a divergent series, zeta_+ at z =
 2 beta / omega) is inf, as are the residuals that read it.  The rule is
 per entry and strict: a block whose tail bound does not fit in the N
@@ -45,15 +46,14 @@ SPECTRUM_COUNT = 5   # h's levels in a bundle: e0 to e4, as verify and sweep pri
 
 @dataclass
 class OperatorBundle:
-    """The residuals, h's spectrum and the metric blocks they read: with
-    R = trusted + band (at most N), the leading R x R of rho = exp(A) and
-    zeta_+ = exp(2A), inf on a chain where its elements do not exist."""
+    """The residuals and h's spectrum at one (p, z) and realization.  The
+    residuals read the leading R x R blocks of rho = exp(A) and zeta_+ =
+    exp(2A), R = trusted + band (at most N); materialize_metric_root(
+    solution, realization, sign, rows=R), sign = 1, 2, gives them."""
 
     solution: MetricSolution
     realization: RealizationMatrices
     trusted: int
-    rho: np.ndarray
-    zeta_plus: np.ndarray
     residuals: dict[str, float]
     spectrum_h: np.ndarray
 
@@ -410,8 +410,8 @@ def materialize_metric_root(sol: MetricSolution, realization: RealizationMatrice
     read them) take their own tail count, else run to the N states."""
     rows = min(rows, realization.dim)
     cols = rows if cols is None else min(cols, realization.dim)
-    plan = _root_plan(sol, realization, sign, rows, cols)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        plan = _root_plan(sol, realization, sign, rows, cols)
         blocks = [_chain_root(plan, realization, ch, *shape) for ch, shape in enumerate(
             zip(*map(realization.lengths, (realization.dim, rows, cols))))]
     return _interleave(blocks, rows, cols)
@@ -490,7 +490,6 @@ def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
     h_coeffs = AlgebraElement(sol.c0, sol.c, sol.c)
     spectrum = _low_eigs(h_coeffs, realization, SPECTRUM_COUNT)
     y = AlgebraElement(2.0 * sol.u, 2.0 * sol.v, 2.0 * sol.w)
-    plans = [_root_plan(sol, realization, sign, r, r) for sign in (1, 2)]
 
     # h rho, (rho H)^T, (zeta H)^T, H^T zeta, (rho O)^T and O rho in one
     # call; a right product B X is (X^T B^T)^T, X^T swapping cm and cp
@@ -498,13 +497,13 @@ def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
     h_t, o_t = (AlgebraElement(x.c0, x.cp, x.cm) for x in (h_mat, o_mat))
     ops = (h_coeffs, h_t, h_t, h_t, o_t, o_mat)
     six = AlgebraElement(*np.array([(x.c0, x.cm, x.cp) for x in ops]).T[..., None, None])
-    rhos, zetas, norms = [], [], []
-    # an inf block gives inf * 0 = NaN in the products, which read inf
+    norms = []
+    # an inf block gives inf * 0 = NaN in the products, which read inf; a
+    # tail ratio past the doubles is no count (_tail_count)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        plans = [_root_plan(sol, realization, sign, r, r) for sign in (1, 2)]
         for ch, (n_c, r_c, t_c) in enumerate(zip(*map(realization.lengths, (n, r, t)))):
             rho, zeta = (_chain_root(plan, realization, ch, n_c, r_c, r_c) for plan in plans)
-            rhos.append(rho)
-            zetas.append(zeta)
             if t_c:
                 prod = apply(six, *realization.bands(ch, r_c), np.stack((
                     rho[:, :t_c], rho[:t_c].T, zeta[:t_c].T, zeta[:, :t_c],
@@ -520,5 +519,4 @@ def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
     }
 
     return OperatorBundle(solution=sol, realization=realization, trusted=t,
-                          rho=_interleave(rhos, r, r), zeta_plus=_interleave(zetas, r, r),
                           residuals=residuals, spectrum_h=spectrum)

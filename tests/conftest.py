@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from su11metric import SwansonParams, build_bundle, discrete_series, solve_metric
+from su11metric import (SwansonParams, build_bundle, discrete_series,
+                        materialize_metric_root, solve_metric)
 from su11metric.realizations import apply
 
 
@@ -25,6 +26,13 @@ def bundles():
         return cache[key]
 
     return get
+
+
+def metric_block(bundle, sign):
+    """The leading R x R block of rho^sign (rho, zeta_+ for sign 1, 2) that
+    the bundle's residuals read, R = trusted + band (at most N)."""
+    return materialize_metric_root(bundle.solution, bundle.realization, sign,
+                                   rows=bundle.trusted + bundle.realization.band)
 
 
 def spectral_norm(m):

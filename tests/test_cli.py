@@ -816,11 +816,11 @@ class TestPublicApi:
             "SwansonParams", "TrigRegime", "TruncationTooSmall",
             "ZOutOfDomain", "__version__", "adjoint_matrix", "build_bundle",
             "commuting_observable", "conformal", "conjugate",
-            "conjugated_coeffs", "discrete_series", "disentangle_closed_form",
+            "discrete_series", "disentangle_closed_form",
             "from_descriptor", "is_admissible", "materialize_metric_root",
             "multiboson", "oscillator_full", "oscillator_sector", "radial",
             "solve_metric", "spectrum_prediction", "swanson_element",
-            "validate_params", "z_domain"]
+            "z_domain"]
         for name in su11metric.__all__:
             assert hasattr(su11metric, name), name
 

@@ -32,8 +32,12 @@ ORDINARY = dict(
     epsilon=(1.0, -0.5, 1e-5, 720.0), eta=(0.25, 0.0, -0.1, 1e-6), k=(0.25, 0.75, 1e3),
     s=(0.5, 1.0, 0.1), tau=(3.0, -1.0, 10.0), x_min=(-4.0, -8.0, 0.0), x_max=(14.0, 8.0, 40.0))
 ORDINARY.update(eta_im=ORDINARY["eta"], z_from=ORDINARY["z"], z_to=(0.8, 0.0, -0.4, 1.0))
+# lowest weights where the tail ratio of rho's or zeta_+'s antinormal
+# series overflows
+LARGE_WEIGHTS = ("discrete:k=1e200", "radial:L=1e300")
 REALIZATIONS = ("discrete:k=0.25", "oscillator:parity=even", "oscillator",
-                "multiboson:l=2,residues=0.25,0.75", "radial:L=1", "conformal:k=0.75,c=1")
+                "multiboson:l=2,residues=0.25,0.75", "radial:L=1", "conformal:k=0.75,c=1",
+                *LARGE_WEIGHTS)
 
 # the first four broke the contract until they were refused by name; the
 # other six were closed before this test
@@ -70,6 +74,19 @@ CASES = (
     # cannot take ended in a ValueError traceback
     ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
      "--realization", "discrete:k=1e17", "--size", str(10 ** 20)],
+    # a grid spacing that rounds to 0 ended in a math domain error
+    ["pdm", "--omega=1.0", "--alpha=0.2", "--beta=0.1", "--x-min=0.0", "--x-max=5e-324"],
+    # the tail ratio of rho's or zeta_+'s antinormal series overflowed at
+    # a lowest weight near 1e200 or past it: an overflow RuntimeWarning
+    ["verify", "--omega", "1.2159065503692066", "--alpha", "-0.999999",
+     "--beta", "-0.21333401110092254", "--z=0.25", "--size", "60", "--trusted", "17",
+     "--realization", "discrete:k=1e200"],
+    ["verify", "--omega", "12", "--alpha", "2.564548359334296",
+     "--beta", "0.3212081074398565", "--z=-0.999999", "--size", "200", "--trusted", "43",
+     "--realization", "radial:L=1e300"],
+    ["sweep", "--omega", "1", "--alpha", "0.7752315883458998", "--beta", "1e-300",
+     "--z-from=1e-300", "--z-to=-0.999999", "--steps", "1", "--size", "5",
+     "--trusted", "4", "--realization", "radial:L=1e300"],
 )
 
 extreme = st.one_of(st.sampled_from(EXTREMES), st.floats(-2.0, 2.0),
@@ -98,6 +115,19 @@ MATRIX = dict(size=st.integers(2, 60), trusted=st.integers(1, 40),
               realization=st.sampled_from(REALIZATIONS))
 OUTPUT = dict(output=st.sampled_from(("table", "csv")))
 
+
+def ordinary(names, realizations):
+    """verify or sweep flags from ordinary values alone and 2 <= trusted <
+    size, so that nearly every call passes its input checks and reaches
+    the metric blocks."""
+    matrix = st.integers(3, 60).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(2, n - 1), st.sampled_from(realizations)))
+    return st.tuples(st.fixed_dictionaries({k: st.sampled_from(ORDINARY[k]) for k in names}),
+                     matrix).map(lambda t: [
+        *(f"--{k.replace('_', '-')}={v!r}" for k, v in t[0].items()),
+        f"--size={t[1][0]}", f"--trusted={t[1][1]}", f"--realization={t[1][2]}"])
+
+
 ARGV = st.one_of(
     flags(PARAMS).map(lambda f: ["validate", *f]),
     flags(("epsilon", "eta"), "eta_im", **OUTPUT).map(lambda f: ["disentangle", *f]),
@@ -108,6 +138,11 @@ ARGV = st.one_of(
         lambda t: ["sweep", *t[0], f"--steps={t[1]}"]),
     flags(PARAMS, "z", "s", "tau", "x_min", "x_max", points=st.integers(400, 800),
           **OUTPUT).map(lambda f: ["pdm", *f]),
+    # verify and sweep at the large weights, where the ordinary values of z
+    # give both metric orderings, eps > 0 (antinormal) and eps < 0 (normal)
+    ordinary((*PARAMS, "z"), LARGE_WEIGHTS).map(lambda f: ["verify", *f]),
+    st.tuples(ordinary((*PARAMS, "z_from", "z_to"), LARGE_WEIGHTS), st.integers(1, 3)).map(
+        lambda t: ["sweep", *t[0], f"--steps={t[1]}"]),
 )
 
 

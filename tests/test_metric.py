@@ -7,10 +7,9 @@ import pytest
 
 from su11metric import (AlgebraElement, InvalidParams, MetricSolution,
                         SwansonParams, ZOutOfDomain, adjoint_matrix, build_bundle,
-                        commuting_observable, conjugate, conjugated_coeffs,
-                        discrete_series, is_admissible, metric, solve_metric,
-                        spectrum_prediction, swanson_element, validate_params,
-                        z_domain)
+                        commuting_observable, conjugate, discrete_series,
+                        is_admissible, metric, solve_metric, spectrum_prediction,
+                        swanson_element, z_domain)
 
 from su11metric import cli, core, pdm, verification
 
@@ -27,6 +26,7 @@ RECORD_READINGS = {
     "hermitian_equivalent": lambda sol: AlgebraElement(sol.c0, sol.c, sol.c),
     "metric_exponent": lambda sol: AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta,
                                                   2.0 * sol.eta),
+    "conjugated_coeffs": lambda sol: (sol.u, sol.v, sol.w),
 }
 
 
@@ -94,21 +94,35 @@ class TestRecords:
             solve_metric(P, 0.4).epsilon = 0.0
 
 
+# the public entry points that take p, each at a z and k that it accepts
+# for P; each checks p first and refuses a bad p with the same error
+CHECKS_P = (lambda p: solve_metric(p, 0.0), lambda p: is_admissible(p, 0.0), z_domain,
+            lambda p: spectrum_prediction(p, 0.25, 1))
+
+
 class TestValidateParams:
+    """The checks of p, which open every public entry point that takes it."""
+
     def test_valid(self):
-        assert validate_params(P) is P
+        assert solve_metric(P, 0.0).params is P
+        assert is_admissible(P, 0.0)
+        for check in CHECKS_P:
+            check(P)
 
     def test_equal_couplings(self):
-        with pytest.raises(InvalidParams, match="alpha and beta"):
-            validate_params(SwansonParams(1.0, 0.3, 0.3))
+        for check in CHECKS_P:
+            with pytest.raises(InvalidParams, match="alpha and beta"):
+                check(SwansonParams(1.0, 0.3, 0.3))
 
     def test_gap_violation(self):
-        with pytest.raises(InvalidParams, match="4\\*alpha\\*beta"):
-            validate_params(SwansonParams(1.0, 2.0, 2.5))
+        for check in CHECKS_P:
+            with pytest.raises(InvalidParams, match="4\\*alpha\\*beta"):
+                check(SwansonParams(1.0, 2.0, 2.5))
 
     def test_nonpositive_omega(self):
-        with pytest.raises(InvalidParams, match="omega"):
-            validate_params(SwansonParams(-1.0, 0.2, 0.1))
+        for check in CHECKS_P:
+            with pytest.raises(InvalidParams, match="omega"):
+                check(SwansonParams(-1.0, 0.2, 0.1))
 
 
 class TestZDomain:
@@ -217,8 +231,9 @@ class TestOneGate:
             with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
                 f(tiny_p, 1.0)
         assert is_admissible(tiny_p, 0.5)
-        with pytest.raises(InvalidParams, match=r"^omega\^2 - 4\*alpha\*beta is nonzero"):
-            validate_params(SwansonParams(2.0 ** -540, 2.0 ** -600, 2.0 ** -601))
+        for check in CHECKS_P:
+            with pytest.raises(InvalidParams, match=r"^omega\^2 - 4\*alpha\*beta is nonzero"):
+                check(SwansonParams(2.0 ** -540, 2.0 ** -600, 2.0 ** -601))
 
     @pytest.mark.parametrize("z", [2.0, -1.5, float("nan"), float("inf")])
     def test_z_off_the_range(self, z):
@@ -320,32 +335,42 @@ class TestSolveEpsilon:
                 assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
+def _halved_conjugate(p, eps, eta):
+    """(U, V, W) of rho H rho^{-1} = 2U K0 + 2V Km + 2W Kp at any (eps, eta):
+    core.conjugate of A = (2 eps, 2 eta, 2 eta) on H, halved exactly."""
+    y = conjugate(AlgebraElement(2.0 * eps, 2.0 * eta, 2.0 * eta), swanson_element(p))
+    return y.c0 / 2.0, y.cm / 2.0, y.cp / 2.0
+
+
 class TestConjugatedCoeffs:
+    """rho's adjoint action on H: the record's (u, v, w) at its solved
+    (eps, eta), core.conjugate at any other."""
+
     def test_z_zero_values(self):
         eps = solve_metric(P, 0.0).epsilon
-        u, v, w = conjugated_coeffs(P, eps, 0.0)
+        u, v, w = _halved_conjugate(P, eps, 0.0)
         assert abs(u - 1.0) < 1e-14
         assert abs(v - 0.2 * math.exp(-2.0 * eps)) < 1e-14
         assert abs(w - 0.1 * math.exp(2.0 * eps)) < 1e-14
         assert abs(v - math.sqrt(2.0) / 10.0) < 1e-14
 
     def test_identity_transform(self):
-        u, v, w = conjugated_coeffs(P, 0.0, 0.0)
-        assert (u.real, v.real, w.real) == (P.omega, P.alpha, P.beta)
+        u, v, w = _halved_conjugate(P, 0.0, 0.0)
+        assert (u, v, w) == (P.omega, P.alpha, P.beta)
 
     def test_casimir_identity(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             eps = rng.uniform(-1.5, 1.5)
             eta = rng.uniform(-0.49, 0.49) * abs(eps)
-            u, v, w = conjugated_coeffs(P, eps, eta)
+            u, v, w = _halved_conjugate(P, eps, eta)
             target = P.omega ** 2 - 4.0 * P.alpha * P.beta
             assert abs((u * u - 4.0 * v * w) - target) < 1e-10 * target
 
     def test_matches_conjugate(self):
         for z in (-0.7, -0.2, 0.0, 0.5, 0.9):
             sol = solve_metric(P, z)
-            u, v, w = conjugated_coeffs(P, sol.epsilon, sol.eta)
+            u, v, w = sol.u, sol.v, sol.w
             y = conjugate(AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta),
                           swanson_element(P))
             assert abs(y.c0 - 2.0 * u) < 1e-12 * max(1.0, abs(u))
@@ -374,8 +399,10 @@ class TestNumpyOracle:
             draws += 1
             sol = solve_metric(p, z)
             m = np.array(adjoint_matrix(sol.epsilon, sol.eta))
-            assert _bits(conjugated_coeffs(p, sol.epsilon, sol.eta)) \
+            assert _bits(core._mat_vec(adjoint_matrix(sol.epsilon, sol.eta), p)) \
                 == _bits(m @ (omega, alpha, beta)), (p, z)
+            assert _bits((sol.u, sol.v, sol.w)) == _bits((m @ (omega, alpha, beta)).real), \
+                (p, z)
             y = conjugate(AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta),
                           swanson_element(p))
             assert _bits((y.c0, y.cm, y.cp)) \
@@ -414,7 +441,7 @@ class TestMuNu:
     def test_consistency_with_uvw(self):
         sol = solve_metric(P, 0.0)
         mu, nu = sol.mu, sol.nu
-        u, v, _ = conjugated_coeffs(P, sol.epsilon, 0.0)
+        u, v = sol.u, sol.v
         assert abs((nu + mu * P.omega ** 2) / P.omega - 2.0 * u) < 1e-12
         assert abs((nu - mu * P.omega ** 2) / (2.0 * P.omega) - 2.0 * v) < 1e-12
 
@@ -658,7 +685,8 @@ class TestSolveMetric:
             assert _bits([2.0 * sol.u, 2.0 * sol.v, 2.0 * sol.w]) == \
                 _bits([y.c0.real, y.cm.real, y.cp.real]), (p, z)
             assert [y.c0.imag, y.cm.imag, y.cp.imag] == [0.0] * 3, (p, z)
-            coeffs = conjugated_coeffs(p, sol.epsilon, sol.eta)
+            # the imaginary parts that the record's u, v and w drop
+            coeffs = core._mat_vec(adjoint_matrix(sol.epsilon, sol.eta), p)
             assert [x.imag for x in coeffs] == [0.0] * 3, (p, z)
             assert _bits([sol.mu, sol.nu, sol.c0, sol.c]) == \
                 _bits(metric._weights(p, z, metric._admissible(p, z))), (p, z)

@@ -463,6 +463,14 @@ class TestChainLayout:
             lambda node: isinstance(node, ast.Slice) and node.step is not None) \
             == {("realizations.py", "_interleave")}
 
+    def test_interleave_has_one_caller(self):
+        # the bundle keeps no metric block; materialize_metric_root alone
+        # lays chain blocks out in the basis
+        assert _src_functions_where(
+            lambda node: isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_interleave") \
+            == {("verification.py", "materialize_metric_root")}
+
     def test_kind_is_only_displayed(self):
         # a realization's operators come from its chain weights alone; its
         # kind is the label verify prints, and no formula chooses by it

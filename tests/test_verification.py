@@ -15,17 +15,17 @@ from hypothesis import strategies as st
 
 from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         SwansonParams, TruncationTooSmall, ZOutOfDomain,
-                        build_bundle, conjugated_coeffs, discrete_series,
+                        build_bundle, conjugate, discrete_series,
                         disentangle_closed_form, is_admissible,
                         materialize_metric_root, solve_metric,
                         spectrum_prediction, swanson_element, z_domain)
 from su11metric import (commuting_observable, from_descriptor, multiboson,
                         oscillator_full)
-from su11metric import verification
+from su11metric import realizations, verification
 from su11metric.cli import RESIDUAL_TOLS, main
 from su11metric.pdm import PdmConfig, run_pdm_check
 
-from conftest import apply_basis, spectral_norm
+from conftest import apply_basis, metric_block, spectral_norm
 from oracles import (basis_bands, chain_count_mp, chain_spectrum, chain_values,
                      commutator_residuals, exp_raising, exp_symmetric, materialize,
                      metric_block_definite, metric_family_mp,
@@ -722,9 +722,9 @@ class TestBuildBundle:
             scale = math.log(lam) / (4.0 * math.sqrt(1.0 - z * z))
             o_mat = materialize(commuting_observable(z), r)
             alt = exp_symmetric(o_mat, scale)
-            t = b.trusted
-            num = np.linalg.norm(b.rho[:t, :t] - alt[:t, :t], 2)
-            assert num <= 1e-9 * np.linalg.norm(b.rho[:t, :t], 2)
+            t, rho = b.trusted, metric_block(b, 1)
+            num = np.linalg.norm(rho[:t, :t] - alt[:t, :t], 2)
+            assert num <= 1e-9 * np.linalg.norm(rho[:t, :t], 2)
 
     def test_eigvec_certificates(self, bundles):
         # the transported eigenvectors certify the nonsymmetric operator
@@ -759,18 +759,30 @@ class TestBuildBundle:
                 # residuals are already relative to the products' norms
                 assert abs(b.residuals[name] - want) <= 1e-12, (desc, name)
 
-    def test_metric_field_shapes(self):
-        # rho and zeta_+ keep their leading R x R blocks, R = T + band
+    def test_metric_field_shapes(self, monkeypatch):
+        # the bundle keeps no metric block: the leading R x R blocks of rho
+        # and zeta_+ that its residuals read, R = T + band, are
+        # materialize_metric_root's, byte for byte
         t = 30
+        formed, exact = [], verification._chain_root
+        monkeypatch.setattr(verification, "_chain_root",
+                            lambda *args: formed.append(exact(*args)) or formed[-1])
         for desc in ("discrete:k=0.25", "oscillator:parity=full",
                      "multiboson:l=3,residues=0.25,0.5,0.75"):
             r, _ = from_descriptor(desc, 120)
             for z in (-0.4, 0.0, 0.4):
+                formed.clear()
                 b = build_bundle(solve_metric(P, z), r, trusted=t)
-                rows = t + r.band
-                assert b.rho.shape == (rows, rows), (desc, z)
-                assert b.zeta_plus.shape == (rows, rows), (desc, z)
+                assert [f.name for f in dataclasses.fields(b)] == [
+                    "solution", "realization", "trusted", "residuals", "spectrum_h"]
                 assert b.realization is r
+                rows = t + r.band
+                # build_bundle forms chain c's rho and zeta_+ blocks in turn
+                read = [realizations._interleave(formed[sign - 1::2], rows, rows)
+                        for sign in (1, 2)]
+                for sign, block in zip((1, 2), read):
+                    assert block.shape == (rows, rows), (desc, z)
+                    assert metric_block(b, sign).tobytes() == block.tobytes(), (desc, z, sign)
 
     def test_strong_coupling_fields_finite(self):
         # at N = 400 the full rho^{-1} of this point is mostly inf and NaN;
@@ -781,6 +793,9 @@ class TestBuildBundle:
             value = getattr(b, f.name)
             if isinstance(value, np.ndarray):
                 assert np.isfinite(value).all(), f.name
+        # and so are the blocks of rho and zeta_+ that its residuals read
+        for sign in (1, 2):
+            assert np.isfinite(metric_block(b, sign)).all(), sign
 
     def test_eigvec_residuals_inf_not_nan(self):
         # the rows of rho^{-1} overflow here, so no transported vector is
@@ -960,7 +975,7 @@ class TestZetaSeriesWall:
                 b = build_bundle(solve_metric(P, 0.2), discrete_series(0.25, n), trusted=50)
                 rc = main(["verify", "--omega", "1", "--alpha", "0.2",
                            "--beta", "0.1", "--z", "0.2", "--size", str(n)])
-            assert np.isposinf(b.zeta_plus).all(), n
+            assert np.isposinf(metric_block(b, 2)).all(), n
             assert b.residuals["r_quasi"] == np.inf, n
             for name in ("r_intertwine", "r_commute"):
                 assert b.residuals[name] <= RESIDUAL_TOLS[name], (n, name)
@@ -1063,7 +1078,9 @@ class TestCoefficientResiduals:
         # the record's adjoint form at an exponent 1e-4 off
         sol = solve_metric(STRONG, 0.77)
         eps = (1.0 + 1e-4) * sol.epsilon
-        u, v, w = (x.real for x in conjugated_coeffs(STRONG, eps, 0.77 * eps / 2.0))
+        eta = 0.77 * eps / 2.0
+        y = conjugate(AlgebraElement(2.0 * eps, 2.0 * eta, 2.0 * eta), swanson_element(STRONG))
+        u, v, w = (x.real / 2.0 for x in (y.c0, y.cm, y.cp))
         b = build_bundle(sol._replace(u=u, v=v, w=w), discrete_series(0.25, 30), trusted=10)
         assert b.residuals["r_herm"] > RESIDUAL_TOLS["r_herm"]
 
