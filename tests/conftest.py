@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from su11metric import (SwansonParams, build_bundle, discrete_series,
-                        materialize_metric_root, solve_metric)
+from su11metric import (AlgebraElement, SwansonParams, build_bundle, conjugate,
+                        discrete_series, materialize_metric_root, solve_metric,
+                        swanson_element)
 from su11metric.realizations import apply
 
 
@@ -33,6 +34,15 @@ def metric_block(bundle, sign):
     the bundle's residuals read, R = trusted + band (at most N)."""
     return materialize_metric_root(bundle.solution, bundle.realization, sign,
                                    rows=bundle.trusted + bundle.realization.band)
+
+
+def halved_conjugate(p, eps, eta):
+    """(U, V, W) of rho H rho^{-1} = 2U K0 + 2V Km + 2W Kp at any (eps, eta),
+    imaginary parts kept: core.conjugate of A = (2 eps, 2 eta, 2 eta) on H,
+    halved exactly.  At a solve_metric record's (epsilon, eta) the real
+    parts are its (u, v, w)."""
+    y = conjugate(AlgebraElement(2.0 * eps, 2.0 * eta, 2.0 * eta), swanson_element(p))
+    return y.c0 / 2.0, y.cm / 2.0, y.cp / 2.0
 
 
 def spectral_norm(m):

@@ -19,7 +19,7 @@ import su11metric as sm
 from su11metric.cli import SWEEP_COLUMNS, main as cli_main
 from su11metric.pdm import PdmConfig, run_pdm_check
 
-from conftest import metric_block
+from conftest import halved_conjugate, metric_block
 from oracles import (defining_rep, exp_symmetric, materialize,
                      metric_block_definite, radial_k0_lowest,
                      reconstruct_defining, residue_root_of_unity)
@@ -98,19 +98,12 @@ def test_criterion_1_disentanglement_reconstruction():
            f"worst {worst:.2e} over {n_checked} draws, |theta| <= 3")
 
 
-def _conjugated(sol):
-    """(U, V, W), rho H rho^{-1} = 2U K0 + 2V Km + 2W Kp at the record's
-    exponent, from core.conjugate with its imaginary parts."""
-    a = sm.AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta)
-    y = sm.conjugate(a, sm.swanson_element(sol.params))
-    return y.c0 / 2.0, y.cm / 2.0, y.cp / 2.0
-
-
 def test_criterion_2_hermiticity_conditions(coefficient_grid):
     worst_im = worst_wv = 0.0
     for p, zs in coefficient_grid:
         for z in zs:
-            u, v, w = _conjugated(sm.solve_metric(p, z))
+            sol = sm.solve_metric(p, z)
+            u, v, w = halved_conjugate(p, sol.epsilon, sol.eta)
             worst_im = max(worst_im, abs(u.imag))
             worst_wv = max(worst_wv, abs(w - v))
     ok = worst_im <= 1e-10 and worst_wv <= 1e-10
@@ -125,7 +118,7 @@ def test_criterion_3_invariant_products(coefficient_grid):
         for z in zs:
             sol = sm.solve_metric(p, z)
             worst_mn = max(worst_mn, abs(sol.mu * sol.nu - target) / target)
-            u, v, w = _conjugated(sol)
+            u, v, w = halved_conjugate(p, sol.epsilon, sol.eta)
             cas = (u * u - 4.0 * v * w).real
             worst_cas = max(worst_cas, abs(cas - target) / target)
     ok = worst_mn <= 1e-10 and worst_cas <= 1e-10

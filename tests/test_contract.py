@@ -32,12 +32,11 @@ ORDINARY = dict(
     epsilon=(1.0, -0.5, 1e-5, 720.0), eta=(0.25, 0.0, -0.1, 1e-6), k=(0.25, 0.75, 1e3),
     s=(0.5, 1.0, 0.1), tau=(3.0, -1.0, 10.0), x_min=(-4.0, -8.0, 0.0), x_max=(14.0, 8.0, 40.0))
 ORDINARY.update(eta_im=ORDINARY["eta"], z_from=ORDINARY["z"], z_to=(0.8, 0.0, -0.4, 1.0))
-# lowest weights where the tail ratio of rho's or zeta_+'s antinormal
-# series overflows
-LARGE_WEIGHTS = ("discrete:k=1e200", "radial:L=1e300")
+# the last two: lowest weights where the tail ratio of rho's or zeta_+'s
+# antinormal series overflows
 REALIZATIONS = ("discrete:k=0.25", "oscillator:parity=even", "oscillator",
                 "multiboson:l=2,residues=0.25,0.75", "radial:L=1", "conformal:k=0.75,c=1",
-                *LARGE_WEIGHTS)
+                "discrete:k=1e200", "radial:L=1e300")
 
 # the first four broke the contract until they were refused by name; the
 # other six were closed before this test
@@ -116,12 +115,12 @@ MATRIX = dict(size=st.integers(2, 60), trusted=st.integers(1, 40),
 OUTPUT = dict(output=st.sampled_from(("table", "csv")))
 
 
-def ordinary(names, realizations):
+def ordinary(names):
     """verify or sweep flags from ordinary values alone and 2 <= trusted <
-    size, so that nearly every call passes its input checks and reaches
-    the metric blocks."""
+    size, so that many calls pass their input checks and reach the metric
+    blocks, which the draws of `flags` almost never do."""
     matrix = st.integers(3, 60).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(2, n - 1), st.sampled_from(realizations)))
+        st.just(n), st.integers(2, n - 1), st.sampled_from(REALIZATIONS)))
     return st.tuples(st.fixed_dictionaries({k: st.sampled_from(ORDINARY[k]) for k in names}),
                      matrix).map(lambda t: [
         *(f"--{k.replace('_', '-')}={v!r}" for k, v in t[0].items()),
@@ -138,10 +137,11 @@ ARGV = st.one_of(
         lambda t: ["sweep", *t[0], f"--steps={t[1]}"]),
     flags(PARAMS, "z", "s", "tau", "x_min", "x_max", points=st.integers(400, 800),
           **OUTPUT).map(lambda f: ["pdm", *f]),
-    # verify and sweep at the large weights, where the ordinary values of z
-    # give both metric orderings, eps > 0 (antinormal) and eps < 0 (normal)
-    ordinary((*PARAMS, "z"), LARGE_WEIGHTS).map(lambda f: ["verify", *f]),
-    st.tuples(ordinary((*PARAMS, "z_from", "z_to"), LARGE_WEIGHTS), st.integers(1, 3)).map(
+    # verify and sweep that reach the metric blocks, the large weights
+    # included, where the ordinary values of z give both metric
+    # orderings, eps > 0 (antinormal) and eps < 0 (normal)
+    ordinary((*PARAMS, "z")).map(lambda f: ["verify", *f]),
+    st.tuples(ordinary((*PARAMS, "z_from", "z_to")), st.integers(1, 3)).map(
         lambda t: ["sweep", *t[0], f"--steps={t[1]}"]),
 )
 

@@ -13,6 +13,7 @@ from su11metric import (AlgebraElement, InvalidParams, MetricSolution,
 
 from su11metric import cli, core, pdm, verification
 
+from conftest import halved_conjugate
 from oracles import metric_family_mp, stability_roots_mp
 
 P = SwansonParams(1.0, 0.2, 0.1)
@@ -335,27 +336,20 @@ class TestSolveEpsilon:
                 assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
-def _halved_conjugate(p, eps, eta):
-    """(U, V, W) of rho H rho^{-1} = 2U K0 + 2V Km + 2W Kp at any (eps, eta):
-    core.conjugate of A = (2 eps, 2 eta, 2 eta) on H, halved exactly."""
-    y = conjugate(AlgebraElement(2.0 * eps, 2.0 * eta, 2.0 * eta), swanson_element(p))
-    return y.c0 / 2.0, y.cm / 2.0, y.cp / 2.0
-
-
 class TestConjugatedCoeffs:
     """rho's adjoint action on H: the record's (u, v, w) at its solved
     (eps, eta), core.conjugate at any other."""
 
     def test_z_zero_values(self):
         eps = solve_metric(P, 0.0).epsilon
-        u, v, w = _halved_conjugate(P, eps, 0.0)
+        u, v, w = halved_conjugate(P, eps, 0.0)
         assert abs(u - 1.0) < 1e-14
         assert abs(v - 0.2 * math.exp(-2.0 * eps)) < 1e-14
         assert abs(w - 0.1 * math.exp(2.0 * eps)) < 1e-14
         assert abs(v - math.sqrt(2.0) / 10.0) < 1e-14
 
     def test_identity_transform(self):
-        u, v, w = _halved_conjugate(P, 0.0, 0.0)
+        u, v, w = halved_conjugate(P, 0.0, 0.0)
         assert (u, v, w) == (P.omega, P.alpha, P.beta)
 
     def test_casimir_identity(self):
@@ -363,7 +357,7 @@ class TestConjugatedCoeffs:
         for _ in range(100):
             eps = rng.uniform(-1.5, 1.5)
             eta = rng.uniform(-0.49, 0.49) * abs(eps)
-            u, v, w = _halved_conjugate(P, eps, eta)
+            u, v, w = halved_conjugate(P, eps, eta)
             target = P.omega ** 2 - 4.0 * P.alpha * P.beta
             assert abs((u * u - 4.0 * v * w) - target) < 1e-10 * target
 

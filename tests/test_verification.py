@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         SwansonParams, TruncationTooSmall, ZOutOfDomain,
-                        build_bundle, conjugate, discrete_series,
+                        build_bundle, discrete_series,
                         disentangle_closed_form, is_admissible,
                         materialize_metric_root, solve_metric,
                         spectrum_prediction, swanson_element, z_domain)
@@ -25,7 +25,7 @@ from su11metric import realizations, verification
 from su11metric.cli import RESIDUAL_TOLS, main
 from su11metric.pdm import PdmConfig, run_pdm_check
 
-from conftest import apply_basis, metric_block, spectral_norm
+from conftest import apply_basis, halved_conjugate, metric_block, spectral_norm
 from oracles import (basis_bands, chain_count_mp, chain_spectrum, chain_values,
                      commutator_residuals, exp_raising, exp_symmetric, materialize,
                      metric_block_definite, metric_family_mp,
@@ -1078,9 +1078,7 @@ class TestCoefficientResiduals:
         # the record's adjoint form at an exponent 1e-4 off
         sol = solve_metric(STRONG, 0.77)
         eps = (1.0 + 1e-4) * sol.epsilon
-        eta = 0.77 * eps / 2.0
-        y = conjugate(AlgebraElement(2.0 * eps, 2.0 * eta, 2.0 * eta), swanson_element(STRONG))
-        u, v, w = (x.real / 2.0 for x in (y.c0, y.cm, y.cp))
+        u, v, w = (x.real for x in halved_conjugate(STRONG, eps, 0.77 * eps / 2.0))
         b = build_bundle(sol._replace(u=u, v=v, w=w), discrete_series(0.25, 30), trusted=10)
         assert b.residuals["r_herm"] > RESIDUAL_TOLS["r_herm"]
 
