@@ -13,13 +13,11 @@ nor scipy nor dataclasses: the algebra layer's records are NamedTuples.
 verify, sweep and pdm load the matrix layer (numpy) on first use, and
 its records are dataclasses, whose import is a small share of numpy's.
 verify and sweep work one D+(k) chain at a time, so their cost does not
-grow with --size.  No module imports scipy; its LAPACK wrappers alone are
-loaded, on first use (verification._lapack), by pdm and by the bisection
-(verification._bisect, values alone): for a grid level whose seeds do not
-certify, and for a chain of h whose harmonic law the closed-form bracket
-does not certify in that chain's states (a near-parabolic h, or a chain
-too short for the law: e2 to e4 of verify --size 12).  Where mu <= 0, h
-is unbounded below, and verify, sweep and pdm refuse z (exit 2).
+grow with --size, and print h's levels only from its harmonic law,
+certified in each chain's states; a chain too short for it (a
+near-parabolic h, or verify --size 12) is refused (exit 3, raise --size).
+No module imports scipy: pdm alone loads its LAPACK wrappers (pdm._lapack).
+Where mu <= 0, h is unbounded below, and verify, sweep and pdm refuse z.
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over
 tolerance or a failed/inconclusive check, 2 invalid parameters or

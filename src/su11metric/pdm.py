@@ -23,19 +23,24 @@ tridiagonal solve (dgtsv) a step.  Each level is certified on disjoint
 intervals (_interval_top) from residuals that bound their own
 rounding, and counted by LAPACK (dstebz).  A level whose seeds fail it
 refines the bisection's values instead, and one not certified even then
-raises NoConvergence; each LAPACK call goes through verification._lapack.
+raises NoConvergence.  No module imports scipy: each LAPACK call goes
+through _lapack, which loads scipy's compiled wrappers alone.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, _exact, _harmonic_law, solve_metric
-from .verification import _EPS, _TINY, _bisect, _halves, _lapack
+from .verification import _EPS, _TINY, _halves
 
 # run_pdm_check's protocol
 COUNT = 3             # eigenvalues checked
@@ -44,6 +49,46 @@ DECAY_TOL = 1e-8      # the eigenfunctions' relative amplitude at the walls
 REFINE = (4, 2, 1)    # the grid levels: points // factor, coarse to fine
 LOG_MAX = math.log(np.finfo(float).max)
 _SQRT_EPS = math.sqrt(_EPS)
+
+
+def _lapack():
+    """scipy.linalg._flapack, scipy's compiled LAPACK wrappers: the loaded
+    module, else its extension file next to scipy's package, loaded without
+    scipy's Python packages and registered under its name, for a later
+    scipy.linalg to reuse.  ImportError, naming the path, where it is missing."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise ImportError("scipy is not installed: the tridiagonal solves need its "
+                          "LAPACK wrappers", name=name)
+    stem = os.path.join(os.path.dirname(spec.origin), "linalg", "_flapack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK wrappers are missing: no {paths[0]}",
+                          name=name, path=paths[0])
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+def _bisect(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
+    """The lowest `count` eigenvalues (ascending) of the finite symmetric
+    tridiagonal (diag, off), values alone, bisected by dstebz to 2 tiny
+    absolute (at ulp ||T|| a wide diagonal's low values are noise) as
+    scipy's eigh_tridiagonal does; NoConvergence, in its words, where it
+    fails.  A one-state T (dstebz refuses its empty off) is its own value."""
+    if diag.size == 1:
+        return diag.copy()
+    m, w, *_, info = _lapack().dstebz(diag, off, 2, 0.0, 1.0, 1, count, 2.0 * _TINY, "E")
+    if info != 0:
+        raise NoConvergence("tridiagonal eigensolve failed: stebz (eigh_tridiagonal) "
+                            f"did not converge (LAPACK info={info})")
+    return w[:m]
 
 
 @dataclass(frozen=True)

@@ -10,32 +10,28 @@ the leading trusted block relative to the left-hand side's, because the
 metric amplifies truncation error at the top of the basis.  Every
 operator keeps each state on its chain, a D+(k_c) of the realization, so
 build_bundle works one chain at a time and nothing it does grows with N:
-h's levels from the certified harmonic law (_chain_bracket, or LAPACK's
-bisection of a chain it cannot certify, _bisect), the chain's blocks of
-rho and zeta_+ (_chain_root), H, h and O on them as unit shifts
-(realizations.apply), and one SVD for the chain's norms.  The bundle
-keeps no metric block: materialize_metric_root, which forms the same
-chain blocks, alone interleaves them into the basis.  A metric block
-that does not exist in the basis (a divergent series, zeta_+ at z =
-2 beta / omega) is inf, as are the residuals that read it.  The rule is
-per entry and strict: a block whose tail bound does not fit in the N
-states is inf even where the spectral-norm residuals would not move.
+h's levels from the harmonic law that _chain_bracket certifies (else
+TruncationTooSmall), the chain's blocks of rho and zeta_+ (_chain_root),
+H, h and O on them as unit shifts (realizations.apply), and one SVD for
+the chain's norms.  The bundle keeps no metric block:
+materialize_metric_root, which forms the same chain blocks, alone
+interleaves them into the basis.  A metric block that does not exist in
+the basis (a divergent series, zeta_+ at z = 2 beta / omega) is inf, as
+are the residuals that read it.  The rule is per entry and strict: a
+block whose tail bound does not fit in the N states is inf even where
+the spectral-norm residuals would not move.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AlgebraElement, _pivots
-from .errors import InvalidParams, NoConvergence, TruncationTooSmall
+from .errors import InvalidParams, TruncationTooSmall
 from .metric import (MetricSolution, _harmonic_law, commuting_observable,
                      swanson_element)
 from .realizations import RealizationMatrices, _interleave, apply
@@ -58,54 +54,8 @@ class OperatorBundle:
     spectrum_h: np.ndarray
 
 
-# _bisect's tolerance: 2 tiny absolute (LAPACK's value for the most
-# accurate eigenvalues) and, inside LAPACK, 2 ulp relative
+# the bracket's rounding units: tiny absolute and eps relative
 _TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
-
-
-def _lapack():
-    """scipy.linalg._flapack, scipy's compiled LAPACK wrappers: the loaded
-    module, else its extension file next to scipy's package, loaded without
-    scipy's Python packages and registered under its name, for a later
-    scipy.linalg to reuse.  ImportError, naming the path, where it is missing."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or spec.origin is None:
-        raise ImportError("scipy is not installed: the tridiagonal solves need its "
-                          "LAPACK wrappers", name=name)
-    stem = os.path.join(os.path.dirname(spec.origin), "linalg", "_flapack")
-    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if os.path.isfile(p)), None)
-    if path is None:
-        raise ImportError(f"scipy's LAPACK wrappers are missing: no {paths[0]}",
-                          name=name, path=paths[0])
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-    loader.exec_module(module)
-    sys.modules[name] = module
-    return module
-
-
-# the most states dstebz takes: it counts them in a Fortran INTEGER, 32
-# bits in scipy's wrappers (their iblock and isplit are int32 arrays)
-_BISECT_MAX = 2 ** 31 - 1
-
-
-def _bisect(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
-    """The lowest `count` eigenvalues (ascending) of the finite symmetric
-    tridiagonal (diag, off), values alone, bisected by dstebz to 2 tiny
-    absolute (at ulp ||T|| a wide diagonal's low values are noise) as
-    scipy's eigh_tridiagonal does; NoConvergence, in its words, where it
-    fails.  A one-state T (dstebz refuses its empty off) is its own value."""
-    if diag.size == 1:
-        return diag.copy()
-    m, w, *_, info = _lapack().dstebz(diag, off, 2, 0.0, 1.0, 1, count, 2.0 * _TINY, "E")
-    if info != 0:
-        raise NoConvergence("tridiagonal eigensolve failed: stebz (eigh_tridiagonal) "
-                            f"did not converge (LAPACK info={info})")
-    return w[:m]
 
 
 def _exp_or_inf(x: float) -> float:
@@ -113,12 +63,14 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
-    """The law theta_n = Omega (n + k), n < want, as the lowest levels of
-    x = c0 K0 + c (K+ + K-) (c0 > 2|c|) on the leading N = n_states states
-    of D+(k), a chain of the realization, where each is
+    """The law theta_n = Omega (n + k), n < want <= n_states, as the lowest
+    levels of x = c0 K0 + c (K+ + K-) (c0 > 2|c|) on the leading N =
+    n_states states of D+(k), a chain of the realization, where each is
     certified within 4 tau_n, tau_n = 2 tiny + 2 eps theta_n, for the exact
-    truncation with these c0, c and k (not its rounded bands); else None.
-    k = 0 (a zero multiboson residue) is a decoupled 0 plus D+(1).
+    truncation with these c0, c and k (not its rounded bands); else None,
+    which a longer chain lifts.  want <= 0 yields none; want > N and the
+    walls no N lifts (Omega^2 < tiny, a level past the doubles, k >= 1/eps)
+    raise InvalidParams.  k = 0 (a zero residue) is a 0 plus D+(1).
 
     x = Omega U K0 U^-1; Bargmann's elements bound psi_n = U|n> term by term
     at the cut and past it (log_bound).  The cut link l = |c| sqrt(N (N - 1
@@ -128,17 +80,27 @@ def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
     the law; Kato-Temple puts lambda_0 <= rho and, where r^2 < (rho - a)
     (theta_(n+1) - rho), a the previous level's upper end, the one level in
     (a, theta_(n+1)) at most rho + r^2 / (rho - a).  Logarithms are raised
-    by `err` over their rounding; both ends widen by the law's (2.25 eps)."""
+    by `err` over their rounding; both ends widen by the law's (2.25 eps).
+    Kato-Temple can refuse level n where level n - 1 passed (psi_n reaches
+    the cut, psi_(n-1) does not): Omega / c0 = 4.1e-6, N = 5 935 303."""
+    if want <= 0:
+        return np.empty(0)
+    if want > n_states:
+        raise InvalidParams(f"{want} levels asked of a chain of {n_states} states")
     if k == 0.0:
-        rest = _chain_bracket(c0, c, 1.0, n_states - 1, want - 1) if want > 1 else ()
+        rest = _chain_bracket(c0, c, 1.0, n_states - 1, want - 1)
         return None if rest is None else np.r_[0.0, rest]
     a, n_cut = abs(c), n_states
     square = (c0 - 2.0 * a) * (c0 + 2.0 * a)
     omega = math.sqrt(square)
     theta = _harmonic_law(omega, k, want + 1)
     # past k = 1 / eps the rounding of lgamma(2k) alone outgrows every bound
-    if not (square >= _TINY and theta[-1] < math.inf and 0.0 < k < 1.0 / _EPS):
-        return None
+    if not (square >= _TINY and theta[-1] < math.inf and k < 1.0 / _EPS):
+        wall = (f"Omega^2 = {square:g} is below the smallest normal double"
+                if not square >= _TINY else f"level {want} of the law overflows the doubles"
+                if theta[-1] == math.inf else f"k is past 1/eps = {1.0 / _EPS:g}")
+        raise InvalidParams(f"h's levels on the chain of lowest weight k = {k:g} have "
+                            f"no certified law at any --size: {wall}")
     if a == 0.0:
         return np.array(theta[:want])
     logs = [math.log(2.0 * a), math.log(2.0 * omega), math.log(c0 + omega)]
@@ -202,15 +164,14 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
               count: int) -> np.ndarray:
     """The lowest `count` eigenvalues (ascending) of the real symmetric
     x = c0 K0 + c (Km + Kp) on the realization, certified.  A count above
-    the dimension yields all; zero none.
+    the dimension asks for all; zero for none.
 
     x must be elliptic, c0 > 2|c| (for h, mu > 0, as c0 - 2c = 2 mu omega
     and c0^2 > 4 c^2): -K0 or a hyperbolic or parabolic x has no lowest
     levels on the infinite chain and is refused.  Each chain, a D+(k),
-    takes the law where _chain_bracket certifies it in the chain's states,
-    else its values are bisected whole (_bisect), which a chain longer
-    than dstebz counts (_BISECT_MAX) refuses by name.
-    """
+    takes the law that _chain_bracket certifies in its states, else ends in
+    TruncationTooSmall, which admits that the bracket's overshoot refuses
+    some chains a few states short that already hold the law."""
     if count < 0:
         raise InvalidParams(f"eigenvalue count must be nonnegative (got {count})")
     if x.cm != x.cp or complex(x.c0).imag or complex(x.cm).imag:
@@ -218,26 +179,20 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     c0, c = x.c0.real, x.cm.real
     if not c0 > 2.0 * abs(c):
         raise InvalidParams(f"h = {c0:g} K0 + {c:g} (K+ + K-) is bounded below only for mu > 0")
-    # LAPACK reads finite bands; |c| K+ <= c0 (K0 + 1/2) / 2 is finite with c0 K0
+    # c0 K0 past the doubles on any of the N states is refused by name
     k0_max = _k0_max(realization, realization.dim)
     if c0 * k0_max == math.inf:
         raise InvalidParams(f"h's diagonal overflows (c0 = {c0:g}, K0 up to {k0_max:g})")
-    count = min(count, realization.dim)
-    if count == 0:
-        return np.empty(0)
     w = []
     # chain c starts at state c: the first dim chains are those with states
-    for ch, m in enumerate(realization.lengths()[:realization.dim]):
-        k, want = realization.weights[ch], min(count, m)
-        law = _chain_bracket(c0, c, k, m, want)
+    for k, m in zip(realization.weights, realization.lengths()[:realization.dim]):
+        law = _chain_bracket(c0, c, k, m, min(count, m))
         if law is None:
-            if m > _BISECT_MAX:
-                raise InvalidParams(f"h's levels on the chain of lowest weight k = {k:g}, "
-                                    f"{m} of the N = {realization.dim} states, take no "
-                                    f"certified law, and the bisection takes at most "
-                                    f"{_BISECT_MAX} states")
-            k0, kp = realization.bands(ch, m)
-            law = _bisect(c0 * k0, c * kp, want)
+            raise TruncationTooSmall(
+                f"h's levels on the chain of lowest weight k = {k:g}, {m} of the N = "
+                f"{realization.dim} states, are not certified to follow the law: raise --size "
+                "(the certificate is conservative, so a chain a few states short of it "
+                "may already hold the law)")
         w.append(law)
     return np.sort(np.concatenate(w), kind="stable")[:count]
 

@@ -388,15 +388,25 @@ def chain_spectrum(x, realization, count):
     return w[lowest], np.hstack(q)[:, lowest]
 
 
+# the longest chain whose terms are kept between counts: a longer one
+# (millions of states) would hold gigabytes of decimals, so its terms are
+# formed as the count runs
+_KEPT_STATES = 1 << 16
+
+
+def _chain_terms(c0, c, k, n):
+    # the diagonal c0 (i + k) and squared links c^2 i (i - 1 + 2k) of x =
+    # c0 K0 + c (K+ + K-) on D+(k), in 40-digit decimals of the floats;
+    # the caller holds the 40-digit context
+    c0, c2, k = Decimal(c0), Decimal(c) * Decimal(c), Decimal(k)
+    return ((c0 * (i + k), c2 * i * (i - 1 + 2 * k)) for i in range(n))
+
+
 @lru_cache(maxsize=64)
 def _exact_chain(c0, c, k, n):
-    # the diagonal c0 (i + k) and squared links c^2 i (i - 1 + 2k) of x =
-    # c0 K0 + c (K+ + K-) on D+(k), in 40-digit decimals of the floats
     with localcontext() as ctx:
         ctx.prec = 40
-        c0, c2, k = Decimal(c0), Decimal(c) * Decimal(c), Decimal(k)
-        return ([c0 * (i + k) for i in range(n)],
-                [c2 * i * (i - 1 + 2 * k) for i in range(n)])
+        return list(_chain_terms(c0, c, k, n))
 
 
 @lru_cache(maxsize=8192)
@@ -406,11 +416,11 @@ def chain_count_mp(c0, c, k, n, x):
     k and x taken exactly: a Sturm count at 40 significant digits (in
     decimal, which runs it about 20 times faster than mpmath here), whose
     pivots carry no rounding that a level 1e-25 relative away could flip."""
-    diag, links = _exact_chain(c0, c, k, n)
     with localcontext() as ctx:
         ctx.prec = 40
+        terms = _exact_chain(c0, c, k, n) if n <= _KEPT_STATES else _chain_terms(c0, c, k, n)
         x, q, found = Decimal(x), Decimal(1), 0
-        for d, e2 in zip(diag, links):
+        for d, e2 in terms:
             q = d - x - e2 / q
             if not q:
                 q = Decimal("1e-60")

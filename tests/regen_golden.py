@@ -35,6 +35,8 @@ PINS = [
     ["verify", *NEAR_ROOT, "--z=-1e-12"],
     ["metric", *NEAR_ROOT, "--z=-1e-12"],
     ["verify", *NEAR_PARABOLIC, "--z", "0.3"],
+    # the same h's law certified: Omega / c0 = 4.5e-6 takes 1.2e7 states
+    ["verify", *NEAR_PARABOLIC, "--z", "0.3", "--size", "16000000"],
     ["metric", *NEAR_PARABOLIC, "--z", "0.3"],
     *([command, *BASE, f"--z={z}"] for command in ("metric", "verify", "pdm")
       for z in ("-1", "1")),
@@ -65,13 +67,12 @@ PINS = [
                              ("multiboson:l=2,residues=0,0.5", "--z=0"),
                              ("multiboson:l=2,residues=0,0.5", "--z=0.4"),
                              ("discrete:k=1.6", "--z=-0.5"))),
-    # chains too short for the law take the chain fallback: e2-e4 are the
-    # truncated chain's levels, not the law's
+    # chains too short for the law are refused (exit 3), not answered with
+    # the truncated chain's own levels
     ["verify", *BASE, "--size", "12", "--trusted", "5", "--z", "0.4"],
     ["verify", *BASE, "--realization", "multiboson:l=3,residues=0.25,0.5,0.75",
      "--size", "12", "--trusted", "4", "--z", "0.4"],
-    # a one-state chain: at N = 5 the third of band 3 holds one state, and
-    # the bisection takes it as its own eigenvalue
+    # one-state chains: at N = 5 the third of band 3 holds one state
     ["verify", *BASE, "--realization", "multiboson:l=3,residues=0.25,0.5,0.75",
      "--size", "5", "--trusted", "2"],
     # the closed-form commands, each with a refusal: alpha = beta, and a

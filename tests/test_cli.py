@@ -5,15 +5,14 @@ import sys
 import warnings
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
-from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from su11metric import (AlgebraElement, NoConvergence, SwansonParams, cli,
-                        discrete_series, pdm, solve_metric, spectrum_prediction,
-                        verification)
+from su11metric import (AlgebraElement, NoConvergence, SwansonParams,
+                        TruncationTooSmall, cli, discrete_series, pdm, solve_metric,
+                        spectrum_prediction, verification)
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
 from oracles import metric_family_mp
@@ -329,9 +328,16 @@ class TestVerifyCommand:
     def test_near_parabolic_precision(self, capsys):
         # omega^2 - 4 alpha beta = 2e-11: mu, nu and c0 of the form picked by
         # the sign of z cancelled, r_eq10 read 5.1e-6 [FAIL] and r_intertwine
-        # 2.8e-6 [FAIL]; the form picked by the sign of g t holds h to rounding
-        code, out, _ = run_cli(capsys, "verify", "--omega", "1", "--alpha", "0.5",
-                               "--beta", "0.49999999999", "--z", "0.3")
+        # 2.8e-6 [FAIL]; the form picked by the sign of g t holds h to
+        # rounding.  Omega / c0 = 4.5e-6, so h's law takes about 1.2e7
+        # states: the default N = 200 is refused as too short
+        argv = ("verify", "--omega", "1", "--alpha", "0.5", "--beta", "0.49999999999",
+                "--z", "0.3")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: h's levels on the chain of lowest weight k = 0.25, "
+                              "200 of the N = 200 states, are not certified"), err
+        code, out, _ = run_cli(capsys, *argv, "--size", "16000000")
         assert code == 0
         rows = parse_table(out)
         for name in ("r_herm", "r_eq10", "r_intertwine"):
@@ -454,13 +460,14 @@ class TestNonFiniteInputs:
                      f"K+ overflows the doubles at lowest weight k = 0.25, N = {10 ** 200}",
                      id="size 10^200"),
         # k past 1 / eps, which the harmonic law never certifies, on a chain
-        # too long for the bisection: numpy's "Maximum allowed size
-        # exceeded" ValueError traceback (exit 1) from forming its bands
+        # of 10^20 states: numpy's "Maximum allowed size exceeded"
+        # ValueError traceback (exit 1) from forming its bands to bisect.
+        # A precision wall, not a short chain: no --size lifts it
         pytest.param(("verify", *BASE, "--z", "0.4", "--realization", "discrete:k=1e17",
                       "--size", str(10 ** 20)),
-                     f"h's levels on the chain of lowest weight k = 1e+17, {10 ** 20} of "
-                     f"the N = {10 ** 20} states, take no certified law, and the bisection "
-                     "takes at most 2147483647 states", id="k 1e17 size 10^20"),
+                     "h's levels on the chain of lowest weight k = 1e+17 have no certified "
+                     "law at any --size: k is past 1/eps = 4.5036e+15",
+                     id="k 1e17 size 10^20"),
         # refusals of a realization's descriptor, a count and a config flag
         (("verify", *BASE, "--realization", "oscillator", "--size", "3", "--trusted", "2"),
          "dimension must be at least 4 (got 3)"),
@@ -596,6 +603,17 @@ class TestSweepCommand:
         assert out == ""
         assert "admissible" in err
 
+    def test_no_partial_output_on_a_short_chain(self, capsys):
+        # at N = 19 h's chain holds the law at z = 0 (from 18 states) but
+        # not at z = 0.4 (from 20): that row's refusal ends the whole sweep
+        argv = ("sweep", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
+                "--size", "19", "--trusted", "5", "--z-from", "0")
+        code, out, _ = run_cli(capsys, *argv, "--z-to", "0", "--steps", "1")
+        assert code == 0 and out.count("\n") == 2
+        code, out, err = run_cli(capsys, *argv, "--z-to", "0.4", "--steps", "2")
+        assert (code, out) == (3, "")
+        assert "k = 0.25, 19 of the N = 19 states, are not certified" in err
+
     def test_descending_range_emitted_ascending(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--omega", "1", "--alpha",
                                "0.2", "--beta", "0.1", "--z-from", "0",
@@ -622,6 +640,20 @@ class TestConfigFile:
                                "--z", "0.5")
         assert code == 0
         assert float(parse_table(out)["z"]) == 0.5
+
+    def test_comments_and_a_file_alone(self, capsys, tmp_path):
+        # comments and blank lines add no flag; a file with no other
+        # argument gives flags but no subcommand, and the parser refuses
+        # the first value in its place (exit 2)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# the base point\n\nomega = 1.0  # frequency\nalpha = 0.2\n"
+                       "beta = 0.1\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "metric", "--config", str(cfg))
+        assert code == 0
+        assert abs(float(parse_table(out)["epsilon"]) - 0.1732868) < 1e-6
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "argument command: invalid choice: '1.0'" in err
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "metric", "--config",
@@ -778,17 +810,17 @@ class TestPdmCommand:
         assert "LAPACK info=" in err and err.count("\n") == 1
 
     def test_failed_bisection_is_no_convergence(self, capfd, monkeypatch):
-        # the chains and the grid share one bisection and its error path;
-        # a near-parabolic element's chain is bisected (its law does not
-        # hold to rounding in 100 states), and --x-max 300 certifies no
-        # level, so the grid bisects.  The loader's dstebz reports that the
-        # bisection did not converge
+        # the grid's bisection and its error path: --x-max 300 certifies no
+        # level, so the grid bisects, and the loader's dstebz reports that
+        # the bisection did not converge.  h's chains never bisect: a
+        # near-parabolic element's chain (its law does not hold to rounding
+        # in 100 states) is refused as too short, and dstebz is not called
         def fail(d, e, *args):
             return 0, np.zeros_like(d), None, None, 3
 
-        monkeypatch.setattr(verification, "_lapack", lambda: SimpleNamespace(dstebz=fail))
+        monkeypatch.setattr(pdm._lapack(), "dstebz", fail)
         failed = r"stebz \(eigh_tridiagonal\) did not converge \(LAPACK info=3\)"
-        with pytest.raises(NoConvergence, match=failed):
+        with pytest.raises(TruncationTooSmall, match="100 of the N = 100 states"):
             verification._low_eigs(AlgebraElement(1.0, 0.495, 0.495),
                                    discrete_series(0.25, 100), 3)
         # a non-finite seed certifies nothing, so the grid bisects
@@ -872,7 +904,7 @@ class TestImports:
                                           "--steps", "3"]])
     def test_verify_and_sweep_load_no_scipy(self, command, realization):
         # h is elliptic: its chains take the closed form, and their
-        # certificates count in Python, so no bisection imports scipy
+        # certificates count in Python, so nothing imports scipy
         proc = self._run("-X", "importtime", "-m", "su11metric", *command,
                          "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
                          "--realization", realization)
@@ -937,11 +969,13 @@ print(code, len(ops), sorted(m for m in sys.modules if m.split(".")[0] == "scipy
         proc = self._run("-c", script)
         assert proc.stderr.splitlines()[-1] == "0 3 ['scipy.linalg._flapack']"
         # nor where the bisection runs: a grid level whose seeds do not
-        # certify (its bisection fails, exit 3) and chains too short for
-        # the law (exit 0) reach dstebz through the same loader
+        # certify (its bisection fails, exit 3) reaches dstebz through the
+        # same loader; verify loads no scipy module, not even where its
+        # chains are too short for the law (exit 3)
         base = ["--omega", "1", "--alpha", "0.2", "--beta", "0.1"]
-        for argv, code in ((["pdm", *base, "--x-max", "500"], 3),
-                           (["verify", *base, "--size", "12", "--trusted", "5", "--z", "0.4"], 0)):
+        for argv, code, loaded in (
+                (["pdm", *base, "--x-max", "500"], 3, ['scipy.linalg._flapack']),
+                (["verify", *base, "--size", "12", "--trusted", "5", "--z", "0.4"], 3, [])):
             script = f"""
 import sys
 from su11metric.cli import main
@@ -949,10 +983,10 @@ code = main({argv!r})
 print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
 """
             proc = self._run("-c", script)
-            assert proc.stderr.splitlines()[-1] == f"{code} ['scipy.linalg._flapack']", argv
+            assert proc.stderr.splitlines()[-1] == f"{code} {loaded}", argv
 
     def test_src_imports_no_scipy(self):
-        # the program reaches LAPACK through verification._lapack alone: no
+        # the program reaches LAPACK through pdm._lapack alone: no
         # module of the package imports scipy
         found = []
         for path in sorted(Path(cli.__file__).parent.glob("*.py")):
@@ -1040,7 +1074,7 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scip
 
     def test_default_count_bundle_loads_no_scipy(self):
         # build_bundle's five levels, and h's lowest 25, take the law on h's
-        # chain, certified by its closed-form bracket, and bisect nothing
+        # chain, certified by its closed-form bracket
         script = """
 import sys
 from su11metric import (AlgebraElement, SwansonParams, build_bundle,

@@ -69,8 +69,8 @@ CASES = (
      "--realization", "conformal:k=1e306,c=1"],
     ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1", "--z", "0.4",
      "--realization", "multiboson:l=2,residues=0.25,1e306"],
-    # a chain that the harmonic law does not certify and the bisection
-    # cannot take ended in a ValueError traceback
+    # k past 1/eps, which the harmonic law never certifies, on a chain too
+    # long to bisect ended in a ValueError traceback; now refused by name
     ["verify", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
      "--realization", "discrete:k=1e17", "--size", str(10 ** 20)],
     # a grid spacing that rounds to 0 ended in a math domain error

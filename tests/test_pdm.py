@@ -48,7 +48,7 @@ def grid_spectrum(cfg, near=None):
     cfg = validate_config(cfg)
     if near is None:
         diag, off = h_tridiag(cfg)
-        near = verification._bisect(diag, off, pdm.COUNT)
+        near = pdm._bisect(diag, off, pdm.COUNT)
     return _grid_spectrum(cfg, mass_weights(cfg), near)
 
 
@@ -364,7 +364,7 @@ class TestCertifiedChain:
         def counted_up_to_top(theta):
             # the count below _interval_top's top, as _grid_spectrum takes it
             top = pdm._interval_top(theta, np.zeros(3), 3)
-            found, *_, info = verification._lapack().dstebz(
+            found, *_, info = pdm._lapack().dstebz(
                 diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
             assert info == 0
             return found
@@ -481,7 +481,7 @@ class TestCertificate:
                     m = 2 * count + 32
                     k0, kp = r.bands(0, m)
                     d, e = sol.c0 * k0, sol.c * kp
-                    w = verification._bisect(d, e, count)
+                    w = pdm._bisect(d, e, count)
                     top = pdm._interval_top(w, np.zeros(count), count)
                     found, *_, info = dstebz(d, e, 1, -np.inf, top, 0, 0, np.inf, "E")
                     assert (found, info) == (count, 0), (r.kind, z, count)

@@ -424,6 +424,13 @@ class TestDescriptors:
         r, p = from_descriptor("conformal:k=0.75,c=1", 15, omega=1.0)
         assert p == SwansonParams(1.0, 0.25, -0.25)
 
+    def test_empty_tokens_are_skipped(self):
+        # a stray comma, before a key or inside a value list, adds nothing
+        for text, plain in (("discrete:k=0.25,", "discrete:k=0.25"),
+                            ("multiboson:l=2,residues=0.25,,0.75,",
+                             "multiboson:l=2,residues=0.25,0.75")):
+            assert from_descriptor(text, 10) == from_descriptor(plain, 10), text
+
     def test_errors(self):
         with pytest.raises(InvalidParams):
             from_descriptor("hyperbolic:k=1", 10)

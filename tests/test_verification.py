@@ -21,7 +21,7 @@ from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         spectrum_prediction, swanson_element, z_domain)
 from su11metric import (commuting_observable, from_descriptor, multiboson,
                         oscillator_full)
-from su11metric import realizations, verification
+from su11metric import pdm, realizations, verification
 from su11metric.cli import RESIDUAL_TOLS, main
 from su11metric.pdm import PdmConfig, run_pdm_check
 
@@ -57,30 +57,39 @@ class TestSymmetricEigs:
 
     def test_two_by_two(self):
         # K+ + K- alone is hyperbolic and refused; with K0 added it is an
-        # oscillator whose two levels the 2 x 2 block gives
-        r = discrete_series(0.25, 2)
-        kp = r.bands(0, 2)[1][0]
+        # oscillator, whose 2 x 2 block holds no certified law (its levels
+        # are those of the block, not of the chain): the chain is refused
+        # as too short, and 40 states hold the law to 4 tau
         with pytest.raises(InvalidParams, match="mu > 0"):
-            verification._low_eigs(AlgebraElement(0.0, 1.0, 1.0), r, 2)
-        w = verification._low_eigs(AlgebraElement(1.0, 0.3, 0.3), r, 2)
-        assert np.allclose(w, np.linalg.eigvalsh([[0.25, 0.3 * kp], [0.3 * kp, 1.25]]),
-                           rtol=1e-14, atol=0.0)
+            verification._low_eigs(AlgebraElement(0.0, 1.0, 1.0), discrete_series(0.25, 2), 2)
+        x = AlgebraElement(1.0, 0.3, 0.3)
+        with pytest.raises(TruncationTooSmall, match=r"k = 0\.25, 2 of the N = 2 states"):
+            verification._low_eigs(x, discrete_series(0.25, 2), 2)
+        w = verification._low_eigs(x, discrete_series(0.25, 40), 2)
+        assert np.array_equal(w, 0.8 * np.array([0.25, 1.25]))
+        assert law_holds_mp(1.0, 0.3, 0.25, 40, w)
 
     def test_reconstruction(self):
         # each draw is refused where it is not elliptic, and its elliptic
         # counterpart (c0 -> |c0| + 2|c|) has the dense operator's spectrum
+        # where its chains hold the law, and is refused as too short
+        # where they do not: at 5 states every draw, at 80 none
         from su11metric import oscillator_full
         rng = np.random.default_rng(47)
-        for n in (5, 40):
+        for n in (5, 80):
             for r in (discrete_series(0.25, n), oscillator_full(n)):
                 c0, c = rng.normal(size=2)
                 if not c0 > 2.0 * abs(c):
                     with pytest.raises(InvalidParams, match="mu > 0"):
                         verification._low_eigs(AlgebraElement(c0, c, c), r, n)
                 x = AlgebraElement(abs(c0) + 2.0 * abs(c), c, c)
+                if n == 5:
+                    with pytest.raises(TruncationTooSmall, match="raise --size"):
+                        verification._low_eigs(x, r, n)
+                    continue
                 m = materialize(x, r)
-                w = verification._low_eigs(x, r, n)
-                assert np.abs(w - np.linalg.eigvalsh(m)).max() \
+                w = verification._low_eigs(x, r, 5)
+                assert np.abs(w - np.linalg.eigvalsh(m)[:5]).max() \
                     <= 1e-10 * np.linalg.norm(m, 2)
                 assert np.all(np.diff(w) >= 0.0)
 
@@ -155,6 +164,13 @@ class TestChainBracket:
                                  if verification._chain_bracket(c0, c, k, n, want) is not None)
                     law = verification._chain_bracket(c0, c, k, first, want)
                     assert law_holds_mp(c0, c, k, first, law), (x, k, want, first)
+                    if k == 0.0:
+                        # the decoupled state of K0 = 0 plus D+(1) on the
+                        # others: one state past D+(1)'s first for want - 1
+                        rest = next(n for n in range(want - 1, 400)
+                                    if verification._chain_bracket(c0, c, 1.0, n, want - 1)
+                                    is not None)
+                        assert first == rest + 1, (x, want, first, rest)
 
     def test_zero_residue_chain(self):
         # k = 0: the state of K0 = 0 is decoupled (its link is 0), and the
@@ -175,6 +191,44 @@ class TestChainBracket:
         sol = solve_metric(P, 0.4)
         assert verification._chain_bracket(sol.c0, sol.c, 0.75, 1, 1) is None
         assert verification._chain_bracket(sol.c0, 0.0, 0.75, 1, 1).tolist() == [sol.c0 * 0.75]
+
+    def test_want_contract(self):
+        # want <= 0 asks for no level, at every k; more levels than the
+        # chain has states is refused by name, not met by a division by 0
+        for k in (0.0, 0.25):
+            for want in (0, -1):
+                assert verification._chain_bracket(2.0, 0.3, k, 50, want).shape == (0,)
+            with pytest.raises(InvalidParams, match="4 levels asked of a chain of 2 states"):
+                verification._chain_bracket(2.0, 0.3, k, 2, 4)
+
+    @pytest.mark.parametrize("c0, c, k, wall", [
+        (1e-160, 0.25e-160, 0.25, "below the smallest normal double"),
+        (1e308, 0.0, 3.0, "level 2 of the law overflows the doubles"),
+        (2.0, 0.3, 1e17, "k is past 1/eps")])
+    def test_precision_walls_are_refused_by_name(self, c0, c, k, wall):
+        # Omega^2 below tiny, a level past the doubles and k >= 1/eps: no
+        # chain length lifts them, so they are no truncation shortfall
+        for n_states in (50, 10 ** 12):
+            with pytest.raises(InvalidParams, match=f"no certified law at any --size: .*{wall}"):
+                verification._chain_bracket(c0, c, k, n_states, 2)
+
+    def test_kato_temple_refusal(self):
+        # Omega / c0 = 4.1e-6: on the leading 5 935 303 states psi_1 still
+        # reaches the cut while psi_0 has decayed there, so level 0 alone
+        # is certified and level 1 fails its Kato-Temple test.  The exact
+        # chain (a 40-digit count) holds level 1 within 4 tau of the law
+        # all the same: the refusal is the bracket's overshoot, which the
+        # typed error admits, and a longer chain lifts it
+        c0, c, k, n_states = 1.0, 0.49999999999577266, 0.25, 5935303
+        omega = math.sqrt((c0 - 2.0 * c) * (c0 + 2.0 * c))
+        assert verification._chain_bracket(c0, c, k, n_states, 1).tolist() == [omega * k]
+        assert verification._chain_bracket(c0, c, k, n_states, 2) is None
+        assert verification._chain_bracket(c0, c, k, 2 * n_states, 2) is not None
+        with pytest.raises(TruncationTooSmall, match="may already hold the law"):
+            verification._low_eigs(AlgebraElement(c0, c, c), discrete_series(k, n_states), 2)
+        theta = omega * (1.0 + k)
+        tau = 2.0 * (np.finfo(float).tiny + np.finfo(float).eps * theta)
+        assert chain_count_mp(c0, c, k, n_states, theta + 4.0 * tau) == 2
 
     def test_no_coupling(self):
         # c = 0: the chain is diagonal, and the law is its levels at every
@@ -208,15 +262,16 @@ class TestSturmCount:
 
 
 class TestBisect:
-    # _bisect's values are byte for byte those of eigh_tridiagonal's
-    # values-only bisection (stebz alone), on the chains and grid levels
-    # that reach it in the golden pins and on split chains
+    # pdm._bisect's values are byte for byte those of eigh_tridiagonal's
+    # values-only bisection (stebz alone), on hard chains (the
+    # near-parabolic pin's and the band-12 pin's), the grid levels that
+    # reach it in the golden pins, and split chains
 
     @staticmethod
     def assert_same_values(d, e, count):
         want = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
                                              tol=2.0 * np.finfo(float).tiny)[0]
-        got = verification._bisect(d, e, count)
+        got = pdm._bisect(d, e, count)
         assert got.shape == (count,) and got.tobytes() == want.tobytes(), (d.size, count)
 
     @pytest.mark.parametrize("p, z, desc", [(NEAR_PARABOLIC, 0.3, "discrete:k=0.25"),
@@ -251,10 +306,11 @@ class TestBisect:
             self.assert_same_values(d, e, int(rng.integers(1, n + 1)))
 
     def test_values_only(self, monkeypatch):
-        # the chain fallback and the grid's bisect by index (dstebz's range
-        # 2) for values alone, so no dstein runs; the grid also counts its
-        # levels by value (range 1)
-        lapack, ranges = verification._lapack(), []
+        # the grid bisects by index (dstebz's range 2) for values alone, so
+        # no dstein runs, and counts its levels by value (range 1); h's
+        # chains never reach LAPACK: the near-parabolic pin's chain, whose
+        # law 200 states do not certify, is refused before any solve
+        lapack, ranges = pdm._lapack(), []
         exact = lapack.dstebz
 
         def record(d, e, select, *args):
@@ -267,50 +323,55 @@ class TestBisect:
         monkeypatch.setattr(lapack, "dstebz", record)
         monkeypatch.setattr(lapack, "dstein", refuse)
         sol = solve_metric(NEAR_PARABOLIC, 0.3)
-        w = verification._low_eigs(AlgebraElement(sol.c0, sol.c, sol.c),
+        with pytest.raises(TruncationTooSmall, match="200 of the N = 200 states"):
+            verification._low_eigs(AlgebraElement(sol.c0, sol.c, sol.c),
                                    discrete_series(0.25, 200), 5)
-        assert w.shape == (5,) and ranges == [2]
+        assert ranges == []
         run_pdm_check(PdmConfig(params=P, x_min=-2.0, x_max=6.0))
-        assert ranges.count(2) > 1 and set(ranges) == {1, 2}, ranges
+        assert ranges.count(2) >= 1 and set(ranges) == {1, 2}, ranges
 
 
 class TestChainCut:
     # _low_eigs takes each chain's law where its bracket certifies it, and
-    # bisects the chain whole elsewhere
+    # refuses the solve as too short elsewhere
 
     @staticmethod
     def assert_matches_oracle(x, r, count):
-        # a law chain's levels are each within 4 tau of the law in the exact
-        # chain (chain_count_mp); a bisected chain's are within 4 ulps of the
-        # float chain's, bisected in full (chain_spectrum)
-        w = verification._low_eigs(x, r, count)
-        c0, c, parts = x.c0.real, x.cm.real, []
+        # each chain's certified law is within 4 tau of the exact chain's
+        # levels (chain_count_mp), and the solve returns the lowest of them;
+        # where a chain's bracket certifies none, the solve is refused as
+        # too short, naming the first such chain.  True where it certified
+        c0, c, laws = x.c0.real, x.cm.real, []
         for ch, m in enumerate(r.lengths()):
             k, want = r.weights[ch], min(count, m)
             law = verification._chain_bracket(c0, c, k, m, want)
             if law is None:
-                parts.append(chain_values(x, *r.bands(ch, m), want))
-            else:
-                assert law_holds_mp(c0, c, k, m, law), (x, r.kind, count, ch)
-                parts.append(law)
-        ref = np.sort(np.concatenate(parts))[:count]
-        assert np.all(np.abs(w - ref) <= 4 * np.spacing(np.abs(ref))), \
-            (x, r.kind, count, (w - ref) / np.spacing(np.abs(ref)))
+                with pytest.raises(TruncationTooSmall,
+                                   match=f"k = {k:g}, {m} of the N = {r.dim} states"):
+                    verification._low_eigs(x, r, count)
+                return False
+            assert law_holds_mp(c0, c, k, m, law), (x, r.kind, count, ch)
+            laws.append(law)
+        w = verification._low_eigs(x, r, count)
+        assert np.array_equal(w, np.sort(np.concatenate(laws))[:count]), (x, r.kind, count)
+        return True
 
     @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
     def test_matches_full_chain(self, make):
         r = make(300)
-        for x in _cut_cases():
-            for count in (1, 5, 25):
-                self.assert_matches_oracle(x, r, count)
+        certified = [self.assert_matches_oracle(x, r, count)
+                     for x in _cut_cases() for count in (1, 5, 25)]
+        assert any(certified) and not all(certified), r.kind
 
     @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
     def test_count_above_chain_length(self, make):
-        # 25 is above every chain's length at N = 40, so every pair is wanted
+        # 25 is above every chain's length at N = 40, so every level of
+        # each chain is wanted: the law holds up to the cut only where the
+        # coupling is weak, and elsewhere the solve is refused as too short
         r = make(40)
-        for x in _cut_cases():
-            for count in (25, 41):
-                self.assert_matches_oracle(x, r, count)
+        certified = [self.assert_matches_oracle(x, r, count)
+                     for x in _cut_cases() for count in (25, 41)]
+        assert not all(certified), r.kind
 
     def test_non_elliptic_is_the_full_chain(self):
         # -K0 (minus an oscillator), a hyperbolic (2|c| > c0) and a
@@ -326,44 +387,41 @@ class TestChainCut:
                     with pytest.raises(InvalidParams, match="mu > 0"):
                         verification._low_eigs(x, r, count)
 
-    def test_non_elliptic_chain_bisects_once(self, monkeypatch):
-        # no chain is bisected more than once, and here none at all: a
-        # non-elliptic element is refused before any chain is solved, and
-        # elliptic h takes the law at counts 5 and 25
-        sizes = []
-        bisect = verification._bisect
+    def test_each_chain_is_bracketed_once(self, monkeypatch):
+        # a non-elliptic element is refused before any chain is bracketed,
+        # and elliptic h brackets each chain once, at counts 5 and 25
+        calls = []
+        bracket = verification._chain_bracket
 
-        def counted(d, e, count):
-            sizes.append(d.size)
-            return bisect(d, e, count)
+        def counted(c0, c, k, n_states, want):
+            calls.append((k, n_states))
+            return bracket(c0, c, k, n_states, want)
 
-        monkeypatch.setattr(verification, "_bisect", counted)
+        monkeypatch.setattr(verification, "_chain_bracket", counted)
         for x, r in ((AlgebraElement(-1.0, 0.0, 0.0), discrete_series(0.25, 800)),
                      (AlgebraElement(1.0, 0.6, 0.6), discrete_series(0.25, 800)),
                      (AlgebraElement(1.0, 0.5, 0.5), discrete_series(0.25, 800)),
                      (AlgebraElement(1.0, 0.6, 0.6), oscillator_full(800))):
             with pytest.raises(InvalidParams, match="mu > 0"):
                 verification._low_eigs(x, r, 25)
+        assert calls == []
         sol = solve_metric(P, 0.0)
-        for count in (5, 25):
-            verification._low_eigs(AlgebraElement(sol.c0, sol.c, sol.c),
-                                   discrete_series(0.25, 800), count)
-        assert sizes == []
+        for r in (discrete_series(0.25, 800), oscillator_full(800)):
+            for count in (5, 25):
+                calls.clear()
+                verification._low_eigs(AlgebraElement(sol.c0, sol.c, sol.c), r, count)
+                assert calls == list(zip(r.weights, r.lengths())), (r.kind, count)
 
     @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
-    def test_elliptic_h_takes_the_closed_form(self, make, monkeypatch):
-        # h at every cut case but the near-parabolic draws: no chain is
-        # bisected, and the values are the harmonic law on each chain.  A
-        # single chain of 300 states holds the law at counts 1 to 50; the
-        # chains of the multi-chain realizations are 100 to 150 states
-        # long, too short for some of them at counts 25 and 50
-        def refuse(*args):
-            raise AssertionError("bisected an elliptic chain")
-
+    def test_elliptic_h_takes_the_closed_form(self, make):
+        # h at every cut case but the near-parabolic draws: the values are
+        # the harmonic law on each chain.  A single chain of 300 states
+        # holds the law at counts 1 to 50; the chains of the multi-chain
+        # realizations are 100 to 150 states long, too short for some of
+        # them at counts 25 and 50
         r = make(300)
         cases = _cut_cases()[:-3]
         counts = (1, 5, 25, 50) if r.band == 1 else (1, 5)
-        monkeypatch.setattr(verification, "_bisect", refuse)
         for x in cases:
             omega = math.sqrt(x.c0.real ** 2 - 4.0 * x.cm.real ** 2)
             for count in counts:
@@ -371,30 +429,17 @@ class TestChainCut:
                 law = np.sort(np.concatenate([omega * (np.arange(count) + k)
                                               for k in r.weights]))[:count]
                 assert np.allclose(w, law, rtol=1e-14, atol=0.0), (x, r.kind, count)
-        monkeypatch.undo()
-        for x in cases:
-            for count in counts:
-                self.assert_matches_oracle(x, r, count)
+                assert self.assert_matches_oracle(x, r, count)
 
-    def test_near_parabolic_chains_fall_back(self, monkeypatch):
+    def test_near_parabolic_chains_are_refused(self):
         # 2|c|/c0 near 1: the eigenvectors decay so slowly that the law
         # does not hold to rounding in 300 states, so at count 25 every
-        # chain is bisected whole, and still matches the oracle
-        calls = []
-        bisect = verification._bisect
-
-        def counted(d, e, count):
-            calls.append(d.size)
-            return bisect(d, e, count)
-
-        monkeypatch.setattr(verification, "_bisect", counted)
+        # realization is refused as too short, naming a chain, and never
+        # answers with the truncated chain's own levels
         for make in ALL_CONSTRUCTORS:
             r = make(300)
             for x in _cut_cases()[-3:]:
-                calls.clear()
-                self.assert_matches_oracle(x, r, 25)
-                chains = [len(range(ch, r.dim, r.band)) for ch in range(r.band)]
-                assert calls == chains, (x, r.kind, calls)
+                assert not self.assert_matches_oracle(x, r, 25), (x, r.kind)
 
     def test_cut_stays_at_the_first_length(self):
         # h at the base point holds the law already on each chain's leading
@@ -805,17 +850,24 @@ class TestBuildBundle:
         assert np.isposinf(res).all()
 
     def test_eigvec_residuals_count_above_dimension(self):
-        # as for the spectrum, a count above N certifies all N pairs
-        b = build_bundle(solve_metric(P, 0.4), discrete_series(0.25, 12), trusted=5)
-        assert eigvec_residuals(b, count=13).shape == (12,)
+        # a count above N certifies all N pairs (at N = 12 the bundle is
+        # refused: its chain is too short for h's law)
+        with pytest.raises(TruncationTooSmall, match="12 of the N = 12 states"):
+            build_bundle(solve_metric(P, 0.4), discrete_series(0.25, 12), trusted=5)
+        b = build_bundle(solve_metric(P, 0.4), discrete_series(0.25, 42), trusted=5)
+        assert eigvec_residuals(b, count=43).shape == (42,)
 
     def test_banded_spectrum_matches_dense(self):
-        certified = 0
+        # at N = 120 every chain holds h's law at count 7: the bundle's e0
+        # to e4 and the solve's lowest 7 are the dense operator's, and each
+        # chain's certified law is the bottom of its block of the whole
+        # operator.  Every level of the realization is never certified:
+        # the top of a coupled chain sits at its cut, off the law
         for desc in ("discrete:k=0.25", "oscillator:parity=full",
                      "oscillator:parity=odd",
                      "multiboson:l=3,residues=0.25,0.5,0.75", "radial:L=1",
                      "conformal:k=0.75,c=1"):
-            r, implied = from_descriptor(desc, 60)
+            r, implied = from_descriptor(desc, 120)
             p = implied if implied is not None else P
             sol = solve_metric(p, 0.6)
             b = build_bundle(sol, r, trusted=20)
@@ -823,39 +875,37 @@ class TestBuildBundle:
             h = materialize(x, r)
             w = np.linalg.eigh(h)[0]
             assert np.abs(b.spectrum_h - w[:5]).max() <= 1e-12 * np.abs(w).max(), desc
-            every = verification._low_eigs(x, r, 60)
-            assert np.abs(every - w).max() <= 1e-12 * np.abs(w).max(), desc
-            # the values come chain by chain; merged, they are the lowest of
-            # the whole operator, and each chain's certified law is the
-            # spectrum's bottom of its block of the whole operator
-            for count in (7, 60):
-                wv = verification._low_eigs(x, r, count)
-                assert np.abs(wv - w[:count]).max() <= 1e-12 * np.abs(w).max()
-                for ch, m in enumerate(r.lengths()):
-                    want = min(count, m)
-                    law = verification._chain_bracket(sol.c0, sol.c, r.weights[ch], m, want)
-                    if law is not None:
-                        wc = np.linalg.eigvalsh(h[ch::r.band, ch::r.band])[:want]
-                        assert np.abs(wc - law).max() <= 1e-12 * np.abs(w).max(), desc
-                        certified += 1
-        assert certified > 0
+            with pytest.raises(TruncationTooSmall, match="raise --size"):
+                verification._low_eigs(x, r, 120)
+            wv = verification._low_eigs(x, r, 7)
+            assert np.abs(wv - w[:7]).max() <= 1e-12 * np.abs(w).max()
+            for ch, m in enumerate(r.lengths()):
+                law = verification._chain_bracket(sol.c0, sol.c, r.weights[ch], m, 7)
+                wc = np.linalg.eigvalsh(h[ch::r.band, ch::r.band])[:7]
+                assert np.abs(wc - law).max() <= 1e-12 * np.abs(w).max(), desc
 
     def test_spectrum_count_edges(self):
-        # a bundle holds e0 to e4, or all N levels where N is smaller; the
-        # solve itself yields none at count 0, all N above N, and refuses a
-        # negative count
+        # a bundle holds e0 to e4; a chain too short for them (N = 4 and
+        # 10) is refused.  The solve itself yields none at count 0, refuses
+        # a negative count, and yields all N levels above N where the
+        # chain holds the law up to its cut (no coupling), and refuses
+        # them where it does not
         sol = solve_metric(P, 0.4)
         x = AlgebraElement(sol.c0, sol.c, sol.c)
         for n in (4, 10):
-            r = discrete_series(0.25, n)
-            w = np.linalg.eigh(materialize(x, r))[0]
-            b = build_bundle(sol, r, trusted=2)
-            assert b.spectrum_h.shape == (min(n, 5),)
-            assert np.abs(b.spectrum_h - w[:5]).max() <= 1e-12 * np.abs(w).max()
+            with pytest.raises(TruncationTooSmall, match=f"{n} of the N = {n} states"):
+                build_bundle(sol, discrete_series(0.25, n), trusted=2)
+        r = discrete_series(0.25, 40)
+        w = np.linalg.eigh(materialize(x, r))[0]
+        b = build_bundle(sol, r, trusted=2)
+        assert b.spectrum_h.shape == (5,)
+        assert np.abs(b.spectrum_h - w[:5]).max() <= 1e-12 * np.abs(w).max()
+        r = discrete_series(0.25, 10)
         assert verification._low_eigs(x, r, 0).shape == (0,)
-        every = verification._low_eigs(x, r, 12)
-        assert every.shape == (10,)
-        assert np.abs(every - w).max() <= 1e-12 * np.abs(w).max()
+        with pytest.raises(TruncationTooSmall, match="10 of the N = 10 states"):
+            verification._low_eigs(x, r, 12)
+        every = verification._low_eigs(AlgebraElement(sol.c0, 0.0, 0.0), r, 12)
+        assert np.array_equal(every, sol.c0 * (np.arange(10) + 0.25))
         with pytest.raises(InvalidParams):
             verification._low_eigs(x, r, -1)
 
@@ -1055,7 +1105,10 @@ def admissible_points(draw):
 # up to 13 ulps off a 40-digit solve (a chain's 25 x 25 block: 4), so two
 # ways of taking a norm ratio agree to about 11 ulps, not to one.
 SVD_ULPS = 16
-# (realization, T): the z0 workload's five at T = 50, and a band past T
+# (realization, T): the z0 workload's five at T = 50, and a band past T,
+# at N = 300 (the band-12 chains' 25 states hold h's law; at N = 200 their
+# 16 do not)
+CHAIN_N = 300
 CHAIN_CASES = [*((desc, 50) for desc in KINDS[:5]), (BAND_12, 10)]
 
 
@@ -1075,16 +1128,17 @@ class TestCoefficientResiduals:
                     assert b.residuals[name] <= tol, (p, z, n, name)
 
     def test_r_herm_detects_a_wrong_exponent(self):
-        # the record's adjoint form at an exponent 1e-4 off
+        # the record's adjoint form at an exponent 1e-4 off (h's law needs
+        # 37 states here, so N = 40)
         sol = solve_metric(STRONG, 0.77)
         eps = (1.0 + 1e-4) * sol.epsilon
         u, v, w = (x.real for x in halved_conjugate(STRONG, eps, 0.77 * eps / 2.0))
-        b = build_bundle(sol._replace(u=u, v=v, w=w), discrete_series(0.25, 30), trusted=10)
+        b = build_bundle(sol._replace(u=u, v=v, w=w), discrete_series(0.25, 40), trusted=10)
         assert b.residuals["r_herm"] > RESIDUAL_TOLS["r_herm"]
 
     def test_r_eq10_detects_a_wrong_hermitian_equivalent(self):
         sol = solve_metric(STRONG, 0.77)
-        b = build_bundle(sol._replace(c0=sol.c0 + 1e-6), discrete_series(0.25, 30), trusted=10)
+        b = build_bundle(sol._replace(c0=sol.c0 + 1e-6), discrete_series(0.25, 40), trusted=10)
         assert b.residuals["r_eq10"] > RESIDUAL_TOLS["r_eq10"]
 
     def test_overflow_in_a_metric_block_is_inf(self, monkeypatch):
@@ -1157,7 +1211,7 @@ class TestCoefficientResiduals:
         monkeypatch.setattr(verification, "_chain_norms",
                             lambda pairs: taken.append(pairs) or exact(pairs))
         for desc, t in CHAIN_CASES:
-            r, _ = from_descriptor(desc, 200)
+            r, _ = from_descriptor(desc, CHAIN_N)
             for z in (0.0, 0.4):
                 taken.clear()
                 b = build_bundle(solve_metric(P, z), r, trusted=t)
@@ -1180,7 +1234,7 @@ class TestCoefficientResiduals:
                             lambda a, *args, **kwargs: shapes.append(a.shape)
                             or svd(a, *args, **kwargs))
         for desc, t in CHAIN_CASES:
-            r, _ = from_descriptor(desc, 200)
+            r, _ = from_descriptor(desc, CHAIN_N)
             for z in (0.0, 0.4):
                 shapes.clear()
                 build_bundle(solve_metric(P, z), r, trusted=t)
@@ -1197,6 +1251,11 @@ class TestCoefficientResiduals:
             with pytest.raises(InvalidParams, match="mu > 0"):
                 build_bundle(solve_metric(p, z), discrete_series(0.25, 8), trusted=4)
             return
-        b = build_bundle(solve_metric(p, z), discrete_series(0.25, 8), trusted=4)
+        # the bundle at the first N = 8 2^j whose chain holds h's law (at
+        # most 2^19 over these draws)
+        sol = solve_metric(p, z)
+        n = next(n for n in (8 << j for j in range(18))
+                 if verification._chain_bracket(sol.c0, sol.c, 0.25, n, 5) is not None)
+        b = build_bundle(sol, discrete_series(0.25, n), trusted=4)
         assert b.residuals["r_herm"] <= RESIDUAL_TOLS["r_herm"]
         assert b.residuals["r_eq10"] <= RESIDUAL_TOLS["r_eq10"]
