@@ -357,15 +357,6 @@ def pdm_flux_form(cfg) -> tuple[np.ndarray, np.ndarray]:
     return w[1:] + w[:-1] + effective_potential(cfg, x), -w[1:-1]
 
 
-def chain_values(x, k0, kp, count):
-    """The lowest `count` eigenvalues (ascending) of the symmetric element
-    x = c0 K0 + c (Km + Kp) on one chain with K0 and K+ bands k0 and kp,
-    bisected in full by eigh_tridiagonal, as chain_spectrum does."""
-    return eigh_tridiagonal(x.c0.real * k0, x.cm.real * kp, select="i",
-                            select_range=(0, count - 1), eigvals_only=True,
-                            tol=2.0 * np.finfo(float).tiny)
-
-
 def chain_spectrum(x, realization, count):
     """Lowest `count` eigenvalues (ascending) and eigenvectors of the
     symmetric element x = c0 K0 + c (Km + Kp) on the whole realization:

@@ -187,10 +187,8 @@ def test_tolerances_reject_a_changed_digit():
 
 # The verify and sweep records that h's law refuses as too short (exit 3),
 # with the chain each names (its lowest weight and states); every other
-# record takes the law on every chain.  These five printed the truncated
-# chains' own levels, from a bisection, until the refusal replaced it.  A
-# change to the chains' certificate that moves a chain between the two
-# outcomes moves this table.
+# record takes the law on every chain.  A change to the chains'
+# certificate that moves a chain between the two outcomes moves this table.
 REFUSED = {
     "verify --omega 1 --alpha 0.5 --beta 0.49999999999 --z 0.3": "k = 0.25, 200",
     "verify --omega 1 --alpha 0.2 --beta 0.1 --realization multiboson:l=12,residues="

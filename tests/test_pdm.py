@@ -14,7 +14,7 @@ from scipy.linalg.lapack import dstebz
 from su11metric import (InvalidParams, NoConvergence, Su11MetricError, SwansonParams,
                         discrete_series, is_admissible, oscillator_full, solve_metric,
                         spectrum_prediction, z_domain)
-from su11metric import metric, pdm, verification
+from su11metric import metric, pdm
 from su11metric.metric import _harmonic_law
 from su11metric.pdm import (PdmConfig, _grid_spectrum, _grid_terms, _h_tridiag,
                             _interior_grid, boundary_decay,

@@ -26,8 +26,8 @@ from su11metric.cli import RESIDUAL_TOLS, main
 from su11metric.pdm import PdmConfig, run_pdm_check
 
 from conftest import apply_basis, halved_conjugate, metric_block, spectral_norm
-from oracles import (basis_bands, chain_count_mp, chain_spectrum, chain_values,
-                     commutator_residuals, exp_raising, exp_symmetric, materialize,
+from oracles import (basis_bands, chain_count_mp, chain_spectrum, commutator_residuals,
+                     exp_raising, exp_symmetric, materialize,
                      metric_block_definite, metric_family_mp,
                      metric_power_dense, metric_power_mp, stability_roots_mp)
 from test_pdm import h_tridiag
