@@ -30,7 +30,9 @@ PIVOT_TOL = 1e-14
 
 
 class AlgebraElement(NamedTuple):
-    """Coefficient triple (c0, cm, cp) of c0*K0 + cm*Km + cp*Kp."""
+    """Coefficient triple (c0, cm, cp) of c0*K0 + cm*Km + cp*Kp, any complex
+    values.  The metric's exponent is never one: it is written in (eps, eta)
+    (adjoint_matrix, conjugate), which makes it Hermitian by construction."""
 
     c0: complex
     cm: complex
@@ -39,17 +41,6 @@ class AlgebraElement(NamedTuple):
     # a tuple is a sequence, which numpy scalars would broadcast over:
     # None makes np.float64(2.0) * x defer to __rmul__
     __array_ufunc__ = None
-
-    def casimir(self) -> complex:
-        """Quadratic form c0**2 - 4*cp*cm, invariant under conjugation."""
-        return self.c0 * self.c0 - 4.0 * self.cp * self.cm
-
-    def is_hermitian_form(self) -> bool:
-        """True when the element represents a Hermitian operator in a unitary
-        realization: real c0 and cp = conj(cm), to 1e-12 relative."""
-        tol = 1e-12 * max(1.0, abs(self.c0), abs(self.cm), abs(self.cp))
-        return (abs(complex(self.c0).imag) <= tol
-                and abs(self.cp - complex(self.cm).conjugate()) <= tol)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.c0 + other.c0, self.cm + other.cm,
@@ -197,15 +188,7 @@ def _mat_vec(m, x) -> tuple[complex, complex, complex]:
     return tuple(r0 * x0 + r1 * x1 + r2 * x2 for r0, r1, r2 in m)
 
 
-def conjugate(a_exponent: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
-    """Coefficients of rho x rho^{-1} for rho = exp(a_exponent).
-
-    The exponent must be of Hermitian metric form (real c0, cp = conj(cm)),
-    i.e. a_exponent = (2 eps, 2 eta, 2 conj(eta)).
-    """
-    if not a_exponent.is_hermitian_form():
-        raise InvalidParams(
-            "conjugation exponent must be Hermitian: real c0 and cp = conj(cm)")
-    eps = complex(a_exponent.c0).real / 2.0
-    eta = complex(a_exponent.cm) / 2.0
-    return AlgebraElement(*_mat_vec(adjoint_matrix(eps, eta), (x.c0, x.cm, x.cp)))
+def conjugate(epsilon: float, eta: complex, x: AlgebraElement) -> AlgebraElement:
+    """Coefficients of rho x rho^{-1} for rho = exp(2 eps K0 + 2 eta Km +
+    2 conj(eta) Kp), real eps and complex eta: adjoint_matrix(eps, eta) on x."""
+    return AlgebraElement(*_mat_vec(adjoint_matrix(epsilon, eta), (x.c0, x.cm, x.cp)))

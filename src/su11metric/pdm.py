@@ -78,12 +78,11 @@ def _lapack():
 
 def _bisect(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
     """The lowest `count` eigenvalues (ascending) of the finite symmetric
-    tridiagonal (diag, off), values alone, bisected by dstebz to 2 tiny
-    absolute (at ulp ||T|| a wide diagonal's low values are noise) as
-    scipy's eigh_tridiagonal does; NoConvergence, in its words, where it
-    fails.  A one-state T (dstebz refuses its empty off) is its own value."""
-    if diag.size == 1:
-        return diag.copy()
+    tridiagonal (diag, off) of two or more rows (dstebz refuses a one-state
+    T's empty off; the grid's have 100 or more), values alone, bisected by
+    dstebz to 2 tiny absolute (at ulp ||T|| a wide diagonal's low values
+    are noise) as scipy's eigh_tridiagonal does; NoConvergence, in its
+    words, where it fails."""
     m, w, *_, info = _lapack().dstebz(diag, off, 2, 0.0, 1.0, 1, count, 2.0 * _TINY, "E")
     if info != 0:
         raise NoConvergence("tridiagonal eigensolve failed: stebz (eigh_tridiagonal) "
@@ -180,25 +179,21 @@ def validate_config(cfg: PdmConfig) -> PdmConfig:
     return cfg
 
 
-def _interior_grid(cfg: PdmConfig) -> tuple[np.ndarray, float]:
-    dx = (cfg.x_max - cfg.x_min) / (cfg.points + 1)
-    x = cfg.x_min + dx * np.arange(1, cfg.points + 1)
-    return x, dx
-
-
 def _grid_terms(cfg: PdmConfig):
     """(x, dx, w, curv, well, gp): the pointwise terms of the grid generators
     for g(x) = -exp(-s x)/s, so g' = exp(-s x) and g'' = -s g', w, curv and
     g' finite for a validated cfg.  w, the flux weights of F = -d/dx
     (1/g'^2) d/dx, sits at the n + 1 half points x_min + dx (k + 1/2); the
-    others at the n interior nodes x.
+    others at the n interior nodes x = x_min + dx k, k = 1, ..., n, where
+    dx = (x_max - x_min) / (n + 1).
 
     w      1/(g'^2 dx^2)
     curv   g'''/(2 g'^3) - (5/4) g''^2/g'^4 = -(3/4) s^2 / g'^2
     well   g/2 + tau
     gp     g'
     """
-    x, dx = _interior_grid(cfg)
+    dx = (cfg.x_max - cfg.x_min) / (cfg.points + 1)
+    x = cfg.x_min + dx * np.arange(1, cfg.points + 1)
     s = cfg.s
     half = cfg.x_min + dx * (np.arange(cfg.points + 1) + 0.5)
     w = np.exp(2.0 * s * half) / (dx * dx)
@@ -320,10 +315,10 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     return theta, q.T, resid + 4.0 * _EPS * np.sqrt(np.einsum("ij,ij->i", m, m))
 
 
-def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarray):
+def _grid_spectrum(diag: np.ndarray, off: np.ndarray, near: np.ndarray):
     """(values, vectors, residuals) of the lowest COUNT eigenpairs of the
-    grid h of a validated cfg with its weights (_h_tridiag), certified, with
-    residuals ||T q - theta q|| of the vectors q.
+    grid's symmetric tridiagonal h = (diag, off) (_h_tridiag), certified,
+    with residuals ||T q - theta q|| of the vectors q.
 
     _rayleigh refines `near`, approximate eigenvalues such as a coarser
     grid's or the algebraic law's, and the result is certified on
@@ -334,7 +329,6 @@ def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarra
     grid's points, its diagonal's range and any failure of the bisection,
     where these do not certify either.
     """
-    diag, off = _h_tridiag(cfg, weights)
     dstebz = _lapack().dstebz
     reason = ""
     for shifts in (near, None):
@@ -353,7 +347,7 @@ def _grid_spectrum(cfg: PdmConfig, weights: tuple[float, float], near: np.ndarra
             if info == 0 and found == COUNT:
                 return got
     raise NoConvergence(
-        f"the {cfg.points}-point grid's lowest {COUNT} eigenvalues cannot be certified "
+        f"the {diag.size}-point grid's lowest {COUNT} eigenvalues cannot be certified "
         f"(its diagonal spans {diag.min():.3g} to {diag.max():.3g}){reason}")
 
 
@@ -369,7 +363,8 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
 
     The grid is solved at cfg.points divided by each factor of REFINE
     (coarse to fine); these levels must be distinct grids of at least 100
-    points, so the check needs 400 points (else InvalidParams).  One
+    points, so the check needs 400 points (else InvalidParams, refused
+    before the rest of cfg is validated).  One
     solve_metric record gives the grid's weights (mu omega, nu / omega),
     refused where mu <= 0, and the law sqrt(gap) (n + 1/2).
     The coarsest level refines the algebraic law's values and each finer
@@ -382,13 +377,13 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
     lowest eigenfunctions must decay below DECAY_TOL at both walls.  A
     failed decay check yields INCONCLUSIVE regardless of the spectral match.
     """
-    validate_config(cfg)
     points_used = tuple(cfg.points // f for f in REFINE)
     if points_used[0] < 100:
         raise InvalidParams(f"the refinement check needs at least {100 * REFINE[0]} "
                             f"grid points (got {cfg.points}): its levels "
                             f"{', '.join(map(str, points_used))} must be distinct "
                             "grids of 100 points or more")
+    validate_config(cfg)
     # cfg's validation covers the coarser levels, whose terms stay smaller
     sol = solve_metric(cfg.params, cfg.z)
     if sol.mu <= 0.0:
@@ -400,7 +395,7 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
     for pts in points_used:
         # the finest grid's vectors are the ones the decay check reads
         vals, vecs, refine_residuals[pts] = _grid_spectrum(
-            replace(cfg, points=pts), weights, near)
+            *_h_tridiag(replace(cfg, points=pts), weights), near)
         near = refine_table[pts] = vals
 
     levels = [refine_table[pts] for pts in points_used]

@@ -168,7 +168,8 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
 
     x must be elliptic, c0 > 2|c| (for h, mu > 0, as c0 - 2c = 2 mu omega
     and c0^2 > 4 c^2): -K0 or a hyperbolic or parabolic x has no lowest
-    levels on the infinite chain and is refused.  Each chain, a D+(k),
+    levels on the infinite chain and is refused, naming c0 - 2|c| in
+    doubles, which rounds to 0 for some h with mu > 0.  Each chain, a D+(k),
     takes the law that _chain_bracket certifies in its states, else ends in
     TruncationTooSmall, which admits that the bracket's overshoot refuses
     some chains a few states short that already hold the law."""
@@ -178,7 +179,9 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
         raise InvalidParams(f"operator is not real symmetric: {x}")
     c0, c = x.c0.real, x.cm.real
     if not c0 > 2.0 * abs(c):
-        raise InvalidParams(f"h = {c0:g} K0 + {c:g} (K+ + K-) is bounded below only for mu > 0")
+        raise InvalidParams(f"h = {c0:g} K0 + {c:g} (K+ + K-) is not elliptic in doubles: "
+                            f"c0 - 2|c| = {c0 - 2.0 * abs(c):g} is not > 0 (h is bounded "
+                            "below only for mu > 0)")
     # c0 K0 past the doubles on any of the N states is refused by name
     k0_max = _k0_max(realization, realization.dim)
     if c0 * k0_max == math.inf:

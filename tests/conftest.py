@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from su11metric import (AlgebraElement, SwansonParams, build_bundle, conjugate,
-                        discrete_series, materialize_metric_root, solve_metric,
-                        swanson_element)
+from su11metric import (SwansonParams, build_bundle, conjugate, discrete_series,
+                        materialize_metric_root, solve_metric, swanson_element)
 from su11metric.realizations import apply
 
 
@@ -38,10 +37,10 @@ def metric_block(bundle, sign):
 
 def halved_conjugate(p, eps, eta):
     """(U, V, W) of rho H rho^{-1} = 2U K0 + 2V Km + 2W Kp at any (eps, eta),
-    imaginary parts kept: core.conjugate of A = (2 eps, 2 eta, 2 eta) on H,
-    halved exactly.  At a solve_metric record's (epsilon, eta) the real
-    parts are its (u, v, w)."""
-    y = conjugate(AlgebraElement(2.0 * eps, 2.0 * eta, 2.0 * eta), swanson_element(p))
+    imaginary parts kept: core.conjugate(eps, eta) on H, halved exactly.
+    At a solve_metric record's (epsilon, eta) the real parts are its
+    (u, v, w)."""
+    y = conjugate(eps, eta, swanson_element(p))
     return y.c0 / 2.0, y.cm / 2.0, y.cp / 2.0
 
 

@@ -29,6 +29,13 @@ def defining_rep(x: AlgebraElement) -> np.ndarray:
     return x.c0 * SIGMA_K0 + x.cm * SIGMA_KM + x.cp * SIGMA_KP
 
 
+def casimir_defining(x: AlgebraElement) -> complex:
+    """c0**2 - 4*cp*cm as -4 det sigma(x): the quadratic Casimir in the 2x2
+    representation, invariant under conjugation."""
+    m = defining_rep(x)
+    return complex(-4.0 * (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
+
+
 def exp_defining(x: AlgebraElement) -> np.ndarray:
     """exp(sigma(x)) in closed form.
 

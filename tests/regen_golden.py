@@ -57,6 +57,10 @@ PINS = [
     ["pdm", "--omega", "1", "--alpha", "0.45", "--beta", "0.05", "--z", "0.5"],
     ["pdm", "--omega", "0.5", "--alpha", "0.3", "--beta", "0.1", "--z=-0.1", "--s", "1",
      "--tau", "1.4", "--x-min=-12", "--x-max", "20", "--points", "4000"],
+    # the same model wall further out, tau = 1: converged levels 1.9%, 4.6%
+    # and 8.9% off the law, a FAIL (exit 1)
+    ["pdm", "--omega", "0.5", "--alpha", "0.3", "--beta", "0.1", "--z=-0.1", "--s", "1",
+     "--tau", "1.0", "--x-min=-12", "--x-max", "20", "--points", "4000"],
     # the sectors, a zero multiboson residue and weights other than 1/4 at
     # z != 0; alpha = -beta = 1/4 makes |z| <= 0.447 inadmissible for conformal
     *(["verify", *BASE, "--realization", realization, z, "--size", "400"]

@@ -132,8 +132,7 @@ def test_criterion_4_family_consistency(coefficient_grid, bundle_grid):
     for p, zs in coefficient_grid:
         for z in zs:
             sol = sm.solve_metric(p, z)
-            a = sm.AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta)
-            y = sm.conjugate(a, sm.swanson_element(p))
+            y = sm.conjugate(sol.epsilon, sol.eta, sm.swanson_element(p))
             worst_h = max(worst_h, abs(sol.c0 - y.c0), abs(sol.c - y.cm),
                           abs(sol.c - y.cp))
     # matrix level: the metric root equals the power of the observable,

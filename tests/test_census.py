@@ -47,25 +47,31 @@ def verify(capsys, monkeypatch, argv):
     return code, err, built[-1].spectrum_h if code in (0, 1) else None
 
 
-def test_census(capsys, monkeypatch):
+def draws():
+    """(argv, SwansonParams, realization descriptor) of each census call,
+    DRAWS seeded (alpha, beta, z), each over the KINDS."""
     rng = np.random.default_rng(SEED)
-    codes = []
     for alpha, beta, z in rng.uniform(-1.0, 1.0, size=(DRAWS, 3)).tolist():
         for desc in KINDS:
-            argv = ("verify", "--omega", "1", "--alpha", repr(alpha), "--beta", repr(beta),
-                    "--z", repr(z), "--realization", desc)
-            code, err, levels = verify(capsys, monkeypatch, argv)
-            codes.append(code)
-            if levels is None:
-                assert code in (2, 3) and err.count("\n") == 1, (argv, code, err)
-                assert code == 2 or REFUSAL in err, (argv, err)
-                continue
-            r, implied = from_descriptor(desc, 200, omega=1.0)
-            p = implied if implied is not None else SwansonParams(1.0, alpha, beta)
-            law = law_mp(p, r)
-            assert len(levels) == len(law) == 5, argv
-            for i, (got, want) in enumerate(zip(levels.tolist(), law)):
-                assert abs(mp.mpf(got) - want) <= LAW_REL * want, (argv, i, got, want)
+            yield (("verify", "--omega", "1", "--alpha", repr(alpha), "--beta", repr(beta),
+                    "--z", repr(z), "--realization", desc),
+                   SwansonParams(1.0, alpha, beta), desc)
+
+
+def test_census(capsys, monkeypatch):
+    codes = []
+    for argv, p, desc in draws():
+        code, err, levels = verify(capsys, monkeypatch, argv)
+        codes.append(code)
+        if levels is None:
+            assert code in (2, 3) and err.count("\n") == 1, (argv, code, err)
+            assert code == 2 or REFUSAL in err, (argv, err)
+            continue
+        r, implied = from_descriptor(desc, 200, omega=1.0)
+        law = law_mp(implied if implied is not None else p, r)
+        assert len(levels) == len(law) == 5, argv
+        for i, (got, want) in enumerate(zip(levels.tolist(), law)):
+            assert abs(mp.mpf(got) - want) <= LAW_REL * want, (argv, i, got, want)
     # the census reaches the law, a refused z and a chain too short
     assert {0, 2, 3} <= set(codes), sorted(set(codes))
 

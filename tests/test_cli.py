@@ -382,6 +382,18 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "mu > 0" in err
 
+    def test_rounded_ellipticity_names_its_test(self, capsys):
+        # mu = 5.6e-17 > 0 at this point, but h's c0 - 2|c| is 0.0 in
+        # doubles (2 mu omega = 1.1e-16 sits under an ulp of c0 = 2.9e15):
+        # the refusal names the rounded quantity it tested, not mu <= 0
+        argv = ("--omega", "1", "--alpha", "0.7", "--beta", "0.3", "--z", "1")
+        assert 0.0 < solve_metric(SwansonParams(1.0, 0.7, 0.3), 1.0).mu < 1e-16
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: h = 2.8823e+15 K0 + 1.44115e+15 (K+ + K-) is not elliptic "
+                       "in doubles: c0 - 2|c| = 0 is not > 0 (h is bounded below only "
+                       "for mu > 0)\n")
+
 
 class TestNonFiniteInputs:
     # NaN compares false with everything, so a check written as
@@ -715,10 +727,11 @@ class TestPdmCommand:
         e0 = float(rows["e0"].split()[0])
         assert abs(e0 - 0.479582209874) <= 1e-10 * 0.479582209874
 
-    @pytest.mark.parametrize("points", ["100", "200", "399", "400"])
+    @pytest.mark.parametrize("points", ["0", "1", "50", "100", "200", "399", "400"])
     def test_refinement_levels_need_400_points(self, capsys, points):
         # below 400 points the levels points/4, points/2 and points would
-        # repeat a 100-point grid or fall under it
+        # repeat a 100-point grid or fall under it; every such count gets
+        # this one message, also where the config's own floor of 100 fails
         code, out, err = run_cli(capsys, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", "--points", points)
         if points == "400":
@@ -827,7 +840,8 @@ class TestPdmCommand:
         p = SwansonParams(1.0, 0.2, 0.1)
         cfg, sol = pdm.PdmConfig(params=p, points=400), solve_metric(p, 0.0)
         with pytest.raises(NoConvergence, match=failed):
-            pdm._grid_spectrum(cfg, (sol.mu * p.omega, sol.nu / p.omega), np.full(3, np.nan))
+            pdm._grid_spectrum(*pdm._h_tridiag(cfg, (sol.mu * p.omega, sol.nu / p.omega)),
+                               np.full(3, np.nan))
         code, out, err = run_cli(capfd, "pdm", "--omega", "1", "--alpha", "0.2",
                                  "--beta", "0.1", "--x-max", "300")
         assert (code, out) == (3, "")

@@ -17,8 +17,8 @@ from su11metric import (InvalidParams, NoConvergence, Su11MetricError, SwansonPa
 from su11metric import metric, pdm
 from su11metric.metric import _harmonic_law
 from su11metric.pdm import (PdmConfig, _grid_spectrum, _grid_terms, _h_tridiag,
-                            _interior_grid, boundary_decay,
-                            pdm_generators, run_pdm_check, validate_config)
+                            boundary_decay, pdm_generators, run_pdm_check,
+                            validate_config)
 
 from oracles import pdm_flux_form
 
@@ -43,13 +43,19 @@ def h_tridiag(cfg):
 
 
 def grid_spectrum(cfg, near=None):
-    """_grid_spectrum of cfg from `near`, or without it from the
+    """_grid_spectrum of cfg's h from `near`, or without it from the
     bisection's values."""
-    cfg = validate_config(cfg)
+    diag, off = h_tridiag(validate_config(cfg))
     if near is None:
-        diag, off = h_tridiag(cfg)
         near = pdm._bisect(diag, off, pdm.COUNT)
-    return _grid_spectrum(cfg, mass_weights(cfg), near)
+    return _grid_spectrum(diag, off, near)
+
+
+def interior_grid(cfg):
+    """(x, dx): the interior nodes x_min + k dx, k = 1, ..., points, and
+    their spacing dx = (x_max - x_min) / (points + 1)."""
+    dx = (cfg.x_max - cfg.x_min) / (cfg.points + 1)
+    return cfg.x_min + dx * np.arange(1, cfg.points + 1), dx
 
 
 def admissible_configs(points):
@@ -168,7 +174,7 @@ class TestOneDiscretization:
         for name, (got, ref) in expect.items():
             assert got.shape == ref.shape, name
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
-        assert np.array_equal(x, _interior_grid(cfg)[0])
+        assert np.array_equal(x, interior_grid(cfg)[0]) and dx == interior_grid(cfg)[1]
 
 
 class TestSpectralCheck:
@@ -407,9 +413,8 @@ class TestCertifiedChain:
         got = []
         solve = pdm._grid_spectrum
 
-        def record(level, weights, near):
-            out = solve(level, weights, near)
-            diag, off = _h_tridiag(level, weights)
+        def record(diag, off, near):
+            out = solve(diag, off, near)
             got.append((diag, off, out))
             return out
 
@@ -542,7 +547,7 @@ class TestGenerators:
     def _dense_reference(cfg):
         """(K0, Kp, Km) as sums and products of dense flux, drift and
         central-difference matrices."""
-        x, dx = _interior_grid(cfg)
+        x, dx = interior_grid(cfg)
         s = cfg.s
         gp = np.exp(-s * x)
         half_g_tau = -0.5 * gp / s + cfg.tau
@@ -564,7 +569,7 @@ class TestGenerators:
     def test_equals_dense_reference(self, tau):
         cfg = replace(CFG, points=300, tau=tau, z=0.4)
         ops = pdm_generators(cfg)
-        x, dx = _interior_grid(cfg)
+        x, dx = interior_grid(cfg)
         for op, ref in zip(ops, self._dense_reference(cfg)):
             assert isinstance(op.matrix, pdm.Tridiagonal)
             data = op.matrix.data

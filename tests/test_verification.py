@@ -295,10 +295,10 @@ class TestBisect:
 
     def test_split_chains(self):
         # zero and negligible links split T into blocks, single states
-        # among them
+        # among them; T itself has two states or more, as the grid's do
         rng = np.random.default_rng(3559)
         for _ in range(200):
-            n = int(rng.integers(1, 60))
+            n = int(rng.integers(2, 60))
             d = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
             e = rng.normal(size=n - 1)
             e[rng.random(n - 1) < 0.3] = 0.0
