@@ -20,8 +20,11 @@ No module imports scipy: pdm alone loads its LAPACK wrappers (pdm._lapack).
 Where mu <= 0, h is unbounded below, and verify, sweep and pdm refuse z.
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over
-tolerance or a failed/inconclusive check, 2 invalid parameters or
-inadmissible z, 3 numerical failure or an uncertified PDM grid level.
+tolerance or a failed/inconclusive check, 2 a refused command line (argparse,
+a missing or unreadable --config file), invalid parameters or inadmissible
+z, 3 numerical failure, an uncertified PDM grid level or a chain of h too
+short for its law.  Each error type carries its code (errors.py), and main
+prints its message as one "error:" line.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ import functools
 import sys
 
 from .core import disentangle_closed_form
-from .errors import (DecompositionSingular, InvalidParams, NoConvergence,
-                     TrigRegime, TruncationTooSmall, ZOutOfDomain)
+from .errors import InvalidParams, Su11MetricError, TruncationTooSmall
 from .metric import SwansonParams, _exact, solve_metric, spectrum_prediction
 
 _self = sys.modules[__name__]  # its attributes include wrappers set on the module
@@ -88,10 +90,6 @@ def _emit(args, rows) -> None:
 
 
 def _params(args) -> SwansonParams:
-    missing = [f"--{k}" for k in ("omega", "alpha", "beta")
-               if getattr(args, k) is None]
-    if missing:
-        raise InvalidParams(f"missing required parameter(s): {', '.join(missing)}")
     return SwansonParams(args.omega, args.alpha, args.beta)
 
 
@@ -202,12 +200,9 @@ def cmd_pdm(args) -> int:
 
 
 def _add_param_flags(sp) -> None:
-    sp.add_argument("--omega", type=float, default=None,
-                    help="oscillator frequency (required)")
-    sp.add_argument("--alpha", type=float, default=None,
-                    help="lowering coupling (required)")
-    sp.add_argument("--beta", type=float, default=None,
-                    help="raising coupling (required)")
+    sp.add_argument("--omega", type=float, required=True, help="oscillator frequency")
+    sp.add_argument("--alpha", type=float, required=True, help="lowering coupling")
+    sp.add_argument("--beta", type=float, required=True, help="raising coupling")
 
 
 def _add_output_flag(sp) -> None:
@@ -306,7 +301,7 @@ def _apply_config(argv: list[str]) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParams(f"cannot read config file {path!r}: {exc}") from exc
     flags: list[str] = []
     for lineno, line in enumerate(lines, 1):
@@ -326,21 +321,13 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-        args = _build_parser().parse_args(argv)
-    except (InvalidParams,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = _build_parser().parse_args(_apply_config(argv))
         return args.func(args)
-    except (InvalidParams, ZOutOfDomain, TrigRegime, DecompositionSingular) as exc:
+    except SystemExit as exc:  # argparse: --help, or a refused command line
+        return 0 if exc.code in (0, None) else 2
+    except Su11MetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NoConvergence, TruncationTooSmall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

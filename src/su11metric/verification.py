@@ -82,7 +82,7 @@ def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
     (a, theta_(n+1)) at most rho + r^2 / (rho - a).  Logarithms are raised
     by `err` over their rounding; both ends widen by the law's (2.25 eps).
     Kato-Temple can refuse level n where level n - 1 passed (psi_n reaches
-    the cut, psi_(n-1) does not): Omega / c0 = 4.1e-6, N = 5 935 303."""
+    the cut, psi_(n-1) does not): Omega / c0 = 0.8, k = 2e5, N = 51 760."""
     if want <= 0:
         return np.empty(0)
     if want > n_states:
@@ -160,24 +160,19 @@ def _k0_max(realization: RealizationMatrices, m: int) -> float:
     return max(float(l - 1) + k for k, l in zip(realization.weights, realization.lengths(m)) if l)
 
 
-def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
+def _low_eigs(c0: float, c: float, realization: RealizationMatrices,
               count: int) -> np.ndarray:
-    """The lowest `count` eigenvalues (ascending) of the real symmetric
-    x = c0 K0 + c (Km + Kp) on the realization, certified.  A count above
-    the dimension asks for all; zero for none.
+    """The lowest `count` eigenvalues (ascending) of h = c0 K0 + c (Km + Kp)
+    on the realization, certified: build_bundle's spectrum_h, count =
+    SPECTRUM_COUNT.  A count above a chain's length asks for all its levels.
 
-    x must be elliptic, c0 > 2|c| (for h, mu > 0, as c0 - 2c = 2 mu omega
-    and c0^2 > 4 c^2): -K0 or a hyperbolic or parabolic x has no lowest
+    h must be elliptic, c0 > 2|c| (mu > 0, as c0 - 2c = 2 mu omega and
+    c0^2 > 4 c^2): a hyperbolic or parabolic h, or -K0, has no lowest
     levels on the infinite chain and is refused, naming c0 - 2|c| in
     doubles, which rounds to 0 for some h with mu > 0.  Each chain, a D+(k),
     takes the law that _chain_bracket certifies in its states, else ends in
     TruncationTooSmall, which admits that the bracket's overshoot refuses
     some chains a few states short that already hold the law."""
-    if count < 0:
-        raise InvalidParams(f"eigenvalue count must be nonnegative (got {count})")
-    if x.cm != x.cp or complex(x.c0).imag or complex(x.cm).imag:
-        raise InvalidParams(f"operator is not real symmetric: {x}")
-    c0, c = x.c0.real, x.cm.real
     if not c0 > 2.0 * abs(c):
         raise InvalidParams(f"h = {c0:g} K0 + {c:g} (K+ + K-) is not elliptic in doubles: "
                             f"c0 - 2|c| = {c0 - 2.0 * abs(c):g} is not > 0 (h is bounded "
@@ -187,8 +182,7 @@ def _low_eigs(x: AlgebraElement, realization: RealizationMatrices,
     if c0 * k0_max == math.inf:
         raise InvalidParams(f"h's diagonal overflows (c0 = {c0:g}, K0 up to {k0_max:g})")
     w = []
-    # chain c starts at state c: the first dim chains are those with states
-    for k, m in zip(realization.weights, realization.lengths()[:realization.dim]):
+    for k, m in zip(realization.weights, realization.lengths()):
         law = _chain_bracket(c0, c, k, m, min(count, m))
         if law is None:
             raise TruncationTooSmall(
@@ -446,7 +440,7 @@ def build_bundle(sol: MetricSolution, realization: RealizationMatrices,
     t = trusted
     r = min(t + realization.band, n)
     h_coeffs = AlgebraElement(sol.c0, sol.c, sol.c)
-    spectrum = _low_eigs(h_coeffs, realization, SPECTRUM_COUNT)
+    spectrum = _low_eigs(sol.c0, sol.c, realization, SPECTRUM_COUNT)
     y = AlgebraElement(2.0 * sol.u, 2.0 * sol.v, 2.0 * sol.w)
 
     # h rho, (rho H)^T, (zeta H)^T, H^T zeta, (rho O)^T and O rho in one

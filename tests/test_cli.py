@@ -10,8 +10,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from su11metric import (AlgebraElement, NoConvergence, SwansonParams,
-                        TruncationTooSmall, cli, discrete_series, pdm, solve_metric,
+from su11metric import (DecompositionSingular, InvalidParams, NoConvergence,
+                        Su11MetricError, SwansonParams, TrigRegime, TruncationTooSmall,
+                        ZOutOfDomain, cli, discrete_series, pdm, solve_metric,
                         spectrum_prediction, verification)
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
@@ -673,6 +674,16 @@ class TestConfigFile:
         assert code == 2
         assert "config" in err
 
+    def test_undecodable_file_exit_2(self, capsys, tmp_path):
+        # a file that is not UTF-8 is refused as one that cannot be read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"omega = 1\xff\n")
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg), "--omega", "1",
+                                 "--alpha", "0.2", "--beta", "0.1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {str(cfg)!r}: ")
+        assert err.count("\n") == 1
+
     def test_malformed_line_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("omega 1.0\n", encoding="utf-8")
@@ -834,8 +845,7 @@ class TestPdmCommand:
         monkeypatch.setattr(pdm._lapack(), "dstebz", fail)
         failed = r"stebz \(eigh_tridiagonal\) did not converge \(LAPACK info=3\)"
         with pytest.raises(TruncationTooSmall, match="100 of the N = 100 states"):
-            verification._low_eigs(AlgebraElement(1.0, 0.495, 0.495),
-                                   discrete_series(0.25, 100), 3)
+            verification._low_eigs(1.0, 0.495, discrete_series(0.25, 100), 3)
         # a non-finite seed certifies nothing, so the grid bisects
         p = SwansonParams(1.0, 0.2, 0.1)
         cfg, sol = pdm.PdmConfig(params=p, points=400), solve_metric(p, 0.0)
@@ -1091,12 +1101,11 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scip
         # chain, certified by its closed-form bracket
         script = """
 import sys
-from su11metric import (AlgebraElement, SwansonParams, build_bundle,
-                        discrete_series, solve_metric)
+from su11metric import SwansonParams, build_bundle, discrete_series, solve_metric
 from su11metric.verification import _low_eigs
 sol, r = solve_metric(SwansonParams(1.0, 0.2, 0.1), 0.4), discrete_series(0.25, 200)
 bundle = build_bundle(sol, r)
-levels = _low_eigs(AlgebraElement(sol.c0, sol.c, sol.c), r, 25)
+levels = _low_eigs(sol.c0, sol.c, r, 25)
 print(bundle.spectrum_h.size, levels.size,
       sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
 """
@@ -1110,10 +1119,10 @@ print(bundle.spectrum_h.size, levels.size,
         # weight alone, so the values import no scipy
         script = """
 import sys
-from su11metric import AlgebraElement, discrete_series
+from su11metric import discrete_series
 from su11metric.verification import _chain_bracket, _low_eigs
 c0, c, r = 2.8690555219658664, 1.071386903518382, discrete_series(0.25, 1200)
-levels = _low_eigs(AlgebraElement(c0, c, c), r, 25)
+levels = _low_eigs(c0, c, r, 25)
 law = _chain_bracket(c0, c, 0.25, 1200, 25)
 print(levels.size, law is not None and (law == levels).all(),
       sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
@@ -1128,6 +1137,35 @@ class TestParsing:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "metric", "spectrum", "verify",
+                                         "sweep", "pdm"])
+    def test_parameters_are_required_by_the_parser(self, capsys, command):
+        # argparse refuses a command line that leaves out omega, alpha or
+        # beta, and names each flag left out
+        rest = ("--z-from", "0", "--z-to", "0.4", "--steps", "2") if command == "sweep" else ()
+        given = {"--omega": "1", "--alpha": "0.2", "--beta": "0.1"}
+        for left_out in (["--beta"], ["--alpha", "--beta"], list(given)):
+            argv = [x for flag, value in given.items() if flag not in left_out
+                    for x in (flag, value)]
+            code, out, err = run_cli(capsys, command, *argv, *rest)
+            assert (code, out) == (2, ""), (command, left_out)
+            assert f"the following arguments are required: {', '.join(left_out)}" in err
+
+    @pytest.mark.parametrize("error, code", [
+        (Su11MetricError, 2), (InvalidParams, 2), (TrigRegime, 2),
+        (DecompositionSingular, 2), (ZOutOfDomain, 2), (NoConvergence, 3),
+        (TruncationTooSmall, 3)], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_each_error_type_exits_with_its_code(self, capsys, monkeypatch, error, code):
+        # a typed error from any command ends in its documented exit code
+        # (2 a refused input, 3 a numerical failure or a truncation too
+        # short) and one "error:" line, with nothing on stdout
+        def refuse(*args):
+            raise error("the wall it hit")
+
+        monkeypatch.setattr(cli, "solve_metric", refuse)
+        assert run_cli(capsys, "metric", "--omega", "1", "--alpha", "0.2", "--beta", "0.1") \
+            == (code, "", "error: the wall it hit\n")
 
     def test_no_tolerance_flags(self, capsys):
         # RESIDUAL_TOLS is the one table of tolerances; no flag loosens one

@@ -14,6 +14,13 @@ computation carry a tolerance:
   there a level that moves at rounding level can flip a digit and fail;
 - pdm rel_error within REL_ERROR_ABS absolute.
 
+boundary_decay is held to LEVEL_REL with the levels, but it is read from
+the finest grid's eigenvectors, which only how far they converged fixes:
+vectors formed from the coarser level's values move it by about 1e-6
+relative (up to 0.36) while the certified levels stay.  A change of the
+grid's vector solve can therefore move that cell in nearly every pdm
+record and no level; regen_golden.py lists such moves.
+
 regen_golden.py rewrites the file and lists the cells that moved.  The
 closed-form records (disentangle and spectrum) are also held against
 oracles that share no code with the program, to the 12 printed digits.
