@@ -7,22 +7,22 @@ Numeric output is printed with 12 significant digits; sweep output is
 CSV with a fixed, documented column order and is fully computed before
 anything is emitted, so no partial CSV is produced on error.  verify and
 sweep refuse T (2 <= T < N) before p and z, and solve each (p, z) once
-(solve_metric), before any bundle is built from its record.  The closed-form
-subcommands (validate, disentangle, metric, spectrum) load neither numpy
-nor scipy nor dataclasses: the algebra layer's records are NamedTuples.
-verify, sweep and pdm load the matrix layer (numpy) on first use, and
-its records are dataclasses, whose import is a small share of numpy's.
+(solve_metric), before any bundle is built from its record.  Every record
+is a NamedTuple.  The closed-form subcommands (validate, disentangle,
+metric, spectrum) load neither numpy nor scipy; verify and sweep load the
+matrix layer (numpy) on first use, and pdm only the algebra layer, numpy
+and scipy's LAPACK wrappers (pdm._lapack; no module imports scipy).
 verify and sweep work one D+(k) chain at a time, so their cost does not
 grow with --size, and print h's levels only from its harmonic law,
 certified in each chain's states; a chain too short for it (a
 near-parabolic h, or verify --size 12) is refused (exit 3, raise --size).
-No module imports scipy: pdm alone loads its LAPACK wrappers (pdm._lapack).
 Where mu <= 0, h is unbounded below, and verify, sweep and pdm refuse z.
 
 Exit codes: 0 success (all residuals under tolerance), 1 residuals over
 tolerance or a failed/inconclusive check, 2 a refused command line (argparse,
-a missing or unreadable --config file), invalid parameters or inadmissible
-z, 3 numerical failure, an uncertified PDM grid level or a chain of h too
+a missing or unreadable --config file), invalid parameters, inadmissible
+z or an array past the machine's memory (numpy's MemoryError, naming it),
+3 numerical failure, an uncertified PDM grid level or a chain of h too
 short for its law.  Each error type carries its code (errors.py), and main
 prints its message as one "error:" line.
 """
@@ -325,9 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: --help, or a refused command line
         return 0 if exc.code in (0, None) else 2
-    except Su11MetricError as exc:
+    except (Su11MetricError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

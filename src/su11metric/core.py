@@ -21,12 +21,22 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import DecompositionSingular, InvalidParams, TrigRegime
 
 # pivots smaller than this are treated as singular factorizations
 PIVOT_TOL = 1e-14
+# the rounding units of a double: the smallest normal one and eps
+_TINY, _EPS = sys.float_info.min, sys.float_info.epsilon
+
+
+def _halves(v):
+    """Veltkamp's split of v into 26-bit halves, whose products are exact; NaN past 2^996."""
+    t = 134217729.0 * v     # 2^27 + 1
+    high = t - (t - v)
+    return high, v - high
 
 
 class AlgebraElement(NamedTuple):
@@ -160,26 +170,31 @@ def disentangle_closed_form(epsilon: float, eta: complex) -> tuple[Factorization
 def adjoint_matrix(epsilon: float, eta: complex) -> tuple[tuple[complex, ...], ...]:
     """Rows of the 3x3 matrix of the adjoint action of rho = exp(A) on coefficients.
 
-    A = 2 eps K0 + 2 eta Km + 2 conj(eta) Kp with finite real eps and
-    0 <= theta**2 = eps**2 - 4|eta|**2, theta at most _SCALE_FROM.
-    Conjugating X = (c0, cm, cp) by rho gives coefficients M @ (c0, cm, cp),
-    where with
-    s = sinh(theta)/theta and Cmp = cosh(theta) -+ eps*s (from _pivots):
+    A = 2 eps K0 + 2 eta Km + 2 conj(eta) Kp with finite real eps and 0 <=
+    theta**2 = eps**2 - 4|eta|**2.  Conjugating X = (c0, cm, cp) by rho gives
+    coefficients M @ (c0, cm, cp), where with s = sinh(theta)/theta and Cmp =
+    cosh(theta) -+ eps*s (from _pivots):
 
         rho K0 rho^-1 = (1 - 8|eta|^2 s^2) K0 + 2 eta s Cm Km - 2 conj(eta) s Cp Kp
         rho Km rho^-1 = -4 conj(eta) s Cm K0 + Cm^2 Km + 4 conj(eta)^2 s^2 Kp
         rho Kp rho^-1 =  4 eta s Cp K0 + 4 eta^2 s^2 Km + Cp^2 Kp
+
+    Entries of size (cosh(theta) + |eps| s)^2, about e^(2 theta), pass the
+    doubles from theta of about 355: InvalidParams there, naming theta.
     """
     eta = complex(eta)
     abs2 = (eta * eta.conjugate()).real
     s, scale, cm, cp, _ = _pivots(epsilon, eta)
-    if scale:
-        raise InvalidParams(f"theta = {scale:g} is past {_SCALE_FROM:g}: the adjoint "
-                            "matrix's entries, of size e^(2 theta), overflow")
     etc = eta.conjugate()
-    return ((complex(1.0 - 8.0 * abs2 * s * s), -4.0 * etc * s * cm, 4.0 * eta * s * cp),
+    rows = ((complex(1.0 - 8.0 * abs2 * s * s), -4.0 * etc * s * cm, 4.0 * eta * s * cp),
             (2.0 * eta * s * cm, complex(cm * cm), 4.0 * eta * eta * s * s),
             (-2.0 * etc * s * cp, 4.0 * etc * etc * s * s, complex(cp * cp)))
+    # past _SCALE_FROM the pivots are taken times e^-theta, and the entries with them
+    if scale or not all(cmath.isfinite(v) for row in rows for v in row):
+        theta = math.sqrt((abs(epsilon) - 2.0 * abs(eta)) * (abs(epsilon) + 2.0 * abs(eta)))
+        raise InvalidParams(f"theta = {theta:g}, eps = {epsilon:g}: the adjoint matrix's "
+                            "entries pass the doubles")
+    return rows
 
 
 def _mat_vec(m, x) -> tuple[complex, complex, complex]:

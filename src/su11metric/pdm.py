@@ -24,7 +24,8 @@ intervals (_interval_top) from residuals that bound their own
 rounding, and counted by LAPACK (dstebz).  A level whose seeds fail it
 refines the bisection's values instead, and one not certified even then
 raises NoConvergence.  No module imports scipy: each LAPACK call goes
-through _lapack, which loads scipy's compiled wrappers alone.
+through _lapack, which loads scipy's compiled wrappers alone.  Of the
+package pdm imports only core, errors and metric, the algebra layer.
 """
 
 from __future__ import annotations
@@ -34,20 +35,20 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
+from .core import _EPS, _TINY, _halves
 from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, _exact, _harmonic_law, solve_metric
-from .verification import _EPS, _TINY, _halves
 
 # run_pdm_check's protocol
 COUNT = 3             # eigenvalues checked
 RTOL = 0.01           # their tolerance against the law
 DECAY_TOL = 1e-8      # the eigenfunctions' relative amplitude at the walls
 REFINE = (4, 2, 1)    # the grid levels: points // factor, coarse to fine
-LOG_MAX = math.log(np.finfo(float).max)
+LOG_MAX = math.log(sys.float_info.max)
 _SQRT_EPS = math.sqrt(_EPS)
 
 
@@ -90,8 +91,7 @@ def _bisect(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
     return w[:m]
 
 
-@dataclass(frozen=True)
-class PdmConfig:
+class PdmConfig(NamedTuple):
     """Grid and model configuration for the exponential-mass realization."""
 
     params: SwansonParams
@@ -130,8 +130,7 @@ class Tridiagonal:
     __rmul__ = __mul__
 
 
-@dataclass
-class GridOperator:
+class GridOperator(NamedTuple):
     """Tridiagonal finite-difference operator on the interior grid nodes."""
 
     matrix: Tridiagonal
@@ -139,8 +138,7 @@ class GridOperator:
     dx: float
 
 
-@dataclass
-class PdmReport:
+class PdmReport(NamedTuple):
     """Outcome of the spectral check with its refinement protocol."""
 
     points_used: tuple[int, ...]
@@ -395,7 +393,7 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
     for pts in points_used:
         # the finest grid's vectors are the ones the decay check reads
         vals, vecs, refine_residuals[pts] = _grid_spectrum(
-            *_h_tridiag(replace(cfg, points=pts), weights), near)
+            *_h_tridiag(cfg._replace(points=pts), weights), near)
         near = refine_table[pts] = vals
 
     levels = [refine_table[pts] for pts in points_used]

@@ -16,8 +16,7 @@ dim - band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +25,7 @@ from .errors import InvalidParams
 from .metric import SwansonParams
 
 
-@dataclass(frozen=True)
-class RealizationMatrices:
+class RealizationMatrices(NamedTuple):
     """The direct sum of D+(k_c), k_c = weights[c], over band = len(weights)
     chains, truncated to dim states in all: lengths(m) of the leading m
     states lie on each chain, and bands(c, m) are chain c's leading m."""
@@ -170,7 +168,7 @@ def radial(L: float, n: int) -> RealizationMatrices:
     k = (2.0 * L + 3.0) / 4.0
     if not 0.0 < k < np.inf:
         raise InvalidParams(f"L = {L:g} gives no positive finite weight (2L+3)/4")
-    return replace(discrete_series(k, n), kind=f"radial:L={L:g}")
+    return discrete_series(k, n)._replace(kind=f"radial:L={L:g}")
 
 
 def conformal(k: float, c: float, omega: float,
@@ -181,7 +179,7 @@ def conformal(k: float, c: float, omega: float,
     parameter triple; omega**2 - 4*alpha*beta = omega**2 + c**2/4 is the
     squared effective frequency.
     """
-    mats = replace(discrete_series(k, n), kind=f"conformal:k={k:g},c={c:g}")
+    mats = discrete_series(k, n)._replace(kind=f"conformal:k={k:g},c={c:g}")
     return mats, SwansonParams(omega, c / 4.0, -c / 4.0)
 
 

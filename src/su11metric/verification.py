@@ -25,12 +25,12 @@ the spectral-norm residuals would not move.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import AlgebraElement, _pivots
+from .core import _EPS, _TINY, AlgebraElement, _halves, _pivots
 from .errors import InvalidParams, TruncationTooSmall
 from .metric import (MetricSolution, _harmonic_law, commuting_observable,
                      swanson_element)
@@ -40,8 +40,7 @@ DEFAULT_TRUSTED = 50
 SPECTRUM_COUNT = 5   # h's levels in a bundle: e0 to e4, as verify and sweep print them
 
 
-@dataclass
-class OperatorBundle:
+class OperatorBundle(NamedTuple):
     """The residuals and h's spectrum at one (p, z) and realization.  The
     residuals read the leading R x R blocks of rho = exp(A) and zeta_+ =
     exp(2A), R = trusted + band (at most N); materialize_metric_root(
@@ -52,10 +51,6 @@ class OperatorBundle:
     trusted: int
     residuals: dict[str, float]
     spectrum_h: np.ndarray
-
-
-# the bracket's rounding units: tiny absolute and eps relative
-_TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -195,7 +190,7 @@ def _low_eigs(c0: float, c: float, realization: RealizationMatrices,
 
 
 # relative size of the neglected tail of an antinormal metric sum
-_TAIL_TOL = np.finfo(float).eps / 4.0
+_TAIL_TOL = _EPS / 4.0
 
 
 def _ladder_exp(sub: np.ndarray, coeff: float, rows: int, cols: int) -> np.ndarray:
@@ -256,13 +251,6 @@ def _tail_count(ratio: float, a: float, spare: int) -> int | None:
         if terms > spare:
             return None
         terms *= 2
-
-
-def _halves(v):
-    """Veltkamp's split of v into 26-bit halves, whose products are exact; NaN past 2^996."""
-    t = 134217729.0 * v     # 2^27 + 1
-    high = t - (t - v)
-    return high, v - high
 
 
 def _exp_product(q: float, x: np.ndarray) -> np.ndarray:

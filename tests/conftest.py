@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from su11metric import (SwansonParams, build_bundle, conjugate, discrete_series,
-                        materialize_metric_root, solve_metric, swanson_element)
+                        is_admissible, materialize_metric_root, solve_metric,
+                        swanson_element)
 from su11metric.realizations import apply
 
 
@@ -42,6 +45,21 @@ def halved_conjugate(p, eps, eta):
     (u, v, w)."""
     y = conjugate(eps, eta, swanson_element(p))
     return y.c0 / 2.0, y.cm / 2.0, y.cp / 2.0
+
+
+def admissible_samples(p, count=20, xmax=0.97):
+    """Evenly spread admissible z values, away from the domain edges."""
+    out = []
+    for z in np.linspace(-0.995, 0.995, 399):
+        z = float(z)
+        if not is_admissible(p, z):
+            continue
+        den = p.alpha + p.beta - z * p.omega
+        if abs((p.alpha - p.beta) * math.sqrt(1.0 - z * z) / den) <= xmax:
+            out.append(z)
+    assert len(out) >= count
+    idx = np.linspace(0, len(out) - 1, count).astype(int)
+    return [out[i] for i in idx]
 
 
 def spectral_norm(m):

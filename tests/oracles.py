@@ -7,7 +7,6 @@ or in mpmath or decimal.
 """
 
 import cmath
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
@@ -145,7 +144,7 @@ def commutator_residuals(r: RealizationMatrices,
     if not (1 <= t <= r.dim):
         raise InvalidParams(f"trusted block {t} outside 1..{r.dim}")
     m = min(t + r.band, r.dim)
-    block = replace(r, dim=m)
+    block = r._replace(dim=m)
     k0, km, kp = (materialize(AlgebraElement(*e), block) for e in np.eye(3))
 
     def _n(mat):

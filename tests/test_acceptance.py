@@ -9,7 +9,6 @@ path under test.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ import su11metric as sm
 from su11metric.cli import SWEEP_COLUMNS, main as cli_main
 from su11metric.pdm import PdmConfig, run_pdm_check
 
-from conftest import halved_conjugate, metric_block
+from conftest import admissible_samples, halved_conjugate, metric_block
 from oracles import (defining_rep, exp_symmetric, materialize,
                      metric_block_definite, radial_k0_lowest,
                      reconstruct_defining, residue_root_of_unity)
@@ -41,25 +40,12 @@ def report(num, name, ok, detail=""):
     assert ok, line
 
 
-def admissible_z(p, count=20, xmax=0.97):
-    out = []
-    for z in np.linspace(-0.995, 0.995, 399):
-        z = float(z)
-        if not sm.is_admissible(p, z):
-            continue
-        den = p.alpha + p.beta - z * p.omega
-        if abs((p.alpha - p.beta) * math.sqrt(1.0 - z * z) / den) <= xmax:
-            out.append(z)
-    idx = np.linspace(0, len(out) - 1, count).astype(int)
-    return [out[i] for i in idx]
-
-
 @pytest.fixture(scope="module")
 def coefficient_grid():
     """20 parameter sets x 20 admissible z values."""
     grid = []
     for p in PARAM_SETS:
-        zs = admissible_z(p)
+        zs = admissible_samples(p)
         assert len(zs) == 20
         grid.append((p, zs))
     return grid

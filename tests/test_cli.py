@@ -551,6 +551,28 @@ class TestOneRefusal:
         assert run_cli(capsys, *argv, "--size", "20", "--trusted", trusted) == (
             3, "", f"error: need 2 <= trusted < size (got size = 20, trusted = {trusted})\n")
 
+    @pytest.mark.parametrize("argv, size", [
+        (("verify", *BASE, "--size", "2000000", "--trusted", "1000000"), "7.28 TiB"),
+        (("verify", *BASE, "--size", "2000000", "--trusted", "1000000", "--z", "0.4"),
+         "7.28 TiB"),
+        (("pdm", *BASE, "--points", "1000000000000"), "1.82 TiB"),
+    ], ids=["verify", "verify-z", "pdm"])
+    def test_unallocatable_run_is_refused(self, argv, size):
+        # a T x T metric block, or the coarsest grid level, past the memory
+        # of a child capped at 2 GB of address space (uncapped, a host that
+        # overcommits could hand it real pages): one error line naming the
+        # allocation, exit 2, where a numpy MemoryError traceback exited 1
+        capped = ("import resource, runpy; cap = 2_000_000 * 1024; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+                  "runpy.run_module('su11metric', run_name='__main__')")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", capped, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr.startswith(f"error: Unable to allocate {size}")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
 class TestSweepCommand:
     ARGS = ("sweep", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
             "--z-from", "-0.8", "--z-to", "0.8", "--steps", "9")
@@ -928,14 +950,15 @@ class TestImports:
                                           "--steps", "3"]])
     def test_verify_and_sweep_load_no_scipy(self, command, realization):
         # h is elliptic: its chains take the closed form, and their
-        # certificates count in Python, so nothing imports scipy
+        # certificates count in Python, so nothing imports scipy; nor
+        # dataclasses: the matrix layer's records are NamedTuples too
         proc = self._run("-X", "importtime", "-m", "su11metric", *command,
                          "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
                          "--realization", realization)
         loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                   if line.startswith("import time:")]
         assert "numpy" in loaded
-        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+        assert [m for m in loaded if m.split(".")[0] in ("scipy", "dataclasses")] == []
 
     def test_closed_form_commands_skip_scipy(self):
         # the closed-form subcommands load the algebra layer alone; the
@@ -978,7 +1001,9 @@ print(codes, loaded, bound, main(["verify"] + base + ["--z", "0.4", "--size", "6
     def test_pdm_loads_only_the_lapack_wrappers(self):
         # the grid's solves and counts call scipy's compiled LAPACK wrappers,
         # loaded without scipy's Python packages, and the generators are
-        # pdm's own bands: no scipy.linalg, scipy.sparse or scipy._lib
+        # pdm's own bands: no scipy.linalg, scipy.sparse or scipy._lib; nor
+        # the verifier, the realizations or dataclasses: pdm reads the
+        # algebra layer alone
         script = """
 import sys
 from su11metric import SwansonParams
@@ -988,10 +1013,12 @@ code = main(["pdm", "--omega", "1", "--alpha", "0.2", "--beta", "0.1",
              "--points", "400"])
 ops = pdm_generators(PdmConfig(SwansonParams(1.0, 0.2, 0.1), points=400))
 print(code, len(ops), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      sorted(m for m in sys.modules if m in
+             ("dataclasses", "su11metric.verification", "su11metric.realizations")),
       file=sys.stderr)
 """
         proc = self._run("-c", script)
-        assert proc.stderr.splitlines()[-1] == "0 3 ['scipy.linalg._flapack']"
+        assert proc.stderr.splitlines()[-1] == "0 3 ['scipy.linalg._flapack'] []"
         # nor where the bisection runs: a grid level whose seeds do not
         # certify (its bisection fails, exit 3) reaches dstebz through the
         # same loader; verify loads no scipy module, not even where its

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.linalg import expm
 from su11metric import (AlgebraElement, DecompositionSingular, Factorization,
                         InvalidParams, SwansonParams, TrigRegime, adjoint_matrix,
                         conjugate, disentangle_closed_form, solve_metric)
+from su11metric import core, pdm
 
 from oracles import (SIGMA_K0, SIGMA_KM, SIGMA_KP, casimir_defining, defining_rep,
                      exp_defining, gauss_decompose, reconstruct_defining,
@@ -287,10 +289,31 @@ class TestDisentangleClosedForm:
             disentangle_closed_form(1000.0, 0.0)
 
 
+def test_rounding_units_are_numpys():
+    # core's units and pdm.LOG_MAX, ln of the largest double, come from
+    # sys.float_info, so that no module calls np.finfo
+    assert core._TINY.hex() == float(np.finfo(float).tiny).hex()
+    assert core._EPS.hex() == float(np.finfo(float).eps).hex()
+    assert pdm.LOG_MAX.hex() == math.log(np.finfo(float).max).hex()
+
+
 class TestAdjointMatrix:
     def test_past_the_overflow_is_typed(self):
-        with pytest.raises(InvalidParams, match="theta = 1000 is past 700"):
+        with pytest.raises(InvalidParams, match="theta = 1000, eps = 1000: the adjoint matrix's entries"):
             adjoint_matrix(1000.0, 0.1)
+
+    @pytest.mark.parametrize("eps, eta", [(360.0, 0.0), (360.0, 0.1), (400.0, 0.0)])
+    def test_entries_past_the_doubles_are_typed(self, eps, eta):
+        # (cosh(theta) + eps s)^2 passes the doubles from theta of about 355,
+        # far below the e^-theta scaling from 700: conjugate used to return
+        # inf and NaN coefficients here without a word
+        x = AlgebraElement(2.0, 0.4, 0.2)
+        with pytest.raises(InvalidParams, match=f"theta = {eps:g}"):
+            conjugate(eps, eta, x)
+
+    def test_entries_below_the_overflow_are_finite(self):
+        y = conjugate(300.0, 0.0, AlgebraElement(2.0, 0.4, 0.2))
+        assert all(cmath.isfinite(v) for v in y) and y.cp.real > 1e259
 
     def test_diagonal_case(self):
         for eps in (0.3, -0.7, 1.5):

@@ -13,7 +13,7 @@ from su11metric import (AlgebraElement, InvalidParams, MetricSolution,
 
 from su11metric import cli, core, pdm, verification
 
-from conftest import halved_conjugate
+from conftest import admissible_samples, halved_conjugate
 from oracles import casimir_defining, metric_family_mp, stability_roots_mp
 
 P = SwansonParams(1.0, 0.2, 0.1)
@@ -56,21 +56,6 @@ PARAM_SETS = [SwansonParams(om, al, be)
               for om in (0.8, 1.0, 1.3, 1.7)
               for (al, be) in ((0.2, 0.1), (0.3, -0.15), (-0.25, 0.4),
                                (0.05, 0.35), (0.6, -0.3))]
-
-
-def admissible_samples(p, count=20, xmax=0.97):
-    """Evenly spread admissible z values, away from the domain edges."""
-    out = []
-    for z in np.linspace(-0.995, 0.995, 399):
-        z = float(z)
-        if not is_admissible(p, z):
-            continue
-        den = p.alpha + p.beta - z * p.omega
-        if abs((p.alpha - p.beta) * math.sqrt(1.0 - z * z) / den) <= xmax:
-            out.append(z)
-    assert len(out) >= count
-    idx = np.linspace(0, len(out) - 1, count).astype(int)
-    return [out[i] for i in idx]
 
 
 class TestRecords:

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -12,17 +11,20 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz
 
 from su11metric import (InvalidParams, NoConvergence, Su11MetricError, SwansonParams,
-                        discrete_series, is_admissible, oscillator_full, solve_metric,
+                        TruncationTooSmall, discrete_series, from_descriptor,
+                        is_admissible, oscillator_full, solve_metric,
                         spectrum_prediction, z_domain)
-from su11metric import metric, pdm
+from su11metric import metric, pdm, verification
 from su11metric.metric import _harmonic_law
 from su11metric.pdm import (PdmConfig, _grid_spectrum, _grid_terms, _h_tridiag,
                             boundary_decay, pdm_generators, run_pdm_check,
                             validate_config)
 
 from oracles import pdm_flux_form
+from test_metric import NEAR_PARABOLIC
 
 P = SwansonParams(1.0, 0.2, 0.1)
+BAND_12 = "multiboson:l=12,residues=" + ",".join(str(0.25 * k) for k in range(1, 13))
 CFG = PdmConfig(params=P)
 # the base point, strong non-Hermiticity both ways, a scaled omega with
 # couplings of opposite sign, and negative couplings
@@ -73,25 +75,25 @@ class TestConfig:
 
     def test_invalid(self):
         with pytest.raises(InvalidParams):
-            validate_config(replace(CFG, s=-0.5))
+            validate_config(CFG._replace(s=-0.5))
         with pytest.raises(InvalidParams):
-            validate_config(replace(CFG, x_min=2.0, x_max=-2.0))
+            validate_config(CFG._replace(x_min=2.0, x_max=-2.0))
         with pytest.raises(InvalidParams):
-            validate_config(replace(CFG, points=50))
+            validate_config(CFG._replace(points=50))
         # non-finite inputs, and grids whose e^(2 s max|x|) over dx^2 or
         # over (2 s)^2 leaves the double range, are refused before any exp
         for name, bad in (("s", math.inf), ("tau", math.nan), ("tau", math.inf),
                           ("x_min", -math.inf), ("x_max", math.inf)):
             with pytest.raises(InvalidParams, match="must be finite"):
-                validate_config(replace(CFG, **{name: bad}))
+                validate_config(CFG._replace(**{name: bad}))
         for bad in (dict(s=50.0), dict(x_max=2000.0), dict(x_min=-2000.0),
                     dict(s=1e-160)):
             with pytest.raises(InvalidParams, match="grid terms overflow"):
-                validate_config(replace(CFG, **bad))
+                validate_config(CFG._replace(**bad))
 
     def test_wide_domain_accepted(self):
         # 2 s max|x| = 600 is representable; the spectrum takes it
-        wide = replace(CFG, x_min=-600.0)
+        wide = CFG._replace(x_min=-600.0)
         assert validate_config(wide) is wide
         assert np.isfinite(grid_spectrum(wide)[0]).all()
 
@@ -107,16 +109,16 @@ class TestConfig:
         for run, expected in ((run_pdm_check, ["validate_config", "solve_metric"]),
                               (pdm_generators, ["validate_config"])):
             calls.clear()
-            run(replace(CFG, points=400))
+            run(CFG._replace(points=400))
             assert calls == expected, run.__name__
 
     def test_mass_positive(self):
         # a positive mass is a negative offdiagonal of h
-        _, off = h_tridiag(replace(CFG, points=500))
+        _, off = h_tridiag(CFG._replace(points=500))
         assert np.all(off < 0.0)
 
     def test_potential_finite(self):
-        diag, _ = h_tridiag(replace(CFG, points=500))
+        diag, _ = h_tridiag(CFG._replace(points=500))
         assert np.isfinite(diag).all()
 
 
@@ -148,7 +150,7 @@ class TestOneDiscretization:
 
     @pytest.mark.parametrize("tau", [3.0, 2.7])
     def test_terms_match_the_g_derivatives(self, tau, monkeypatch):
-        cfg = replace(CFG, tau=tau, points=1000)
+        cfg = CFG._replace(tau=tau, points=1000)
         x, dx, w, curv, well, gp_got = _grid_terms(cfg)
         # pdm_generators' own drift and tilt: with w and curv zeroed, K+ - K-
         # holds exactly +-drift/(2 dx) on its links and tilt - 1/2 on its
@@ -186,7 +188,7 @@ class TestSpectralCheck:
         assert report.convergence_ok
 
     def test_half_integer_law(self):
-        vals = grid_spectrum(replace(CFG, points=1500))[0]
+        vals = grid_spectrum(CFG._replace(points=1500))[0]
         expect = math.sqrt(0.92) * (np.arange(3) + 0.5)
         assert np.abs(vals - expect).max() / expect[0] < 0.01
 
@@ -199,11 +201,11 @@ class TestSpectralCheck:
 
     def test_z_independence(self):
         for z in (0.4, -0.4, 0.8):
-            report = run_pdm_check(replace(CFG, z=z))
+            report = run_pdm_check(CFG._replace(z=z))
             assert report.status == "PASS", (z, report.status)
 
     def test_inconclusive_on_bad_walls(self):
-        report = run_pdm_check(replace(CFG, x_min=-2.0, x_max=2.0))
+        report = run_pdm_check(CFG._replace(x_min=-2.0, x_max=2.0))
         assert report.status == "INCONCLUSIVE"
         assert report.boundary_decay > 1e-8
 
@@ -211,7 +213,7 @@ class TestSpectralCheck:
         vecs = np.array([[0.5, 0.0], [1.0, -2.0], [0.25, -1.5]])
         assert boundary_decay(vecs) == 0.75
         report = run_pdm_check(CFG)
-        finest = replace(CFG, points=report.points_used[-1])
+        finest = CFG._replace(points=report.points_used[-1])
         near = report.refine_table[report.points_used[-2]]
         _, vecs, _ = grid_spectrum(finest, near)
         assert boundary_decay(vecs) == report.boundary_decay
@@ -229,7 +231,7 @@ class TestSpectralCheck:
         assert report.rel_errors.max() < 0.01
 
     def test_predicted_spectrum_values(self):
-        vals = run_pdm_check(replace(CFG, points=400)).predicted
+        vals = run_pdm_check(CFG._replace(points=400)).predicted
         assert np.allclose(vals, [0.47958315233127197, 1.438749456993816,
                                   2.39791576165636], rtol=1e-14)
 
@@ -311,12 +313,12 @@ class TestCertifiedChain:
         # narrow walls the grid's values sit far above the law, so the seed
         # is poor, and the values must still be the grid's own, as must
         # those of the wide x_min = -600 grid, whose diagonal reaches 1e260
-        for cfg in (replace(CFG, z=z, points=2000), replace(CFG, z=z, points=8000),
-                    replace(CFG, z=z, x_min=-2.0, x_max=2.0, points=400),
-                    replace(CFG, z=z, x_min=-600.0)):
+        for cfg in (CFG._replace(z=z, points=2000), CFG._replace(z=z, points=8000),
+                    CFG._replace(z=z, x_min=-2.0, x_max=2.0, points=400),
+                    CFG._replace(z=z, x_min=-600.0)):
             report = run_pdm_check(cfg)
             for pts in report.points_used:
-                diag, off = h_tridiag(replace(cfg, points=pts))
+                diag, off = h_tridiag(cfg._replace(points=pts))
                 exact = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                          select_range=(0, 2),
                                          tol=2.0 * np.finfo(float).tiny)
@@ -332,23 +334,23 @@ class TestCertifiedChain:
 
         monkeypatch.setattr(pdm, "_bisect", refuse)
         for points in (2000, 8000):
-            report = run_pdm_check(replace(CFG, z=z, points=points))
+            report = run_pdm_check(CFG._replace(z=z, points=points))
             assert report.status == "PASS", (z, points, report.status)
             for resid in report.refine_residuals.values():
                 assert np.isfinite(resid).all(), (z, points, resid)
 
     def test_coarser_values_skip_the_bisection(self, monkeypatch):
-        near = grid_spectrum(replace(CFG, points=500))[0]
+        near = grid_spectrum(CFG._replace(points=500))[0]
 
         def refuse(*args, **kwargs):
             raise AssertionError("bisected although the shifts certify")
 
         monkeypatch.setattr(pdm, "_bisect", refuse)
-        vals, _, resid = grid_spectrum(replace(CFG, points=1000), near)
+        vals, _, resid = grid_spectrum(CFG._replace(points=1000), near)
         assert np.all(resid <= 1e-9 * vals)
 
     def test_boundary_decay_matches_dense_eigh(self):
-        cfg = replace(CFG, points=400)
+        cfg = CFG._replace(points=400)
         report = run_pdm_check(cfg)
         diag, off = h_tridiag(cfg)
         dense_h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -361,7 +363,7 @@ class TestCertifiedChain:
         # the 2nd-4th eigenvalues, even with residuals 0, are three disjoint
         # intervals, but dstebz's count finds four up to them: the solve
         # falls back to bisection and still returns the lowest three
-        cfg = replace(CFG, points=1000)
+        cfg = CFG._replace(points=1000)
         diag, off = h_tridiag(cfg)
         lowest4 = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                    select_range=(0, 3),
@@ -399,9 +401,9 @@ class TestCertifiedChain:
             raise AssertionError("dstein called")
 
         monkeypatch.setattr(pdm._lapack(), "dstein", refuse)
-        for cfg, status in ((CFG, "PASS"), (replace(CFG, points=8000), "PASS"),
-                            (replace(CFG, x_min=-2.0, x_max=2.0, points=400), "INCONCLUSIVE"),
-                            (replace(CFG, x_min=-600.0), "FAIL")):
+        for cfg, status in ((CFG, "PASS"), (CFG._replace(points=8000), "PASS"),
+                            (CFG._replace(x_min=-2.0, x_max=2.0, points=400), "INCONCLUSIVE"),
+                            (CFG._replace(x_min=-600.0), "FAIL")):
             assert run_pdm_check(cfg).status == status, (cfg, status)
 
     @staticmethod
@@ -437,7 +439,7 @@ class TestCertifiedChain:
         # ||T q - theta q|| fell below the true one (1.1e-17 against 4.7e-17
         # at 1000 points); with the bound on its own rounding, each residual
         # _grid_spectrum returns covers the 60-digit one of its theta and q
-        self.certified_levels(monkeypatch, replace(CFG, z=0.8, x_min=-600.0))
+        self.certified_levels(monkeypatch, CFG._replace(z=0.8, x_min=-600.0))
 
     def test_wall_rows_taken_error_free(self, monkeypatch):
         # the diagonal reaches 1.6e27 at the 400-point level and 7.2e27 at
@@ -460,7 +462,7 @@ class TestCertifiedChain:
         # 4e130, the residuals' bound on their own rounding is about 1e14,
         # and the level cannot be certified; so nothing is reported
         with pytest.raises(NoConvergence, match="500-point grid"):
-            run_pdm_check(replace(CFG, x_max=300.0))
+            run_pdm_check(CFG._replace(x_max=300.0))
 
 
 class TestCertificate:
@@ -490,6 +492,75 @@ class TestCertificate:
                     top = pdm._interval_top(w, np.zeros(count), count)
                     found, *_, info = dstebz(d, e, 1, -np.inf, top, 0, 0, np.inf, "E")
                     assert (found, info) == (count, 0), (r.kind, z, count)
+
+
+class TestBisect:
+    # pdm._bisect's values are byte for byte those of eigh_tridiagonal's
+    # values-only bisection (stebz alone), on hard chains (the
+    # near-parabolic pin's and the band-12 pin's), the grid levels that
+    # reach it in the golden pins, and split chains
+
+    @staticmethod
+    def assert_same_values(d, e, count):
+        want = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
+                                             tol=2.0 * np.finfo(float).tiny)[0]
+        got = pdm._bisect(d, e, count)
+        assert got.shape == (count,) and got.tobytes() == want.tobytes(), (d.size, count)
+
+    @pytest.mark.parametrize("p, z, desc", [(NEAR_PARABOLIC, 0.3, "discrete:k=0.25"),
+                                            (P, 0.4, BAND_12)])
+    def test_pinned_chains(self, p, z, desc):
+        # the near-parabolic pin's chain and the band-12 pin's 12, at N = 200
+        r, _ = from_descriptor(desc, 200)
+        sol = solve_metric(p, z)
+        for ch, m in enumerate(r.lengths()):
+            k0, kp = r.bands(ch, m)
+            d, e = sol.c0 * k0, sol.c * kp
+            self.assert_same_values(d, e, min(verification.SPECTRUM_COUNT, d.size))
+
+    @pytest.mark.parametrize("flags", [{"x_min": -2.0, "x_max": 6.0}, {"tau": 1.0}])
+    def test_pinned_grid_levels(self, flags):
+        # the three levels of the pdm pins that fall back to the bisection
+        cfg = PdmConfig(params=P, **flags)
+        for points in (500, 1000, 2000):
+            d, e = h_tridiag(cfg._replace(points=points))
+            self.assert_same_values(d, e, 3)
+
+    def test_split_chains(self):
+        # zero and negligible links split T into blocks, single states
+        # among them; T itself has two states or more, as the grid's do
+        rng = np.random.default_rng(3559)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            d = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            e = rng.normal(size=n - 1)
+            e[rng.random(n - 1) < 0.3] = 0.0
+            e[rng.random(n - 1) < 0.2] *= 1e-12
+            self.assert_same_values(d, e, int(rng.integers(1, n + 1)))
+
+    def test_values_only(self, monkeypatch):
+        # the grid bisects by index (dstebz's range 2) for values alone, so
+        # no dstein runs, and counts its levels by value (range 1); h's
+        # chains never reach LAPACK: the near-parabolic pin's chain, whose
+        # law 200 states do not certify, is refused before any solve
+        lapack, ranges = pdm._lapack(), []
+        exact = lapack.dstebz
+
+        def record(d, e, select, *args):
+            ranges.append(select)
+            return exact(d, e, select, *args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dstein ran")
+
+        monkeypatch.setattr(lapack, "dstebz", record)
+        monkeypatch.setattr(lapack, "dstein", refuse)
+        sol = solve_metric(NEAR_PARABOLIC, 0.3)
+        with pytest.raises(TruncationTooSmall, match="200 of the N = 200 states"):
+            verification._low_eigs(sol.c0, sol.c, discrete_series(0.25, 200), 5)
+        assert ranges == []
+        run_pdm_check(PdmConfig(params=P, x_min=-2.0, x_max=6.0))
+        assert ranges.count(2) >= 1 and set(ranges) == {1, 2}, ranges
 
 
 class TestTridiagonal:
@@ -567,7 +638,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("tau", [3.0, 2.7])
     def test_equals_dense_reference(self, tau):
-        cfg = replace(CFG, points=300, tau=tau, z=0.4)
+        cfg = CFG._replace(points=300, tau=tau, z=0.4)
         ops = pdm_generators(cfg)
         x, dx = interior_grid(cfg)
         for op, ref in zip(ops, self._dense_reference(cfg)):
@@ -578,7 +649,7 @@ class TestGenerators:
             assert np.array_equal(op.grid, x) and op.dx == dx
 
     def test_k0_symmetric_exactly(self):
-        k0, _, _ = pdm_generators(replace(CFG, points=300))
+        k0, _, _ = pdm_generators(CFG._replace(points=300))
         data = k0.matrix.data
         assert np.array_equal(data[0, :-1], data[2, 1:])
 
@@ -586,12 +657,12 @@ class TestGenerators:
         # three dense 4000 x 4000 operators would take 384 MB; the bands
         # take 0.3 MB (a first small call runs numpy's one-time setup
         # outside the trace)
-        pdm_generators(replace(CFG, points=100))
+        pdm_generators(CFG._replace(points=100))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tracemalloc.start()
             try:
-                ops = pdm_generators(replace(CFG, points=4000))
+                ops = pdm_generators(CFG._replace(points=4000))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -601,7 +672,7 @@ class TestGenerators:
     def test_generators_finite_at_the_widest_domain(self):
         # 2 s max|x| = 700 is just inside the double range; the closed-form
         # curvature -(3/4) s^2/g'^2 never forms g'^4 = e^(-4 s x) = e^1400
-        cfg = replace(CFG, x_min=-700.0)
+        cfg = CFG._replace(x_min=-700.0)
         assert validate_config(cfg) is cfg
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -618,13 +689,13 @@ class TestGenerators:
                 pdm_generators(cfg)
 
     def test_commutator_refinement(self):
-        cfg = replace(CFG, x_min=-4.0, x_max=6.0)
-        comm = [self._probe_residual(replace(cfg, points=pts))[0]
+        cfg = CFG._replace(x_min=-4.0, x_max=6.0)
+        comm = [self._probe_residual(cfg._replace(points=pts))[0]
                 for pts in (400, 800, 1600)]
         assert comm[1] < comm[0] and comm[2] < comm[1]
 
     def test_adjointness_refinement(self):
-        cfg = replace(CFG, x_min=-4.0, x_max=6.0)
-        adj = [self._probe_residual(replace(cfg, points=pts))[1]
+        cfg = CFG._replace(x_min=-4.0, x_max=6.0)
+        adj = [self._probe_residual(cfg._replace(points=pts))[1]
                for pts in (400, 800, 1600)]
         assert adj[1] < adj[0] and adj[2] < adj[1]

@@ -493,7 +493,7 @@ class TestChainLayout:
                            (oscillator_full(10 ** 12), (0.25, 0.75))):
             assert r.weights == weights and sum(r.lengths()) == r.dim
             assert all(not isinstance(getattr(r, f), np.ndarray)
-                       for f in r.__dataclass_fields__)
+                       for f in r._fields)
             for c, k in enumerate(weights):
                 k0, kp = r.bands(c, 3)
                 assert np.array_equal(k0, np.arange(3) + k)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -30,13 +29,12 @@ from oracles import (basis_bands, chain_count_mp, chain_spectrum, commutator_res
                      exp_raising, exp_symmetric, materialize,
                      metric_block_definite, metric_family_mp,
                      metric_power_dense, metric_power_mp, stability_roots_mp)
-from test_pdm import h_tridiag
+from test_pdm import BAND_12, h_tridiag
 from test_realizations import ALL_CONSTRUCTORS
 
 P = SwansonParams(1.0, 0.2, 0.1)
 STRONG = SwansonParams(1.0, 0.45, 0.05)
 NEAR_PARABOLIC = SwansonParams(1.0, 0.5, 0.49999999999)
-BAND_12 = "multiboson:l=12,residues=" + ",".join(str(0.25 * k) for k in range(1, 13))
 Z_GRID = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
 
@@ -250,75 +248,6 @@ class TestSturmCount:
                         found, *_, info = dstebz(d, e, 1, -np.inf, probe, 0, 0, np.inf, "E")
                         got = chain_count_mp(c0, c, float(k0[0]), k0.size, probe)
                         assert info == 0 and got == found, (c0, c, ch, probe)
-
-
-class TestBisect:
-    # pdm._bisect's values are byte for byte those of eigh_tridiagonal's
-    # values-only bisection (stebz alone), on hard chains (the
-    # near-parabolic pin's and the band-12 pin's), the grid levels that
-    # reach it in the golden pins, and split chains
-
-    @staticmethod
-    def assert_same_values(d, e, count):
-        want = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
-                                             tol=2.0 * np.finfo(float).tiny)[0]
-        got = pdm._bisect(d, e, count)
-        assert got.shape == (count,) and got.tobytes() == want.tobytes(), (d.size, count)
-
-    @pytest.mark.parametrize("p, z, desc", [(NEAR_PARABOLIC, 0.3, "discrete:k=0.25"),
-                                            (P, 0.4, BAND_12)])
-    def test_pinned_chains(self, p, z, desc):
-        # the near-parabolic pin's chain and the band-12 pin's 12, at N = 200
-        r, _ = from_descriptor(desc, 200)
-        sol = solve_metric(p, z)
-        for ch, m in enumerate(r.lengths()):
-            k0, kp = r.bands(ch, m)
-            d, e = sol.c0 * k0, sol.c * kp
-            self.assert_same_values(d, e, min(verification.SPECTRUM_COUNT, d.size))
-
-    @pytest.mark.parametrize("flags", [{"x_min": -2.0, "x_max": 6.0}, {"tau": 1.0}])
-    def test_pinned_grid_levels(self, flags):
-        # the three levels of the pdm pins that fall back to the bisection
-        cfg = PdmConfig(params=P, **flags)
-        for points in (500, 1000, 2000):
-            d, e = h_tridiag(dataclasses.replace(cfg, points=points))
-            self.assert_same_values(d, e, 3)
-
-    def test_split_chains(self):
-        # zero and negligible links split T into blocks, single states
-        # among them; T itself has two states or more, as the grid's do
-        rng = np.random.default_rng(3559)
-        for _ in range(200):
-            n = int(rng.integers(2, 60))
-            d = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
-            e = rng.normal(size=n - 1)
-            e[rng.random(n - 1) < 0.3] = 0.0
-            e[rng.random(n - 1) < 0.2] *= 1e-12
-            self.assert_same_values(d, e, int(rng.integers(1, n + 1)))
-
-    def test_values_only(self, monkeypatch):
-        # the grid bisects by index (dstebz's range 2) for values alone, so
-        # no dstein runs, and counts its levels by value (range 1); h's
-        # chains never reach LAPACK: the near-parabolic pin's chain, whose
-        # law 200 states do not certify, is refused before any solve
-        lapack, ranges = pdm._lapack(), []
-        exact = lapack.dstebz
-
-        def record(d, e, select, *args):
-            ranges.append(select)
-            return exact(d, e, select, *args)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("dstein ran")
-
-        monkeypatch.setattr(lapack, "dstebz", record)
-        monkeypatch.setattr(lapack, "dstein", refuse)
-        sol = solve_metric(NEAR_PARABOLIC, 0.3)
-        with pytest.raises(TruncationTooSmall, match="200 of the N = 200 states"):
-            verification._low_eigs(sol.c0, sol.c, discrete_series(0.25, 200), 5)
-        assert ranges == []
-        run_pdm_check(PdmConfig(params=P, x_min=-2.0, x_max=6.0))
-        assert ranges.count(2) >= 1 and set(ranges) == {1, 2}, ranges
 
 
 class TestChainCut:
@@ -807,8 +736,8 @@ class TestBuildBundle:
             for z in (-0.4, 0.0, 0.4):
                 formed.clear()
                 b = build_bundle(solve_metric(P, z), r, trusted=t)
-                assert [f.name for f in dataclasses.fields(b)] == [
-                    "solution", "realization", "trusted", "residuals", "spectrum_h"]
+                assert b._fields == (
+                    "solution", "realization", "trusted", "residuals", "spectrum_h")
                 assert b.realization is r
                 rows = t + r.band
                 # build_bundle forms chain c's rho and zeta_+ blocks in turn
@@ -823,10 +752,10 @@ class TestBuildBundle:
         # the bundle keeps no such field, and every field it keeps is
         # finite (test_cli checks that verify passes here)
         b = build_bundle(solve_metric(STRONG, 0.77), discrete_series(0.25, 400), trusted=50)
-        for f in dataclasses.fields(b):
-            value = getattr(b, f.name)
+        for name in b._fields:
+            value = getattr(b, name)
             if isinstance(value, np.ndarray):
-                assert np.isfinite(value).all(), f.name
+                assert np.isfinite(value).all(), name
         # and so are the blocks of rho and zeta_+ that its residuals read
         for sign in (1, 2):
             assert np.isfinite(metric_block(b, sign)).all(), sign
