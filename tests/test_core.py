@@ -299,7 +299,8 @@ def test_rounding_units_are_numpys():
 
 class TestAdjointMatrix:
     def test_past_the_overflow_is_typed(self):
-        with pytest.raises(InvalidParams, match="theta = 1000, eps = 1000: the adjoint matrix's entries"):
+        with pytest.raises(InvalidParams,
+                           match="theta = 1000, eps = 1000: the adjoint matrix's entries"):
             adjoint_matrix(1000.0, 0.1)
 
     @pytest.mark.parametrize("eps, eta", [(360.0, 0.0), (360.0, 0.1), (400.0, 0.0)])
