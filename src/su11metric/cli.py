@@ -3,12 +3,15 @@
 Subcommands: validate, disentangle, metric, spectrum, sweep, pdm, verify.
 Flags may be preloaded from a line-oriented key=value config file
 (--config FILE or --config=FILE); explicit flags override file values.
-Numeric output is printed with 12 significant digits; sweep output is
-CSV with a fixed, documented column order and is fully computed before
-anything is emitted, so no partial CSV is produced on error.  verify and
-sweep refuse T (2 <= T < N) before p and z, and solve each (p, z) once
-(solve_metric), before any bundle is built from its record.  Every record
-is a NamedTuple.  The closed-form subcommands (validate, disentangle,
+Each subcommand returns its whole report and a verdict; main alone
+writes stdout, so an error leaves no partial output, and maps the verdict
+to exit 0 or 1.  Numbers print with 12 significant digits, as (name,
+value) rows (an aligned table, or quantity,value under --output csv) or
+as lines (validate, and sweep's CSV in SWEEP_COLUMNS' order).  verify is
+sweep's one-row case: _checked_rows refuses T (2 <= T < N) before p and
+z, solves each (p, z) once (solve_metric) before any bundle is built
+from its record, and judges each residual against RESIDUAL_TOLS.  Every
+record is a NamedTuple.  The closed-form subcommands (validate, disentangle,
 metric, spectrum) load neither numpy nor scipy; verify and sweep load the
 matrix layer (numpy) on first use, and pdm only the algebra layer, numpy
 and scipy's LAPACK wrappers (pdm._lapack; no module imports scipy).
@@ -22,8 +25,9 @@ Exit codes: 0 success (all residuals under tolerance), 1 residuals over
 tolerance or a failed/inconclusive check, 2 a refused command line (argparse,
 a missing or unreadable --config file), invalid parameters, inadmissible
 z or an array past the machine's memory (numpy's MemoryError, naming it),
-3 numerical failure, an uncertified PDM grid level or a chain of h too
-short for its law.  Each error type carries its code (errors.py), and main
+3 numerical failure, a trusted block outside 2 <= T < N (verify --size 10
+--trusted 10), an uncertified PDM grid level or a chain of h too short for
+its law.  Each error type carries its code (errors.py), and main
 prints its message as one "error:" line.
 """
 
@@ -69,114 +73,106 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _table(rows) -> str:
-    width = max(len(name) for name, _ in rows)
-    lines = []
-    for name, value in rows:
-        text = value if isinstance(value, str) else _fmt(value)
-        lines.append(f"{name:<{width}}  {text}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit(args, rows) -> None:
-    if getattr(args, "output", "table") == "csv":
-        lines = ["quantity,value"]
-        for name, value in rows:
-            text = value if isinstance(value, str) else _fmt(value)
-            lines.append(f"{name},{text}")
-        sys.stdout.write("\n".join(lines) + "\n")
+def _render(args, report) -> str:
+    """stdout's text for a report: plain lines as they are; (name, value)
+    rows as an aligned table or, under --output csv, as quantity,value."""
+    if isinstance(report[0], str):
+        return "\n".join(report) + "\n"
+    rows = [(name, value if isinstance(value, str) else _fmt(value))
+            for name, value in report]
+    if args.output == "csv":
+        lines = ["quantity,value"] + [f"{name},{text}" for name, text in rows]
     else:
-        sys.stdout.write(_table(rows))
+        width = max(len(name) for name, _ in rows)
+        lines = [f"{name:<{width}}  {text}" for name, text in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _params(args) -> SwansonParams:
     return SwansonParams(args.omega, args.alpha, args.beta)
 
 
-def _realization(args, p: SwansonParams):
+def _checked_rows(args, z_list):
+    """(realization, [(solution, bundle)] per z of z_list(p), {residual:
+    within its RESIDUAL_TOLS in every row}) of verify and sweep.  T is
+    refused first, then the realization resolves p (a conformal descriptor
+    overrides alpha and beta), then every z is solved, and so refused,
+    before any bundle is built from its record."""
     if not 2 <= args.trusted < args.size:
         raise TruncationTooSmall(
             f"need 2 <= trusted < size (got size = {args.size}, trusted = {args.trusted})")
-    mats, override = _self.from_descriptor(args.realization, args.size, omega=p.omega)
-    return mats, (override if override is not None else p)
+    mats, override = _self.from_descriptor(args.realization, args.size, omega=args.omega)
+    p = override if override is not None else _params(args)
+    sols = [solve_metric(p, float(z)) for z in z_list(p)]
+    bundles = [_self.build_bundle(sol, mats, trusted=args.trusted) for sol in sols]
+    return mats, list(zip(sols, bundles)), {
+        name: all(b.residuals[name] <= tol for b in bundles)
+        for name, tol in RESIDUAL_TOLS.items()}
 
 
-def cmd_validate(args) -> int:
-    p = _params(args)
-    sys.stdout.write(
-        f"parameters valid: omega = {_fmt(p.omega)}, alpha = {_fmt(p.alpha)}, "
-        f"beta = {_fmt(p.beta)}, omega^2 - 4*alpha*beta = "
-        f"{_fmt(_exact(p)[0])}\n")
-    return 0
-
-
-def cmd_disentangle(args) -> int:
-    eta = complex(args.eta, args.eta_im)
-    normal, anti = disentangle_closed_form(args.epsilon, eta)
-    _emit(args, [("epsilon", args.epsilon), ("eta", eta),
-                 ("p", normal.p), ("q", normal.q), ("r", normal.r),
-                 ("r_prime", anti.r), ("q_prime", anti.q), ("p_prime", anti.p)])
-    return 0
-
-
-def cmd_metric(args) -> int:
-    sol = solve_metric(_params(args), args.z)
-    _emit(args, [("z", sol.z), ("epsilon", sol.epsilon), ("eta", sol.eta),
-                 ("theta", sol.theta), ("lambda", sol.lambda_base),
-                 ("mu", sol.mu), ("nu", sol.nu), ("mu_nu_product", sol.mu * sol.nu),
-                 ("U", sol.u), ("V", sol.v), ("W", sol.w)])
-    return 0
-
-
-def cmd_spectrum(args) -> int:
-    vals = spectrum_prediction(_params(args), args.k, args.count)
-    _emit(args, [(f"e{i}", v) for i, v in enumerate(vals)])
-    return 0
-
-
-def cmd_verify(args) -> int:
-    mats, p = _realization(args, _params(args))
-    bundle = _self.build_bundle(solve_metric(p, args.z), mats, trusted=args.trusted)
-    rows = [("realization", mats.kind), ("z", args.z),
-            ("size", mats.dim), ("trusted", args.trusted)]
-    ok = True
-    for name, tol in RESIDUAL_TOLS.items():
-        value = bundle.residuals[name]
-        passed = value <= tol
-        ok = ok and passed
-        rows.append((name, f"{_fmt(value)}  [{'PASS' if passed else 'FAIL'} <= {tol:g}]"))
-    rows += [(f"e{i}", v) for i, v in enumerate(bundle.spectrum_h)]
-    _emit(args, rows)
-    return 0 if ok else 1
-
-
-def cmd_sweep(args) -> int:
+def _sweep_z(args, p: SwansonParams):
+    """sweep's z grid, ascending: --steps points from --z-from to --z-to."""
     import numpy as np
 
-    mats, p = _realization(args, _params(args))
     if args.steps < 1:
         raise InvalidParams(f"steps must be at least 1 (got {args.steps})")
     for end in (args.z_from, args.z_to):  # in range before linspace warns on inf
         _exact(p, end)
-    # every z solved, and so refused, before any bundle is built
-    sols = [solve_metric(p, float(z))
-            for z in np.sort(np.linspace(args.z_from, args.z_to, args.steps))]
+    return np.sort(np.linspace(args.z_from, args.z_to, args.steps))
+
+
+def cmd_validate(args) -> tuple[list, bool]:
+    p = _params(args)
+    return [f"parameters valid: omega = {_fmt(p.omega)}, alpha = {_fmt(p.alpha)}, "
+            f"beta = {_fmt(p.beta)}, omega^2 - 4*alpha*beta = "
+            f"{_fmt(_exact(p)[0])}"], True
+
+
+def cmd_disentangle(args) -> tuple[list, bool]:
+    eta = complex(args.eta, args.eta_im)
+    normal, anti = disentangle_closed_form(args.epsilon, eta)
+    return [("epsilon", args.epsilon), ("eta", eta),
+            ("p", normal.p), ("q", normal.q), ("r", normal.r),
+            ("r_prime", anti.r), ("q_prime", anti.q), ("p_prime", anti.p)], True
+
+
+def cmd_metric(args) -> tuple[list, bool]:
+    sol = solve_metric(_params(args), args.z)
+    return [("z", sol.z), ("epsilon", sol.epsilon), ("eta", sol.eta),
+            ("theta", sol.theta), ("lambda", sol.lambda_base),
+            ("mu", sol.mu), ("nu", sol.nu), ("mu_nu_product", sol.mu * sol.nu),
+            ("U", sol.u), ("V", sol.v), ("W", sol.w)], True
+
+
+def cmd_spectrum(args) -> tuple[list, bool]:
+    vals = spectrum_prediction(_params(args), args.k, args.count)
+    return [(f"e{i}", v) for i, v in enumerate(vals)], True
+
+
+def cmd_verify(args) -> tuple[list, bool]:
+    mats, [(_, bundle)], passed = _checked_rows(args, lambda p: [args.z])
+    rows = [("realization", mats.kind), ("z", args.z),
+            ("size", mats.dim), ("trusted", args.trusted)]
+    rows += [(name, f"{_fmt(bundle.residuals[name])}  "
+                    f"[{'PASS' if passed[name] else 'FAIL'} <= {tol:g}]")
+             for name, tol in RESIDUAL_TOLS.items()]
+    rows += [(f"e{i}", v) for i, v in enumerate(bundle.spectrum_h)]
+    return rows, all(passed.values())
+
+
+def cmd_sweep(args) -> tuple[list, bool]:
+    _, rows, passed = _checked_rows(args, lambda p: _sweep_z(args, p))
     lines = [",".join(SWEEP_COLUMNS)]
-    ok = True
-    for sol in sols:
-        bundle = _self.build_bundle(sol, mats, trusted=args.trusted)
-        for name, tol in RESIDUAL_TOLS.items():
-            ok = ok and bundle.residuals[name] <= tol
+    for sol, bundle in rows:
         values = [sol.z, sol.epsilon, sol.mu, sol.nu, sol.mu * sol.nu,
                   sol.u, sol.v, sol.w]
         values += [bundle.residuals[name] for name in RESIDUAL_TOLS]
         values += list(bundle.spectrum_h)
         lines.append(",".join(_fmt(v) for v in values))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return lines, all(passed.values())
 
 
-def cmd_pdm(args) -> int:
+def cmd_pdm(args) -> tuple[list, bool]:
     from . import pdm
 
     p = _params(args)
@@ -195,8 +191,7 @@ def cmd_pdm(args) -> int:
     rows.append(("convergence", "ok" if report.convergence_ok else "not ok"))
     rows.append(("boundary_decay", report.boundary_decay))
     rows.append(("status", report.status))
-    _emit(args, rows)
-    return 0 if report.status == "PASS" else 1
+    return rows, report.status == "PASS"
 
 
 def _add_param_flags(sp) -> None:
@@ -322,12 +317,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(_apply_config(argv))
-        return args.func(args)
+        report, ok = args.func(args)
     except SystemExit as exc:  # argparse: --help, or a refused command line
         return 0 if exc.code in (0, None) else 2
     except (Su11MetricError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
+    sys.stdout.write(_render(args, report))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
 from oracles import metric_family_mp
 from test_metric import RECORD_READINGS
+from test_realizations import _src_functions_where
 
 
 # an admissible z-domain piece, z in (-1, -0.9645), where mu < 0
@@ -656,6 +657,93 @@ class TestSweepCommand:
         assert code == 0
         zs = [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]]
         assert zs == sorted(zs)
+
+
+class TestReportPath:
+    """verify and sweep build and judge their rows in one helper, and main
+    alone writes stdout and turns a verdict into an exit code."""
+
+    BASE = ("--omega", "1", "--alpha", "0.2", "--beta", "0.1")
+
+    @staticmethod
+    def cli_functions_where(hit):
+        # the functions of cli.py that hold a node for which hit(node) is true
+        return {func for path, func in _src_functions_where(hit)
+                if path == "cli.py" and func is not None}
+
+    def test_main_alone_writes_and_exits(self):
+        # no other function in the package touches stdout, so a command
+        # that fails leaves no partial output; each command returns its
+        # report and its verdict, and only main maps that to 0 or 1
+        assert _src_functions_where(
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "stdout") \
+            == {("cli.py", "main")}
+
+        def exit_code(node):
+            if not isinstance(node, ast.Return) or node.value is None:
+                return False
+            value = node.value
+            ends = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+            return all(isinstance(v, ast.Constant) and type(v.value) is int for v in ends)
+
+        assert self.cli_functions_where(exit_code) == {"main"}
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        commands = [f for f in tree.body
+                    if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+        assert len(commands) == 7
+        for func in commands:
+            returns = [n.value for n in ast.walk(func) if isinstance(n, ast.Return)]
+            assert returns and all(isinstance(v, ast.Tuple) and len(v.elts) == 2
+                                   for v in returns), func.name
+
+    def test_rows_are_built_and_judged_in_one_helper(self):
+        # _checked_rows alone resolves the realization, builds the bundles
+        # and compares a residual with its tolerance; verify and sweep only
+        # lay its rows out
+        def calls(name):
+            return lambda node: isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+        for name in ("from_descriptor", "build_bundle"):
+            assert self.cli_functions_where(calls(name)) == {"_checked_rows"}, name
+        assert self.cli_functions_where(calls("solve_metric")) == {"_checked_rows",
+                                                                   "cmd_metric"}
+        compares = self.cli_functions_where(lambda node: isinstance(node, ast.Compare))
+        tols = self.cli_functions_where(
+            lambda node: isinstance(node, ast.Name) and node.id == "RESIDUAL_TOLS")
+        assert compares & tols == {"_checked_rows"}
+        assert not compares & {"cmd_verify", "cmd_sweep"}
+
+    @pytest.mark.parametrize("z, size, code", [("0.4", "200", 0), ("0.2", "400", 1)])
+    def test_verify_is_the_one_row_sweep(self, capsys, z, size, code):
+        # verify at z prints the residuals and levels of the sweep row at
+        # z, byte for byte, and both exit alike (r_quasi inf at z = 0.2)
+        argv = (*self.BASE, "--size", size)
+        got, out, _ = run_cli(capsys, "verify", *argv, "--z", z)
+        rows = parse_table(out)
+        assert got == code
+        got, out, _ = run_cli(capsys, "sweep", *argv, "--z-from", z, "--z-to", z,
+                              "--steps", "1")
+        header, line = out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert got == code
+        assert row["z"] == rows["z"]
+        for name in (*RESIDUAL_TOLS, *(f"e{i}" for i in range(5))):
+            assert row[name] == rows[name].split()[0], name
+
+    def test_restated_defaults_match_the_library(self):
+        # validate loads no numpy, so the parser restates these defaults
+        # instead of importing them; here the two copies are held equal
+        parser = cli._build_parser()
+        args = parser.parse_args(["pdm", *self.BASE])
+        defaults = pdm.PdmConfig._field_defaults
+        assert sorted(defaults) == ["points", "s", "tau", "x_max", "x_min", "z"]
+        assert {name: getattr(args, name) for name in defaults} == defaults
+        assert parser.parse_args(["verify", *self.BASE]).trusted \
+            == verification.DEFAULT_TRUSTED
+        count = verification.SPECTRUM_COUNT
+        assert len(SWEEP_COLUMNS) == 8 + len(RESIDUAL_TOLS) + count
+        assert SWEEP_COLUMNS[8:] == [*RESIDUAL_TOLS, *(f"e{i}" for i in range(count))]
 
 
 class TestConfigFile:

@@ -220,6 +220,16 @@ class TestChainBracket:
         tau = 2.0 * (np.finfo(float).tiny + np.finfo(float).eps * theta)
         assert chain_count_mp(c0, c, k, n_states, theta + 4.0 * tau) == 2
 
+    def test_kato_temple_clause_alone_refuses(self):
+        # past n + k = 1 / (8 eps) = 5.6e14 the width limit 8 eps theta_n
+        # exceeds the room Omega, so the check on the widths cannot stand
+        # in for Kato-Temple's resid2 < gap * room: on this chain that
+        # clause alone refuses, and without it the law would be returned
+        c0, c, k, n_states = 1.0, 0.1, 6e14, 12373073148418
+        omega = math.sqrt((c0 - 2.0 * c) * (c0 + 2.0 * c))
+        assert 8.0 * np.finfo(float).eps * omega * k > omega
+        assert verification._chain_bracket(c0, c, k, n_states, 5) is None
+
     def test_no_coupling(self):
         # c = 0: the chain is diagonal, and the law is its levels at every
         # length, up to the count of states
