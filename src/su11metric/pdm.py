@@ -214,10 +214,12 @@ def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
 
 
 def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """T @ vecs for the symmetric tridiagonal T = (diag, off)."""
-    out = diag[:, None] * vecs
-    out[:-1] += off[:, None] * vecs[1:]
-    out[1:] += off[:, None] * vecs[:-1]
+    """T v for each row v of the (k, n) stack vecs, T the symmetric
+    tridiagonal (diag, off), diag one row or one row per vector: the main,
+    upper and lower bands' products summed in that order."""
+    out = diag * vecs
+    out[:, :-1] += off * vecs[:, 1:]
+    out[:, 1:] += off * vecs[:, :-1]
     return out
 
 
@@ -242,13 +244,14 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     tridiagonal T = (diag, off); None where a solve fails or leaves the doubles.
 
     Three Rayleigh-quotient steps from a constant start, for all k shifts at
-    once: the systems (T - theta_j) x_j = q_j are the blocks of one
-    tridiagonal with zero links between them, so each step is one dgtsv
-    call.  theta_j then moves to theta_j + x_j.q_j / x_j.x_j, the Rayleigh
-    quotient of x_j, and q_j to x_j / ||x_j||.  The values returned are the
-    Rayleigh quotients q.Tq of one product T q on the same blocks: the
-    solves round d - theta_j alike on every row, which would move the last
-    step's value by up to an ulp of the diagonal.
+    once: the dgtsv call alone sees the systems (T - theta_j) x_j = q_j as
+    the blocks of one tridiagonal with zero links between them, so each
+    step is one call.  theta_j then moves to theta_j + x_j.q_j / x_j.x_j,
+    the Rayleigh quotient of x_j, and q_j to x_j / ||x_j||.  The products
+    run on the (k, n) rows q_j (_tri_mul), and the values returned are the
+    Rayleigh quotients q.Tq of one product T q: the solves round
+    d - theta_j alike on every row, which would move the last step's value
+    by up to an ulp of the diagonal.
 
     Each residual ||r|| + 4 eps ||m|| bounds ||T q - theta q|| with its
     own rounding, row i of r = T q - theta q being off by at most 4 eps m_i,
@@ -265,40 +268,30 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     # the diagonal (main) and both link bands (links, the lower over the
     # upper), so each step fills them anew
     links, main, q, x = np.empty((2 * k, n)), *(np.empty((k, n)) for _ in range(3))
-    lo = links[:k]
     q.fill(1.0 / math.sqrt(n))
     theta = shifts
     for _ in range(3):
         links[:, :-1], links[:, -1] = off, 0.0
         np.subtract(diag, theta[:, None], out=main)
         x[...] = q
-        info = dgtsv(lo.ravel()[:-1], main.ravel(), links[k:].ravel()[:-1], x.ravel(),
-                     1, 1, 1, 1)[-1]
+        info = dgtsv(links[:k].ravel()[:-1], main.ravel(), links[k:].ravel()[:-1],
+                     x.ravel(), 1, 1, 1, 1)[-1]
         xx = np.einsum("ij,ij->i", x, x)
         if info != 0 or not (min(sums := xx.tolist()) > 0.0 and math.isfinite(sum(sums))):
             return None
         theta = theta + np.einsum("ij,ij->i", x, q) / xx
         np.divide(x, np.sqrt(xx)[:, None], out=q)
-
-    def product(d, e, v):
-        # (d, e) v over the k blocks, one block a row
-        return _tri_mul(d.ravel(), e.ravel()[:-1], v.reshape(-1, 1)).reshape(k, n)
-
-    lo[:, :-1], lo[:, -1] = off, 0.0
-    main[...] = diag
-    r = product(main, lo, q)
+    r = _tri_mul(diag, off, q)
     theta = np.einsum("ij,ij->i", q, r)
     r -= np.multiply(theta[:, None], q, out=x)
     resid = np.sqrt(np.einsum("ij,ij->i", r, r))
     del r  # freed before the second product, which would raise the peak
-    lo[:, :-1] = np.abs(off)
     np.add(np.abs(diag), np.abs(theta)[:, None], out=main)
-    m = product(main, lo, np.abs(q, out=x))
+    m = _tri_mul(main, np.abs(off), np.abs(q, out=x))
     bar = np.abs(theta) / (16.0 * math.sqrt(_EPS * n))  # 4 eps bar = sqrt(eps)|theta|/(4 sqrt n)
     if (m.max(axis=1) > bar).any():
         j, i = np.nonzero(m > bar[:, None])
-        lo[:, :-1], main[...] = off, diag
-        r = product(main, lo, q) - theta[:, None] * q
+        r = _tri_mul(diag, off, q) - theta[:, None] * q
         # row i reads e[i], e[i + 1] and q[j, i - 1:i + 2], zero past the ends
         e, qp = np.pad(off, 1), np.pad(q, ((0, 0), (1, 1)))
         a, b = np.stack((diag[i], e[i], e[i + 1], -theta[j])), qp[j, i + [[1], [0], [2], [1]]]

@@ -1,6 +1,8 @@
+import ast
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -457,6 +459,35 @@ class TestCertifiedChain:
             assert diag.max() > 1e26
             assert resid.max() <= np.sqrt(np.finfo(float).eps) * theta.max() / 2.0, resid
 
+    @pytest.mark.parametrize("z, points", [(0.024908, 500), (0.0, 100)])
+    def test_rounding_term_is_four_eps_m(self, z, points):
+        # the returned bound is ||r|| + 4 eps ||m||, m = (|T| + |theta|) |q|,
+        # recomputed row by row from the returned theta and q: m by
+        # math.fsum, r in _rayleigh's order (main, upper, lower, then
+        # - theta q), since a correctly rounded r moves ||r|| by up to 0.2%
+        # of the bound.  No row of m passes the bar past which a row is
+        # summed again error-free, and the a-priori term is most of each
+        # bound on the 500-point level, so |T|'s off band, |theta| and the
+        # factor 4 are each read
+        cfg = CFG._replace(z=z, points=points)
+        seeds = np.array(_harmonic_law(math.sqrt(solve_metric(P, z).gap), 0.5, pdm.COUNT))
+        diag, off = h_tridiag(cfg)
+        theta, vecs, bound = pdm._rayleigh(diag, off, seeds)
+        n, eps = diag.size, np.finfo(float).eps
+        d, e = diag.tolist(), [0.0, *off.tolist(), 0.0]
+        for t, q, b in zip(theta.tolist(), vecs.T.tolist(), bound.tolist()):
+            qp = [0.0, *q, 0.0]
+            r = [d[i] * q[i] + e[i + 1] * qp[i + 2] + e[i] * qp[i] - t * q[i]
+                 for i in range(n)]
+            m = [math.fsum((abs(d[i] * q[i]), abs(t * q[i]), abs(e[i + 1] * qp[i + 2]),
+                            abs(e[i] * qp[i]))) for i in range(n)]
+            # 4 eps bar = sqrt(eps) |theta| / (4 sqrt n)
+            assert max(m) <= abs(t) / (16.0 * math.sqrt(eps * n)), (z, points, t)
+            r_norm, m_norm = (math.sqrt(math.fsum(v * v for v in u)) for u in (r, m))
+            assert abs(b - (r_norm + 4.0 * eps * m_norm)) <= 1e-12 * b, (z, points, t)
+            if points == 500:
+                assert 4.0 * eps * m_norm >= 0.9 * b, (z, points, t)
+
     def test_uncertified_grid_is_no_convergence(self):
         # 2 s max|x| = 300: the 500-point level's diagonal spans 0.4 to
         # 4e130, the residuals' bound on their own rounding is about 1e14,
@@ -476,6 +507,21 @@ class TestCertificate:
         assert pdm._interval_top(d[:2], np.full(2, 4e-10), 2) == d[1] + 4e-10
         assert pdm._interval_top(d[:2], np.full(2, 1e-9), 2) is None
 
+    def test_disjointness_reads_both_radii(self):
+        # theta_1 lies above theta_0 + rho_0 = 1 + 1e-9, but with residual
+        # 2.5e-9 its interval starts below it; with 1.5e-9 it does not
+        theta = np.array([1.0, 1.0 + 3e-9, 5.0])
+        assert pdm._interval_top(theta, np.array([1e-9, 2.5e-9, 0.0]), 3) is None
+        assert pdm._interval_top(theta, np.array([1e-9, 1.5e-9, 0.0]), 3) \
+            == 5.0 + 2.0 * (np.finfo(float).tiny + np.finfo(float).eps * 5.0)
+
+    def test_residual_gate_is_sqrt_eps(self):
+        # disjoint intervals, but a residual above sqrt(eps) max|theta| =
+        # 4.47e-8 is refused, since theta is then off by about resid^2 / gap
+        theta = np.array([1.0, 2.0, 3.0])
+        assert pdm._interval_top(theta, np.array([5e-8, 0.0, 0.0]), 3) is None
+        assert pdm._interval_top(theta, np.array([4e-8, 0.0, 0.0]), 3) is not None
+
     def test_bisected_values_certify_with_zero_residual(self):
         # the values of a chain's leading states, bisected to 2 tiny,
         # certify with residual 0 by dstebz's own count up to the top, as
@@ -492,6 +538,30 @@ class TestCertificate:
                     top = pdm._interval_top(w, np.zeros(count), count)
                     found, *_, info = dstebz(d, e, 1, -np.inf, top, 0, 0, np.inf, "E")
                     assert (found, info) == (count, 0), (r.kind, z, count)
+
+
+class TestRayleighLayout:
+    # the k systems joined by zero links into one flat tridiagonal are the
+    # dgtsv call's alone; _rayleigh's products run on its (k, n) row stacks
+
+    @staticmethod
+    def module_and_rayleigh():
+        tree = ast.parse(Path(pdm.__file__).read_text(encoding="utf-8"))
+        return tree, next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_rayleigh")
+
+    def test_ravel_only_in_the_dgtsv_call(self):
+        tree, rayleigh = self.module_and_rayleigh()
+        ravels = {id(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "ravel"}
+        (call,) = [node for node in ast.walk(rayleigh) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "dgtsv"]
+        assert ravels and ravels <= {id(node) for arg in call.args for node in ast.walk(arg)}
+
+    def test_rayleigh_defines_no_function(self):
+        _, rayleigh = self.module_and_rayleigh()
+        assert not [node for node in ast.walk(rayleigh) if node is not rayleigh and isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
 
 
 class TestBisect:
