@@ -36,9 +36,7 @@ __all__ = [
     "ZOutOfDomain", "NoConvergence", "TruncationTooSmall",
     "MetricSolution", "SwansonParams", "commuting_observable",
     "is_admissible", "solve_metric", "swanson_element", "z_domain",
-    "RealizationMatrices", "conformal", "discrete_series", "from_descriptor",
-    "multiboson", "oscillator_full", "oscillator_sector", "radial",
-    "OperatorBundle", "build_bundle", "materialize_metric_root",
-    "spectrum_prediction",
+    "RealizationMatrices", "from_descriptor", "OperatorBundle", "build_bundle",
+    "materialize_metric_root", "spectrum_prediction",
     "__version__",
 ]

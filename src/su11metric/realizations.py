@@ -95,117 +95,92 @@ def _chains(weights: Sequence[float], n: int, kind: str) -> RealizationMatrices:
     return r
 
 
-def discrete_series(k: float, n: int) -> RealizationMatrices:
-    """Lowest-weight realization with K0 eigenvalues m + k.
-
-    K+|m> = sqrt((m+1)(m+2k))|m+1> and K- its adjoint; the positive
-    weight k fixes the Casimir value k(k-1).
-    """
-    if not 0.0 < k < np.inf:
+def _discrete(k: float, n: int, label: str = ""):
+    """Lowest-weight realization D+(k): K0 = m + k, K+ = sqrt((m+1)(m+2k)) from
+    |m> to |m+1>, K- its adjoint; the weight k > 0 fixes the Casimir k(k-1)."""
+    if not 0.0 < k < math.inf:
         raise InvalidParams(f"lowest weight k must be positive and finite (got {k:g})")
     if n < 2:
         raise InvalidParams(f"dimension must be at least 2 (got {n})")
-    return _chains((k,), n, f"discrete:k={k:g}")
+    return (k,), label or f"discrete:k={k:g}"
 
 
-def oscillator_full(n: int) -> RealizationMatrices:
+def _oscillator(one, args, n):
     """One-boson realization K0 = (a'a + 1/2)/2, Kp = a'a'/2, Km = aa/2: Fock
     state 2j + c is state j of D+((2c + 1)/4), as sqrt((2j + c + 1)(2j + c +
-    2))/2 = sqrt((j + 1)(j + (2c + 1)/2))."""
-    if n < 4:
-        raise InvalidParams(f"dimension must be at least 4 (got {n})")
-    return _chains((0.25, 0.75), n, "oscillator:parity=full")
-
-
-def oscillator_sector(parity: str, n: int) -> RealizationMatrices:
-    """Single parity sector of the one-boson realization.
-
-    Sector index m maps to Fock index 2m (even) or 2m+1 (odd); the even
-    sector carries lowest weight 1/4 and the odd sector 3/4.
-    """
-    if parity not in ("even", "odd"):
+    2))/2 = sqrt((j + 1)(j + (2c + 1)/2)).  A parity sector keeps Fock states
+    2m (even, lowest weight 1/4) or 2m + 1 (odd, 3/4)."""
+    parity = one("parity", "full")
+    weights = {"full": (0.25, 0.75), "even": (0.25,), "odd": (0.75,)}.get(parity)
+    if weights is None:
         raise InvalidParams(f"parity must be 'even' or 'odd' (got {parity!r})")
     if n < 4:
         raise InvalidParams(f"dimension must be at least 4 (got {n})")
-    return _chains((0.25 if parity == "even" else 0.75,), n, f"oscillator:parity={parity}")
+    return weights, f"oscillator:parity={parity}"
 
 
-def multiboson(l: int, residues: Sequence[float], n: int) -> RealizationMatrices:
-    """l-boson realization K0 = a0(N), Km = am(N) a^l, Kp = a'^l am(N).
-
-    With r = m mod l and j = (m - r)/l, a0(m) = j + residues[r] and
-    am(m) = sqrt((j + 2 residues[r]) (j + 1) / ((m+1)(m+2)...(m+l))), whose
+def _multiboson(one, args, n):
+    """l-boson realization K0 = a0(N), Km = am(N) a^l, Kp = a'^l am(N): with
+    r = m mod l and j = (m - r)/l, a0(m) = j + residues[r] and am(m) =
+    sqrt((j + 2 residues[r]) (j + 1) / ((m+1)(m+2)...(m+l))), whose
     Pochhammer factor cancels against a^l: chain r is D+(residues[r]).
     The residue values are free configuration; the two-boson choice
     (1/4, 3/4) reproduces the one-boson realization exactly.  Raises when a
-    radicand turns negative, first at m = r for the first negative residue r.
-    """
+    radicand turns negative, first at m = r for the first negative residue r."""
+    l, residues = int(one("l")), [float(v) for v in args.get("residues", [])]
+    if not residues:
+        raise InvalidParams("multiboson descriptor needs residues=...")
     if l < 1:
         raise InvalidParams(f"period l must be a positive integer (got {l})")
-    residues = np.asarray(residues, dtype=float)
-    if residues.shape != (l,):
-        raise InvalidParams(f"need exactly l = {l} residue values (got {residues.size})")
-    if not np.isfinite(residues).all():
-        raise InvalidParams(f"residue values must be finite (got {residues.tolist()})")
+    if len(residues) != l:
+        raise InvalidParams(f"need exactly l = {l} residue values (got {len(residues)})")
+    if not all(map(math.isfinite, residues)):
+        raise InvalidParams(f"residue values must be finite (got {residues})")
     if n < l + 2:
         raise InvalidParams(f"dimension must exceed l + 1 (got {n})")
-    if residues.min() < 0.0:
-        raise InvalidParams(
-            f"negative radicand in lowering coefficient at m = {int(np.argmax(residues < 0))}; "
-            "choose residue values with (m-r)/l + 2*a0(r) >= 0")
-    return _chains(residues, n, f"multiboson:l={l}")
+    if negative := [r for r, a in enumerate(residues) if a < 0.0]:
+        raise InvalidParams(f"negative radicand in lowering coefficient at m = {negative[0]}; "
+                            "choose residue values with (m-r)/l + 2*a0(r) >= 0")
+    return residues, f"multiboson:l={l}"
 
 
-def radial(L: float, n: int) -> RealizationMatrices:
-    """d-dimensional radial oscillator sector, L = angmom + (d-3)/2.
-
-    The differential realization (1/(4 omega)) (-d^2/dr^2 + L(L+1)/r^2
-    + omega^2 r^2) for K0 is unitarily equivalent to the lowest-weight
-    realization with k = (2L + 3)/4; the tests check the mapping against
-    the lowest eigenvalues of a finite-difference grid rather than assume
-    it.
-    """
-    k = (2.0 * L + 3.0) / 4.0
-    if not 0.0 < k < np.inf:
+def _radial(one, args, n):
+    """d-dimensional radial oscillator sector, L = angmom + (d-3)/2: the
+    differential realization (1/(4 omega)) (-d^2/dr^2 + L(L+1)/r^2 + omega^2
+    r^2) for K0 is unitarily equivalent to D+(k), k = (2L + 3)/4; the tests
+    check the mapping against the lowest eigenvalues of a finite-difference
+    grid rather than assume it."""
+    L = float(one("l"))
+    if not 0.0 < (k := (2.0 * L + 3.0) / 4.0) < math.inf:
         raise InvalidParams(f"L = {L:g} gives no positive finite weight (2L+3)/4")
-    return discrete_series(k, n)._replace(kind=f"radial:L={L:g}")
+    return _discrete(k, n, f"radial:L={L:g}")
 
 
-def conformal(k: float, c: float, omega: float,
-              n: int) -> tuple[RealizationMatrices, SwansonParams]:
-    """Conformal many-body sector: coupling c fixes alpha = -beta = c/4.
+def _conformal(one, args, n):
+    """Conformal many-body sector D+(k): coupling c fixes alpha = -beta = c/4
+    (from_descriptor's parameters), and omega**2 - 4*alpha*beta = omega**2 +
+    c**2/4 is the squared effective frequency."""
+    k, c = float(one("k")), float(one("c"))
+    return _discrete(k, n, f"conformal:k={k:g},c={c:g}")
 
-    Returns the lowest-weight matrices together with the matching
-    parameter triple; omega**2 - 4*alpha*beta = omega**2 + c**2/4 is the
-    squared effective frequency.
-    """
-    mats = discrete_series(k, n)._replace(kind=f"conformal:k={k:g},c={c:g}")
-    return mats, SwansonParams(omega, c / 4.0, -c / 4.0)
+
+# kind: (its keys, builder(one, args, N) -> (weights, label)); one(key) is a key's value
+_KINDS = {"discrete": ({"k"}, lambda one, args, n: _discrete(float(one("k")), n)),
+          "oscillator": ({"parity"}, _oscillator), "multiboson": ({"l", "residues"}, _multiboson),
+          "radial": ({"l"}, _radial), "conformal": ({"k", "c"}, _conformal)}
 
 
 def from_descriptor(text: str, dim: int,
                     omega: float = 1.0) -> tuple[RealizationMatrices, SwansonParams | None]:
-    """Build a realization from a textual descriptor.
-
-    Supported forms:
-        discrete:k=0.25
-        oscillator            (or oscillator:parity=even|odd|full)
-        multiboson:l=3,residues=0.25,0.5,0.75
-        radial:L=1
-        conformal:k=0.75,c=1
-
-    The conformal form also returns the parameter triple implied by its
-    coupling (alpha = -beta = c/4 at the given omega); every other form
-    returns None for the parameters.
-    """
+    """The realization of a descriptor on dim states: discrete:k=0.25,
+    oscillator[:parity=even|odd|full], multiboson:l=3,residues=0.25,0.5,0.75,
+    radial:L=1 or conformal:k=0.75,c=1, which also returns the parameters its
+    coupling implies (alpha = -beta = c/4 at this omega); the others None."""
     kind, _, argstr = text.partition(":")
     kind = kind.strip().lower()
     args: dict[str, list[str]] = {}
     last = None
-    for tok in (argstr.split(",") if argstr else []):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in filter(None, map(str.strip, argstr.split(","))):
         if "=" in tok:
             key, _, val = tok.partition("=")
             last = key.strip().lower()
@@ -217,40 +192,20 @@ def from_descriptor(text: str, dim: int,
         else:
             raise InvalidParams(f"malformed realization descriptor {text!r}")
 
-    def _one(key: str, default: str | None = None) -> str:
-        if key in args:
-            if len(args[key]) != 1:
-                raise InvalidParams(f"descriptor key {key!r} takes one value")
-            return args[key][0]
-        if default is None:
-            raise InvalidParams(f"descriptor {text!r} is missing key {key!r}")
-        return default
+    def one(key: str, default: str | None = None) -> str:
+        values = args.get(key, [] if default is None else [default])
+        if len(values) != 1:
+            raise InvalidParams(f"descriptor key {key!r} takes one value" if values
+                                else f"descriptor {text!r} is missing key {key!r}")
+        return values[0]
 
-    known = {"discrete": {"k"}, "oscillator": {"parity"},
-             "multiboson": {"l", "residues"}, "radial": {"l"},
-             "conformal": {"k", "c"}}
-    if kind not in known:
+    if kind not in _KINDS:
         raise InvalidParams(f"unknown realization kind {kind!r}")
-    extra = set(args) - known[kind]
-    if extra:
+    if extra := set(args) - _KINDS[kind][0]:
         raise InvalidParams(f"unknown descriptor keys {sorted(extra)} for {kind!r}")
-
     try:
-        if kind == "discrete":
-            return discrete_series(float(_one("k")), dim), None
-        if kind == "oscillator":
-            parity = _one("parity", "full")
-            if parity == "full":
-                return oscillator_full(dim), None
-            return oscillator_sector(parity, dim), None
-        if kind == "multiboson":
-            l = int(_one("l"))
-            residues = [float(v) for v in args.get("residues", [])]
-            if not residues:
-                raise InvalidParams("multiboson descriptor needs residues=...")
-            return multiboson(l, residues, dim), None
-        if kind == "radial":
-            return radial(float(_one("l")), dim), None
-        return conformal(float(_one("k")), float(_one("c")), omega, dim)
+        weights, label = _KINDS[kind][1](one, args, dim)
     except ValueError as exc:
         raise InvalidParams(f"bad numeric value in descriptor {text!r}: {exc}") from exc
+    r, c = _chains(weights, dim, label), float(one("c")) if kind == "conformal" else None
+    return r, None if c is None else SwansonParams(omega, c / 4.0, -c / 4.0)

@@ -63,9 +63,10 @@ def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
     n_states states of D+(k), a chain of the realization, where each is
     certified within 4 tau_n, tau_n = 2 tiny + 2 eps theta_n, for the exact
     truncation with these c0, c and k (not its rounded bands); else None,
-    which a longer chain lifts.  want <= 0 yields none; want > N and the
-    walls no N lifts (Omega^2 < tiny, a level past the doubles, k >= 1/eps)
-    raise InvalidParams.  k = 0 (a zero residue) is a 0 plus D+(1).
+    which a longer chain lifts.  want <= 0 yields none; want > N, the walls
+    no N lifts (Omega^2 < tiny, a level past the doubles, k >= 1/eps) and,
+    for c != 0, lgamma(N + 1) past the doubles raise InvalidParams.  k = 0
+    (a zero residue) is a 0 plus D+(1).
 
     x = Omega U K0 U^-1; Bargmann's elements bound psi_n = U|n> term by term
     at the cut and past it (log_bound).  The cut link l = |c| sqrt(N (N - 1
@@ -98,6 +99,11 @@ def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
                             f"no certified law at any --size: {wall}")
     if a == 0.0:
         return np.array(theta[:want])
+    try:  # N + 1 and lgamma(N + 1), the bounds' largest term, as doubles
+        math.lgamma(n_cut + 1.0)
+    except OverflowError:
+        raise InvalidParams(f"lgamma(N + 1) overflows the doubles at lowest weight k = "
+                            f"{k:g}, N = {n_cut}") from None
     logs = [math.log(2.0 * a), math.log(2.0 * omega), math.log(c0 + omega)]
     log_t, log_u = logs[0] - logs[2], logs[1] - logs[2]
     log_link = math.log(a) + 0.5 * (math.log(n_cut) + math.log(n_cut - 1 + 2.0 * k))

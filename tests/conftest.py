@@ -3,10 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from su11metric import (SwansonParams, build_bundle, conjugate, discrete_series,
+from su11metric import (SwansonParams, build_bundle, conjugate, from_descriptor,
                         is_admissible, materialize_metric_root, solve_metric,
                         swanson_element)
 from su11metric.realizations import apply
+
+
+def realize(text, n):
+    """The realization of descriptor text on n states."""
+    return from_descriptor(text, n)[0]
+
+
+def multiboson_text(residues):
+    """The multiboson descriptor of these residues, each written by repr,
+    which parses back to the same double."""
+    return f"multiboson:l={len(residues)},residues={','.join(map(repr, residues))}"
 
 
 @pytest.fixture(scope="session")
@@ -24,7 +35,7 @@ def bundles():
         key = (k, z, dim, trusted, omega, alpha, beta)
         if key not in cache:
             p = SwansonParams(omega, alpha, beta)
-            cache[key] = build_bundle(solve_metric(p, z), discrete_series(k, dim),
+            cache[key] = build_bundle(solve_metric(p, z), realize(f"discrete:k={k!r}", dim),
                                       trusted=trusted)
         return cache[key]
 

@@ -423,3 +423,22 @@ def chain_count_mp(c0, c, k, n, x):
                 q = Decimal("1e-60")
             found += q < 0
     return found
+
+
+def tail_count_mp(ratio, a, tol):
+    """(the least O whose bound on an antinormal sum's tail past term O is
+    at most tol, the bound's log minus log tol there and at O - 1), at 40
+    digits with the floats ratio and a taken exactly: t_O rbar / (1 - rbar)
+    over the largest term up to O, r_o = ratio ((a + o) / (o + 1))^2 the
+    bound on term o + 1 over term o, rbar = max(r_O, ratio) < 1 (see
+    verification._tail_count)."""
+    with mp.workdps(40):
+        ratio, a, log_tol = mp.mpf(ratio), mp.mpf(a), mp.log(tol)
+        log_t, peak, before, o = mp.mpf(0), mp.mpf(0), None, 0
+        while True:
+            r = ratio * ((a + o) / (o + 1)) ** 2
+            rbar, peak = max(r, ratio), max(peak, log_t)
+            over = log_t - peak + mp.log(rbar / (1 - rbar)) - log_tol if rbar < 1 else None
+            if over is not None and over <= 0:
+                return o, float(over), before
+            before, log_t, o = None if over is None else float(over), log_t + mp.log(r), o + 1

@@ -123,7 +123,7 @@ def test_criterion_4_family_consistency(coefficient_grid, bundle_grid):
                           abs(sol.c - y.cp))
     # matrix level: the metric root equals the power of the observable,
     # and commutes with it, on the trusted block
-    realization = sm.discrete_series(0.25, 200)
+    realization = sm.from_descriptor("discrete:k=0.25", 200)[0]
     worst_pow = worst_comm = 0.0
     for z in Z_GRID:
         b = bundle_grid[(0.25, z)]
@@ -171,8 +171,8 @@ def test_criterion_5_matrix_bundle(bundle_grid):
 
 
 def test_criterion_6_realization_equivalences():
-    mb = sm.multiboson(2, (0.25, 0.75), 60)
-    osc = sm.oscillator_full(60)
+    mb = sm.from_descriptor("multiboson:l=2,residues=0.25,0.75", 60)[0]
+    osc = sm.from_descriptor("oscillator", 60)[0]
     basis = [sm.AlgebraElement(*c) for c in np.eye(3)]
     worst = max(np.abs(materialize(x, mb) - materialize(x, osc)).max()
                 for x in basis)
@@ -191,7 +191,7 @@ def test_criterion_7_radial_and_conformal():
     for L in (0.0, 1.0, 2.0):
         val = radial_k0_lowest(L, 1.0, 14.0, 4000, 1)[0]
         worst = max(worst, abs(val - (2.0 * L + 3.0) / 4.0))
-    _, cp = sm.conformal(0.75, 1.0, 1.0, 10)
+    _, cp = sm.from_descriptor("conformal:k=0.75,c=1", 10, omega=1.0)
     freq_sq = cp.omega ** 2 - 4.0 * cp.alpha * cp.beta
     exact = freq_sq == 1.0 ** 2 + 1.0 ** 2 / 4.0
     cut = 1.0 / (2.0 * math.sqrt(1.25))

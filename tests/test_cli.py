@@ -12,7 +12,7 @@ import pytest
 
 from su11metric import (DecompositionSingular, InvalidParams, NoConvergence,
                         Su11MetricError, SwansonParams, TrigRegime, TruncationTooSmall,
-                        ZOutOfDomain, cli, discrete_series, pdm, solve_metric,
+                        ZOutOfDomain, cli, from_descriptor, pdm, solve_metric,
                         spectrum_prediction, verification)
 from su11metric.cli import RESIDUAL_TOLS, SWEEP_COLUMNS, main
 
@@ -501,6 +501,35 @@ class TestNonFiniteInputs:
          "descriptor key 'k' takes one value"),
         (("verify", *BASE, "--realization", "multiboson:l=2"),
          "multiboson descriptor needs residues=..."),
+        # each kind's checks in order: an unknown kind or key first, then
+        # the values, then N; the expected messages are those the
+        # per-kind constructors gave before the descriptor table replaced them
+        (("verify", *BASE, "--realization", "hyperbolic:k=1"),
+         "unknown realization kind 'hyperbolic'"),
+        (("verify", *BASE, "--realization", "oscillator:parity=up,k=1"),
+         "unknown descriptor keys ['k'] for 'oscillator'"),
+        (("verify", *BASE, "--realization", "discrete:k=0,junk=1"),
+         "unknown descriptor keys ['junk'] for 'discrete'"),
+        (("verify", *BASE, "--realization", "radial:L=-2"),
+         "L = -2 gives no positive finite weight (2L+3)/4"),
+        (("verify", *BASE, "--realization", "conformal:k=-1,c=1"),
+         "lowest weight k must be positive and finite (got -1)"),
+        (("verify", *BASE, "--realization", "conformal:k=-1,c=abc"),
+         "bad numeric value in descriptor 'conformal:k=-1,c=abc': could not convert "
+         "string to float: 'abc'"),
+        (("verify", *BASE, "--realization", "multiboson:l=0"),
+         "multiboson descriptor needs residues=..."),
+        (("verify", *BASE, "--realization", "multiboson:l=-1,residues=0.25,inf"),
+         "period l must be a positive integer (got -1)"),
+        (("verify", *BASE, "--realization", "multiboson:l=2,residues=0.25,inf"),
+         "residue values must be finite (got [0.25, inf])"),
+        (("verify", *BASE, "--realization", "multiboson:l=3,residues=-1,0.5,nan"),
+         "residue values must be finite (got [-1.0, 0.5, nan])"),
+        (("verify", *BASE, "--realization", "multiboson:l=3,residues=-1,0.5,0.25",
+          "--size", "4", "--trusted", "2"), "dimension must exceed l + 1 (got 4)"),
+        (("verify", *BASE, "--realization", "multiboson:l=2,residues=-3,0.75"),
+         "negative radicand in lowering coefficient at m = 0; choose residue values "
+         "with (m-r)/l + 2*a0(r) >= 0"),
         (("spectrum", *BASE, "--count", "0"), "count must be at least 1"),
         (("verify", *BASE, "--config"), "--config needs a file path"),
     ])
@@ -955,7 +984,7 @@ class TestPdmCommand:
         monkeypatch.setattr(pdm._lapack(), "dstebz", fail)
         failed = r"stebz \(eigh_tridiagonal\) did not converge \(LAPACK info=3\)"
         with pytest.raises(TruncationTooSmall, match="100 of the N = 100 states"):
-            verification._low_eigs(1.0, 0.495, discrete_series(0.25, 100), 3)
+            verification._low_eigs(1.0, 0.495, from_descriptor("discrete:k=0.25", 100)[0], 3)
         # a non-finite seed certifies nothing, so the grid bisects
         p = SwansonParams(1.0, 0.2, 0.1)
         cfg, sol = pdm.PdmConfig(params=p, points=400), solve_metric(p, 0.0)
@@ -981,10 +1010,8 @@ class TestPublicApi:
             "OperatorBundle", "RealizationMatrices", "Su11MetricError",
             "SwansonParams", "TrigRegime", "TruncationTooSmall",
             "ZOutOfDomain", "__version__", "adjoint_matrix", "build_bundle",
-            "commuting_observable", "conformal", "conjugate",
-            "discrete_series", "disentangle_closed_form",
+            "commuting_observable", "conjugate", "disentangle_closed_form",
             "from_descriptor", "is_admissible", "materialize_metric_root",
-            "multiboson", "oscillator_full", "oscillator_sector", "radial",
             "solve_metric", "spectrum_prediction", "swanson_element",
             "z_domain"]
         for name in su11metric.__all__:
@@ -1182,7 +1209,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.std
         script = f"""
 import sys
 import {module} as mod
-from su11metric import SwansonParams, discrete_series, solve_metric
+from su11metric import SwansonParams, from_descriptor, solve_metric
 def scipy():
     return any(m.split(".")[0] == "scipy" for m in sys.modules)
 imported = scipy()
@@ -1190,7 +1217,7 @@ p = SwansonParams(1.0, 0.2, 0.1)
 if mod.__name__.endswith("pdm"):
     mod.run_pdm_check(mod.PdmConfig(params=p, points=400))
 else:
-    mod.build_bundle(solve_metric(p, 0.4), discrete_series(0.25, 200))
+    mod.build_bundle(solve_metric(p, 0.4), from_descriptor("discrete:k=0.25", 200)[0])
 print(imported, scipy(), file=sys.stderr)
 """
         proc = self._run("-c", script)
@@ -1216,9 +1243,10 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scip
         # chain, certified by its closed-form bracket
         script = """
 import sys
-from su11metric import SwansonParams, build_bundle, discrete_series, solve_metric
+from su11metric import SwansonParams, build_bundle, from_descriptor, solve_metric
 from su11metric.verification import _low_eigs
-sol, r = solve_metric(SwansonParams(1.0, 0.2, 0.1), 0.4), discrete_series(0.25, 200)
+sol = solve_metric(SwansonParams(1.0, 0.2, 0.1), 0.4)
+r, _ = from_descriptor("discrete:k=0.25", 200)
 bundle = build_bundle(sol, r)
 levels = _low_eigs(sol.c0, sol.c, r, 25)
 print(bundle.spectrum_h.size, levels.size,
@@ -1234,9 +1262,9 @@ print(bundle.spectrum_h.size, levels.size,
         # weight alone, so the values import no scipy
         script = """
 import sys
-from su11metric import discrete_series
+from su11metric import from_descriptor
 from su11metric.verification import _chain_bracket, _low_eigs
-c0, c, r = 2.8690555219658664, 1.071386903518382, discrete_series(0.25, 1200)
+c0, c, (r, _) = 2.8690555219658664, 1.071386903518382, from_descriptor("discrete:k=0.25", 1200)
 levels = _low_eigs(c0, c, r, 25)
 law = _chain_bracket(c0, c, 0.25, 1200, 25)
 print(levels.size, law is not None and (law == levels).all(),

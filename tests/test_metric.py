@@ -7,13 +7,12 @@ import pytest
 
 from su11metric import (AlgebraElement, InvalidParams, MetricSolution,
                         SwansonParams, ZOutOfDomain, adjoint_matrix, build_bundle,
-                        commuting_observable, conjugate, discrete_series,
-                        is_admissible, metric, solve_metric, spectrum_prediction,
+                        commuting_observable, conjugate, is_admissible, metric, solve_metric, spectrum_prediction,
                         swanson_element, z_domain)
 
 from su11metric import cli, core, pdm, verification
 
-from conftest import admissible_samples, halved_conjugate
+from conftest import admissible_samples, halved_conjugate, realize
 from oracles import casimir_defining, metric_family_mp, stability_roots_mp
 
 P = SwansonParams(1.0, 0.2, 0.1)
@@ -250,7 +249,7 @@ class TestOneGate:
         calls = self.counter(monkeypatch, metric, "_exact")
         sol = solve_metric(P, z)
         assert len(calls) == 1, calls
-        build_bundle(sol, discrete_series(0.25, 200), trusted=50)
+        build_bundle(sol, realize("discrete:k=0.25", 200), trusted=50)
         assert len(calls) == 1, calls
 
     @pytest.mark.parametrize("argv, exact, pivots", [

@@ -13,15 +13,15 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz
 
 from su11metric import (InvalidParams, NoConvergence, Su11MetricError, SwansonParams,
-                        TruncationTooSmall, discrete_series, from_descriptor,
-                        is_admissible, oscillator_full, solve_metric,
-                        spectrum_prediction, z_domain)
+                        TruncationTooSmall, from_descriptor, is_admissible,
+                        solve_metric, spectrum_prediction, z_domain)
 from su11metric import metric, pdm, verification
 from su11metric.metric import _harmonic_law
 from su11metric.pdm import (PdmConfig, _grid_spectrum, _grid_terms, _h_tridiag,
                             boundary_decay, pdm_generators, run_pdm_check,
                             validate_config)
 
+from conftest import realize
 from oracles import pdm_flux_form
 from test_metric import NEAR_PARABOLIC
 
@@ -527,7 +527,7 @@ class TestCertificate:
         # certify with residual 0 by dstebz's own count up to the top, as
         # pdm counts: the intervals are at least as wide as the bisection's
         # own tolerance, and so the count's rounding
-        for r in (discrete_series(0.25, 300), oscillator_full(300)):
+        for r in (realize("discrete:k=0.25", 300), realize("oscillator", 300)):
             for z in (-0.8, -0.4, 0.0, 0.4, 0.8):
                 sol = solve_metric(P, z)
                 for count in (1, 5, 25):
@@ -627,7 +627,7 @@ class TestBisect:
         monkeypatch.setattr(lapack, "dstein", refuse)
         sol = solve_metric(NEAR_PARABOLIC, 0.3)
         with pytest.raises(TruncationTooSmall, match="200 of the N = 200 states"):
-            verification._low_eigs(sol.c0, sol.c, discrete_series(0.25, 200), 5)
+            verification._low_eigs(sol.c0, sol.c, realize("discrete:k=0.25", 200), 5)
         assert ranges == []
         run_pdm_check(PdmConfig(params=P, x_min=-2.0, x_max=6.0))
         assert ranges.count(2) >= 1 and set(ranges) == {1, 2}, ranges

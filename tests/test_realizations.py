@@ -8,24 +8,22 @@ from scipy.linalg import block_diag
 
 import su11metric
 from su11metric import (AlgebraElement, InvalidParams, SwansonParams,
-                        commuting_observable, conformal, discrete_series,
-                        from_descriptor, multiboson, oscillator_full,
-                        oscillator_sector, radial, solve_metric, swanson_element,
-                        z_domain)
-from conftest import apply_basis
+                        commuting_observable, from_descriptor, solve_metric,
+                        swanson_element, z_domain)
+from conftest import apply_basis, multiboson_text, realize
 from oracles import (basis_bands, commutator_residuals, materialize, metric_family_mp,
                      radial_k0_lowest, residue_root_of_unity)
 
-ALL_CONSTRUCTORS = [
-    lambda n: discrete_series(0.25, n),
-    lambda n: discrete_series(0.75, n),
-    lambda n: discrete_series(1.6, n),
-    lambda n: oscillator_full(n),
-    lambda n: oscillator_sector("even", n),
-    lambda n: oscillator_sector("odd", n),
-    lambda n: multiboson(2, (0.25, 0.75), n),
-    lambda n: multiboson(3, (0.3, 0.6, 0.9), n),
-    lambda n: radial(1.0, n),
+ALL_REALIZATIONS = [
+    lambda n: realize("discrete:k=0.25", n),
+    lambda n: realize("discrete:k=0.75", n),
+    lambda n: realize("discrete:k=1.6", n),
+    lambda n: realize("oscillator", n),
+    lambda n: realize("oscillator:parity=even", n),
+    lambda n: realize("oscillator:parity=odd", n),
+    lambda n: realize("multiboson:l=2,residues=0.25,0.75", n),
+    lambda n: realize("multiboson:l=3,residues=0.3,0.6,0.9", n),
+    lambda n: realize("radial:L=1.0", n),
 ]
 
 
@@ -40,7 +38,7 @@ def dense(r):
                  for c in ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
 
 
-# Dense references for every constructor in ALL_CONSTRUCTORS and for
+# Dense references for every realization in ALL_REALIZATIONS and for
 # conformal, built with diagonal matrices, boson ladders and matrix powers
 def _annihilation(n):
     return np.diag(np.sqrt(np.arange(1.0, n)), 1)
@@ -90,7 +88,7 @@ def _ref_chains(weights, n):
 
 
 def _ref_oscillator_chains(n):
-    """oscillator_full's D+(1/4) on the even Fock states and D+(3/4) on
+    """The full oscillator's D+(1/4) on the even Fock states and D+(3/4) on
     the odd."""
     return _ref_chains((0.25, 0.75), n)
 
@@ -107,21 +105,22 @@ REFERENCES = [
     lambda n: _ref_discrete(1.25, n),
 ]
 BAND_12 = tuple(0.25 * k for k in range(1, 13))
-# (constructor, its dense reference, its D+(k_c) weights): ALL_CONSTRUCTORS,
+# (realization, its dense reference, its D+(k_c) weights): ALL_REALIZATIONS,
 # then conformal and multibosons with a zero residue and with band 12
-DENSE_CASES = list(zip(ALL_CONSTRUCTORS, REFERENCES, [
+DENSE_CASES = list(zip(ALL_REALIZATIONS, REFERENCES, [
     (0.25,), (0.75,), (1.6,), (0.25, 0.75), (0.25,), (0.75,), (0.25, 0.75),
     (0.3, 0.6, 0.9), (1.25,)])) + [
-    (lambda n: conformal(0.75, 1.0, 1.0, n)[0], lambda n: _ref_discrete(0.75, n), (0.75,)),
-    (lambda n: multiboson(3, (0.0, 0.5, 0.25), n),
+    (lambda n: realize("conformal:k=0.75,c=1", n), lambda n: _ref_discrete(0.75, n), (0.75,)),
+    (lambda n: realize("multiboson:l=3,residues=0.0,0.5,0.25", n),
      lambda n: _ref_multiboson(3, (0.0, 0.5, 0.25), n), (0.0, 0.5, 0.25)),
-    (lambda n: multiboson(12, BAND_12, n), lambda n: _ref_multiboson(12, BAND_12, n), BAND_12)]
+    (lambda n: realize(multiboson_text(BAND_12), n), lambda n: _ref_multiboson(12, BAND_12, n),
+     BAND_12)]
 CHAIN_WEIGHTS = {make: weights for make, _, weights in DENSE_CASES}
 
 
 class TestDiscreteSeries:
     def test_reference_entries(self):
-        r = discrete_series(0.25, 3)
+        r = realize("discrete:k=0.25", 3)
         assert r.band == 1 and r.weights == (0.25,) and r.lengths() == [3]
         k0, sub = r.bands(0, 3)
         assert np.array_equal(k0, [0.25, 1.25, 2.25])
@@ -130,7 +129,7 @@ class TestDiscreteSeries:
 
     def test_casimir_constant(self):
         for k in (0.25, 0.75, 1.3):
-            r = discrete_series(k, 60)
+            r = realize(f"discrete:k={k!r}", 60)
             t = r.dim - r.band
             k0, kp, km = dense(r)
             cas = k0 @ k0 - 0.5 * (kp @ km + km @ kp)
@@ -138,7 +137,7 @@ class TestDiscreteSeries:
             assert np.abs((cas - target)[:t, :t]).max() < 1e-10
 
     def test_defining_commutator(self):
-        r = discrete_series(0.25, 40)
+        r = realize("discrete:k=0.25", 40)
         t = r.dim - r.band
         k0, kp, km = dense(r)
         comm = kp @ km - km @ kp
@@ -146,16 +145,16 @@ class TestDiscreteSeries:
 
     def test_invalid(self):
         with pytest.raises(InvalidParams):
-            discrete_series(0.0, 10)
+            realize("discrete:k=0.0", 10)
         with pytest.raises(InvalidParams):
-            discrete_series(0.5, 1)
+            realize("discrete:k=0.5", 1)
         for k in (math.nan, math.inf):
             with pytest.raises(InvalidParams, match="finite"):
-                discrete_series(k, 10)
+                realize(f"discrete:k={k!r}", 10)
 
 
 class TestRealizationInvariants:
-    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    @pytest.mark.parametrize("make", ALL_REALIZATIONS)
     def test_adjoint_pair(self, make):
         r = make(30)
         assert sum(r.lengths()) == 30 and len(r.lengths()) == r.band
@@ -165,12 +164,12 @@ class TestRealizationInvariants:
         assert np.array_equal(km, kp.T)
         assert np.array_equal(k0, k0.T)
 
-    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    @pytest.mark.parametrize("make", ALL_REALIZATIONS)
     def test_commutators_on_trusted_block(self, make):
         res = commutator_residuals(make(60))
         assert max(res.values()) < 1e-12
 
-    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    @pytest.mark.parametrize("make", ALL_REALIZATIONS)
     def test_commutators_match_full_dense(self, make):
         # the leading-block products against the full N x N ones
         r = make(60)
@@ -188,7 +187,7 @@ class TestRealizationInvariants:
             }
             assert commutator_residuals(r, t) == want, (r.kind, t)
 
-    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    @pytest.mark.parametrize("make", ALL_REALIZATIONS)
     def test_leading_block(self, make):
         # apply on the leading m states is the leading m x m block of the
         # dense sum c0 K0 + cm Km + cp Kp, exactly
@@ -202,7 +201,7 @@ class TestRealizationInvariants:
                 got = apply_basis(x, r, np.eye(m))
                 assert np.array_equal(got, want[:m, :m]), (r.kind, c, m)
 
-    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    @pytest.mark.parametrize("make", ALL_REALIZATIONS)
     def test_k0_strictly_increasing(self, make):
         d = basis_bands(make(30))[0]
         assert np.all(np.diff(d) > 0.0)
@@ -210,28 +209,28 @@ class TestRealizationInvariants:
 
 class TestOscillator:
     def test_k0_diagonal(self):
-        r = oscillator_full(10)
+        r = realize("oscillator", 10)
         assert np.array_equal(basis_bands(r)[0], (2.0 * np.arange(10) + 1.0) / 4.0)
 
     def test_even_sector_lowering_element(self):
-        r = oscillator_sector("even", 6)
+        r = realize("oscillator:parity=even", 6)
         # sector index 1 is Fock state 2; a^2/2 sends it to index 0 with sqrt(2)/2
         assert abs(dense(r)[2][0, 1] - math.sqrt(2.0) / 2.0) < 1e-15
 
     def test_sectors_equal_discrete_series(self):
         for parity, k in (("even", 0.25), ("odd", 0.75)):
-            sec = oscillator_sector(parity, 25)
-            ref = discrete_series(k, 25)
+            sec = realize(f"oscillator:parity={parity}", 25)
+            ref = realize(f"discrete:k={k!r}", 25)
             assert sec.band == ref.band
             for got, want in zip(basis_bands(sec), basis_bands(ref)):
                 assert np.abs(got - want).max() < 1e-14
 
     def test_parity_block_diagonalization(self):
         n = 12
-        full = oscillator_full(2 * n)
+        full = realize("oscillator", 2 * n)
         perm = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-        even = oscillator_sector("even", n)
-        odd = oscillator_sector("odd", n)
+        even = realize("oscillator:parity=even", n)
+        odd = realize("oscillator:parity=odd", n)
         for f, e, o in zip(dense(full), dense(even), dense(odd)):
             sorted_full = f[np.ix_(perm, perm)]
             blocks = block_diag(e, o)
@@ -242,13 +241,13 @@ class TestOscillator:
 
 class TestMultiboson:
     def test_two_boson_equals_oscillator(self):
-        mb = multiboson(2, (0.25, 0.75), 40)
-        osc = oscillator_full(40)
+        mb = realize("multiboson:l=2,residues=0.25,0.75", 40)
+        osc = realize("oscillator", 40)
         for a, b in zip(dense(mb), dense(osc)):
             assert np.array_equal(a, b)
 
     def test_lowering_element(self):
-        mb = multiboson(2, (0.25, 0.75), 8)
+        mb = realize("multiboson:l=2,residues=0.25,0.75", 8)
         assert abs(dense(mb)[2][0, 2] - math.sqrt(2.0) / 2.0) < 1e-15
 
     def test_root_of_unity_formula(self):
@@ -259,17 +258,17 @@ class TestMultiboson:
 
     def test_negative_radicand(self):
         with pytest.raises(InvalidParams, match="radicand"):
-            multiboson(2, (-3.0, 0.75), 10)
+            realize("multiboson:l=2,residues=-3.0,0.75", 10)
 
     def test_non_finite_residue(self):
         # a NaN radicand compares false with 0, so the radicand check
         # alone lets it through
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidParams, match="finite"):
-                multiboson(2, (0.25, bad), 10)
+                realize(multiboson_text((0.25, bad)), 10)
 
     def test_band_structure(self):
-        mb = multiboson(3, (0.3, 0.6, 0.9), 12)
+        mb = realize("multiboson:l=3,residues=0.3,0.6,0.9", 12)
         km = dense(mb)[2]
         off_band = km - np.diag(np.diag(km, 3), 3)
         assert not off_band.any()
@@ -277,8 +276,8 @@ class TestMultiboson:
 
 class TestRadial:
     def test_weight_mapping(self):
-        assert np.allclose(basis_bands(radial(0.0, 5))[0], np.arange(5) + 0.75)
-        assert np.allclose(basis_bands(radial(1.0, 5))[0], np.arange(5) + 1.25)
+        assert np.allclose(basis_bands(realize("radial:L=0.0", 5))[0], np.arange(5) + 0.75)
+        assert np.allclose(basis_bands(realize("radial:L=1.0", 5))[0], np.arange(5) + 1.25)
 
     def test_grid_oracle(self):
         # finite differences on the half-line reproduce the lowest weight
@@ -292,21 +291,21 @@ class TestRadial:
 
     def test_invalid(self):
         with pytest.raises(InvalidParams):
-            radial(-2.0, 10)
+            realize("radial:L=-2.0", 10)
         for L in (math.nan, math.inf):
             with pytest.raises(InvalidParams, match="finite"):
-                radial(L, 10)
+                realize(f"radial:L={L!r}", 10)
 
 
 class TestConformal:
     def test_coupling_mapping(self):
-        mats, p = conformal(0.75, 1.0, 1.0, 10)
+        mats, p = from_descriptor("conformal:k=0.75,c=1", 10, omega=1.0)
         assert (p.alpha, p.beta) == (0.25, -0.25)
         assert p.omega ** 2 - 4.0 * p.alpha * p.beta == 1.0 + 1.0 / 4.0
         assert mats.dim == 10
 
     def test_admissible_band_excluded(self):
-        _, p = conformal(0.75, 1.0, 1.0, 10)
+        _, p = from_descriptor("conformal:k=0.75,c=1", 10, omega=1.0)
         cut = 1.0 / (2.0 * math.sqrt(1.25))
         ivs = z_domain(p)
         assert abs(ivs[0][1] + cut) < 1e-12 and abs(ivs[1][0] - cut) < 1e-12
@@ -314,7 +313,7 @@ class TestConformal:
     def test_h_symmetric_in_ladder(self):
         # h = c0 K0 + c (Km + Kp) at the realization's parameters: one c
         # for both ladders, and c0 and c at their 50-digit forms
-        _, p = conformal(0.75, 1.0, 1.0, 10)
+        _, p = from_descriptor("conformal:k=0.75,c=1", 10, omega=1.0)
         sol, want = solve_metric(p, 0.6), metric_family_mp(p, 0.6)
         for name in ("c0", "c"):
             assert abs(getattr(sol, name) - want[name]) <= 1e-15 * abs(want[name]), name
@@ -322,13 +321,13 @@ class TestConformal:
 
 class TestMaterialize:
     def test_observable_at_z_zero(self):
-        r = discrete_series(0.25, 12)
+        r = realize("discrete:k=0.25", 12)
         assert np.array_equal(materialize(commuting_observable(0.0), r),
                               np.diag(2.0 * basis_bands(r)[0]))
 
     def test_swanson_structure(self):
         p = SwansonParams(1.0, 0.2, 0.1)
-        r = discrete_series(0.25, 12)
+        r = realize("discrete:k=0.25", 12)
         h = materialize(swanson_element(p), r)
         assert not np.iscomplexobj(h)
         assert np.abs(h - h.T).max() > 0.0  # genuinely nonsymmetric
@@ -338,7 +337,7 @@ class TestMaterialize:
 
     def test_linearity(self):
         rng = np.random.default_rng(43)
-        r = discrete_series(0.5, 15)
+        r = realize("discrete:k=0.5", 15)
         x = AlgebraElement(*rng.normal(size=3))
         y = AlgebraElement(*rng.normal(size=3))
         assert np.allclose(materialize(x + y, r),
@@ -369,8 +368,9 @@ class TestMaterialize:
                 assert got.tobytes() == chain.tobytes(), r.kind
 
     @pytest.mark.parametrize("make, reference", [
-        (lambda n: discrete_series(0.25, n), lambda n: _ref_discrete(0.25, n)),
-        (oscillator_full, _ref_oscillator_chains)])
+        (lambda n: realize("discrete:k=0.25", n), lambda n: _ref_discrete(0.25, n)),
+        pytest.param(lambda n: realize("oscillator", n), _ref_oscillator_chains,
+                     id="oscillator_full-_ref_oscillator_chains")])
     def test_equals_dense_sum(self, make, reference):
         # the dense oracle: signed zeros and complex parts as in
         # c0 K0 + cm Km + cp Kp
@@ -488,16 +488,17 @@ class TestChainLayout:
     def test_nothing_n_long_is_stored(self):
         # a realization holds its weights and size; its chains' bands are
         # formed on demand from their leading states, at any N
-        for r, weights in ((discrete_series(0.25, 10 ** 12), (0.25,)),
-                           (multiboson(3, (0.25, 0.5, 0.75), 10 ** 12 + 1), (0.25, 0.5, 0.75)),
-                           (oscillator_full(10 ** 12), (0.25, 0.75))):
+        for r, weights in ((realize("discrete:k=0.25", 10 ** 12), (0.25,)),
+                           (realize("multiboson:l=3,residues=0.25,0.5,0.75", 10 ** 12 + 1),
+                            (0.25, 0.5, 0.75)),
+                           (realize("oscillator", 10 ** 12), (0.25, 0.75))):
             assert r.weights == weights and sum(r.lengths()) == r.dim
             assert all(not isinstance(getattr(r, f), np.ndarray)
                        for f in r._fields)
             for c, k in enumerate(weights):
                 k0, kp = r.bands(c, 3)
                 assert np.array_equal(k0, np.arange(3) + k)
-        assert multiboson(3, (0.25, 0.5, 0.75), 10 ** 12 + 1).lengths() == \
+        assert realize("multiboson:l=3,residues=0.25,0.5,0.75", 10 ** 12 + 1).lengths() == \
             [333333333334, 333333333334, 333333333333]
 
     @pytest.mark.parametrize("weights", [(5e307, 6e307), (6e307, 5e307), (1e307, 1e308),
@@ -512,11 +513,11 @@ class TestChainLayout:
             with np.errstate(over="ignore"):
                 kp = np.sqrt((j + 1.0) * (j + 2.0 * np.array(weights))).ravel()[:n - b]
             if not (kp == np.inf).any():
-                assert multiboson(b, weights, n).weights == weights
+                assert realize(multiboson_text(weights), n).weights == weights
                 continue
             first = int(np.argmax(kp == np.inf))
             with pytest.raises(InvalidParams) as err:
-                multiboson(b, weights, n)
+                realize(multiboson_text(weights), n)
             assert str(err.value) == (f"K+ overflows the doubles at lowest weight "
                                       f"k = {weights[first % b]:g}, N = {n}")
             refused += 1

@@ -14,23 +14,22 @@ from hypothesis import strategies as st
 
 from su11metric import (AlgebraElement, DecompositionSingular, InvalidParams,
                         SwansonParams, TruncationTooSmall, ZOutOfDomain,
-                        build_bundle, discrete_series,
-                        disentangle_closed_form, is_admissible,
+                        build_bundle, disentangle_closed_form, is_admissible,
                         materialize_metric_root, solve_metric,
                         spectrum_prediction, swanson_element, z_domain)
-from su11metric import (commuting_observable, from_descriptor, multiboson,
-                        oscillator_full)
+from su11metric import commuting_observable, from_descriptor
 from su11metric import pdm, realizations, verification
 from su11metric.cli import RESIDUAL_TOLS, main
 from su11metric.pdm import PdmConfig, run_pdm_check
 
-from conftest import apply_basis, halved_conjugate, metric_block, spectral_norm
+from conftest import apply_basis, halved_conjugate, metric_block, realize, spectral_norm
 from oracles import (basis_bands, chain_count_mp, chain_spectrum, commutator_residuals,
                      exp_raising, exp_symmetric, materialize,
                      metric_block_definite, metric_family_mp,
-                     metric_power_dense, metric_power_mp, stability_roots_mp)
+                     metric_power_dense, metric_power_mp, stability_roots_mp,
+                     tail_count_mp)
 from test_pdm import BAND_12, h_tridiag
-from test_realizations import ALL_CONSTRUCTORS
+from test_realizations import ALL_REALIZATIONS
 
 P = SwansonParams(1.0, 0.2, 0.1)
 STRONG = SwansonParams(1.0, 0.45, 0.05)
@@ -46,7 +45,7 @@ class TestSymmetricEigs:
         # k0 = 0.25, 1.25, 2.25: K0 takes them in order, the law that its
         # chain's bracket certifies with no link to cut, and -K0, minus an
         # oscillator, is refused
-        r = discrete_series(0.25, 3)
+        r = realize("discrete:k=0.25", 3)
         w = verification._low_eigs(1.0, 0.0, r, 3)
         assert np.array_equal(w, [0.25, 1.25, 2.25])
         assert np.array_equal(verification._chain_bracket(1.0, 0.0, 0.25, 3, 3), w)
@@ -59,10 +58,10 @@ class TestSymmetricEigs:
         # are those of the block, not of the chain): the chain is refused
         # as too short, and 40 states hold the law to 4 tau
         with pytest.raises(InvalidParams, match="mu > 0"):
-            verification._low_eigs(0.0, 1.0, discrete_series(0.25, 2), 2)
+            verification._low_eigs(0.0, 1.0, realize("discrete:k=0.25", 2), 2)
         with pytest.raises(TruncationTooSmall, match=r"k = 0\.25, 2 of the N = 2 states"):
-            verification._low_eigs(1.0, 0.3, discrete_series(0.25, 2), 2)
-        w = verification._low_eigs(1.0, 0.3, discrete_series(0.25, 40), 2)
+            verification._low_eigs(1.0, 0.3, realize("discrete:k=0.25", 2), 2)
+        w = verification._low_eigs(1.0, 0.3, realize("discrete:k=0.25", 40), 2)
         assert np.array_equal(w, 0.8 * np.array([0.25, 1.25]))
         assert law_holds_mp(1.0, 0.3, 0.25, 40, w)
 
@@ -71,10 +70,9 @@ class TestSymmetricEigs:
         # counterpart (c0 -> |c0| + 2|c|) has the dense operator's spectrum
         # where its chains hold the law, and is refused as too short
         # where they do not: at 5 states every draw, at 80 none
-        from su11metric import oscillator_full
         rng = np.random.default_rng(47)
         for n in (5, 80):
-            for r in (discrete_series(0.25, n), oscillator_full(n)):
+            for r in (realize("discrete:k=0.25", n), realize("oscillator", n)):
                 c0, c = rng.normal(size=2)
                 if not c0 > 2.0 * abs(c):
                     with pytest.raises(InvalidParams, match="mu > 0"):
@@ -169,7 +167,7 @@ class TestChainBracket:
         assert np.array_equal(law, np.r_[0.0, omega * (np.arange(4) + 1.0)])
         assert law_holds_mp(sol.c0, sol.c, 0.0, 40, law)
         assert verification._chain_bracket(sol.c0, sol.c, 0.0, 1, 1).tolist() == [0.0]
-        r = multiboson(3, (0.0, 0.5, 0.75), 120)
+        r = realize("multiboson:l=3,residues=0.0,0.5,0.75", 120)
         w = np.linalg.eigvalsh(materialize(x, r))[:5]
         assert np.abs(verification._low_eigs(sol.c0, sol.c, r, 5) - w).max() <= 1e-12 * w.max()
 
@@ -215,7 +213,7 @@ class TestChainBracket:
         assert verification._chain_bracket(c0, c, k, n_states, 2) is None
         assert verification._chain_bracket(c0, c, k, 2 * n_states, 2) is not None
         with pytest.raises(TruncationTooSmall, match="may already hold the law"):
-            verification._low_eigs(c0, c, discrete_series(k, n_states), 2)
+            verification._low_eigs(c0, c, realize(f"discrete:k={k!r}", n_states), 2)
         theta = omega * (1.0 + k)
         tau = 2.0 * (np.finfo(float).tiny + np.finfo(float).eps * theta)
         assert chain_count_mp(c0, c, k, n_states, theta + 4.0 * tau) == 2
@@ -229,6 +227,28 @@ class TestChainBracket:
         omega = math.sqrt((c0 - 2.0 * c) * (c0 + 2.0 * c))
         assert 8.0 * np.finfo(float).eps * omega * k > omega
         assert verification._chain_bracket(c0, c, k, n_states, 5) is None
+
+    def test_kato_temple_term_widens_the_bracket(self):
+        # level 1's width takes Kato-Temple's r^2 / (rho - a) on top of the
+        # Rayleigh quotient's distance from the law: with it the shortest
+        # chain that certifies two levels at Omega / c0 = 0.8 on D+(1/4)
+        # has 21 states, without it 20 would pass
+        first = next(n for n in range(2, 100)
+                     if verification._chain_bracket(1.0, 0.3, 0.25, n, 2) is not None)
+        assert first == 21
+
+    def test_lgamma_overflow_is_refused_by_name(self):
+        # lgamma(N + 1) past the doubles raised an untyped OverflowError
+        # ("math range error"), and an N past the doubles one from int to
+        # float: both are refused by name.  At c = 0 no bound is formed,
+        # and the law holds at any N
+        for n_states in (256 * 10 ** 303, 10 ** 306, 10 ** 400):
+            with pytest.raises(InvalidParams) as err:
+                verification._chain_bracket(1.0, 0.1, 1e15, n_states, 5)
+            assert str(err.value) == ("lgamma(N + 1) overflows the doubles at lowest "
+                                      f"weight k = 1e+15, N = {n_states}")
+        assert verification._chain_bracket(1.0, 0.1, 1e15, 2 * 10 ** 305, 5) is None
+        assert verification._chain_bracket(1.0, 0.0, 0.25, 10 ** 400, 2).tolist() == [0.25, 1.25]
 
     def test_no_coupling(self):
         # c = 0: the chain is diagonal, and the law is its levels at every
@@ -246,7 +266,7 @@ class TestSturmCount:
     # move one across
 
     def test_cut_case_chains(self):
-        for make in (ALL_CONSTRUCTORS[0], ALL_CONSTRUCTORS[2], ALL_CONSTRUCTORS[7]):
+        for make in (ALL_REALIZATIONS[0], ALL_REALIZATIONS[2], ALL_REALIZATIONS[7]):
             r = make(60)
             for c0, c in _cut_cases():
                 for ch, m in enumerate(r.lengths()):
@@ -285,14 +305,14 @@ class TestChainCut:
         assert np.array_equal(w, np.sort(np.concatenate(laws))[:count]), (c0, c, r.kind, count)
         return True
 
-    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    @pytest.mark.parametrize("make", ALL_REALIZATIONS)
     def test_matches_full_chain(self, make):
         r = make(300)
         certified = [self.assert_matches_oracle(c0, c, r, count)
                      for c0, c in _cut_cases() for count in (1, 5, 25)]
         assert any(certified) and not all(certified), r.kind
 
-    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    @pytest.mark.parametrize("make", ALL_REALIZATIONS)
     def test_count_above_chain_length(self, make):
         # 25 is above every chain's length at N = 40, so every level of
         # each chain is wanted: the law holds up to the cut only where the
@@ -310,7 +330,7 @@ class TestChainCut:
         # spectrum, one that depends on N.  Each is refused instead, at
         # every count and realization
         for c0, c in ((-1.0, 0.0), (1.0, 0.6), (1.0, 0.5), (1.0, -0.5)):
-            for r in (discrete_series(0.25, 100), oscillator_full(100)):
+            for r in (realize("discrete:k=0.25", 100), realize("oscillator", 100)):
                 for count in (1, 5, 25):
                     with pytest.raises(InvalidParams, match="mu > 0"):
                         verification._low_eigs(c0, c, r, count)
@@ -326,21 +346,21 @@ class TestChainCut:
             return bracket(c0, c, k, n_states, want)
 
         monkeypatch.setattr(verification, "_chain_bracket", counted)
-        for c0, c, r in ((-1.0, 0.0, discrete_series(0.25, 800)),
-                         (1.0, 0.6, discrete_series(0.25, 800)),
-                         (1.0, 0.5, discrete_series(0.25, 800)),
-                         (1.0, 0.6, oscillator_full(800))):
+        for c0, c, r in ((-1.0, 0.0, realize("discrete:k=0.25", 800)),
+                         (1.0, 0.6, realize("discrete:k=0.25", 800)),
+                         (1.0, 0.5, realize("discrete:k=0.25", 800)),
+                         (1.0, 0.6, realize("oscillator", 800))):
             with pytest.raises(InvalidParams, match="mu > 0"):
                 verification._low_eigs(c0, c, r, 25)
         assert calls == []
         sol = solve_metric(P, 0.0)
-        for r in (discrete_series(0.25, 800), oscillator_full(800)):
+        for r in (realize("discrete:k=0.25", 800), realize("oscillator", 800)):
             for count in (5, 25):
                 calls.clear()
                 verification._low_eigs(sol.c0, sol.c, r, count)
                 assert calls == list(zip(r.weights, r.lengths())), (r.kind, count)
 
-    @pytest.mark.parametrize("make", ALL_CONSTRUCTORS)
+    @pytest.mark.parametrize("make", ALL_REALIZATIONS)
     def test_elliptic_h_takes_the_closed_form(self, make):
         # h at every cut case but the near-parabolic draws: the values are
         # the harmonic law on each chain.  A single chain of 300 states
@@ -364,7 +384,7 @@ class TestChainCut:
         # does not hold to rounding in 300 states, so at count 25 every
         # realization is refused as too short, naming a chain, and never
         # answers with the truncated chain's own levels
-        for make in ALL_CONSTRUCTORS:
+        for make in ALL_REALIZATIONS:
             r = make(300)
             for c0, c in _cut_cases()[-3:]:
                 assert not self.assert_matches_oracle(c0, c, r, 25), (c0, c, r.kind)
@@ -373,7 +393,7 @@ class TestChainCut:
         # h at the base point holds the law already on each chain's leading
         # 2 count + 32 states (the first cut of the vectors that certified
         # it before the closed-form bracket), and so on every longer chain
-        for r in (discrete_series(0.25, 300), oscillator_full(300)):
+        for r in (realize("discrete:k=0.25", 300), realize("oscillator", 300)):
             for z in Z_GRID:
                 sol = solve_metric(P, z)
                 for count in (1, 5, 25):
@@ -394,6 +414,18 @@ class TestChainCut:
                 assert got == (count if spare >= count else None), (ratio, spare)
         assert verification._tail_count(1.0, 0.25, 10 ** 6) is None
 
+    def test_tail_count_is_the_least_that_meets_eps_over_4(self):
+        # the count is the least O whose tail bound is within eps / 4 of
+        # the sum, by the bound at 40 digits; the bound at O and at O - 1
+        # is far enough from eps / 4 (at least 0.03 in its log) that the
+        # float scan's rounding cannot move the count.  With a tolerance 16
+        # times larger every count here falls, by 1 to 38 terms
+        for ratio in (0.1, 0.5, 0.9):
+            for a in (0.75, 3.75, 20.5):
+                count, at, before = tail_count_mp(ratio, a, np.finfo(float).eps / 4.0)
+                assert at < -1e-2 and (before is None or before > 1e-2), (ratio, a)
+                assert verification._tail_count(ratio, a, 10 ** 6) == count, (ratio, a)
+
 
 class TestExpSymmetric:
     def test_zero(self):
@@ -401,7 +433,7 @@ class TestExpSymmetric:
 
     def test_diagonal_metric(self):
         # z = 0 gives a diagonal metric root
-        r = discrete_series(0.25, 10)
+        r = realize("discrete:k=0.25", 10)
         sol = solve_metric(P, 0.0)
         a = materialize(AlgebraElement(2.0 * sol.epsilon, 2.0 * sol.eta, 2.0 * sol.eta), r)
         eps = math.log(2.0) / 4.0
@@ -442,7 +474,7 @@ class TestMetricRoot:
         # small dimension keeps the dense exponential trustworthy, but the
         # factored product reproduces the untruncated operator, so compare
         # on the leading block of a larger basis
-        r = discrete_series(0.25, 60)
+        r = realize("discrete:k=0.25", 60)
         for z in Z_GRID:
             sol = solve_metric(P, z)
             block = materialize_metric_root(sol, r, rows=20)
@@ -455,7 +487,7 @@ class TestMetricRoot:
         # the product contraction is float-verifiable only while the
         # metric's dynamic range is moderate; the extreme-range identities
         # are covered by the bundle residuals, whose contractions are stable
-        r = discrete_series(0.25, 120)
+        r = realize("discrete:k=0.25", 120)
         t = 40
         for z in (-0.8, -0.4, 0.0, 0.8):
             # rho[:t, :] rho^{-1}[:, :t], and rho^{-1} is symmetric
@@ -496,7 +528,7 @@ class TestMetricRoot:
                     (desc, sign)
 
     def test_symmetry(self):
-        r = discrete_series(0.25, 80)
+        r = realize("discrete:k=0.25", 80)
         for z in Z_GRID:
             blk = materialize_metric_root(solve_metric(P, z), r, 1, rows=30)
             assert np.abs(blk - blk.T).max() <= 1e-13 * np.abs(blk).max()
@@ -529,7 +561,7 @@ class TestMetricRoot:
     def test_matches_mpmath(self):
         # one block per ordering against 50-digit sums: z = 0.4 gives
         # eps < 0 (normal), z = -0.4 eps > 0 (antinormal)
-        r = discrete_series(0.25, 120)
+        r = realize("discrete:k=0.25", 120)
         for z in (0.4, -0.4):
             sol = solve_metric(P, z)
             for sign in (1, 2):
@@ -654,7 +686,7 @@ class TestBuildBundle:
         assert spread.max() <= 1e-6
 
     def test_metric_positive_definite(self):
-        r = discrete_series(0.25, 200)
+        r = realize("discrete:k=0.25", 200)
         for z in Z_GRID:
             rows = materialize_metric_root(solve_metric(P, z), r, rows=50, cols=200)
             assert metric_block_definite(rows) > 0.0
@@ -662,33 +694,33 @@ class TestBuildBundle:
     def test_h_direct_exactly_symmetric(self):
         # the eigensolvers read cm alone, so h must have cm == cp exactly
         sol = solve_metric(P, 0.4)
-        h = materialize(AlgebraElement(sol.c0, sol.c, sol.c), discrete_series(0.25, 200))
+        h = materialize(AlgebraElement(sol.c0, sol.c, sol.c), realize("discrete:k=0.25", 200))
         assert np.array_equal(h, h.T)
 
     def test_truncation_guard(self):
-        r = discrete_series(0.25, 20)
+        r = realize("discrete:k=0.25", 20)
         with pytest.raises(TruncationTooSmall):
             build_bundle(solve_metric(P, 0.0), r, trusted=20)
         with pytest.raises(TruncationTooSmall):
             build_bundle(solve_metric(P, 0.0), r, trusted=1)
 
     def test_inadmissible_z(self):
-        r = discrete_series(0.25, 20)
+        r = realize("discrete:k=0.25", 20)
         with pytest.raises(ZOutOfDomain):
             build_bundle(solve_metric(P, 0.3), r, trusted=5)
 
     def test_convergence_in_dimension(self):
         # doubling the basis leaves every residual below threshold
         for z in (-0.4, 0.8):
-            small = build_bundle(solve_metric(P, z), discrete_series(0.25, 200), trusted=50)
-            large = build_bundle(solve_metric(P, z), discrete_series(0.25, 400), trusted=50)
+            small = build_bundle(solve_metric(P, z), realize("discrete:k=0.25", 200), trusted=50)
+            large = build_bundle(solve_metric(P, z), realize("discrete:k=0.25", 400), trusted=50)
             for name in small.residuals:
                 assert (large.residuals[name] <= small.residuals[name]
                         or large.residuals[name] < 1e-6)
 
     def test_power_base_matrix_form(self, bundles):
         # rho equals the power of the observable on the trusted block
-        r = discrete_series(0.25, 200)
+        r = realize("discrete:k=0.25", 200)
         for z in Z_GRID:
             b = bundles(k=0.25, z=z)
             lam = solve_metric(P, z).lambda_base
@@ -761,7 +793,7 @@ class TestBuildBundle:
         # at N = 400 the full rho^{-1} of this point is mostly inf and NaN;
         # the bundle keeps no such field, and every field it keeps is
         # finite (test_cli checks that verify passes here)
-        b = build_bundle(solve_metric(STRONG, 0.77), discrete_series(0.25, 400), trusted=50)
+        b = build_bundle(solve_metric(STRONG, 0.77), realize("discrete:k=0.25", 400), trusted=50)
         for name in b._fields:
             value = getattr(b, name)
             if isinstance(value, np.ndarray):
@@ -773,7 +805,7 @@ class TestBuildBundle:
     def test_eigvec_residuals_inf_not_nan(self):
         # the rows of rho^{-1} overflow here, so no transported vector is
         # finite; each pair reports inf, not NaN
-        b = build_bundle(solve_metric(STRONG, 0.77), discrete_series(0.25, 400), trusted=50)
+        b = build_bundle(solve_metric(STRONG, 0.77), realize("discrete:k=0.25", 400), trusted=50)
         res = eigvec_residuals(b, count=5)
         assert np.isposinf(res).all()
 
@@ -781,8 +813,8 @@ class TestBuildBundle:
         # a count above N certifies all N pairs (at N = 12 the bundle is
         # refused: its chain is too short for h's law)
         with pytest.raises(TruncationTooSmall, match="12 of the N = 12 states"):
-            build_bundle(solve_metric(P, 0.4), discrete_series(0.25, 12), trusted=5)
-        b = build_bundle(solve_metric(P, 0.4), discrete_series(0.25, 42), trusted=5)
+            build_bundle(solve_metric(P, 0.4), realize("discrete:k=0.25", 12), trusted=5)
+        b = build_bundle(solve_metric(P, 0.4), realize("discrete:k=0.25", 42), trusted=5)
         assert eigvec_residuals(b, count=43).shape == (42,)
 
     def test_banded_spectrum_matches_dense(self):
@@ -821,13 +853,13 @@ class TestBuildBundle:
         x = AlgebraElement(sol.c0, sol.c, sol.c)
         for n in (4, 10):
             with pytest.raises(TruncationTooSmall, match=f"{n} of the N = {n} states"):
-                build_bundle(sol, discrete_series(0.25, n), trusted=2)
-        r = discrete_series(0.25, 40)
+                build_bundle(sol, realize("discrete:k=0.25", n), trusted=2)
+        r = realize("discrete:k=0.25", 40)
         w = np.linalg.eigh(materialize(x, r))[0]
         b = build_bundle(sol, r, trusted=2)
         assert b.spectrum_h.shape == (5,)
         assert np.abs(b.spectrum_h - w[:5]).max() <= 1e-12 * np.abs(w).max()
-        r = discrete_series(0.25, 10)
+        r = realize("discrete:k=0.25", 10)
         assert verification._low_eigs(sol.c0, sol.c, r, 0).shape == (0,)
         with pytest.raises(TruncationTooSmall, match="10 of the N = 10 states"):
             verification._low_eigs(sol.c0, sol.c, r, 12)
@@ -844,9 +876,9 @@ class TestBuildBundle:
         assert sol.c0 < 0.0
         for n in (200, 400):
             with pytest.raises(InvalidParams, match="mu > 0"):
-                build_bundle(sol, discrete_series(0.25, n))
+                build_bundle(sol, realize("discrete:k=0.25", n))
             with pytest.raises(InvalidParams, match="mu > 0"):
-                verification._low_eigs(sol.c0, sol.c, discrete_series(0.25, n),
+                verification._low_eigs(sol.c0, sol.c, realize("discrete:k=0.25", n),
                                        verification.SPECTRUM_COUNT)
 
     def test_large_basis_without_dense_operators(self):
@@ -854,7 +886,7 @@ class TestBuildBundle:
         # metric root has no ladder factor, build_bundle, eigvec_residuals
         # and commutator_residuals form none, and the spectrum is that of
         # N = 800
-        r = discrete_series(0.25, 6400)
+        r = realize("discrete:k=0.25", 6400)
         peaks = []
         tracemalloc.start()
         try:
@@ -873,7 +905,7 @@ class TestBuildBundle:
             assert b.residuals[name] <= tol, (name, b.residuals[name])
         assert certificates.max() <= 1e-5
         assert max(commutators.values()) < 1e-12
-        small = build_bundle(solve_metric(P, 0.0), discrete_series(0.25, 800), trusted=50)
+        small = build_bundle(solve_metric(P, 0.0), realize("discrete:k=0.25", 800), trusted=50)
         assert np.all(np.abs(b.spectrum_h - small.spectrum_h)
                       <= 1e-12 * np.abs(small.spectrum_h))
 
@@ -882,7 +914,7 @@ class TestBuildBundle:
         # rows of rho from N = 4800 at z = 0.4, a non-finite block from
         # N = 5600 at z = -0.4); the blocks need no N x N array, and the
         # residuals are those of N = 800
-        r = discrete_series(0.25, 6400)
+        r = realize("discrete:k=0.25", 6400)
         for z in (0.4, -0.4):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -893,7 +925,7 @@ class TestBuildBundle:
                 finally:
                     tracemalloc.stop()
             assert peak <= 2 * 2 ** 20, peak / 2 ** 20
-            small = build_bundle(solve_metric(P, z), discrete_series(0.25, 800), trusted=50)
+            small = build_bundle(solve_metric(P, z), realize("discrete:k=0.25", 800), trusted=50)
             for name, tol in RESIDUAL_TOLS.items():
                 assert b.residuals[name] <= tol, (z, name, b.residuals[name])
                 assert b.residuals[name] == small.residuals[name], (z, name)
@@ -908,7 +940,7 @@ class TestBuildBundle:
         # at N = 102 400 build_bundle forms nothing of size N and gives the
         # levels of N = 800 (these differed by 1 ulp when the whole chain
         # was bisected); verify at that size passes
-        big = discrete_series(0.25, 102400)
+        big = realize("discrete:k=0.25", 102400)
         for z in (0.4, -0.4):
             tracemalloc.start()
             try:
@@ -917,20 +949,19 @@ class TestBuildBundle:
             finally:
                 tracemalloc.stop()
             assert peak <= 2 ** 20, peak / 2 ** 20
-            small = build_bundle(solve_metric(P, z), discrete_series(0.25, 800), trusted=50)
+            small = build_bundle(solve_metric(P, z), realize("discrete:k=0.25", 800), trusted=50)
             assert np.all(np.abs(b.spectrum_h - small.spectrum_h)
                           <= 4 * np.spacing(small.spectrum_h)), z
             assert main(["verify", "--omega", "1", "--alpha", "0.2", "--beta",
                          "0.1", "--z", repr(z), "--size", "102400"]) == 0
 
     def test_oscillator_realization_bundle(self):
-        from su11metric import oscillator_full
         sol = solve_metric(P, 0.4)
-        b = build_bundle(sol, oscillator_full(200), trusted=50)
+        b = build_bundle(sol, realize("oscillator", 200), trusted=50)
         assert max(b.residuals.values()) <= 1e-6
         expect = math.sqrt(0.92) * (np.arange(6) + 0.5)
         assert np.abs(b.spectrum_h - expect[:5]).max() <= 1e-6
-        w = verification._low_eigs(sol.c0, sol.c, oscillator_full(200), 6)
+        w = verification._low_eigs(sol.c0, sol.c, realize("oscillator", 200), 6)
         assert np.abs(w - expect).max() <= 1e-6
 
 
@@ -945,7 +976,7 @@ class TestZetaSeriesWall:
         for n in (200, 400, 800):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                b = build_bundle(solve_metric(P, 0.2), discrete_series(0.25, n), trusted=50)
+                b = build_bundle(solve_metric(P, 0.2), realize("discrete:k=0.25", n), trusted=50)
                 rc = main(["verify", "--omega", "1", "--alpha", "0.2",
                            "--beta", "0.1", "--z", "0.2", "--size", str(n)])
             assert np.isposinf(metric_block(b, 2)).all(), n
@@ -980,7 +1011,7 @@ class TestZetaSeriesWall:
                 assert abs(c * c - ratio) <= 1e-12, (p, z)
                 assert abs(ratio - 1) <= 1e-12, (p, z)
             # no count of terms completes the series: the block is inf
-            block = materialize_metric_root(solve_metric(p, z), discrete_series(0.25, 400),
+            block = materialize_metric_root(solve_metric(p, z), realize("discrete:k=0.25", 400),
                                             2, rows=10)
             assert np.isposinf(block).all(), (p, z)
             checked += 1
@@ -1046,7 +1077,7 @@ class TestCoefficientResiduals:
             with pytest.raises(DecompositionSingular):
                 disentangle_closed_form(sol.epsilon, sol.eta)
             for n in (60, 200):
-                b = build_bundle(sol, discrete_series(0.25, n), trusted=50)
+                b = build_bundle(sol, realize("discrete:k=0.25", n), trusted=50)
                 for name, tol in RESIDUAL_TOLS.items():
                     assert b.residuals[name] <= tol, (p, z, n, name)
 
@@ -1056,12 +1087,12 @@ class TestCoefficientResiduals:
         sol = solve_metric(STRONG, 0.77)
         eps = (1.0 + 1e-4) * sol.epsilon
         u, v, w = (x.real for x in halved_conjugate(STRONG, eps, 0.77 * eps / 2.0))
-        b = build_bundle(sol._replace(u=u, v=v, w=w), discrete_series(0.25, 40), trusted=10)
+        b = build_bundle(sol._replace(u=u, v=v, w=w), realize("discrete:k=0.25", 40), trusted=10)
         assert b.residuals["r_herm"] > RESIDUAL_TOLS["r_herm"]
 
     def test_r_eq10_detects_a_wrong_hermitian_equivalent(self):
         sol = solve_metric(STRONG, 0.77)
-        b = build_bundle(sol._replace(c0=sol.c0 + 1e-6), discrete_series(0.25, 40), trusted=10)
+        b = build_bundle(sol._replace(c0=sol.c0 + 1e-6), realize("discrete:k=0.25", 40), trusted=10)
         assert b.residuals["r_eq10"] > RESIDUAL_TOLS["r_eq10"]
 
     def test_overflow_in_a_metric_block_is_inf(self, monkeypatch):
@@ -1075,7 +1106,7 @@ class TestCoefficientResiduals:
             rows[0, -1] = np.inf
             return rows
         monkeypatch.setattr(verification, "_chain_root", overflowing)
-        b = build_bundle(solve_metric(P, 0.4), discrete_series(0.25, 30), trusted=10)
+        b = build_bundle(solve_metric(P, 0.4), realize("discrete:k=0.25", 30), trusted=10)
         for name in ("r_intertwine", "r_quasi", "r_commute"):
             assert b.residuals[name] == np.inf, name
 
@@ -1172,13 +1203,13 @@ class TestCoefficientResiduals:
         p, z = point
         if _mu_sign(p, z) <= 0:
             with pytest.raises(InvalidParams, match="mu > 0"):
-                build_bundle(solve_metric(p, z), discrete_series(0.25, 8), trusted=4)
+                build_bundle(solve_metric(p, z), realize("discrete:k=0.25", 8), trusted=4)
             return
         # the bundle at the first N = 8 2^j whose chain holds h's law (at
         # most 2^19 over these draws)
         sol = solve_metric(p, z)
         n = next(n for n in (8 << j for j in range(18))
                  if verification._chain_bracket(sol.c0, sol.c, 0.25, n, 5) is not None)
-        b = build_bundle(sol, discrete_series(0.25, n), trusted=4)
+        b = build_bundle(sol, realize("discrete:k=0.25", n), trusted=4)
         assert b.residuals["r_herm"] <= RESIDUAL_TOLS["r_herm"]
         assert b.residuals["r_eq10"] <= RESIDUAL_TOLS["r_eq10"]
