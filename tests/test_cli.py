@@ -501,6 +501,8 @@ class TestNonFiniteInputs:
          "descriptor key 'k' takes one value"),
         (("verify", *BASE, "--realization", "multiboson:l=2"),
          "multiboson descriptor needs residues=..."),
+        (("spectrum", *BASE, "--count", "0"), "count must be at least 1"),
+        (("verify", *BASE, "--config"), "--config needs a file path"),
         # each kind's checks in order: an unknown kind or key first, then
         # the values, then N; the expected messages are those the
         # per-kind constructors gave before the descriptor table replaced them
@@ -530,8 +532,6 @@ class TestNonFiniteInputs:
         (("verify", *BASE, "--realization", "multiboson:l=2,residues=-3,0.75"),
          "negative radicand in lowering coefficient at m = 0; choose residue values "
          "with (m-r)/l + 2*a0(r) >= 0"),
-        (("spectrum", *BASE, "--count", "0"), "count must be at least 1"),
-        (("verify", *BASE, "--config"), "--config needs a file path"),
     ])
     def test_refused_by_name(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
