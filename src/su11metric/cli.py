@@ -175,22 +175,18 @@ def cmd_sweep(args) -> tuple[list, bool]:
 def cmd_pdm(args) -> tuple[list, bool]:
     from . import pdm
 
-    p = _params(args)
-    cfg = pdm.PdmConfig(params=p, z=args.z, s=args.s, tau=args.tau,
+    cfg = pdm.PdmConfig(params=_params(args), z=args.z, s=args.s, tau=args.tau,
                         x_min=args.x_min, x_max=args.x_max, points=args.points)
     report = pdm.run_pdm_check(cfg)
     rows = [("s", cfg.s), ("tau", cfg.tau), ("x_min", cfg.x_min),
             ("x_max", cfg.x_max), ("points", str(cfg.points)), ("z", cfg.z)]
-    for i, (e, pred, err) in enumerate(zip(report.eigenvalues, report.predicted,
-                                           report.rel_errors)):
-        rows.append((f"e{i}", f"{_fmt(e)}  (predicted {_fmt(pred)}, "
-                              f"rel_error {_fmt(err)})"))
-    for pts in report.points_used:
-        rows.append((f"refine_{pts}",
-                     " ".join(_fmt(v) for v in report.refine_table[pts])))
-    rows.append(("convergence", "ok" if report.convergence_ok else "not ok"))
-    rows.append(("boundary_decay", report.boundary_decay))
-    rows.append(("status", report.status))
+    rows += [(f"e{i}", f"{_fmt(e)}  (predicted {_fmt(pred)}, rel_error {_fmt(err)})")
+             for i, (e, pred, err) in enumerate(zip(report.eigenvalues, report.predicted,
+                                                    report.rel_errors))]
+    rows += [(f"refine_{pts}", " ".join(_fmt(v) for v in report.refine_table[pts]))
+             for pts in report.points_used]
+    rows += [("convergence", "ok" if report.convergence_ok else "not ok"),
+             ("boundary_decay", report.boundary_decay), ("status", report.status)]
     return rows, report.status == "PASS"
 
 

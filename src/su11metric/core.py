@@ -39,6 +39,17 @@ def _halves(v):
     return high, v - high
 
 
+def _kato_temple(r2: float, gap: float, room: float) -> tuple[float, float] | None:
+    """(below, above), each an ulp up: X's one level in (a, b) lies in [eta -
+    r2 / room, eta + r2 / gap] (T. Kato, J. Phys. Soc. Japan 4, 334 (1949)),
+    eta the Rayleigh quotient of a unit vector, r2 >= its squared residual,
+    0 < gap <= eta - a and room <= b - eta; None unless r2 < gap room (1 -
+    eps), by which (a, b) holds a level.  a = -inf, gap = inf: above 5e-324."""
+    if not (gap > 0.0 and r2 < gap * room * (1.0 - _EPS)):
+        return None
+    return math.nextafter(r2 / room, math.inf), math.nextafter(r2 / gap, math.inf)
+
+
 class AlgebraElement(NamedTuple):
     """Coefficient triple (c0, cm, cp) of c0*K0 + cm*Km + cp*Kp, any complex
     values.  The metric's exponent is never one: it is written in (eps, eta)

@@ -16,16 +16,12 @@ Dirichlet walls stand far enough out that the low eigenfunctions decay
 below a threshold at both; a run whose decay check fails is INCONCLUSIVE.
 
 The grid is solved at three refinement levels, coarse to fine, each by
-_grid_spectrum from seeds: the algebraic law's values at the coarsest
-level, the coarser level's eigenvalues at each finer one.  Three
-Rayleigh-quotient steps refine them, all three at once, with one
-tridiagonal solve (dgtsv) a step.  Each level is certified on disjoint
-intervals (_interval_top) from residuals that bound their own
-rounding, and counted by LAPACK (dstebz).  A level whose seeds fail it
-refines the bisection's values instead, and one not certified even then
-raises NoConvergence.  No module imports scipy: each LAPACK call goes
-through _lapack, which loads scipy's compiled wrappers alone.  Of the
-package pdm imports only core, errors and metric, the algebra layer.
+_grid_spectrum from seeds (the law's values, then the coarser level's),
+refined by Rayleigh-quotient steps with one tridiagonal solve (dgtsv) a
+step and certified by Kato-Temple enclosures and a LAPACK count (dstebz)
+(_enclosure); else from the bisection's values, and else NoConvergence.
+No module imports scipy (_lapack loads its compiled LAPACK wrappers alone),
+and of the package pdm imports only core, errors and metric.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _EPS, _TINY, _halves
+from .core import _EPS, _TINY, _halves, _kato_temple
 from .errors import InvalidParams, NoConvergence
 from .metric import SwansonParams, _exact, _harmonic_law, solve_metric
 
@@ -49,7 +45,6 @@ RTOL = 0.01           # their tolerance against the law
 DECAY_TOL = 1e-8      # the eigenfunctions' relative amplitude at the walls
 REFINE = (4, 2, 1)    # the grid levels: points // factor, coarse to fine
 LOG_MAX = math.log(sys.float_info.max)
-_SQRT_EPS = math.sqrt(_EPS)
 
 
 def _lapack():
@@ -223,44 +218,30 @@ def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interval_top(theta: np.ndarray, resid: np.ndarray, count: int) -> float | None:
-    """The top theta_count + rho_count of a count certificate's intervals
-    theta_i +- rho_i, rho_i = max(resid_i, tau_i), tau_i = 2 tiny + 2 eps
-    |theta_i| the width ?stebz bisects to, where the `count` of them are
-    finite and disjoint and max resid <= sqrt(eps) max |theta| (theta is
-    off by about resid^2 / gap); else None.  resid_i must bound a unit
-    vector's true residual, its rounding included."""
-    rho = np.maximum(resid, 2.0 * (_TINY + _EPS * np.abs(theta)))
-    top = theta + rho
-    if not (theta.size == count and np.isfinite(top).all()
-            and np.all(theta[1:] - rho[1:] > top[:-1])
-            and resid.max() <= _SQRT_EPS * np.abs(theta).max()):
-        return None
-    return float(top[-1])
-
-
 def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
-    """(values, vectors, residuals) refined from `shifts` on the symmetric
+    """(values, vectors, residuals, offsets) refined from `shifts` on the symmetric
     tridiagonal T = (diag, off); None where a solve fails or leaves the doubles.
 
     Three Rayleigh-quotient steps from a constant start, for all k shifts at
     once: the dgtsv call alone sees the systems (T - theta_j) x_j = q_j as
-    the blocks of one tridiagonal with zero links between them, so each
-    step is one call.  theta_j then moves to theta_j + x_j.q_j / x_j.x_j,
-    the Rayleigh quotient of x_j, and q_j to x_j / ||x_j||.  The products
-    run on the (k, n) rows q_j (_tri_mul), and the values returned are the
-    Rayleigh quotients q.Tq of one product T q: the solves round
-    d - theta_j alike on every row, which would move the last step's value
-    by up to an ulp of the diagonal.
+    the blocks of one tridiagonal with zero links between them, so each step
+    is one call, and moves theta_j to x_j's Rayleigh quotient theta_j +
+    x_j.q_j / x_j.x_j and q_j to x_j / ||x_j||.  The products run on the (k,
+    n) rows q_j (_tri_mul), and the values returned are the quotients q.Tq
+    of one product T q: the solves round d - theta_j alike on every row,
+    which would move the last step's value by up to an ulp of the diagonal.
 
     Each residual ||r|| + 4 eps ||m|| bounds ||T q - theta q|| with its
     own rounding, row i of r = T q - theta q being off by at most 4 eps m_i,
     m = (|T| + |theta|) |q|.  Near a wall whose diagonal reaches 1e27 that
-    is 1e-8 over a hundred rows, past the certificate's sqrt(eps) |theta|;
-    so a row with 4 eps m_i > sqrt(eps) |theta| / (4 sqrt(n)) and factors
-    below 2^996 is summed again by math.fsum, correctly rounded, from its
-    products split error-free (Dekker, on Veltkamp halves): its error,
-    eps |r_i| + tiny (tiny for products that underflow), replaces 4 eps m_i.
+    is 1e-8 over a hundred rows, far above the residual itself; so a row
+    with 4 eps m_i > sqrt(eps) |theta| / (4 sqrt(n)) and factors below 2^996
+    is summed again by math.fsum, correctly rounded, from its products split
+    error-free (Dekker, on Veltkamp halves): its error, eps |r_i| + tiny
+    (tiny for products that underflow), replaces 4 eps m_i.  Each offset
+    bounds |theta - q.Tq / q.q| = |q.r| / q.q, r exact, by 2 (|q.r| + 4 eps
+    |q|.m + n eps ||r||) on the computed r: the 2 covers these sums'
+    rounding, 1 / q.q's, and that of the gaps _enclosure takes it from.
     """
     dgtsv = _lapack().dgtsv
     k, n = shifts.size, diag.size
@@ -284,10 +265,11 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
     r = _tri_mul(diag, off, q)
     theta = np.einsum("ij,ij->i", q, r)
     r -= np.multiply(theta[:, None], q, out=x)
-    resid = np.sqrt(np.einsum("ij,ij->i", r, r))
+    resid, proj = np.sqrt(np.einsum("ij,ij->i", r, r)), np.einsum("ij,ij->i", q, r)
     del r  # freed before the second product, which would raise the peak
     np.add(np.abs(diag), np.abs(theta)[:, None], out=main)
     m = _tri_mul(main, np.abs(off), np.abs(q, out=x))
+    offset = 2.0 * (np.abs(proj) + 4.0 * _EPS * np.einsum("ij,ij->i", x, m) + n * _EPS * resid)
     bar = np.abs(theta) / (16.0 * math.sqrt(_EPS * n))  # 4 eps bar = sqrt(eps)|theta|/(4 sqrt n)
     if (m.max(axis=1) > bar).any():
         j, i = np.nonzero(m > bar[:, None])
@@ -303,24 +285,46 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
         exact = np.array([math.fsum(v) for v in parts[:, ok].T.tolist()])
         r[j[ok], i[ok]], m[j[ok], i[ok]] = exact, (_EPS * np.abs(exact) + _TINY) / (4.0 * _EPS)
         resid = np.sqrt(np.einsum("ij,ij->i", r, r))
-    return theta, q.T, resid + 4.0 * _EPS * np.sqrt(np.einsum("ij,ij->i", m, m))
+    return theta, q.T, resid + 4.0 * _EPS * np.sqrt(np.einsum("ij,ij->i", m, m)), offset
+
+
+def _enclosure(diag: np.ndarray, off: np.ndarray, theta: np.ndarray, resid: np.ndarray,
+               offset: np.ndarray) -> list[float] | None:
+    """The widths, each at most sqrt(eps) max |theta|, that certify the
+    ascending levels theta (two or more) as the lowest of the tridiagonal
+    (diag, off), from _rayleigh's residuals and offsets; else None.  Each
+    interval theta +- max(resid, 2 tiny + 2 eps |theta|) (?stebz's bisection
+    width) holds a level; disjoint, with dstebz counting as many up to x,
+    half the top spacing above the top, each holds the one level between its
+    neighbours' (-inf below, x above), which core._kato_temple bounds."""
+    theta, resid, offset = theta.tolist(), resid.tolist(), offset.tolist()
+    rho = [max(r, 2.0 * (_TINY + _EPS * abs(t))) for t, r in zip(theta, resid)]
+    low, top = [t - p for t, p in zip(theta, rho)], [t + p for t, p in zip(theta, rho)]
+    x = theta[-1] + 0.5 * (theta[-1] - theta[-2])
+    if not (x > top[-1] and all(b > a for a, b in zip(top, low[1:]))):  # False on NaN
+        return None
+    # range "V": the eigenvalues in (-inf, x]; an infinite abstol stops the
+    # bisection at once, so only the count is formed
+    found, *_, info = _lapack().dstebz(diag, off, 1, -np.inf, x, 0, 0, np.inf, "E")
+    kato = [_kato_temple(math.nextafter(r * r, math.inf), t - d - a, b - t - d)
+            for t, r, d, a, b in zip(theta, resid, offset, [-math.inf, *top], [*low[1:], x])]
+    if info != 0 or found != len(theta) or None in kato:
+        return None
+    widths = [d + max(w) for d, w in zip(offset, kato)]
+    return widths if max(widths) <= math.sqrt(_EPS) * max(map(abs, theta)) else None
 
 
 def _grid_spectrum(diag: np.ndarray, off: np.ndarray, near: np.ndarray):
-    """(values, vectors, residuals) of the lowest COUNT eigenpairs of the
-    grid's symmetric tridiagonal h = (diag, off) (_h_tridiag), certified,
-    with residuals ||T q - theta q|| of the vectors q.
+    """(values, vectors, residuals ||T q - theta q||) of the lowest COUNT
+    eigenpairs of the grid's h = (diag, off) (_h_tridiag), certified.
 
-    _rayleigh refines `near`, approximate eigenvalues such as a coarser
-    grid's or the algebraic law's, and the result is certified on
-    _interval_top's intervals with dstebz's own count.  Seeds far
-    off, such as the law on a grid whose walls cut the eigenfunctions,
-    leave residuals well above its sqrt(eps) bound; the bisection's values
-    are then refined and certified the same way.  NoConvergence, naming the
+    _rayleigh refines `near` (a coarser grid's values or the law's) and
+    _enclosure certifies the result; seeds far off (the law on a grid whose
+    walls cut the eigenfunctions) may fail it, and the bisection's values
+    are then refined and certified instead.  NoConvergence, naming the
     grid's points, its diagonal's range and any failure of the bisection,
     where these do not certify either.
     """
-    dstebz = _lapack().dstebz
     reason = ""
     for shifts in (near, None):
         if shifts is None:
@@ -330,13 +334,8 @@ def _grid_spectrum(diag: np.ndarray, off: np.ndarray, near: np.ndarray):
                 reason = f": {exc}"
                 break
         got = _rayleigh(diag, off, shifts) if np.isfinite(shifts).all() else None
-        top = None if got is None else _interval_top(got[0], got[2], COUNT)
-        if top is not None:
-            # range "V": the eigenvalues in (-inf, top]; an infinite abstol
-            # stops the bisection at once, so only the count is formed
-            found, *_, info = dstebz(diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
-            if info == 0 and found == COUNT:
-                return got
+        if got is not None and _enclosure(diag, off, got[0], *got[2:]) is not None:
+            return got[:3]
     raise NoConvergence(
         f"the {diag.size}-point grid's lowest {COUNT} eigenvalues cannot be certified "
         f"(its diagonal spans {diag.min():.3g} to {diag.max():.3g}){reason}")
@@ -355,17 +354,16 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
     The grid is solved at cfg.points divided by each factor of REFINE
     (coarse to fine); these levels must be distinct grids of at least 100
     points, so the check needs 400 points (else InvalidParams, refused
-    before the rest of cfg is validated).  One
-    solve_metric record gives the grid's weights (mu omega, nu / omega),
-    refused where mu <= 0, and the law sqrt(gap) (n + 1/2).
-    The coarsest level refines the algebraic law's values and each finer
-    level those of the level before it (see _grid_spectrum); the certificate,
-    not the seed, makes them the grid's own lowest eigenvalues, so their
-    match with the law is not circular.  Every level is certified (else
-    NoConvergence), each eigenvalue's successive changes must keep their
-    sign and at least halve (or sit below an absolute floor), the finest
-    COUNT eigenvalues must match the algebraic law within RTOL, and the
-    lowest eigenfunctions must decay below DECAY_TOL at both walls.  A
+    before the rest of cfg is validated).  One solve_metric record gives the
+    grid's weights (mu omega, nu / omega), refused where mu <= 0, and the
+    law sqrt(gap) (n + 1/2).  The coarsest level refines the law's values
+    and each finer level those of the level before it (see _grid_spectrum);
+    the certificate, not the seed, makes them the grid's own lowest
+    eigenvalues, so their match with the law is not circular.  Every level
+    is certified (else NoConvergence), each eigenvalue's successive changes
+    must keep their sign and at least halve (or sit below an absolute
+    floor), the finest COUNT eigenvalues must match the law within RTOL, and
+    the lowest eigenfunctions must decay below DECAY_TOL at both walls.  A
     failed decay check yields INCONCLUSIVE regardless of the spectral match.
     """
     points_used = tuple(cfg.points // f for f in REFINE)
@@ -380,8 +378,7 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
     if sol.mu <= 0.0:
         raise InvalidParams(f"mass prefactor requires mu > 0 (got mu = {sol.mu:g})")
     weights = (sol.mu * cfg.params.omega, sol.nu / cfg.params.omega)
-    refine_table: dict[int, np.ndarray] = {}
-    refine_residuals: dict[int, np.ndarray] = {}
+    refine_table, refine_residuals = {}, {}  # points: the level's values, residuals
     near = predicted = np.array(_harmonic_law(math.sqrt(sol.gap), 0.5, COUNT))
     for pts in points_used:
         # the finest grid's vectors are the ones the decay check reads
@@ -399,12 +396,8 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
     rel_errors = np.abs(finest - predicted) / np.abs(predicted)
     decay = boundary_decay(vecs)
 
-    if decay > DECAY_TOL:
-        status = "INCONCLUSIVE"
-    elif np.all(rel_errors <= RTOL) and convergence_ok:
-        status = "PASS"
-    else:
-        status = "FAIL"
+    status = ("INCONCLUSIVE" if decay > DECAY_TOL else
+              "PASS" if np.all(rel_errors <= RTOL) and convergence_ok else "FAIL")
     return PdmReport(points_used=points_used, eigenvalues=finest, predicted=predicted,
                      rel_errors=rel_errors, refine_table=refine_table,
                      refine_residuals=refine_residuals, convergence_ok=convergence_ok,

@@ -113,7 +113,7 @@ def _oscillator(one, args, n):
     parity = one("parity", "full")
     weights = {"full": (0.25, 0.75), "even": (0.25,), "odd": (0.75,)}.get(parity)
     if weights is None:
-        raise InvalidParams(f"parity must be 'even' or 'odd' (got {parity!r})")
+        raise InvalidParams(f"parity must be 'full', 'even' or 'odd' (got {parity!r})")
     if n < 4:
         raise InvalidParams(f"dimension must be at least 4 (got {n})")
     return weights, f"oscillator:parity={parity}"

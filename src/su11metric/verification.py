@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _EPS, _TINY, AlgebraElement, _halves, _pivots
+from .core import _EPS, _TINY, AlgebraElement, _halves, _kato_temple, _pivots
 from .errors import InvalidParams, TruncationTooSmall
 from .metric import (MetricSolution, _harmonic_law, commuting_observable,
                      swanson_element)
@@ -65,20 +65,19 @@ def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
     truncation with these c0, c and k (not its rounded bands); else None,
     which a longer chain lifts.  want <= 0 yields none; want > N, the walls
     no N lifts (Omega^2 < tiny, a level past the doubles, k >= 1/eps) and,
-    for c != 0, lgamma(N + 1) past the doubles raise InvalidParams.  k = 0
-    (a zero residue) is a 0 plus D+(1).
+    for c != 0, lgamma(N + 1) or the bounds' rounding scale past the doubles
+    raise InvalidParams.  k = 0 (a zero residue) is a 0 plus D+(1).
 
     x = Omega U K0 U^-1; Bargmann's elements bound psi_n = U|n> term by term
     at the cut and past it (log_bound).  The cut link l = |c| sqrt(N (N - 1
     + 2k)) alone leaves the kept states, so P psi_n's Rayleigh quotient rho
     is within l |psi_n(N-1) psi_n(N)| / |P psi_n|^2 of theta_n, its residual
     r <= l |psi_n(N)| / |P psi_n|.  Interlacing puts each level at or above
-    the law; Kato-Temple puts lambda_0 <= rho and, where r^2 < (rho - a)
-    (theta_(n+1) - rho), a the previous level's upper end, the one level in
-    (a, theta_(n+1)) at most rho + r^2 / (rho - a).  Logarithms are raised
-    by `err` over their rounding; both ends widen by the law's (2.25 eps).
-    Kato-Temple can refuse level n where level n - 1 passed (psi_n reaches
-    the cut, psi_(n-1) does not): Omega / c0 = 0.8, k = 2e5, N = 51 760."""
+    the law, and lambda_0 <= rho; core._kato_temple, a the previous level's
+    upper end, puts the one level in (a, theta_(n+1)) within its width above
+    rho.  Logarithms are raised by `err` over their rounding; both ends widen
+    by the law's (2.25 eps).  Kato-Temple can refuse level n where level n -
+    1 passed (psi_n reaches the cut): Omega / c0 = 0.8, k = 2e5, N = 51 760."""
     if want <= 0:
         return np.empty(0)
     if want > n_states:
@@ -120,6 +119,9 @@ def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
     # what a log term's rounding scales with: its logs and lgammas, Omega's 2.5 ulp
     size = ((2 * n_cut + 2 * want + k) * (sum(map(abs, logs)) + 1.0) + abs(log_link)
             + 8.0 * max(map(abs, lg + lg2k + near_cut + list(edge.values()))))
+    if size == math.inf:
+        raise InvalidParams(f"the chain bounds' rounding scale overflows the doubles at "
+                            f"lowest weight k = {k:g}, N = {n_cut}")
     err = (64.0 + 2.0 * want) * _EPS * (size + 16.0)
 
     def log_bound(m, n, tail=False):
@@ -147,9 +149,8 @@ def _chain_bracket(c0: float, c: float, k: float, n_states: int, want: int):
             resid2 = _exp_or_inf(2.0 * (log_link + outside) - log_norm + err)
             gap = (theta[n] - theta[n - 1]) * (1.0 - _EPS) - (w + width[-1])
             room = (theta[n + 1] - theta[n]) * (1.0 - _EPS) - (law_err[n + 1] + w)
-            if not (gap > 0.0 and resid2 < gap * room * (1.0 - _EPS)):
-                return None
-            w += resid2 / gap
+            kato = _kato_temple(resid2, gap, room)
+            w += kato[1] if kato else math.inf  # refused: no width passes
         if not w <= 8.0 * (_TINY + _EPS * theta[n]):
             return None
         width.append(w)
@@ -205,9 +206,8 @@ def _ladder_exp(sub: np.ndarray, coeff: float, rows: int, cols: int) -> np.ndarr
     the metric kernel's factor G (_chain_root).
 
     Row j + o of column j is coeff^o / o! sub[j] ... sub[j + o - 1], the
-    running product down the column of the factors f[o, j] =
-    coeff sub[j + o] / (o + 1), so every entry is a product of its path
-    factors with full relative precision.
+    running product down the column of the factors f[o, j] = coeff sub[j +
+    o] / (o + 1): each entry is its path factors' product, to full precision.
     """
     out = np.zeros((rows, cols))
     np.fill_diagonal(out, 1.0)
@@ -230,9 +230,9 @@ def _tail_count(ratio: float, a: float, spare: int) -> int | None:
     Along a chain k0 rises by 1 per step and K+ <= K0 + 1/2 (a D+(k)), so
     the ratio of term o + 1 to term o is at most r_o = ratio ((a + o) /
     (o + 1))^2, with a = max k0 + 1/2 over the block and `ratio` = coeff^2
-    = p^2 e^q.  The terms share one sign, so
-    the sum is at least its largest term, and the tail past term O is at
-    most t_O rbar / (1 - rbar), rbar = sup_{o >= O} r_o = max(r_O, ratio).
+    = p^2 e^q.  The terms share one sign, so the sum is at least its largest
+    term, and the tail past term O is at most t_O rbar / (1 - rbar), rbar =
+    sup_{o >= O} r_o = max(r_O, ratio).
     A ratio of 1 or more never meets the bound: the series diverges.
     """
     if not ratio < 1.0:

@@ -1,6 +1,7 @@
-"""Mutation audit of the certificates: pdm's _rayleigh residual bound, the
-products it is formed from (_tri_mul) and the interval gates
-(_interval_top), and verification's _chain_bracket and the metric sums'
+"""Mutation audit of the certificates: pdm's _rayleigh residual bound and
+Rayleigh-quotient offset, the products they are formed from (_tri_mul) and
+the grid's enclosure (_enclosure), core's Kato-Temple helper
+(_kato_temple), and verification's _chain_bracket and the metric sums'
 tail tolerance.
 
     python tests/mutants.py
@@ -22,37 +23,54 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CORE = Path("src", "su11metric", "core.py")
 PDM = Path("src", "su11metric", "pdm.py")
 VERIFICATION = Path("src", "su11metric", "verification.py")
 # each mutated file: the tests its mutants run against
-TESTS = {PDM: ("tests/test_pdm.py", "tests/test_golden.py"),
+TESTS = {CORE: ("tests/test_verification.py", "tests/test_pdm.py", "tests/test_golden.py"),
+         PDM: ("tests/test_pdm.py", "tests/test_golden.py"),
          VERIFICATION: ("tests/test_verification.py", "tests/test_golden.py")}
 
 # (file, snippet, replacement, None if it must be killed, else why it is
 # equivalent)
 MUTANTS = [
-    # the a-priori rounding term 4 eps ||(|T| + |theta|) |q|||
+    # the a-priori rounding term 4 eps ||(|T| + |theta|) |q||| of _rayleigh
     (PDM, "np.abs(off), np.abs(q, out=x)", "off, np.abs(q, out=x)", None),
     (PDM, "np.add(np.abs(diag), np.abs(theta)[:, None], out=main)",
      "np.add(np.abs(diag), 0.0, out=main)", None),
     (PDM, "resid + 4.0 * _EPS * np.sqrt", "resid + 1.0 * _EPS * np.sqrt", None),
     # the products' neighbours
     (PDM, "out[:, :-1] += off * vecs[:, 1:]", "out[:, :-1] += off * vecs[:, :-1]", None),
-    # _interval_top's two gates
-    (PDM, "resid.max() <= _SQRT_EPS *", "resid.max() <= 10.0 * _SQRT_EPS *", None),
-    (PDM, "theta[1:] - rho[1:] > top[:-1]", "theta[1:] > top[:-1]", None),
     # an error-free row's own error eps |r_i|
     (PDM, "(_EPS * np.abs(exact) + _TINY)", "(0.0 * np.abs(exact) + _TINY)",
      "the error-free rows' terms add at most eps ||r|| to the bound, one rounding "
      "of ||r|| itself"),
+    # the offset of theta from q's Rayleigh quotient
+    (PDM, "offset = 2.0 * (np.abs(proj)", "offset = 0.0 * (np.abs(proj)", None),
+    # _enclosure: disjoint intervals, strictly, and the point the count reads
+    (PDM, "all(b > a for a, b in zip(top, low[1:]))",
+     "all(b >= a for a, b in zip(top, low[1:]))", None),
+    (PDM, "x = theta[-1] + 0.5 * (theta[-1] - theta[-2])",
+     "x = theta[-1] + 1.5 * (theta[-1] - theta[-2])", None),
+    (PDM, "x = theta[-1] + 0.5 * (theta[-1] - theta[-2])",
+     "x = math.nextafter(top[-1], math.inf)", None),
+    # _kato_temple: the widths, each rounded up, and Kato's clause
+    (CORE, "math.nextafter(r2 / gap, math.inf)", "math.nextafter(0.0 * r2 / gap, math.inf)",
+     None),
+    (CORE, "math.nextafter(r2 / gap, math.inf)", "r2 / gap", None),
+    (CORE, "math.nextafter(r2 / room, math.inf)", "r2 / room", None),
+    (CORE, "r2 < gap * room * (1.0 - _EPS)", "r2 < gap * room",
+     "r2 < fl(gap room) for a double r2 already gives r2 < gap room exactly: r2 is then "
+     "at most the double below fl(gap room), which lies below gap room (in the normal "
+     "range); the margin only keeps the clause of the chains as it was"),
     # _chain_bracket: the Kato-Temple term of a level's width
-    (VERIFICATION, "w += resid2 / gap", "w += 0.0 * resid2 / gap", None),
-    # the rounding margins of the log bounds, of t^2 and of the Kato-Temple
-    # clause.  SCAN: 4 000 draws of (c, k, want) from numpy's
-    # default_rng(1), c0 = 1, c uniform on [0.001, 0.499] with a random sign,
-    # k one of (0, 0.25, 0.75, 1.6, 3, 1e3), want 1 to 5; each mutant leaves
-    # every draw's least certifying N (searched up to 2 999) as it is, and
-    # size >= 96 at each certifying call
+    (VERIFICATION, "w += kato[1] if kato", "w += 0.0 * kato[1] if kato", None),
+    # the rounding margins of the log bounds and of t^2.  SCAN: the 4 000
+    # draws of tests/test_verification.py's scan_draws (c0 = 1, c uniform
+    # on [0.001, 0.499] with a random sign, k one of (0, 0.25, 0.75, 1.6,
+    # 3, 1e3), want 1 to 5); each mutant leaves every draw's least
+    # certifying N (searched up to 2 999) as it is, and size >= 96 at each
+    # certifying call
     (VERIFICATION, "_EPS * (size + 16.0)", "_EPS * (size - 16.0)",
      "err = (64 + 2 want) eps (size + 16) falls by 32 (64 + 2 want) eps, at most 29% of "
      "it where size >= 96 (SCAN): decisions move only within that many roundings of a "
@@ -61,9 +79,8 @@ MUTANTS = [
      "t^2's three roundings then lower s_j by at most 1.5 eps relative, which moves "
      "the tail bound's log by 0.75 eps s_j / (1 - s_j), under err's 66 * 112 eps "
      "unless 1 - s_j < 1e-4; no SCAN case decides there"),
-    (VERIFICATION, "resid2 < gap * room * (1.0 - _EPS)", "resid2 < gap * room",
-     "the clause then admits a resid2 within eps relative of gap * room, the one "
-     "rounding of their product; no SCAN case decides within it"),
+    # the bounds' rounding scale past the doubles, refused by name
+    (VERIFICATION, "if size == math.inf:", "if False:", None),
     # the metric sums' neglected tail, relative
     (VERIFICATION, "_TAIL_TOL = _EPS / 4.0", "_TAIL_TOL = _EPS * 4.0", None),
 ]

@@ -442,3 +442,24 @@ def tail_count_mp(ratio, a, tol):
             if over is not None and over <= 0:
                 return o, float(over), before
             before, log_t, o = None if over is None else float(over), log_t + mp.log(r), o + 1
+
+
+def enclosure_mp(r2, gap, room, got):
+    """The inequalities that core._kato_temple's result `got` for the
+    floats r2, gap and room breaks, at 40 digits with the floats taken
+    exactly; [] where it keeps them all.  A pair (below, above) must come
+    only where gap > 0 and r2 < gap room, Kato's clause, and each width must
+    be at or above its exact value, r2 / room and r2 / gap; None only where
+    gap <= 0 or r2 >= gap room (1 - 2 eps), the clause's margin (1 - eps)
+    less the rounding of its two products."""
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        r2, gap, room = mp.mpf(r2), mp.mpf(gap), mp.mpf(room)
+        product = gap * room
+        if got is None:
+            return [] if not (gap > 0 and r2 < product * (1 - 2 * eps)) else ["refused inside"]
+        below, above = map(mp.mpf, got)
+        checks = {"gap > 0": gap > 0, "r2 < gap room": r2 < product,
+                  "below >= r2 / room": room > 0 and below >= r2 / room,
+                  "above >= r2 / gap": gap > 0 and above >= r2 / gap}
+    return [name for name, holds in checks.items() if not holds]

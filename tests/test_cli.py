@@ -486,7 +486,7 @@ class TestNonFiniteInputs:
         (("verify", *BASE, "--realization", "oscillator", "--size", "3", "--trusted", "2"),
          "dimension must be at least 4 (got 3)"),
         (("verify", *BASE, "--realization", "oscillator:parity=up"),
-         "parity must be 'even' or 'odd' (got 'up')"),
+         "parity must be 'full', 'even' or 'odd' (got 'up')"),
         (("verify", *BASE, "--realization", "oscillator:parity=even", "--size", "3",
           "--trusted", "2"), "dimension must be at least 4 (got 3)"),
         (("verify", *BASE, "--realization", "multiboson:l=0,residues=0.25"),

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import tracemalloc
 import warnings
@@ -10,7 +11,6 @@ import pytest
 import scipy.linalg
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
 
 from su11metric import (InvalidParams, NoConvergence, Su11MetricError, SwansonParams,
                         TruncationTooSmall, from_descriptor, is_admissible,
@@ -22,7 +22,8 @@ from su11metric.pdm import (PdmConfig, _grid_spectrum, _grid_terms, _h_tridiag,
                             validate_config)
 
 from conftest import realize
-from oracles import pdm_flux_form
+from oracles import enclosure_mp, pdm_flux_form
+from test_golden import GOLDEN, run
 from test_metric import NEAR_PARABOLIC
 
 P = SwansonParams(1.0, 0.2, 0.1)
@@ -371,16 +372,11 @@ class TestCertifiedChain:
                                    select_range=(0, 3),
                                    tol=2.0 * np.finfo(float).tiny)
 
-        def counted_up_to_top(theta):
-            # the count below _interval_top's top, as _grid_spectrum takes it
-            top = pdm._interval_top(theta, np.zeros(3), 3)
-            found, *_, info = pdm._lapack().dstebz(
-                diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
-            assert info == 0
-            return found
-
-        assert counted_up_to_top(lowest4[1:]) == 4
-        assert counted_up_to_top(lowest4[:3]) == 3
+        # the certificate counts up to half the top spacing above the top
+        # value: four levels for the 2nd-4th, three for the lowest three
+        zeros = np.zeros(3)
+        assert pdm._enclosure(diag, off, lowest4[1:], zeros, zeros) is None
+        assert pdm._enclosure(diag, off, lowest4[:3], zeros, zeros) is not None
         bisected = []
 
         def counted(*args, _f=pdm._bisect):
@@ -446,18 +442,24 @@ class TestCertifiedChain:
     def test_wall_rows_taken_error_free(self, monkeypatch):
         # the diagonal reaches 1.6e27 at the 400-point level and 7.2e27 at
         # 800: the rounding bound 4 eps ||(|T| + |theta|) |q||| alone gave
-        # 1.9e-8 and 8.4e-8 against a bar of 1.3e-8, and the check exited 3.
-        # With the rows near the wall summed by Dot2 every level certifies,
-        # no residual is above half the bar, and each still covers
-        # the 60-digit one
+        # 1.9e-8 and 8.4e-8 against the bar sqrt(eps) max theta = 1.3e-8.
+        # With the rows near the wall summed by Dot2 every level certifies
+        # and each residual still covers the 60-digit one.  The 200- and
+        # 800-point levels, refined from the bisection's and from certified
+        # values, keep every residual within half the bar; the 400-point
+        # level, refined from the 200-point values, is left with residuals
+        # of 2.2e-6, past the bar, and its Kato-Temple widths (3e-11)
+        # certify it without the bisection
         cfg = PdmConfig(params=SwansonParams(0.5, 0.2978680309545344, 0.10774281255720841),
                         z=-0.11626529395105223, s=1.0, tau=1.4216797492124251,
                         x_min=-20.0, x_max=30.0, points=800)
         report, got = self.certified_levels(monkeypatch, cfg)
         assert report.status == "PASS"
-        for diag, _, (theta, _, resid) in got:
-            assert diag.max() > 1e26
-            assert resid.max() <= np.sqrt(np.finfo(float).eps) * theta.max() / 2.0, resid
+        bar = [np.sqrt(np.finfo(float).eps) * theta.max() for _, _, (theta, _, _) in got]
+        resid = [r.max() for _, _, (_, _, r) in got]
+        assert all(diag.max() > 1e26 for diag, _, _ in got)
+        assert resid[0] <= bar[0] / 2.0 and resid[2] <= bar[2] / 2.0, resid
+        assert resid[1] > bar[1], resid
 
     @pytest.mark.parametrize("z, points", [(0.024908, 500), (0.0, 100)])
     def test_rounding_term_is_four_eps_m(self, z, points):
@@ -472,7 +474,7 @@ class TestCertifiedChain:
         cfg = CFG._replace(z=z, points=points)
         seeds = np.array(_harmonic_law(math.sqrt(solve_metric(P, z).gap), 0.5, pdm.COUNT))
         diag, off = h_tridiag(cfg)
-        theta, vecs, bound = pdm._rayleigh(diag, off, seeds)
+        theta, vecs, bound, _ = pdm._rayleigh(diag, off, seeds)
         n, eps = diag.size, np.finfo(float).eps
         d, e = diag.tolist(), [0.0, *off.tolist(), 0.0]
         for t, q, b in zip(theta.tolist(), vecs.T.tolist(), bound.tolist()):
@@ -488,6 +490,39 @@ class TestCertifiedChain:
             if points == 500:
                 assert 4.0 * eps * m_norm >= 0.9 * b, (z, points, t)
 
+    @pytest.mark.parametrize("points", [1600, 3200, 6400])
+    def test_wall_grid_reaches_a_verdict(self, points):
+        # (0.5, 0.3, 0.1) at z = -0.1, s = 1, tau = 1.4 on [-20, 30]: the
+        # finest level's residuals (2.0e-8 to 2.9e-7) pass no gate of
+        # sqrt(eps) max theta = 1.35e-8 on the residual, and the check
+        # ended in NoConvergence; its certified widths, offset and
+        # Kato-Temple term together at most 8.1e-12, pass that gate, and
+        # the check passes
+        cfg = PdmConfig(params=SwansonParams(0.5, 0.3, 0.1), z=-0.1, s=1.0, tau=1.4,
+                        x_min=-20.0, x_max=30.0, points=points)
+        report = run_pdm_check(cfg)
+        assert report.status == "PASS"
+        assert report.refine_residuals[points].max() > 1.35e-8
+
+    def test_offsets_bound_the_rayleigh_quotient(self):
+        # each offset _rayleigh returns covers |theta - q.Tq / q.q| at 60
+        # digits, for its theta and q: on the default grid, the wall grid
+        # whose diagonal reaches 1e27 and the wide one that reaches 1e260
+        wall = PdmConfig(params=SwansonParams(0.5, 0.3, 0.1), z=-0.1, s=1.0, tau=1.4,
+                         x_min=-20.0, x_max=30.0, points=400)
+        for cfg in (CFG._replace(points=400), wall, CFG._replace(z=0.8, x_min=-600.0,
+                                                                 points=400)):
+            diag, off = h_tridiag(cfg)
+            theta, vecs, _, offset = pdm._rayleigh(diag, off, pdm._bisect(diag, off, 3))
+            with mp.workdps(60):
+                d, e = [mp.mpf(v) for v in diag], [mp.mpf(v) for v in off] + [mp.mpf(0)]
+                for t, q, bound in zip(theta, vecs.T, offset):
+                    q = [mp.mpf(v) for v in q] + [mp.mpf(0)]
+                    tq = mp.fsum(q[i] * (d[i] * q[i] + e[i - 1] * q[i - 1] + e[i] * q[i + 1])
+                                 for i in range(diag.size))
+                    eta = tq / mp.fsum(v * v for v in q)
+                    assert bound >= abs(eta - mp.mpf(t)), (cfg, t, bound)
+
     def test_uncertified_grid_is_no_convergence(self):
         # 2 s max|x| = 300: the 500-point level's diagonal spans 0.4 to
         # 4e130, the residuals' bound on their own rounding is about 1e14,
@@ -497,47 +532,82 @@ class TestCertifiedChain:
 
 
 class TestCertificate:
-    # _interval_top, the intervals of the grid's count certificate, on
-    # chains whose spectra are known
+    # _enclosure, the grid's certificate, on diagonal matrices, whose levels
+    # are their entries; offsets 0 unless given, as for exact Rayleigh
+    # quotients
+
+    @staticmethod
+    def enclose(diag, theta, resid, offset=None):
+        theta = np.asarray(theta, dtype=float)
+        return pdm._enclosure(np.asarray(diag, dtype=float), np.zeros(len(diag) - 1), theta,
+                              np.asarray(resid, dtype=float),
+                              np.zeros(theta.size) if offset is None else np.asarray(offset))
 
     def test_overlapping_intervals_fail(self):
-        # eigenvalues 1 and 1 + 1e-9: residuals 4e-10 separate them, 1e-9
-        # do not
-        d = np.array([1.0, 1.0 + 1e-9, 3.0])
-        assert pdm._interval_top(d[:2], np.full(2, 4e-10), 2) == d[1] + 4e-10
-        assert pdm._interval_top(d[:2], np.full(2, 1e-9), 2) is None
+        # levels 1 and 1 + 1e-9: residuals 4e-10 separate them, 1e-9 do
+        # not.  Where they certify, each Kato-Temple width r^2 / (distance
+        # to the neighbour's interval) is below the residual
+        d = [1.0, 1.0 + 1e-9, 3.0]
+        widths = self.enclose(d, d[:2], [4e-10, 4e-10])
+        assert widths is not None and max(widths) < 4e-10
+        assert self.enclose(d, d[:2], [1e-9, 1e-9]) is None
 
     def test_disjointness_reads_both_radii(self):
         # theta_1 lies above theta_0 + rho_0 = 1 + 1e-9, but with residual
-        # 2.5e-9 its interval starts below it; with 1.5e-9 it does not
-        theta = np.array([1.0, 1.0 + 3e-9, 5.0])
-        assert pdm._interval_top(theta, np.array([1e-9, 2.5e-9, 0.0]), 3) is None
-        assert pdm._interval_top(theta, np.array([1e-9, 1.5e-9, 0.0]), 3) \
-            == 5.0 + 2.0 * (np.finfo(float).tiny + np.finfo(float).eps * 5.0)
+        # 2.5e-9 its interval starts below it; with 1.5e-9 it does not.
+        # Intervals that touch, theta_1 - rho_1 = theta_0 + rho_0 in
+        # doubles, could share one level, and are refused too
+        d = [1.0, 1.0 + 3e-9, 5.0, 10.0]
+        assert self.enclose(d, d[:3], [1e-9, 2.5e-9, 0.0]) is None
+        assert self.enclose(d, d[:3], [1e-9, 1.5e-9, 0.0]) is not None
+        touch = d[1] - (d[0] + 1e-9)
+        assert d[1] - touch == d[0] + 1e-9
+        assert self.enclose(d, d[:3], [1e-9, touch, 0.0]) is None
 
-    def test_residual_gate_is_sqrt_eps(self):
-        # disjoint intervals, but a residual above sqrt(eps) max|theta| =
-        # 4.47e-8 is refused, since theta is then off by about resid^2 / gap
-        theta = np.array([1.0, 2.0, 3.0])
-        assert pdm._interval_top(theta, np.array([5e-8, 0.0, 0.0]), 3) is None
-        assert pdm._interval_top(theta, np.array([4e-8, 0.0, 0.0]), 3) is not None
+    def test_width_gate_is_sqrt_eps(self):
+        # every certified width, not the residual, must be within sqrt(eps)
+        # max |theta| = 4.47e-8 (levels 1, 2, 3): level 0's offset of 5e-8
+        # is refused and 4e-8 is not, and its residual of 2e-4, far past
+        # the gate, certifies, since its width r^2 / room is 4e-8; 2.2e-4
+        # (4.84e-8) does not
+        d = [1.0, 2.0, 3.0, 4.0]
+        assert self.enclose(d, d[:3], [0.0] * 3, [5e-8, 0.0, 0.0]) is None
+        assert self.enclose(d, d[:3], [0.0] * 3, [4e-8, 0.0, 0.0]) is not None
+        assert self.enclose(d, d[:3], [2e-4, 0.0, 0.0]) is not None
+        assert self.enclose(d, d[:3], [2.2e-4, 0.0, 0.0]) is None
 
     def test_bisected_values_certify_with_zero_residual(self):
         # the values of a chain's leading states, bisected to 2 tiny,
-        # certify with residual 0 by dstebz's own count up to the top, as
-        # pdm counts: the intervals are at least as wide as the bisection's
-        # own tolerance, and so the count's rounding
+        # certify with residual and offset 0, as pdm certifies: the
+        # intervals are at least as wide as the bisection's own tolerance,
+        # and the count half a spacing above the top finds them all
         for r in (realize("discrete:k=0.25", 300), realize("oscillator", 300)):
             for z in (-0.8, -0.4, 0.0, 0.4, 0.8):
                 sol = solve_metric(P, z)
-                for count in (1, 5, 25):
+                for count in (2, 5, 25):
                     m = 2 * count + 32
                     k0, kp = r.bands(0, m)
                     d, e = sol.c0 * k0, sol.c * kp
                     w = pdm._bisect(d, e, count)
-                    top = pdm._interval_top(w, np.zeros(count), count)
-                    found, *_, info = dstebz(d, e, 1, -np.inf, top, 0, 0, np.inf, "E")
-                    assert (found, info) == (count, 0), (r.kind, z, count)
+                    zeros = np.zeros(count)
+                    assert pdm._enclosure(d, e, w, zeros, zeros) is not None, (r.kind, z, count)
+
+    def test_enclosure_oracle_on_golden_grids(self, monkeypatch):
+        # every Kato-Temple call of every level of the golden file's pdm
+        # calls keeps its one-sided inequalities at 40 digits
+        calls = []
+
+        def record(r2, gap, room, _f=pdm._kato_temple):
+            calls.append((r2, gap, room, _f(r2, gap, room)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(pdm, "_kato_temple", record)
+        records = [r for r in json.loads(GOLDEN.read_text()) if r["argv"][0] == "pdm"]
+        for rec in records:
+            assert run(rec["argv"])[0] == rec["code"], rec["argv"]
+        assert len(records) == 94 and len(calls) > 3 * len(records)
+        assert [(call[:3], broken) for call in calls
+                if (broken := enclosure_mp(*call))] == []
 
 
 class TestRayleighLayout:

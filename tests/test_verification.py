@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from su11metric.pdm import PdmConfig, run_pdm_check
 
 from conftest import apply_basis, halved_conjugate, metric_block, realize, spectral_norm
 from oracles import (basis_bands, chain_count_mp, chain_spectrum, commutator_residuals,
-                     exp_raising, exp_symmetric, materialize,
+                     enclosure_mp, exp_raising, exp_symmetric, materialize,
                      metric_block_definite, metric_family_mp,
                      metric_power_dense, metric_power_mp, stability_roots_mp,
                      tail_count_mp)
@@ -35,6 +36,16 @@ P = SwansonParams(1.0, 0.2, 0.1)
 STRONG = SwansonParams(1.0, 0.45, 0.05)
 NEAR_PARABOLIC = SwansonParams(1.0, 0.5, 0.49999999999)
 Z_GRID = (-0.8, -0.4, 0.0, 0.4, 0.8)
+
+
+def scan_draws():
+    """The (c, k, want) of 4 000 chains at c0 = 1, drawn in this order from
+    numpy's default_rng(1): c uniform on [0.001, 0.499], its sign, k one of
+    (0, 0.25, 0.75, 1.6, 3, 1e3) and want 1 to 5 (tests/mutants.py's SCAN)."""
+    rng = np.random.default_rng(1)
+    for _ in range(4000):
+        c = rng.uniform(0.001, 0.499) * rng.choice((-1.0, 1.0))
+        yield c, float(rng.choice((0.0, 0.25, 0.75, 1.6, 3.0, 1e3))), int(rng.integers(1, 6))
 
 
 class TestSymmetricEigs:
@@ -240,15 +251,44 @@ class TestChainBracket:
     def test_lgamma_overflow_is_refused_by_name(self):
         # lgamma(N + 1) past the doubles raised an untyped OverflowError
         # ("math range error"), and an N past the doubles one from int to
-        # float: both are refused by name.  At c = 0 no bound is formed,
+        # float: both are refused by name.  Below them the bounds' rounding
+        # scale, 8 lgamma(N + 1) and more, overflows first (from N = 5e304
+        # at k = 1/4), where None would ask for a longer chain that no N
+        # gives: it is refused by name too.  At c = 0 no bound is formed,
         # and the law holds at any N
         for n_states in (256 * 10 ** 303, 10 ** 306, 10 ** 400):
             with pytest.raises(InvalidParams) as err:
                 verification._chain_bracket(1.0, 0.1, 1e15, n_states, 5)
             assert str(err.value) == ("lgamma(N + 1) overflows the doubles at lowest "
                                       f"weight k = 1e+15, N = {n_states}")
-        assert verification._chain_bracket(1.0, 0.1, 1e15, 2 * 10 ** 305, 5) is None
+        for k, n_states in ((1e15, 2 * 10 ** 305), (0.25, 5 * 10 ** 304)):
+            with pytest.raises(InvalidParams) as err:
+                verification._chain_bracket(1.0, 0.1, k, n_states, 5)
+            assert str(err.value) == ("the chain bounds' rounding scale overflows the doubles "
+                                      f"at lowest weight k = {k:g}, N = {n_states}")
+        assert verification._chain_bracket(1.0, 0.1, 0.25, 2 * 10 ** 304, 5) is not None
         assert verification._chain_bracket(1.0, 0.0, 0.25, 10 ** 400, 2).tolist() == [0.25, 1.25]
+
+    def test_enclosure_oracle_on_the_scan_draws(self, monkeypatch):
+        # every Kato-Temple call of the chains of scan_draws() at 16, 128
+        # and 1024 states keeps its one-sided inequalities at 40 digits; in
+        # over 1 000 of them the double r2 / gap rounds down, which an upper
+        # bound must not do
+        calls = []
+
+        def record(r2, gap, room, _f=verification._kato_temple):
+            calls.append((r2, gap, room, _f(r2, gap, room)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(verification, "_kato_temple", record)
+        for c, k, want in scan_draws():
+            for n_states in (16, 128, 1024):
+                verification._chain_bracket(1.0, c, k, n_states, want)
+        assert len(calls) > 10000
+        assert sum(Fraction(r2 / gap) < Fraction(r2) / Fraction(gap)
+                   for r2, gap, _, _ in calls) > 1000
+        assert [(call[:3], broken) for call in calls
+                if (broken := enclosure_mp(*call))] == []
 
     def test_no_coupling(self):
         # c = 0: the chain is diagonal, and the law is its levels at every
