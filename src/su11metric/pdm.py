@@ -99,28 +99,25 @@ class PdmConfig(NamedTuple):
 
 
 class Tridiagonal:
-    """A square tridiagonal operator held as scipy.sparse.dia_array holds
-    one: data[k, j] is the entry at (j - k + 1, j), k = 0, 1, 2 for the
-    lower, main and upper bands, so data[0, -1] and data[2, 0] lie outside
-    it.  Products sum the lower, main and upper bands in that order from
-    zero, as dia_array's do, so they are bitwise the same."""
+    """A square tridiagonal operator held by its bands: lower[i] and
+    upper[i] are its entries at (i + 1, i) and (i, i + 1), main[i] at (i,
+    i).  It has @ (one vector, or one per column, by _tri_mul) and scalar *
+    alone: not a tuple, whose + and integer * would join and repeat bands."""
 
     __array_ufunc__ = None  # np.float64 * op is an operator, not an object array
 
-    def __init__(self, data: np.ndarray):
-        self.data = data
-        self.shape = (data.shape[1],) * 2
+    def __init__(self, lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
+        self.lower, self.main, self.upper = lower, main, upper
+        self.shape = (main.size,) * 2
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        lower, main, upper = self.data.reshape(self.data.shape + (1,) * (x.ndim - 1))
-        y = np.zeros(x.shape, np.result_type(self.data, x))
-        y[1:] += lower[:-1] * x[:-1]
-        y += main * x
-        y[:-1] += upper[1:] * x[1:]
-        return y
+        # _tri_mul's rows are x's columns
+        return _tri_mul(self.main, self.upper, self.lower, np.atleast_2d(x.T)).T.reshape(x.shape)
 
     def __mul__(self, c):
-        return Tridiagonal(self.data * c) if np.isscalar(c) else NotImplemented
+        if not np.isscalar(c):
+            return NotImplemented
+        return Tridiagonal(self.lower * c, self.main * c, self.upper * c)
 
     __rmul__ = __mul__
 
@@ -208,13 +205,15 @@ def _h_tridiag(cfg: PdmConfig, weights: tuple[float, float]):
     return diag, -mw * w[1:-1]
 
 
-def _tri_mul(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """T v for each row v of the (k, n) stack vecs, T the symmetric
-    tridiagonal (diag, off), diag one row or one row per vector: the main,
-    upper and lower bands' products summed in that order."""
-    out = diag * vecs
-    out[:, :-1] += off * vecs[:, 1:]
-    out[:, 1:] += off * vecs[:, :-1]
+def _tri_mul(main: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+             vecs: np.ndarray) -> np.ndarray:
+    """T v for each row v of the (k, n) stack vecs, T the tridiagonal of the
+    bands main, upper and lower as Tridiagonal holds them, main one row or
+    one row per vector: their products summed in that order.  The one
+    tridiagonal product: Tridiagonal's @ and _rayleigh's."""
+    out = main * vecs
+    out[:, :-1] += upper * vecs[:, 1:]
+    out[:, 1:] += lower * vecs[:, :-1]
     return out
 
 
@@ -262,18 +261,18 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray):
             return None
         theta = theta + np.einsum("ij,ij->i", x, q) / xx
         np.divide(x, np.sqrt(xx)[:, None], out=q)
-    r = _tri_mul(diag, off, q)
+    r = _tri_mul(diag, off, off, q)
     theta = np.einsum("ij,ij->i", q, r)
     r -= np.multiply(theta[:, None], q, out=x)
     resid, proj = np.sqrt(np.einsum("ij,ij->i", r, r)), np.einsum("ij,ij->i", q, r)
     del r  # freed before the second product, which would raise the peak
     np.add(np.abs(diag), np.abs(theta)[:, None], out=main)
-    m = _tri_mul(main, np.abs(off), np.abs(q, out=x))
+    m = _tri_mul(main, *[np.abs(off)] * 2, np.abs(q, out=x))
     offset = 2.0 * (np.abs(proj) + 4.0 * _EPS * np.einsum("ij,ij->i", x, m) + n * _EPS * resid)
     bar = np.abs(theta) / (16.0 * math.sqrt(_EPS * n))  # 4 eps bar = sqrt(eps)|theta|/(4 sqrt n)
     if (m.max(axis=1) > bar).any():
         j, i = np.nonzero(m > bar[:, None])
-        r = _tri_mul(diag, off, q) - theta[:, None] * q
+        r = _tri_mul(diag, off, off, q) - theta[:, None] * q
         # row i reads e[i], e[i + 1] and q[j, i - 1:i + 2], zero past the ends
         e, qp = np.pad(off, 1), np.pad(q, ((0, 0), (1, 1)))
         a, b = np.stack((diag[i], e[i], e[i + 1], -theta[j])), qp[j, i + [[1], [0], [2], [1]]]
@@ -406,7 +405,7 @@ def run_pdm_check(cfg: PdmConfig) -> PdmReport:
 
 def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOperator]:
     """Finite-difference (K0, Kp, Km) built from the generating function,
-    each a Tridiagonal band: no N x N array is formed.
+    each a Tridiagonal of its three bands: no N x N array is formed.
 
     K0 = 1/2 [ F + curv + well^2 ]
     K+- = 1/2 [ -F -+ drift d/dx - curv +- tilt + well^2 -+ 1/2 ]
@@ -419,13 +418,10 @@ def pdm_generators(cfg: PdmConfig) -> tuple[GridOperator, GridOperator, GridOper
     x, dx, w, curv, well, gp = _grid_terms(validate_config(cfg))
 
     def grid_op(name, lower, main, upper):
-        # Tridiagonal's layout: data[k, j] is the entry at (j - k + 1, j)
-        data = np.zeros((3, x.size))
-        data[0, :-1], data[1], data[2, 1:] = lower, main, upper
-        if not np.isfinite(data).all():
+        if not all(np.isfinite(band).all() for band in (lower, main, upper)):
             raise InvalidParams(f"the grid generator {name} is not finite "
                                 f"(tau = {cfg.tau:g}); shrink tau, the domain or s")
-        return GridOperator(Tridiagonal(data), x, dx)
+        return GridOperator(Tridiagonal(lower, main, upper), x, dx)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # flux operator F: f_diag, and -w on both sides

@@ -1,8 +1,10 @@
 """Mutation audit of the certificates: pdm's _rayleigh residual bound and
-Rayleigh-quotient offset, the products they are formed from (_tri_mul) and
-the grid's enclosure (_enclosure), core's Kato-Temple helper
-(_kato_temple), and verification's _chain_bracket and the metric sums'
-tail tolerance.
+Rayleigh-quotient offset, the products they are formed from (_tri_mul),
+the grid's enclosure (_enclosure) and its overflow refusal
+(validate_config), core's Kato-Temple helper (_kato_temple),
+verification's _chain_bracket, the metric sums' tail count (_tail_count)
+and ladder factor (_ladder_exp), and metric's stability polynomial
+(_exact).
 
     python tests/mutants.py
 
@@ -24,10 +26,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CORE = Path("src", "su11metric", "core.py")
+METRIC = Path("src", "su11metric", "metric.py")
 PDM = Path("src", "su11metric", "pdm.py")
 VERIFICATION = Path("src", "su11metric", "verification.py")
 # each mutated file: the tests its mutants run against
 TESTS = {CORE: ("tests/test_verification.py", "tests/test_pdm.py", "tests/test_golden.py"),
+         METRIC: ("tests/test_metric.py", "tests/test_golden.py"),
          PDM: ("tests/test_pdm.py", "tests/test_golden.py"),
          VERIFICATION: ("tests/test_verification.py", "tests/test_golden.py")}
 
@@ -35,12 +39,12 @@ TESTS = {CORE: ("tests/test_verification.py", "tests/test_pdm.py", "tests/test_g
 # equivalent)
 MUTANTS = [
     # the a-priori rounding term 4 eps ||(|T| + |theta|) |q||| of _rayleigh
-    (PDM, "np.abs(off), np.abs(q, out=x)", "off, np.abs(q, out=x)", None),
+    (PDM, "*[np.abs(off)] * 2", "*[off] * 2", None),
     (PDM, "np.add(np.abs(diag), np.abs(theta)[:, None], out=main)",
      "np.add(np.abs(diag), 0.0, out=main)", None),
     (PDM, "resid + 4.0 * _EPS * np.sqrt", "resid + 1.0 * _EPS * np.sqrt", None),
     # the products' neighbours
-    (PDM, "out[:, :-1] += off * vecs[:, 1:]", "out[:, :-1] += off * vecs[:, :-1]", None),
+    (PDM, "out[:, :-1] += upper * vecs[:, 1:]", "out[:, :-1] += upper * vecs[:, :-1]", None),
     # an error-free row's own error eps |r_i|
     (PDM, "(_EPS * np.abs(exact) + _TINY)", "(0.0 * np.abs(exact) + _TINY)",
      "the error-free rows' terms add at most eps ||r|| to the bound, one rounding "
@@ -83,6 +87,15 @@ MUTANTS = [
     (VERIFICATION, "if size == math.inf:", "if False:", None),
     # the metric sums' neglected tail, relative
     (VERIFICATION, "_TAIL_TOL = _EPS / 4.0", "_TAIL_TOL = _EPS * 4.0", None),
+    # the tail's ratio bound past term O: sup of r_o over o >= O, not r_O
+    (VERIFICATION, "rbar = np.maximum(r, ratio)", "rbar = r", None),
+    # the ladder factor's 1 / (o + 1)
+    (VERIFICATION, "coeff / np.arange(1.0, rows)", "coeff / np.arange(2.0, rows + 1.0)", None),
+    # the grid terms' overflow refusal: the flux weights' 1 / dx^2
+    (PDM, "max(0.0, -2.0 * math.log(dx), -2.0 * math.log(2.0 * cfg.s))",
+     "max(0.0, -2.0 * math.log(2.0 * cfg.s))", None),
+    # the stability polynomial P = den^2 - (alpha - beta)^2 (1 - z^2)
+    (METRIC, "den * den - (a - b) ** 2 * one", "den * den + (a - b) ** 2 * one", None),
 ]
 
 

@@ -463,3 +463,53 @@ def enclosure_mp(r2, gap, room, got):
                   "below >= r2 / room": room > 0 and below >= r2 / room,
                   "above >= r2 / gap": gap > 0 and above >= r2 / gap}
     return [name for name, holds in checks.items() if not holds]
+
+
+# the relative error of solve_metric's epsilon that orbit_mp allows: the
+# accuracy tests/test_metric.py pins it to against its 50-digit forms
+ORBIT_EPS_REL = 1e-15
+
+
+def orbit_mp(p, z, eps0, eps, dps=50):
+    """The identities of the orbit zeta_+(z) = zeta_+(0) exp(t H) (alpha
+    beta > 0) that the records' epsilon at 0 (eps0) and at z (eps) break,
+    at `dps` digits with the floats taken exactly; [] where they keep both.
+
+    In the 2 x 2 representation zeta_+ = exp(2 A) = exp(2 eps X_z), X_z =
+    [[1, z], [-z, -1]], and M = zeta_+(0)^-1 zeta_+(z) must commute with
+    sigma(H) = [[omega, 2 beta], [-2 alpha, -omega]] and equal exp(t
+    sigma(H)) = cosh(W t) I + sinh(W t) / W sigma(H), W = sqrt(omega^2 - 4
+    alpha beta), with
+
+        sinh(W t) = W z eps sinh(2 theta) / (2 theta sgn(beta) sqrt(alpha beta)),
+
+    theta = |eps| sqrt(1 - z^2).  exp(t sigma(H)) has the eigenvalues
+    e^(+-W t) > 0, so log M = t sigma(H) exactly where M = exp(t sigma(H)).
+    Each identity is exact at the exact epsilons; at the records' it is
+    held to twice its first-order change for a relative error
+    ORBIT_EPS_REL in each (d/d eps0 M = -2 X_0 M, d/d eps M = 2 M X_z and
+    d/d eps t = z cosh(2 theta) / (sgn(beta) sqrt(alpha beta) cosh(W t))),
+    in the Frobenius norm: the rest is second order in ORBIT_EPS_REL
+    theta and ORBIT_EPS_REL |eps0|."""
+    with mp.workdps(dps):
+        w, a, b, z, eps0, eps = (mp.mpf(v) for v in (*p, z, eps0, eps))
+        h = mp.matrix([[w, 2 * b], [-2 * a, -w]])
+        x0, xz = mp.matrix([[1, 0], [0, -1]]), mp.matrix([[1, z], [-z, -1]])
+        m = mp.expm(-2 * eps0 * x0) * mp.expm(2 * eps * xz)
+        big_w, theta = mp.sqrt(w * w - 4 * a * b), abs(eps) * mp.sqrt(1 - z * z)
+        sgn_root = mp.sign(b) * mp.sqrt(a * b)
+        sinhc = mp.sinh(2 * theta) / (2 * theta) if theta else mp.mpf(1)
+        t = mp.asinh(big_w * z * eps * sinhc / sgn_root) / big_w
+        orbit = mp.cosh(big_w * t) * mp.eye(2) + mp.sinh(big_w * t) / big_w * h
+        dt = z * mp.cosh(2 * theta) / (sgn_root * mp.cosh(big_w * t))
+        rel0, rel = (ORBIT_EPS_REL / (1 - ORBIT_EPS_REL) * abs(e) for e in (eps0, eps))
+        d0, d = -2 * x0 * m, 2 * m * xz
+
+        def comm(y):
+            return y * h - h * y
+
+        checks = {
+            "M commutes with sigma(H)": (comm(m), comm(d0) * rel0, comm(d) * rel),
+            "log M = t sigma(H)": (m - orbit, d0 * rel0, (d - dt * h * orbit) * rel)}
+        return [name for name, (got, by0, by) in checks.items()
+                if mp.mnorm(got, "f") > 2 * (mp.mnorm(by0, "f") + mp.mnorm(by, "f"))]

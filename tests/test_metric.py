@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -13,7 +14,9 @@ from su11metric import (AlgebraElement, InvalidParams, MetricSolution,
 from su11metric import cli, core, pdm, verification
 
 from conftest import admissible_samples, halved_conjugate, realize
-from oracles import casimir_defining, metric_family_mp, stability_roots_mp
+from oracles import casimir_defining, metric_family_mp, orbit_mp, stability_roots_mp
+from test_census import KINDS, draws
+from test_golden import RECORDS, run
 
 P = SwansonParams(1.0, 0.2, 0.1)
 
@@ -671,3 +674,49 @@ class TestSolveMetric:
             for z in admissible_samples(p, count=20):
                 sol = solve_metric(p, z)
                 assert abs(sol.w - sol.v) <= 1e-10 * max(1.0, abs(sol.v) + abs(sol.w))
+
+
+class TestOrbit:
+    """zeta_+(z) = zeta_+(0) exp(t H) where alpha beta > 0 (ROADMAP item
+    25): oracles.orbit_mp, whose tolerance it states, on every record that
+    the golden metric, verify and sweep calls solve and on the census draws."""
+
+    @staticmethod
+    def _check(sols):
+        checked = 0
+        for sol in sols:
+            p = sol.params
+            if p.alpha * p.beta > 0.0:
+                eps0 = solve_metric(p, 0.0).epsilon
+                assert orbit_mp(p, sol.z, eps0, sol.epsilon) == [], (p, sol.z)
+                checked += 1
+        return checked
+
+    def test_golden_records(self, monkeypatch):
+        sols = []
+        monkeypatch.setattr(cli, "solve_metric",
+                            lambda p, z: sols.append(solve_metric(p, z)) or sols[-1])
+        for record in RECORDS:
+            if record["argv"][0] in ("metric", "verify", "sweep"):
+                run(record["argv"])
+        # 45 of them at z != 0; the two with alpha and beta below 0 are at z = 0
+        assert self._check(sols) == 57
+
+    def test_census_draws(self):
+        # p and z are the draw's on every kind but conformal, whose own
+        # alpha = -beta; 15 of the 23 have alpha and beta below 0, where the
+        # closed form needs its sgn(beta)
+        sols = []
+        for argv, p, desc in draws():
+            if desc == KINDS[0]:
+                with contextlib.suppress(InvalidParams, ZOutOfDomain):
+                    sols.append(solve_metric(p, float(argv[argv.index("--z") + 1])))
+        assert self._check(sols) == 23
+
+    def test_a_moved_epsilon_breaks_the_orbit(self):
+        # a relative 1e-13 off either epsilon is far beyond the tolerance
+        z = 0.4
+        eps0, eps = solve_metric(P, 0.0).epsilon, solve_metric(P, z).epsilon
+        assert orbit_mp(P, z, eps0, eps) == []
+        assert orbit_mp(P, z, eps0 * (1.0 + 1e-13), eps) != []
+        assert orbit_mp(P, z, eps0, eps * (1.0 + 1e-13)) != []

@@ -9,7 +9,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
 from su11metric import (InvalidParams, NoConvergence, Su11MetricError, SwansonParams,
@@ -89,8 +88,9 @@ class TestConfig:
                           ("x_min", -math.inf), ("x_max", math.inf)):
             with pytest.raises(InvalidParams, match="must be finite"):
                 validate_config(CFG._replace(**{name: bad}))
+        # x_min = -700 on 10^6 points: e^700 alone is a double, e^700/dx^2 not
         for bad in (dict(s=50.0), dict(x_max=2000.0), dict(x_min=-2000.0),
-                    dict(s=1e-160)):
+                    dict(s=1e-160), dict(x_min=-700.0, points=10 ** 6)):
             with pytest.raises(InvalidParams, match="grid terms overflow"):
                 validate_config(CFG._replace(**bad))
 
@@ -145,11 +145,12 @@ class TestOneDiscretization:
         for cfg in admissible_configs(points):
             k0, kp, km = pdm_generators(cfg)
             sol = solve_metric(cfg.params, cfg.z)
-            comb = sol.c0 * k0.matrix.data + sol.c * kp.matrix.data + sol.c * km.matrix.data
             diag, off = h_tridiag(cfg)
             scale = max(np.abs(diag).max(), np.abs(off).max())
-            for got, want in ((comb[0, :-1], off), (comb[1], diag), (comb[2, 1:], off)):
-                assert np.abs(got - want).max() <= 1e-14 * scale, cfg
+            for band, want in (("lower", off), ("main", diag), ("upper", off)):
+                k0_b, kp_b, km_b = (getattr(op.matrix, band) for op in (k0, kp, km))
+                got = sol.c0 * k0_b + sol.c * kp_b + sol.c * km_b
+                assert np.abs(got - want).max() <= 1e-14 * scale, (cfg, band)
 
     @pytest.mark.parametrize("tau", [3.0, 2.7])
     def test_terms_match_the_g_derivatives(self, tau, monkeypatch):
@@ -161,9 +162,10 @@ class TestOneDiscretization:
         monkeypatch.setattr(pdm, "_grid_terms",
                             lambda _: (x, dx, 0.0 * w, 0.0 * curv, well, gp_got))
         _, kp, km = pdm_generators(cfg)
-        diff = kp.matrix.data - km.matrix.data
-        drift = np.append(-diff[2, 1:], diff[0, -2]) * (2.0 * dx)
-        tilt = diff[1] + 0.5
+        lower, main, upper = (getattr(kp.matrix, band) - getattr(km.matrix, band)
+                              for band in ("lower", "main", "upper"))
+        drift = np.append(-upper, lower[-1]) * (2.0 * dx)
+        tilt = main + 0.5
         s = cfg.s
         half = cfg.x_min + dx * (np.arange(cfg.points + 1) + 0.5)
         g = -np.exp(-s * x) / s
@@ -704,29 +706,47 @@ class TestBisect:
 
 
 class TestTridiagonal:
-    """pdm.Tridiagonal against scipy.sparse.dia_array on the same bands:
-    every result byte for byte, as the generators' callers read them."""
+    """pdm.Tridiagonal on random bands: its products against the dense
+    matrix within their rounding, its scalar multiples band by band."""
+
+    @staticmethod
+    def _random(n):
+        rng = np.random.default_rng(n)
+        bands = [rng.standard_normal(m) * 10.0 ** rng.uniform(-8, 8, m)
+                 for m in (n - 1, n, n - 1)]
+        dense = np.diag(bands[1]) + np.diag(bands[0], -1) + np.diag(bands[2], 1)
+        return rng, bands, dense
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 1001])
-    def test_matches_dia_array(self, n):
-        rng = np.random.default_rng(n)
-        band = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8, 8, (3, n))
-        a, ref_a = pdm.Tridiagonal(band), sparse.dia_array((band, (-1, 0, 1)), shape=(n, n))
-        x, xs = rng.standard_normal(n), rng.standard_normal((n, 4))
-        c = rng.standard_normal()
-        pairs = [(a @ x, ref_a @ x), (a @ xs, ref_a @ xs), (a @ xs[:, :1], ref_a @ xs[:, :1]),
-                 ((c * a).data, (c * ref_a).data),
-                 ((np.float64(c) * a).data, (np.float64(c) * ref_a).data),
-                 ((a * c).data, (ref_a * c).data),
-                 ((c * a) @ x, (c * ref_a) @ x)]
-        assert a.shape == ref_a.shape == (n, n)
-        for i, (got, want) in enumerate(pairs):
-            assert got.shape == want.shape and got.dtype == want.dtype, i
-            assert got.tobytes() == want.tobytes(), i
+    def test_products_match_the_dense_matrix(self, n):
+        # each entry of T x sums at most three products: with the dense
+        # product's own rounding, the two differ by at most 2 gamma_3 (|T|
+        # |x|)_i, gamma_3 = 3 (eps/2) / (1 - 3 eps/2), and 4 eps of the
+        # computed |T| |x| covers that and its rounding
+        rng, bands, dense = self._random(n)
+        a, c = pdm.Tridiagonal(*bands), rng.standard_normal()
+        assert a.shape == (n, n)
+        for op, ref in ((a, dense), (c * a, c * dense)):
+            for x in (rng.standard_normal(n), rng.standard_normal((n, 4)),
+                      rng.standard_normal((n, 1))):
+                got, want = op @ x, ref @ x
+                assert got.shape == want.shape and got.dtype == want.dtype
+                bound = 4.0 * np.finfo(float).eps * (np.abs(ref) @ np.abs(x))
+                assert (np.abs(got - want) <= bound).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 1001])
+    def test_scalar_multiples_scale_each_band(self, n):
+        rng, bands, _ = self._random(n)
+        a, c = pdm.Tridiagonal(*bands), rng.standard_normal()
+        for got in (c * a, np.float64(c) * a, a * c):
+            assert isinstance(got, pdm.Tridiagonal) and got.shape == (n, n)
+            for name, band in zip(("lower", "main", "upper"), bands):
+                assert getattr(got, name).tobytes() == (band * c).tobytes(), name
 
     def test_refuses_other_operands(self):
-        a = pdm.Tridiagonal(np.ones((3, 4)))
-        for other in (np.ones((3, 4)), 1.0):
+        a = pdm.Tridiagonal(np.ones(3), np.ones(4), np.ones(3))
+        # op + op among them: a tuple's + would join the bands
+        for other in (np.ones((3, 4)), 1.0, a):
             with pytest.raises(TypeError):
                 a + other
             with pytest.raises(TypeError):
@@ -783,15 +803,14 @@ class TestGenerators:
         x, dx = interior_grid(cfg)
         for op, ref in zip(ops, self._dense_reference(cfg)):
             assert isinstance(op.matrix, pdm.Tridiagonal)
-            data = op.matrix.data
-            for k, band in ((-1, data[0, :-1]), (0, data[1]), (1, data[2, 1:])):
+            m = op.matrix
+            for k, band in ((-1, m.lower), (0, m.main), (1, m.upper)):
                 assert np.array_equal(band, np.diagonal(ref, k)), k
             assert np.array_equal(op.grid, x) and op.dx == dx
 
     def test_k0_symmetric_exactly(self):
         k0, _, _ = pdm_generators(CFG._replace(points=300))
-        data = k0.matrix.data
-        assert np.array_equal(data[0, :-1], data[2, 1:])
+        assert np.array_equal(k0.matrix.lower, k0.matrix.upper)
 
     def test_generators_stay_banded_in_memory(self):
         # three dense 4000 x 4000 operators would take 384 MB; the bands
@@ -818,7 +837,8 @@ class TestGenerators:
             warnings.simplefilter("error")
             ops = pdm_generators(cfg)
         for op in ops:
-            assert np.isfinite(op.matrix.data).all()
+            for band in (op.matrix.lower, op.matrix.main, op.matrix.upper):
+                assert np.isfinite(band).all()
 
     def test_overflowing_tau_is_refused_by_name(self):
         # well^2 overflows at tau = 1e160: the refusal is the only report

@@ -466,6 +466,15 @@ class TestChainCut:
                 assert at < -1e-2 and (before is None or before > 1e-2), (ratio, a)
                 assert verification._tail_count(ratio, a, 10 ** 6) == count, (ratio, a)
 
+    def test_tail_ratio_rises_below_a_of_1(self):
+        # a < 1 (a block whose largest k0 is below 1/2): r_o rises toward
+        # ratio, so past term O the bound reads rbar = ratio, not r_O; with
+        # r_O both counts would fall by one
+        for ratio, a in ((0.1, 0.9), (0.9, 0.51)):
+            count, at, before = tail_count_mp(ratio, a, np.finfo(float).eps / 4.0)
+            assert at < -1e-2 and before > 1e-2, (ratio, a)
+            assert verification._tail_count(ratio, a, 10 ** 6) == count, (ratio, a)
+
 
 class TestExpSymmetric:
     def test_zero(self):
